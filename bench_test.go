@@ -1,5 +1,5 @@
 // Package repro_test holds the benchmark per table/figure of the paper
-// (see DESIGN.md's experiment index). Each benchmark wraps the shared
+// (see the experiment index in docs/ARCHITECTURE.md). Each benchmark wraps the shared
 // experiment implementation from internal/bench, which cmd/quack-bench
 // also uses to print the paper-style tables at full scale:
 //

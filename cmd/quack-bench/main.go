@@ -1,7 +1,7 @@
 // quack-bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index): it runs the experiment
-// implementations from internal/bench at paper scale and prints the same
-// rows/series the paper reports.
+// evaluation (see the experiment index in docs/ARCHITECTURE.md): it runs
+// the experiment implementations from internal/bench at paper scale and
+// prints the same rows/series the paper reports.
 //
 // Usage:
 //

@@ -23,7 +23,8 @@ type Usage struct {
 
 // Monitor tracks the most recent usage observation. In a real deployment
 // the feed comes from OS counters; experiments and the host application
-// push observations via SetAppUsage (see DESIGN.md substitutions).
+// push observations via SetAppUsage (see docs/ARCHITECTURE.md,
+// Substitutions).
 type Monitor struct {
 	mu  sync.RWMutex
 	cur Usage

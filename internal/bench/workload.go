@@ -1,7 +1,7 @@
-// Package bench implements the paper's experiments (E1-E9 in DESIGN.md):
-// workload generators, parameter sweeps, baselines and harnesses that
-// print the same rows/series the paper's Table 1, Figure 1 and
-// quantified claims report. cmd/quack-bench exposes each experiment as a
+// Package bench implements the paper's experiments (E1-E10, indexed in
+// docs/ARCHITECTURE.md): workload generators, parameter sweeps,
+// baselines and harnesses that print the same rows/series the paper's
+// Table 1, Figure 1 and quantified claims report. cmd/quack-bench exposes each experiment as a
 // CLI mode; bench_test.go wraps them as testing.B benchmarks.
 package bench
 

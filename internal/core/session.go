@@ -365,7 +365,23 @@ func (s *Session) finishQuery(ctx *exec.Context, prof *exec.Profiler, t queryTim
 	}
 }
 
+// runPlan executes a query plan and returns its rows.
 func (s *Session) runPlan(node plan.Node, tx *txn.Transaction) (*Result, error) {
+	return s.runNode(node, tx, false)
+}
+
+// runDML executes an INSERT/UPDATE/DELETE plan and returns the affected
+// row count its root operator reports.
+func (s *Session) runDML(node plan.Node, tx *txn.Transaction) (*Result, error) {
+	return s.runNode(node, tx, true)
+}
+
+// runNode is the one path every plan takes: admit, optimize, attach the
+// profiler when one is wanted, build, collect, and close the query out
+// (finishQuery). DML plans run like any query — their input scans use
+// every worker, the write itself runs on the consuming thread, and the
+// scan-open segment snapshot keeps self-referencing statements safe.
+func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Result, error) {
 	release, admitWait, err := s.db.admit.admit(s.MemoryShare, s.AdmissionQueueDepth, s.priority())
 	if err != nil {
 		return nil, err
@@ -381,7 +397,7 @@ func (s *Session) runPlan(node plan.Node, tx *txn.Transaction) (*Result, error) 
 		prof = exec.NewProfiler(node)
 		ctx.Prof = prof
 	}
-	op, err := exec.BuildParallelProfiled(node, ctx.Threads, prof)
+	op, err := exec.Build(node, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -391,17 +407,26 @@ func (s *Session) runPlan(node plan.Node, tx *txn.Transaction) (*Result, error) 
 		return nil, err
 	}
 	executeNs := time.Since(tExec).Nanoseconds()
-	schema := node.Schema()
-	res := &Result{HasRows: true, Chunks: chunks}
-	for _, c := range schema {
-		res.Columns = append(res.Columns, c.Name)
-		res.Types = append(res.Types, c.Type)
+	var res *Result
+	var rows int64
+	if dml {
+		if len(chunks) > 0 && chunks[0].Len() > 0 {
+			rows = chunks[0].Cols[0].I64[0]
+		}
+		res = &Result{RowsAffected: rows}
+	} else {
+		res = &Result{HasRows: true, Chunks: chunks}
+		for _, c := range node.Schema() {
+			res.Columns = append(res.Columns, c.Name)
+			res.Types = append(res.Types, c.Type)
+		}
+		rows = res.NumRows()
 	}
 	s.finishQuery(ctx, prof, queryTimes{
 		optimizeNs:  optimizeNs,
 		admitWaitNs: admitWait.Nanoseconds(),
 		executeNs:   executeNs,
-	}, res.NumRows())
+	}, rows)
 	return res, nil
 }
 
@@ -439,47 +464,6 @@ func (s *Session) ExecuteRowEngine(sqlText string, params ...types.Value) ([][]t
 		return nil, err
 	}
 	return out, nil
-}
-
-func (s *Session) runDML(node plan.Node, tx *txn.Transaction) (*Result, error) {
-	release, admitWait, err := s.db.admit.admit(s.MemoryShare, s.AdmissionQueueDepth, s.priority())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	t0 := time.Now()
-	node = plan.Optimize(node)
-	optimizeNs := time.Since(t0).Nanoseconds()
-	// DML input scans parallelize like any query (the write itself runs
-	// on the consuming thread); the scan-open segment snapshot keeps
-	// self-referencing statements safe.
-	ctx := s.execContext(tx)
-	ctx.QStats = &exec.QueryStats{}
-	var prof *exec.Profiler
-	if s.profilingOn() {
-		prof = exec.NewProfiler(node)
-		ctx.Prof = prof
-	}
-	op, err := exec.BuildParallelProfiled(node, ctx.Threads, prof)
-	if err != nil {
-		return nil, err
-	}
-	tExec := time.Now()
-	chunks, err := exec.Collect(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	executeNs := time.Since(tExec).Nanoseconds()
-	var affected int64
-	if len(chunks) > 0 && chunks[0].Len() > 0 {
-		affected = chunks[0].Cols[0].I64[0]
-	}
-	s.finishQuery(ctx, prof, queryTimes{
-		optimizeNs:  optimizeNs,
-		admitWaitNs: admitWait.Nanoseconds(),
-		executeNs:   executeNs,
-	}, affected)
-	return &Result{RowsAffected: affected}, nil
 }
 
 func (s *Session) createTable(st *sql.CreateTableStmt, binder *plan.Binder, tx *txn.Transaction) (*Result, error) {
@@ -615,15 +599,16 @@ func (s *Session) copy(st *sql.CopyStmt, tx *txn.Transaction) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := entry.Data.NewScanner(tx, table.ScanOptions{})
+	src, err := entry.Data.NewMorselSource(tx, table.ScanOptions{})
 	if err != nil {
 		_ = w.Close()
 		return nil, err
 	}
-	defer sc.Close()
+	defer src.Close()
+	sc := src.Worker()
 	var total int64
 	for {
-		chunk, err := sc.Next()
+		chunk, err := sc.NextChunk()
 		if err != nil {
 			_ = w.Close()
 			return nil, err
@@ -965,10 +950,6 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 		}
 		s.db.logMinDurMs.Store(intVal)
 		return &Result{}, nil
-	case "memory_usage":
-		// Bytes currently reserved from the buffer pool (alias of
-		// memory_used, named for symmetry with memory_peak).
-		return readback(strconv.FormatInt(s.db.pool.Used(), 10)), nil
 	case "memory_peak":
 		// High-water mark of buffer-pool reservation since open (or the
 		// last pool peak reset).
@@ -986,12 +967,6 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 			Chunks:  []*vector.Chunk{out},
 			HasRows: true,
 		}, nil
-	case "parallel_agg_fallbacks":
-		// Deprecated (kept one release for embedders' dashboards):
-		// budgeted parallel aggregation no longer degrades to one worker
-		// — it spills partition-wise instead (see agg_spill_partitions)
-		// — so the fallback counter is always 0.
-		return readback("0"), nil
 	default:
 		return nil, fmt.Errorf("unknown PRAGMA %q", st.Name)
 	}

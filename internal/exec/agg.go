@@ -13,8 +13,8 @@ type aggState struct {
 	groupKey []types.Value // materialized group column values
 	accs     []accumulator
 	// firstPos is the packed (morsel, row) position where the group was
-	// first seen; emission orders the merged groups by it to reproduce
-	// the single-threaded first-seen order.
+	// first seen; emission orders the merged groups by it: first-seen
+	// order of the input stream, whatever worker saw the group.
 	firstPos int64
 	// touch is seq+1 of the last morsel that updated the group. A state
 	// touched by the in-flight morsel is never spilled: spilling it would
@@ -39,19 +39,20 @@ func (st *aggState) extraBytes() int64 {
 
 // accumulator is one aggregate's running state.
 //
-// DOUBLE sums are morsel-wise two-level reductions: rows of one chunk
-// accumulate into curF, which folds into sumF at chunk boundaries (or
-// is retained per morsel by the parallel aggregate and folded in morsel
-// order at the merge). Both engines therefore evaluate the exact same
-// floating-point reduction tree, so results are bit-identical at every
-// thread count despite FP addition being non-associative.
+// DOUBLE sums are morsel-wise two-level reductions: rows of one morsel
+// accumulate into curF, which folds into sumF at the morsel boundary (a
+// lone table, which sees the morsels in order) or is retained per
+// morsel and folded in morsel order at the merge. Either way it is the
+// exact same floating-point reduction tree, so results are
+// bit-identical at every thread count despite FP addition being
+// non-associative.
 type accumulator struct {
 	count     int64
 	sumI      int64
 	sumF      float64
 	curF      float64     // in-progress per-chunk DOUBLE subtotal
 	curMorsel int64       // 1 + seq of curF's chunk; 0 = no pending subtotal
-	subF      []fsub      // retained per-morsel subtotals (parallel build only)
+	subF      []fsub      // retained per-morsel subtotals (aggTable.retain)
 	best      types.Value // min/max
 	bestSet   bool
 	// distinct (non-nil for DISTINCT aggregates) holds the encoded set
@@ -79,9 +80,9 @@ func (a *accumulator) addF(v float64, seq int64, retain bool) {
 	a.curF += v
 }
 
-// flushF finishes the pending per-chunk subtotal: folding it into sumF
-// (sequential, arrival order == morsel order) or retaining it for the
-// ordered merge (parallel workers).
+// flushF finishes the pending per-morsel subtotal: folding it into sumF
+// (a lone table: arrival order == morsel order) or retaining it for the
+// ordered merge.
 func (a *accumulator) flushF(retain bool) {
 	if a.curMorsel == 0 {
 		return
@@ -96,7 +97,7 @@ func (a *accumulator) flushF(retain bool) {
 }
 
 // foldSubF folds the retained per-morsel subtotals into sumF in morsel
-// order, reproducing the sequential engine's reduction exactly.
+// order — the reduction a lone table performs as it goes.
 func (a *accumulator) foldSubF() {
 	if len(a.subF) == 0 {
 		return
@@ -108,32 +109,42 @@ func (a *accumulator) foldSubF() {
 	a.subF = nil
 }
 
-// aggOp is the blocking hash aggregation operator. On the first Next it
-// drains its child, accumulating into a partitioned hash table (see
-// agg_spill.go: under an enforced memory budget the table spills
-// partitions to sorted state runs instead of failing), then streams the
-// merged groups in first-seen order. Accumulation is vectorized: group
-// states are resolved for a whole chunk first, then each aggregate runs
-// a tight typed loop over the chunk (the per-value switch is hoisted out
-// of the row loop).
+// aggOp is the hash aggregation pipeline breaker: each worker of the
+// source accumulates into its own thread-local partitioned hash table
+// (no sharing, no locks on the hot path), and the partials are merged
+// once when the source drains. Every group records the packed
+// (seq, row) position of its first appearance; merging keeps the
+// minimum, and emission orders by it — the first-seen group order of the
+// input stream at every worker count. DISTINCT aggregates accumulate
+// only their per-group value sets, which merge by set union and fold
+// deterministically at finish. Accumulation is vectorized: group states
+// are resolved for a whole chunk first, then each aggregate runs a tight
+// typed loop over the chunk (the per-value switch is hoisted out of the
+// row loop).
+//
+// Under an enforced memory budget the workers spill partitions to
+// sorted state runs and the finish phase merges resident partials with
+// the runs partition-by-partition across ctx.Threads workers (see
+// agg_spill.go) — the memory envelope stays bounded at every worker
+// count.
 type aggOp struct {
-	child Operator
-	node  *plan.AggNode
+	src  source
+	node *plan.AggNode
 
-	table *aggTable
-	fin   *aggFinish
-	built bool
+	tables []*aggTable
+	fin    *aggFinish
+	built  bool
 }
 
-func newAggOp(child Operator, n *plan.AggNode) *aggOp {
-	return &aggOp{child: child, node: n}
+func newAggOp(src source, n *plan.AggNode) *aggOp {
+	return &aggOp{src: src, node: n}
 }
 
 func (a *aggOp) Open(ctx *Context) error {
-	a.table = nil
+	a.tables = nil
 	a.fin = nil
 	a.built = false
-	return a.child.Open(ctx)
+	return a.src.Open(ctx)
 }
 
 func (a *aggOp) Next(ctx *Context) (*vector.Chunk, error) {
@@ -147,22 +158,33 @@ func (a *aggOp) Next(ctx *Context) (*vector.Chunk, error) {
 }
 
 func (a *aggOp) build(ctx *Context) error {
-	a.table = newAggTable(ctx, a.node, false, 1)
-	var chunkSeq int
-	for {
-		chunk, err := a.child.Next(ctx)
-		if err != nil {
-			return err
+	// The worker count (bounded by morsels) sizes each table's
+	// proactive-shed share of the budget.
+	workers := a.src.workerCount(ctx)
+	// Budget floor: states touched by an in-flight morsel never spill,
+	// so every worker must be able to hold one morsel's worth of
+	// distinct groups resident. Clamp the worker count to what the
+	// budget admits instead of letting reservation hard-fail (EXPLAIN
+	// surfaces the clamp as a NOTE).
+	if ctx.Pool != nil {
+		if w := AggWorkersAdmitted(ctx.Pool.Limit(), ctx.Threads, a.node); w < workers {
+			workers = w
 		}
-		if chunk == nil {
-			break
-		}
-		if err := a.table.accumulate(ctx, chunkSeq, chunk); err != nil {
-			return err
-		}
-		chunkSeq++
 	}
-	fin, err := finishAggTables(ctx, a.node, []*aggTable{a.table})
+	// mkSink runs on the coordinating goroutine, and the partials are
+	// only read back after consume has joined every worker, so the
+	// tables slice needs no locking.
+	err := a.src.consume(ctx, workers, ctx.Prof.Slot(a.node), func(w int) sinkFunc {
+		t := newAggTable(ctx, a.node, workers)
+		a.tables = append(a.tables, t)
+		return func(seq int, chunk *vector.Chunk) error {
+			return t.accumulate(ctx, seq, chunk)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	fin, err := finishAggTables(ctx, a.node, a.tables)
 	if err != nil {
 		return err
 	}
@@ -180,9 +202,8 @@ func groupTypes(n *plan.AggNode) []types.Type {
 
 // updateAggChunk accumulates one aggregate over a whole chunk with the
 // type/function dispatch hoisted out of the row loop. seq identifies
-// the chunk (its morsel sequence number for parallel pipelines, any
-// monotone counter otherwise); retain marks parallel workers, whose
-// DOUBLE subtotals are kept per morsel for the ordered merge.
+// the chunk's position in the source's stream; retain keeps DOUBLE
+// subtotals per seq for the ordered merge (aggTable.retain).
 func updateAggChunk(spec plan.AggSpec, j int, states []*aggState, arg *vector.Vector, seq int64, retain bool) {
 	if spec.Arg == nil { // count(*)
 		for _, st := range states {
@@ -412,9 +433,9 @@ func (a *aggOp) Close(ctx *Context) {
 		a.fin.close()
 		a.fin = nil
 	}
-	if a.table != nil {
-		a.table.close()
-		a.table = nil
+	for _, t := range a.tables {
+		t.close()
 	}
-	a.child.Close(ctx)
+	a.tables = nil
+	a.src.Close(ctx)
 }

@@ -7,90 +7,6 @@ import (
 	"repro/internal/vector"
 )
 
-// parAggOp is the parallel hash aggregation pipeline breaker: each
-// worker of the child pipeline accumulates into its own thread-local
-// partitioned hash table (no sharing, no locks on the hot path), and the
-// partials are merged once when the pipeline drains. Every group records
-// the packed (morsel, row) position of its first appearance; merging
-// keeps the minimum, and emission orders by it — reproducing exactly the
-// first-seen group order of the single-threaded aggregate. DISTINCT
-// aggregates accumulate only their per-group value sets, which merge by
-// set union and fold deterministically at finish.
-//
-// Under an enforced memory budget the workers spill partitions to
-// sorted state runs and the finish phase merges resident partials with
-// the runs partition-by-partition across ctx.Threads workers (see
-// agg_spill.go) — the memory envelope stays bounded at every worker
-// count, so a budget no longer degrades the aggregation to one worker.
-type parAggOp struct {
-	scan *parScanOp
-	node *plan.AggNode
-
-	tables []*aggTable
-	fin    *aggFinish
-	built  bool
-}
-
-func newParAggOp(spec *pipelineSpec, n *plan.AggNode) *parAggOp {
-	return &parAggOp{scan: newParScanOp(spec), node: n}
-}
-
-func (a *parAggOp) Open(ctx *Context) error {
-	a.tables = nil
-	a.fin = nil
-	a.built = false
-	return nil
-}
-
-func (a *parAggOp) Next(ctx *Context) (*vector.Chunk, error) {
-	if !a.built {
-		if err := a.build(ctx); err != nil {
-			return nil, err
-		}
-		a.built = true
-	}
-	return a.fin.next()
-}
-
-func (a *parAggOp) build(ctx *Context) error {
-	// Open the source first so the worker count (bounded by morsels) is
-	// known and each table's proactive-shed share of the budget reflects
-	// the actual number of sibling tables.
-	if err := a.scan.Open(ctx); err != nil {
-		return err
-	}
-	// Budget floor: states touched by an in-flight morsel never spill,
-	// so every worker must be able to hold one morsel's worth of
-	// distinct groups resident. Clamp the worker count to what the
-	// budget admits instead of letting reservation hard-fail (EXPLAIN
-	// surfaces the clamp as a NOTE).
-	if ctx.Pool != nil {
-		if lim := ctx.Pool.Limit(); lim > 0 {
-			a.scan.maxWorkers = AggWorkersAdmitted(lim, ctx.Threads, a.node)
-		}
-	}
-	workers := a.scan.workerCount(ctx)
-	// mkSink runs on the coordinating goroutine, and the partials are
-	// only read back after consume has joined every worker, so the
-	// tables slice needs no locking.
-	_, err := a.scan.consume(ctx, func(w int) func(int, *vector.Chunk) error {
-		t := newAggTable(ctx, a.node, true, workers)
-		a.tables = append(a.tables, t)
-		return func(seq int, chunk *vector.Chunk) error {
-			return t.accumulate(ctx, seq, chunk)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	fin, err := finishAggTables(ctx, a.node, a.tables)
-	if err != nil {
-		return err
-	}
-	a.fin = fin
-	return nil
-}
-
 // AggWorkersAdmitted reports how many parallel accumulation workers an
 // enforced memory budget admits for this aggregation. States touched by
 // the morsel a worker is accumulating can never spill, so in the worst
@@ -140,7 +56,7 @@ func FindAggregate(node plan.Node) *plan.AggNode {
 }
 
 // workerRows reports rows accumulated per build worker (test hook).
-func (a *parAggOp) workerRows() []int64 {
+func (a *aggOp) workerRows() []int64 {
 	out := make([]int64, len(a.tables))
 	for i, t := range a.tables {
 		out[i] = t.rows
@@ -150,7 +66,7 @@ func (a *parAggOp) workerRows() []int64 {
 
 // mergeGroups reports groups merged per finish worker on the spilled
 // path (test hook; nil when the finish ran in memory).
-func (a *parAggOp) mergeGroups() []int64 {
+func (a *aggOp) mergeGroups() []int64 {
 	if a.fin == nil {
 		return nil
 	}
@@ -202,16 +118,4 @@ func mergeAccumulator(spec plan.AggSpec, dst, src *accumulator) {
 			}
 		}
 	}
-}
-
-func (a *parAggOp) Close(ctx *Context) {
-	if a.fin != nil {
-		a.fin.close()
-		a.fin = nil
-	}
-	for _, t := range a.tables {
-		t.close()
-	}
-	a.tables = nil
-	a.scan.Close(ctx)
 }

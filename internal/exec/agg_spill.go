@@ -15,9 +15,8 @@ import (
 	"repro/internal/vector"
 )
 
-// Partition-wise (grace) hash aggregation. Every accumulation thread —
-// the sequential aggOp or one parAggOp pipeline worker — hash-partitions
-// its groups into a fixed fan-out of sub-tables on the group-key hash.
+// Partition-wise (grace) hash aggregation. Every accumulation worker of
+// an aggOp hash-partitions its groups into a fixed fan-out of sub-tables on the group-key hash.
 // Under an enforced memory budget a partition whose states no longer fit
 // is spilled to a sorted-key state run (extsort.StateRun) and its budget
 // returned; the finish phase spills each table's resident remainder and
@@ -32,10 +31,10 @@ import (
 //     processed by exactly one worker and a spill never splits the
 //     in-flight morsel's subtotal (states touched by the current morsel
 //     are not spillable), so the merged subtotal list has unique morsel
-//     seqs and foldSubF replays the sequential reduction tree exactly;
+//     seqs and foldSubF replays the morsel-order reduction tree exactly;
 //   - emission orders groups by firstPos, the packed (morsel, row)
-//     position of first appearance — unique per group — reproducing the
-//     sequential first-seen order; the spilled path routes finished rows
+//     position of first appearance — unique per group — which is the
+//     input stream's first-seen order; the spilled path routes finished rows
 //     through per-worker extsort sorters keyed on firstPos and one
 //     MergeFinish stream, so even the output sort is memory-bounded.
 
@@ -83,9 +82,12 @@ type aggTable struct {
 	// boundary, so one thread's resident states cannot crowd out its
 	// siblings' unspillable in-flight morsels from the shared pool.
 	softCap int64
-	// retain keeps per-morsel DOUBLE subtotals for the ordered merge
-	// (parallel workers always; any table that may spill, since a spilled
-	// partial must carry its exact reduction-tree leaves).
+	// retain keeps per-morsel DOUBLE subtotals for the ordered merge:
+	// needed whenever partials of one group can meet — several tables, or
+	// a table that may spill (a spilled partial must carry its exact
+	// reduction-tree leaves). A lone unbudgeted table sees the morsels in
+	// order and folds each subtotal as it completes, which is the same
+	// reduction tree without the per-(group, morsel) memory.
 	retain bool
 
 	parts    [aggFanout]aggPart
@@ -101,12 +103,10 @@ type aggTable struct {
 	spills    int64
 }
 
-// newAggTable builds one accumulation thread's table. tables is how
-// many sibling tables share the budget (1 for the sequential aggOp,
-// the worker count for parAggOp), sizing the proactive-shed share so a
-// lone sequential aggregate keeps half the budget instead of spilling
-// at 1/(2·threads) of it.
-func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTable {
+// newAggTable builds one accumulation worker's table. tables is the
+// aggregation's worker count: the tables share the budget, which sizes
+// the proactive-shed share (a lone table keeps half the budget).
+func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 	t := &aggTable{
 		node:       n,
 		groupTypes: groupTypes(n),
@@ -118,7 +118,7 @@ func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTab
 	}
 	t.rowEstimate = keyBytesEstimate(t.groupTypes) + int64(len(n.Aggs))*48 + 64
 	t.spillable = ctx.Pool != nil && ctx.Pool.Limit() > 0
-	t.retain = retain || t.spillable
+	t.retain = tables > 1 || t.spillable
 	if t.spillable {
 		div := int64(2 * tables)
 		if div < 2 {
@@ -135,9 +135,9 @@ func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTab
 	return t
 }
 
-// accumulate folds one chunk into the table. seq identifies the chunk's
-// morsel (sequential callers pass a monotone chunk counter); all chunks
-// of one morsel must be accumulated consecutively.
+// accumulate folds one chunk into the table. seq is the chunk's
+// sequence number in the source's stream (its morsel, for a pipeline);
+// all chunks of one seq must be accumulated consecutively.
 func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error {
 	ng := len(t.node.GroupBy)
 	na := len(t.node.Aggs)
@@ -615,13 +615,7 @@ func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*agg
 	if workers < 1 {
 		workers = 1
 	}
-	budget := ctx.sortBudget()
-	if budget > 0 && workers > 1 {
-		budget /= int64(workers)
-		if budget < 1 {
-			budget = 1
-		}
-	}
+	budget := splitBudget(ctx.sortBudget(), workers)
 	sorters := make([]*extsort.Sorter, workers)
 	for w := range sorters {
 		sorters[w] = extsort.NewSorter(outTypes, sortKeys, budget, ctx.TmpDir)

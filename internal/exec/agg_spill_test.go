@@ -56,7 +56,7 @@ func mkAggNode(t *testing.T, n, div int, mgr *txn.Manager) *plan.AggNode {
 
 func renderAgg(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 	const rows = 60_000
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, rows, 8, mgr)
-	op, err := BuildParallel(node, 8)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, ok := op.(*parAggOp)
+	pa, ok := op.(*aggOp)
 	if !ok {
-		t.Fatalf("built %T, want *parAggOp", op)
+		t.Fatalf("built %T, want *aggOp", op)
 	}
 	pool := buffer.NewPool(1<<20, nil)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 8, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
@@ -173,11 +173,11 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, 60_000, 8, mgr)
-	op, err := BuildParallel(node, 4)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa := op.(*parAggOp)
+	pa := op.(*aggOp)
 	pool := buffer.NewPool(1<<20, nil)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
 	if err := op.Open(ctx); err != nil {
@@ -313,8 +313,8 @@ func TestAggSpillRunCorruptionPropagates(t *testing.T) {
 
 	// Drive the table directly so corruption lands between spill and
 	// merge: accumulate everything, corrupt one run, then finish.
-	tbl := newAggTable(ctx, node, false, 1)
-	scan, err := Build(node.Child)
+	tbl := newAggTable(ctx, node, 1)
+	scan, err := Build(node.Child, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,24 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
-
-// ---- scan ----
-
-// scanOp reads a base table through an MVCC snapshot scanner, applying
-// the pushed-down filter inside the scan.
-type scanOp struct {
-	node    *plan.ScanNode
-	scanner *table.Scanner
-	selBuf  []int
-}
-
-func newScanOp(n *plan.ScanNode) *scanOp { return &scanOp{node: n} }
 
 // scanOptions assembles the table-layer options for a scan node: the
 // projected columns, the zone-map-eligible conjuncts of the pushed
@@ -48,112 +35,6 @@ func scanOptions(ctx *Context, n *plan.ScanNode) table.ScanOptions {
 	}
 	return opts
 }
-
-func (s *scanOp) Open(ctx *Context) error {
-	sc, err := s.node.Table.Data.NewScanner(ctx.Txn, scanOptions(ctx, s.node))
-	if err != nil {
-		return err
-	}
-	s.scanner = sc
-	return nil
-}
-
-func (s *scanOp) Next(ctx *Context) (*vector.Chunk, error) {
-	for {
-		chunk, err := s.scanner.Next()
-		if err != nil || chunk == nil {
-			return nil, err
-		}
-		if s.node.Filter == nil {
-			return chunk, nil
-		}
-		mask, err := s.node.Filter.Eval(chunk)
-		if err != nil {
-			return nil, err
-		}
-		s.selBuf = expr.SelectTrue(mask, s.selBuf)
-		if len(s.selBuf) == 0 {
-			continue
-		}
-		if len(s.selBuf) == chunk.Len() {
-			return chunk, nil
-		}
-		out := vector.NewChunk(chunk.Types())
-		chunk.CompactInto(out, s.selBuf)
-		return out, nil
-	}
-}
-
-func (s *scanOp) Close(ctx *Context) {
-	if s.scanner != nil {
-		s.scanner.Close()
-		s.scanner = nil
-	}
-}
-
-// ---- filter ----
-
-type filterOp struct {
-	child  Operator
-	cond   expr.Expr
-	selBuf []int
-}
-
-func (f *filterOp) Open(ctx *Context) error { return f.child.Open(ctx) }
-
-func (f *filterOp) Next(ctx *Context) (*vector.Chunk, error) {
-	for {
-		chunk, err := f.child.Next(ctx)
-		if err != nil || chunk == nil {
-			return nil, err
-		}
-		mask, err := f.cond.Eval(chunk)
-		if err != nil {
-			return nil, err
-		}
-		f.selBuf = expr.SelectTrue(mask, f.selBuf)
-		if len(f.selBuf) == 0 {
-			continue
-		}
-		if len(f.selBuf) == chunk.Len() {
-			return chunk, nil
-		}
-		out := vector.NewChunk(chunk.Types())
-		chunk.CompactInto(out, f.selBuf)
-		return out, nil
-	}
-}
-
-func (f *filterOp) Close(ctx *Context) { f.child.Close(ctx) }
-
-// ---- project ----
-
-type projectOp struct {
-	child Operator
-	exprs []expr.Expr
-	types []types.Type
-}
-
-func (p *projectOp) Open(ctx *Context) error { return p.child.Open(ctx) }
-
-func (p *projectOp) Next(ctx *Context) (*vector.Chunk, error) {
-	chunk, err := p.child.Next(ctx)
-	if err != nil || chunk == nil {
-		return nil, err
-	}
-	out := &vector.Chunk{Cols: make([]*vector.Vector, len(p.exprs))}
-	for i, e := range p.exprs {
-		v, err := e.Eval(chunk)
-		if err != nil {
-			return nil, err
-		}
-		out.Cols[i] = v
-	}
-	out.SetLen(chunk.Len())
-	return out, nil
-}
-
-func (p *projectOp) Close(ctx *Context) { p.child.Close(ctx) }
 
 // ---- values ----
 

@@ -9,26 +9,29 @@ import (
 	"repro/internal/vector"
 )
 
-// exchangeOp repartitions a single-threaded chunk stream — typically a
-// pipeline breaker's output (sort, aggregate, union) — across the
-// engine-wide scheduler running per-item stages (filter, project), so
-// the plan above a breaker no longer collapses to one thread. The
-// consumer itself pulls the child (operators are not safe for
-// concurrent Next) whenever the ticket window has room and submits each
-// chunk as a one-shot scheduler task; tasks draw stage instances from a
-// free list, so scratch buffers are reused without any goroutine owning
-// them.
+// exchangeOp runs per-item stages (filter, project, window evaluation,
+// join probe) over the chunk stream of a child operator that is not a
+// morsel pipeline — typically a pipeline breaker's output. It is the
+// only operator that runs stages over a child.
 //
-// With ordered=true the consumer reassembles results in input-chunk
-// order, so the operator is row-for-row transparent: filter and project
-// stages are row-wise, making the output exactly what the sequential
-// operator chain would produce. ordered=false hands chunks back in
-// completion order for consumers that re-aggregate or re-sort anyway.
+// Like the pipeline, only its driver varies with the worker count. With
+// several workers the stream is repartitioned across the engine-wide
+// scheduler, so the plan above a breaker does not collapse to one
+// thread: the consumer itself pulls the child (operators are not safe
+// for concurrent Next) whenever the ticket window has room and submits
+// each chunk as a one-shot scheduler task; tasks draw stage instances
+// from a free list, so scratch buffers are reused without any goroutine
+// owning them. With one worker the stages run inline on the calling
+// goroutine, chunk by chunk.
+//
+// Results are reassembled in input-chunk order, so the operator is
+// row-for-row transparent: the output is the same at every worker
+// count.
 type exchangeOp struct {
-	child   Operator
-	stages  []stageFactory
-	ordered bool
+	child  Operator
+	stages []stageFactory
 
+	inline  []stage // the one stage set of the inline driver
 	results chan exResult
 	free    chan []stage // reusable per-task stage instances
 
@@ -48,7 +51,6 @@ type exchangeOp struct {
 	childDone bool
 
 	failed  error
-	started bool
 	workers int
 	probe   stage // one stage instance consulted by the split policy
 }
@@ -71,8 +73,8 @@ type exResult struct {
 	err    error
 }
 
-func newExchangeOp(child Operator, stages []stageFactory, ordered bool) *exchangeOp {
-	return &exchangeOp{child: child, stages: stages, ordered: ordered}
+func newExchangeOp(child Operator, stages []stageFactory) *exchangeOp {
+	return &exchangeOp{child: child, stages: stages}
 }
 
 func (e *exchangeOp) Open(ctx *Context) error {
@@ -80,10 +82,11 @@ func (e *exchangeOp) Open(ctx *Context) error {
 }
 
 func (e *exchangeOp) start(ctx *Context) {
-	e.started = true
 	workers := ctx.Threads
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		e.inline = e.newStages()
+		e.buf = newReorderBuf(0)
+		return
 	}
 	e.workers = workers
 	if len(e.stages) > 0 {
@@ -104,7 +107,11 @@ func (e *exchangeOp) takeStages() []stage {
 	case s := <-e.free:
 		return s
 	default:
+		return e.newStages()
 	}
+}
+
+func (e *exchangeOp) newStages() []stage {
 	s := make([]stage, len(e.stages))
 	for i, f := range e.stages {
 		s[i] = f()
@@ -170,11 +177,10 @@ func (e *exchangeOp) nextItem(ctx *Context) (exItem, bool, error) {
 // one worker while the rest idle. Slices share the chunk; tasks
 // evaluate their own row range (sliceStage) or copy it out. Alignment
 // to ChunkCapacity keeps the re-assembled output's chunk boundaries
-// exactly those of the unsplit evaluation. Splitting is ordered-mode
-// only: slices must reassemble by seq.
+// exactly those of the unsplit evaluation.
 func (e *exchangeOp) splitChunk(chunk *vector.Chunk, seq int) []exItem {
 	n := chunk.Len()
-	if !e.ordered || n <= vector.ChunkCapacity {
+	if n <= vector.ChunkCapacity {
 		return []exItem{{seq: seq, chunk: chunk, lo: 0, hi: n}}
 	}
 	if ss, ok := e.probe.(sliceStage); ok && !ss.wantSlices(n) {
@@ -234,23 +240,47 @@ func runItem(ctx *Context, stages []stage, it exItem, sink func(*vector.Chunk) e
 	return runStages(ctx, stages, sub, sink)
 }
 
-// Next drives the exchange: it feeds the child's chunks to the
-// scheduler while the ticket window has room, then reassembles the
-// results. In ordered mode out-of-order results wait in a reorder
-// buffer bounded by the window tickets: at most cap(window) chunks are
-// in flight between feed and emission.
+// push queues one non-empty result chunk of the inline driver.
+func (e *exchangeOp) push(c *vector.Chunk) error {
+	if c.Len() > 0 {
+		e.buf.push(c)
+	}
+	return nil
+}
+
+// Next drives the exchange. Inline, it pulls one child chunk and runs
+// the stages over it right here. On the scheduler it feeds the child's
+// chunks to tasks while the ticket window has room, then reassembles the
+// results: out-of-order results wait in a reorder buffer bounded by the
+// window tickets, so at most cap(window) chunks are in flight between
+// feed and emission.
+//
+//quack:hotpath
 func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 	if e.failed != nil {
 		return nil, e.failed
 	}
-	if !e.started {
+	if e.buf == nil {
 		e.start(ctx)
 	}
 	for {
 		if out, ok := e.buf.pop(); ok {
 			return out, nil
 		}
-		if e.ordered && e.buf.advance() {
+		if e.inline != nil {
+			chunk, err := e.child.Next(ctx)
+			if err == nil && chunk != nil {
+				err = runStages(ctx, e.inline, chunk, e.push)
+			}
+			if err != nil {
+				e.failed = err
+			}
+			if err != nil || chunk == nil {
+				return nil, err
+			}
+			continue
+		}
+		if e.buf.advance() {
 			continue
 		}
 		if !e.childDone && e.buf.tryAcquire() {
@@ -275,17 +305,13 @@ func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 				e.failed = res.err
 				return nil, res.err
 			}
-			if e.ordered {
-				e.buf.park(res.seq, res.chunks)
-			} else {
-				e.buf.enqueue(res.chunks)
-			}
+			e.buf.park(res.seq, res.chunks)
 			continue
 		}
 		// Nothing in flight and either the child is done or the window
 		// is exhausted by parked sequences; a remaining gap can only be
 		// a seq abandoned by an error path.
-		if e.ordered && e.buf.parked() > 0 {
+		if e.buf.parked() > 0 {
 			e.buf.skip()
 			continue
 		}
@@ -298,12 +324,10 @@ func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 // submitted item posts exactly one result, so the drain terminates.
 func (e *exchangeOp) Close(ctx *Context) {
 	e.closeOnce.Do(func() {
-		if e.started {
-			e.cancelled.Store(true)
-			for e.inflight > 0 {
-				<-e.results
-				e.inflight--
-			}
+		e.cancelled.Store(true)
+		for e.inflight > 0 {
+			<-e.results
+			e.inflight--
 		}
 		if e.buf != nil {
 			e.buf.drop()
@@ -312,13 +336,11 @@ func (e *exchangeOp) Close(ctx *Context) {
 	})
 }
 
-// buildExchange recognizes a Filter/Project chain sitting on top of a
-// pipeline breaker (sort, aggregate, UNION ALL) and compiles it into an
-// exchange: the breaker is built normally (possibly itself parallel) and
-// the chain's stages run on the exchange's worker pool instead of
-// single-threaded operators. The ordered merge keeps output identical to
-// the sequential chain. Returns ok=false when the shape does not match.
-func buildExchange(node plan.Node, threads int, prof *Profiler) (Operator, bool, error) {
+// buildExchange compiles a Filter/Project chain that sits on anything
+// but a table scan (a breaker, a join, a LIMIT, ...) into one exchange
+// over that child: there is one filter and one project implementation,
+// the stages, whether a pipeline or an exchange runs them.
+func buildExchange(node plan.Node, prof *Profiler) (Operator, error) {
 	var stages []stageFactory
 	cur := node
 peel:
@@ -338,17 +360,9 @@ peel:
 			break peel
 		}
 	}
-	if len(stages) == 0 {
-		return nil, false, nil
-	}
-	switch cur.(type) {
-	case *plan.SortNode, *plan.AggNode, *plan.UnionAllNode, *plan.WindowNode:
-	default:
-		return nil, false, nil
-	}
-	base, err := build(cur, threads, prof)
+	base, err := buildOperator(cur, prof)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	// Stages were collected top-down; the exchange applies them in child
 	// → parent order.
@@ -357,5 +371,5 @@ peel:
 	}
 	// The top node's stage already counts rows; the wrapper adds wall
 	// time at the exchange boundary.
-	return prof.wrap(newExchangeOp(base, stages, true), node, false), true, nil
+	return prof.wrap(newExchangeOp(base, stages), node, false), nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // mkHavingPlan builds Project(Filter(Agg(Scan))) — the HAVING shape that
@@ -46,14 +45,12 @@ func mkHavingPlan(t *testing.T, rows int) (plan.Node, *txn.Manager) {
 
 func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Threads > 1 {
-		if _, ok := op.(*exchangeOp); !ok {
-			t.Fatalf("threads=%d built %T, want *exchangeOp", ctx.Threads, op)
-		}
+	if _, ok := op.(*exchangeOp); !ok {
+		t.Fatalf("built %T, want *exchangeOp", op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -64,8 +61,8 @@ func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	return out
 }
 
-// TestExchangeMatchesSequential: the ordered exchange over a breaker
-// must reproduce the sequential operator chain's stream exactly.
+// TestExchangeMatchesSequential: the exchange over a breaker must
+// reproduce its inline (one-worker) stream exactly on the scheduler.
 func TestExchangeMatchesSequential(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 40_000)
 	want := renderPlan(t, node, &Context{Txn: mgr.Begin(), Threads: 1})
@@ -95,18 +92,16 @@ func TestExchangeAboveSort(t *testing.T) {
 		Names: []string{"v1"},
 	}
 	render := func(threads int) string {
-		op, err := BuildParallel(strip, threads)
+		op, err := Build(strip, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			ex, ok := op.(*exchangeOp)
-			if !ok {
-				t.Fatalf("threads=%d built %T, want *exchangeOp", threads, op)
-			}
-			if _, ok := ex.child.(*parSortOp); !ok {
-				t.Fatalf("exchange child is %T, want *parSortOp", ex.child)
-			}
+		ex, ok := op.(*exchangeOp)
+		if !ok {
+			t.Fatalf("built %T, want *exchangeOp", op)
+		}
+		if _, ok := ex.child.(*sortOp); !ok {
+			t.Fatalf("exchange child is %T, want *sortOp", ex.child)
 		}
 		out := ""
 		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
@@ -128,7 +123,7 @@ func TestExchangeAboveSort(t *testing.T) {
 func TestExchangeEarlyClose(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 60_000)
 	limited := &plan.LimitNode{Child: node, Limit: 2}
-	op, err := BuildParallel(limited, 4)
+	op, err := Build(limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +156,7 @@ func TestExchangeErrorPropagates(t *testing.T) {
 		Names: []string{"boom"},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := BuildParallel(proj, threads)
+		op, err := Build(proj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,34 +164,5 @@ func TestExchangeErrorPropagates(t *testing.T) {
 		if _, err := Collect(ctx, op); err == nil {
 			t.Fatalf("threads=%d: stage error did not propagate", threads)
 		}
-	}
-}
-
-// TestExchangeUnordered: completion-order delivery must still hand every
-// chunk through exactly once.
-func TestExchangeUnordered(t *testing.T) {
-	mgr := txn.NewManager(nil)
-	entry := buildFactTable(t, mgr, 30_000)
-	scan := &plan.ScanNode{Table: entry, Columns: []int{0}}
-	base, err := Build(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := newExchangeOp(base, []stageFactory{func() stage {
-		return &projectStage{exprs: []expr.Expr{&expr.ColRef{Idx: 0, Typ: types.BigInt}}}
-	}}, false)
-	ctx := &Context{Txn: mgr.Begin(), Threads: 4}
-	var sum, n int64
-	if err := Run(ctx, ex, func(c *vector.Chunk) error {
-		for r := 0; r < c.Len(); r++ {
-			sum += c.Cols[0].I64[r]
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 30_000 || sum != 30_000*29_999/2 {
-		t.Fatalf("unordered exchange lost rows: n=%d sum=%d", n, sum)
 	}
 }

@@ -6,22 +6,27 @@
 // root: it polls the engine for chunks, which are handed over without
 // copying (§5).
 //
-// # Morsel-driven parallelism
+// # Morsel-driven pipelines
 //
 // An embedded engine must use all of the host's hardware (§6), so plans
 // are decomposed into pipelines: maximal scan→filter→project chains
 // terminated by pipeline breakers (hash aggregate and hash join builds,
-// sorts, the result sink). A parallelizable pipeline runs on a worker
-// pool; workers draw table segments ("morsels") from a shared atomic
-// counter, keeping every core busy without up-front range partitioning.
-// Operator state is thread-local — each worker owns partial aggregate
-// hash tables and partitioned join-build tables — and is merged once at
-// the pipeline breaker. Streaming pipelines reassemble their output in
-// morsel order, and breaker merges order groups by first appearance and
-// join matches by build position, so a parallel plan returns chunks in
-// exactly the order the single-threaded engine would (Context.Threads
-// = 1 is the always-available correctness baseline). Plan shapes outside
-// the pipeline whitelist simply fall back to the sequential operators.
+// sorts, the result sink). A pipeline's workers draw table segments
+// ("morsels") from a shared atomic counter, keeping every core busy
+// without up-front range partitioning. Operator state is thread-local —
+// each worker owns partial aggregate hash tables and partitioned
+// join-build tables — and is merged once at the pipeline breaker.
+// Streaming pipelines reassemble their output in morsel order, and
+// breaker merges order groups by first appearance, sorted rows by a
+// hidden input-position tiebreak and join matches by build position, so
+// a plan returns the same chunks in the same order at every worker
+// count.
+//
+// There is one executor: every operator has a single implementation,
+// written against worker-local state, and Context.Threads = 1 is that
+// same code with one worker. Only the driver differs — several worker
+// states advance as steps on the engine-wide scheduler, a single one
+// runs inline on the calling goroutine (see pipelineOp, exchangeOp).
 //
 // The package also houses the join-strategy decision the paper's
 // cooperation section describes (§4): an equi-join prefers an in-memory
@@ -113,11 +118,11 @@ type Context struct {
 	// SortBudget caps the in-memory footprint of sorts; <=0 derives it
 	// from the pool limit.
 	SortBudget int64
-	// Threads sizes the worker state of parallel pipelines (morsel
-	// scanners, partial tables, merge ranges); <=1 runs every operator
-	// single-threaded. It must match the value the plan was built with
-	// (BuildParallel). Execution itself runs on Sched's engine-wide
-	// pool, so Threads bounds a query's task width, not its goroutines.
+	// Threads sizes the worker state of pipelines and exchanges (morsel
+	// scanners, partial tables, merge ranges), read when an operator
+	// opens; <=1 means one worker, which runs inline on the calling
+	// goroutine. Wider queries run on Sched's engine-wide pool, so
+	// Threads bounds a query's task width, not its goroutines.
 	Threads int
 	// Sched is the engine-wide worker pool shared by every session of a
 	// database. nil falls back to a process-global default pool sized at
@@ -131,8 +136,8 @@ type Context struct {
 	Priority int
 	// Prof, when non-nil, collects this query's per-operator profile
 	// (EXPLAIN ANALYZE / PRAGMA profiling). The tree must have been
-	// built with BuildParallelProfiled using the same Profiler. nil is
-	// the off state: no hooks fire, nothing allocates.
+	// built (Build) with the same Profiler. nil is the off state: no
+	// hooks fire, nothing allocates.
 	Prof *Profiler
 	// QStats, when non-nil, receives the per-query roll-ups the
 	// slow-query log reports.
@@ -187,25 +192,24 @@ type Operator interface {
 	Close(ctx *Context)
 }
 
-// Build translates a logical plan into a single-threaded physical
-// operator tree.
-func Build(node plan.Node) (Operator, error) { return build(node, 1, nil) }
-
-// BuildParallel translates a logical plan into a physical operator tree
-// whose parallelizable pipelines run on worker pools of the given size.
-// The returned tree must be executed with a Context whose Threads field
-// carries the same value. threads <= 1 is identical to Build.
-func BuildParallel(node plan.Node, threads int) (Operator, error) {
-	return build(node, threads, nil)
-}
-
-// BuildParallelProfiled is BuildParallel with profiling hooks compiled
-// into the tree: operators are wrapped with their plan node's profile
-// slot and pipeline stages count rows per node. prof must come from
-// NewProfiler over the same (optimized) plan, and the executing Context
-// must carry it in Prof. A nil prof is identical to BuildParallel.
-func BuildParallelProfiled(node plan.Node, threads int, prof *Profiler) (Operator, error) {
-	return build(node, threads, prof)
+// Build translates a logical plan into a physical operator tree. The
+// tree is the same for every worker count: operators read
+// Context.Threads when they open. A non-nil prof compiles profiling
+// hooks into the tree — operators are wrapped with their plan node's
+// profile slot and pipeline stages count rows per node; it must come
+// from NewProfiler over the same (optimized) plan, and the executing
+// Context must carry it in Prof.
+//
+// A maximal scan→filter→project chain compiles into one morsel pipeline
+// streaming into whatever sits above it, anything else into its
+// operator. The pipeline operator is not wrapped: its per-node row
+// counts come from stage hooks and the morsel claim site, and its time
+// is the workers' busy time.
+func Build(node plan.Node, prof *Profiler) (Operator, error) {
+	if spec := compilePipeline(node, prof); spec != nil {
+		return newPipelineOp(spec), nil
+	}
+	return buildOperator(node, prof)
 }
 
 // HasAggregate reports whether the plan contains a hash aggregation.
@@ -224,97 +228,63 @@ func HasAggregate(node plan.Node) bool {
 	return false
 }
 
-func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
-	if threads > 1 {
-		// A maximal scan→filter→project chain becomes one morsel-driven
-		// parallel pipeline streaming into whatever sits above it. The
-		// pipeline operator is never wrapped: its per-node row counts
-		// come from stage hooks and the morsel claim site, and parents
-		// (the hash join) type-assert on *parScanOp to attach stages.
-		if spec := compilePipeline(node, prof); spec != nil {
-			return newParScanOp(spec), nil
-		}
-		// A hash aggregate directly over such a chain breaks the
-		// pipeline with worker-local partial aggregation instead.
-		// DISTINCT aggregates participate: their per-worker value sets
-		// merge by set union.
-		if n, ok := node.(*plan.AggNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParAggOp(spec, n), n, true), nil
-			}
-		}
-		// A sort over such a chain builds per-worker sorted runs and
-		// k-way merges them at the breaker.
-		if n, ok := node.(*plan.SortNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParSortOp(spec, n), n, true), nil
-			}
-		}
-		// A window over such a chain sorts per worker too, and evaluates
-		// its partitions on an exchange pool.
-		if n, ok := node.(*plan.WindowNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParWindowOp(spec, n), n, true), nil
-			}
-		}
-		// Filter/project chains stranded above a breaker (HAVING over an
-		// aggregate, the projection stripping hidden sort columns, ...)
-		// run on an exchange instead of single-threaded operators.
-		if op, ok, err := buildExchange(node, threads, prof); ok {
-			return op, err
-		}
+// buildSource builds the input of a pipeline breaker or join: the
+// morsel pipeline when the subtree is one, any other operator behind
+// the one-worker adapter.
+func buildSource(node plan.Node, prof *Profiler) (source, error) {
+	if spec := compilePipeline(node, prof); spec != nil {
+		return newPipelineOp(spec), nil
 	}
+	op, err := buildOperator(node, prof)
+	if err != nil {
+		return nil, err
+	}
+	return &opSource{op}, nil
+}
+
+// buildOperator builds the operator of a node that is not a morsel
+// pipeline.
+func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 	switch n := node.(type) {
-	case *plan.ScanNode:
-		return prof.wrap(newScanOp(n), n, true), nil
-	case *plan.FilterNode:
-		child, err := build(n.Child, threads, prof)
-		if err != nil {
-			return nil, err
-		}
-		return prof.wrap(&filterOp{child: child, cond: n.Cond}, n, true), nil
-	case *plan.ProjectNode:
-		child, err := build(n.Child, threads, prof)
-		if err != nil {
-			return nil, err
-		}
-		return prof.wrap(&projectOp{child: child, exprs: n.Exprs, types: schemaTypes(n.Schema())}, n, true), nil
+	case *plan.FilterNode, *plan.ProjectNode:
+		// Stranded above a breaker or join (HAVING over an aggregate, the
+		// projection stripping hidden sort columns, ...).
+		return buildExchange(n, prof)
 	case *plan.JoinNode:
-		left, err := build(n.Left, threads, prof)
+		left, err := buildSource(n.Left, prof)
 		if err != nil {
 			return nil, err
 		}
-		right, err := build(n.Right, threads, prof)
+		right, err := buildSource(n.Right, prof)
 		if err != nil {
 			return nil, err
 		}
 		if len(n.LeftKeys) == 0 {
-			if n.Type == plan.JoinCross && n.Extra == nil {
-				return prof.wrap(newNLJoin(left, right, n, nil), n, true), nil
-			}
 			return prof.wrap(newNLJoin(left, right, n, n.Extra), n, true), nil
 		}
 		return prof.wrap(newEquiJoin(left, right, n), n, true), nil
 	case *plan.AggNode:
-		child, err := build(n.Child, threads, prof)
+		// DISTINCT aggregates participate in worker-local partial
+		// aggregation: their per-worker value sets merge by set union.
+		src, err := buildSource(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newAggOp(child, n), n, true), nil
+		return prof.wrap(newAggOp(src, n), n, true), nil
 	case *plan.SortNode:
-		child, err := build(n.Child, threads, prof)
+		src, err := buildSource(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newSortOp(child, n), n, true), nil
+		return prof.wrap(newSortOp(src, n), n, true), nil
 	case *plan.WindowNode:
-		child, err := build(n.Child, threads, prof)
+		src, err := buildSource(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newWindowOp(child, n), n, true), nil
+		return prof.wrap(newWindowOp(src, n), n, true), nil
 	case *plan.LimitNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +292,7 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 	case *plan.UnionAllNode:
 		ops := make([]Operator, len(n.Inputs))
 		for i, in := range n.Inputs {
-			op, err := build(in, threads, prof)
+			op, err := Build(in, prof)
 			if err != nil {
 				return nil, err
 			}
@@ -332,12 +302,12 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 	case *plan.ValuesNode:
 		return prof.wrap(&valuesOp{node: n}, n, true), nil
 	case *plan.InsertNode:
-		// DML input scans run parallel like any query: the morsel source
-		// snapshots the segment list at open, so an INSERT ... SELECT
-		// reading its own target inserts exactly the pre-existing rows,
-		// and the ordered merge keeps the consumed row order identical to
-		// the sequential plan. The write itself stays on the consumer.
-		child, err := build(n.Child, threads, prof)
+		// DML inputs run like any query: the morsel source snapshots the
+		// segment list at open, so an INSERT ... SELECT reading its own
+		// target inserts exactly the pre-existing rows, and the ordered
+		// merge keeps the consumed row order the same at every worker
+		// count. The write itself stays on the consumer.
+		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -346,13 +316,13 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 		// UPDATE/DELETE materialize every row id before touching the
 		// table (Halloween protection), so their filter scans can fan
 		// out across workers too.
-		child, err := build(n.Child, threads, prof)
+		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(&updateOp{child: child, node: n}, n, true), nil
 	case *plan.DeleteNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}

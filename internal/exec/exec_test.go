@@ -43,7 +43,7 @@ func testCtx() *Context {
 
 func TestValuesAndLimit(t *testing.T) {
 	node := &plan.LimitNode{Child: valuesNode(1, 2, 3, 4, 5), Limit: 2, Offset: 1}
-	op, err := Build(node)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestValuesAndLimit(t *testing.T) {
 
 func TestUnionOperator(t *testing.T) {
 	node := &plan.UnionAllNode{Inputs: []plan.Node{valuesNode(1), valuesNode(2, 3)}}
-	op, err := Build(node)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFilterOperator(t *testing.T) {
 		L: &expr.ColRef{Idx: 0, Typ: types.BigInt},
 		R: &expr.Const{Val: types.NewBigInt(2)}}
 	node := &plan.FilterNode{Child: valuesNode(1, 2, 3, 4), Cond: cond}
-	op, err := Build(node)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func countRows(chunks []*vector.Chunk) int {
 func TestHashAndMergeJoinAgree(t *testing.T) {
 	for _, strategy := range []JoinStrategy{JoinForceHash, JoinForceMerge} {
 		join, mgr := buildJoinFixture(t, 3000, 2000)
-		op, err := Build(join)
+		op, err := Build(join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestAutoJoinFallsBackUnderMemoryPressure(t *testing.T) {
 	// forces the merge fallback, whose sorted runs spill to disk.
 	pool := buffer.NewPool(128<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
-	op, err := Build(join)
+	op, err := Build(join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestLeftJoinUnderHardLimitErrors(t *testing.T) {
 	pool := buffer.NewPool(64<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
 	join.Type = plan.JoinLeft
-	op, err := Build(join)
+	op, err := Build(join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

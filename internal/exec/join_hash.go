@@ -19,12 +19,12 @@ import (
 // and degrades to the out-of-core merge join when it does not — the §4
 // RAM-versus-CPU trade-off. LEFT joins always use the hash
 // implementation (merge join here is inner-only).
-func newEquiJoin(left, right Operator, n *plan.JoinNode) Operator {
+func newEquiJoin(left, right source, n *plan.JoinNode) Operator {
 	return &equiJoinOp{left: left, right: right, node: n}
 }
 
 type equiJoinOp struct {
-	left, right Operator
+	left, right source
 	node        *plan.JoinNode
 	impl        Operator
 }
@@ -35,7 +35,7 @@ func (j *equiJoinOp) Open(ctx *Context) error {
 		// LEFT joins have no merge fallback: run the hash join with the
 		// budget enforced so an oversized build surfaces as an error
 		// instead of silently starving the application.
-		hj := newHashJoin(j.left, j.right, j.node, nil, true)
+		hj := newHashJoin(j.left, j.right, j.node, true)
 		j.impl = hj
 		return hj.Open(ctx)
 	}
@@ -47,13 +47,13 @@ func (j *equiJoinOp) Open(ctx *Context) error {
 		j.impl = newMergeJoin(j.left, j.right, j.node, nil)
 		return j.impl.Open(ctx)
 	case JoinForceHash:
-		j.impl = newHashJoin(j.left, j.right, j.node, nil, false)
+		j.impl = newHashJoin(j.left, j.right, j.node, false)
 		return j.impl.Open(ctx)
 	default:
 		// Register the hash join as the implementation before opening:
 		// if Open fails for a reason other than memory pressure, Close
 		// must still reach it to release its pool reservations.
-		hj := newHashJoin(j.left, j.right, j.node, nil, true)
+		hj := newHashJoin(j.left, j.right, j.node, true)
 		j.impl = hj
 		err := hj.Open(ctx)
 		if err == nil {
@@ -93,7 +93,7 @@ func (r buildRef) chunk() int         { return int(int64(r) >> 20) }
 func (r buildRef) row() int           { return int(int64(r) & (1<<20 - 1)) }
 
 type hashJoinOp struct {
-	left, right Operator
+	left, right source
 	node        *plan.JoinNode
 	enforce     bool // respect the pool budget (Auto mode)
 
@@ -109,22 +109,12 @@ type hashJoinOp struct {
 	outTypes    []types.Type
 	nl          int // left column count
 
-	// probePar is set when the probe side is a parallel pipeline: the
-	// probe stage runs inside its workers and Next pulls the merged,
-	// morsel-ordered join output straight from it.
-	probePar *parScanOp
-
-	queue    []*vector.Chunk
-	done     bool
 	keyBuf   []byte
 	leftOpen bool
 }
 
-func newHashJoin(left, right Operator, n *plan.JoinNode, prefetched []*vector.Chunk, enforce bool) *hashJoinOp {
-	return &hashJoinOp{
-		left: left, right: right, node: n,
-		buildChunks: prefetched, enforce: enforce,
-	}
+func newHashJoin(left, right source, n *plan.JoinNode, enforce bool) *hashJoinOp {
+	return &hashJoinOp{left: left, right: right, node: n, enforce: enforce}
 }
 
 // takeBuild hands the materialized build chunks to a fallback strategy
@@ -151,42 +141,39 @@ func (h *hashJoinOp) Open(ctx *Context) error {
 	h.outTypes = schemaTypes(h.node.Schema())
 	h.rightTypes = schemaTypes(h.node.Right.Schema())
 
-	// Build phase. A parallel pipeline on the build side gets the
+	// Build phase. A build side with several workers gets the
 	// thread-local partitioned build — except when the memory budget is
 	// enforced (Auto mode with a limit), where the sequential build's
 	// deterministic chunk accounting keeps the merge-join fallback
-	// exact. The build-side parScanOp still scans in parallel either
-	// way; only the hash-table insertion differs.
+	// exact. A pipeline on the build side still scans on all its workers
+	// either way; only the hash-table insertion differs.
+	if err := h.right.Open(ctx); err != nil {
+		return err
+	}
 	enforced := h.enforce && ctx.Pool != nil && ctx.Pool.Limit() > 0
-	if pr, ok := h.right.(*parScanOp); ok && ctx.Threads > 1 && !enforced && len(h.buildChunks) == 0 {
-		if err := h.parallelBuild(ctx, pr); err != nil {
+	if workers := h.right.workerCount(ctx); workers > 1 && !enforced {
+		if err := h.parallelBuild(ctx, workers); err != nil {
 			return err
 		}
 	} else if err := h.sequentialBuild(ctx); err != nil {
 		return err
 	}
 
-	// Probe phase: a parallel pipeline on the probe side gets the probe
-	// stage attached to its workers; the hash table is read-only now.
-	// Attach only after the probe source opened successfully — an Open
-	// failure falls back to the merge join, which must get the pipeline
-	// without the stage.
+	// Probe phase: the probe stage runs inside the probe source's
+	// workers, and Next pulls the join output from it in the source's
+	// order; the hash table is read-only now. Attach only after the probe
+	// source opened successfully — an Open failure falls back to the
+	// merge join, which must get the source without the stage.
 	if err := h.left.Open(ctx); err != nil {
 		return err
 	}
 	h.leftOpen = true
-	if pl, ok := h.left.(*parScanOp); ok && ctx.Threads > 1 {
-		pl.attachStages(func() stage { return &probeStage{h: h} })
-		h.probePar = pl
-	}
+	h.left.attachStages(func() stage { return &probeStage{h: h} })
 	return nil
 }
 
 func (h *hashJoinOp) sequentialBuild(ctx *Context) error {
 	h.ht = make(map[string][]buildRef)
-	if err := h.right.Open(ctx); err != nil {
-		return err
-	}
 	refOverhead := int64(24)
 	insert := func(ci int, chunk *vector.Chunk) error {
 		keys := make([]*vector.Vector, len(h.node.RightKeys))
@@ -205,11 +192,6 @@ func (h *hashJoinOp) sequentialBuild(ctx *Context) error {
 			h.ht[string(h.keyBuf)] = append(h.ht[string(h.keyBuf)], makeRef(ci, r))
 		}
 		return nil
-	}
-	for ci, chunk := range h.buildChunks {
-		if err := insert(ci, chunk); err != nil {
-			return err
-		}
 	}
 	for {
 		chunk, err := h.right.Next(ctx)
@@ -247,21 +229,14 @@ func (h *hashJoinOp) sequentialBuild(ctx *Context) error {
 	return nil
 }
 
-// parallelBuild drains the build-side pipeline with thread-local
-// partitioned hash tables: each worker routes its rows by key hash into
-// P per-worker partitions, and P merge tasks then combine the workers'
-// slices of one partition each. Bucket ref lists are sorted into global
-// build order afterwards, so probe output is byte-identical to the
-// sequential build's.
-func (h *hashJoinOp) parallelBuild(ctx *Context, pr *parScanOp) error {
-	// Open the source first so the partition count is bounded by the
-	// actual worker count (morsel-capped), not the raw Threads setting.
-	if pr.src == nil {
-		if err := pr.openSource(ctx); err != nil {
-			return err
-		}
-	}
-	nparts := pr.workerCount(ctx)
+// parallelBuild drains the build side with thread-local partitioned
+// hash tables: each worker routes its rows by key hash into P per-worker
+// partitions, and P merge tasks then combine the workers' slices of one
+// partition each. Bucket ref lists are sorted into global build order
+// afterwards, so probe output is byte-identical to the sequential
+// build's. The partition count is the actual worker count
+// (morsel-capped), not the raw Threads setting.
+func (h *hashJoinOp) parallelBuild(ctx *Context, nparts int) error {
 	refOverhead := int64(24)
 
 	type buildWorker struct {
@@ -271,7 +246,7 @@ func (h *hashJoinOp) parallelBuild(ctx *Context, pr *parScanOp) error {
 		keyBuf []byte
 	}
 	var workers []*buildWorker
-	_, err := pr.consume(ctx, func(w int) func(int, *vector.Chunk) error {
+	err := h.right.consume(ctx, nparts, ctx.Prof.Slot(h.node), func(w int) sinkFunc {
 		bw := &buildWorker{parts: make([]map[string][]buildRef, nparts)}
 		for p := range bw.parts {
 			bw.parts[p] = make(map[string][]buildRef)
@@ -392,40 +367,13 @@ func anyNull(vecs []*vector.Vector, r int) bool {
 	return false
 }
 
-func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) {
-	if h.probePar != nil {
-		// The probe runs inside the left pipeline's workers; its merged
-		// output is already in morsel order.
-		return h.probePar.Next(ctx)
-	}
-	for len(h.queue) == 0 {
-		if h.done {
-			return nil, nil
-		}
-		probe, err := h.left.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if probe == nil {
-			h.done = true
-			return nil, nil
-		}
-		h.keyBuf, err = h.probeChunk(probe, h.keyBuf, func(c *vector.Chunk) error {
-			h.queue = append(h.queue, c)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := h.queue[0]
-	h.queue = h.queue[1:]
-	return out, nil
-}
+// Next pulls the join output from the probe source: the probe stage
+// runs inside its workers and the stream is already in source order.
+func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return h.left.Next(ctx) }
 
 // probeStage probes the shared (read-only) hash table from inside a
-// parallel pipeline worker. Each worker owns its stage instance, so the
-// key buffer never contends.
+// source worker. Each worker owns its stage instance, so the key buffer
+// never contends.
 type probeStage struct {
 	h      *hashJoinOp
 	keyBuf []byte

@@ -9,6 +9,76 @@ import (
 	"repro/internal/vector"
 )
 
+// sinkFunc receives one chunk a source produced, tagged with the
+// sequence number that orders it in the source's stream: the morsel
+// number for a pipeline, the chunk ordinal for any other operator.
+type sinkFunc func(seq int, c *vector.Chunk) error
+
+// source is what a pipeline breaker (aggregate, sort, window
+// partitioner, hash-join build and probe) is written against. Next
+// streams the source's chunks in sequence order; consume instead pushes
+// them into worker-local sinks with no ordering barrier. There are two
+// providers: the morsel pipeline (pipelineOp) and the adapter that
+// presents any other operator as a one-worker source (opSource).
+type source interface {
+	Operator
+	// attachStages appends per-worker stages behind the source's own
+	// (the hash join attaches its probe). Call it before the first Next
+	// or consume.
+	attachStages(f ...stageFactory)
+	// workerCount is how many worker states the source can keep busy
+	// under ctx.Threads. Valid after Open.
+	workerCount(ctx *Context) int
+	// consume drains the source on `workers` worker states (at most
+	// workerCount): state w pushes every non-empty chunk it produces into
+	// mkSink(w). mkSink runs on the calling goroutine and consume returns
+	// after every state has retired, so sinks need no locking of their
+	// own. slot, when non-nil, is the breaker's profile slot: time spent
+	// inside the sinks is booked to its BusyNs, not to the source.
+	consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error
+}
+
+// timedSink books the time spent in sink to slot; spent, when non-nil,
+// accumulates the same nanoseconds so the caller can keep them out of
+// its own busy time. With profiling off it is sink itself.
+func timedSink(sink sinkFunc, slot *OpProfile, spent *int64) sinkFunc {
+	if slot == nil {
+		return sink
+	}
+	return func(seq int, c *vector.Chunk) error {
+		t0 := time.Now()
+		err := sink(seq, c)
+		ns := time.Since(t0).Nanoseconds()
+		slot.BusyNs.Add(ns)
+		if spent != nil {
+			*spent += ns
+		}
+		return err
+	}
+}
+
+// opSource presents any operator as a one-worker source: its chunks are
+// drained on the calling goroutine and numbered by arrival, which is the
+// order every consumer of the operator would see. Attached stages run
+// on an exchange over the operator.
+type opSource struct{ Operator }
+
+func (s *opSource) attachStages(f ...stageFactory) { s.Operator = newExchangeOp(s.Operator, f) }
+
+func (s *opSource) workerCount(*Context) int { return 1 }
+
+func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int) sinkFunc) error {
+	sink := timedSink(mkSink(0), slot, nil)
+	seq := -1
+	return drain(ctx, s, func(c *vector.Chunk) error {
+		seq++
+		if c.Len() == 0 {
+			return nil
+		}
+		return sink(seq, c)
+	})
+}
+
 // parResult is one processed morsel: its dense sequence number and the
 // chunks its pipeline emitted (empty when every row was filtered out).
 type parResult struct {
@@ -17,81 +87,78 @@ type parResult struct {
 	err    error
 }
 
-// parScanOp executes a morsel-driven pipeline on the engine-wide
-// scheduler. The operator keeps Threads worker states (a morsel scanner
-// plus private stage instances each); every state advances by short
-// re-submitting steps — claim a morsel, run the stages, post the result
-// — so the actual goroutines belong to the shared pool and a query
-// never spawns its own. The operator's Next reassembles the chunks in
-// morsel order, so consumers observe exactly the chunk stream the
-// sequential scan→filter→project chain would produce — parallelism
-// never changes row order.
+// pipelineOp executes a morsel-driven pipeline: a table scan whose
+// segments are the morsels, followed by per-worker stages. It keeps
+// workerCount worker states (a morsel scanner plus private stage
+// instances each), and every state runs the same body — claim a morsel,
+// run the stages, hand the surviving chunks on (pipeWorker.morsel).
 //
-// Flow control: a worker state takes a reorder-buffer ticket before
-// claiming a morsel and the merger returns it when that morsel is
-// emitted. A state that finds no ticket parks (costing the pool
-// nothing) and is re-submitted by the consumer when it frees one; the
-// results channel's capacity equals the ticket window, so a step's send
-// never blocks a pool worker.
+// Only the driver varies with the worker count. Several states advance
+// as short re-submitting steps on the engine-wide scheduler, so the
+// goroutines belong to the shared pool and a query never spawns its
+// own. A single state runs the body inline on the calling goroutine:
+// there is nothing to overlap, and sessions that each run one worker
+// then execute side by side on their own goroutines instead of queueing
+// behind one another in the pool.
 //
-// The operator has a second execution mode for pipeline breakers:
-// consume() pushes every worker state's chunks straight into a
-// worker-local sink (a partial aggregate or a join build partition)
-// without the ordering barrier.
-type parScanOp struct {
+// Next reassembles the chunks in morsel order, so consumers observe the
+// same chunk stream at every worker count. Flow control on the
+// scheduler: a state takes a reorder-buffer ticket before claiming a
+// morsel and the merger returns it when that morsel is emitted. A state
+// that finds no ticket parks (costing the pool nothing) and is
+// re-submitted by the consumer when it frees one; the results channel's
+// capacity equals the ticket window, so a step's send never blocks a
+// pool worker.
+//
+// consume is the sink mode for pipeline breakers: no ordering barrier,
+// no tickets.
+type pipelineOp struct {
 	spec  *pipelineSpec
 	extra []stageFactory // stages attached by a parent (join probe)
 
 	src     *table.MorselSource
-	results chan parResult
+	nmorsel int
+
+	// buf orders the emitted chunks. On the scheduler it is the ticketed
+	// reorder window; inline it is just the emission queue.
+	buf     *reorderBuf
+	inline  *pipeWorker    // Next's only state when one worker suffices
+	results chan parResult // ordered mode on the scheduler
 
 	mu        sync.Mutex
 	idle      *sync.Cond    // signalled when active reaches zero
-	parked    []*scanWorker // states waiting for a ticket
+	parked    []*pipeWorker // states waiting for a ticket
 	active    int           // states queued or running on the pool
 	cancelled bool
 
 	closeOnce sync.Once
-
-	// buf is the shared ordered-merge state machine: workers take a
-	// ticket before claiming a morsel and the merger returns it when
-	// that morsel is emitted, so the reorder buffer holds at most its
-	// window depth in morsels even under scheduling skew.
-	buf *reorderBuf
-
-	// maxWorkers, when >0, caps the worker-state count below
-	// ctx.Threads — the aggregation budget floor clamps through it.
-	maxWorkers int
-
-	nmorsel int
-	failed  error
-	started bool
+	// failed is the stream's sticky error: set by Next on the consumer,
+	// or under mu by the first failing state of a consume.
+	failed error
 }
 
-// scanWorker is one worker state: a morsel scanner and private stage
-// instances. Its step method is the unit the scheduler runs.
-type scanWorker struct {
-	op     *parScanOp
+// pipeWorker is one worker state: a morsel scanner, private stage
+// instances and where its chunks go.
+type pipeWorker struct {
+	op     *pipelineOp
 	ctx    *Context
 	ms     *table.MorselScanner
 	stages []stage
+	sink   sinkFunc
+	sinkNs int64 // time the current morsel spent in a profiled sink
 	q      *sched.Query
+	// out collects the current morsel's chunks in ordered mode.
+	out []*vector.Chunk
 }
 
-func newParScanOp(spec *pipelineSpec) *parScanOp { return &parScanOp{spec: spec} }
+func newPipelineOp(spec *pipelineSpec) *pipelineOp { return &pipelineOp{spec: spec} }
 
-// attachStages appends per-worker stages to the pipeline (the hash join
-// attaches its probe stage). Must be called before the first Next or
-// consume — workers snapshot their stages when they start.
-func (p *parScanOp) attachStages(f ...stageFactory) { p.extra = append(p.extra, f...) }
+func (p *pipelineOp) attachStages(f ...stageFactory) { p.extra = append(p.extra, f...) }
 
 // workerCount sizes the worker state: no more states than morsels, at
-// least 1, capped by maxWorkers when a budget clamp is in force.
-func (p *parScanOp) workerCount(ctx *Context) int {
+// least 1.
+func (p *pipelineOp) workerCount(ctx *Context) int {
 	w := ctx.Threads
-	if p.maxWorkers > 0 && w > p.maxWorkers {
-		w = p.maxWorkers
-	}
 	if w > p.nmorsel {
 		w = p.nmorsel
 	}
@@ -101,7 +168,14 @@ func (p *parScanOp) workerCount(ctx *Context) int {
 	return w
 }
 
-func (p *parScanOp) openSource(ctx *Context) error {
+// Open acquires the morsel source (pinning the scanned columns, which
+// can fail under a memory budget). Workers start lazily on the first
+// Next or consume, so parents may still attach stages after a
+// successful Open.
+func (p *pipelineOp) Open(ctx *Context) error {
+	if p.src != nil {
+		return nil // reopened by a join fallback; keep the source
+	}
 	src, err := p.spec.scan.Table.Data.NewMorselSource(ctx.Txn, scanOptions(ctx, p.spec.scan))
 	if err != nil {
 		return err
@@ -111,113 +185,131 @@ func (p *parScanOp) openSource(ctx *Context) error {
 	return nil
 }
 
-func (p *parScanOp) workerStages() []stage {
-	stages := p.spec.newStages()
+// newWorker builds one worker state; the caller points its sink.
+func (p *pipelineOp) newWorker(ctx *Context) *pipeWorker {
+	w := &pipeWorker{op: p, ctx: ctx, ms: p.src.Worker(), stages: p.spec.newStages()}
 	for _, f := range p.extra {
-		stages = append(stages, f())
+		w.stages = append(w.stages, f())
 	}
-	return stages
+	return w
 }
 
-// Open acquires the morsel source (pinning the scanned columns, which
-// can fail under a memory budget). Workers start lazily on the first
-// Next, so parents may still attach stages after a successful Open.
-func (p *parScanOp) Open(ctx *Context) error {
-	if p.src != nil {
-		return nil // reopened by a join fallback; keep the source
+// morsel is the one worker body: claim a morsel, run the stages over it
+// and hand every non-empty result chunk to the sink. It returns the
+// morsel's sequence number, -1 once the source is exhausted. With a
+// profile slot, the scan's busy time covers the scan and the stages
+// only — a breaker's sink books its own.
+//
+//quack:hotpath
+func (w *pipeWorker) morsel() (int, error) {
+	spec := w.op.spec
+	slot := spec.scanSlot
+	var t0 time.Time
+	if slot != nil {
+		t0 = time.Now()
+		w.sinkNs = 0
 	}
-	return p.openSource(ctx)
+	seq, chunk, err := w.ms.Next()
+	if seq < 0 && err == nil {
+		return -1, nil
+	}
+	if slot != nil {
+		slot.Morsels.Add(1)
+		if chunk != nil && spec.countScanRows {
+			slot.Rows.Add(int64(chunk.Len()))
+			slot.Chunks.Add(1)
+		}
+	}
+	if err == nil && chunk != nil {
+		err = runStages(w.ctx, w.stages, chunk, func(c *vector.Chunk) error {
+			if c.Len() == 0 {
+				return nil
+			}
+			return w.sink(seq, c)
+		})
+	}
+	if slot != nil {
+		slot.BusyNs.Add(time.Since(t0).Nanoseconds() - w.sinkNs)
+	}
+	return seq, err
 }
 
-// start submits the worker states feeding the ordered merge.
-func (p *parScanOp) start(ctx *Context) {
-	p.started = true
-	workers := p.workerCount(ctx)
-	win := workers * 4
-	p.results = make(chan parResult, win) // cap = tickets: sends never block
-	p.buf = newReorderBuf(win)
+// collect is the ordered-mode sink: the morsel's chunks wait in out
+// until the driver posts them under the morsel's sequence number.
+func (w *pipeWorker) collect(_ int, c *vector.Chunk) error {
+	w.out = append(w.out, c)
+	return nil
+}
+
+// submit starts n worker states on the scheduler.
+func (p *pipelineOp) submit(ctx *Context, n int, mk func(i int) *pipeWorker) {
 	p.idle = sync.NewCond(&p.mu)
+	p.active = n
 	q := ctx.queryTasks()
-	p.active = workers
-	for i := 0; i < workers; i++ {
-		w := &scanWorker{op: p, ctx: ctx, ms: p.src.Worker(), stages: p.workerStages(), q: q}
+	for i := 0; i < n; i++ {
+		w := mk(i)
+		w.q = q
 		q.Submit(w.step)
 	}
 }
 
 // exitLocked retires one worker state. Caller holds p.mu.
-func (p *parScanOp) exitLocked() {
+func (p *pipelineOp) exitLocked() {
 	p.active--
 	if p.active == 0 {
 		p.idle.Broadcast()
 	}
 }
 
-// step processes one morsel and re-submits itself. It never blocks on
-// the pool: a missing ticket parks the state instead, and the results
-// channel always has room for ticket holders.
+// step is the scheduler driver: run the body for one morsel, then
+// re-submit. It never blocks the pool. In ordered mode (p.results set)
+// a missing ticket parks the state and the results channel always has
+// room for ticket holders; in sink mode the first error cancels the
+// sibling states.
 //
 //quack:hotpath
-func (w *scanWorker) step() {
+func (w *pipeWorker) step() {
 	p := w.op
+	ordered := p.results != nil
 	p.mu.Lock()
 	if p.cancelled {
 		p.exitLocked()
 		p.mu.Unlock()
 		return
 	}
-	if !p.buf.tryAcquire() {
+	if ordered && !p.buf.tryAcquire() {
 		p.parked = append(p.parked, w)
 		p.exitLocked()
 		p.mu.Unlock()
 		return
 	}
 	p.mu.Unlock()
-	slot := p.spec.scanSlot
-	var t0 time.Time
-	if slot != nil {
-		t0 = time.Now()
+	seq, err := w.morsel()
+	if seq >= 0 && ordered {
+		p.results <- parResult{seq: seq, chunks: w.out, err: err}
+		w.out = nil
 	}
-	seq, chunk, err := w.ms.Next()
-	if seq < 0 && err == nil {
-		p.mu.Lock()
+	if seq >= 0 && err == nil {
+		w.q.Submit(w.step)
+		return
+	}
+	p.mu.Lock()
+	switch {
+	case seq < 0 && ordered:
 		p.buf.release() // no morsel claimed; return the ticket
-		p.exitLocked()
-		p.mu.Unlock()
-		return
-	}
-	if slot != nil {
-		slot.Morsels.Add(1)
-		if chunk != nil && p.spec.countScanRows {
-			slot.Rows.Add(int64(chunk.Len()))
-			slot.Chunks.Add(1)
+	case err != nil && !ordered:
+		if p.failed == nil {
+			p.failed = err
 		}
+		p.cancelled = true
 	}
-	var out []*vector.Chunk
-	if err == nil && chunk != nil {
-		err = runStages(w.ctx, w.stages, chunk, func(c *vector.Chunk) error {
-			if c.Len() > 0 {
-				out = append(out, c)
-			}
-			return nil
-		})
-	}
-	if slot != nil {
-		slot.BusyNs.Add(time.Since(t0).Nanoseconds())
-	}
-	p.results <- parResult{seq: seq, chunks: out, err: err}
-	if err != nil {
-		p.mu.Lock()
-		p.exitLocked()
-		p.mu.Unlock()
-		return
-	}
-	w.q.Submit(w.step)
+	p.exitLocked()
+	p.mu.Unlock()
 }
 
 // unparkOne re-submits one parked worker state after the consumer freed
 // a ticket. Spurious unparks are harmless: the state parks again.
-func (p *parScanOp) unparkOne() {
+func (p *pipelineOp) unparkOne() {
 	p.mu.Lock()
 	if !p.cancelled && len(p.parked) > 0 {
 		w := p.parked[len(p.parked)-1]
@@ -228,20 +320,56 @@ func (p *parScanOp) unparkOne() {
 	p.mu.Unlock()
 }
 
-// Next implements Operator: it emits the workers' chunks in morsel
-// order. Out-of-order results are parked in a bounded reorder buffer
-// (claims require tickets, so at most the window depth in morsels is
-// ever buffered).
-func (p *parScanOp) Next(ctx *Context) (*vector.Chunk, error) {
+// start sets up ordered mode: one inline state, or several on the
+// scheduler feeding the ticketed reorder window.
+func (p *pipelineOp) start(ctx *Context) {
+	workers := p.workerCount(ctx)
+	if workers == 1 {
+		p.buf = newReorderBuf(0)
+		p.inline = p.newWorker(ctx)
+		p.inline.sink = func(_ int, c *vector.Chunk) error {
+			p.buf.push(c)
+			return nil
+		}
+		return
+	}
+	win := workers * 4
+	p.results = make(chan parResult, win) // cap = tickets: sends never block
+	p.buf = newReorderBuf(win)
+	p.submit(ctx, workers, func(int) *pipeWorker {
+		w := p.newWorker(ctx)
+		w.sink = w.collect
+		return w
+	})
+}
+
+// Next implements Operator: it emits the pipeline's chunks in morsel
+// order. On the scheduler, out-of-order results are parked in a bounded
+// reorder buffer (claims require tickets, so at most the window depth
+// in morsels is ever buffered).
+//
+//quack:hotpath
+func (p *pipelineOp) Next(ctx *Context) (*vector.Chunk, error) {
 	if p.failed != nil {
 		return nil, p.failed
 	}
-	if !p.started {
+	if p.buf == nil {
 		p.start(ctx)
 	}
 	for {
 		if out, ok := p.buf.pop(); ok {
 			return out, nil
+		}
+		if p.inline != nil { // inline driver: the next morsel, right here
+			seq, err := p.inline.morsel()
+			if err != nil {
+				p.failed = err
+				return nil, err
+			}
+			if seq < 0 {
+				return nil, nil
+			}
+			continue
 		}
 		if p.buf.seq() >= p.nmorsel {
 			return nil, nil
@@ -259,12 +387,42 @@ func (p *parScanOp) Next(ctx *Context) (*vector.Chunk, error) {
 	}
 }
 
+// consume implements source. It replaces Next; Close must still be
+// called to release the morsel source. On the scheduler each state is a
+// re-submitting step, so the FIFO round-robins morsels across states
+// even on a one-worker pool — partial sinks stay spread the way
+// per-state goroutines would have spread them.
+//
+//quack:hotpath
+func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error {
+	mk := func(i int) *pipeWorker {
+		w := p.newWorker(ctx)
+		w.sink = timedSink(mkSink(i), slot, &w.sinkNs)
+		return w
+	}
+	if workers <= 1 { // inline driver
+		w := mk(0)
+		for {
+			if seq, err := w.morsel(); err != nil || seq < 0 {
+				return err
+			}
+		}
+	}
+	p.submit(ctx, workers, mk)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.active > 0 {
+		p.idle.Wait()
+	}
+	return p.failed
+}
+
 // Close stops the worker states and releases the morsel source. Queued
 // steps observe the cancel flag and retire; parked states are dropped
 // without costing the pool a slot.
-func (p *parScanOp) Close(ctx *Context) {
+func (p *pipelineOp) Close(ctx *Context) {
 	p.closeOnce.Do(func() {
-		if p.started {
+		if p.idle != nil {
 			p.mu.Lock()
 			p.cancelled = true
 			p.parked = nil
@@ -280,99 +438,4 @@ func (p *parScanOp) Close(ctx *Context) {
 			p.buf.drop()
 		}
 	})
-}
-
-// consume runs the pipeline in sink mode for pipeline breakers: worker
-// state w pushes each (seq, chunk) it produces into the sink mkSink(w)
-// returned for it, with no ordering barrier. It returns the number of
-// worker states (= number of sinks created). consume replaces
-// Open/Next; Close must still be called to release the source.
-//
-// Each state is a re-submitting step, so the FIFO round-robins morsels
-// across states even on a one-worker pool — partial sinks stay spread
-// the way per-state goroutines would have spread them.
-func (p *parScanOp) consume(ctx *Context, mkSink func(w int) func(seq int, c *vector.Chunk) error) (int, error) {
-	if p.src == nil {
-		if err := p.openSource(ctx); err != nil {
-			return 0, err
-		}
-	}
-	p.started = true
-	workers := p.workerCount(ctx)
-	q := ctx.queryTasks()
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		cancelled bool
-	)
-	remaining := workers
-	done := make(chan struct{})
-	finish := func() {
-		mu.Lock()
-		remaining--
-		if remaining == 0 {
-			close(done)
-		}
-		mu.Unlock()
-	}
-	for i := 0; i < workers; i++ {
-		sink := mkSink(i)
-		ms := p.src.Worker()
-		stages := p.workerStages()
-		var step func()
-		step = func() {
-			mu.Lock()
-			stop := cancelled
-			mu.Unlock()
-			if stop {
-				finish()
-				return
-			}
-			slot := p.spec.scanSlot
-			var t0 time.Time
-			if slot != nil {
-				t0 = time.Now()
-			}
-			seq, chunk, err := ms.Next()
-			if seq < 0 && err == nil {
-				finish()
-				return
-			}
-			if slot != nil {
-				slot.Morsels.Add(1)
-				if chunk != nil && p.spec.countScanRows {
-					slot.Rows.Add(int64(chunk.Len()))
-					slot.Chunks.Add(1)
-				}
-			}
-			if err == nil && chunk != nil {
-				err = runStages(ctx, stages, chunk, func(c *vector.Chunk) error {
-					if c.Len() == 0 {
-						return nil
-					}
-					return sink(seq, c)
-				})
-			}
-			if slot != nil {
-				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				cancelled = true
-				mu.Unlock()
-				finish()
-				return
-			}
-			q.Submit(step)
-		}
-		q.Submit(step)
-	}
-	<-done
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	return workers, err
 }

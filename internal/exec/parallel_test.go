@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -50,8 +52,9 @@ func collectAll(t *testing.T, ctx *Context, op Operator) []*vector.Chunk {
 	return chunks
 }
 
-// TestParallelScanPreservesOrder: the ordered merge must reproduce the
-// sequential chunk stream exactly for a filtered, projected scan.
+// TestParallelScanPreservesOrder: the ordered merge on the scheduler
+// must reproduce the inline (one-worker) chunk stream exactly for a
+// filtered, projected scan.
 func TestParallelScanPreservesOrder(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	entry := buildFactTable(t, mgr, 20*int(vector.ChunkCapacity)+321)
@@ -67,14 +70,12 @@ func TestParallelScanPreservesOrder(t *testing.T) {
 	})
 
 	render := func(threads int) string {
-		op, err := BuildParallel(node, threads)
+		op, err := Build(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			if _, ok := op.(*parScanOp); !ok {
-				t.Fatalf("threads=%d built %T, want *parScanOp", threads, op)
-			}
+		if _, ok := op.(*pipelineOp); !ok {
+			t.Fatalf("built %T, want *pipelineOp", op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		out := ""
@@ -92,7 +93,7 @@ func TestParallelScanPreservesOrder(t *testing.T) {
 }
 
 // TestParallelAggMatchesSequential: worker-local partial aggregates
-// must merge to the sequential aggregate's exact output, including the
+// must merge to the one-worker aggregate's exact output, including the
 // first-seen group emission order.
 func TestParallelAggMatchesSequential(t *testing.T) {
 	mgr := txn.NewManager(nil)
@@ -111,14 +112,12 @@ func TestParallelAggMatchesSequential(t *testing.T) {
 		}
 	}
 	render := func(threads int) string {
-		op, err := BuildParallel(mkNode(), threads)
+		op, err := Build(mkNode(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			if _, ok := op.(*parAggOp); !ok {
-				t.Fatalf("threads=%d built %T, want *parAggOp", threads, op)
-			}
+		if _, ok := op.(*aggOp); !ok {
+			t.Fatalf("built %T, want *aggOp", op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		out := ""
@@ -146,7 +145,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		Child: &plan.ScanNode{Table: entry, Columns: []int{0}},
 		Limit: 5,
 	}
-	op, err := BuildParallel(node, 4)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 func TestParallelHashJoinMatchesSequential(t *testing.T) {
 	join, mgr := buildJoinFixture(t, 9_000, 6_000)
 	render := func(threads int) string {
-		op, err := BuildParallel(join, threads)
+		op, err := Build(join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +188,7 @@ func TestParallelHashJoinMatchesSequential(t *testing.T) {
 func TestParallelAutoJoinStillFallsBack(t *testing.T) {
 	pool := buffer.NewPool(128<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
-	op, err := BuildParallel(join, 4)
+	op, err := Build(join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +204,53 @@ func TestParallelAutoJoinStillFallsBack(t *testing.T) {
 	// returned their pool reservations.
 	if used := pool.Used(); used != 0 {
 		t.Fatalf("pool reservation leak after fallback: %d bytes still reserved", used)
+	}
+}
+
+// TestProfileSinkTimeBookedToBreaker: a breaker's sink runs inside the
+// source's workers, but with a profile slot its time is booked to the
+// breaker's BusyNs and kept out of the scan leaf's — under the inline
+// driver (one worker) and the scheduler driver (four) alike. The sink
+// sleeps, so the two shares cannot be confused with scan work.
+func TestProfileSinkTimeBookedToBreaker(t *testing.T) {
+	mgr := txn.NewManager(nil)
+	entry := buildFactTable(t, mgr, 20*int(vector.ChunkCapacity))
+	scan := &plan.ScanNode{Table: entry, Columns: []int{0}}
+	agg := &plan.AggNode{Child: scan, Aggs: []plan.AggSpec{{Func: "count", Type: types.BigInt, Name: "n"}}}
+	const nap = 2 * time.Millisecond
+	for _, threads := range []int{1, 4} {
+		prof := NewProfiler(agg)
+		src, err := buildSource(scan, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Prof: prof}
+		if err := src.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var chunks atomic.Int64
+		err = src.consume(ctx, src.workerCount(ctx), prof.Slot(agg), func(int) sinkFunc {
+			return func(int, *vector.Chunk) error {
+				time.Sleep(nap)
+				chunks.Add(1)
+				return nil
+			}
+		})
+		src.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slept := chunks.Load() * nap.Nanoseconds()
+		breaker, leaf := prof.Slot(agg).BusyNs.Load(), prof.Slot(scan).BusyNs.Load()
+		if chunks.Load() != 20 || prof.Slot(scan).Morsels.Load() != 20 {
+			t.Fatalf("threads=%d: sink saw %d chunks, scan claimed %d morsels, want 20 each",
+				threads, chunks.Load(), prof.Slot(scan).Morsels.Load())
+		}
+		if breaker < slept {
+			t.Errorf("threads=%d: breaker busy %dns < %dns slept in its sink", threads, breaker, slept)
+		}
+		if leaf <= 0 || leaf >= slept {
+			t.Errorf("threads=%d: scan busy %dns, want > 0 and without the %dns its sink slept", threads, leaf, slept)
+		}
 	}
 }

@@ -20,8 +20,8 @@ type stageFactory func() stage
 // pipelineSpec describes a parallelizable streaming pipeline: a base
 // table scan whose segments are the morsels, followed by per-worker
 // stages (filter, project, join probe). A pipeline never reorders or
-// buffers rows, so running its stages over morsels in segment order
-// reproduces exactly the chunk stream of the sequential operator chain.
+// buffers rows, so its output re-assembled in morsel order is the same
+// chunk stream whichever worker ran which morsel.
 type pipelineSpec struct {
 	scan   *plan.ScanNode
 	stages []stageFactory
@@ -31,8 +31,8 @@ type pipelineSpec struct {
 	// there. countScanRows means the raw morsel chunks are the scan
 	// node's output (no filter was pushed into the scan) and the claim
 	// site counts their rows; with a pushed filter the wrapped filter
-	// stage counts the post-filter rows instead, matching the
-	// sequential scan operator exactly.
+	// stage counts the post-filter rows instead: the pushed filter is
+	// part of the scan node.
 	scanSlot      *OpProfile
 	countScanRows bool
 }
@@ -58,8 +58,7 @@ func compilePipeline(node plan.Node, prof *Profiler) *pipelineSpec {
 		spec := &pipelineSpec{scan: n, scanSlot: prof.Slot(n), countScanRows: true}
 		if f := n.Filter; f != nil {
 			// The pushed filter is part of the scan node's semantics: the
-			// scan slot counts post-filter rows, exactly what the
-			// sequential scan operator emits.
+			// scan slot counts post-filter rows.
 			spec.countScanRows = false
 			spec.stages = append(spec.stages, profFactory(spec.scanSlot,
 				func() stage { return &filterStage{cond: f} }))

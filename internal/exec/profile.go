@@ -12,18 +12,20 @@ import (
 
 // OpProfile is one operator's slot in a query profile. The profile tree
 // mirrors the optimized plan tree — not the physical operator tree — so
-// its shape is identical at every thread count; workers of a parallel
-// pipeline all add into the same slot's atomics, and row counts come
-// out equal to the sequential run's by the engine's determinism
-// guarantee.
+// its shape is identical at every thread count; workers of a pipeline
+// all add into the same slot's atomics, and row counts come out equal
+// at every thread count by the engine's determinism guarantee.
 type OpProfile struct {
 	Name     string
 	Children []*OpProfile
 
 	// WallNs is inclusive wall time observed at the operator boundary
-	// (Open+Next+Close, children included). Pipeline-collapsed operators
-	// report BusyNs instead: the summed worker time spent scanning and
-	// running stages.
+	// (Open+Next+Close, children included). BusyNs is summed worker time:
+	// on a pipeline's scan leaf, the time spent scanning and running
+	// stages (its only time — the pipeline has no pull boundary); on a
+	// breaker, the time its sinks spent consuming the source's chunks
+	// (accumulation, run generation, join build), which is part of its
+	// WallNs and never part of the source's BusyNs.
 	WallNs atomic.Int64
 	BusyNs atomic.Int64
 
@@ -126,8 +128,7 @@ func (p *profOp) Close(ctx *Context) {
 // profFactory wraps a stage factory so every chunk the stage emits is
 // counted into slot. Stage wrapping is how pipeline-collapsed plan
 // nodes (filters and projections that became morsel-pipeline or
-// exchange stages) keep per-node row counts that match the sequential
-// operators exactly. Row-transparent wrapping only — never applied to
+// exchange stages) keep per-node row counts. Row-transparent wrapping only — never applied to
 // sliceStage implementors.
 func profFactory(slot *OpProfile, f stageFactory) stageFactory {
 	if slot == nil {

@@ -11,9 +11,8 @@ import (
 
 // reorderBuf is the ordered-merge state machine shared by the operators
 // that fan work out to the scheduler and must re-emit the results in a
-// deterministic sequence order: the morsel-ordered parallel scan
-// (parScanOp), the exchange operator and the parallel window operator's
-// partition merge (which runs on the exchange). It bounds how far
+// deterministic sequence order: the morsel pipeline (pipelineOp) and
+// the exchange operator (which also evaluates window partitions). It bounds how far
 // producers may run ahead of the merge point: a ticket is taken
 // (tryAcquire) before work is submitted and returned when that
 // sequence's results are emitted, so the reorder buffer holds at most
@@ -74,12 +73,9 @@ func (b *reorderBuf) pop() (*vector.Chunk, bool) {
 	return c, true
 }
 
-// enqueue bypasses sequencing and queues chunks for emission directly
-// (completion-order mode), returning the producer's ticket.
-func (b *reorderBuf) enqueue(chunks []*vector.Chunk) {
-	b.release()
-	b.queue = chunks
-}
+// push queues a chunk for emission directly: an inline driver produces
+// in sequence order and needs neither tickets nor parking.
+func (b *reorderBuf) push(c *vector.Chunk) { b.queue = append(b.queue, c) }
 
 // advance promotes the next expected sequence's parked chunks to the
 // emission queue and returns its ticket. It reports false when that

@@ -98,31 +98,32 @@ func RunRows(ctx *Context, it RowIterator, sink func([]types.Value) error) error
 	}
 }
 
-// rowScan iterates the table one row at a time (through the chunked
-// snapshot scanner, materializing each row into boxed values).
+// rowScan iterates the table one row at a time (through one worker of
+// a morsel source, materializing each row into boxed values).
 type rowScan struct {
 	node    *plan.ScanNode
-	scanner *table.Scanner
+	src     *table.MorselSource
+	scanner *table.MorselScanner
 	chunk   *vector.Chunk
 	pos     int
 }
 
 func (s *rowScan) Open(ctx *Context) error {
-	sc, err := s.node.Table.Data.NewScanner(ctx.Txn, table.ScanOptions{
+	src, err := s.node.Table.Data.NewMorselSource(ctx.Txn, table.ScanOptions{
 		Columns:    s.node.Columns,
 		WithRowIDs: s.node.WithRowID,
 	})
 	if err != nil {
 		return err
 	}
-	s.scanner = sc
+	s.src, s.scanner = src, src.Worker()
 	return nil
 }
 
 func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 	for {
 		if s.chunk == nil || s.pos >= s.chunk.Len() {
-			chunk, err := s.scanner.Next()
+			chunk, err := s.scanner.NextChunk()
 			if err != nil {
 				return nil, err
 			}
@@ -148,9 +149,9 @@ func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 }
 
 func (s *rowScan) Close(ctx *Context) {
-	if s.scanner != nil {
-		s.scanner.Close()
-		s.scanner = nil
+	if s.src != nil {
+		s.src.Close()
+		s.src = nil
 	}
 }
 

@@ -29,14 +29,12 @@ func mkSortNode(t *testing.T, n int, mgr *txn.Manager) (*plan.SortNode, *txn.Man
 
 func renderSort(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Threads > 1 {
-		if _, ok := op.(*parSortOp); !ok {
-			t.Fatalf("threads=%d built %T, want *parSortOp", ctx.Threads, op)
-		}
+	if _, ok := op.(*sortOp); !ok {
+		t.Fatalf("built %T, want *sortOp", op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -86,7 +84,7 @@ func TestParallelSortSpillDifferential(t *testing.T) {
 func TestParallelSortEarlyClose(t *testing.T) {
 	node, mgr := mkSortNode(t, 20_000, txn.NewManager(nil))
 	limited := &plan.LimitNode{Child: node, Limit: 3}
-	op, err := BuildParallel(limited, 4)
+	op, err := Build(limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,7 @@ func TestParallelSortErrorPropagates(t *testing.T) {
 			R: &expr.Arith{Op: expr.OpSub, L: col(), R: col(), Typ: types.BigInt}, Typ: types.BigInt}}},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := BuildParallel(node, threads)
+		op, err := Build(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +130,13 @@ func TestParallelSortErrorPropagates(t *testing.T) {
 func TestParallelSortMergePartitioned(t *testing.T) {
 	const rows = 30_000
 	node, mgr := mkSortNode(t, rows, txn.NewManager(nil))
-	op, err := BuildParallel(node, 8)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := op.(*parSortOp)
+	ps, ok := op.(*sortOp)
 	if !ok {
-		t.Fatalf("built %T, want *parSortOp", op)
+		t.Fatalf("built %T, want *sortOp", op)
 	}
 	ctx := &Context{Txn: mgr.Begin(), Threads: 8}
 	if err := op.Open(ctx); err != nil {

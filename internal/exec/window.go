@@ -17,20 +17,20 @@ import (
 //     fed to the external sorter keyed by (partition, order, position).
 //     The hidden position makes the sort a total order, so the sorted
 //     stream — and with it every downstream value — is bit-identical at
-//     every thread count. The parallel build runs this phase on the
-//     morsel pipeline with one sorter per worker (splitting the sort
-//     budget, like the parallel ORDER BY) and k-way merges all runs.
+//     every thread count. The phase runs on the source's workers with
+//     one sorter per worker (splitting the sort budget, like ORDER BY)
+//     and k-way merges all runs.
 //  2. Cut: the merged stream is split into partitions wherever the
 //     partition keys change (windowPartitionOp emits one chunk per
 //     partition).
 //  3. Evaluate: windowEvalStage computes every function over one
-//     partition and emits the payload plus the new columns. In the
-//     parallel plan the stage runs on the exchange's worker pool —
-//     partitions are evaluated concurrently and the exchange's
-//     reorder-merge re-emits them in partition order.
+//     partition and emits the payload plus the new columns. The stage
+//     runs on an exchange: with several workers partitions are
+//     evaluated concurrently and the exchange's reorder-merge re-emits
+//     them in partition order.
 //
-// Output order is (partition keys, order keys, input position): the
-// deterministic order both the sequential and parallel builds produce.
+// Output order is (partition keys, order keys, input position) at every
+// thread count.
 
 // windowLayout fixes the column layout of the extended sort rows:
 // payload columns first, then partition keys, order keys and the hidden
@@ -84,7 +84,7 @@ func (l windowLayout) partKeys() []extsort.Key {
 // stream into one chunk per partition: runs of rows equal on the
 // partition keys are contiguous in sorted input, so the cutter
 // bulk-copies each run and emits whenever the keys change. It is used
-// by the sequential window operator on the consumer thread and by every
+// on the consumer thread over the serial merge and by every
 // partitioned-merge worker on its own key range (range boundaries snap
 // to partition-key boundaries, so no partition straddles two workers).
 type partitionCutter struct {
@@ -148,9 +148,9 @@ func (pc *partitionCutter) flush(emit func(*vector.Chunk) error) error {
 }
 
 // windowPartitionOp produces the partition stream of a WindowNode: the
-// input (a built child operator, or a morsel pipeline whose workers
-// each feed their own sorter) is sorted by (partition, order, position)
-// and emitted as one chunk per partition, in sorted order. Partition
+// source's workers each feed their own sorter, the runs are merged by
+// (partition, order, position) and emitted as one chunk per partition,
+// in sorted order. Partition
 // chunks keep the extended layout; the eval stage strips it.
 //
 // With threads > 1 and a PARTITION BY, the merge phase itself
@@ -161,8 +161,7 @@ type windowPartitionOp struct {
 	node *plan.WindowNode
 	lay  windowLayout
 
-	child Operator   // sequential source (exactly one of child/scan is set)
-	scan  *parScanOp // parallel pipeline source
+	src source
 
 	iter  *extsort.Iterator
 	merge *parMergeStream // partitioned merge+cut (nil: cut on consumer)
@@ -173,8 +172,8 @@ type windowPartitionOp struct {
 	flushed bool
 }
 
-func newWindowPartitionOp(n *plan.WindowNode, child Operator, scan *parScanOp) *windowPartitionOp {
-	return &windowPartitionOp{node: n, lay: layoutOf(n), child: child, scan: scan}
+func newWindowPartitionOp(n *plan.WindowNode, src source) *windowPartitionOp {
+	return &windowPartitionOp{node: n, lay: layoutOf(n), src: src}
 }
 
 func (w *windowPartitionOp) Open(ctx *Context) error {
@@ -184,10 +183,7 @@ func (w *windowPartitionOp) Open(ctx *Context) error {
 	w.cutter = nil
 	w.queue = nil
 	w.flushed = false
-	if w.child != nil {
-		return w.child.Open(ctx)
-	}
-	return w.scan.Open(ctx)
+	return w.src.Open(ctx)
 }
 
 // extend widens a chunk with the evaluated partition keys, order keys
@@ -223,58 +219,13 @@ func (w *windowPartitionOp) build(ctx *Context) error {
 	extTypes := w.lay.extTypes(w.node)
 	keys := w.lay.sortKeys(w.node)
 
-	if w.child != nil {
-		sorter := extsort.NewSorter(extTypes, keys, ctx.sortBudget(), ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
-		seq := 0
-		for {
-			chunk, err := w.child.Next(ctx)
-			if err != nil {
-				sorter.Close()
-				return err
-			}
-			if chunk == nil {
-				break
-			}
-			if chunk.Len() == 0 {
-				continue
-			}
-			ext, err := w.extend(chunk, seq)
-			if err != nil {
-				sorter.Close()
-				return err
-			}
-			if err := sorter.Add(ext); err != nil {
-				sorter.Close()
-				return err
-			}
-			seq++
-		}
-		iter, err := sorter.Finish()
-		if err != nil {
-			sorter.Close()
-			return err
-		}
-		recordSortSpill(ctx, w.node, sorter.SpilledBytes())
-		w.iter = iter
-		return nil
-	}
-
-	// Parallel build: each pipeline worker extends its morsels and feeds
-	// its own sorter (splitting the budget like the parallel ORDER BY);
-	// the k-way merge of every worker's runs reproduces the total order.
-	workers := w.scan.workerCount(ctx)
-	budget := ctx.sortBudget()
-	if budget > 0 && workers > 1 {
-		budget /= int64(workers)
-		if budget < 1 {
-			budget = 1
-		}
-	}
+	// Each source worker extends its chunks and feeds its own sorter
+	// (splitting the budget like ORDER BY); the k-way merge of every
+	// worker's runs reproduces the total order.
+	workers := w.src.workerCount(ctx)
+	budget := splitBudget(ctx.sortBudget(), workers)
 	var sorters []*extsort.Sorter
-	_, err := w.scan.consume(ctx, func(wk int) func(int, *vector.Chunk) error {
+	err := w.src.consume(ctx, workers, ctx.Prof.Slot(w.node), func(wk int) sinkFunc {
 		sorter := extsort.NewSorter(extTypes, keys, budget, ctx.TmpDir)
 		if ctx.Pool != nil {
 			sorter.SetPool(ctx.Pool)
@@ -312,7 +263,8 @@ func (w *windowPartitionOp) build(ctx *Context) error {
 	// so every window partition lands wholly inside one range, then let
 	// each range worker merge its cursors AND cut partitions — both the
 	// k-way merge and the partition cutting leave the consumer thread.
-	if ctx.Threads > 1 && w.lay.npk > 0 {
+	// One-worker sources keep the serial merge (see sortOp.build).
+	if workers > 1 && w.lay.npk > 0 {
 		parts, err := iter.PartitionMerge(ctx.Threads, w.lay.partKeys())
 		if err != nil {
 			iter.Close()
@@ -437,11 +389,7 @@ func (w *windowPartitionOp) Close(ctx *Context) {
 		w.iter = nil
 	}
 	w.cutter, w.queue = nil, nil
-	if w.child != nil {
-		w.child.Close(ctx)
-	} else {
-		w.scan.Close(ctx)
-	}
+	w.src.Close(ctx)
 }
 
 // windowEvalStage computes every window function over one partition
@@ -548,59 +496,12 @@ func (w *windowEvalStage) runSlice(ctx *Context, part *vector.Chunk, lo, hi int,
 	return nil
 }
 
-// stageOp applies per-worker stages inline on a single thread — the
-// sequential counterpart of running them on an exchange pool.
-type stageOp struct {
-	child  Operator
-	stages []stage
-	queue  []*vector.Chunk
-}
-
-func (s *stageOp) Open(ctx *Context) error {
-	s.queue = nil
-	return s.child.Open(ctx)
-}
-
-func (s *stageOp) Next(ctx *Context) (*vector.Chunk, error) {
-	for {
-		if len(s.queue) > 0 {
-			out := s.queue[0]
-			s.queue = s.queue[1:]
-			return out, nil
-		}
-		chunk, err := s.child.Next(ctx)
-		if err != nil || chunk == nil {
-			return nil, err
-		}
-		err = runStages(ctx, s.stages, chunk, func(out *vector.Chunk) error {
-			if out.Len() > 0 {
-				s.queue = append(s.queue, out)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (s *stageOp) Close(ctx *Context) { s.child.Close(ctx) }
-
-// newWindowOp builds the sequential window operator.
-func newWindowOp(child Operator, n *plan.WindowNode) Operator {
-	return &stageOp{
-		child:  newWindowPartitionOp(n, child, nil),
-		stages: []stage{newWindowEvalStage(n)},
-	}
-}
-
-// newParWindowOp builds the parallel window operator over a morsel
-// pipeline: per-worker sorters feed the merged partition stream, and
-// the eval stage runs on the exchange's pool with its ordered merge
-// keeping emission in partition order.
-func newParWindowOp(spec *pipelineSpec, n *plan.WindowNode) Operator {
-	src := newWindowPartitionOp(n, nil, newParScanOp(spec))
-	return newExchangeOp(src, []stageFactory{func() stage { return newWindowEvalStage(n) }}, true)
+// newWindowOp builds the window operator: per-worker sorters feed the
+// merged partition stream, and the eval stage runs on an exchange whose
+// ordered merge keeps emission in partition order.
+func newWindowOp(src source, n *plan.WindowNode) Operator {
+	return newExchangeOp(newWindowPartitionOp(n, src),
+		[]stageFactory{func() stage { return newWindowEvalStage(n) }})
 }
 
 // ---- per-partition evaluation ----

@@ -43,14 +43,12 @@ func mkWindowNode(t *testing.T, n int, mgr *txn.Manager) *plan.WindowNode {
 
 func renderWindow(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Threads > 1 {
-		if _, ok := op.(*exchangeOp); !ok {
-			t.Fatalf("threads=%d built %T, want exchange-wrapped window", ctx.Threads, op)
-		}
+	if _, ok := op.(*exchangeOp); !ok {
+		t.Fatalf("built %T, want exchange-wrapped window", op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -104,7 +102,7 @@ func TestParallelWindowEarlyClose(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, 20_000, mgr)
 	limited := &plan.LimitNode{Child: node, Limit: 5}
-	op, err := BuildParallel(limited, 4)
+	op, err := Build(limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestParallelWindowErrorPropagates(t *testing.T) {
 		Funcs: []plan.WindowFunc{{Func: "row_number", Type: types.BigInt, Name: "rn"}},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := BuildParallel(node, threads)
+		op, err := Build(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +178,7 @@ func TestWindowFrameEdgeCases(t *testing.T) {
 			Frame:   tc.frame,
 			Funcs:   []plan.WindowFunc{{Func: "sum", Arg: col(), Type: types.BigInt, Name: "s"}},
 		}
-		op, err := Build(node)
+		op, err := Build(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +202,7 @@ func TestParallelWindowMergePartitioned(t *testing.T) {
 	const rows = 30_000
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, rows, mgr)
-	op, err := BuildParallel(node, 8)
+	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +293,7 @@ func TestExchangeSplitsOversizedChunks(t *testing.T) {
 // (so output chunk boundaries match unsplit evaluation), a 4-per-worker
 // item cap, and pass-through for engine-sized chunks.
 func TestSplitChunkPolicy(t *testing.T) {
-	e := &exchangeOp{ordered: true, workers: 2}
+	e := &exchangeOp{workers: 2}
 	mk := func(n int) *vector.Chunk {
 		c := vector.NewChunk([]types.Type{types.BigInt})
 		for i := 0; i < n; i++ {
@@ -326,9 +324,5 @@ func TestSplitChunkPolicy(t *testing.T) {
 	}
 	if last != huge.Len() {
 		t.Fatalf("items cover %d rows, want %d", last, huge.Len())
-	}
-	e.ordered = false
-	if items := e.splitChunk(huge, 0); len(items) != 1 {
-		t.Fatalf("unordered mode split a chunk into %d items", len(items))
 	}
 }

@@ -11,7 +11,7 @@
 //     regions, block corrupters) that exercise the engine's detection
 //     paths: block checksums, AN codes and buffer memory tests.
 //
-// Substitution note (DESIGN.md): the paper's Table 1 is measured on real
+// Substitution note (docs/ARCHITECTURE.md): the paper's Table 1 is measured on real
 // consumer machines, which we do not have; the calibrated model is the
 // synthetic equivalent that preserves the statistical shape the paper
 // argues from — failures are rare, but a machine that failed once is very

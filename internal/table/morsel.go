@@ -9,11 +9,15 @@ import (
 )
 
 // MorselSource hands out table segments ("morsels") to the workers of a
-// parallel scan. The segment list and per-segment row counts are
-// snapshotted at creation, so every worker sees the same, fixed set of
-// morsels regardless of concurrent (or the transaction's own) appends;
-// MVCC visibility is still reconstructed per row, so the scan observes
-// exactly the rows its transaction's snapshot allows. Workers
+// scan; it is the only way to read a table. The segment list and
+// per-segment row counts are snapshotted at creation, so every worker
+// sees the same, fixed set of morsels regardless of concurrent (or the
+// transaction's own) appends — a statement snapshot: a self-referencing
+// INSERT INTO t SELECT ... FROM t terminates after exactly the
+// pre-existing rows. MVCC visibility is still reconstructed per row
+// from insert/delete stamps and the update undo chains, so the scan
+// observes exactly the rows its transaction's snapshot allows and
+// concurrent writers never block it. Workers
 // draw the next unclaimed segment from a shared atomic counter — the
 // morsel-driven scheduling that keeps all cores busy without any
 // up-front range partitioning.
@@ -35,7 +39,7 @@ type MorselSource struct {
 }
 
 // NewMorselSource pins the projected columns and snapshots the segment
-// list for a parallel scan. Callers must Close it to release the pins.
+// list for a scan. Callers must Close it to release the pins.
 func (t *DataTable) NewMorselSource(tx *txn.Transaction, opts ScanOptions) (*MorselSource, error) {
 	cols, err := t.resolveColumns(opts.Columns)
 	if err != nil {
@@ -127,4 +131,17 @@ func (w *MorselScanner) Next() (seq int, chunk *vector.Chunk, err error) {
 	}
 	w.src.opts.countMaterialized(w.src.ns[idx], rows)
 	return int(idx), chunk, nil
+}
+
+// NextChunk returns the next non-empty chunk, or nil when the source is
+// exhausted. Drained from a source's only worker it yields the table's
+// visible rows in segment order — how checkpoints, COPY TO and the row
+// engine read a table front to back.
+func (w *MorselScanner) NextChunk() (*vector.Chunk, error) {
+	for {
+		seq, chunk, err := w.Next()
+		if err != nil || seq < 0 || chunk != nil {
+			return chunk, err
+		}
+	}
 }

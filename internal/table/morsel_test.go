@@ -11,7 +11,7 @@ import (
 
 // TestMorselSourceCoversEverySegmentOnce: concurrent workers must
 // jointly claim each morsel exactly once and reconstruct the same rows
-// the sequential scanner sees.
+// a single worker sees.
 func TestMorselSourceCoversEverySegmentOnce(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	dt := New([]types.Type{types.BigInt}, nil)

@@ -28,14 +28,15 @@ import (
 // encoded, and the exact zone-map stats of each serialized segment (the
 // image the catalog persists so cold opens keep their zone maps).
 func (t *DataTable) SerializeColumn(tx *txn.Transaction, c int) ([]byte, int64, []ColStats, error) {
-	sc, err := t.NewScanner(tx, ScanOptions{Columns: []int{c}})
+	src, err := t.NewMorselSource(tx, ScanOptions{Columns: []int{c}})
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	defer sc.Close()
+	defer src.Close()
+	sc := src.Worker()
 	all := vector.New(t.typs[c], 0)
 	for {
-		chunk, err := sc.Next()
+		chunk, err := sc.NextChunk()
 		if err != nil {
 			return nil, 0, nil, err
 		}

@@ -246,94 +246,3 @@ func (t *DataTable) resolveColumns(cols []int) ([]int, error) {
 	}
 	return cols, nil
 }
-
-// Scanner iterates a snapshot of the table, one chunk per segment.
-// It reconstructs the transaction's snapshot from insert/delete stamps
-// and the update undo chains, so concurrent writers never block it.
-// The segment list and per-segment row counts are snapshotted at open
-// (like MorselSource), so the scan is a statement snapshot: rows the
-// scanning transaction itself appends while the scan runs are not
-// discovered — a self-referencing INSERT INTO t SELECT ... FROM t
-// terminates after exactly the pre-existing rows.
-type Scanner struct {
-	segReader
-	segs    []*segment
-	ns      []int
-	segIdx  int
-	opts    ScanOptions
-	release func()
-	closed  bool
-}
-
-// NewScanner pins the projected columns and returns a scanner. Callers
-// must Close it to release the pins.
-func (t *DataTable) NewScanner(tx *txn.Transaction, opts ScanOptions) (*Scanner, error) {
-	cols, err := t.resolveColumns(opts.Columns)
-	if err != nil {
-		return nil, err
-	}
-	release, err := t.PinColumns(cols)
-	if err != nil {
-		return nil, err
-	}
-	segs, ns := t.snapshotSegments()
-	return &Scanner{
-		segReader: newSegReader(t, tx, cols, opts.WithRowIDs, opts.ZoneFilters),
-		segs:      segs,
-		ns:        ns,
-		opts:      opts,
-		release:   release,
-	}, nil
-}
-
-// OutputTypes returns the scanner's chunk schema.
-func (s *Scanner) OutputTypes() []types.Type { return s.outputTypes() }
-
-// Next returns the next non-empty chunk, or nil when the scan is done.
-// Segments refuted by the pushed zone filters are skipped without being
-// materialized.
-func (s *Scanner) Next() (*vector.Chunk, error) {
-	if s.closed {
-		return nil, nil
-	}
-	for s.segIdx < len(s.segs) {
-		seg := s.segs[s.segIdx]
-		base := int64(s.segIdx) * SegRows
-		maxRows := s.ns[s.segIdx]
-		s.segIdx++
-
-		if len(s.opts.ZoneFilters) > 0 && segRefuted(s.t, seg, s.opts.ZoneFilters) {
-			s.opts.countSkipped()
-			continue
-		}
-		if s.opts.EncodedExec {
-			if chunk, selected, ok := s.scanSegmentEncoded(seg, base, maxRows); ok {
-				s.opts.countScanned()
-				s.opts.countEncoded(selected)
-				if chunk != nil {
-					return chunk, nil
-				}
-				continue
-			}
-		}
-		if err := s.t.materializeSegCols(seg, s.cols); err != nil {
-			return nil, err
-		}
-		s.opts.countScanned()
-		chunk := s.scanSegment(seg, base, maxRows)
-		if chunk != nil {
-			s.opts.countMaterialized(maxRows, chunk.Len())
-			return chunk, nil
-		}
-		s.opts.countMaterialized(maxRows, 0)
-	}
-	return nil, nil
-}
-
-// Close releases the scanner's column pins.
-func (s *Scanner) Close() {
-	if !s.closed {
-		s.closed = true
-		s.release()
-	}
-}

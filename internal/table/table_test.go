@@ -28,14 +28,15 @@ func rangeChunk(n int) *vector.Chunk {
 
 func scanAll(t *testing.T, dt *DataTable, tx *txn.Transaction, withRowIDs bool) [][]int64 {
 	t.Helper()
-	sc, err := dt.NewScanner(tx, ScanOptions{WithRowIDs: withRowIDs})
+	src, err := dt.NewMorselSource(tx, ScanOptions{WithRowIDs: withRowIDs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
+	defer src.Close()
+	sc := src.Worker()
 	var out [][]int64
 	for {
-		chunk, err := sc.Next()
+		chunk, err := sc.NextChunk()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,12 +454,12 @@ func TestScanProjection(t *testing.T) {
 	mgr.Commit(setup)
 
 	fresh := mgr.Begin()
-	sc, err := dt.NewScanner(fresh, ScanOptions{Columns: []int{1}})
+	src, err := dt.NewMorselSource(fresh, ScanOptions{Columns: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	chunk, err := sc.Next()
+	defer src.Close()
+	chunk, err := src.Worker().NextChunk()
 	if err != nil || chunk == nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestScanProjection(t *testing.T) {
 func TestScanInvalidColumn(t *testing.T) {
 	dt := New([]types.Type{types.BigInt}, nil)
 	mgr := txn.NewManager(nil)
-	if _, err := dt.NewScanner(mgr.Begin(), ScanOptions{Columns: []int{5}}); err == nil {
+	if _, err := dt.NewMorselSource(mgr.Begin(), ScanOptions{Columns: []int{5}}); err == nil {
 		t.Fatal("out-of-range column accepted")
 	}
 }

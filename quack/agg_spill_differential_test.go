@@ -55,7 +55,7 @@ var aggSpillBudgetCases = []aggSpillBudgetCase{
 }
 
 // TestAggSpillDifferentialBudgets fuzzes budgeted aggregation against
-// the unlimited sequential engine: byte budgets from 4KB up (forcing
+// the unlimited one-worker run: byte budgets from 4KB up (forcing
 // multi-round partition spills), duplicate-heavy and NULL group keys,
 // DISTINCT aggregates and DOUBLE sums, at threads 1/2/8 — results must
 // be row-for-row identical, including order, and the spill counters

@@ -302,10 +302,6 @@ func TestAggSpillSurfaced(t *testing.T) {
 	if got := queryAll(t, db, "PRAGMA agg_spilled_bytes"); got[0][0] == "0" {
 		t.Fatal("spilled-bytes counter still 0 after a spilling aggregation")
 	}
-	// The deprecated fallback counter reads 0 forever.
-	if got := queryAll(t, db, "PRAGMA parallel_agg_fallbacks"); got[0][0] != "0" {
-		t.Fatalf("deprecated parallel_agg_fallbacks = %s, want 0", got[0][0])
-	}
 
 	// Without a memory limit nothing spills and EXPLAIN stays silent.
 	db2, err := quack.Open(":memory:", quack.WithThreads(4))

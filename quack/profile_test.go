@@ -16,6 +16,7 @@ type profNode struct {
 	Name        string      `json:"name"`
 	Rows        int64       `json:"rows"`
 	Morsels     int64       `json:"morsels"`
+	BusyNs      int64       `json:"busy_ns"`
 	SegsScanned int64       `json:"segments_scanned"`
 	SegsSkipped int64       `json:"segments_skipped"`
 	SpillBytes  int64       `json:"spill_bytes"`
@@ -61,10 +62,12 @@ func lastProfile(t *testing.T, c *quack.Conn, q string) *profDoc {
 	return &doc
 }
 
-// flattenRows renders the tree as "name=rows" in preorder — the
-// determinism fingerprint compared across thread counts and budgets.
+// flattenRows renders the tree as "name=rows/morsels" in preorder — the
+// determinism fingerprint compared across thread counts and budgets:
+// the same operators, the same rows through each, the same morsels
+// claimed by each scan.
 func flattenRows(n *profNode, out *[]string) {
-	*out = append(*out, fmt.Sprintf("%s=%d", n.Name, n.Rows))
+	*out = append(*out, fmt.Sprintf("%s=%d/m%d", n.Name, n.Rows, n.Morsels))
 	for _, c := range n.Children {
 		flattenRows(c, out)
 	}
@@ -91,9 +94,11 @@ var profilePalette = []string{
 }
 
 // TestProfileRowDeterminism pins the profiler to the engine's core
-// invariant: per-operator row counts are identical at every thread
-// count, with and without a memory budget — parallelism and spilling
-// may change timings, never what flowed through the plan.
+// invariant: the profile tree — operator names, per-operator row counts
+// and per-scan morsel counts — is identical at every thread count, with
+// and without a memory budget. There is one executor, so one worker
+// and eight walk the same operators; parallelism and spilling may
+// change timings, never what flowed through the plan.
 func TestProfileRowDeterminism(t *testing.T) {
 	type config struct {
 		name    string
@@ -247,6 +252,73 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeBreakerBusy pins where pipeline-fused work is
+// booked: a breaker's sink (accumulation, run generation) runs inside
+// the scan pipeline's workers, but its time belongs to the breaker's
+// own busy_ns, not to the scan leaf's — at one worker and at four
+// alike. The exact split is timing; what is pinned is that the
+// breaker has busy time at all, that the scan reports morsels, and that
+// a high-cardinality aggregation (a hash probe per row against a
+// 1024-row copy per morsel) books more to AGGREGATE than to its scan.
+func TestExplainAnalyzeBreakerBusy(t *testing.T) {
+	find := func(n *profNode, prefix string) *profNode {
+		var hit *profNode
+		var walk func(*profNode)
+		walk = func(n *profNode) {
+			if hit == nil && strings.HasPrefix(n.Name, prefix) {
+				hit = n
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(n)
+		return hit
+	}
+	for _, threads := range []int{1, 4} {
+		db := differentialDBWith(t, quack.WithThreads(threads))
+		conn := db.Conn()
+		for _, tc := range []struct{ q, breaker string }{
+			{"SELECT id - id % 8, count(*), sum(price) FROM facts GROUP BY 1", "AGGREGATE"},
+			{"SELECT id, price FROM facts ORDER BY price, id", "SORT"},
+		} {
+			doc := lastProfile(t, conn, tc.q)
+			br, scan := find(doc.Plan, tc.breaker), find(doc.Plan, "SCAN")
+			if br == nil || scan == nil {
+				t.Fatalf("threads=%d %q: no %s over SCAN in the profile", threads, tc.q, tc.breaker)
+			}
+			if scan.Morsels == 0 || scan.BusyNs <= 0 {
+				t.Errorf("threads=%d %q: scan morsels=%d busy_ns=%d, want both > 0", threads, tc.q, scan.Morsels, scan.BusyNs)
+			}
+			if br.BusyNs <= 0 {
+				t.Errorf("threads=%d %q: %s busy_ns=%d, want its sink time", threads, tc.q, tc.breaker, br.BusyNs)
+			}
+			if tc.breaker == "AGGREGATE" && br.BusyNs <= scan.BusyNs {
+				t.Errorf("threads=%d %q: AGGREGATE busy_ns %d <= scan busy_ns %d: accumulation is booked to the scan",
+					threads, tc.q, br.BusyNs, scan.BusyNs)
+			}
+		}
+		// The same split is what EXPLAIN ANALYZE renders.
+		res, err := conn.Query("EXPLAIN ANALYZE SELECT id - id % 8, count(*) FROM facts GROUP BY 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for res.Next() {
+			var line string
+			if err := res.Scan(&line); err != nil {
+				t.Fatal(err)
+			}
+			trimmed := strings.TrimSpace(line)
+			if strings.HasPrefix(trimmed, "AGGREGATE") && !strings.Contains(line, "busy=") {
+				t.Errorf("threads=%d: AGGREGATE line has no busy time: %s", threads, line)
+			}
+			if strings.HasPrefix(trimmed, "SCAN") && !strings.Contains(line, "morsels=") {
+				t.Errorf("threads=%d: SCAN line has no morsels: %s", threads, line)
+			}
+		}
+	}
+}
+
 // TestSlowQueryLog exercises the WithLogger sink end to end: below the
 // threshold nothing is emitted, at threshold 0 every statement logs one
 // well-formed JSON line.
@@ -388,12 +460,9 @@ func TestMetricsPragmas(t *testing.T) {
 	}
 
 	// Memory gauges: peak bounds usage from above.
-	usage, peak := readPragma("memory_usage"), readPragma("memory_peak")
-	if usage < 0 || peak < usage {
-		t.Errorf("memory gauges inconsistent: usage=%d peak=%d", usage, peak)
-	}
-	if used := readPragma("memory_used"); used != usage {
-		t.Errorf("memory_used %d != memory_usage %d", used, usage)
+	used, peak := readPragma("memory_used"), readPragma("memory_peak")
+	if used < 0 || peak < used {
+		t.Errorf("memory gauges inconsistent: used=%d peak=%d", used, peak)
 	}
 
 	// Profiling readbacks.

@@ -26,10 +26,12 @@
 // and hands them to the storage layer.
 //
 // Queries use all of the host's cores by default: plans are decomposed
-// into morsel-driven parallel pipelines (see internal/exec), with
-// WithThreads(1) as the single-threaded baseline. Parallelism never
-// changes results — chunks arrive in the same deterministic order at
-// every thread count, so the zero-copy chunk API above is unaffected.
+// into morsel-driven pipelines (see internal/exec and
+// docs/ARCHITECTURE.md). There is one executor: WithThreads(1) runs the
+// same operators with one worker each, inline on the calling goroutine.
+// The worker count never changes results — chunks arrive in the same
+// deterministic order at every thread count, so the zero-copy chunk API
+// above is unaffected.
 //
 // All queries — across every session — share one engine-wide worker
 // pool sized at Open (WithThreads / QUACK_THREADS, resized by PRAGMA
@@ -146,7 +148,7 @@
 //
 //	PRAGMA last_profile            most recent profile of this session, JSON
 //	PRAGMA metrics                 registry snapshot as (name, value) rows
-//	PRAGMA memory_usage            current buffer-pool reservation (alias: memory_used)
+//	PRAGMA memory_used             current buffer-pool reservation
 //	PRAGMA memory_peak             reservation high-water mark
 //	PRAGMA wal_size, database_size storage sizes
 //	PRAGMA segments_scanned, segments_skipped          scan counters
@@ -227,8 +229,9 @@ func WithTmpDir(dir string) Option {
 // WithThreads sets the worker-pool size for parallel query pipelines.
 // The default comes from the QUACK_THREADS environment variable if set,
 // else runtime.GOMAXPROCS(0) — an embedded analytical engine should use
-// all of the hardware its host process owns (§6). n = 1 disables
-// intra-query parallelism; results are identical (including row order,
+// all of the hardware its host process owns (§6). n = 1 gives every
+// operator one worker, run on the calling goroutine; results are
+// identical (including row order,
 // floating-point sums, and min/max/ORDER BY over NaN-bearing DOUBLE
 // columns, which follow a total order with NaN greatest) at every
 // setting. PRAGMA threads changes it at runtime.
