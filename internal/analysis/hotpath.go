@@ -19,6 +19,11 @@ import (
 //     cold by definition);
 //   - make() inside a for/range loop — a fresh allocation per
 //     iteration; hoist the buffer out of the loop and reuse it;
+//   - a function literal inside a for/range loop — a closure allocated
+//     per iteration and an indirect call per row;
+//   - a call returning a boxed types.Value (or a slice of them) inside a
+//     for/range loop — Vector.Get, Chunk.Row, types.New*: the typed
+//     payload slices exist so per-row code never boxes;
 //   - calls through a profiler hook (*Profiler / *OpProfile values)
 //     with no nil guard — the profiling-off contract is one pointer
 //     test, which only holds when every hook call sits behind one.
@@ -56,8 +61,16 @@ func isHotpath(decl *ast.FuncDecl) bool {
 func checkHotFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Info
 	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && insideLoop(stack, body) {
+			pass.Reportf(lit.Pos(), "function literal inside a loop in a //quack:hotpath function allocates a closure per iteration; hoist it out of the loop or make it a method")
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
+			return true
+		}
+		if insideLoop(stack, body) && returnsBoxedValue(pass, call) {
+			pass.Reportf(call.Pos(), "call returning a boxed types.Value inside a loop in a //quack:hotpath function; read the vector's typed payload (I64/F64/Str/...) instead")
 			return true
 		}
 		if isPkgCall(info, call, "time", "Now") {
@@ -84,6 +97,36 @@ func checkHotFunc(pass *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// returnsBoxedValue reports whether the call yields the engine's boxed
+// scalar — the named type Value of a package called types (or of the
+// package under analysis, which is how the fixtures declare it) — or a
+// slice of them.
+func returnsBoxedValue(pass *Pass, call *ast.CallExpr) bool {
+	boxed := func(t types.Type) bool {
+		if sl, ok := types.Unalias(t).(*types.Slice); ok {
+			t = sl.Elem()
+		}
+		n, ok := types.Unalias(t).(*types.Named)
+		if !ok || n.Obj().Name() != "Value" || n.Obj().Pkg() == nil {
+			return false
+		}
+		return n.Obj().Pkg().Name() == "types" || n.Obj().Pkg() == pass.Types
+	}
+	switch t := pass.Info.TypeOf(call).(type) {
+	case nil:
+		return false
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			if boxed(t.At(i).Type()) {
+				return true
+			}
+		}
+		return false
+	default:
+		return boxed(t)
+	}
 }
 
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {

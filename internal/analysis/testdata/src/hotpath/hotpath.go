@@ -86,9 +86,70 @@ func (o *op) goodHook(n int) {
 	o.slot.Rows.Add(int64(n))
 }
 
+// Value mirrors the engine's boxed scalar (internal/types.Value): the
+// analyzer recognizes it by name.
+type Value struct {
+	I64  int64
+	Null bool
+}
+
+type column struct{ i64 []int64 }
+
+func (c *column) Get(i int) Value { return Value{I64: c.i64[i]} }
+
+func (c *column) Row(i int) []Value { return []Value{c.Get(i)} }
+
+//quack:hotpath
+func badBoxing(c *column) int64 {
+	var total int64
+	for i := range c.i64 {
+		total += c.Get(i).I64        // want `call returning a boxed types\.Value inside a loop`
+		for _, v := range c.Row(i) { // want `call returning a boxed types\.Value inside a loop`
+			total += v.I64
+		}
+	}
+	return total
+}
+
+// goodBoxing reads the typed payload per row and boxes once, outside
+// the loop.
+//
+//quack:hotpath
+func goodBoxing(c *column) Value {
+	var total int64
+	for _, v := range c.i64 {
+		total += v
+	}
+	first := c.Get(0)
+	first.I64 += total
+	return first
+}
+
+//quack:hotpath
+func badClosure(rows []int64) int64 {
+	var total int64
+	for _, r := range rows {
+		add := func(d int64) { total += d } // want `function literal inside a loop in a //quack:hotpath function`
+		add(r)
+	}
+	return total
+}
+
+// goodClosure builds its one closure before the loop.
+//
+//quack:hotpath
+func goodClosure(rows []int64) int64 {
+	var total int64
+	add := func(d int64) { total += d }
+	for _, r := range rows {
+		add(r)
+	}
+	return total
+}
+
 // coldFormat is unmarked: the analyzer leaves it alone.
 func coldFormat(v int) string {
 	return fmt.Sprintf("row %d", v)
 }
 
-var _ = []any{(*op).badClock, (*op).goodClock, (*op).badFormat, (*op).goodPanic, badAlloc, goodAlloc, (*op).badHook, (*op).goodHook, coldFormat}
+var _ = []any{(*op).badClock, (*op).goodClock, (*op).badFormat, (*op).goodPanic, badAlloc, goodAlloc, (*op).badHook, (*op).goodHook, badBoxing, goodBoxing, badClosure, goodClosure, coldFormat}

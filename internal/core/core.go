@@ -201,6 +201,7 @@ func (db *Database) initMetrics() {
 	m.Int64("agg_spill_partitions_total", &db.execStats.AggSpillPartitions)
 	m.Int64("agg_spill_bytes_total", &db.execStats.AggSpilledBytes)
 	m.Int64("sort_spill_bytes_total", &db.execStats.SortSpilledBytes)
+	m.Int64("sort_key_tie_fallbacks_total", &db.execStats.SortTieFallbacks)
 
 	// Buffer pool (the cooperation surface of §4).
 	m.Gauge("pool_reserved_bytes", db.pool.Used)

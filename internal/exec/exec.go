@@ -95,6 +95,9 @@ type Stats struct {
 	// SortSpilledBytes totals the bytes external sorts (ORDER BY, window
 	// sorts) wrote to spill runs under a memory budget.
 	SortSpilledBytes atomic.Int64
+	// SortTieFallbacks counts external-sort comparisons that tied on an
+	// encoded VARCHAR key prefix and fell back to comparing the strings.
+	SortTieFallbacks atomic.Int64
 }
 
 // Context carries per-query execution state.

@@ -146,6 +146,28 @@ func TestHashAndMergeJoinAgree(t *testing.T) {
 	}
 }
 
+// TestMergeJoinCompareDoesNotAllocate: the merge loop compares the two
+// cursors' keys once per step; it used to build two chunks, two column
+// slices and a key literal for every one.
+func TestMergeJoinCompareDoesNotAllocate(t *testing.T) {
+	typs := []types.Type{types.BigInt, types.BigInt, types.Varchar, types.Double}
+	side := func(k int64, s string, d float64) *mergeCursor {
+		c := vector.NewChunk(typs)
+		c.AppendRow(types.NewBigInt(0), types.NewBigInt(k), types.NewVarchar(s), types.NewDouble(d))
+		return &mergeCursor{chunk: c}
+	}
+	m := &mergeJoinOp{nl: 1, nr: 1, nk: 3}
+	m.lCur, m.rCur = side(7, "emea", 1.5), side(7, "emea", 2.5)
+	if c := m.compareCursors(); c >= 0 {
+		t.Fatalf("compareCursors = %d, want < 0 (third key decides)", c)
+	}
+	var sink int
+	if allocs := testing.AllocsPerRun(200, func() { sink += m.compareCursors() }); allocs != 0 {
+		t.Fatalf("compareCursors allocates %.0f times per call", allocs)
+	}
+	_ = sink
+}
+
 func TestAutoJoinFallsBackUnderMemoryPressure(t *testing.T) {
 	// The 50k-row build needs ~2MB with the hash table; a 128KB limit
 	// forces the merge fallback, whose sorted runs spill to disk.

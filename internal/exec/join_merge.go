@@ -210,14 +210,7 @@ func (m *mergeJoinOp) compareCursors() int {
 			}
 			return -1
 		}
-		c := extsort.CompareRows(
-			&vector.Chunk{Cols: []*vector.Vector{lv}},
-			m.lCur.row,
-			&vector.Chunk{Cols: []*vector.Vector{rv}},
-			m.rCur.row,
-			[]extsort.Key{{Col: 0}},
-		)
-		if c != 0 {
+		if c := extsort.CompareValues(lv, m.lCur.row, rv, m.rCur.row); c != 0 {
 			return c
 		}
 	}
@@ -396,12 +389,13 @@ func (m *mergeJoinOp) flushFiltered(out *vector.Chunk) error {
 }
 
 func (m *mergeJoinOp) Close(ctx *Context) {
-	if m.lIter != nil {
-		m.lIter.Close()
+	for _, iter := range []*extsort.Iterator{m.lIter, m.rIter} {
+		if iter != nil {
+			recordSortKeys(ctx, m.node, iter)
+			iter.Close()
+		}
 	}
-	if m.rIter != nil {
-		m.rIter.Close()
-	}
+	m.lIter, m.rIter = nil, nil
 	m.left.Close(ctx)
 	m.right.Close(ctx)
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/extsort"
 	"repro/internal/plan"
 	"repro/internal/vector"
 )
@@ -45,6 +46,12 @@ type OpProfile struct {
 
 	SpillBytes atomic.Int64
 	SpillParts atomic.Int64
+
+	// SortKeyBytes is the width of one normalized sort key of the
+	// operator's external sort; TieFallbacks counts its comparisons that
+	// tied on an encoded VARCHAR prefix and compared the full strings.
+	SortKeyBytes atomic.Int64
+	TieFallbacks atomic.Int64
 }
 
 // Profiler collects one query's profile. A nil *Profiler is the "off"
@@ -168,6 +175,20 @@ func recordSortSpill(ctx *Context, n plan.Node, bytes int64) {
 	}
 }
 
+// recordSortKeys books a finished (or abandoned) external sort's key
+// width and tie fallbacks into the engine-wide counter and the
+// operator's profile slot; call it once the merge workers have stopped.
+func recordSortKeys(ctx *Context, n plan.Node, iter *extsort.Iterator) {
+	ties := iter.TieFallbacks()
+	if ctx.Stats != nil {
+		ctx.Stats.SortTieFallbacks.Add(ties)
+	}
+	if slot := ctx.Prof.Slot(n); slot != nil {
+		slot.SortKeyBytes.Store(int64(iter.KeyBytes()))
+		slot.TieFallbacks.Add(ties)
+	}
+}
+
 // QueryStats is the per-query roll-up consulted by the slow-query log.
 // Allocated only when profiling or the slow-query log is active.
 type QueryStats struct {
@@ -190,6 +211,8 @@ type OpProfileSnap struct {
 	SelectedRows    int64            `json:"selected_rows,omitempty"`
 	SpillBytes      int64            `json:"spill_bytes,omitempty"`
 	SpillPartitions int64            `json:"spill_partitions,omitempty"`
+	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
+	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
 }
 
@@ -216,6 +239,8 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SelectedRows:    o.SelectedRows.Load(),
 		SpillBytes:      o.SpillBytes.Load(),
 		SpillPartitions: o.SpillParts.Load(),
+		SortKeyBytes:    o.SortKeyBytes.Load(),
+		TieFallbacks:    o.TieFallbacks.Load(),
 	}
 	for _, c := range o.Children {
 		s.Children = append(s.Children, snapOp(c))
@@ -272,6 +297,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.SpillPartitions > 0 {
 		fmt.Fprintf(sb, " spill_parts=%d", s.SpillPartitions)
+	}
+	if s.SortKeyBytes > 0 {
+		fmt.Fprintf(sb, " key_bytes=%d tie_fallbacks=%d", s.SortKeyBytes, s.TieFallbacks)
 	}
 	sb.WriteString("]\n")
 	for _, c := range s.Children {

@@ -213,6 +213,7 @@ func (s *sortOp) Close(ctx *Context) {
 		s.merge = nil
 	}
 	if s.iter != nil {
+		recordSortKeys(ctx, s.node, s.iter)
 		s.iter.Close()
 		s.iter = nil
 	}

@@ -385,6 +385,7 @@ func (w *windowPartitionOp) Close(ctx *Context) {
 		w.merge = nil
 	}
 	if w.iter != nil {
+		recordSortKeys(ctx, w.node, w.iter)
 		w.iter.Close()
 		w.iter = nil
 	}

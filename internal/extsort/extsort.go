@@ -4,6 +4,10 @@
 // result. This is the out-of-core substrate behind the merge join the
 // paper's cooperation section trades against the hash join (§4): fewer
 // resident bytes, more CPU cycles plus disk IO.
+//
+// Every comparison — run sort, loser tree, partition seeks — is over
+// normalized keys: keys.go has the byte layout, runsort.go the radix
+// sort over it.
 package extsort
 
 import (
@@ -11,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -20,7 +23,7 @@ import (
 	"repro/internal/vector"
 )
 
-// runChunkReads counts readRunChunk calls. Tests assert the spill-time
+// runChunkReads counts run chunks read back. Tests assert the spill-time
 // boundary samples keep PartitionMerge's quantile sampling and seek
 // probes from re-reading run chunks.
 var runChunkReads atomic.Int64
@@ -39,9 +42,11 @@ type Sorter struct {
 	budget   int64 // bytes of buffered rows before spilling; <=0: no spill
 	tmpDir   string
 	pool     *buffer.Pool // optional memory accounting
+	layout   *keyLayout
 
 	chunks   []*vector.Chunk
-	bytes    int64
+	rows     int   // buffered rows
+	bytes    int64 // buffered rows plus their encoded keys
 	reserved int64
 	runs     []runFile
 	spilled  int64 // bytes spilled (stats)
@@ -57,7 +62,8 @@ type Sorter struct {
 type runFile struct {
 	f       *os.File
 	offs    []int64
-	samples *vector.Chunk
+	size    int64 // bytes written: the end of the last chunk
+	samples *keyedRows
 }
 
 // NewSorter returns a sorter for chunks with the given column types.
@@ -68,6 +74,7 @@ func NewSorter(colTypes []types.Type, keys []Key, budget int64, tmpDir string) *
 		keys:     keys,
 		budget:   budget,
 		tmpDir:   tmpDir,
+		layout:   newKeyLayout(colTypes, keys),
 	}
 }
 
@@ -78,32 +85,45 @@ func (s *Sorter) SpilledBytes() int64 { return s.spilled }
 func (s *Sorter) SetPool(p *buffer.Pool) { s.pool = p }
 
 // Add buffers a chunk, spilling a sorted run if the budget is exceeded.
+// Against the budget a row counts its column bytes plus the encoded key
+// the run sort will build for it, so a budgeted sorter spills early
+// enough to hold both; the pool reservation for the keys is made when
+// their buffer is allocated (sortBuffered). A full pool never fails Add:
+// the sorter first spills what it holds, and a chunk that still does
+// not fit (other owners hold the pool) is spilled at once as a run of
+// its own — the chunk exists already, writing it out is what frees it.
 func (s *Sorter) Add(c *vector.Chunk) error {
 	if c.Len() == 0 {
 		return nil
 	}
 	b := chunkBytes(c)
-	if s.pool != nil {
-		if err := s.pool.Reserve(b); err != nil {
-			// Free our buffered rows by spilling, then retry once.
-			if len(s.chunks) == 0 {
-				return err
-			}
-			if serr := s.spill(); serr != nil {
-				return serr
-			}
-			if err := s.pool.Reserve(b); err != nil {
-				return err
-			}
+	fits := s.reserve(b)
+	if !fits && len(s.chunks) > 0 {
+		if err := s.spill(); err != nil {
+			return err
 		}
-		s.reserved += b
+		fits = s.reserve(b)
 	}
 	s.chunks = append(s.chunks, c)
-	s.bytes += b
-	if s.budget > 0 && s.bytes > s.budget {
+	s.rows += c.Len()
+	s.bytes += b + int64(c.Len())*s.layout.sortBytesPerRow()
+	if !fits || (s.budget > 0 && s.bytes > s.budget) {
 		return s.spill()
 	}
 	return nil
+}
+
+// reserve takes n more bytes from the pool into s.reserved and reports
+// whether they fit (always, without a pool).
+func (s *Sorter) reserve(n int64) bool {
+	if s.pool == nil {
+		return true
+	}
+	if s.pool.Reserve(n) != nil {
+		return false
+	}
+	s.reserved += n
+	return true
 }
 
 func (s *Sorter) releaseReserved() {
@@ -113,26 +133,122 @@ func (s *Sorter) releaseReserved() {
 	}
 }
 
-// sortBuffered orders the buffered rows and returns them as (chunk,row)
-// pairs.
-func (s *Sorter) sortBuffered() []rowRef {
-	var refs []rowRef
-	for ci, c := range s.chunks {
-		for r := 0; r < c.Len(); r++ {
-			refs = append(refs, rowRef{chunk: ci, row: r})
-		}
-	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		return CompareRows(s.chunks[a.chunk], a.row, s.chunks[b.chunk], b.row, s.keys) < 0
-	})
-	return refs
+// memRun is a sorted in-memory run: the buffered chunks and their
+// encoded rows in sort order, each row's ordinal naming its chunk row.
+type memRun struct {
+	l      *keyLayout
+	chunks []*vector.Chunk
+	rows   []byte
 }
 
-type rowRef struct{ chunk, row int }
+func (m *memRun) len() int { return len(m.rows) / m.l.stride }
+
+// key returns the key bytes of the run's i-th row.
+func (m *memRun) key(i int) []byte {
+	p := i * m.l.stride
+	return m.rows[p : p+m.l.width]
+}
+
+// ref returns the chunk row the run's i-th row encodes.
+func (m *memRun) ref(i int) (*vector.Chunk, int) {
+	ord := binary.BigEndian.Uint64(m.rows[i*m.l.stride+m.l.width:])
+	return m.chunks[ord>>32], int(uint32(ord))
+}
+
+// sortBuffered builds the buffered rows' sorted run: it reserves the key
+// buffer from the pool (into s.reserved, released or moved with the
+// rows), encodes the keys and sorts them. When the pool cannot hold the
+// buffer, must makes it return nil; otherwise the sort goes ahead with
+// the buffer unreserved.
+func (s *Sorter) sortBuffered(must bool) *memRun {
+	if !s.reserve(int64(s.rows)*s.layout.sortBytesPerRow()) && must {
+		return nil
+	}
+	rows := make([]byte, s.rows*s.layout.stride)
+	off := 0
+	for ci, c := range s.chunks {
+		s.layout.encodeChunk(rows[off:], c, ci)
+		off += c.Len() * s.layout.stride
+	}
+	rs := runSorter{l: s.layout, rows: rows, chunks: s.chunks}
+	rs.sort()
+	return &memRun{l: s.layout, chunks: s.chunks, rows: rows}
+}
+
+// takeSorted sorts the buffered rows into an in-memory run, leaving the
+// sorter's buffer empty; the caller moves s.reserved along with the run.
+// When the pool has no room for the run's keys it returns nil and the
+// caller spills instead.
+func (s *Sorter) takeSorted() *memRun {
+	run := s.sortBuffered(true)
+	if run != nil {
+		s.chunks, s.rows, s.bytes = nil, 0, 0
+	}
+	return run
+}
+
+// gatherer materializes sorted rows a column at a time: the rows of one
+// output chunk are first collected as (source chunk, row) picks.
+type gatherer struct {
+	srcs [vector.ChunkCapacity]*vector.Chunk
+	rows [vector.ChunkCapacity]int32
+	n    int
+}
+
+//quack:hotpath
+func (g *gatherer) pickRun(m *memRun, from, n int) {
+	w, stride := m.l.width, m.l.stride
+	for i, p := 0, from*stride+w; i < n; i, p = i+1, p+stride {
+		ord := binary.BigEndian.Uint64(m.rows[p : p+8])
+		g.srcs[i], g.rows[i] = m.chunks[ord>>32], int32(uint32(ord))
+	}
+	g.n = n
+}
+
+// into fills out with the picked rows: one type switch per column, not
+// one per column per row.
+//
+//quack:hotpath
+func (g *gatherer) into(out *vector.Chunk) {
+	srcs, rows := g.srcs[:g.n], g.rows[:g.n]
+	out.SetLen(g.n)
+	for ci, dst := range out.Cols {
+		switch dst.Type {
+		case types.Boolean:
+			for i, src := range srcs {
+				dst.Bools[i] = src.Cols[ci].Bools[rows[i]]
+			}
+		case types.Integer:
+			for i, src := range srcs {
+				dst.I32[i] = src.Cols[ci].I32[rows[i]]
+			}
+		case types.BigInt, types.Timestamp:
+			for i, src := range srcs {
+				dst.I64[i] = src.Cols[ci].I64[rows[i]]
+			}
+		case types.Double:
+			for i, src := range srcs {
+				dst.F64[i] = src.Cols[ci].F64[rows[i]]
+			}
+		case types.Varchar:
+			for i, src := range srcs {
+				dst.Str[i] = src.Cols[ci].Str[rows[i]]
+			}
+		}
+		for i, src := range srcs {
+			if v := src.Cols[ci]; !v.Valid.AllValid() && v.IsNull(int(rows[i])) {
+				dst.SetNull(i)
+			}
+		}
+	}
+	g.n = 0
+}
 
 func (s *Sorter) spill() error {
-	refs := s.sortBuffered()
+	// Spilling is what frees memory, so a pool too full for the key
+	// buffer does not stop it: the buffer then lives unreserved for the
+	// length of this call, like a merge cursor's chunk.
+	run := s.sortBuffered(false)
 	f, err := os.CreateTemp(s.tmpDir, "quack-sort-*.run")
 	if err != nil {
 		return fmt.Errorf("extsort: create run: %w", err)
@@ -141,49 +257,34 @@ func (s *Sorter) spill() error {
 	//lint:ignore erracc unlink-while-open spill idiom: a failed remove only delays tmp cleanup, the data lives on the open fd
 	os.Remove(f.Name())
 	out := vector.NewChunk(s.colTypes)
-	samples := vector.NewChunk(s.colTypes)
+	samples := newKeyedRows(s.layout, s.colTypes)
+	var g gatherer
 	var buf []byte
 	var offs []int64
 	var written int64
-	flush := func() error {
-		if out.Len() == 0 {
-			return nil
-		}
+	for from, total := 0, run.len(); from < total; from += vector.ChunkCapacity {
+		g.pickRun(run, from, min(total-from, vector.ChunkCapacity))
+		g.into(out)
 		// Boundary footer: remember each chunk's first (lowest) row while
 		// it is still in memory, so partitioning never reads it back.
-		samples.AppendRowFrom(out, 0)
-		buf = buf[:0]
-		buf = vector.EncodeChunk(buf, out)
+		samples.add(out, 0, run.key(from))
+		buf = vector.EncodeChunk(buf[:0], out)
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(buf)))
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
+		if _, err := f.Write(hdr[:]); err == nil {
+			_, err = f.Write(buf)
 		}
-		if _, err := f.Write(buf); err != nil {
-			return err
+		if err != nil {
+			_ = f.Close()
+			return fmt.Errorf("extsort: write run: %w", err)
 		}
 		offs = append(offs, written)
 		written += int64(len(buf) + 4)
-		s.spilled += int64(len(buf) + 4)
 		out.Reset()
-		return nil
 	}
-	for _, ref := range refs {
-		out.AppendRowFrom(s.chunks[ref.chunk], ref.row)
-		if out.Len() == vector.ChunkCapacity {
-			if err := flush(); err != nil {
-				_ = f.Close()
-				return fmt.Errorf("extsort: write run: %w", err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("extsort: write run: %w", err)
-	}
-	s.runs = append(s.runs, runFile{f: f, offs: offs, samples: samples})
-	s.chunks = nil
-	s.bytes = 0
+	s.spilled += written
+	s.runs = append(s.runs, runFile{f: f, offs: offs, size: written, samples: samples})
+	s.chunks, s.rows, s.bytes = nil, 0, 0
 	s.releaseReserved()
 	return nil
 }
@@ -191,19 +292,16 @@ func (s *Sorter) spill() error {
 // Finish completes the sort and returns an iterator over sorted chunks.
 // The sorter must not be Added to afterwards.
 func (s *Sorter) Finish() (*Iterator, error) {
+	it := &Iterator{colTypes: s.colTypes, keys: s.keys, layout: s.layout}
 	if len(s.runs) == 0 {
-		refs := s.sortBuffered()
-		it := &Iterator{
-			mem:      s.chunks,
-			memRefs:  refs,
-			colTypes: s.colTypes,
-			pool:     s.pool,
-			reserved: s.reserved,
+		if run := s.takeSorted(); run != nil {
+			it.mem = run
+			it.pool = s.pool
+			it.reserved = s.reserved
+			s.reserved = 0 // ownership moves to the iterator
+			return it, nil
 		}
-		s.reserved = 0 // ownership moves to the iterator
-		return it, nil
 	}
-	it := &Iterator{colTypes: s.colTypes, keys: s.keys}
 	if err := s.registerInto(it); err != nil {
 		it.Close()
 		return nil, err
@@ -227,6 +325,7 @@ func MergeFinish(sorters []*Sorter) (*Iterator, error) {
 		if it.colTypes == nil {
 			it.colTypes = s.colTypes
 			it.keys = s.keys
+			it.layout = s.layout
 		}
 		if err := s.registerInto(it); err != nil {
 			it.Close()
@@ -238,9 +337,21 @@ func MergeFinish(sorters []*Sorter) (*Iterator, error) {
 
 // registerInto hands the sorter's spilled runs and sorted in-memory
 // buffer to a merging iterator, transferring pool-reservation ownership
-// (file ownership always moves to it.files, even on error — the caller
-// closes the iterator). The sorter is left empty.
+// (once the tail is dealt with, file ownership moves to it.files even on
+// error — the caller closes the iterator, and the sorter, which keeps
+// whatever a failed tail spill left it). The sorter is left empty.
 func (s *Sorter) registerInto(it *Iterator) error {
+	// The unspilled tail merges directly from memory — no disk round-trip
+	// for the rows that fit the budget — unless the pool has no room for
+	// its keys: then it becomes the last run.
+	var tail *memRun
+	if len(s.chunks) > 0 {
+		if tail = s.takeSorted(); tail == nil {
+			if err := s.spill(); err != nil {
+				return err
+			}
+		}
+	}
 	if s.pool != nil {
 		it.pool = s.pool
 		it.reserved += s.reserved
@@ -252,7 +363,7 @@ func (s *Sorter) registerInto(it *Iterator) error {
 		it.files = append(it.files, r.f)
 	}
 	for _, r := range runs {
-		c := &runCursor{f: r.f, offs: r.offs, samples: r.samples, pool: it.pool}
+		c := &runCursor{l: it.layout, run: r, pool: it.pool}
 		if err := c.load(); err != nil {
 			c.close()
 			return err
@@ -261,12 +372,13 @@ func (s *Sorter) registerInto(it *Iterator) error {
 			it.cursors = append(it.cursors, c)
 		}
 	}
-	if len(s.chunks) > 0 {
-		// The unspilled tail merges directly from memory — no disk
-		// round-trip for the rows that fit the budget.
-		it.cursors = append(it.cursors, &memCursor{chunks: s.chunks, refs: s.sortBuffered()})
-		s.chunks = nil
-		s.bytes = 0
+	if tail != nil {
+		it.cursors = append(it.cursors, &memCursor{run: tail})
+	}
+	if s.layout != it.layout {
+		// One counter per merge: fold this producer's run-sort fallbacks
+		// into the layout the merge compares with.
+		it.layout.fallbacks.Add(s.layout.fallbacks.Load())
 	}
 	return nil
 }
@@ -278,7 +390,7 @@ func (s *Sorter) Close() {
 		_ = r.f.Close()
 	}
 	s.runs = nil
-	s.chunks = nil
+	s.chunks, s.rows, s.bytes = nil, 0, 0
 	s.releaseReserved()
 }
 
@@ -286,6 +398,7 @@ func (s *Sorter) Close() {
 type Iterator struct {
 	colTypes []types.Type
 	keys     []Key
+	layout   *keyLayout
 	pool     *buffer.Pool
 	reserved int64
 
@@ -293,16 +406,17 @@ type Iterator struct {
 	// Close so partitioned-merge cursors can keep pread-ing them.
 	files []*os.File
 
-	// in-memory mode
-	mem     []*vector.Chunk
-	memRefs []rowRef
-	memPos  int
+	// in-memory mode: the one sorted run and the next row to emit
+	mem    *memRun
+	memPos int
 
 	// merge mode: each cursor walks one sorted sequence (a spilled run
 	// file or a producer's sorted in-memory buffer); the loser tree
 	// replays only the advanced cursor's path per emitted row.
 	cursors []cursor
 	lt      *loserTree
+
+	gather gatherer
 
 	// shared marks a key-range iterator returned by PartitionMerge: its
 	// cursors read the parent's files and buffers, which the parent
@@ -317,6 +431,16 @@ type Iterator struct {
 	err error
 }
 
+// KeyBytes is the width of one row's normalized sort key, arrival
+// ordinal included.
+func (it *Iterator) KeyBytes() int { return it.layout.stride }
+
+// TieFallbacks reports how many comparisons so far — in the run sorts
+// that fed this iterator, its merge and the ranges PartitionMerge cut
+// from it — tied on an encoded VARCHAR prefix and compared the full
+// strings.
+func (it *Iterator) TieFallbacks() int64 { return it.layout.fallbacks.Load() }
+
 // Next returns the next sorted chunk, or nil at the end. Any error
 // closes the iterator's cursors and run files eagerly — callers may
 // still Close (idempotent), but no fd waits on them — and is sticky:
@@ -329,42 +453,56 @@ func (it *Iterator) Next() (*vector.Chunk, error) {
 		return nil, fmt.Errorf("extsort: Next on a partitioned iterator")
 	}
 	if it.cursors == nil {
-		if it.memPos >= len(it.memRefs) {
+		if it.mem == nil || it.memPos >= it.mem.len() {
 			return nil, nil
 		}
+		n := min(it.mem.len()-it.memPos, vector.ChunkCapacity)
+		it.gather.pickRun(it.mem, it.memPos, n)
+		it.memPos += n
 		out := vector.NewChunk(it.colTypes)
-		for it.memPos < len(it.memRefs) && out.Len() < vector.ChunkCapacity {
-			ref := it.memRefs[it.memPos]
-			out.AppendRowFrom(it.mem[ref.chunk], ref.row)
-			it.memPos++
-		}
+		it.gather.into(out)
 		return out, nil
 	}
 	if len(it.cursors) == 0 {
 		return nil, nil
 	}
 	if it.lt == nil {
-		it.lt = newLoserTree(it.cursors, it.keys)
+		it.lt = newLoserTree(it.cursors, it.layout)
+	}
+	if err := it.mergePicks(); err != nil {
+		it.err = err
+		it.Close()
+		return nil, err
+	}
+	if it.gather.n == 0 {
+		return nil, nil
 	}
 	out := vector.NewChunk(it.colTypes)
-	for out.Len() < vector.ChunkCapacity {
+	it.gather.into(out)
+	return out, nil
+}
+
+// mergePicks pops up to one chunk of winners off the loser tree. A
+// picked chunk stays alive through its pick after its cursor moves on.
+//
+//quack:hotpath
+func (it *Iterator) mergePicks() error {
+	g := &it.gather
+	for g.n < vector.ChunkCapacity {
 		w := it.lt.winner()
 		if w < 0 {
 			break
 		}
 		c := it.cursors[w]
-		out.AppendRowFrom(c.chunk(), c.rowIdx())
+		g.srcs[g.n], g.rows[g.n] = c.chunk(), int32(c.rowIdx())
+		g.n++
 		if err := c.advance(); err != nil {
-			it.err = err
-			it.Close()
-			return nil, err
+			g.n = 0
+			return err
 		}
 		it.lt.fix(w)
 	}
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return nil
 }
 
 // Close releases all remaining run files and buffered-row reservations.
@@ -378,6 +516,7 @@ func (it *Iterator) Close() {
 	it.cursors = nil
 	it.lt = nil
 	it.mem = nil
+	it.gather = gatherer{}
 	if it.shared {
 		return
 	}
@@ -392,50 +531,56 @@ func (it *Iterator) Close() {
 }
 
 // cursor walks one sorted sequence of rows. chunk returns nil when the
-// sequence is exhausted.
+// sequence is exhausted; key is the current row's encoded key.
 type cursor interface {
 	chunk() *vector.Chunk
 	rowIdx() int
+	key() []byte
 	advance() error
 	close()
 }
 
-// memCursor walks a producer's sorted in-memory buffer.
+// memCursor walks a producer's sorted in-memory run.
 type memCursor struct {
-	chunks []*vector.Chunk
-	refs   []rowRef
-	pos    int
+	run *memRun
+	pos int
 }
 
 func (c *memCursor) chunk() *vector.Chunk {
-	if c.pos >= len(c.refs) {
+	if c.run == nil || c.pos >= c.run.len() {
 		return nil
 	}
-	return c.chunks[c.refs[c.pos].chunk]
+	ch, _ := c.run.ref(c.pos)
+	return ch
 }
 
-func (c *memCursor) rowIdx() int    { return c.refs[c.pos].row }
+func (c *memCursor) rowIdx() int {
+	_, r := c.run.ref(c.pos)
+	return r
+}
+
+func (c *memCursor) key() []byte    { return c.run.key(c.pos) }
 func (c *memCursor) advance() error { c.pos++; return nil }
-func (c *memCursor) close()         { c.chunks, c.refs = nil, nil }
+func (c *memCursor) close()         { c.run = nil }
 
 // runCursor walks a spilled run via positional reads, so any number of
 // cursors (one per key-range partition) can share one run file without
 // contending on a seek offset. The cursor does not own the file; the
-// iterator's files list does. samples (when present) is the run's
-// spill-time boundary footer: row i is the first row of chunk i, which
-// lets sampling and seek probes avoid reading the file entirely.
+// iterator's files list does. The run's samples are its spill-time
+// boundary footer: row i is the first row of chunk i, which lets
+// sampling and seek probes avoid reading the file entirely.
 type runCursor struct {
-	f       *os.File
-	offs    []int64
-	samples *vector.Chunk
-	idx     int // next chunk index to load
-	cur     *vector.Chunk
-	row     int
+	l    *keyLayout
+	run  runFile
+	idx  int // next chunk index to load
+	cur  *vector.Chunk
+	keys []byte // cur's rows encoded, once per load
+	row  int
 
-	// pool accounts the one decoded chunk the cursor keeps resident.
-	// Accounting is best-effort: the merge is the path that frees memory
-	// downstream, so a failed Reserve must not abort it — the cursor then
-	// runs with its previous (possibly zero) reservation.
+	// pool accounts the one decoded chunk (and its keys) the cursor keeps
+	// resident. Accounting is best-effort: the merge is the path that
+	// frees memory downstream, so a failed Reserve must not abort it — the
+	// cursor then runs with its previous (possibly zero) reservation.
 	pool     *buffer.Pool
 	reserved int64
 }
@@ -443,8 +588,13 @@ type runCursor struct {
 func (c *runCursor) chunk() *vector.Chunk { return c.cur }
 func (c *runCursor) rowIdx() int          { return c.row }
 
+func (c *runCursor) key() []byte {
+	p := c.row * c.l.stride
+	return c.keys[p : p+c.l.width]
+}
+
 func (c *runCursor) close() {
-	c.cur = nil
+	c.cur, c.keys = nil, nil
 	c.account(nil)
 }
 
@@ -456,7 +606,7 @@ func (c *runCursor) account(next *vector.Chunk) {
 	}
 	var n int64
 	if next != nil {
-		n = chunkBytes(next)
+		n = chunkBytes(next) + int64(next.Len()*c.l.stride)
 	}
 	switch {
 	case n > c.reserved:
@@ -469,16 +619,27 @@ func (c *runCursor) account(next *vector.Chunk) {
 	}
 }
 
-// readRunChunk decodes the encoded chunk at the given file offset.
-func readRunChunk(f *os.File, off int64) (*vector.Chunk, error) {
+// readChunk decodes the run's i-th chunk. The length prefix is checked
+// against the distance to the next recorded offset before anything is
+// allocated for it: a flipped bit must read as an error, not as a 4 GiB
+// request.
+func (r *runFile) readChunk(i int) (*vector.Chunk, error) {
 	runChunkReads.Add(1)
+	off := r.offs[i]
+	limit := r.size
+	if i+1 < len(r.offs) {
+		limit = r.offs[i+1]
+	}
 	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
+	if _, err := r.f.ReadAt(hdr[:], off); err != nil {
 		return nil, fmt.Errorf("extsort: read run: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int64(binary.LittleEndian.Uint32(hdr[:]))
+	if n != limit-off-4 {
+		return nil, fmt.Errorf("extsort: corrupt run: chunk %d claims %d bytes, its slot holds %d", i, n, limit-off-4)
+	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+4, int64(n)), buf); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(r.f, off+4, n), buf); err != nil {
 		return nil, fmt.Errorf("extsort: read run chunk: %w", err)
 	}
 	chunk, _, err := vector.DecodeChunk(buf)
@@ -489,18 +650,24 @@ func readRunChunk(f *os.File, off int64) (*vector.Chunk, error) {
 }
 
 func (c *runCursor) load() error {
-	if c.idx >= len(c.offs) {
-		c.cur = nil
+	if c.idx >= len(c.run.offs) {
+		c.cur, c.keys = nil, nil
 		c.account(nil)
 		return nil
 	}
-	chunk, err := readRunChunk(c.f, c.offs[c.idx])
+	chunk, err := c.run.readChunk(c.idx)
 	if err != nil {
 		return err
 	}
 	c.idx++
 	c.cur = chunk
 	c.row = 0
+	if need := chunk.Len() * c.l.stride; cap(c.keys) < need {
+		c.keys = make([]byte, need)
+	} else {
+		c.keys = c.keys[:need]
+	}
+	c.l.encodeChunk(c.keys, chunk, 0)
 	c.account(chunk)
 	return nil
 }
@@ -534,7 +701,7 @@ func CompareRows(a *vector.Chunk, ra int, b *vector.Chunk, rb int, keys []Key) i
 			}
 			return -1
 		}
-		c := compareVals(va, ra, vb, rb)
+		c := CompareValues(va, ra, vb, rb)
 		if c != 0 {
 			if k.Desc {
 				return -c
@@ -545,7 +712,10 @@ func CompareRows(a *vector.Chunk, ra int, b *vector.Chunk, rb int, keys []Key) i
 	return 0
 }
 
-func compareVals(a *vector.Vector, ra int, b *vector.Vector, rb int) int {
+// CompareValues orders the non-NULL value at row ra of a against the one
+// at row rb of b (same type) ascending, doubles in the total
+// types.CompareFloat order. It allocates nothing.
+func CompareValues(a *vector.Vector, ra int, b *vector.Vector, rb int) int {
 	switch a.Type {
 	case types.Boolean:
 		x, y := a.Bools[ra], b.Bools[rb]

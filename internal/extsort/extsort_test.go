@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
@@ -174,6 +176,108 @@ func TestPoolAccountingReleases(t *testing.T) {
 	if used := pool.Used(); used != 0 {
 		t.Fatalf("pool leak: %d bytes still reserved", used)
 	}
+}
+
+// TestKeyBufferIsReserved: the encoded keys are inside the pool
+// reservation and the budget, not on top of them — an in-memory sort
+// holds its rows plus one key per row until Close, a budgeted sorter
+// spills at the budget counting both, and a pool with room for the rows
+// but not their keys makes Finish spill the buffer instead of failing.
+func TestKeyBufferIsReserved(t *testing.T) {
+	typs := []types.Type{types.BigInt}
+	keys := []Key{{Col: 0}}
+	const rows = 4 * vector.ChunkCapacity
+	fill := func(s *Sorter) {
+		t.Helper()
+		for i := 0; i < rows/vector.ChunkCapacity; i++ {
+			c := vector.NewChunk(typs)
+			for j := 0; j < vector.ChunkCapacity; j++ {
+				c.AppendRow(types.NewBigInt(int64((i*vector.ChunkCapacity + j) * 7919 % rows)))
+			}
+			if err := s.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rowBytes := int64(rows * 8)
+	keyBytes := int64(rows) * int64(newKeyLayout(typs, keys).stride)
+
+	t.Run("in-memory", func(t *testing.T) {
+		pool := buffer.NewPool(0, nil)
+		s := NewSorter(typs, keys, 0, t.TempDir())
+		s.SetPool(pool)
+		fill(s)
+		if used := pool.Used(); used != rowBytes {
+			t.Fatalf("buffered rows reserve %d bytes, want %d", used, rowBytes)
+		}
+		it, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := pool.Used(); used != rowBytes+keyBytes {
+			t.Fatalf("sorted run reserves %d bytes, want rows %d + keys %d", used, rowBytes, keyBytes)
+		}
+		it.Close()
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("Close left %d bytes reserved", used)
+		}
+	})
+	t.Run("budget-counts-keys", func(t *testing.T) {
+		// The rows alone fit this budget; rows plus keys do not.
+		s := NewSorter(typs, keys, rowBytes+keyBytes/2, t.TempDir())
+		fill(s)
+		defer s.Close()
+		if s.SpilledBytes() == 0 {
+			t.Fatal("a budget below rows+keys did not spill")
+		}
+	})
+	t.Run("pool-held-by-others", func(t *testing.T) {
+		// Another owner holds the whole pool: every Add finds no room even
+		// with nothing of its own to spill, writes the chunk out as a run
+		// of its own, and the sort still completes.
+		pool := buffer.NewPool(1<<10, nil)
+		if err := pool.Reserve(1 << 10); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSorter(typs, keys, 0, t.TempDir())
+		s.SetPool(pool)
+		fill(s)
+		if len(s.runs) != rows/vector.ChunkCapacity {
+			t.Fatalf("%d runs, want one per chunk", len(s.runs))
+		}
+		it, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainSorted(t, it)
+		if len(got) != rows || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			t.Fatalf("sort under a full pool returned %d rows, or unsorted", len(got))
+		}
+		if used := pool.Used(); used != 1<<10 {
+			t.Fatalf("pool holds %d bytes, want only the other owner's 1024", used)
+		}
+	})
+	t.Run("no-room-for-keys", func(t *testing.T) {
+		pool := buffer.NewPool(rowBytes+keyBytes/2, nil)
+		s := NewSorter(typs, keys, 0, t.TempDir())
+		s.SetPool(pool)
+		fill(s)
+		it, err := s.Finish()
+		if err != nil {
+			t.Fatalf("Finish with no room for the key buffer: %v", err)
+		}
+		if s.SpilledBytes() == 0 {
+			t.Fatal("Finish kept the run in memory without reserving its keys")
+		}
+		got := drainSorted(t, it)
+		if len(got) != rows || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			t.Fatalf("spilled fallback returned %d rows, or unsorted", len(got))
+		}
+		s.Close()
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("fallback left %d bytes reserved", used)
+		}
+	})
 }
 
 // TestSpillDifferentialMatchesInMemory: the multi-run disk merge must be
@@ -639,7 +743,7 @@ func TestPartitionMergeEarlyClose(t *testing.T) {
 // must surface as a Next error that eagerly closes every run file —
 // previously sibling fds stayed open until the caller's Close.
 func TestMergeNextErrorClosesFiles(t *testing.T) {
-	s := NewSorter([]types.Type{types.BigInt}, []Key{{Col: 0}}, 16<<10, t.TempDir())
+	s := NewSorter([]types.Type{types.BigInt}, []Key{{Col: 0}}, 64<<10, t.TempDir())
 	for i := 0; i < 40; i++ {
 		c := vector.NewChunk([]types.Type{types.BigInt})
 		for j := 0; j < vector.ChunkCapacity; j++ {
@@ -695,6 +799,60 @@ func TestMergeNextErrorClosesFiles(t *testing.T) {
 	it.Close() // idempotent after the eager error close
 }
 
+// TestCorruptRunHeaderIsBounded: a chunk's 4-byte length prefix is
+// checked against the slot the spill recorded for it before anything is
+// allocated — every single-bit flip reads as a "corrupt run" error, at
+// Finish for a run's first chunk and at Next for a later one, and the
+// high bits (2 GiB, 1 GiB, ...) are never believed.
+func TestCorruptRunHeaderIsBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for bit := 0; bit < 32; bit++ {
+		for chunk := 0; chunk < 2; chunk++ {
+			s := NewSorter([]types.Type{types.BigInt}, []Key{{Col: 0}}, 64<<10, t.TempDir())
+			for i := 0; i < 6; i++ {
+				c := vector.NewChunk([]types.Type{types.BigInt})
+				for j := 0; j < vector.ChunkCapacity; j++ {
+					c.AppendRow(types.NewBigInt(int64(i*vector.ChunkCapacity + j)))
+				}
+				if err := s.Add(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(s.runs) == 0 || len(s.runs[0].offs) < 2 {
+				t.Fatalf("fixture spilled no two-chunk run")
+			}
+			run := s.runs[0]
+			var hdr [4]byte
+			if _, err := run.f.ReadAt(hdr[:], run.offs[chunk]); err != nil {
+				t.Fatal(err)
+			}
+			hdr[bit/8] ^= 1 << (bit % 8)
+			if _, err := run.f.WriteAt(hdr[:], run.offs[chunk]); err != nil {
+				t.Fatal(err)
+			}
+			it, err := s.Finish()
+			for err == nil {
+				var c *vector.Chunk
+				if c, err = it.Next(); c == nil {
+					break
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt run") {
+				t.Fatalf("bit %d of chunk %d's length flipped: err = %v, want a corrupt-run error", bit, chunk, err)
+			}
+			if it != nil {
+				it.Close()
+			}
+			s.Close()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
+		t.Fatalf("64 corrupt headers allocated %d MB: a flipped length was believed", grew>>20)
+	}
+}
+
 // TestPartitionMergeSamplingDoesNoIO: the boundary footer captured at
 // spill time must answer PartitionMerge's quantile sampling and seek
 // probes from memory. Reading run chunks is allowed only for cursor
@@ -710,9 +868,9 @@ func TestPartitionMergeSamplingDoesNoIO(t *testing.T) {
 	for _, c := range it.cursors {
 		if rc, ok := c.(*runCursor); ok {
 			nruns++
-			if rc.samples == nil || rc.samples.Len() != len(rc.offs) {
+			if rc.run.samples == nil || rc.run.samples.Len() != len(rc.run.offs) {
 				t.Fatalf("run cursor missing boundary footer: %d samples for %d chunks",
-					rc.samples.Len(), len(rc.offs))
+					rc.run.samples.Len(), len(rc.run.offs))
 			}
 		}
 	}
@@ -721,7 +879,7 @@ func TestPartitionMergeSamplingDoesNoIO(t *testing.T) {
 	}
 
 	// Quantile sampling alone: strictly zero chunk reads.
-	sample := vector.NewChunk(it.colTypes)
+	sample := newKeyedRows(it.layout, it.colTypes)
 	before := runChunkReads.Load()
 	for _, c := range it.cursors {
 		if err := c.(partCursor).sampleInto(sample, maxSamplesPerCursor); err != nil {

@@ -1,5 +1,7 @@
 package extsort
 
+import "bytes"
+
 // loserTree is a tournament tree over the merge cursors: tree[0] holds
 // the overall winner (the cursor with the smallest current row) and
 // every internal node 1..k-1 holds the loser of the match played there.
@@ -15,19 +17,36 @@ package extsort
 // Ties break toward the lower cursor index, matching the linear scan
 // the tree replaces (and the registration order of producers), so merge
 // output is byte-identical to the previous implementation even without
-// the engine's hidden tiebreak key. Exhausted cursors (chunk() == nil)
-// lose every match and sink to the leaves.
+// the engine's hidden tiebreak key. Exhausted cursors lose every match
+// and sink to the leaves.
+//
+// Matches compare the cursors' encoded keys; cur caches each cursor's
+// current key (nil once exhausted), refreshed when the cursor advances,
+// so a match is one bytes.Compare with no cursor calls unless a VARCHAR
+// prefix ties.
 type loserTree struct {
 	cursors []cursor
-	keys    []Key
+	l       *keyLayout
+	cur     [][]byte
 	tree    []int // tree[0] = winner leaf; tree[1..k-1] = loser leaves
 }
 
-func newLoserTree(cursors []cursor, keys []Key) *loserTree {
+func newLoserTree(cursors []cursor, l *keyLayout) *loserTree {
 	k := len(cursors)
-	t := &loserTree{cursors: cursors, keys: keys, tree: make([]int, k)}
+	t := &loserTree{cursors: cursors, l: l, cur: make([][]byte, k), tree: make([]int, k)}
+	for i := range cursors {
+		t.refresh(i)
+	}
 	t.init()
 	return t
+}
+
+// refresh re-reads cursor i's current key.
+func (t *loserTree) refresh(i int) {
+	t.cur[i] = nil
+	if c := t.cursors[i]; c.chunk() != nil {
+		t.cur[i] = c.key()
+	}
 }
 
 // init plays the full tournament bottom-up.
@@ -58,7 +77,7 @@ func (t *loserTree) winner() int {
 		return -1
 	}
 	w := t.tree[0]
-	if t.cursors[w].chunk() == nil {
+	if t.cur[w] == nil {
 		return -1
 	}
 	return w
@@ -67,7 +86,10 @@ func (t *loserTree) winner() int {
 // fix replays leaf i's path to the root after its cursor advanced:
 // at every internal node the stored loser challenges the ascending
 // winner; the loser of each match stays, the winner moves up.
+//
+//quack:hotpath
 func (t *loserTree) fix(i int) {
+	t.refresh(i)
 	k := len(t.cursors)
 	w := i
 	for m := (k + i) / 2; m >= 1; m /= 2 {
@@ -79,14 +101,22 @@ func (t *loserTree) fix(i int) {
 }
 
 // beats reports whether cursor a wins (sorts before) cursor b.
+//
+//quack:hotpath
 func (t *loserTree) beats(a, b int) bool {
-	ca, cb := t.cursors[a].chunk(), t.cursors[b].chunk()
-	if ca == nil {
+	ka, kb := t.cur[a], t.cur[b]
+	if ka == nil {
 		return false
 	}
-	if cb == nil {
+	if kb == nil {
 		return true
 	}
-	c := CompareRows(ca, t.cursors[a].rowIdx(), cb, t.cursors[b].rowIdx(), t.keys)
+	var c int
+	if len(t.l.strs) == 0 {
+		c = bytes.Compare(ka, kb)
+	} else {
+		ca, cb := t.cursors[a], t.cursors[b]
+		c = t.l.compare(ka, ca.chunk(), ca.rowIdx(), kb, cb.chunk(), cb.rowIdx(), len(t.l.cols))
+	}
 	return c < 0 || (c == 0 && a < b)
 }

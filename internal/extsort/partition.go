@@ -1,6 +1,8 @@
 package extsort
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/vector"
@@ -15,21 +17,21 @@ import (
 // merge, whatever boundaries the sample picked, so output stays
 // bit-identical at every worker count.
 
-// maxSamplesPerCursor bounds the quantile-sampling IO: per run the
-// sampler decodes at most this many evenly spaced chunks (first row
-// each); per in-memory buffer it takes this many evenly spaced rows.
+// maxSamplesPerCursor bounds the quantile sample: per run at most this
+// many evenly spaced rows of its boundary footer, per in-memory buffer
+// this many evenly spaced rows.
 const maxSamplesPerCursor = 32
 
 // partCursor is a cursor the partitioned merge can sample and clone.
 type partCursor interface {
 	cursor
-	// sampleInto appends up to max evenly spaced rows to the chunk.
-	sampleInto(into *vector.Chunk, max int) error
+	// sampleInto appends up to max evenly spaced rows to the samples.
+	sampleInto(into *keyedRows, max int) error
 	// seekClone returns a fresh cursor positioned at the first row that
-	// compares strictly greater than bound[boundRow] under boundKeys
-	// (at the start when bound is nil). Returns nil when the remaining
-	// range is empty.
-	seekClone(bound *vector.Chunk, boundRow int, boundKeys []Key) (cursor, error)
+	// compares strictly greater than bound row boundRow on its first
+	// nkeys keys (at the start when bound is nil). Returns nil when the
+	// remaining range is empty.
+	seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error)
 }
 
 // PartitionMerge splits this merge into up to n disjoint key-range
@@ -38,7 +40,8 @@ type partCursor interface {
 // is the key prefix ranges are cut on: the full sort keys for a plain
 // merge, or a group prefix (e.g. window PARTITION BY columns) so that
 // rows equal on the prefix — one window partition — never straddle two
-// ranges.
+// ranges. Being a prefix of the sort keys, its encoding is a prefix of
+// the encoded keys, which is what sampling, seeks and range caps compare.
 //
 // It returns nil (and no error) when partitioning is not worthwhile:
 // n < 2, an empty input, or sampled boundaries that collapse onto too
@@ -50,13 +53,17 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 	if n < 2 || it.handedOff || it.lt != nil || len(boundKeys) == 0 {
 		return nil, nil // already streaming (or nothing to split)
 	}
+	nkeys := len(boundKeys)
+	if nkeys > len(it.keys) || !slices.Equal(boundKeys, it.keys[:nkeys]) {
+		return nil, fmt.Errorf("extsort: PartitionMerge bound keys are not a prefix of the sort keys")
+	}
 	cursors := it.cursors
 	if cursors == nil {
 		// In-memory mode partitions too: wrap the sorted buffer.
-		if len(it.memRefs) == 0 || it.memPos > 0 {
+		if it.mem == nil || it.mem.len() == 0 || it.memPos > 0 {
 			return nil, nil
 		}
-		cursors = []cursor{&memCursor{chunks: it.mem, refs: it.memRefs}}
+		cursors = []cursor{&memCursor{run: it.mem}}
 	}
 	parts := make([]partCursor, 0, len(cursors))
 	for _, c := range cursors {
@@ -70,7 +77,8 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 	// Sample rows, order them by the full sort keys, and take the n-1
 	// quantiles as range boundaries, dropping boundaries that repeat
 	// the previous one's prefix (duplicate-heavy keys shrink the fan).
-	samples := vector.NewChunk(it.colTypes)
+	l := it.layout
+	samples := newKeyedRows(l, it.colTypes)
 	for _, pc := range parts {
 		if err := pc.sampleInto(samples, maxSamplesPerCursor); err != nil {
 			return nil, err
@@ -84,16 +92,17 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return CompareRows(samples, order[i], samples, order[j], it.keys) < 0
+	slices.SortStableFunc(order, func(a, b int) int {
+		return l.compare(samples.key(a), samples.chunk, a, samples.key(b), samples.chunk, b, len(l.cols))
 	})
-	bounds := vector.NewChunk(it.colTypes)
+	bounds := newKeyedRows(l, it.colTypes)
 	for i := 1; i < n; i++ {
 		cand := order[i*ns/n]
-		if bounds.Len() > 0 && CompareRows(bounds, bounds.Len()-1, samples, cand, boundKeys) == 0 {
+		if last := bounds.Len() - 1; last >= 0 &&
+			l.compare(bounds.key(last), bounds.chunk, last, samples.key(cand), samples.chunk, cand, nkeys) == 0 {
 			continue
 		}
-		bounds.AppendRowFrom(samples, cand)
+		bounds.add(samples.chunk, cand, samples.key(cand))
 	}
 	if bounds.Len() == 0 {
 		return nil, nil
@@ -101,14 +110,14 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 
 	out := make([]*Iterator, 0, bounds.Len()+1)
 	for i := 0; i <= bounds.Len(); i++ {
-		rangeIt := &Iterator{colTypes: it.colTypes, keys: it.keys, shared: true}
+		rangeIt := &Iterator{colTypes: it.colTypes, keys: it.keys, layout: l, shared: true}
 		for _, pc := range parts {
 			var c cursor
 			var err error
 			if i == 0 {
-				c, err = pc.seekClone(nil, 0, boundKeys)
+				c, err = pc.seekClone(nil, 0, nkeys)
 			} else {
-				c, err = pc.seekClone(bounds, i-1, boundKeys)
+				c, err = pc.seekClone(bounds, i-1, nkeys)
 			}
 			if err != nil {
 				for _, done := range out {
@@ -121,7 +130,7 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 				continue
 			}
 			if i < bounds.Len() {
-				rc := &rangeCursor{inner: c, bound: bounds, boundRow: i, keys: boundKeys}
+				rc := &rangeCursor{inner: c, bound: bounds, boundRow: i, nkeys: nkeys}
 				rc.check()
 				if rc.done {
 					// Clone landed past this range's cap; drop it and
@@ -139,23 +148,26 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 	return out, nil
 }
 
+// pastBound reports whether c's current row sorts strictly after bound
+// row boundRow on the first nkeys keys.
+func pastBound(c cursor, bound *keyedRows, boundRow, nkeys int) bool {
+	return bound.l.compare(c.key(), c.chunk(), c.rowIdx(), bound.key(boundRow), bound.chunk, boundRow, nkeys) > 0
+}
+
 // rangeCursor caps a cursor at an upper boundary row (inclusive of rows
 // comparing equal on the bound keys): past it the cursor reads as
 // exhausted, leaving the remaining rows to the next range's own clones.
 type rangeCursor struct {
 	inner    cursor
-	bound    *vector.Chunk
+	bound    *keyedRows
 	boundRow int
-	keys     []Key
+	nkeys    int
 	done     bool
 }
 
 func (c *rangeCursor) check() {
-	if !c.done {
-		cur := c.inner.chunk()
-		if cur == nil || CompareRows(cur, c.inner.rowIdx(), c.bound, c.boundRow, c.keys) > 0 {
-			c.done = true
-		}
+	if !c.done && (c.inner.chunk() == nil || pastBound(c.inner, c.bound, c.boundRow, c.nkeys)) {
+		c.done = true
 	}
 }
 
@@ -167,6 +179,7 @@ func (c *rangeCursor) chunk() *vector.Chunk {
 }
 
 func (c *rangeCursor) rowIdx() int { return c.inner.rowIdx() }
+func (c *rangeCursor) key() []byte { return c.inner.key() }
 
 func (c *rangeCursor) advance() error {
 	if c.done {
@@ -181,111 +194,70 @@ func (c *rangeCursor) advance() error {
 
 func (c *rangeCursor) close() { c.inner.close() }
 
+// sampleStride spaces at most max samples evenly over n positions.
+func sampleStride(n, max int) int {
+	return (n + max - 1) / max
+}
+
 // ---- memCursor partitioning ----
 
-func (c *memCursor) sampleInto(into *vector.Chunk, max int) error {
-	n := len(c.refs)
-	stride := (n + max - 1) / max
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < n; i += stride {
-		ref := c.refs[i]
-		into.AppendRowFrom(c.chunks[ref.chunk], ref.row)
+func (c *memCursor) sampleInto(into *keyedRows, max int) error {
+	n := c.run.len()
+	for i, stride := 0, sampleStride(n, max); i < n; i += stride {
+		ch, r := c.run.ref(i)
+		into.add(ch, r, c.run.key(i))
 	}
 	return nil
 }
 
-func (c *memCursor) seekClone(bound *vector.Chunk, boundRow int, boundKeys []Key) (cursor, error) {
-	pos := 0
+func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error) {
+	clone := &memCursor{run: c.run}
 	if bound != nil {
-		// First row strictly past the boundary prefix; refs are sorted
-		// by the full keys and boundKeys is a prefix of them, so the
+		// First row strictly past the boundary prefix; the run is sorted
+		// by the full keys and the bound keys are a prefix of them, so the
 		// predicate is monotone.
-		pos = sort.Search(len(c.refs), func(p int) bool {
-			ref := c.refs[p]
-			return CompareRows(c.chunks[ref.chunk], ref.row, bound, boundRow, boundKeys) > 0
+		clone.pos = sort.Search(c.run.len(), func(p int) bool {
+			clone.pos = p
+			return pastBound(clone, bound, boundRow, nkeys)
 		})
 	}
-	if pos >= len(c.refs) {
+	if clone.pos >= c.run.len() {
 		return nil, nil
 	}
-	return &memCursor{chunks: c.chunks, refs: c.refs, pos: pos}, nil
+	return clone, nil
 }
 
 // ---- runCursor partitioning ----
 
-func (c *runCursor) sampleInto(into *vector.Chunk, max int) error {
-	n := len(c.offs)
-	stride := (n + max - 1) / max
-	if stride < 1 {
-		stride = 1
-	}
-	if c.samples != nil && c.samples.Len() == n {
-		// Spill-time boundary footer: row i is chunk i's first row, so
-		// the stride walks memory instead of decoding run chunks.
-		for i := 0; i < n; i += stride {
-			into.AppendRowFrom(c.samples, i)
-		}
-		return nil
-	}
-	for i := 0; i < n; i += stride {
-		chunk, err := readRunChunk(c.f, c.offs[i])
-		if err != nil {
-			return err
-		}
-		if chunk.Len() > 0 {
-			into.AppendRowFrom(chunk, 0)
-		}
+func (c *runCursor) sampleInto(into *keyedRows, max int) error {
+	// Spill-time boundary footer: sample i is chunk i's first row, so the
+	// stride walks memory instead of decoding run chunks.
+	foot := c.run.samples
+	for i, stride := 0, sampleStride(foot.Len(), max); i < foot.Len(); i += stride {
+		into.add(foot.chunk, i, foot.key(i))
 	}
 	return nil
 }
 
-func (c *runCursor) seekClone(bound *vector.Chunk, boundRow int, boundKeys []Key) (cursor, error) {
-	clone := &runCursor{f: c.f, offs: c.offs, samples: c.samples, pool: c.pool}
-	if bound == nil {
-		if err := clone.load(); err != nil {
-			clone.close()
-			return nil, err
-		}
-		if clone.cur == nil {
-			return nil, nil
-		}
-		return clone, nil
+func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error) {
+	clone := &runCursor{l: c.l, run: c.run, pool: c.pool}
+	if bound != nil {
+		// Binary search the chunk index: the last chunk whose first row is
+		// not past the boundary may still hold in-range rows; later chunks
+		// start past it. The boundary footer answers each probe from memory.
+		foot := c.run.samples
+		start := sort.Search(foot.Len(), func(i int) bool {
+			return c.l.compare(foot.key(i), foot.chunk, i, bound.key(boundRow), bound.chunk, boundRow, nkeys) > 0
+		})
+		clone.idx = max(start-1, 0)
 	}
-	// Binary search the chunk index: the last chunk whose first row is
-	// not past the boundary may still hold in-range rows; later chunks
-	// start past it. The boundary footer answers each probe from memory;
-	// without one, readRunChunk per probe keeps this O(log chunks).
-	var seekErr error
-	start := sort.Search(len(c.offs), func(i int) bool {
-		if seekErr != nil {
-			return false
-		}
-		if c.samples != nil && c.samples.Len() == len(c.offs) {
-			return CompareRows(c.samples, i, bound, boundRow, boundKeys) > 0
-		}
-		chunk, err := readRunChunk(c.f, c.offs[i])
-		if err != nil {
-			seekErr = err
-			return false
-		}
-		return CompareRows(chunk, 0, bound, boundRow, boundKeys) > 0
-	})
-	if seekErr != nil {
-		return nil, seekErr
-	}
-	if start > 0 {
-		start--
-	}
-	clone.idx = start
 	if err := clone.load(); err != nil {
 		clone.close()
 		return nil, err
 	}
 	// Skip the rows at or before the boundary; at most one chunk plus
 	// the already-past-boundary chunks the search ruled out.
-	for clone.cur != nil && CompareRows(clone.cur, clone.row, bound, boundRow, boundKeys) <= 0 {
+	for bound != nil && clone.cur != nil && !pastBound(clone, bound, boundRow, nkeys) {
 		if err := clone.advance(); err != nil {
 			clone.close()
 			return nil, err

@@ -252,6 +252,71 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeSortKeys: the sort and window lines report the
+// normalized key width and how many comparisons fell through to the
+// full string compare — zero for keys the encoded bytes decide, non-zero
+// for strings that share more than the encoded prefix — and the registry
+// cell moves by the same amount.
+func TestExplainAnalyzeSortKeys(t *testing.T) {
+	db := openMem(t)
+	mustExec(t, db, "CREATE TABLE urls (id BIGINT, u VARCHAR, short VARCHAR)")
+	app, err := db.Appender("urls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := app.AppendRow(int64(i), fmt.Sprintf("https://example.org/items/%04d", (i*7919)%5000), fmt.Sprintf("k%d", i%50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lineOf := func(q, op string) string {
+		t.Helper()
+		for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+q) {
+			if strings.Contains(row[0], op) {
+				return row[0]
+			}
+		}
+		t.Fatalf("no %s line in EXPLAIN ANALYZE %s", op, q)
+		return ""
+	}
+	fallbacks := func(line string) int64 {
+		t.Helper()
+		_, rest, ok := strings.Cut(line, "tie_fallbacks=")
+		if !ok || !strings.Contains(line, "key_bytes=") {
+			t.Fatalf("line reports no key_bytes/tie_fallbacks: %s", line)
+		}
+		n, err := strconv.ParseInt(strings.TrimRight(strings.Fields(rest)[0], "]"), 10, 64)
+		if err != nil {
+			t.Fatalf("tie_fallbacks in %q: %v", line, err)
+		}
+		return n
+	}
+	before := db.Metrics()["sort_key_tie_fallbacks_total"]
+	var booked int64
+	for _, c := range []struct {
+		q, op string
+		ties  bool
+	}{
+		{"SELECT id FROM urls ORDER BY id DESC", "SORT", false},
+		{"SELECT id FROM urls ORDER BY short, id", "SORT", false},
+		{"SELECT id FROM urls ORDER BY u", "SORT", true},
+		{"SELECT id, row_number() OVER (PARTITION BY short ORDER BY id) FROM urls", "WINDOW", false},
+		{"SELECT id, row_number() OVER (PARTITION BY u ORDER BY id) FROM urls", "WINDOW", true},
+	} {
+		n := fallbacks(lineOf(c.q, c.op))
+		if (n > 0) != c.ties {
+			t.Errorf("%s: tie_fallbacks=%d, want >0: %v", c.q, n, c.ties)
+		}
+		booked += n
+	}
+	if got := db.Metrics()["sort_key_tie_fallbacks_total"] - before; got != booked {
+		t.Errorf("sort_key_tie_fallbacks_total moved by %d, the profiles booked %d", got, booked)
+	}
+}
+
 // TestExplainAnalyzeBreakerBusy pins where pipeline-fused work is
 // booked: a breaker's sink (accumulation, run generation) runs inside
 // the scan pipeline's workers, but its time belongs to the breaker's
@@ -415,7 +480,7 @@ func TestMetricsPragmas(t *testing.T) {
 		"pool_reserved_bytes", "pool_peak_bytes", "wal_bytes",
 		"scan_segments_scanned_total", "scan_segments_skipped_total",
 		"scan_bytes_decompressed_total", "agg_spill_bytes_total",
-		"sort_spill_bytes_total", "query_count", "query_p50_ns",
+		"sort_spill_bytes_total", "sort_key_tie_fallbacks_total", "query_count", "query_p50_ns",
 		"checkpoint_count",
 	} {
 		if _, ok := got[name]; !ok {

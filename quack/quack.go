@@ -101,7 +101,11 @@
 // per-operator tree — rows, wall and busy time, morsels, segments
 // scanned/skipped, spill bytes per operator, aggregated across all
 // worker threads — plus the parse/bind/optimize/admit_wait/execute
-// phase spans. PRAGMA profiling=1 collects the same profile for every
+// phase spans. Sorting operators (SORT, WINDOW, a merge JOIN) also
+// report key_bytes, the width of one row's normalized sort key, and
+// tie_fallbacks, the comparisons that tied on an encoded VARCHAR
+// prefix and compared the full strings: a sort of long strings sharing
+// their first 14 bytes shows up here. PRAGMA profiling=1 collects the same profile for every
 // statement a session runs, and PRAGMA last_profile returns the most
 // recent one as a single JSON object. Profiles are deterministic where
 // the engine is: per-operator row counts are identical at every thread
@@ -112,7 +116,8 @@
 // depth), admission control (admitted/queued/rejected, wait quantiles,
 // claimed bytes), the buffer pool (reserved/peak/limit, evictions),
 // durability (WAL bytes, checkpoint latency), scans (segments
-// scanned/skipped, bytes decompressed) and operator spilling. Read it
+// scanned/skipped, bytes decompressed), operator spilling and sort-key
+// tie fallbacks (sort_key_tie_fallbacks_total). Read it
 // with DB.Metrics / DB.WriteMetrics or PRAGMA metrics; histogram
 // metrics expand to _count, _sum_ns, _p50_ns and _p99_ns cells. The
 // legacy counter PRAGMAs read through the registry, so both surfaces
