@@ -3,19 +3,17 @@ package exec
 import (
 	"repro/internal/plan"
 	"repro/internal/table"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
 // AggWorkersAdmitted reports how many parallel accumulation workers an
 // enforced memory budget admits for this aggregation. States touched by
-// the morsel a worker is accumulating can never spill, so in the worst
-// case (every morsel row a distinct group) each worker pins SegRows ×
-// per-group state bytes that spilling cannot reclaim; admitting only
-// limit / that many workers keeps the unspillable total inside the
-// budget instead of letting reservation hard-fail mid-query. Real
-// workloads repeat groups across rows, so the clamp binds only when the
-// budget is within a few morsels' worth of states. EXPLAIN uses the
+// the morsel a worker is accumulating can never spill, so each worker
+// pins room for SegRows groups (every morsel row may open one) that
+// spilling cannot reclaim; admitting only the workers the budget has
+// that room for keeps the unspillable total inside it instead of
+// letting reservation hard-fail mid-query. The clamp binds only when
+// the budget is within a few morsels' worth of states. EXPLAIN uses the
 // same formula to surface the clamp.
 func AggWorkersAdmitted(limit int64, threads int, n *plan.AggNode) int {
 	if threads < 1 {
@@ -24,14 +22,23 @@ func AggWorkersAdmitted(limit int64, threads int, n *plan.AggNode) int {
 	if limit <= 0 || threads == 1 {
 		return threads
 	}
-	rowEstimate := keyBytesEstimate(groupTypes(n)) + int64(len(n.Aggs))*48 + 64
-	floor := int64(table.SegRows) * rowEstimate
-	// Keep one floor's worth of headroom: the flat estimate is exact for
-	// the states themselves but covers none of the chunk buffers, spill
-	// block buffers or resident shed thresholds sharing the budget, and
-	// filling the limit to the byte with unspillable state flips the
-	// hard floor at the slightest timing skew.
-	w := int(limit/floor) - 1
+	// What a store holding one morsel of all-new groups is charged: its
+	// per-slot columns and table buckets, plus arena keys at a nominal 16
+	// bytes per VARCHAR.
+	st := newGroupStore(n, true, false)
+	floor := st.bytesAt(table.SegRows, 0)
+	if !st.fixed {
+		for _, t := range st.keyTypes {
+			floor += int64(table.SegRows) * int64(1+max(keyWidth(t), 4+16))
+		}
+	}
+	// A table keeps room for a whole morsel of new groups at all times
+	// (aggTable.makeRoom), so the floor is held by every worker, not just
+	// in the worst case. Admit the workers whose share of the budget
+	// (aggTable.softCap: limit / 2·workers) covers it; the other half
+	// stays for DISTINCT sets and DOUBLE leaves of in-flight morsels,
+	// spill block buffers and whatever else shares the pool.
+	w := int(limit / (2 * floor))
 	if w < 1 {
 		w = 1
 	}
@@ -84,38 +91,3 @@ var (
 	_ [1<<16 - table.SegRows]struct{}
 	_ [1<<16 - vector.ChunkCapacity]struct{}
 )
-
-// mergeAccumulator folds src into dst. DISTINCT accumulators hold only
-// their value sets, so merging is a plain set union (finish folds the
-// union in sorted-key order). DOUBLE subtotals are concatenated, not
-// summed — foldSubF orders them by morsel afterwards.
-func mergeAccumulator(spec plan.AggSpec, dst, src *accumulator) {
-	if src.distinct != nil {
-		if dst.distinct == nil {
-			dst.distinct = src.distinct
-			dst.distBytes = src.distBytes
-		} else {
-			for k := range src.distinct {
-				if _, ok := dst.distinct[k]; !ok {
-					dst.distinct[k] = struct{}{}
-					dst.distBytes += int64(len(k)) + 16
-				}
-			}
-		}
-		return
-	}
-	dst.count += src.count
-	dst.sumI += src.sumI
-	dst.subF = append(dst.subF, src.subF...)
-	if src.bestSet {
-		if !dst.bestSet {
-			dst.best = src.best
-			dst.bestSet = true
-		} else {
-			c := types.Compare(src.best, dst.best)
-			if (spec.Func == "max" && c > 0) || (spec.Func == "min" && c < 0) {
-				dst.best = src.best
-			}
-		}
-	}
-}

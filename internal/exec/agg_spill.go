@@ -2,10 +2,9 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/buffer"
@@ -16,64 +15,40 @@ import (
 )
 
 // Partition-wise (grace) hash aggregation. Every accumulation worker of
-// an aggOp hash-partitions its groups into a fixed fan-out of sub-tables on the group-key hash.
-// Under an enforced memory budget a partition whose states no longer fit
-// is spilled to a sorted-key state run (extsort.StateRun) and its budget
-// returned; the finish phase spills each table's resident remainder and
-// merges every partition's runs partition-by-partition across
-// ctx.Threads workers. This replaces the old degraded mode that pinned
-// budgeted parallel aggregation to one worker.
+// an aggOp keeps its groups in one groupStore; the top bits of a group's
+// key hash assign it to one of aggFanout partitions. Under an enforced
+// memory budget the slots of a partition whose state no longer fits are
+// written to a sorted-key state run (extsort.StateRun), the store is
+// compacted and the budget returned; the finish phase spills each
+// table's resident remainder and merges every partition's runs
+// partition-by-partition across ctx.Threads workers.
 //
 // Determinism at every thread count and every budget:
 //   - counts, integer sums, min/max and DISTINCT value sets merge
 //     order-insensitively (set union; min/max are idempotent folds);
 //   - DOUBLE sums retain one subtotal per (group, morsel) — a morsel is
 //     processed by exactly one worker and a spill never splits the
-//     in-flight morsel's subtotal (states touched by the current morsel
-//     are not spillable), so the merged subtotal list has unique morsel
-//     seqs and foldSubF replays the morsel-order reduction tree exactly;
+//     in-flight morsel's subtotal (slots touched by the current morsel
+//     are not spillable), so the merged leaves of a group have unique
+//     morsel seqs and foldLeaves replays the morsel-order reduction tree
+//     exactly;
 //   - emission orders groups by firstPos, the packed (morsel, row)
-//     position of first appearance — unique per group — which is the
-//     input stream's first-seen order; the spilled path routes finished rows
-//     through per-worker extsort sorters keyed on firstPos and one
-//     MergeFinish stream, so even the output sort is memory-bounded.
+//     position of first appearance, which is the input stream's
+//     first-seen order; the spilled path routes finished rows through
+//     per-worker extsort sorters keyed on firstPos and one MergeFinish
+//     stream, so even the output sort is memory-bounded.
 
-// aggFanout is the radix fan-out of the partitioned tables. 16 keeps the
-// per-table overhead trivial while letting the finish phase parallelize
-// and a spill reclaim ~1/16 of the budget at a time.
-const aggFanout = 16
-
-// aggPartOf maps an encoded group key to its partition (FNV-1a). It
-// depends only on the key bytes, so every worker routes a group to the
-// same partition.
-func aggPartOf(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return int(h & (aggFanout - 1))
-}
-
-// aggPart is one radix partition of a thread's hash table: its resident
-// states and the sorted state runs spilled so far.
-type aggPart struct {
-	groups map[string]*aggState
-	runs   []*extsort.StateRun
-}
-
-// aggTable is one accumulation thread's partitioned hash table. It is
-// not safe for concurrent use; the parallel aggregate builds one per
-// worker and merges them at finish.
+// aggTable is one accumulation thread's group store with its budget,
+// spill runs and per-chunk driver. It is not safe for concurrent use;
+// the aggregate builds one per worker and merges them at finish.
 type aggTable struct {
-	node        *plan.AggNode
-	groupTypes  []types.Type
-	rowEstimate int64
-	pool        *buffer.Pool
-	tmpDir      string
-	stats       *Stats
-	prof        *OpProfile  // aggregate node's profile slot (nil off)
-	qstats      *QueryStats // per-query roll-up for the slow log (nil off)
+	node   *plan.AggNode
+	store  *groupStore
+	pool   *buffer.Pool
+	tmpDir string
+	stats  *Stats
+	prof   *OpProfile  // aggregate node's profile slot (nil off)
+	qstats *QueryStats // per-query roll-up for the slow log (nil off)
 	// spillable marks an enforced budget: reservation failures spill a
 	// partition instead of failing the query.
 	spillable bool
@@ -90,17 +65,23 @@ type aggTable struct {
 	// reduction tree without the per-(group, morsel) memory.
 	retain bool
 
-	parts    [aggFanout]aggPart
+	runs     [aggFanout][]*extsort.StateRun
 	curTouch int64 // seq+1 of the morsel being accumulated
 	// spillFile backs every run this table spills (one fd per thread,
 	// however many spill rounds happen); created on first spill.
 	spillFile *extsort.StateSpillFile
-	keyBuf    []byte
+	groupVecs []*vector.Vector
+	argVecs   []*vector.Vector
 	payBuf    []byte
-	stBuf     []*aggState
-	reserved  int64
-	rows      int64 // rows accumulated (worker-split test hook)
-	spills    int64
+	// inflight is the resolved prefix of the chunk being probed while the
+	// store makes room mid-chunk; a compaction renumbers it in place.
+	inflight []uint32
+	// reserved is what the pool holds for this table: the store's
+	// footprint (groupStore.bytes), settled whenever the store grows or
+	// is compacted.
+	reserved int64
+	rows     int64 // rows accumulated (worker-split test hook)
+	spills   int64
 }
 
 // newAggTable builds one accumulation worker's table. tables is the
@@ -108,29 +89,20 @@ type aggTable struct {
 // the proactive-shed share (a lone table keeps half the budget).
 func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 	t := &aggTable{
-		node:       n,
-		groupTypes: groupTypes(n),
-		pool:       ctx.Pool,
-		tmpDir:     ctx.TmpDir,
-		stats:      ctx.Stats,
-		prof:       ctx.Prof.Slot(n),
-		qstats:     ctx.QStats,
+		node:      n,
+		pool:      ctx.Pool,
+		tmpDir:    ctx.TmpDir,
+		stats:     ctx.Stats,
+		prof:      ctx.Prof.Slot(n),
+		qstats:    ctx.QStats,
+		groupVecs: make([]*vector.Vector, len(n.GroupBy)),
+		argVecs:   make([]*vector.Vector, len(n.Aggs)),
 	}
-	t.rowEstimate = keyBytesEstimate(t.groupTypes) + int64(len(n.Aggs))*48 + 64
 	t.spillable = ctx.Pool != nil && ctx.Pool.Limit() > 0
 	t.retain = tables > 1 || t.spillable
+	t.store = newGroupStore(n, t.retain, false)
 	if t.spillable {
-		div := int64(2 * tables)
-		if div < 2 {
-			div = 2
-		}
-		t.softCap = ctx.Pool.Limit() / div
-		if t.softCap < 1 {
-			t.softCap = 1
-		}
-	}
-	for p := range t.parts {
-		t.parts[p].groups = make(map[string]*aggState)
+		t.softCap = max(ctx.Pool.Limit()/int64(2*max(tables, 1)), 1)
 	}
 	return t
 }
@@ -138,9 +110,15 @@ func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 // accumulate folds one chunk into the table. seq is the chunk's
 // sequence number in the source's stream (its morsel, for a pipeline);
 // all chunks of one seq must be accumulated consecutively.
+//
+// The budget is touched at three points: shedding before the keys are
+// resolved, growth when the probe meets a new group the store has no
+// room for (growAt — the only point a spill can renumber slots the
+// chunk already resolved), and leaf and DISTINCT growth settled after
+// the kernels.
+//
+//quack:hotpath
 func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error {
-	ng := len(t.node.GroupBy)
-	na := len(t.node.Aggs)
 	n := chunk.Len()
 	t.curTouch = int64(seq) + 1
 	if t.spillable && t.reserved > t.softCap {
@@ -148,168 +126,246 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 			return err
 		}
 	}
-	groupVecs := make([]*vector.Vector, ng)
 	for i, g := range t.node.GroupBy {
 		v, err := g.Eval(chunk)
 		if err != nil {
 			return err
 		}
-		groupVecs[i] = v
+		t.groupVecs[i] = v
 	}
-	argVecs := make([]*vector.Vector, na)
 	for j, spec := range t.node.Aggs {
 		if spec.Arg != nil {
 			v, err := spec.Arg.Eval(chunk)
 			if err != nil {
 				return err
 			}
-			argVecs[j] = v
+			t.argVecs[j] = v
 		}
 	}
-	if cap(t.stBuf) < n {
-		t.stBuf = make([]*aggState, n)
-	}
-	states := t.stBuf[:n]
-	for r := 0; r < n; r++ {
-		t.keyBuf = encodeKeyRow(t.keyBuf[:0], groupVecs, r)
-		p := aggPartOf(t.keyBuf)
-		part := &t.parts[p]
-		// map lookup with string(bytes) is allocation-free; the key is
-		// only materialized for new groups.
-		st, ok := part.groups[string(t.keyBuf)]
-		if !ok {
-			key := string(t.keyBuf)
-			if err := t.reserve(t.rowEstimate); err != nil {
-				return err
-			}
-			st = &aggState{
-				groupKey: make([]types.Value, ng),
-				accs:     make([]accumulator, na),
-				firstPos: packAggPos(seq, r),
-			}
-			for i := range groupVecs {
-				st.groupKey[i] = groupVecs[i].Get(r)
-			}
-			for j, spec := range t.node.Aggs {
-				if spec.Distinct {
-					st.accs[j].distinct = make(map[string]struct{})
-				}
-			}
-			part.groups[key] = st
+	st := t.store
+	st.prepare(t.groupVecs, n)
+	for r := 0; ; {
+		if r = st.resolve(t.groupVecs, n, seq, r); r == n {
+			break
 		}
-		st.touch = t.curTouch
-		states[r] = st
-	}
-	for j, spec := range t.node.Aggs {
-		updateAggChunk(spec, j, states, argVecs[j], int64(seq), t.retain)
-	}
-	t.rows += int64(n)
-	if t.spillable {
-		return t.chargeExtras(states)
-	}
-	return nil
-}
-
-// chargeExtras settles the budget for accumulator growth beyond the flat
-// per-group estimate — DOUBLE per-morsel subtotals and DISTINCT value
-// sets — for the states the last chunk touched. Without it, a handful of
-// long-lived groups could grow far past the budget without ever
-// tripping a new-group reservation.
-func (t *aggTable) chargeExtras(states []*aggState) error {
-	for _, st := range states {
-		extra := st.extraBytes()
-		if extra == st.accounted {
-			continue // duplicate visit in this chunk, or no growth
-		}
-		delta := extra - st.accounted
-		if err := t.reserve(delta); err != nil {
+		if err := t.growAt(r); err != nil {
 			return err
 		}
-		st.accounted = extra
 	}
-	return nil
+	slots := st.slots[:n]
+	if st.floatSums || t.spillable {
+		st.beginMorselRows(slots, t.curTouch)
+	}
+	for j := range st.aggs {
+		st.aggs[j].update(slots, t.argVecs[j])
+	}
+	t.rows += int64(n)
+	return t.settle()
 }
 
-// reserve claims budget, spilling partitions (largest reclaimable first)
-// until the reservation fits. States touched by the in-flight morsel are
-// never spilled — a spill must not split a (group, morsel) DOUBLE
-// subtotal — so a reservation can still fail when a single morsel's
-// working set alone exceeds the budget.
-func (t *aggTable) reserve(n int64) error {
-	if t.pool == nil || n == 0 {
-		return nil
+// growAt makes room for the new group that stopped the probe at row r.
+// The rows already resolved are stamped as the in-flight morsel's first,
+// so a spill leaves their slots alone, and registered as inflight, so
+// the compaction after it renumbers them.
+func (t *aggTable) growAt(r int) error {
+	st := t.store
+	t.inflight = st.slots[:r]
+	if st.floatSums || t.spillable {
+		st.beginMorselRows(t.inflight, t.curTouch)
 	}
-	if t.pool.Reserve(n) == nil {
-		t.reserved += n
-		return nil
+	err := t.makeRoom(1, len(st.keyBuf))
+	t.inflight = nil
+	return err
+}
+
+// makeRoom grows the store until n more slots with keyBytes of arena
+// keys fit, reserving the growth first: doubled, then by an eighth;
+// when the budget refuses both it spills a partition and starts over,
+// and only with nothing left to spill settles for the bare need.
+func (t *aggTable) makeRoom(n, keyBytes int) error {
+	st := t.store
+	grow := func(g growth) (bool, error) {
+		slotCap, arenaCap, err := st.room(n, keyBytes, g)
+		if err != nil {
+			return false, err
+		}
+		if slotCap != st.cap || arenaCap != cap(st.arena) {
+			if !t.tryReserve(st.bytesAt(slotCap, arenaCap) - t.reserved) {
+				return false, nil
+			}
+			st.rebuild(nil, slotCap, arenaCap)
+		}
+		return true, nil
 	}
+	for {
+		for _, g := range [...]growth{growDouble, growEighth} {
+			if ok, err := grow(g); ok || err != nil {
+				return err
+			}
+		}
+		if t.spillable {
+			spilled, err := t.spillOne()
+			if err != nil {
+				return err
+			}
+			if spilled {
+				continue
+			}
+		}
+		if ok, err := grow(growExact); ok || err != nil {
+			return err
+		}
+		return t.budgetError()
+	}
+}
+
+// settle squares the reservation with the store's footprint: growth the
+// kernels caused (DOUBLE leaves, DISTINCT sets) is reserved, spilling if
+// it must; a store that shrank gives budget back. Without it a handful
+// of long-lived groups could grow far past the budget without ever
+// opening a slot.
+func (t *aggTable) settle() error {
+	for {
+		delta := t.store.bytes() - t.reserved
+		if delta == 0 {
+			return nil
+		}
+		if delta < 0 {
+			t.release(-delta)
+			return nil
+		}
+		if t.tryReserve(delta) {
+			return nil
+		}
+		if t.spillable {
+			if spilled, err := t.spillOne(); err != nil {
+				return err
+			} else if spilled {
+				continue
+			}
+		}
+		return t.budgetError()
+	}
+}
+
+func (t *aggTable) tryReserve(n int64) bool {
+	if n <= 0 {
+		return true
+	}
+	if t.pool != nil && t.pool.Reserve(n) != nil {
+		return false
+	}
+	t.reserved += n
+	t.prof.noteAggBytes(n)
+	return true
+}
+
+func (t *aggTable) release(n int64) {
+	if t.pool != nil {
+		t.pool.Release(n)
+	}
+	t.reserved -= n
+	t.prof.noteAggBytes(-n)
+}
+
+// budgetError reports a reservation nothing could make room for. Slots
+// touched by the in-flight morsel are never spilled — a spill must not
+// split a (group, morsel) DOUBLE subtotal — so under an enforced budget
+// it means a single morsel's working set alone exceeds it.
+func (t *aggTable) budgetError() error {
 	if !t.spillable {
 		return fmt.Errorf("aggregation exceeded memory budget: %w", buffer.ErrOutOfMemory)
 	}
-	for {
-		spilled, err := t.spillOne()
-		if err != nil {
-			return err
-		}
-		if !spilled {
-			return fmt.Errorf("aggregation exceeded memory budget (one morsel's distinct groups alone overflow it): %w", buffer.ErrOutOfMemory)
-		}
-		if t.pool.Reserve(n) == nil {
-			t.reserved += n
-			return nil
-		}
-	}
+	return fmt.Errorf("aggregation exceeded memory budget (one morsel's distinct groups alone overflow it): %w", buffer.ErrOutOfMemory)
 }
 
 // shed spills partitions until the table is back under its budget
-// share. Unlike reserve's failure path it tolerates running out of
+// share. Unlike a refused reservation it tolerates running out of
 // spillable partitions — the in-flight morsel's states legitimately
 // stay resident.
 func (t *aggTable) shed() error {
 	for t.reserved > t.softCap {
 		spilled, err := t.spillOne()
-		if err != nil {
+		if err != nil || !spilled {
 			return err
-		}
-		if !spilled {
-			return nil
 		}
 	}
 	return nil
 }
 
-// spillOne spills the partition with the most reclaimable bytes,
-// reporting false when nothing is spillable.
+// spillOne spills the partition with the most spillable slots and
+// compacts the store, reporting false when nothing is spillable.
 func (t *aggTable) spillOne() (bool, error) {
-	best, bestBytes := -1, int64(0)
-	for p := range t.parts {
-		var b int64
-		for _, st := range t.parts[p].groups {
-			if st.touch != t.curTouch {
-				b += t.rowEstimate + st.accounted
-			}
-		}
-		if b > bestBytes {
-			best, bestBytes = p, b
+	st := t.store
+	var counts [aggFanout]int
+	for sl := 0; sl < st.n; sl++ {
+		if st.touch[sl] != t.curTouch {
+			counts[aggPartOfHash(st.hashes[sl])]++
 		}
 	}
-	if best < 0 {
+	best := 0
+	for p, c := range counts {
+		if c > counts[best] {
+			best = p
+		}
+	}
+	if counts[best] == 0 {
 		return false, nil
 	}
-	return true, t.spillPart(best)
-}
-
-// spillPart serializes partition p's spillable states to a sorted-key
-// state run and returns their budget.
-func (t *aggTable) spillPart(p int) error {
-	part := &t.parts[p]
-	keys := make([]string, 0, len(part.groups))
-	for k, st := range part.groups {
-		if st.touch != t.curTouch {
-			keys = append(keys, k)
+	victims := make([]uint32, 0, counts[best])
+	keep := make([]uint32, 0, st.n-counts[best])
+	for sl := 0; sl < st.n; sl++ {
+		if st.touch[sl] != t.curTouch && aggPartOfHash(st.hashes[sl]) == best {
+			victims = append(victims, uint32(sl))
+		} else {
+			keep = append(keep, uint32(sl))
 		}
 	}
-	sort.Strings(keys)
+	if err := t.writeRun(best, victims, t.leafIndex(victims)); err != nil {
+		return true, err
+	}
+	// Compact to the survivors plus an eighth, never past the old
+	// capacities: the store only shrinks here, so the budget the
+	// partition held is really returned.
+	arena := 0
+	if !st.fixed {
+		arena = len(st.arena)
+		for _, sl := range victims {
+			arena -= int(st.keyOff[sl+1] - st.keyOff[sl])
+		}
+		arena = min(arena+arena/8, cap(st.arena))
+	}
+	remap := st.rebuild(keep, min(len(keep)+len(keep)/8+16, st.cap), arena)
+	for i, sl := range t.inflight {
+		t.inflight[i] = remap[sl]
+	}
+	return true, t.settle()
+}
+
+// leafIndex flushes the pending DOUBLE subtotal of every slot about to
+// be spilled into its leaves and groups each aggregate's leaves by slot
+// for writeRun.
+func (t *aggTable) leafIndex(slots []uint32) [][]uint32 {
+	st := t.store
+	idx := make([][]uint32, len(st.aggs))
+	for j := range st.aggs {
+		c := &st.aggs[j]
+		if c.kind != aggSumFloat {
+			continue
+		}
+		for _, sl := range slots {
+			c.flush(sl, st.touch[sl]-1, true)
+		}
+		idx[j] = c.groupLeaves(st.n)
+	}
+	return idx
+}
+
+// writeRun serializes the given slots of partition p to a sorted-key
+// state run. The slots stay in the store; the caller drops them.
+func (t *aggTable) writeRun(p int, slots []uint32, leaves [][]uint32) error {
+	st := t.store
+	keys := st.sortSlotsByKey(slots)
 	if t.spillFile == nil {
 		sf, err := extsort.NewStateSpillFile(t.tmpDir)
 		if err != nil {
@@ -322,27 +378,18 @@ func (t *aggTable) spillPart(p int) error {
 	if err != nil {
 		return err
 	}
-	var freed int64
-	for _, k := range keys {
-		st := part.groups[k]
-		for j := range st.accs {
-			st.accs[j].flushF(true)
-		}
-		t.payBuf = encodeAggState(t.payBuf[:0], st, t.node.Aggs)
-		if err := w.Append([]byte(k), t.payBuf); err != nil {
+	for i, sl := range slots {
+		t.payBuf = st.appendState(t.payBuf[:0], sl, leaves)
+		if err := w.Append(keys[i], t.payBuf); err != nil {
 			w.Abort()
 			return err
 		}
-		freed += t.rowEstimate + st.accounted
-		delete(part.groups, k)
 	}
 	run, err := w.Finish()
 	if err != nil {
 		return err
 	}
-	part.runs = append(part.runs, run)
-	t.reserved -= freed
-	t.pool.Release(freed)
+	t.runs[p] = append(t.runs[p], run)
 	t.spills++
 	if t.stats != nil {
 		t.stats.AggSpillPartitions.Add(1)
@@ -358,234 +405,122 @@ func (t *aggTable) spillPart(p int) error {
 	return nil
 }
 
-// spillAll spills every partition's remaining resident states. The
-// finish phase calls it (nothing is in flight anymore) so the merge
-// streams from runs with O(block) memory and the output sorters inherit
-// the whole budget.
+// spillAll spills every partition's remaining resident slots and drops
+// the store. The finish phase calls it (nothing is in flight anymore) so
+// the merge streams from runs with O(block) memory and the output
+// sorters inherit the whole budget.
 func (t *aggTable) spillAll() error {
-	t.curTouch = 0 // no morsel in flight; every state is spillable
-	for p := range t.parts {
-		if len(t.parts[p].groups) == 0 {
+	t.curTouch = 0 // no morsel in flight; every slot is spillable
+	st := t.store
+	var parts [aggFanout][]uint32
+	all := make([]uint32, st.n)
+	for sl := range all {
+		all[sl] = uint32(sl)
+		p := aggPartOfHash(st.hashes[sl])
+		parts[p] = append(parts[p], uint32(sl))
+	}
+	leaves := t.leafIndex(all)
+	for p, slots := range parts {
+		if len(slots) == 0 {
 			continue
 		}
-		if err := t.spillPart(p); err != nil {
+		if err := t.writeRun(p, slots, leaves); err != nil {
 			return err
 		}
 	}
+	t.dropStore()
 	return nil
+}
+
+// dropStore frees the store and its reservation (its groups were
+// spilled or merged into another table's store).
+func (t *aggTable) dropStore() {
+	t.store = newGroupStore(t.node, t.retain, false)
+	if t.reserved > 0 {
+		t.release(t.reserved)
+	}
 }
 
 // close releases the table's budget and spill file. Idempotent.
 func (t *aggTable) close() {
-	for p := range t.parts {
-		t.parts[p].runs = nil
-		t.parts[p].groups = nil
-	}
+	t.runs = [aggFanout][]*extsort.StateRun{}
 	if t.spillFile != nil {
 		t.spillFile.Close()
 		t.spillFile = nil
 	}
-	if t.pool != nil && t.reserved > 0 {
-		t.pool.Release(t.reserved)
-	}
-	t.reserved = 0
-}
-
-// ---- spilled-state codec ----
-
-// encodeAggState serializes one group's accumulators. DOUBLE subtotals
-// are stored as their exact (morsel seq, bits) leaves and DISTINCT sets
-// as sorted encoded values, so a round trip loses nothing the
-// deterministic finish fold depends on.
-func encodeAggState(buf []byte, st *aggState, aggs []plan.AggSpec) []byte {
-	buf = binary.AppendVarint(buf, st.firstPos)
-	for j := range aggs {
-		acc := &st.accs[j]
-		if acc.distinct != nil {
-			buf = append(buf, 1)
-			keys := make([]string, 0, len(acc.distinct))
-			for k := range acc.distinct {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			buf = binary.AppendUvarint(buf, uint64(len(keys)))
-			for _, k := range keys {
-				buf = binary.AppendUvarint(buf, uint64(len(k)))
-				buf = append(buf, k...)
-			}
-			continue
-		}
-		buf = append(buf, 0)
-		buf = binary.AppendVarint(buf, acc.count)
-		buf = binary.AppendVarint(buf, acc.sumI)
-		buf = binary.AppendUvarint(buf, uint64(len(acc.subF)))
-		for _, s := range acc.subF {
-			buf = binary.AppendVarint(buf, s.seq)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.sum))
-		}
-		if acc.bestSet {
-			buf = append(buf, 1)
-			vk := encodeValueKey(nil, acc.best)
-			buf = binary.AppendUvarint(buf, uint64(len(vk)))
-			buf = append(buf, vk...)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// stateReader decodes encodeAggState payloads with one sticky error.
-type stateReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *stateReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("agg spill: corrupt state payload")
-	}
-}
-
-func (r *stateReader) byte() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *stateReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *stateReader) uvarint() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 || v > uint64(len(r.b)) {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return int(v)
-}
-
-func (r *stateReader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return v
-}
-
-func (r *stateReader) u64() uint64 {
-	b := r.bytes(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func decodeAggState(payload []byte, aggs []plan.AggSpec) (*aggState, error) {
-	r := &stateReader{b: payload}
-	st := &aggState{accs: make([]accumulator, len(aggs))}
-	st.firstPos = r.varint()
-	for j := range aggs {
-		acc := &st.accs[j]
-		if r.byte() == 1 {
-			n := r.uvarint()
-			acc.distinct = make(map[string]struct{}, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				k := string(r.bytes(r.uvarint()))
-				acc.distinct[k] = struct{}{}
-				acc.distBytes += int64(len(k)) + 16
-			}
-			continue
-		}
-		acc.count = r.varint()
-		acc.sumI = r.varint()
-		ns := r.uvarint()
-		acc.subF = make([]fsub, 0, ns)
-		for i := 0; i < ns && r.err == nil; i++ {
-			seq := r.varint()
-			sum := math.Float64frombits(r.u64())
-			acc.subF = append(acc.subF, fsub{seq: seq, sum: sum})
-		}
-		if r.byte() == 1 {
-			vk := r.bytes(r.uvarint())
-			if r.err == nil {
-				acc.best = decodeValueKey(string(vk), aggs[j].Arg.Type())
-				acc.bestSet = true
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return st, nil
+	t.dropStore()
 }
 
 // ---- finish phase ----
 
 // aggFinish streams the merged groups of one or more aggTables in
 // first-seen (firstPos) order. Without spills it emits straight from the
-// merged in-memory states; with spills it streams a MergeFinish iterator
-// over per-worker firstPos-keyed sorters fed by the partition merges.
+// one store the partials were merged into; with spills it streams a
+// MergeFinish iterator over per-worker firstPos-keyed sorters fed by
+// the partition merges.
 type aggFinish struct {
-	node   *plan.AggNode
-	ng, na int
+	node     *plan.AggNode
+	outTypes []types.Type
 
-	states []*aggState // in-memory path, sorted by firstPos
-	pos    int
+	// In-memory path: the final store and the slots in emission order
+	// (nil: slot order, which for a lone table is arrival order).
+	store *groupStore
+	order []uint32
+	pos   int
+	sel   []uint32
 
 	iter *extsort.Iterator // spilled path
 
+	groups      int64
 	mergeGroups []int64 // groups merged per finish worker (test hook)
 }
 
 // finishAggTables merges the tables (one per accumulation thread) into
 // an emission stream. On success ownership of any output-sorter files
 // moves to the returned finish; the tables themselves (reservations,
-// state runs) stay owned by the caller and must outlive the stream.
+// state runs, the final store) stay owned by the caller and must outlive
+// the stream.
 func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*aggFinish, error) {
-	ng, na := len(node.GroupBy), len(node.Aggs)
-	f := &aggFinish{node: node, ng: ng, na: na}
+	f := &aggFinish{node: node, outTypes: schemaTypes(node.Schema())}
 
-	// Flush pending per-chunk DOUBLE subtotals before any merge.
+	// Finish pending per-morsel DOUBLE subtotals before any merge.
 	spilled := false
 	for _, t := range tables {
-		if t.spills > 0 {
-			spilled = true
-		}
-		for p := range t.parts {
-			for _, st := range t.parts[p].groups {
-				for j := range st.accs {
-					st.accs[j].flushF(t.retain)
-				}
-			}
-		}
+		t.curTouch = 0 // no morsel in flight anymore
+		t.store.flushPending()
+		spilled = spilled || t.spills > 0
 	}
-
 	if !spilled {
-		f.states = mergeResidentTables(node, tables)
-		if ng == 0 && len(f.states) == 0 {
-			f.states = append(f.states, emptyGlobalState(node))
+		merged, err := mergeResidentStores(tables)
+		if err != nil {
+			return nil, err
+		}
+		spilled = !merged
+	}
+	if !spilled {
+		st := tables[0].store
+		st.foldLeaves()
+		if err := tables[0].settle(); err != nil { // the leaves are gone: only ever a release
+			return nil, err
+		}
+		if len(node.GroupBy) == 0 && st.n == 0 {
+			// A global aggregation over zero rows yields one row: count =
+			// 0, other aggregates NULL — an untouched slot.
+			st.rebuild(nil, 1, 0)
+			st.newSlot(0, 0)
+		}
+		f.store = st
+		f.groups = int64(st.n)
+		// Slots are in arrival order; that is firstPos order unless
+		// partials were merged or a morsel arrived in several chunks.
+		if !slices.IsSorted(st.firstPos[:st.n]) {
+			f.order = make([]uint32, st.n)
+			for i := range f.order {
+				f.order[i] = uint32(i)
+			}
+			slices.SortFunc(f.order, func(a, b uint32) int {
+				return cmp.Or(cmp.Compare(st.firstPos[a], st.firstPos[b]), cmp.Compare(a, b))
+			})
 		}
 		return f, nil
 	}
@@ -606,15 +541,10 @@ func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*agg
 	// MergeFinish then streams one globally ordered result — the same
 	// first-seen order the in-memory path emits, whatever the partition
 	// assignment, because firstPos is unique per group.
-	outTypes := append(schemaTypes(node.Schema()), types.BigInt)
+	ng, na := len(node.GroupBy), len(node.Aggs)
+	outTypes := append(slices.Clip(f.outTypes), types.BigInt)
 	sortKeys := []extsort.Key{{Col: ng + na}}
-	workers := ctx.Threads
-	if workers > aggFanout {
-		workers = aggFanout
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(max(ctx.Threads, 1), aggFanout)
 	budget := splitBudget(ctx.sortBudget(), workers)
 	sorters := make([]*extsort.Sorter, workers)
 	for w := range sorters {
@@ -686,55 +616,47 @@ func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*agg
 		return nil, err
 	}
 	f.iter = iter
+	for _, n := range f.mergeGroups {
+		f.groups += n
+	}
 	return f, nil
 }
 
-// mergeResidentTables merges the tables' resident states in memory
-// (spill-free finish), keeping the earliest first-seen position per
-// group. States migrate into the first table's maps; reservation
-// ownership stays with the tables. The returned states are sorted by
-// first-seen position — the map iteration order they are collected in
-// must never reach the emission stream.
-func mergeResidentTables(node *plan.AggNode, tables []*aggTable) []*aggState {
-	var states []*aggState
-	for p := 0; p < aggFanout; p++ {
-		base := tables[0].parts[p].groups
-		for _, t := range tables[1:] {
-			for key, st := range t.parts[p].groups {
-				dst, ok := base[key]
-				if !ok {
-					base[key] = st
-					continue
-				}
-				if st.firstPos < dst.firstPos {
-					dst.firstPos = st.firstPos
-				}
-				for j := range node.Aggs {
-					mergeAccumulator(node.Aggs[j], &dst.accs[j], &st.accs[j])
-				}
-			}
+// mergeResidentStores folds every table's store into the first table's
+// (spill-free finish): source slots are walked in order and re-probed
+// with their stored hash. The first table reserves a source's whole
+// footprint before absorbing it and the source's own reservation is
+// released right after, so the merge never holds more than one source
+// twice. It reports false, with the tables intact, when the budget
+// refuses that — the caller then takes the spilled path.
+func mergeResidentStores(tables []*aggTable) (bool, error) {
+	dst := tables[0]
+	for _, t := range tables[1:] {
+		src := t.store
+		if src.n == 0 {
+			continue
 		}
-		for _, st := range base {
-			for j := range st.accs {
-				st.accs[j].foldSubF()
-			}
-			states = append(states, st)
+		slotCap, arenaCap, err := dst.store.room(src.n, len(src.arena), growExact)
+		if err != nil {
+			return false, err
 		}
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i].firstPos < states[j].firstPos })
-	return states
-}
-
-// emptyGlobalState is the one row a global aggregation (no GROUP BY)
-// yields over zero rows: count = 0, other aggregates NULL.
-func emptyGlobalState(node *plan.AggNode) *aggState {
-	st := &aggState{accs: make([]accumulator, len(node.Aggs))}
-	for j, spec := range node.Aggs {
-		if spec.Distinct {
-			st.accs[j].distinct = make(map[string]struct{})
+		grow := dst.store.bytesAt(slotCap, arenaCap) - dst.store.bytes()
+		for j := range src.aggs {
+			grow += src.aggs[j].extraBytes()
+		}
+		if !dst.tryReserve(grow) {
+			return false, nil
+		}
+		if slotCap != dst.store.cap || arenaCap != cap(dst.store.arena) {
+			dst.store.rebuild(nil, slotCap, arenaCap)
+		}
+		dst.store.absorb(src)
+		t.dropStore()
+		if err := dst.settle(); err != nil {
+			return false, err
 		}
 	}
-	return st
+	return true, nil
 }
 
 // runStateSource streams one spilled run's partial states in key order.
@@ -743,7 +665,6 @@ func emptyGlobalState(node *plan.AggNode) *aggState {
 // sources.)
 type runStateSource struct {
 	cur  *extsort.StateCursor
-	aggs []plan.AggSpec
 	done bool
 }
 
@@ -763,20 +684,19 @@ func (s *runStateSource) curKey() ([]byte, bool) {
 	return s.cur.Key(), true
 }
 
-func (s *runStateSource) take() (*aggState, error) {
-	st, err := decodeAggState(s.cur.State(), s.aggs)
-	if err != nil {
-		return nil, err
-	}
-	return st, s.advance()
-}
+// mergeDistinctCap bounds the DISTINCT sets a partition merge holds
+// before it finishes the batch early: the merge is the memory-reclaiming
+// path and runs unaccounted.
+const mergeDistinctCap = 1 << 20
 
 // mergeAggPartition k-way merges one partition's spilled runs across
-// all tables in group-key order, folds each group's partials and
-// appends the finished row to the worker's output sorter.
+// all tables in group-key order. Equal keys are adjacent in that order,
+// so each group's partials decode straight into one slot of a small
+// merge store — the same columns, fold and emission as the resident
+// path — which is finished a chunk at a time into the worker's output
+// sorter.
 func mergeAggPartition(p int, node *plan.AggNode, tables []*aggTable, outTypes []types.Type, sorter *extsort.Sorter, groupsMerged *int64) error {
-	ng, na := len(node.GroupBy), len(node.Aggs)
-	gts := groupTypes(node)
+	posCol := len(outTypes) - 1
 	var srcs []*runStateSource
 	defer func() {
 		// Release every cursor's read-back block reservation; drained
@@ -786,8 +706,8 @@ func mergeAggPartition(p int, node *plan.AggNode, tables []*aggTable, outTypes [
 		}
 	}()
 	for _, t := range tables {
-		for _, run := range t.parts[p].runs {
-			rs := &runStateSource{cur: run.Cursor(), aggs: node.Aggs}
+		for _, run := range t.runs[p] {
+			rs := &runStateSource{cur: run.Cursor()}
 			srcs = append(srcs, rs)
 			if err := rs.advance(); err != nil {
 				return err
@@ -795,23 +715,33 @@ func mergeAggPartition(p int, node *plan.AggNode, tables []*aggTable, outTypes [
 		}
 	}
 
-	out := vector.NewChunk(outTypes)
+	st := newGroupStore(node, true, true)
+	st.rebuild(nil, vector.ChunkCapacity, 0)
+	sel := make([]uint32, 0, vector.ChunkCapacity)
 	flush := func() error {
-		if out.Len() == 0 {
+		if st.n == 0 {
 			return nil
 		}
-		if err := sorter.Add(out); err != nil {
+		st.foldLeaves()
+		sel = sel[:0]
+		for sl := 0; sl < st.n; sl++ {
+			sel = append(sel, uint32(sl))
+		}
+		out := vector.NewChunk(outTypes)
+		if err := st.emit(out, sel); err != nil {
 			return err
 		}
-		out = vector.NewChunk(outTypes)
-		return nil
+		copy(out.Cols[posCol].I64, st.firstPos[:st.n])
+		*groupsMerged += int64(st.n)
+		st.reset()
+		return sorter.Add(out)
 	}
 	var minKey []byte
 	for {
-		// Find the smallest current key, then take-and-merge every source
-		// holding it. Merge order between sources is irrelevant: counts,
-		// integer sums, min/max and set unions commute, and DOUBLE
-		// subtotal lists are re-sorted by morsel seq before folding.
+		// Find the smallest current key, then fold every source holding
+		// it. Fold order between sources is irrelevant: counts, integer
+		// sums, min/max and set unions commute, and DOUBLE leaves are
+		// ordered by morsel seq before they are summed.
 		minKey = minKey[:0]
 		found := false
 		for _, s := range srcs {
@@ -827,48 +757,24 @@ func mergeAggPartition(p int, node *plan.AggNode, tables []*aggTable, outTypes [
 		if !found {
 			break
 		}
-		var merged *aggState
+		slot := st.appendGroup(minKey)
 		for _, s := range srcs {
 			k, ok := s.curKey()
 			if !ok || !bytes.Equal(k, minKey) {
 				continue
 			}
-			st, err := s.take()
-			if err != nil {
+			if err := st.foldState(slot, s.cur.State()); err != nil {
 				return err
 			}
-			if merged == nil {
-				merged = st
-				continue
-			}
-			if st.firstPos < merged.firstPos {
-				merged.firstPos = st.firstPos
-			}
-			for j := range node.Aggs {
-				mergeAccumulator(node.Aggs[j], &merged.accs[j], &st.accs[j])
-			}
-		}
-		for j := range merged.accs {
-			merged.accs[j].foldSubF()
-		}
-		if merged.groupKey == nil {
-			vals, err := decodeGroupKey(string(minKey), gts)
-			if err != nil {
+			if err := s.advance(); err != nil {
 				return err
 			}
-			merged.groupKey = vals
 		}
-		row := out.Len()
-		out.SetLen(row + 1)
-		for i, gv := range merged.groupKey {
-			out.Cols[i].Set(row, gv)
+		distinct := int64(0)
+		for j := range st.aggs {
+			distinct += st.aggs[j].distBytes
 		}
-		for j, spec := range node.Aggs {
-			out.Cols[ng+j].Set(row, finishAgg(spec, &merged.accs[j]))
-		}
-		out.Cols[ng+na].Set(row, types.NewBigInt(merged.firstPos))
-		*groupsMerged++
-		if out.Len() == vector.ChunkCapacity {
+		if st.n == vector.ChunkCapacity || distinct > mergeDistinctCap {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -885,25 +791,28 @@ func (f *aggFinish) next() (*vector.Chunk, error) {
 			return nil, err
 		}
 		// Strip the hidden firstPos sort column.
-		out := &vector.Chunk{Cols: c.Cols[:f.ng+f.na]}
+		out := &vector.Chunk{Cols: c.Cols[:len(f.outTypes)]}
 		out.SetLen(c.Len())
 		return out, nil
 	}
-	if f.pos >= len(f.states) {
+	n := min(f.store.n-f.pos, vector.ChunkCapacity)
+	if n <= 0 {
 		return nil, nil
 	}
-	out := vector.NewChunk(schemaTypes(f.node.Schema()))
-	for f.pos < len(f.states) && out.Len() < vector.ChunkCapacity {
-		st := f.states[f.pos]
-		f.pos++
-		row := out.Len()
-		out.SetLen(row + 1)
-		for i, gv := range st.groupKey {
-			out.Cols[i].Set(row, gv)
+	var sel []uint32
+	if f.order != nil {
+		sel = f.order[f.pos : f.pos+n]
+	} else {
+		sel = f.sel[:0]
+		for i := 0; i < n; i++ {
+			sel = append(sel, uint32(f.pos+i))
 		}
-		for j, spec := range f.node.Aggs {
-			out.Cols[f.ng+j].Set(row, finishAgg(spec, &st.accs[j]))
-		}
+		f.sel = sel
+	}
+	f.pos += n
+	out := vector.NewChunk(f.outTypes)
+	if err := f.store.emit(out, sel); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -915,5 +824,5 @@ func (f *aggFinish) close() {
 		f.iter.Close()
 		f.iter = nil
 	}
-	f.states = nil
+	f.store = nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -191,8 +192,8 @@ func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	var files []*os.File
 	nruns := 0
 	for _, tbl := range pa.tables {
-		for p := range tbl.parts {
-			nruns += len(tbl.parts[p].runs)
+		for p := range tbl.runs {
+			nruns += len(tbl.runs[p])
 		}
 		if tbl.spillFile != nil {
 			files = append(files, tbl.spillFile.File())
@@ -213,65 +214,140 @@ func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 }
 
 // TestAggStateCodecRoundtrip: the spilled-state codec must preserve the
-// exact accumulator contents — DOUBLE subtotal leaves bit for bit,
-// DISTINCT sets, min/max values — across a round trip.
+// exact slot contents — DOUBLE subtotal leaves bit for bit, DISTINCT
+// sets, min/max values — across a round trip into another store.
 func TestAggStateCodecRoundtrip(t *testing.T) {
 	col := &expr.ColRef{Idx: 0, Typ: types.Double}
-	aggs := []plan.AggSpec{
+	node := &plan.AggNode{Aggs: []plan.AggSpec{
 		{Func: "count", Type: types.BigInt},
 		{Func: "sum", Arg: col, Type: types.Double},
 		{Func: "min", Arg: col, Type: types.Double},
 		{Func: "sum", Arg: col, Distinct: true, Type: types.Double},
+	}}
+	st := newGroupStore(node, true, true)
+	st.rebuild(nil, 4, 0)
+	slot := st.appendGroup(nil)
+	st.firstPos[slot] = packAggPos(7, 42)
+	st.aggs[0].count[slot] = 12345
+	st.aggs[1].count[slot] = 3
+	leaves := []struct {
+		seq int64
+		sum float64
+	}{{2, 0.1 + 0.2}, {9, math.Inf(-1)}, {11, math.NaN()}}
+	for _, l := range leaves {
+		st.aggs[1].leafSlot = append(st.aggs[1].leafSlot, slot)
+		st.aggs[1].leafSeq = append(st.aggs[1].leafSeq, l.seq)
+		st.aggs[1].leafSum = append(st.aggs[1].leafSum, l.sum)
 	}
-	st := &aggState{accs: make([]accumulator, len(aggs)), firstPos: packAggPos(7, 42)}
-	st.accs[0].count = 12345
-	st.accs[1].count = 3
-	st.accs[1].subF = []fsub{{seq: 2, sum: 0.1 + 0.2}, {seq: 9, sum: math.Inf(-1)}, {seq: 11, sum: math.NaN()}}
-	st.accs[2].bestSet = true
-	st.accs[2].best = types.NewDouble(-0.0)
-	st.accs[3].distinct = map[string]struct{}{}
+	st.aggs[2].set[slot] = true
+	st.aggs[2].bestF[slot] = math.Copysign(0, -1)
 	for _, v := range []float64{1.5, -2.25, math.NaN()} {
-		k := string(encodeValueKey(nil, types.NewDouble(v)))
-		st.accs[3].distinct[k] = struct{}{}
-		st.accs[3].distBytes += int64(len(k)) + 16
+		st.aggs[3].addDistinctKey(slot, encodeValueKey(nil, types.NewDouble(v)))
 	}
+	index := make([][]uint32, len(st.aggs))
+	index[1] = st.aggs[1].groupLeaves(st.n)
+	payload := st.appendState(nil, slot, index)
 
-	payload := encodeAggState(nil, st, aggs)
-	got, err := decodeAggState(payload, aggs)
-	if err != nil {
+	got := newGroupStore(node, true, true)
+	got.rebuild(nil, 4, 0)
+	gs := got.appendGroup(nil)
+	if err := got.foldState(gs, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got.firstPos != st.firstPos {
-		t.Fatalf("firstPos = %d, want %d", got.firstPos, st.firstPos)
+	if got.firstPos[gs] != st.firstPos[slot] {
+		t.Fatalf("firstPos = %d, want %d", got.firstPos[gs], st.firstPos[slot])
 	}
-	if got.accs[0].count != 12345 {
-		t.Fatalf("count = %d", got.accs[0].count)
+	if got.aggs[0].count[gs] != 12345 || got.aggs[1].count[gs] != 3 {
+		t.Fatalf("counts = %d, %d", got.aggs[0].count[gs], got.aggs[1].count[gs])
 	}
-	if len(got.accs[1].subF) != 3 {
-		t.Fatalf("subF = %v", got.accs[1].subF)
+	if len(got.aggs[1].leafSeq) != len(leaves) {
+		t.Fatalf("leaves = %v", got.aggs[1].leafSeq)
 	}
-	for i, s := range got.accs[1].subF {
-		if s.seq != st.accs[1].subF[i].seq ||
-			math.Float64bits(s.sum) != math.Float64bits(st.accs[1].subF[i].sum) {
-			t.Fatalf("subF[%d] = %+v, want %+v", i, s, st.accs[1].subF[i])
+	for i, l := range leaves {
+		if got.aggs[1].leafSlot[i] != gs || got.aggs[1].leafSeq[i] != l.seq ||
+			math.Float64bits(got.aggs[1].leafSum[i]) != math.Float64bits(l.sum) {
+			t.Fatalf("leaf %d = (%d, %v), want %+v", i, got.aggs[1].leafSeq[i], got.aggs[1].leafSum[i], l)
 		}
 	}
-	if !got.accs[2].bestSet || math.Float64bits(got.accs[2].best.F64) != math.Float64bits(-0.0) {
-		t.Fatalf("best = %+v", got.accs[2].best)
+	if !got.aggs[2].set[gs] || math.Float64bits(got.aggs[2].bestF[gs]) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("best = %v (set %v)", got.aggs[2].bestF[gs], got.aggs[2].set[gs])
 	}
-	if len(got.accs[3].distinct) != 3 || got.accs[3].distBytes != st.accs[3].distBytes {
-		t.Fatalf("distinct = %v (%d bytes)", got.accs[3].distinct, got.accs[3].distBytes)
+	if len(got.aggs[3].distinct[gs]) != 3 || got.aggs[3].distBytes != st.aggs[3].distBytes {
+		t.Fatalf("distinct = %v (%d bytes)", got.aggs[3].distinct[gs], got.aggs[3].distBytes)
 	}
 	// Truncated payloads must error, not panic.
 	for cut := 0; cut < len(payload); cut += 3 {
-		if _, err := decodeAggState(payload[:cut], aggs); err == nil {
+		trunc := newGroupStore(node, true, true)
+		trunc.rebuild(nil, 4, 0)
+		if err := trunc.foldState(trunc.appendGroup(nil), payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
 }
 
-// TestDecodeGroupKeyRoundtrip: decodeGroupKey must invert encodeKeyRow
-// for every group-key type, including NULLs, empty strings and NaN.
+// decodeGroupKey decodes a full group key produced by encodeKeyRow back
+// into boxed values: the reference decodeKeyRowInto, the emission path's
+// typed decoder, is held to (here and in FuzzAggStateCodec).
+func decodeGroupKey(key string, ts []types.Type) ([]types.Value, error) {
+	vals := make([]types.Value, len(ts))
+	pos := 0
+	fail := func() ([]types.Value, error) {
+		return nil, errCorruptGroupKey
+	}
+	for i, t := range ts {
+		if pos >= len(key) {
+			return fail()
+		}
+		if key[pos] == 0 {
+			vals[i] = types.NewNull(t)
+			pos++
+			continue
+		}
+		pos++
+		var width int
+		switch t {
+		case types.Boolean:
+			width = 1
+		case types.Integer:
+			width = 4
+		case types.Varchar:
+			if pos+4 > len(key) {
+				return fail()
+			}
+			width = 4 + int(binary.LittleEndian.Uint32([]byte(key[pos:pos+4])))
+		default:
+			width = 8
+		}
+		if pos+width > len(key) {
+			return fail()
+		}
+		switch t {
+		case types.Boolean:
+			vals[i] = types.NewBool(key[pos] != 0)
+		case types.Integer:
+			vals[i] = types.NewInt(int32(binary.LittleEndian.Uint32([]byte(key[pos : pos+4]))))
+		case types.BigInt:
+			vals[i] = types.NewBigInt(int64(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
+		case types.Timestamp:
+			vals[i] = types.NewTimestamp(int64(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
+		case types.Double:
+			vals[i] = types.NewDouble(math.Float64frombits(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
+		case types.Varchar:
+			vals[i] = types.NewVarchar(key[pos+4 : pos+width])
+		default:
+			return fail()
+		}
+		pos += width
+	}
+	if pos != len(key) {
+		return fail()
+	}
+	return vals, nil
+}
+
+// TestDecodeGroupKeyRoundtrip: decodeGroupKey and decodeKeyRowInto must
+// invert encodeKeyRow for every group-key type, including NULLs, empty
+// strings and NaN, and reject every truncation.
 func TestDecodeGroupKeyRoundtrip(t *testing.T) {
 	ts := []types.Type{types.Boolean, types.Integer, types.BigInt, types.Double, types.Varchar, types.Timestamp}
 	rows := [][]types.Value{
@@ -293,10 +369,18 @@ func TestDecodeGroupKeyRoundtrip(t *testing.T) {
 		if fmt.Sprint(vals) != fmt.Sprint(row) {
 			t.Fatalf("roundtrip: got %v, want %v", vals, row)
 		}
+		out := vector.NewChunk(ts)
+		out.SetLen(1)
+		if err := decodeKeyRowInto(key, out.Cols, 0); err != nil || fmt.Sprint(out.Row(0)) != fmt.Sprint(row) {
+			t.Fatalf("typed roundtrip: got %v (%v), want %v", out.Row(0), err, row)
+		}
 		// Truncations must error, not panic.
 		for cut := 0; cut < len(key); cut += 2 {
 			if _, err := decodeGroupKey(string(key[:cut]), ts); err == nil {
 				t.Fatalf("truncated key (%d bytes) decoded cleanly", cut)
+			}
+			if err := decodeKeyRowInto(key[:cut], out.Cols, 0); err == nil {
+				t.Fatalf("truncated key (%d bytes) decoded cleanly into columns", cut)
 			}
 		}
 	}

@@ -2,17 +2,35 @@ package exec
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"math"
 
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
+// canonNaNBits is the one bit pattern every NaN key is stored under.
+var canonNaNBits = math.Float64bits(math.NaN())
+
+// canonF64bits returns the key bits of a DOUBLE: the bit pattern shared
+// by every value types.CompareFloat calls equal to f, so -0 and +0 are
+// one key and every NaN payload is one key. Group keys, DISTINCT sets,
+// hash-join build and probe keys and the row engine all encode DOUBLEs
+// through it; the normalized sort keys (extsort) draw the same classes.
+func canonF64bits(f float64) uint64 {
+	switch {
+	case f != f:
+		return canonNaNBits
+	case f == 0:
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
 // encodeKeyRow appends a canonical byte encoding of row r across the
-// given vectors to buf. Equal rows encode equally; a NULL marker keeps
-// NULLs distinct from every value (group-by treats NULLs as equal to
-// each other, per SQL).
+// given vectors to buf. Rows that compare equal encode equally (DOUBLEs
+// through canonF64bits); a NULL marker keeps NULLs distinct from every
+// value (group-by treats NULLs as equal to each other, per SQL).
 func encodeKeyRow(buf []byte, vecs []*vector.Vector, r int) []byte {
 	for _, v := range vecs {
 		if v.IsNull(r) {
@@ -32,7 +50,7 @@ func encodeKeyRow(buf []byte, vecs []*vector.Vector, r int) []byte {
 		case types.BigInt, types.Timestamp:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[r]))
 		case types.Double:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[r]))
+			buf = binary.LittleEndian.AppendUint64(buf, canonF64bits(v.F64[r]))
 		case types.Varchar:
 			s := v.Str[r]
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
@@ -58,7 +76,7 @@ func encodeValueKey(buf []byte, v types.Value) []byte {
 	case types.BigInt, types.Timestamp:
 		return binary.LittleEndian.AppendUint64(buf, uint64(v.I64))
 	case types.Double:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64))
+		return binary.LittleEndian.AppendUint64(buf, canonF64bits(v.F64))
 	case types.Varchar:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str)))
 		return append(buf, v.Str...)
@@ -88,80 +106,86 @@ func decodeValueKey(key string, t types.Type) types.Value {
 	return types.NewNull(t)
 }
 
-// decodeGroupKey decodes a full group key produced by encodeKeyRow back
-// into boxed values (the spilled-aggregation merge rebuilds group
-// columns for states whose in-memory copy was evicted to disk).
-func decodeGroupKey(key string, ts []types.Type) ([]types.Value, error) {
-	vals := make([]types.Value, len(ts))
-	pos := 0
-	fail := func() ([]types.Value, error) {
-		return nil, fmt.Errorf("agg spill: corrupt group key")
+var errCorruptGroupKey = errors.New("agg spill: corrupt group key")
+
+// validValueKey reports whether key is a well-formed encodeValueKey
+// encoding of a non-NULL value of type t. DISTINCT sets read back from a
+// spilled run are checked with it before decodeValueKey ever sees them.
+func validValueKey(key []byte, t types.Type) bool {
+	if len(key) < 1 || key[0] != 1 {
+		return false
 	}
-	for i, t := range ts {
+	switch t {
+	case types.Boolean:
+		return len(key) == 2
+	case types.Integer:
+		return len(key) == 5
+	case types.BigInt, types.Timestamp, types.Double:
+		return len(key) == 9
+	case types.Varchar:
+		return len(key) >= 5 && int(binary.LittleEndian.Uint32(key[1:5])) == len(key)-5
+	}
+	return false
+}
+
+// decodeKeyRowInto decodes a group key produced by encodeKeyRow into row
+// `row` of cols (one column per key value, already long enough) without
+// boxing; the column types give the layout. Keys read back from a
+// spilled run pass through here, so every length is checked.
+func decodeKeyRowInto(key []byte, cols []*vector.Vector, row int) error {
+	pos := 0
+	for _, col := range cols {
 		if pos >= len(key) {
-			return fail()
+			return errCorruptGroupKey
 		}
 		if key[pos] == 0 {
-			vals[i] = types.NewNull(t)
+			col.SetNull(row)
 			pos++
 			continue
 		}
 		pos++
-		var width int
-		switch t {
+		rest := key[pos:]
+		switch col.Type {
 		case types.Boolean:
-			width = 1
-		case types.Integer:
-			width = 4
-		case types.Varchar:
-			if pos+4 > len(key) {
-				return fail()
+			if len(rest) < 1 {
+				return errCorruptGroupKey
 			}
-			width = 4 + int(binary.LittleEndian.Uint32([]byte(key[pos:pos+4])))
-		default:
-			width = 8
-		}
-		if pos+width > len(key) {
-			return fail()
-		}
-		switch t {
-		case types.Boolean:
-			vals[i] = types.NewBool(key[pos] != 0)
+			col.Bools[row] = rest[0] != 0
+			pos++
 		case types.Integer:
-			vals[i] = types.NewInt(int32(binary.LittleEndian.Uint32([]byte(key[pos : pos+4]))))
-		case types.BigInt:
-			vals[i] = types.NewBigInt(int64(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
-		case types.Timestamp:
-			vals[i] = types.NewTimestamp(int64(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
+			if len(rest) < 4 {
+				return errCorruptGroupKey
+			}
+			col.I32[row] = int32(binary.LittleEndian.Uint32(rest))
+			pos += 4
+		case types.BigInt, types.Timestamp:
+			if len(rest) < 8 {
+				return errCorruptGroupKey
+			}
+			col.I64[row] = int64(binary.LittleEndian.Uint64(rest))
+			pos += 8
 		case types.Double:
-			vals[i] = types.NewDouble(math.Float64frombits(binary.LittleEndian.Uint64([]byte(key[pos : pos+8]))))
+			if len(rest) < 8 {
+				return errCorruptGroupKey
+			}
+			col.F64[row] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+			pos += 8
 		case types.Varchar:
-			vals[i] = types.NewVarchar(key[pos+4 : pos+width])
+			if len(rest) < 4 {
+				return errCorruptGroupKey
+			}
+			n := int(binary.LittleEndian.Uint32(rest))
+			if n > len(rest)-4 {
+				return errCorruptGroupKey
+			}
+			col.Str[row] = string(rest[4 : 4+n])
+			pos += 4 + n
 		default:
-			return fail()
+			return errCorruptGroupKey
 		}
-		pos += width
 	}
 	if pos != len(key) {
-		return fail()
+		return errCorruptGroupKey
 	}
-	return vals, nil
-}
-
-// keyBytesEstimate estimates the per-row key size for pool accounting.
-func keyBytesEstimate(ts []types.Type) int64 {
-	var n int64
-	for _, t := range ts {
-		switch t {
-		case types.Varchar:
-			n += 24
-		case types.Boolean:
-			n += 2
-		case types.Integer:
-			n += 5
-		default:
-			n += 9
-		}
-	}
-	return n
+	return nil
 }

@@ -47,11 +47,33 @@ type OpProfile struct {
 	SpillBytes atomic.Int64
 	SpillParts atomic.Int64
 
+	// AggGroups is the number of groups an aggregation produced;
+	// AggStateBytes the peak, over the query, of what its workers' group
+	// stores held reserved together (aggStateCur is the running total).
+	AggGroups     atomic.Int64
+	AggStateBytes atomic.Int64
+	aggStateCur   atomic.Int64
+
 	// SortKeyBytes is the width of one normalized sort key of the
 	// operator's external sort; TieFallbacks counts its comparisons that
 	// tied on an encoded VARCHAR prefix and compared the full strings.
 	SortKeyBytes atomic.Int64
 	TieFallbacks atomic.Int64
+}
+
+// noteAggBytes moves the aggregation's reserved state bytes by d and
+// raises the recorded peak. A nil slot is profiling off.
+func (o *OpProfile) noteAggBytes(d int64) {
+	if o == nil {
+		return
+	}
+	cur := o.aggStateCur.Add(d)
+	for {
+		peak := o.AggStateBytes.Load()
+		if cur <= peak || o.AggStateBytes.CompareAndSwap(peak, cur) {
+			return
+		}
+	}
 }
 
 // Profiler collects one query's profile. A nil *Profiler is the "off"
@@ -211,6 +233,8 @@ type OpProfileSnap struct {
 	SelectedRows    int64            `json:"selected_rows,omitempty"`
 	SpillBytes      int64            `json:"spill_bytes,omitempty"`
 	SpillPartitions int64            `json:"spill_partitions,omitempty"`
+	AggGroups       int64            `json:"agg_groups,omitempty"`
+	AggStateBytes   int64            `json:"agg_state_bytes,omitempty"`
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
@@ -239,6 +263,8 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SelectedRows:    o.SelectedRows.Load(),
 		SpillBytes:      o.SpillBytes.Load(),
 		SpillPartitions: o.SpillParts.Load(),
+		AggGroups:       o.AggGroups.Load(),
+		AggStateBytes:   o.AggStateBytes.Load(),
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
 	}
@@ -297,6 +323,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.SpillPartitions > 0 {
 		fmt.Fprintf(sb, " spill_parts=%d", s.SpillPartitions)
+	}
+	if s.AggGroups > 0 || s.AggStateBytes > 0 {
+		fmt.Fprintf(sb, " groups=%d state_bytes=%d", s.AggGroups, s.AggStateBytes)
 	}
 	if s.SortKeyBytes > 0 {
 		fmt.Fprintf(sb, " key_bytes=%d tie_fallbacks=%d", s.SortKeyBytes, s.TieFallbacks)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -309,25 +310,46 @@ func (s *rowSort) NextRow(ctx *Context) ([]types.Value, error) {
 
 func (s *rowSort) Close(ctx *Context) { s.child.Close(ctx) }
 
-// rowAgg is the tuple-at-a-time hash aggregate. Documented divergence
-// from the vectorized engine: as the E6 ablation baseline it does not
-// enforce the memory budget and never spills — its whole point is to
-// measure the unoptimized per-row execution model, and threading the
-// partitioned spill machinery (agg_spill.go) through it would time that
-// machinery instead. Budgeted workloads belong to the vectorized engine;
-// the differential tests therefore compare the two only on unbudgeted
-// databases.
+// rowAgg is the tuple-at-a-time hash aggregate, and the oracle the
+// vectorized aggregation is differentially tested against: it shares no
+// state layout, update or finish code with it (only the logical plan and
+// the key encoding of key.go), so agreement between the two is evidence,
+// not tautology. Documented divergence: as the E6 ablation baseline it
+// does not enforce the memory budget and never spills — its whole point
+// is to measure the unoptimized per-row execution model. Budgeted
+// workloads belong to the vectorized engine; the differential tests
+// therefore compare the two only against this unbudgeted reference.
 type rowAgg struct {
 	child  RowIterator
 	node   *plan.AggNode
-	groups map[string]*aggState
+	groups map[string]*rowAggState
 	order  []string
 	pos    int
 	built  bool
 }
 
+// rowAggState is one group of the row engine: boxed key values and one
+// boxed accumulator per aggregate.
+type rowAggState struct {
+	groupKey []types.Value
+	accs     []rowAcc
+}
+
+// rowAcc is one aggregate's running state in the row engine. DOUBLE
+// sums fold left to right in arrival order (the vectorized engine folds
+// per morsel; the differential fixtures use exactly representable
+// values).
+type rowAcc struct {
+	count    int64
+	sumI     int64
+	sumF     float64
+	best     types.Value // min/max
+	bestSet  bool
+	distinct map[string]struct{} // DISTINCT: the encoded value set
+}
+
 func (a *rowAgg) Open(ctx *Context) error {
-	a.groups = make(map[string]*aggState)
+	a.groups = make(map[string]*rowAggState)
 	a.order = nil
 	a.pos = 0
 	a.built = false
@@ -350,14 +372,13 @@ func (a *rowAgg) NextRow(ctx *Context) ([]types.Value, error) {
 	out := make([]types.Value, ng+len(a.node.Aggs))
 	copy(out, st.groupKey)
 	for j, spec := range a.node.Aggs {
-		out[ng+j] = finishAgg(spec, &st.accs[j])
+		out[ng+j] = finishRowAgg(spec, &st.accs[j])
 	}
 	return out, nil
 }
 
 func (a *rowAgg) build(ctx *Context) error {
 	ng := len(a.node.GroupBy)
-	na := len(a.node.Aggs)
 	var sb strings.Builder
 	for {
 		row, err := a.child.NextRow(ctx)
@@ -374,6 +395,11 @@ func (a *rowAgg) build(ctx *Context) error {
 			if err != nil {
 				return err
 			}
+			if !v.Null && v.Type == types.Double {
+				// One group per equality class: -0 joins +0, every NaN
+				// joins one NaN (the key helper shared with key.go).
+				v.F64 = math.Float64frombits(canonF64bits(v.F64))
+			}
 			gvals[i] = v
 			if v.Null {
 				sb.WriteString("\x00N")
@@ -386,12 +412,7 @@ func (a *rowAgg) build(ctx *Context) error {
 		key := sb.String()
 		st, ok := a.groups[key]
 		if !ok {
-			st = &aggState{groupKey: gvals, accs: make([]accumulator, na)}
-			for j, spec := range a.node.Aggs {
-				if spec.Distinct {
-					st.accs[j].distinct = make(map[string]struct{})
-				}
-			}
+			st = a.newState(gvals)
 			a.groups[key] = st
 			a.order = append(a.order, key)
 		}
@@ -402,14 +423,23 @@ func (a *rowAgg) build(ctx *Context) error {
 		}
 	}
 	if ng == 0 && len(a.order) == 0 {
-		st := &aggState{accs: make([]accumulator, na)}
-		a.groups[""] = st
+		a.groups[""] = a.newState(nil)
 		a.order = append(a.order, "")
 	}
 	return nil
 }
 
-func updateAggRow(spec plan.AggSpec, acc *accumulator, row []types.Value) error {
+func (a *rowAgg) newState(groupKey []types.Value) *rowAggState {
+	st := &rowAggState{groupKey: groupKey, accs: make([]rowAcc, len(a.node.Aggs))}
+	for j, spec := range a.node.Aggs {
+		if spec.Distinct {
+			st.accs[j].distinct = make(map[string]struct{})
+		}
+	}
+	return st
+}
+
+func updateAggRow(spec plan.AggSpec, acc *rowAcc, row []types.Value) error {
 	if spec.Arg == nil {
 		acc.count++
 		return nil
@@ -422,8 +452,6 @@ func updateAggRow(spec plan.AggSpec, acc *accumulator, row []types.Value) error 
 		return nil
 	}
 	if acc.distinct != nil {
-		// Same encoded-set representation as the vectorized engine; the
-		// shared finishAgg folds it deterministically.
 		acc.distinct[string(encodeValueKey(nil, v))] = struct{}{}
 		return nil
 	}
@@ -448,6 +476,78 @@ func updateAggRow(spec plan.AggSpec, acc *accumulator, row []types.Value) error 
 		}
 	}
 	return nil
+}
+
+func finishRowAgg(spec plan.AggSpec, acc *rowAcc) types.Value {
+	if acc.distinct != nil {
+		return finishRowDistinct(spec, acc.distinct)
+	}
+	switch spec.Func {
+	case "count":
+		return types.NewBigInt(acc.count)
+	case "sum":
+		if acc.count == 0 {
+			return types.NewNull(spec.Type)
+		}
+		if spec.Type == types.Double {
+			return types.NewDouble(acc.sumF)
+		}
+		return types.NewBigInt(acc.sumI)
+	case "avg":
+		if acc.count == 0 {
+			return types.NewNull(types.Double)
+		}
+		total := acc.sumF
+		if spec.Arg.Type() != types.Double {
+			total = float64(acc.sumI)
+		}
+		return types.NewDouble(total / float64(acc.count))
+	case "min", "max":
+		if !acc.bestSet {
+			return types.NewNull(spec.Type)
+		}
+		return acc.best
+	default:
+		return types.NewNull(spec.Type)
+	}
+}
+
+// finishRowDistinct folds a DISTINCT aggregate's value set, walking the
+// encoded values in sorted order so a DOUBLE sum does not depend on map
+// iteration.
+func finishRowDistinct(spec plan.AggSpec, set map[string]struct{}) types.Value {
+	if spec.Func == "count" {
+		return types.NewBigInt(int64(len(set)))
+	}
+	if len(set) == 0 {
+		return types.NewNull(spec.Type)
+	}
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	argType := spec.Arg.Type()
+	acc := rowAcc{}
+	for _, k := range keys {
+		v := decodeValueKey(k, argType)
+		acc.count++
+		switch {
+		case spec.Func == "min" || spec.Func == "max":
+			if acc.bestSet {
+				c := types.Compare(v, acc.best)
+				if (spec.Func == "max" && c <= 0) || (spec.Func == "min" && c >= 0) {
+					continue
+				}
+			}
+			acc.best, acc.bestSet = v, true
+		case argType == types.Double:
+			acc.sumF += v.F64
+		default:
+			acc.sumI += v.AsInt()
+		}
+	}
+	return finishRowAgg(spec, &acc)
 }
 
 func (a *rowAgg) Close(ctx *Context) {

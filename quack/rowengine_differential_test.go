@@ -14,17 +14,18 @@ import (
 // comparing it with itself at another thread count only proves that the
 // two drivers agree. The independent oracle is the tuple-at-a-time row
 // engine (internal/exec/rowengine.go): different scan loop, different
-// expression interpreter, different aggregate and sort code, sharing
-// only the logical plan and the final aggregate fold. This suite
+// expression interpreter, different aggregate state, update, finish and
+// sort code, sharing only the logical plan and the DISTINCT value
+// encoding. This suite
 // generates queries over the core both engines support — filter,
 // project, GROUP BY with count/sum/min/max/avg, ORDER BY, LIMIT — and
 // requires the same rows in the same order.
 
 // rowEngineDB builds the fixture: NULLs in every nullable column, a
-// DOUBLE column with NaN, duplicate-heavy keys. DOUBLE values are
-// multiples of 0.25 of bounded size, so every sum is exact and does not
-// depend on the reduction order (the row engine folds left to right,
-// the vectorized engine per morsel).
+// DOUBLE column with NaN (two payloads), duplicate-heavy keys. DOUBLE
+// values are multiples of 0.25 of bounded size, so every sum is exact
+// and does not depend on the reduction order (the row engine folds left
+// to right, the vectorized engine per morsel).
 func rowEngineDB(t *testing.T, threads int, budget string) *quack.DB {
 	t.Helper()
 	db, err := quack.Open(":memory:", quack.WithThreads(threads))
@@ -50,6 +51,9 @@ func rowEngineDB(t *testing.T, threads int, budget string) *quack.DB {
 		case k == 0:
 		case k == 1:
 			d = math.NaN()
+			if i%2 == 0 {
+				d = math.Float64frombits(0x7ff8000000000dea) // another NaN, the same group
+			}
 		default:
 			d = float64(rng.Intn(4001)-2000) * 0.25
 		}
@@ -138,7 +142,12 @@ func rowEngineQueries(rng *rand.Rand, n int) []string {
 			out = append(out, "SELECT "+strings.Join(proj, ", ")+" FROM r"+where()+order("a", "d", "s", "b")+limit(1500, 400))
 			continue
 		}
-		keys := [][]string{{"a"}, {"b"}, {"s"}, {"b", "s"}, {"a % 5"}, {"d"}}[rng.Intn(6)]
+		// Group keys: NULL-able BIGINT/INTEGER/VARCHAR/DOUBLE columns (d
+		// carries NaN under two payloads: one group), computed keys, and
+		// two-column keys mixing fixed-width and VARCHAR parts.
+		keySets := [][]string{{"a"}, {"b"}, {"s"}, {"b", "s"}, {"a % 5"}, {"d"},
+			{"d", "b"}, {"a", "s"}, {"d * 0.5"}, {"s", "d"}, {"b", "a % 3"}}
+		keys := keySets[rng.Intn(len(keySets))]
 		aggs := []string{"count(*)"}
 		for _, f := range []string{"count", "sum", "min", "max", "avg"} {
 			if rng.Intn(2) == 0 {
