@@ -9,12 +9,12 @@
 //	quack-bench -exp all -scale 0.1   # quicker, smaller datasets
 //	quack-bench -exp scaling -threads 16   # sweep 1,2,4,8,16 workers
 //	quack-bench -exp scaling -json scaling.json   # CI bench artifact
-//	quack-bench -exp scaling -baseline BENCH_BASELINE.json   # CI bench gate
 //	quack-bench -exp serve -sessions 16   # multi-session sweep 1,4,16
 //
 // -json merges into the target file section by section (the scaling
 // sweep owns points/selective_filter, the serve sweep owns serve), so
-// sequential invocations build one BENCH_BASELINE.json.
+// sequential invocations build one artifact. The sweeps are reports:
+// performance is gated by BENCHMARK.json (benchmark/), nothing here.
 package main
 
 import (
@@ -34,11 +34,9 @@ func main() {
 	threads := flag.Int("threads", 8, "maximum worker count for the scaling sweep (powers of two up to this)")
 	sessions := flag.Int("sessions", 16, "maximum session count for the serve sweep (1, 4, ... up to this)")
 	jsonPath := flag.String("json", "", "merge this run's sweep sections as JSON into this path (CI bench trajectory)")
-	baseline := flag.String("baseline", "", "compare the sweeps against this committed JSON and fail on regression (CI bench gate)")
-	tolerance := flag.Float64("tolerance", 0.30, "allowed slowdown vs the baseline before the gate fails (0.30 = +30%)")
 	flag.Parse()
 
-	if err := run(*exp, bench.Scale(*scale), *threads, *sessions, *jsonPath, *baseline, *tolerance); err != nil {
+	if err := run(*exp, bench.Scale(*scale), *threads, *sessions, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "quack-bench:", err)
 		os.Exit(1)
 	}
@@ -70,7 +68,7 @@ func sessionSweep(maxSessions int) []int {
 	return append(out, maxSessions)
 }
 
-func run(exp string, scale bench.Scale, threads, sessions int, jsonPath, baseline string, tolerance float64) error {
+func run(exp string, scale bench.Scale, threads, sessions int, jsonPath string) error {
 	w := os.Stdout
 	sep := func() {
 		fmt.Fprintln(w, "\n"+string(make([]byte, 0))+"----------------------------------------------------------------")
@@ -171,23 +169,14 @@ func run(exp string, scale bench.Scale, threads, sessions int, jsonPath, baselin
 			if err != nil {
 				return err
 			}
-			// Write the trajectory artifact BEFORE gating: a failed gate
-			// is exactly when the fresh numbers are needed for debugging.
-			if jsonPath != "" {
-				if err := mergeBenchFile(w, jsonPath, func(f *benchFile) {
-					f.Rows = rows
-					f.Points = points
-					f.Selective = selective
-				}); err != nil {
-					return err
-				}
+			if jsonPath == "" {
+				return nil
 			}
-			if baseline != "" {
-				if err := gateScaling(w, baseline, points, selective, tolerance); err != nil {
-					return err
-				}
-			}
-			return nil
+			return mergeBenchFile(w, jsonPath, func(f *benchFile) {
+				f.Rows = rows
+				f.Points = points
+				f.Selective = selective
+			})
 		}},
 		{"serve", func() error {
 			rows := int(500_000 * float64(scale))
@@ -198,21 +187,14 @@ func run(exp string, scale bench.Scale, threads, sessions int, jsonPath, baselin
 			if err != nil {
 				return err
 			}
-			if jsonPath != "" {
-				if err := mergeBenchFile(w, jsonPath, func(f *benchFile) {
-					f.ServeRows = rows
-					f.Serve = serve
-					f.ServeMetrics = serveMetrics
-				}); err != nil {
-					return err
-				}
+			if jsonPath == "" {
+				return nil
 			}
-			if baseline != "" {
-				if err := gateServe(w, baseline, serve, tolerance); err != nil {
-					return err
-				}
-			}
-			return nil
+			return mergeBenchFile(w, jsonPath, func(f *benchFile) {
+				f.ServeRows = rows
+				f.Serve = serve
+				f.ServeMetrics = serveMetrics
+			})
 		}},
 	}
 
@@ -234,11 +216,10 @@ func run(exp string, scale bench.Scale, threads, sessions int, jsonPath, baselin
 	return nil
 }
 
-// benchFile is the JSON shape of both the uploaded trajectory artifact
-// and the committed BENCH_BASELINE.json. The scaling sweep owns
-// rows/points/selective_filter; the serve sweep owns serve_rows/serve;
-// mergeBenchFile lets either run refresh its sections without clobbering
-// the other's.
+// benchFile is the JSON shape of the uploaded trajectory artifact. The
+// scaling sweep owns rows/points/selective_filter; the serve sweep owns
+// serve_rows/serve; mergeBenchFile lets either run refresh its sections
+// without clobbering the other's.
 type benchFile struct {
 	Experiment string                   `json:"experiment"`
 	Rows       int                      `json:"rows,omitempty"`
@@ -247,13 +228,12 @@ type benchFile struct {
 	ServeRows  int                      `json:"serve_rows,omitempty"`
 	Serve      []bench.ServePoint       `json:"serve,omitempty"`
 	// ServeMetrics is the engine's metrics-registry snapshot after the
-	// serve sweep — recorded in the artifact, never gated (counters move
-	// with machine and scale).
+	// serve sweep (counters move with machine and scale).
 	ServeMetrics map[string]int64 `json:"serve_metrics,omitempty"`
 }
 
-// readBenchFile loads the artifact/baseline; a missing file is an empty
-// one (the first sweep to run creates it).
+// readBenchFile loads the artifact; a missing file is an empty one (the
+// first sweep to run creates it).
 func readBenchFile(path string) (benchFile, error) {
 	var f benchFile
 	data, err := os.ReadFile(path)
@@ -287,42 +267,4 @@ func mergeBenchFile(w io.Writer, path string, update func(*benchFile)) error {
 	}
 	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
-}
-
-// gateScaling compares the fresh sweep against the committed baseline
-// and errors on any workload regressing past the tolerance. CI runners
-// are not identical machines, so the tolerance is deliberately coarse —
-// the gate catches the step-function regressions (a workload falling
-// off its fast path), not single-digit noise. Label a PR skip-bench-gate
-// for intentional slowdowns and refresh the baseline in the same change.
-func gateScaling(w io.Writer, path string, fresh []bench.ScalingPoint, freshSel []bench.SelectivityPoint, tolerance float64) error {
-	base, err := readBenchFile(path)
-	if err != nil {
-		return fmt.Errorf("bench gate: %w", err)
-	}
-	regressions := bench.CompareScaling(base.Points, fresh, tolerance)
-	regressions = append(regressions, bench.CompareSelective(base.Selective, freshSel, tolerance)...)
-	return reportGate(w, path, regressions, tolerance)
-}
-
-// gateServe compares the fresh serve sweep's throughput per session
-// count against the committed baseline, same tolerance discipline as
-// the scaling gate.
-func gateServe(w io.Writer, path string, fresh []bench.ServePoint, tolerance float64) error {
-	base, err := readBenchFile(path)
-	if err != nil {
-		return fmt.Errorf("bench gate: %w", err)
-	}
-	return reportGate(w, path, bench.CompareServe(base.Serve, fresh, tolerance), tolerance)
-}
-
-func reportGate(w io.Writer, path string, regressions []string, tolerance float64) error {
-	if len(regressions) == 0 {
-		fmt.Fprintf(w, "bench gate: all workloads within +%.0f%% of %s\n", tolerance*100, path)
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(w, "bench gate REGRESSION:", r)
-	}
-	return fmt.Errorf("bench gate: %d workload(s) regressed past +%.0f%% vs %s", len(regressions), tolerance*100, path)
 }

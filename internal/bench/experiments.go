@@ -10,10 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adaptive"
-	"repro/internal/ancode"
+	"repro/internal/bench/ancode"
 	"repro/internal/compress"
 	"repro/internal/faults"
+	"repro/internal/oracle"
 	"repro/quack"
 )
 
@@ -52,8 +52,8 @@ func Figure1(w io.Writer, values int) error {
 		}
 	}
 	const totalRAM = 1 << 30
-	profile := adaptive.RampProfile(totalRAM/10, totalRAM*9/10, 4, 8, 6)
-	points, err := adaptive.SimulateFigure1(adaptive.Figure1Config{
+	profile := RampProfile(totalRAM/10, totalRAM*9/10, 4, 8, 6)
+	points, err := SimulateFigure1(Figure1Config{
 		TotalRAM:   totalRAM,
 		Values:     data,
 		AppProfile: profile,
@@ -350,7 +350,7 @@ func Engine(w io.Writer, rows int) (EngineResult, error) {
 	vecDur := time.Since(start)
 
 	start = time.Now()
-	rowRows, err := db.Internal().NewSession().ExecuteRowEngine(q)
+	rowRows, err := oracle.Query(db.Internal(), q)
 	if err != nil {
 		return EngineResult{}, err
 	}

@@ -26,18 +26,6 @@ type ScalingPoint struct {
 	AggBudgetSpeedup float64       `json:"agg_budget_speedup"`
 }
 
-// Durations returns the point's workload durations keyed by the names
-// the bench gate reports.
-func (p ScalingPoint) Durations() map[string]time.Duration {
-	return map[string]time.Duration{
-		"scan":       p.ScanDur,
-		"agg":        p.AggDur,
-		"sort":       p.SortDur,
-		"window":     p.WindowDur,
-		"agg_budget": p.AggBudgetDur,
-	}
-}
-
 // scalingScanQuery is scan-and-filter bound with a tiny result: it
 // measures the parallel pipeline itself, not result materialization.
 const scalingScanQuery = "SELECT id, qty, price FROM t WHERE qty > 98 AND price < 10.0"
@@ -226,46 +214,4 @@ func Scaling(w io.Writer, rows int, threadCounts []int) ([]ScalingPoint, error) 
 		}
 	}
 	return out, nil
-}
-
-// CompareScaling gates the bench trajectory: it compares each
-// workload's best duration across the sweeps and reports a regression
-// line for every workload whose fresh best is more than tolerance
-// (e.g. 0.30 = +30%) slower than the committed baseline's. Workloads
-// absent from the baseline (newly added) pass.
-func CompareScaling(baseline, fresh []ScalingPoint, tolerance float64) []string {
-	best := func(points []ScalingPoint) map[string]time.Duration {
-		out := map[string]time.Duration{}
-		for _, p := range points {
-			for name, d := range p.Durations() {
-				if d <= 0 {
-					continue
-				}
-				if cur, ok := out[name]; !ok || d < cur {
-					out[name] = d
-				}
-			}
-		}
-		return out
-	}
-	baseBest, freshBest := best(baseline), best(fresh)
-	var regressions []string
-	for _, name := range []string{"scan", "agg", "sort", "window", "agg_budget"} {
-		b, ok := baseBest[name]
-		if !ok {
-			continue
-		}
-		f, ok := freshBest[name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: missing from the fresh sweep (baseline best %v)", name, b))
-			continue
-		}
-		if float64(f) > float64(b)*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: best %v vs baseline %v (+%.0f%%, tolerance +%.0f%%)",
-				name, f.Round(time.Microsecond), b.Round(time.Microsecond),
-				(float64(f)/float64(b)-1)*100, tolerance*100))
-		}
-	}
-	return regressions
 }

@@ -155,32 +155,3 @@ func Serve(w io.Writer, rows int, threads int, sessionCounts []int) ([]ServePoin
 	}
 	return out, metrics, nil
 }
-
-// CompareServe gates the serve trajectory on throughput only: a session
-// count regresses when its fresh QPS falls more than tolerance below
-// the committed baseline's. Latency percentiles are reported but not
-// gated — on shared CI runners tail latency is far noisier than
-// aggregate throughput. Session counts absent from the baseline pass.
-func CompareServe(baseline, fresh []ServePoint, tolerance float64) []string {
-	freshBy := map[int]ServePoint{}
-	for _, p := range fresh {
-		freshBy[p.Sessions] = p
-	}
-	var regressions []string
-	for _, b := range baseline {
-		if b.QPS <= 0 {
-			continue
-		}
-		f, ok := freshBy[b.Sessions]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("serve/%d-sessions: missing from the fresh sweep (baseline %.1f qps)", b.Sessions, b.QPS))
-			continue
-		}
-		if f.QPS < b.QPS*(1-tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"serve/%d-sessions: %.1f qps vs baseline %.1f (-%.0f%%, tolerance -%.0f%%)",
-				b.Sessions, f.QPS, b.QPS, (1-f.QPS/b.QPS)*100, tolerance*100))
-		}
-	}
-	return regressions
-}

@@ -1,8 +1,11 @@
 // Package bench implements the paper's experiments (E1-E10, indexed in
 // docs/ARCHITECTURE.md): workload generators, parameter sweeps,
 // baselines and harnesses that print the same rows/series the paper's
-// Table 1, Figure 1 and quantified claims report. cmd/quack-bench exposes each experiment as a
-// CLI mode; bench_test.go wraps them as testing.B benchmarks.
+// Table 1, Figure 1 and quantified claims report. cmd/quack-bench exposes
+// each experiment as a CLI mode. The Figure 1 simulation (figure1.go)
+// and AN-code hardening (ancode/) live here, beside the experiments that
+// are their only callers; nothing the quack package links imports this
+// tree.
 package bench
 
 import (

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -17,8 +15,7 @@ import (
 // the same clustered-range query timed with segment skipping on and off
 // at one selectivity, plus the cold-file encoded-execution legs (filter
 // kernels over the compressed segments vs. full decode). The JSON shape
-// rides in the CI bench artifact and BENCH_BASELINE.json next to the
-// scaling points.
+// rides in the CI bench artifact next to the scaling points.
 type SelectivityPoint struct {
 	Label           string        `json:"label"`
 	Selectivity     float64       `json:"selectivity"`
@@ -36,17 +33,6 @@ type SelectivityPoint struct {
 	EncOffDur       time.Duration `json:"enc_off_ns,omitempty"`
 	EncImprovement  float64       `json:"enc_improvement,omitempty"` // enc_off / enc_on
 	SegmentsEncoded int64         `json:"segments_encoded,omitempty"`
-}
-
-// Durations returns the point's gated durations keyed by the names the
-// bench gate reports (the zone-on and encoded-on paths are gated; the
-// off legs exist to report the improvement, not to be protected).
-func (p SelectivityPoint) Durations() map[string]time.Duration {
-	out := map[string]time.Duration{"filter_" + p.Label: p.ZoneOnDur}
-	if p.EncOnDur > 0 {
-		out["filter_enc_"+p.Label] = p.EncOnDur
-	}
-	return out
 }
 
 // zoneMapSelectivities are the swept filter selectivities: the paper's
@@ -98,14 +84,6 @@ func timeQuery(db *quack.DB, q string) (time.Duration, error) {
 	return best, nil
 }
 
-func counter(db *quack.DB, name string) (int64, error) {
-	s, err := render(db, "PRAGMA "+name)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(strings.Trim(strings.TrimSpace(s), "[]"), 10, 64)
-}
-
 // selQuery centers the clustered range so both tails are refutable.
 func selQuery(rows int, frac float64) string {
 	n := int64(float64(rows) * frac)
@@ -151,49 +129,26 @@ func ZoneMapFilter(w io.Writer, rows, threads int) ([]SelectivityPoint, error) {
 		return nil, err
 	}
 
-	setZoneMaps := func(on int) error {
-		_, err := db.Exec(fmt.Sprintf("PRAGMA zone_maps=%d", on))
-		return err
-	}
-
 	var out []SelectivityPoint
 	for _, sel := range zoneMapSelectivities {
 		q := selQuery(rows, sel.frac)
 
-		if err := setZoneMaps(1); err != nil {
-			return nil, err
-		}
+		db.Internal().SetZoneMaps(true)
 		wantOn, err := render(db, q)
 		if err != nil {
 			return nil, err
 		}
-		skippedBefore, err := counter(db, "segments_skipped")
-		if err != nil {
-			return nil, err
-		}
-		scannedBefore, err := counter(db, "segments_scanned")
-		if err != nil {
-			return nil, err
-		}
+		before := db.Metrics()
 		if _, err := render(db, q); err != nil { // one counted pass
 			return nil, err
 		}
-		skipped, err := counter(db, "segments_skipped")
-		if err != nil {
-			return nil, err
-		}
-		scanned, err := counter(db, "segments_scanned")
-		if err != nil {
-			return nil, err
-		}
+		after := db.Metrics()
 		onDur, err := timeQuery(db, q)
 		if err != nil {
 			return nil, err
 		}
 
-		if err := setZoneMaps(0); err != nil {
-			return nil, err
-		}
+		db.Internal().SetZoneMaps(false)
 		wantOff, err := render(db, q)
 		if err != nil {
 			return nil, err
@@ -205,9 +160,7 @@ func ZoneMapFilter(w io.Writer, rows, threads int) ([]SelectivityPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := setZoneMaps(1); err != nil {
-			return nil, err
-		}
+		db.Internal().SetZoneMaps(true)
 
 		out = append(out, SelectivityPoint{
 			Label:           sel.label,
@@ -215,8 +168,8 @@ func ZoneMapFilter(w io.Writer, rows, threads int) ([]SelectivityPoint, error) {
 			ZoneOnDur:       onDur,
 			ZoneOffDur:      offDur,
 			Improvement:     float64(offDur) / float64(onDur),
-			SegmentsSkipped: skipped - skippedBefore,
-			SegmentsScanned: scanned - scannedBefore,
+			SegmentsSkipped: after["scan_segments_skipped_total"] - before["scan_segments_skipped_total"],
+			SegmentsScanned: after["scan_segments_scanned_total"] - before["scan_segments_scanned_total"],
 		})
 	}
 
@@ -276,14 +229,8 @@ func encodedFilterSweep(points []SelectivityPoint, rows, threads int) error {
 		if err != nil {
 			return err
 		}
-		if _, err := db.Exec("PRAGMA zone_maps=1"); err != nil {
-			db.Close()
-			return err
-		}
-		if _, err := db.Exec("PRAGMA encoded_exec=1"); err != nil {
-			db.Close()
-			return err
-		}
+		db.Internal().SetZoneMaps(true)
+		db.Internal().SetEncodedExec(true)
 		// First pass loads the column chains (and is the counted pass);
 		// the timed passes then run over resident compressed payloads.
 		wantOn, err := render(db, q)
@@ -291,21 +238,14 @@ func encodedFilterSweep(points []SelectivityPoint, rows, threads int) error {
 			db.Close()
 			return err
 		}
-		encoded, err := counter(db, "segments_encoded")
-		if err != nil {
-			db.Close()
-			return err
-		}
+		encoded := db.Metrics()["scan_segments_encoded_total"]
 		encOn, err := timeQuery(db, q)
 		if err != nil {
 			db.Close()
 			return err
 		}
 
-		if _, err := db.Exec("PRAGMA encoded_exec=0"); err != nil {
-			db.Close()
-			return err
-		}
+		db.Internal().SetEncodedExec(false)
 		wantOff, err := render(db, q) // decodes and installs the survivors
 		if err != nil {
 			db.Close()
@@ -328,49 +268,4 @@ func encodedFilterSweep(points []SelectivityPoint, rows, threads int) error {
 		points[i].SegmentsEncoded = encoded
 	}
 	return nil
-}
-
-// CompareSelective gates the zone-on and encoded-on filter durations
-// like CompareScaling gates the scaling workloads: a regression line for
-// every selectivity whose fresh gated duration is more than tolerance
-// slower than the committed baseline's. Labels absent from the baseline
-// (newly added) pass; the off columns are informational and ungated.
-func CompareSelective(baseline, fresh []SelectivityPoint, tolerance float64) []string {
-	base := map[string]time.Duration{}
-	for _, p := range baseline {
-		for k, d := range p.Durations() {
-			if d > 0 {
-				base[k] = d
-			}
-		}
-	}
-	freshDur := map[string]time.Duration{}
-	for _, p := range fresh {
-		for k, d := range p.Durations() {
-			if d > 0 {
-				freshDur[k] = d
-			}
-		}
-	}
-	var regressions []string
-	labels := make([]string, 0, len(base))
-	for label := range base {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		b := base[label]
-		f, ok := freshDur[label]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: missing from the fresh sweep", label))
-			continue
-		}
-		if float64(f) > float64(b)*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %v vs baseline %v (+%.0f%%, tolerance +%.0f%%)",
-				label, f.Round(time.Microsecond), b.Round(time.Microsecond),
-				(float64(f)/float64(b)-1)*100, tolerance*100))
-		}
-	}
-	return regressions
 }

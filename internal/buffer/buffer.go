@@ -109,6 +109,13 @@ func (p *Pool) EnableMemTest(on bool) {
 	p.mu.Unlock()
 }
 
+// MemTestEnabled reports whether allocations are memory-tested.
+func (p *Pool) MemTestEnabled() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.testAlloc
+}
+
 // Tester exposes the memory tester (for fault-injection hooks and stats).
 func (p *Pool) Tester() *memtest.Tester { return p.tester }
 

@@ -87,12 +87,12 @@ type Database struct {
 	encExecOff  atomic.Bool  // disables encoded execution over compressed segments
 	closed      atomic.Bool
 
-	// execStats collects engine-level counters (surfaced via PRAGMA).
+	// execStats collects engine-level counters (registered in metrics).
 	execStats exec.Stats
 
 	// metrics is the engine-wide registry; every subsystem counter above
 	// and beside it is registered there at open, so one snapshot reads
-	// the whole engine. The legacy PRAGMA counters read through it.
+	// the whole engine.
 	metrics      *obs.Registry
 	decodeBytes  *obs.ShardedCounter // segment bytes decompressed by scans
 	checkpointNs *obs.Histogram
@@ -181,9 +181,8 @@ func Open(cfg Config) (*Database, error) {
 }
 
 // initMetrics builds the engine-wide registry and hooks every
-// subsystem into it. Counters that predate the registry (exec.Stats
-// atomics, pool gauges) are bridged rather than moved, so the legacy
-// PRAGMA readbacks and the registry report the same cells.
+// subsystem into it: PRAGMA metrics and DB.Metrics are the one read
+// surface for engine counters.
 func (db *Database) initMetrics() {
 	m := obs.NewRegistry()
 	db.metrics = m
@@ -244,12 +243,6 @@ func (db *Database) MetricsMap() map[string]int64 { return db.metrics.SnapshotMa
 
 // MetricsText writes the registry in "name value\n" text exposition.
 func (db *Database) MetricsText(w io.Writer) error { return db.metrics.WriteText(w) }
-
-// metricValue reads one registry cell (PRAGMA readbacks).
-func (db *Database) metricValue(name string) int64 {
-	v, _ := db.metrics.Get(name)
-	return v
-}
 
 // closeFiles releases the store and WAL on Open error paths; the
 // original error takes precedence, so close errors are discarded
@@ -321,7 +314,9 @@ func defaultThreads() int {
 // baseline.
 func (db *Database) ZoneMapsEnabled() bool { return !db.zoneMapsOff.Load() }
 
-// SetZoneMaps toggles zone-map segment skipping (PRAGMA zone_maps).
+// SetZoneMaps toggles zone-map segment skipping at runtime: the hook the
+// differential tests and the selectivity sweep flip. It is not user
+// surface; QUACK_DISABLE_ZONEMAPS sets the default at Open.
 func (db *Database) SetZoneMaps(on bool) { db.zoneMapsOff.Store(!on) }
 
 // defaultZoneMapsDisabled resolves the QUACK_DISABLE_ZONEMAPS
@@ -340,7 +335,8 @@ func defaultZoneMapsDisabled() bool {
 // results are byte-identical either way.
 func (db *Database) EncodedExecEnabled() bool { return !db.encExecOff.Load() }
 
-// SetEncodedExec toggles encoded execution (PRAGMA encoded_exec).
+// SetEncodedExec toggles encoded execution at runtime (tests and the
+// selectivity sweep, like SetZoneMaps).
 func (db *Database) SetEncodedExec(on bool) { db.encExecOff.Store(!on) }
 
 // defaultEncodedExecDisabled resolves the QUACK_DISABLE_ENCODED_EXEC

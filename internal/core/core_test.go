@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -267,7 +268,7 @@ func TestRowEngineMatchesVectorized(t *testing.T) {
 	execSQL(t, db, "INSERT INTO t VALUES "+insert)
 	const q = "SELECT g, count(*), sum(v) FROM t WHERE v % 3 = 0 GROUP BY g ORDER BY g"
 	vecRows := queryStrings(t, db, q)
-	rowRows, err := db.NewSession().ExecuteRowEngine(q)
+	rowRows, err := oracle.Query(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestRowEngineMatchesVectorizedNaN(t *testing.T) {
 		"SELECT min(d), max(d) FROM t",
 	} {
 		vecRows := queryStrings(t, db, q)
-		rowRows, err := db.NewSession().ExecuteRowEngine(q)
+		rowRows, err := oracle.Query(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -430,42 +430,6 @@ func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Resul
 	return res, nil
 }
 
-// ExecuteRowEngine runs a SELECT through the tuple-at-a-time Volcano
-// baseline engine instead of the vectorized one — the ablation of
-// experiment E6. It returns the materialized rows as boxed values.
-func (s *Session) ExecuteRowEngine(sqlText string, params ...types.Value) ([][]types.Value, error) {
-	stmt, err := sql.ParseOne(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("row engine supports SELECT only")
-	}
-	binder := &plan.Binder{Cat: s.db.cat, Params: params}
-	node, err := binder.BindSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	node = plan.Optimize(node)
-	it, err := exec.BuildRows(node)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]types.Value
-	runIt := func(tx *txn.Transaction) (*Result, error) {
-		err := exec.RunRows(s.execContext(tx), it, func(row []types.Value) error {
-			out = append(out, row)
-			return nil
-		})
-		return &Result{}, err
-	}
-	if _, err := s.inTxn(runIt); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func (s *Session) createTable(st *sql.CreateTableStmt, binder *plan.Binder, tx *txn.Transaction) (*Result, error) {
 	s.db.ddlMu.Lock()
 	defer s.db.ddlMu.Unlock()
@@ -695,7 +659,7 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 	// sorted state runs and merge back at finish — at full parallelism.
 	if lim := s.db.pool.Limit(); lim > 0 && exec.HasAggregate(node) {
 		out.AppendRow(types.NewVarchar(
-			"NOTE: aggregation spills partition-wise under memory_limit (see PRAGMA agg_spill_partitions)"))
+			"NOTE: aggregation spills partition-wise under memory_limit (see agg_spill_partitions_total in PRAGMA metrics)"))
 		// Surface the budget floor: states touched by in-flight morsels
 		// cannot spill, so a tight budget admits fewer accumulation
 		// workers instead of hard-failing the reservation.
@@ -765,6 +729,12 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 		out := vector.NewChunk([]types.Type{types.Varchar})
 		out.AppendRow(types.NewVarchar(val))
 		return &Result{Columns: []string{st.Name}, Types: []types.Type{types.Varchar}, Chunks: []*vector.Chunk{out}, HasRows: true}
+	}
+	boolback := func(on bool) *Result {
+		if on {
+			return readback("1")
+		}
+		return readback("0")
 	}
 	var strVal string
 	var intVal int64
@@ -849,84 +819,25 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 		return &Result{}, nil
 	case "memtest":
 		if !hasVal {
-			return readback("configured at open"), nil
+			return boolback(s.db.pool.MemTestEnabled()), nil
 		}
 		s.db.pool.EnableMemTest(intVal != 0 || strings.EqualFold(strVal, "true"))
 		return &Result{}, nil
 	case "checksum_verification":
 		if !hasVal {
-			return readback("configured at open"), nil
+			return boolback(s.db.store.ChecksumsEnabled()), nil
 		}
 		s.db.store.SetChecksums(intVal != 0 || strings.EqualFold(strVal, "true"))
 		return &Result{}, nil
 	case "database_size":
 		read, written := s.db.store.Stats()
 		return readback(fmt.Sprintf("blocks read %d, written %d, free %d", read, written, s.db.store.FreeCount())), nil
-	case "wal_size":
-		return readback(strconv.FormatInt(s.db.WALSize(), 10)), nil
-	case "memory_used":
-		return readback(strconv.FormatInt(s.db.pool.Used(), 10)), nil
-	case "zone_maps":
-		// Zone-map segment skipping: 1 (on, the default) or 0. Results are
-		// identical either way; the differential harness runs both.
-		if !hasVal {
-			if s.db.ZoneMapsEnabled() {
-				return readback("1"), nil
-			}
-			return readback("0"), nil
-		}
-		s.db.SetZoneMaps(intVal != 0 || strings.EqualFold(strVal, "true"))
-		return &Result{}, nil
-	case "encoded_exec":
-		// Encoded execution: pushed filters evaluated directly over
-		// compressed segments, decoding only the selected rows. 1 (on,
-		// the default) or 0; results are byte-identical either way.
-		if !hasVal {
-			if s.db.EncodedExecEnabled() {
-				return readback("1"), nil
-			}
-			return readback("0"), nil
-		}
-		s.db.SetEncodedExec(intVal != 0 || strings.EqualFold(strVal, "true"))
-		return &Result{}, nil
-	case "segments_scanned":
-		// Table-scan segments materialized since open. Reads the registry
-		// cell bridging the same atomic scans increment, so PRAGMA and
-		// PRAGMA metrics can never disagree.
-		return readback(strconv.FormatInt(s.db.metricValue("scan_segments_scanned_total"), 10)), nil
-	case "segments_skipped":
-		// Table-scan segments refuted by zone maps (or their compressed
-		// payloads) without being touched.
-		return readback(strconv.FormatInt(s.db.metricValue("scan_segments_skipped_total"), 10)), nil
-	case "segments_encoded":
-		// Scanned segments whose pushed filters executed over the
-		// compressed payloads (late materialization); a subset of
-		// segments_scanned.
-		return readback(strconv.FormatInt(s.db.metricValue("scan_segments_encoded_total"), 10)), nil
-	case "rows_encoded_selected":
-		// Rows those encoded-executed segments selected and gathered
-		// instead of decoding their segments fully.
-		return readback(strconv.FormatInt(s.db.metricValue("scan_rows_encoded_selected_total"), 10)), nil
-	case "agg_spill_partitions":
-		// Aggregation partition-spill events under memory_limit (each is
-		// one partition's states written to a sorted state run).
-		return readback(strconv.FormatInt(s.db.metricValue("agg_spill_partitions_total"), 10)), nil
-	case "agg_spilled_bytes":
-		// Total bytes written to aggregation state runs.
-		return readback(strconv.FormatInt(s.db.metricValue("agg_spill_bytes_total"), 10)), nil
-	case "sort_spilled_bytes":
-		// Total bytes external sorts (ORDER BY, window partitioning)
-		// wrote to spill runs.
-		return readback(strconv.FormatInt(s.db.metricValue("sort_spill_bytes_total"), 10)), nil
 	case "profiling":
 		// Per-operator query profiler for this session's statements; the
 		// result lands in PRAGMA last_profile. EXPLAIN ANALYZE profiles
 		// its statement regardless of this switch.
 		if !hasVal {
-			if s.Profiling {
-				return readback("1"), nil
-			}
-			return readback("0"), nil
+			return boolback(s.Profiling), nil
 		}
 		s.Profiling = intVal != 0 || strings.EqualFold(strVal, "true")
 		return &Result{}, nil
@@ -950,10 +861,6 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 		}
 		s.db.logMinDurMs.Store(intVal)
 		return &Result{}, nil
-	case "memory_peak":
-		// High-water mark of buffer-pool reservation since open (or the
-		// last pool peak reset).
-		return readback(strconv.FormatInt(s.db.pool.Peak(), 10)), nil
 	case "metrics":
 		// Engine-wide metrics registry snapshot as (name, value) rows —
 		// every subsystem counter, gauge and histogram in one read.

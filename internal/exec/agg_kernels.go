@@ -665,7 +665,7 @@ func (c *aggCol) foldState(r *stateReader, slot uint32) {
 			if r.err != nil {
 				return
 			}
-			if !validValueKey(k, c.spec.Arg.Type()) {
+			if !types.ValidValueKey(k, c.spec.Arg.Type()) {
 				r.fail()
 				return
 			}
@@ -751,7 +751,7 @@ func (c *aggCol) finishDistinct(set map[string]struct{}) types.Value {
 		best types.Value
 	)
 	for i, k := range sortedKeys(set) {
-		v := decodeValueKey(k, argType)
+		v := types.DecodeValueKey(k, argType)
 		switch spec.Func {
 		case "sum", "avg":
 			switch argType {

@@ -242,7 +242,7 @@ func TestAggStateCodecRoundtrip(t *testing.T) {
 	st.aggs[2].set[slot] = true
 	st.aggs[2].bestF[slot] = math.Copysign(0, -1)
 	for _, v := range []float64{1.5, -2.25, math.NaN()} {
-		st.aggs[3].addDistinctKey(slot, encodeValueKey(nil, types.NewDouble(v)))
+		st.aggs[3].addDistinctKey(slot, types.EncodeValueKey(nil, types.NewDouble(v)))
 	}
 	index := make([][]uint32, len(st.aggs))
 	index[1] = st.aggs[1].groupLeaves(st.n)

@@ -25,7 +25,7 @@ import (
 // bucket and its top four bits the spill partition (see aggTable).
 //
 // Keys are stored one of two ways. A single fixed-width group column is
-// kept as its 8-byte value (DOUBLEs as canonF64bits) and compared as a
+// kept as its 8-byte value (DOUBLEs as types.CanonF64Bits) and compared as a
 // word, never byte-encoded; its one possible NULL group lives outside
 // the table in nullSlot. Everything else — VARCHAR or several columns —
 // is kept in encodeKeyRow layout in an append-only arena, which is also
@@ -141,7 +141,7 @@ func hashString(s string) uint64 {
 
 // keyValueHash is what row r of a key column contributes to its row's
 // hash. Values that compare equal contribute equally (DOUBLEs through
-// canonF64bits).
+// types.CanonF64Bits).
 func keyValueHash(v *vector.Vector, r int) uint64 {
 	switch v.Type {
 	case types.Boolean:
@@ -153,7 +153,7 @@ func keyValueHash(v *vector.Vector, r int) uint64 {
 	case types.BigInt, types.Timestamp:
 		return uint64(v.I64[r])
 	case types.Double:
-		return canonF64bits(v.F64[r])
+		return types.CanonF64Bits(v.F64[r])
 	case types.Varchar:
 		return hashString(v.Str[r])
 	}
@@ -236,7 +236,7 @@ func keyMatchesRow(key []byte, vecs []*vector.Vector, r int) bool {
 			}
 			p += 8
 		case types.Double:
-			if binary.LittleEndian.Uint64(key[p:]) != canonF64bits(v.F64[r]) {
+			if binary.LittleEndian.Uint64(key[p:]) != types.CanonF64Bits(v.F64[r]) {
 				return false
 			}
 			p += 8
@@ -441,7 +441,7 @@ func (s *groupStore) prepare(vecs []*vector.Vector, n int) {
 			}
 		case types.Double:
 			for r, x := range v.F64[:n] {
-				kv[r] = canonF64bits(x)
+				kv[r] = types.CanonF64Bits(x)
 			}
 		}
 		for r, x := range kv {

@@ -10,30 +10,15 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/expr"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
 // The tests here drive aggTable directly with hand-built chunks and
-// compare it with the row engine's boxed rowAgg — which shares no state
-// layout, update or finish code with it — over the same rows.
-
-// rowsIter feeds boxed rows to a row-engine operator.
-type rowsIter struct {
-	rows [][]types.Value
-	pos  int
-}
-
-func (r *rowsIter) Open(*Context) error { r.pos = 0; return nil }
-func (r *rowsIter) Close(*Context)      {}
-func (r *rowsIter) NextRow(*Context) ([]types.Value, error) {
-	if r.pos >= len(r.rows) {
-		return nil, nil
-	}
-	r.pos++
-	return r.rows[r.pos-1], nil
-}
+// compare it with the row-engine oracle's boxed aggregate — which shares
+// no state layout, update or finish code with it — over the same rows.
 
 // referenceAgg renders what the row engine computes for node over the
 // chunks, one "v,v,...;" per group in first-seen order.
@@ -45,13 +30,13 @@ func referenceAgg(t testing.TB, node *plan.AggNode, chunks []*vector.Chunk) stri
 			rows = append(rows, c.Row(r))
 		}
 	}
-	var sb strings.Builder
-	err := RunRows(&Context{}, &rowAgg{child: &rowsIter{rows: rows}, node: node}, func(row []types.Value) error {
-		sb.WriteString(fmt.Sprint(row, ";"))
-		return nil
-	})
+	groups, err := oracle.Aggregate(node, rows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, row := range groups {
+		sb.WriteString(fmt.Sprint(row, ";"))
 	}
 	return sb.String()
 }

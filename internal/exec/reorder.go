@@ -154,7 +154,7 @@ type mergeRange struct {
 	parked bool
 }
 
-func newParMergeStream(ctx *Context, parts []*extsort.Iterator, mkCursor func(w int, part *extsort.Iterator) rangeCursor) *parMergeStream {
+func newParMergeStream(ctx *Context, parts []*extsort.Iterator, mkCursor func(part *extsort.Iterator) rangeCursor) *parMergeStream {
 	s := &parMergeStream{
 		outs:   make([]chan mergeMsg, len(parts)),
 		ranges: make([]*mergeRange, len(parts)),
@@ -163,7 +163,7 @@ func newParMergeStream(ctx *Context, parts []*extsort.Iterator, mkCursor func(w 
 	}
 	for i := range parts {
 		s.outs[i] = make(chan mergeMsg, mergeStreamDepth)
-		s.ranges[i] = &mergeRange{s: s, w: i, part: parts[i], cur: mkCursor(i, parts[i])}
+		s.ranges[i] = &mergeRange{s: s, w: i, part: parts[i], cur: mkCursor(parts[i])}
 		s.wg.Add(1)
 		s.q.Submit(s.ranges[i].step)
 	}
@@ -267,4 +267,4 @@ func (s *parMergeStream) Close() {
 }
 
 // chunkCursor is the plain rangeCursor: forward sorted chunks as-is.
-func chunkCursor(_ int, part *extsort.Iterator) rangeCursor { return part }
+func chunkCursor(part *extsort.Iterator) rangeCursor { return part }

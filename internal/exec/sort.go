@@ -8,52 +8,208 @@ import (
 	"repro/internal/vector"
 )
 
-// sortOp is the ORDER BY pipeline breaker: each worker of the source
-// evaluates the sort keys and feeds its own external sorter (building
-// sorted runs independently, sharing the sort budget and buffer pool,
-// spilling to disk past the budget), and Finish k-way merges every
-// worker's runs and in-memory buffers through the extsort merge
-// machinery.
+// sortedStream is the sort phase ORDER BY and the window partitioner
+// share: each worker of the source widens its chunks with extend and
+// feeds its own external sorter (building sorted runs independently,
+// sharing the sort budget and buffer pool, spilling to disk past the
+// budget), and build k-way merges every worker's runs and in-memory
+// buffers through the extsort merge machinery.
 //
-// Determinism: rows carry a hidden tiebreak key — their packed
-// (seq, row) position in the source's stream — appended after the
-// user's sort keys. Key-equal rows therefore emerge in input order, and
-// the merged order is a total order independent of which worker sorted
-// which morsel, making output bit-identical at every thread count.
-type sortOp struct {
+// Determinism: extend closes every row with a hidden tiebreak key — its
+// packed (seq, row) position in the source's stream (positionColumn) —
+// after the caller's keys. Key-equal rows therefore emerge in input
+// order, and the merged order is a total order independent of which
+// worker sorted which morsel, making the stream bit-identical at every
+// thread count.
+type sortedStream struct {
 	src  source
-	node *plan.SortNode
+	node plan.Node // profile slot and spill accounting
 
-	iter    *extsort.Iterator
-	merge   *parMergeStream // partitioned merge phase (nil: serial merge)
-	carry   *vector.Chunk   // repack buffer aligning chunk boundaries
-	rem     *vector.Chunk   // unconsumed tail of the last merged chunk
-	remPos  int
-	np      int // payload column count
-	started bool
+	extTypes []types.Type  // extend's output schema
+	keys     []extsort.Key // over extTypes, the tiebreak last
+	// rangeKeys is the prefix of keys the partitioned merge cuts its
+	// ranges on: all of them for a plain sort, the PARTITION BY columns
+	// for a window (no partition may straddle two ranges), none to keep
+	// the merge serial.
+	rangeKeys []extsort.Key
+	extend    func(seq int, chunk *vector.Chunk) (*vector.Chunk, error)
+	// cursor turns one merge range — the whole serial merge is one —
+	// into the chunks the stream emits for it (chunkCursor forwards them
+	// as merged).
+	cursor func(part *extsort.Iterator) rangeCursor
+
+	iter  *extsort.Iterator
+	merge *parMergeStream // partitioned merge phase (nil: serial merge)
+	out   rangeCursor     // what Next drains; nil until built
 }
 
-func newSortOp(src source, n *plan.SortNode) *sortOp {
-	return &sortOp{src: src, node: n}
-}
-
-func (s *sortOp) Open(ctx *Context) error {
-	s.started = false
-	s.iter = nil
-	s.merge = nil
-	s.carry = nil
-	s.rem, s.remPos = nil, 0
+func (s *sortedStream) Open(ctx *Context) error {
+	s.iter, s.merge, s.out = nil, nil, nil
 	return s.src.Open(ctx)
 }
 
-func (s *sortOp) Next(ctx *Context) (*vector.Chunk, error) {
-	if !s.started {
+// positionColumn is the hidden tiebreak column of a chunk that arrived
+// as the source's seq-th.
+func positionColumn(seq, n int) *vector.Vector {
+	tie := vector.NewLen(types.BigInt, n)
+	for r := 0; r < n; r++ {
+		tie.I64[r] = packAggPos(seq, r)
+	}
+	return tie
+}
+
+func (s *sortedStream) build(ctx *Context) error {
+	// Split the budget across the actual worker count (bounded by
+	// morsels), keeping the memory envelope that of one sorter.
+	workers := s.src.workerCount(ctx)
+	budget := splitBudget(ctx.sortBudget(), workers)
+
+	// mkSink runs on the coordinating goroutine and the sorters are only
+	// merged after consume has joined every worker, so the slice needs
+	// no locking; the shared buffer pool is internally synchronized.
+	var sorters []*extsort.Sorter
+	err := s.src.consume(ctx, workers, ctx.Prof.Slot(s.node), func(w int) sinkFunc {
+		sorter := extsort.NewSorter(s.extTypes, s.keys, budget, ctx.TmpDir)
+		if ctx.Pool != nil {
+			sorter.SetPool(ctx.Pool)
+		}
+		sorters = append(sorters, sorter)
+		return func(seq int, chunk *vector.Chunk) error {
+			ext, err := s.extend(seq, chunk)
+			if err != nil {
+				return err
+			}
+			return sorter.Add(ext)
+		}
+	})
+	if err != nil {
+		for _, sorter := range sorters {
+			sorter.Close()
+		}
+		return err
+	}
+	iter, err := extsort.MergeFinish(sorters)
+	if err != nil {
+		for _, sorter := range sorters {
+			sorter.Close()
+		}
+		return err
+	}
+	var spilled int64
+	for _, sorter := range sorters {
+		spilled += sorter.SpilledBytes()
+	}
+	recordSortSpill(ctx, s.node, spilled)
+	s.iter = iter
+
+	// Partitioned merge phase: split the cursors' key domain at sampled
+	// quantiles of the range keys and let ctx.Threads workers each
+	// loser-tree-merge their own range (and run cursor over it). The
+	// hidden tiebreak makes the keys a total order, so ranges are exact
+	// and the re-emitted concatenation is bit-identical to the serial
+	// merge. PartitionMerge returns nil on skew/tiny inputs and for an
+	// empty range-key prefix — then the serial loser-tree merge stands.
+	// A source that generated its runs on one worker keeps the serial
+	// merge too: every range holds its own loaded chunk per run, and a
+	// budget that one worker's run generation fitted into need not cover
+	// that.
+	if workers > 1 {
+		parts, err := iter.PartitionMerge(ctx.Threads, s.rangeKeys)
+		if err != nil {
+			iter.Close()
+			s.iter = nil
+			return err
+		}
+		if len(parts) > 1 {
+			s.merge = newParMergeStream(ctx, parts, s.cursor)
+			s.out = s.merge
+			return nil
+		}
+	}
+	s.out = s.cursor(iter)
+	return nil
+}
+
+// Next runs the sort phase on the first call, then streams the merge
+// phase: cursor's chunks, range by range when the merge is partitioned.
+func (s *sortedStream) Next(ctx *Context) (*vector.Chunk, error) {
+	if s.out == nil {
 		if err := s.build(ctx); err != nil {
 			return nil, err
 		}
-		s.started = true
 	}
-	chunk, err := s.nextSorted()
+	return s.out.Next()
+}
+
+// mergeRows reports rows emitted per merge-phase worker (test hook;
+// valid after the stream has drained).
+func (s *sortedStream) mergeRows() []int64 {
+	if s.merge == nil {
+		return nil
+	}
+	return s.merge.rows
+}
+
+func (s *sortedStream) Close(ctx *Context) {
+	s.out = nil
+	if s.merge != nil {
+		s.merge.Close() // join range workers before their files close
+		s.merge = nil
+	}
+	if s.iter != nil {
+		recordSortKeys(ctx, s.node, s.iter)
+		s.iter.Close()
+		s.iter = nil
+	}
+	s.src.Close(ctx)
+}
+
+// sortOp is the ORDER BY pipeline breaker: a sortedStream over (payload,
+// evaluated sort keys, tiebreak), repacked to the serial merge's chunk
+// boundaries and stripped back to the payload.
+type sortOp struct {
+	sortedStream
+	np int // payload column count
+
+	carry  *vector.Chunk // repack buffer aligning chunk boundaries
+	rem    *vector.Chunk // unconsumed tail of the last merged chunk
+	remPos int
+}
+
+func newSortOp(src source, n *plan.SortNode) *sortOp {
+	payload := schemaTypes(n.Child.Schema())
+	np, nk := len(payload), len(n.Keys)
+	extTypes := append(append([]types.Type(nil), payload...), keyTypesOf(n)...)
+	extTypes = append(extTypes, types.BigInt) // hidden (morsel, row) tiebreak
+	keys := make([]extsort.Key, nk+1)
+	for i, k := range n.Keys {
+		keys[i] = extsort.Key{Col: np + i, Desc: k.Desc, NullsFirst: k.NullsFirst}
+	}
+	keys[nk] = extsort.Key{Col: np + nk}
+	keyExprs := keyExprsOf(n)
+	return &sortOp{np: np, sortedStream: sortedStream{
+		src: src, node: n,
+		extTypes: extTypes, keys: keys, rangeKeys: keys,
+		extend: func(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
+			ext, err := extendWithKeys(chunk, keyExprs)
+			if err != nil {
+				return nil, err
+			}
+			ext.Cols = append(ext.Cols, positionColumn(seq, chunk.Len()))
+			return ext, nil
+		},
+		cursor: chunkCursor,
+	}}
+}
+
+func (s *sortOp) Open(ctx *Context) error {
+	s.carry = nil
+	s.rem, s.remPos = nil, 0
+	return s.sortedStream.Open(ctx)
+}
+
+func (s *sortOp) Next(ctx *Context) (*vector.Chunk, error) {
+	chunk, err := s.nextSorted(ctx)
 	if err != nil || chunk == nil {
 		return nil, err
 	}
@@ -68,10 +224,7 @@ func (s *sortOp) Next(ctx *Context) (*vector.Chunk, error) {
 // full ChunkCapacity chunks — the exact boundaries the serial merge
 // produces, keeping the operator's chunk stream identical at every
 // thread count.
-func (s *sortOp) nextSorted() (*vector.Chunk, error) {
-	if s.merge == nil {
-		return s.iter.Next()
-	}
+func (s *sortOp) nextSorted(ctx *Context) (*vector.Chunk, error) {
 	for {
 		if s.rem != nil {
 			if s.carry == nil && s.remPos == 0 && s.rem.Len() == vector.ChunkCapacity {
@@ -101,9 +254,9 @@ func (s *sortOp) nextSorted() (*vector.Chunk, error) {
 			}
 			continue
 		}
-		c, err := s.merge.Next()
-		if err != nil {
-			return nil, err
+		c, err := s.sortedStream.Next(ctx)
+		if err != nil || s.merge == nil {
+			return c, err // the serial merge's chunks are already full
 		}
 		if c == nil { // tail: the stream's only partial chunk
 			out := s.carry
@@ -114,111 +267,9 @@ func (s *sortOp) nextSorted() (*vector.Chunk, error) {
 	}
 }
 
-func (s *sortOp) build(ctx *Context) error {
-	payload := schemaTypes(s.node.Child.Schema())
-	s.np = len(payload)
-	nk := len(s.node.Keys)
-	extTypes := append(append([]types.Type(nil), payload...), keyTypesOf(s.node)...)
-	extTypes = append(extTypes, types.BigInt) // hidden (morsel, row) tiebreak
-	keys := make([]extsort.Key, nk+1)
-	for i, k := range s.node.Keys {
-		keys[i] = extsort.Key{Col: s.np + i, Desc: k.Desc, NullsFirst: k.NullsFirst}
-	}
-	keys[nk] = extsort.Key{Col: s.np + nk}
-
-	// Split the budget across the actual worker count (bounded by
-	// morsels), keeping the memory envelope that of one sorter.
-	workers := s.src.workerCount(ctx)
-	budget := splitBudget(ctx.sortBudget(), workers)
-
-	// mkSink runs on the coordinating goroutine and the sorters are only
-	// merged after consume has joined every worker, so the slice needs
-	// no locking; the shared buffer pool is internally synchronized.
-	var sorters []*extsort.Sorter
-	err := s.src.consume(ctx, workers, ctx.Prof.Slot(s.node), func(w int) sinkFunc {
-		sorter := extsort.NewSorter(extTypes, keys, budget, ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
-		sorters = append(sorters, sorter)
-		keyExprs := keyExprsOf(s.node)
-		return func(seq int, chunk *vector.Chunk) error {
-			ext, err := extendWithKeys(chunk, keyExprs)
-			if err != nil {
-				return err
-			}
-			tie := vector.NewLen(types.BigInt, chunk.Len())
-			for r := 0; r < chunk.Len(); r++ {
-				tie.I64[r] = packAggPos(seq, r)
-			}
-			ext.Cols = append(ext.Cols, tie)
-			return sorter.Add(ext)
-		}
-	})
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
-	}
-	iter, err := extsort.MergeFinish(sorters)
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
-	}
-	var spilled int64
-	for _, sorter := range sorters {
-		spilled += sorter.SpilledBytes()
-	}
-	recordSortSpill(ctx, s.node, spilled)
-	s.iter = iter
-
-	// Partitioned merge phase: split the cursors' key domain at sampled
-	// quantiles and let ctx.Threads workers each loser-tree-merge their
-	// own range. The hidden tiebreak makes the keys a total order, so
-	// ranges are exact and the re-emitted concatenation is bit-identical
-	// to the serial merge. PartitionMerge returns nil on skew/tiny
-	// inputs — then the serial loser-tree merge stands. A source that
-	// generated its runs on one worker keeps the serial merge too: every
-	// range holds its own loaded chunk per run, and a budget that one
-	// worker's run generation fitted into need not cover that.
-	if workers > 1 {
-		parts, err := iter.PartitionMerge(ctx.Threads, keys)
-		if err != nil {
-			iter.Close()
-			s.iter = nil
-			return err
-		}
-		if len(parts) > 1 {
-			s.merge = newParMergeStream(ctx, parts, chunkCursor)
-		}
-	}
-	return nil
-}
-
-// mergeRows reports rows emitted per merge-phase worker (test hook;
-// valid after the stream has drained).
-func (s *sortOp) mergeRows() []int64 {
-	if s.merge == nil {
-		return nil
-	}
-	return s.merge.rows
-}
-
 func (s *sortOp) Close(ctx *Context) {
-	if s.merge != nil {
-		s.merge.Close() // join range workers before their files close
-		s.merge = nil
-	}
-	if s.iter != nil {
-		recordSortKeys(ctx, s.node, s.iter)
-		s.iter.Close()
-		s.iter = nil
-	}
 	s.carry, s.rem = nil, nil
-	s.src.Close(ctx)
+	s.sortedStream.Close(ctx)
 }
 
 // splitBudget divides a sort budget among the sorters of one operator

@@ -147,144 +147,65 @@ func (pc *partitionCutter) flush(emit func(*vector.Chunk) error) error {
 	return emit(out)
 }
 
-// windowPartitionOp produces the partition stream of a WindowNode: the
-// source's workers each feed their own sorter, the runs are merged by
-// (partition, order, position) and emitted as one chunk per partition,
-// in sorted order. Partition
-// chunks keep the extended layout; the eval stage strips it.
+// windowPartitionOp produces the partition stream of a WindowNode: a
+// sortedStream over the extended layout, ordered by (partition, order,
+// position), whose cursor cuts every merge range into one chunk per
+// partition. Partition chunks keep the extended layout; the eval stage
+// strips it.
 //
 // With threads > 1 and a PARTITION BY, the merge phase itself
 // partitions: key ranges snapped to partition-key boundaries are merged
 // AND cut by N workers concurrently, and the stream re-emits whole
 // partitions in order — the cutting no longer runs on the consumer.
+// Otherwise the one range is the serial merge, cut on the consumer.
 type windowPartitionOp struct {
-	node *plan.WindowNode
-	lay  windowLayout
-
-	src source
-
-	iter  *extsort.Iterator
-	merge *parMergeStream // partitioned merge+cut (nil: cut on consumer)
-	built bool
-
-	cutter  *partitionCutter
-	queue   []*vector.Chunk // completed partitions awaiting emission
-	flushed bool
+	sortedStream
 }
 
 func newWindowPartitionOp(n *plan.WindowNode, src source) *windowPartitionOp {
-	return &windowPartitionOp{node: n, lay: layoutOf(n), src: src}
-}
-
-func (w *windowPartitionOp) Open(ctx *Context) error {
-	w.built = false
-	w.iter = nil
-	w.merge = nil
-	w.cutter = nil
-	w.queue = nil
-	w.flushed = false
-	return w.src.Open(ctx)
+	lay := layoutOf(n)
+	return &windowPartitionOp{sortedStream{
+		src: src, node: n,
+		extTypes: lay.extTypes(n), keys: lay.sortKeys(n), rangeKeys: lay.partKeys(),
+		extend: func(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
+			return lay.extend(n, chunk, seq)
+		},
+		cursor: func(part *extsort.Iterator) rangeCursor {
+			return &partitionCutCursor{part: part, cutter: newPartitionCutter(lay)}
+		},
+	}}
 }
 
 // extend widens a chunk with the evaluated partition keys, order keys
 // and the hidden packed (seq, row) position.
-func (w *windowPartitionOp) extend(chunk *vector.Chunk, seq int) (*vector.Chunk, error) {
-	cols := make([]*vector.Vector, 0, w.lay.np+w.lay.npk+w.lay.nok+1)
+func (l windowLayout) extend(n *plan.WindowNode, chunk *vector.Chunk, seq int) (*vector.Chunk, error) {
+	cols := make([]*vector.Vector, 0, l.np+l.npk+l.nok+1)
 	cols = append(cols, chunk.Cols...)
-	for _, e := range w.node.PartitionBy {
+	for _, e := range n.PartitionBy {
 		v, err := e.Eval(chunk)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, v)
 	}
-	for _, k := range w.node.OrderBy {
+	for _, k := range n.OrderBy {
 		v, err := k.Expr.Eval(chunk)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, v)
 	}
-	tie := vector.NewLen(types.BigInt, chunk.Len())
-	for r := 0; r < chunk.Len(); r++ {
-		tie.I64[r] = packAggPos(seq, r)
-	}
-	cols = append(cols, tie)
+	cols = append(cols, positionColumn(seq, chunk.Len()))
 	ext := &vector.Chunk{Cols: cols}
 	ext.SetLen(chunk.Len())
 	return ext, nil
 }
 
-func (w *windowPartitionOp) build(ctx *Context) error {
-	extTypes := w.lay.extTypes(w.node)
-	keys := w.lay.sortKeys(w.node)
-
-	// Each source worker extends its chunks and feeds its own sorter
-	// (splitting the budget like ORDER BY); the k-way merge of every
-	// worker's runs reproduces the total order.
-	workers := w.src.workerCount(ctx)
-	budget := splitBudget(ctx.sortBudget(), workers)
-	var sorters []*extsort.Sorter
-	err := w.src.consume(ctx, workers, ctx.Prof.Slot(w.node), func(wk int) sinkFunc {
-		sorter := extsort.NewSorter(extTypes, keys, budget, ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
-		sorters = append(sorters, sorter)
-		return func(seq int, chunk *vector.Chunk) error {
-			ext, err := w.extend(chunk, seq)
-			if err != nil {
-				return err
-			}
-			return sorter.Add(ext)
-		}
-	})
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
-	}
-	iter, err := extsort.MergeFinish(sorters)
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
-	}
-	var spilled int64
-	for _, sorter := range sorters {
-		spilled += sorter.SpilledBytes()
-	}
-	recordSortSpill(ctx, w.node, spilled)
-	w.iter = iter
-
-	// Partitioned merge: cut the key domain on the partition-key prefix
-	// so every window partition lands wholly inside one range, then let
-	// each range worker merge its cursors AND cut partitions — both the
-	// k-way merge and the partition cutting leave the consumer thread.
-	// One-worker sources keep the serial merge (see sortOp.build).
-	if workers > 1 && w.lay.npk > 0 {
-		parts, err := iter.PartitionMerge(ctx.Threads, w.lay.partKeys())
-		if err != nil {
-			iter.Close()
-			w.iter = nil
-			return err
-		}
-		if len(parts) > 1 {
-			lay := w.lay
-			w.merge = newParMergeStream(ctx, parts, func(wk int, part *extsort.Iterator) rangeCursor {
-				return &partitionCutCursor{part: part, cutter: newPartitionCutter(lay)}
-			})
-		}
-	}
-	return nil
-}
-
 // partitionCutCursor adapts the partition cutter to the pull-based
-// mergeCursor the partitioned merge runs on the scheduler: each Next
-// feeds range chunks to the cutter until at least one whole partition
-// is queued, then emits queued partitions one at a time.
+// rangeCursor — one per range of the partitioned merge, run on the
+// scheduler, or one over the serial merge, run on the consumer: each
+// Next feeds merged chunks to the cutter until at least one whole
+// partition is queued, then emits queued partitions one at a time.
 type partitionCutCursor struct {
 	part   *extsort.Iterator
 	cutter *partitionCutter
@@ -325,72 +246,6 @@ func (pc *partitionCutCursor) Next() (*vector.Chunk, error) {
 			return nil, err
 		}
 	}
-}
-
-// Next emits the next partition as one chunk in the extended layout.
-func (w *windowPartitionOp) Next(ctx *Context) (*vector.Chunk, error) {
-	if !w.built {
-		if err := w.build(ctx); err != nil {
-			return nil, err
-		}
-		w.built = true
-		w.cutter = newPartitionCutter(w.lay)
-	}
-	if w.merge != nil {
-		// Merge workers already cut; the stream is whole partitions in
-		// partition order.
-		return w.merge.Next()
-	}
-	enq := func(p *vector.Chunk) error {
-		w.queue = append(w.queue, p)
-		return nil
-	}
-	for {
-		if len(w.queue) > 0 {
-			out := w.queue[0]
-			w.queue = w.queue[1:]
-			return out, nil
-		}
-		if w.flushed {
-			return nil, nil
-		}
-		c, err := w.iter.Next()
-		if err != nil {
-			return nil, err
-		}
-		if c == nil {
-			w.cutter.flush(enq) //nolint:errcheck // enq cannot fail
-			w.flushed = true
-			continue
-		}
-		if c.Len() == 0 {
-			continue
-		}
-		w.cutter.feed(c, enq) //nolint:errcheck // enq cannot fail
-	}
-}
-
-// mergeRows reports rows emitted per merge-phase worker (test hook;
-// valid after the stream has drained).
-func (w *windowPartitionOp) mergeRows() []int64 {
-	if w.merge == nil {
-		return nil
-	}
-	return w.merge.rows
-}
-
-func (w *windowPartitionOp) Close(ctx *Context) {
-	if w.merge != nil {
-		w.merge.Close() // join range workers before their files close
-		w.merge = nil
-	}
-	if w.iter != nil {
-		recordSortKeys(ctx, w.node, w.iter)
-		w.iter.Close()
-		w.iter = nil
-	}
-	w.cutter, w.queue = nil, nil
-	w.src.Close(ctx)
 }
 
 // windowEvalStage computes every window function over one partition
@@ -554,7 +409,7 @@ func evalWindowPartitionSlice(node *plan.WindowNode, lay windowLayout, part *vec
 		case "lag", "lead":
 			outs[j] = evalShift(f, arg, n, lo, hi)
 		case "count", "sum", "avg", "min", "max":
-			bounds, growing := frameBoundsFn(node.Frame, n, peerStart, peerEnd, lay.nok > 0)
+			bounds, growing := node.Frame.Bounds(n, peerStart, peerEnd, lay.nok > 0)
 			outs[j] = evalFrameAgg(f, arg, n, lo, hi, bounds, growing)
 		default:
 			return nil, fmt.Errorf("exec: unknown window function %q", f.Func)
@@ -625,47 +480,6 @@ func evalShift(f plan.WindowFunc, arg *vector.Vector, n, lo, hi int) *vector.Vec
 		}
 	}
 	return out
-}
-
-// frameBoundsFn resolves the node's frame into a per-row [lo, hi] row
-// interval (unclamped). growing reports that lo is pinned at 0 and hi
-// never decreases, enabling the incremental accumulation path.
-func frameBoundsFn(frame plan.WindowFrame, n int, peerStart, peerEnd []int, hasOrder bool) (func(i int) (int, int), bool) {
-	if !frame.Set {
-		if !hasOrder {
-			// Whole partition.
-			return func(int) (int, int) { return 0, n - 1 }, true
-		}
-		// SQL default: RANGE UNBOUNDED PRECEDING .. CURRENT ROW — the
-		// running frame including the current row's peers.
-		return func(i int) (int, int) { return 0, peerEnd[i] }, true
-	}
-	resolve := func(b plan.FrameBound, start bool) func(i int) int {
-		switch {
-		case b.Unbounded && b.Preceding:
-			return func(int) int { return 0 }
-		case b.Unbounded:
-			return func(int) int { return n - 1 }
-		case b.Current:
-			if frame.Rows {
-				return func(i int) int { return i }
-			}
-			if start {
-				return func(i int) int { return peerStart[i] }
-			}
-			return func(i int) int { return peerEnd[i] }
-		case b.Preceding:
-			off := int(b.Offset)
-			return func(i int) int { return i - off }
-		default:
-			off := int(b.Offset)
-			return func(i int) int { return i + off }
-		}
-	}
-	lo := resolve(frame.Start, true)
-	hi := resolve(frame.End, false)
-	growing := frame.Start.Unbounded && frame.Start.Preceding
-	return func(i int) (int, int) { return lo(i), hi(i) }, growing
 }
 
 // frameAcc is the running state of one frame aggregate.

@@ -242,17 +242,6 @@ func (r *Registry) SnapshotMap() map[string]int64 {
 	return out
 }
 
-// Get returns the current value of one metric (histograms answer to
-// their expanded names, e.g. "x_p99_ns").
-func (r *Registry) Get(name string) (int64, bool) {
-	for _, s := range r.Snapshot() {
-		if s.Name == name {
-			return s.Value, true
-		}
-	}
-	return 0, false
-}
-
 // WriteText writes the snapshot in a plain "name value" line format —
 // the text exposition the bench tooling embeds.
 func (r *Registry) WriteText(w io.Writer) error {

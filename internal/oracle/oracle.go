@@ -1,4 +1,21 @@
-package exec
+// Package oracle is a frozen tuple-at-a-time Volcano interpreter over
+// the engine's logical plans. It is the independent reference the
+// vectorized executor is differentially tested against, and the baseline
+// the paper's §6 design choice (vectorized interpreted execution) is
+// measured against in experiment E6: every operator produces one row of
+// boxed values per call and every expression is re-interpreted per row,
+// which is exactly the per-value overhead the chunked engine amortizes
+// away.
+//
+// Only tests and internal/bench import it. It shares no operator, state
+// layout, update or finish code with internal/exec (and does not import
+// it); the two meet only at the logical plan and at the three helpers
+// both must agree on — types.CanonF64Bits, the types value-key codec and
+// plan.WindowFrame.Bounds — so agreement between the engines is
+// evidence, not tautology. It does not enforce the memory budget and
+// never spills: budgeted runs of the vectorized engine are compared
+// against this unbudgeted reference.
+package oracle
 
 import (
 	"fmt"
@@ -6,97 +23,142 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/table"
+	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// This file implements a classic tuple-at-a-time Volcano interpreter
-// over the same logical plans — the baseline the paper's §6 design
-// choice (vectorized interpreted execution) is measured against in
-// experiment E6. Every operator produces one row of boxed values per
-// call and every expression is re-interpreted per row, which is exactly
-// the per-value overhead the chunked engine amortizes away.
-
-// RowIterator produces one row at a time; nil row means exhausted.
-type RowIterator interface {
-	Open(ctx *Context) error
-	NextRow(ctx *Context) ([]types.Value, error)
-	Close(ctx *Context)
+// DB is what the oracle needs of a database: its schema and a snapshot.
+// *core.Database satisfies it.
+type DB interface {
+	Catalog() *catalog.Catalog
+	Txns() *txn.Manager
 }
 
-// BuildRows translates a logical plan into tuple-at-a-time operators.
-// Only the read-only core (scan, filter, project, aggregate, sort,
-// window, limit) is supported — enough for the engine-comparison
-// experiments.
-func BuildRows(node plan.Node) (RowIterator, error) {
+// Query runs one SELECT through the row engine on a fresh snapshot and
+// returns the materialized rows as boxed values. The plan is the one the
+// vectorized engine would run: same binder, same optimizer.
+func Query(db DB, sqlText string, params ...types.Value) ([][]types.Value, error) {
+	stmt, err := sql.ParseOne(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("row engine supports SELECT only")
+	}
+	binder := &plan.Binder{Cat: db.Catalog(), Params: params}
+	node, err := binder.BindSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	it, err := build(plan.Optimize(node))
+	if err != nil {
+		return nil, err
+	}
+	tx := db.Txns().Begin()
+	defer db.Txns().Rollback(tx) // read-only
+	return run(tx, it)
+}
+
+// Aggregate runs node's GROUP BY and aggregates over the given boxed
+// rows (node.Child is not consulted), one output row per group in
+// first-seen order.
+func Aggregate(node *plan.AggNode, rows [][]types.Value) ([][]types.Value, error) {
+	return run(nil, &rowAgg{child: &rowSlice{rows: rows}, node: node})
+}
+
+// rowIterator produces one row at a time; nil row means exhausted.
+type rowIterator interface {
+	Open(tx *txn.Transaction) error
+	NextRow() ([]types.Value, error)
+	Close()
+}
+
+// build translates a logical plan into tuple-at-a-time operators. Only
+// the read-only core (scan, filter, project, aggregate, sort, window,
+// limit) is supported.
+func build(node plan.Node) (rowIterator, error) {
 	switch n := node.(type) {
 	case *plan.ScanNode:
 		return &rowScan{node: n}, nil
 	case *plan.FilterNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowFilter{child: child, cond: n.Cond}, nil
 	case *plan.ProjectNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowProject{child: child, exprs: n.Exprs}, nil
 	case *plan.AggNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowAgg{child: child, node: n}, nil
 	case *plan.SortNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowSort{child: child, node: n}, nil
 	case *plan.WindowNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowWindow{child: child, node: n}, nil
 	case *plan.LimitNode:
-		child, err := BuildRows(n.Child)
+		child, err := build(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &rowLimit{child: child, limit: n.Limit, offset: n.Offset}, nil
 	default:
-		return nil, fmt.Errorf("exec: row engine does not support %T", node)
+		return nil, fmt.Errorf("oracle: row engine does not support %T", node)
 	}
 }
 
-// RunRows drains a row iterator, invoking sink per row.
-func RunRows(ctx *Context, it RowIterator, sink func([]types.Value) error) error {
-	if err := it.Open(ctx); err != nil {
-		it.Close(ctx)
-		return err
+// run drains a row iterator.
+func run(tx *txn.Transaction, it rowIterator) ([][]types.Value, error) {
+	if err := it.Open(tx); err != nil {
+		it.Close()
+		return nil, err
 	}
-	defer it.Close(ctx)
+	defer it.Close()
+	var out [][]types.Value
 	for {
-		row, err := it.NextRow(ctx)
-		if err != nil {
-			return err
+		row, err := it.NextRow()
+		if err != nil || row == nil {
+			return out, err
 		}
-		if row == nil {
-			return nil
-		}
-		if sink != nil {
-			if err := sink(row); err != nil {
-				return err
-			}
-		}
+		out = append(out, row)
 	}
+}
+
+// rowSlice replays boxed rows (the input of Aggregate).
+type rowSlice struct {
+	rows [][]types.Value
+	pos  int
+}
+
+func (r *rowSlice) Open(*txn.Transaction) error { r.pos = 0; return nil }
+func (r *rowSlice) Close()                      {}
+func (r *rowSlice) NextRow() ([]types.Value, error) {
+	if r.pos >= len(r.rows) {
+		return nil, nil
+	}
+	r.pos++
+	return r.rows[r.pos-1], nil
 }
 
 // rowScan iterates the table one row at a time (through one worker of
@@ -109,8 +171,8 @@ type rowScan struct {
 	pos     int
 }
 
-func (s *rowScan) Open(ctx *Context) error {
-	src, err := s.node.Table.Data.NewMorselSource(ctx.Txn, table.ScanOptions{
+func (s *rowScan) Open(tx *txn.Transaction) error {
+	src, err := s.node.Table.Data.NewMorselSource(tx, table.ScanOptions{
 		Columns:    s.node.Columns,
 		WithRowIDs: s.node.WithRowID,
 	})
@@ -121,7 +183,7 @@ func (s *rowScan) Open(ctx *Context) error {
 	return nil
 }
 
-func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
+func (s *rowScan) NextRow() ([]types.Value, error) {
 	for {
 		if s.chunk == nil || s.pos >= s.chunk.Len() {
 			chunk, err := s.scanner.NextChunk()
@@ -137,7 +199,7 @@ func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 		row := s.chunk.Row(s.pos)
 		s.pos++
 		if s.node.Filter != nil {
-			v, err := EvalRow(s.node.Filter, row)
+			v, err := evalRow(s.node.Filter, row)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +211,7 @@ func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 	}
 }
 
-func (s *rowScan) Close(ctx *Context) {
+func (s *rowScan) Close() {
 	if s.src != nil {
 		s.src.Close()
 		s.src = nil
@@ -157,19 +219,19 @@ func (s *rowScan) Close(ctx *Context) {
 }
 
 type rowFilter struct {
-	child RowIterator
+	child rowIterator
 	cond  expr.Expr
 }
 
-func (f *rowFilter) Open(ctx *Context) error { return f.child.Open(ctx) }
+func (f *rowFilter) Open(tx *txn.Transaction) error { return f.child.Open(tx) }
 
-func (f *rowFilter) NextRow(ctx *Context) ([]types.Value, error) {
+func (f *rowFilter) NextRow() ([]types.Value, error) {
 	for {
-		row, err := f.child.NextRow(ctx)
+		row, err := f.child.NextRow()
 		if err != nil || row == nil {
 			return nil, err
 		}
-		v, err := EvalRow(f.cond, row)
+		v, err := evalRow(f.cond, row)
 		if err != nil {
 			return nil, err
 		}
@@ -179,23 +241,23 @@ func (f *rowFilter) NextRow(ctx *Context) ([]types.Value, error) {
 	}
 }
 
-func (f *rowFilter) Close(ctx *Context) { f.child.Close(ctx) }
+func (f *rowFilter) Close() { f.child.Close() }
 
 type rowProject struct {
-	child RowIterator
+	child rowIterator
 	exprs []expr.Expr
 }
 
-func (p *rowProject) Open(ctx *Context) error { return p.child.Open(ctx) }
+func (p *rowProject) Open(tx *txn.Transaction) error { return p.child.Open(tx) }
 
-func (p *rowProject) NextRow(ctx *Context) ([]types.Value, error) {
-	row, err := p.child.NextRow(ctx)
+func (p *rowProject) NextRow() ([]types.Value, error) {
+	row, err := p.child.NextRow()
 	if err != nil || row == nil {
 		return nil, err
 	}
 	out := make([]types.Value, len(p.exprs))
 	for i, e := range p.exprs {
-		v, err := EvalRow(e, row)
+		v, err := evalRow(e, row)
 		if err != nil {
 			return nil, err
 		}
@@ -204,25 +266,25 @@ func (p *rowProject) NextRow(ctx *Context) ([]types.Value, error) {
 	return out, nil
 }
 
-func (p *rowProject) Close(ctx *Context) { p.child.Close(ctx) }
+func (p *rowProject) Close() { p.child.Close() }
 
 type rowLimit struct {
-	child           RowIterator
+	child           rowIterator
 	limit, offset   int64
 	passed, skipped int64
 }
 
-func (l *rowLimit) Open(ctx *Context) error {
+func (l *rowLimit) Open(tx *txn.Transaction) error {
 	l.passed, l.skipped = 0, 0
-	return l.child.Open(ctx)
+	return l.child.Open(tx)
 }
 
-func (l *rowLimit) NextRow(ctx *Context) ([]types.Value, error) {
+func (l *rowLimit) NextRow() ([]types.Value, error) {
 	for {
 		if l.limit >= 0 && l.passed >= l.limit {
 			return nil, nil
 		}
-		row, err := l.child.NextRow(ctx)
+		row, err := l.child.NextRow()
 		if err != nil || row == nil {
 			return nil, err
 		}
@@ -235,28 +297,28 @@ func (l *rowLimit) NextRow(ctx *Context) ([]types.Value, error) {
 	}
 }
 
-func (l *rowLimit) Close(ctx *Context) { l.child.Close(ctx) }
+func (l *rowLimit) Close() { l.child.Close() }
 
 // rowSort materializes and sorts rows in memory (tuple-at-a-time
 // engines cannot stream sorts either; this keeps the baseline honest
 // without duplicating the external sorter).
 type rowSort struct {
-	child RowIterator
+	child rowIterator
 	node  *plan.SortNode
 	rows  [][]types.Value
 	pos   int
 	built bool
 }
 
-func (s *rowSort) Open(ctx *Context) error {
+func (s *rowSort) Open(tx *txn.Transaction) error {
 	s.rows, s.pos, s.built = nil, 0, false
-	return s.child.Open(ctx)
+	return s.child.Open(tx)
 }
 
-func (s *rowSort) NextRow(ctx *Context) ([]types.Value, error) {
+func (s *rowSort) NextRow() ([]types.Value, error) {
 	if !s.built {
 		for {
-			row, err := s.child.NextRow(ctx)
+			row, err := s.child.NextRow()
 			if err != nil {
 				return nil, err
 			}
@@ -268,12 +330,12 @@ func (s *rowSort) NextRow(ctx *Context) ([]types.Value, error) {
 		var sortErr error
 		sort.SliceStable(s.rows, func(i, j int) bool {
 			for _, k := range s.node.Keys {
-				a, err := EvalRow(k.Expr, s.rows[i])
+				a, err := evalRow(k.Expr, s.rows[i])
 				if err != nil {
 					sortErr = err
 					return false
 				}
-				b, err := EvalRow(k.Expr, s.rows[j])
+				b, err := evalRow(k.Expr, s.rows[j])
 				if err != nil {
 					sortErr = err
 					return false
@@ -308,19 +370,12 @@ func (s *rowSort) NextRow(ctx *Context) ([]types.Value, error) {
 	return row, nil
 }
 
-func (s *rowSort) Close(ctx *Context) { s.child.Close(ctx) }
+func (s *rowSort) Close() { s.child.Close() }
 
-// rowAgg is the tuple-at-a-time hash aggregate, and the oracle the
-// vectorized aggregation is differentially tested against: it shares no
-// state layout, update or finish code with it (only the logical plan and
-// the key encoding of key.go), so agreement between the two is evidence,
-// not tautology. Documented divergence: as the E6 ablation baseline it
-// does not enforce the memory budget and never spills — its whole point
-// is to measure the unoptimized per-row execution model. Budgeted
-// workloads belong to the vectorized engine; the differential tests
-// therefore compare the two only against this unbudgeted reference.
+// rowAgg is the tuple-at-a-time hash aggregate: boxed keys, boxed
+// accumulators, one map entry per group.
 type rowAgg struct {
-	child  RowIterator
+	child  rowIterator
 	node   *plan.AggNode
 	groups map[string]*rowAggState
 	order  []string
@@ -348,17 +403,17 @@ type rowAcc struct {
 	distinct map[string]struct{} // DISTINCT: the encoded value set
 }
 
-func (a *rowAgg) Open(ctx *Context) error {
+func (a *rowAgg) Open(tx *txn.Transaction) error {
 	a.groups = make(map[string]*rowAggState)
 	a.order = nil
 	a.pos = 0
 	a.built = false
-	return a.child.Open(ctx)
+	return a.child.Open(tx)
 }
 
-func (a *rowAgg) NextRow(ctx *Context) ([]types.Value, error) {
+func (a *rowAgg) NextRow() ([]types.Value, error) {
 	if !a.built {
-		if err := a.build(ctx); err != nil {
+		if err := a.build(); err != nil {
 			return nil, err
 		}
 		a.built = true
@@ -377,11 +432,11 @@ func (a *rowAgg) NextRow(ctx *Context) ([]types.Value, error) {
 	return out, nil
 }
 
-func (a *rowAgg) build(ctx *Context) error {
+func (a *rowAgg) build() error {
 	ng := len(a.node.GroupBy)
 	var sb strings.Builder
 	for {
-		row, err := a.child.NextRow(ctx)
+		row, err := a.child.NextRow()
 		if err != nil {
 			return err
 		}
@@ -391,14 +446,14 @@ func (a *rowAgg) build(ctx *Context) error {
 		gvals := make([]types.Value, ng)
 		sb.Reset()
 		for i, g := range a.node.GroupBy {
-			v, err := EvalRow(g, row)
+			v, err := evalRow(g, row)
 			if err != nil {
 				return err
 			}
 			if !v.Null && v.Type == types.Double {
 				// One group per equality class: -0 joins +0, every NaN
-				// joins one NaN (the key helper shared with key.go).
-				v.F64 = math.Float64frombits(canonF64bits(v.F64))
+				// joins one NaN.
+				v.F64 = math.Float64frombits(types.CanonF64Bits(v.F64))
 			}
 			gvals[i] = v
 			if v.Null {
@@ -444,7 +499,7 @@ func updateAggRow(spec plan.AggSpec, acc *rowAcc, row []types.Value) error {
 		acc.count++
 		return nil
 	}
-	v, err := EvalRow(spec.Arg, row)
+	v, err := evalRow(spec.Arg, row)
 	if err != nil {
 		return err
 	}
@@ -452,7 +507,7 @@ func updateAggRow(spec plan.AggSpec, acc *rowAcc, row []types.Value) error {
 		return nil
 	}
 	if acc.distinct != nil {
-		acc.distinct[string(encodeValueKey(nil, v))] = struct{}{}
+		acc.distinct[string(types.EncodeValueKey(nil, v))] = struct{}{}
 		return nil
 	}
 	switch spec.Func {
@@ -530,7 +585,7 @@ func finishRowDistinct(spec plan.AggSpec, set map[string]struct{}) types.Value {
 	argType := spec.Arg.Type()
 	acc := rowAcc{}
 	for _, k := range keys {
-		v := decodeValueKey(k, argType)
+		v := types.DecodeValueKey(k, argType)
 		acc.count++
 		switch {
 		case spec.Func == "min" || spec.Func == "max":
@@ -550,14 +605,14 @@ func finishRowDistinct(spec plan.AggSpec, set map[string]struct{}) types.Value {
 	return finishRowAgg(spec, &acc)
 }
 
-func (a *rowAgg) Close(ctx *Context) {
+func (a *rowAgg) Close() {
 	a.groups = nil
-	a.child.Close(ctx)
+	a.child.Close()
 }
 
-// EvalRow interprets a bound expression over one boxed row — the
+// evalRow interprets a bound expression over one boxed row — the
 // tuple-at-a-time evaluation the vectorized engine exists to avoid.
-func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
+func evalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 	switch e := e.(type) {
 	case *expr.Const:
 		return e.Val, nil
@@ -567,13 +622,13 @@ func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 		}
 		return row[e.Idx], nil
 	case *expr.CastExpr:
-		v, err := EvalRow(e.X, row)
+		v, err := evalRow(e.X, row)
 		if err != nil {
 			return types.Value{}, err
 		}
 		return v.Cast(e.To)
 	case *expr.Neg:
-		v, err := EvalRow(e.X, row)
+		v, err := evalRow(e.X, row)
 		if err != nil || v.Null {
 			return v, err
 		}
@@ -586,11 +641,11 @@ func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 			return types.NewBigInt(-v.I64), nil
 		}
 	case *expr.Compare:
-		l, err := EvalRow(e.L, row)
+		l, err := evalRow(e.L, row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		r, err := EvalRow(e.R, row)
+		r, err := evalRow(e.R, row)
 		if err != nil {
 			return types.Value{}, err
 		}
@@ -615,11 +670,11 @@ func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 		}
 		return types.NewBool(out), nil
 	case *expr.Arith:
-		l, err := EvalRow(e.L, row)
+		l, err := evalRow(e.L, row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		r, err := EvalRow(e.R, row)
+		r, err := evalRow(e.R, row)
 		if err != nil {
 			return types.Value{}, err
 		}
@@ -666,11 +721,11 @@ func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 		}
 		return types.NewBigInt(out), nil
 	case *expr.Logic:
-		l, err := EvalRow(e.L, row)
+		l, err := evalRow(e.L, row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		r, err := EvalRow(e.R, row)
+		r, err := evalRow(e.R, row)
 		if err != nil {
 			return types.Value{}, err
 		}
@@ -692,13 +747,13 @@ func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 		}
 		return types.NewBool(false), nil
 	case *expr.Not:
-		v, err := EvalRow(e.X, row)
+		v, err := evalRow(e.X, row)
 		if err != nil || v.Null {
 			return v, err
 		}
 		return types.NewBool(!v.Bool), nil
 	case *expr.IsNull:
-		v, err := EvalRow(e.X, row)
+		v, err := evalRow(e.X, row)
 		if err != nil {
 			return types.Value{}, err
 		}
@@ -729,12 +784,3 @@ func rowToChunk(row []types.Value) *vector.Chunk {
 	c.SetLen(1)
 	return c
 }
-
-// compile-time interface checks
-var (
-	_ RowIterator = (*rowScan)(nil)
-	_ RowIterator = (*rowFilter)(nil)
-	_ RowIterator = (*rowProject)(nil)
-	_ RowIterator = (*rowAgg)(nil)
-	_ RowIterator = (*rowLimit)(nil)
-)

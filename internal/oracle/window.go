@@ -1,9 +1,10 @@
-package exec
+package oracle
 
 import (
 	"sort"
 
 	"repro/internal/plan"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -13,11 +14,11 @@ import (
 // vectorized engine's (partition, order, position) total order — cut
 // into partitions, and every function is computed with boxed per-row
 // accumulation. Frame semantics are shared with the vectorized engine
-// through frameBoundsFn, and DOUBLE aggregates fold left-to-right in
+// through plan.WindowFrame.Bounds, and DOUBLE aggregates fold left-to-right in
 // partition order, so the output matches the chunked executors
 // bit-for-bit, row order included.
 type rowWindow struct {
-	child RowIterator
+	child rowIterator
 	node  *plan.WindowNode
 
 	out   [][]types.Value
@@ -25,14 +26,14 @@ type rowWindow struct {
 	built bool
 }
 
-func (w *rowWindow) Open(ctx *Context) error {
+func (w *rowWindow) Open(tx *txn.Transaction) error {
 	w.out, w.pos, w.built = nil, 0, false
-	return w.child.Open(ctx)
+	return w.child.Open(tx)
 }
 
-func (w *rowWindow) NextRow(ctx *Context) ([]types.Value, error) {
+func (w *rowWindow) NextRow() ([]types.Value, error) {
 	if !w.built {
-		if err := w.build(ctx); err != nil {
+		if err := w.build(); err != nil {
 			return nil, err
 		}
 		w.built = true
@@ -45,9 +46,9 @@ func (w *rowWindow) NextRow(ctx *Context) ([]types.Value, error) {
 	return row, nil
 }
 
-func (w *rowWindow) Close(ctx *Context) {
+func (w *rowWindow) Close() {
 	w.out = nil
-	w.child.Close(ctx)
+	w.child.Close()
 }
 
 // cmpKeyVal orders two key values under (desc, nullsFirst); NULLs group
@@ -70,11 +71,11 @@ func cmpKeyVal(a, b types.Value, desc, nullsFirst bool) int {
 	return c
 }
 
-func (w *rowWindow) build(ctx *Context) error {
+func (w *rowWindow) build() error {
 	var rows [][]types.Value
 	var pks, oks [][]types.Value
 	for {
-		row, err := w.child.NextRow(ctx)
+		row, err := w.child.NextRow()
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func (w *rowWindow) build(ctx *Context) error {
 		}
 		pk := make([]types.Value, len(w.node.PartitionBy))
 		for i, e := range w.node.PartitionBy {
-			v, err := EvalRow(e, row)
+			v, err := evalRow(e, row)
 			if err != nil {
 				return err
 			}
@@ -91,7 +92,7 @@ func (w *rowWindow) build(ctx *Context) error {
 		}
 		ok := make([]types.Value, len(w.node.OrderBy))
 		for i, k := range w.node.OrderBy {
-			v, err := EvalRow(k.Expr, row)
+			v, err := evalRow(k.Expr, row)
 			if err != nil {
 				return err
 			}
@@ -181,7 +182,7 @@ func (w *rowWindow) evalPartition(rows, oks [][]types.Value, part []int) error {
 		if f.Arg != nil {
 			args = make([]types.Value, n)
 			for i, r := range part {
-				v, err := EvalRow(f.Arg, rows[r])
+				v, err := evalRow(f.Arg, rows[r])
 				if err != nil {
 					return err
 				}
@@ -219,7 +220,7 @@ func (w *rowWindow) evalPartition(rows, oks [][]types.Value, part []int) error {
 				}
 			}
 		default: // count, sum, avg, min, max
-			bounds, _ := frameBoundsFn(w.node.Frame, n, peerStart, peerEnd, len(w.node.OrderBy) > 0)
+			bounds, _ := w.node.Frame.Bounds(n, peerStart, peerEnd, len(w.node.OrderBy) > 0)
 			for i := 0; i < n; i++ {
 				lo, hi := bounds(i)
 				if lo < 0 {
@@ -315,5 +316,3 @@ func rowFrameAgg(f *plan.WindowFunc, args []types.Value, lo, hi int) types.Value
 		return best
 	}
 }
-
-var _ RowIterator = (*rowWindow)(nil)

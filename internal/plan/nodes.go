@@ -276,6 +276,51 @@ type WindowFrame struct {
 	Start, End FrameBound
 }
 
+// Bounds resolves the frame into a per-row [lo, hi] row interval
+// (unclamped) over a partition of n rows in (order keys, input position)
+// order; peerStart and peerEnd give every row's ORDER BY peer group.
+// growing reports that lo is pinned at 0 and hi never decreases, which
+// lets an evaluator accumulate incrementally. The vectorized window
+// operator and the row-engine oracle both resolve frames here, so frame
+// semantics exist once.
+func (f WindowFrame) Bounds(n int, peerStart, peerEnd []int, hasOrder bool) (bounds func(i int) (lo, hi int), growing bool) {
+	if !f.Set {
+		if !hasOrder {
+			// Whole partition.
+			return func(int) (int, int) { return 0, n - 1 }, true
+		}
+		// SQL default: RANGE UNBOUNDED PRECEDING .. CURRENT ROW — the
+		// running frame including the current row's peers.
+		return func(i int) (int, int) { return 0, peerEnd[i] }, true
+	}
+	resolve := func(b FrameBound, start bool) func(i int) int {
+		switch {
+		case b.Unbounded && b.Preceding:
+			return func(int) int { return 0 }
+		case b.Unbounded:
+			return func(int) int { return n - 1 }
+		case b.Current:
+			if f.Rows {
+				return func(i int) int { return i }
+			}
+			if start {
+				return func(i int) int { return peerStart[i] }
+			}
+			return func(i int) int { return peerEnd[i] }
+		case b.Preceding:
+			off := int(b.Offset)
+			return func(i int) int { return i - off }
+		default:
+			off := int(b.Offset)
+			return func(i int) int { return i + off }
+		}
+	}
+	lo := resolve(f.Start, true)
+	hi := resolve(f.End, false)
+	growing = f.Start.Unbounded && f.Start.Preceding
+	return func(i int) (int, int) { return lo(i), hi(i) }, growing
+}
+
 // WindowNode evaluates window functions sharing one OVER specification:
 // rows are ordered by (PartitionBy, OrderBy) within each partition and
 // every function's value is appended as a new column after the child's.

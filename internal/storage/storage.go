@@ -177,6 +177,9 @@ func (m *Manager) InMemory() bool { return m.inMemory }
 // SetChecksums toggles verification on read (used by experiment E8).
 func (m *Manager) SetChecksums(on bool) { m.checksums.Store(on) }
 
+// ChecksumsEnabled reports whether block reads verify their checksum.
+func (m *Manager) ChecksumsEnabled() bool { return m.checksums.Load() }
+
 // Root returns the catalog root block recorded by the last checkpoint.
 func (m *Manager) Root() BlockID {
 	m.mu.Lock()

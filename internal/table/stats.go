@@ -32,10 +32,6 @@ type ColStats struct {
 	// "no version of any row is NULL" (and symmetrically for NonNull).
 	NullCount    int64
 	NonNullCount int64
-	// DistinctHint is a rough all-distinct flag: true when the non-null
-	// values of an integer-family column form a dense range. Advisory
-	// only — never used for skipping.
-	DistinctHint bool
 }
 
 // widenValue folds one observed value into the stats.
@@ -58,17 +54,6 @@ func (st *ColStats) widenValue(v types.Value) {
 		if types.Compare(v, st.Max) > 0 {
 			st.Max = v
 		}
-	}
-	st.refreshDistinctHint()
-}
-
-func (st *ColStats) refreshDistinctHint() {
-	switch st.Min.Type {
-	case types.Integer, types.BigInt, types.Timestamp:
-		span := st.Max.I64 - st.Min.I64
-		st.DistinctHint = span >= 0 && span+1 == st.NonNullCount
-	default:
-		st.DistinctHint = false
 	}
 }
 
@@ -177,8 +162,11 @@ func (st *ColStats) Refutes(f ZoneFilter) bool {
 // ---- serialization (catalog checkpoint image) ----
 
 const (
-	statsFlagValid    = 1 << 0
-	statsFlagMinMax   = 1 << 1
+	statsFlagValid  = 1 << 0
+	statsFlagMinMax = 1 << 1
+	// statsFlagDistinct is reserved: files checkpointed before the
+	// all-distinct hint was dropped may carry it. It is never written
+	// and DecodeColStats ignores it.
 	statsFlagDistinct = 1 << 2
 )
 
@@ -193,9 +181,6 @@ func AppendColStats(dst []byte, typ types.Type, stats []ColStats) []byte {
 		}
 		if st.HasMinMax {
 			flags |= statsFlagMinMax
-		}
-		if st.DistinctHint {
-			flags |= statsFlagDistinct
 		}
 		dst = append(dst, flags)
 		if !st.Valid {
@@ -247,7 +232,6 @@ func DecodeColStats(src []byte, typ types.Type) ([]ColStats, []byte, error) {
 		st := &out[i]
 		st.Valid = flags&statsFlagValid != 0
 		st.HasMinMax = flags&statsFlagMinMax != 0
-		st.DistinctHint = flags&statsFlagDistinct != 0
 		if !st.Valid {
 			st.HasMinMax = false
 			continue

@@ -374,6 +374,24 @@ func CompareFloat(a, b float64) int {
 	}
 }
 
+// canonNaNBits is the one bit pattern every NaN key is stored under.
+var canonNaNBits = math.Float64bits(math.NaN())
+
+// CanonF64Bits returns the key bits of a DOUBLE: the bit pattern shared
+// by every value CompareFloat calls equal to f, so -0 and +0 are one key
+// and every NaN payload is one key. Group keys, DISTINCT sets, hash-join
+// build and probe keys and the row-engine oracle all encode DOUBLEs
+// through it; the normalized sort keys (extsort) draw the same classes.
+func CanonF64Bits(f float64) uint64 {
+	switch {
+	case f != f:
+		return canonNaNBits
+	case f == 0:
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
 // Equal reports deep value equality including NULL-ness and type.
 func Equal(a, b Value) bool {
 	if a.Null != b.Null {

@@ -2,7 +2,6 @@ package quack_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/quack"
@@ -75,7 +74,7 @@ func TestAggSpillDifferentialBudgets(t *testing.T) {
 	}
 
 	db := differentialDB(t, 1)
-	spillsBefore := pragmaInt(t, db, "agg_spill_partitions")
+	spillsBefore := db.Metrics()["agg_spill_partitions_total"]
 	for _, c := range aggSpillBudgetCases {
 		mustExec(t, db, "PRAGMA memory_limit='"+c.budget+"'")
 		for _, threads := range c.threads {
@@ -89,22 +88,12 @@ func TestAggSpillDifferentialBudgets(t *testing.T) {
 			}
 		}
 	}
-	if spills := pragmaInt(t, db, "agg_spill_partitions") - spillsBefore; spills == 0 {
+	if spills := db.Metrics()["agg_spill_partitions_total"] - spillsBefore; spills == 0 {
 		t.Fatal("the budget matrix produced no partition spills; the fixture no longer exercises the spill path")
 	}
-	if bytes := pragmaInt(t, db, "agg_spilled_bytes"); bytes == 0 {
-		t.Fatal("agg_spilled_bytes still 0 after the spilling matrix")
+	if bytes := db.Metrics()["agg_spill_bytes_total"]; bytes == 0 {
+		t.Fatal("agg_spill_bytes_total still 0 after the spilling matrix")
 	}
-}
-
-func pragmaInt(t *testing.T, db *quack.DB, name string) int64 {
-	t.Helper()
-	rows := queryAll(t, db, "PRAGMA "+name)
-	n, err := strconv.ParseInt(rows[0][0], 10, 64)
-	if err != nil {
-		t.Fatalf("PRAGMA %s returned %q: %v", name, rows[0][0], err)
-	}
-	return n
 }
 
 // TestAggSpillDifferential1MRows is the acceptance bar for the
@@ -146,12 +135,12 @@ func TestAggSpillDifferential1MRows(t *testing.T) {
 	mustExec(t, db, "PRAGMA memory_limit='8MB'")
 	for _, threads := range []int{1, 2, 8} {
 		mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
-		before := pragmaInt(t, db, "agg_spill_partitions")
+		before := db.Metrics()["agg_spill_partitions_total"]
 		got := queryAll(t, db, q)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("threads=%d: budgeted 1M-row aggregation diverges from the unlimited sequential run", threads)
 		}
-		if pragmaInt(t, db, "agg_spill_partitions") == before {
+		if db.Metrics()["agg_spill_partitions_total"] == before {
 			t.Fatalf("threads=%d: 8MB budget over ~27MB of state did not spill", threads)
 		}
 	}

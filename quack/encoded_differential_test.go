@@ -102,18 +102,18 @@ func runEncodedPalette(t *testing.T, path string, threads int, encodedExec bool)
 	// with QUACK_DISABLE_ZONEMAPS=1 / QUACK_DISABLE_ENCODED_EXEC=1 as
 	// session defaults, and encoded execution rides on the zone-filter
 	// push-down.
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	if encodedExec {
-		mustExec(t, db, "PRAGMA encoded_exec=1")
+		db.Internal().SetEncodedExec(true)
 	} else {
-		mustExec(t, db, "PRAGMA encoded_exec=0")
+		db.Internal().SetEncodedExec(false)
 	}
 	mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
-	before := pragmaInt(t, db, "segments_encoded")
+	before := db.Metrics()["scan_segments_encoded_total"]
 	for _, q := range encodedExecQueries {
 		results = append(results, queryAll(t, db, q))
 	}
-	return results, pragmaInt(t, db, "segments_encoded") - before
+	return results, db.Metrics()["scan_segments_encoded_total"] - before
 }
 
 // TestEncodedExecDifferential checkpoints a mixed-type fixture and, per
@@ -137,7 +137,7 @@ func TestEncodedExecDifferential(t *testing.T) {
 			t.Fatalf("threads=%d: the palette executed no segment encoded; kernels are not wired into the scan", threads)
 		}
 		if encOff != 0 {
-			t.Fatalf("threads=%d: PRAGMA encoded_exec=0 still executed %d segments encoded", threads, encOff)
+			t.Fatalf("threads=%d: encoded execution off still executed %d segments encoded", threads, encOff)
 		}
 	}
 }
@@ -155,14 +155,14 @@ func TestEncodedExecExplainAndWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mustExec(t, db, "PRAGMA zone_maps=1")
-	mustExec(t, db, "PRAGMA encoded_exec=1")
+	db.Internal().SetZoneMaps(true)
+	db.Internal().SetEncodedExec(true)
 
 	queryAll(t, db, "SELECT count(*) FROM facts WHERE grp = 'emea'")
-	if pragmaInt(t, db, "segments_encoded") == 0 {
+	if db.Metrics()["scan_segments_encoded_total"] == 0 {
 		t.Fatal("dictionary predicate executed no segment encoded")
 	}
-	if pragmaInt(t, db, "rows_encoded_selected") == 0 {
+	if db.Metrics()["scan_rows_encoded_selected_total"] == 0 {
 		t.Fatal("encoded execution selected no rows")
 	}
 	var note string
@@ -178,9 +178,9 @@ func TestEncodedExecExplainAndWrites(t *testing.T) {
 	// Writes materialize their segments; encoded execution must step
 	// aside without changing results.
 	mustExec(t, db, "UPDATE facts SET qty = 999 WHERE id >= 4000 AND id < 4010")
-	mustExec(t, db, "PRAGMA encoded_exec=0")
+	db.Internal().SetEncodedExec(false)
 	want := queryAll(t, db, "SELECT count(*), sum(qty) FROM facts WHERE qty = 999")
-	mustExec(t, db, "PRAGMA encoded_exec=1")
+	db.Internal().SetEncodedExec(true)
 	got := queryAll(t, db, "SELECT count(*), sum(qty) FROM facts WHERE qty = 999")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("post-update scan diverges: got %v want %v", got, want)

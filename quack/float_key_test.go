@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/quack"
 )
 
@@ -113,7 +114,7 @@ func TestFloatKeyEqualityAgrees(t *testing.T) {
 
 		// The row engine draws the same classes (it is the oracle of
 		// TestRowEngineDifferential).
-		res, err := db.Internal().NewSession().ExecuteRowEngine("SELECT x, count(*) FROM z GROUP BY x")
+		res, err := oracle.Query(db.Internal(), "SELECT x, count(*) FROM z GROUP BY x")
 		if err != nil {
 			t.Fatal(err)
 		}

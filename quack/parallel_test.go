@@ -251,10 +251,8 @@ func TestParallelQueryErrorsPropagate(t *testing.T) {
 // TestAggSpillSurfaced pins the visibility of budgeted aggregation:
 // under an enforced memory_limit a grouped aggregation spills
 // partition-wise state runs — the database counts spill events and
-// bytes (PRAGMA agg_spill_partitions / agg_spilled_bytes), EXPLAIN
-// calls the behaviour out, and the deprecated fallback counter reads 0
-// (the one-worker degraded mode is gone; embedders' dashboards keep
-// parsing an integer for one release).
+// bytes (agg_spill_partitions_total / agg_spill_bytes_total in the
+// metrics registry) and EXPLAIN calls the behaviour out.
 func TestAggSpillSurfaced(t *testing.T) {
 	// The budget sits well above the floor (the in-flight morsels'
 	// distinct groups, which can never spill) and well below the total
@@ -280,8 +278,8 @@ func TestAggSpillSurfaced(t *testing.T) {
 	}
 	const agg = "SELECT g, count(*), sum(v) FROM t GROUP BY g"
 
-	if got := queryAll(t, db, "PRAGMA agg_spill_partitions"); got[0][0] != "0" {
-		t.Fatalf("spill counter before any aggregation = %s", got[0][0])
+	if got := db.Metrics()["agg_spill_partitions_total"]; got != 0 {
+		t.Fatalf("spill counter before any aggregation = %d", got)
 	}
 	plan := queryAll(t, db, "EXPLAIN "+agg)
 	found := false
@@ -296,10 +294,10 @@ func TestAggSpillSurfaced(t *testing.T) {
 	if rows := queryAll(t, db, agg); len(rows) != 40_000 {
 		t.Fatalf("aggregation returned %d groups, want 40000", len(rows))
 	}
-	if got := queryAll(t, db, "PRAGMA agg_spill_partitions"); got[0][0] == "0" {
+	if db.Metrics()["agg_spill_partitions_total"] == 0 {
 		t.Fatal("spill counter still 0 after a budgeted aggregation that must spill")
 	}
-	if got := queryAll(t, db, "PRAGMA agg_spilled_bytes"); got[0][0] == "0" {
+	if db.Metrics()["agg_spill_bytes_total"] == 0 {
 		t.Fatal("spilled-bytes counter still 0 after a spilling aggregation")
 	}
 
@@ -320,7 +318,7 @@ func TestAggSpillSurfaced(t *testing.T) {
 		}
 	}
 	queryAll(t, db2, agg)
-	if got := queryAll(t, db2, "PRAGMA agg_spill_partitions"); got[0][0] != "0" {
-		t.Fatalf("unlimited database counted %s spills", got[0][0])
+	if got := db2.Metrics()["agg_spill_partitions_total"]; got != 0 {
+		t.Fatalf("unlimited database counted %d spills", got)
 	}
 }

@@ -449,8 +449,9 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // TestMetricsPragmas covers the remaining observability PRAGMAs: the
-// registry snapshot, the memory gauges, and the profiling readbacks —
-// plus agreement between legacy counter PRAGMAs and registry cells.
+// registry snapshot — every cell a deleted counter PRAGMA used to
+// mirror is listed below — the memory gauges, and the profiling
+// readbacks.
 func TestMetricsPragmas(t *testing.T) {
 	db := differentialDBWith(t, quack.WithThreads(2))
 	conn := db.Conn()
@@ -485,7 +486,8 @@ func TestMetricsPragmas(t *testing.T) {
 		"admission_admitted_total", "admission_queue_depth",
 		"pool_reserved_bytes", "pool_peak_bytes", "wal_bytes",
 		"scan_segments_scanned_total", "scan_segments_skipped_total",
-		"scan_bytes_decompressed_total", "agg_spill_bytes_total",
+		"scan_segments_encoded_total", "scan_rows_encoded_selected_total",
+		"scan_bytes_decompressed_total", "agg_spill_partitions_total", "agg_spill_bytes_total",
 		"sort_spill_bytes_total", "sort_key_tie_fallbacks_total", "query_count", "query_p50_ns",
 		"checkpoint_count",
 	} {
@@ -500,39 +502,8 @@ func TestMetricsPragmas(t *testing.T) {
 		t.Errorf("query_count = %d after a query", got["query_count"])
 	}
 
-	// Legacy counter PRAGMAs read the same cells as the registry.
-	readPragma := func(name string) int64 {
-		t.Helper()
-		r, err := conn.Query("PRAGMA " + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Next() {
-			t.Fatalf("PRAGMA %s returned no rows", name)
-		}
-		n, err := strconv.ParseInt(r.Value(0).String(), 10, 64)
-		if err != nil {
-			t.Fatalf("PRAGMA %s: %v", name, err)
-		}
-		return n
-	}
-	fresh := db.Metrics()
-	if v, reg := readPragma("segments_scanned"), fresh["scan_segments_scanned_total"]; v != reg {
-		t.Errorf("PRAGMA segments_scanned %d != registry %d", v, reg)
-	}
-	if v, reg := readPragma("segments_skipped"), fresh["scan_segments_skipped_total"]; v != reg {
-		t.Errorf("PRAGMA segments_skipped %d != registry %d", v, reg)
-	}
-	if v, reg := readPragma("agg_spilled_bytes"), fresh["agg_spill_bytes_total"]; v != reg {
-		t.Errorf("PRAGMA agg_spilled_bytes %d != registry %d", v, reg)
-	}
-	if v, reg := readPragma("agg_spill_partitions"), fresh["agg_spill_partitions_total"]; v != reg {
-		t.Errorf("PRAGMA agg_spill_partitions %d != registry %d", v, reg)
-	}
-
 	// Memory gauges: peak bounds usage from above.
-	used, peak := readPragma("memory_used"), readPragma("memory_peak")
-	if used < 0 || peak < used {
+	if used, peak := got["pool_reserved_bytes"], got["pool_peak_bytes"]; used < 0 || peak < used {
 		t.Errorf("memory gauges inconsistent: used=%d peak=%d", used, peak)
 	}
 

@@ -70,11 +70,12 @@
 // directly, so skipped segments are never decompressed. Skipping never
 // changes results; it only avoids touching bytes the filter would
 // discard. EXPLAIN reports the pushed predicates and a
-// "segments skipped: X/Y" note per scan. Knobs: PRAGMA zone_maps=0|1
-// toggles skipping at runtime (the QUACK_DISABLE_ZONEMAPS=1 environment
-// variable sets the default off, mirroring QUACK_THREADS and
-// QUACK_MEMORY_LIMIT), and PRAGMA segments_scanned /
-// segments_skipped read the session's cumulative scan counters.
+// "segments skipped: X/Y" note per scan. Skipping is not a user knob:
+// the QUACK_DISABLE_ZONEMAPS=1 environment variable turns it off at
+// Open for the differential test legs (mirroring QUACK_THREADS and
+// QUACK_MEMORY_LIMIT), and scan_segments_scanned_total /
+// scan_segments_skipped_total in the metrics registry count what scans
+// did.
 //
 // Segments that survive skipping can still execute without being
 // decompressed: exact pushed conjuncts run as selection kernels over
@@ -87,13 +88,13 @@
 // execution never changes results — the full filter still runs on what
 // the scan emits — and it steps aside automatically for segments with
 // in-flight updates or payload shapes a kernel cannot answer exactly.
-// PRAGMA encoded_exec=0|1 toggles it (QUACK_DISABLE_ENCODED_EXEC=1
-// sets the default off); because the kernels consume the pushed zone
-// filters, zone_maps=0 disables encoded execution too. EXPLAIN adds an
-// "encoded execution: X/Y surviving segments" note per scan, EXPLAIN
-// ANALYZE reports enc=N and decoded=N selected=N per operator, and
-// PRAGMA segments_encoded / rows_encoded_selected read the cumulative
-// counters.
+// QUACK_DISABLE_ENCODED_EXEC=1 turns it off at Open (a test leg, like
+// QUACK_DISABLE_ZONEMAPS); because the kernels consume the pushed zone
+// filters, disabling zone maps disables encoded execution too. EXPLAIN
+// adds an "encoded execution: X/Y surviving segments" note per scan,
+// EXPLAIN ANALYZE reports enc=N and decoded=N selected=N per operator,
+// and scan_segments_encoded_total / scan_rows_encoded_selected_total in
+// the metrics registry are the cumulative counters.
 //
 // # Observability
 //
@@ -119,9 +120,11 @@
 // scanned/skipped, bytes decompressed), operator spilling and sort-key
 // tie fallbacks (sort_key_tie_fallbacks_total). Read it
 // with DB.Metrics / DB.WriteMetrics or PRAGMA metrics; histogram
-// metrics expand to _count, _sum_ns, _p50_ns and _p99_ns cells. The
-// legacy counter PRAGMAs read through the registry, so both surfaces
-// always agree.
+// metrics expand to _count, _sum_ns, _p50_ns and _p99_ns cells. It is
+// the one read surface for engine counters: pool_reserved_bytes,
+// pool_peak_bytes, wal_bytes, scan_segments_*_total,
+// scan_rows_encoded_selected_total, agg_spill_partitions_total,
+// agg_spill_bytes_total and sort_spill_bytes_total are cells of it.
 //
 // WithLogger installs a log sink; PRAGMA log_min_duration_ms=N then
 // emits one JSON line (query, duration_ms, admit_wait_ms, rows,
@@ -130,17 +133,15 @@
 //
 // # Knobs
 //
-// Engine-wide (any session; environment variables set the default at
-// Open):
+// Thirteen PRAGMAs, and no others. Engine-wide (any session; environment
+// variables set the default at Open):
 //
-//	PRAGMA memory_limit='64MB'     QUACK_MEMORY_LIMIT       buffer-pool budget, unset = unlimited
-//	PRAGMA threads=N               QUACK_THREADS            shared worker-pool size, default GOMAXPROCS
-//	PRAGMA zone_maps=0|1           QUACK_DISABLE_ZONEMAPS   segment skipping, default on
-//	PRAGMA encoded_exec=0|1        QUACK_DISABLE_ENCODED_EXEC  filter kernels over compressed segments, default on
-//	PRAGMA log_min_duration_ms=N   —                        slow-query log threshold, default -1 (off)
-//	PRAGMA memtest=0|1             —                        buffer allocation memory testing
-//	PRAGMA checksum_verification=0|1  —                     block checksum verification on read
-//	PRAGMA rebuild_stats='t'       —                        recompute table t's zone maps exactly
+//	PRAGMA memory_limit='64MB'        QUACK_MEMORY_LIMIT  buffer-pool budget, unset = unlimited
+//	PRAGMA threads=N                  QUACK_THREADS       shared worker-pool size, default GOMAXPROCS
+//	PRAGMA log_min_duration_ms=N      —                   slow-query log threshold, default -1 (off)
+//	PRAGMA memtest=0|1                —                   buffer allocation memory testing
+//	PRAGMA checksum_verification=0|1  —                   block checksum verification on read
+//	PRAGMA rebuild_stats='t'          —                   recompute table t's zone maps exactly
 //
 // Session-scoped:
 //
@@ -149,17 +150,16 @@
 //	PRAGMA admission_queue_depth=N bounded admission queue, default 32; 0 = fail fast
 //	PRAGMA profiling=0|1           per-operator profiler for every statement, default off
 //
-// Read-only:
+// Every PRAGMA above except rebuild_stats reads its current value back
+// when given no argument. Read-only:
 //
 //	PRAGMA last_profile            most recent profile of this session, JSON
 //	PRAGMA metrics                 registry snapshot as (name, value) rows
-//	PRAGMA memory_used             current buffer-pool reservation
-//	PRAGMA memory_peak             reservation high-water mark
-//	PRAGMA wal_size, database_size storage sizes
-//	PRAGMA segments_scanned, segments_skipped          scan counters
-//	PRAGMA segments_encoded, rows_encoded_selected     encoded-execution counters
-//	PRAGMA agg_spill_partitions, agg_spilled_bytes     aggregation spill counters
-//	PRAGMA sort_spilled_bytes                          external-sort spill bytes
+//	PRAGMA database_size           blocks read, written and free
+//
+// QUACK_DISABLE_ZONEMAPS=1 and QUACK_DISABLE_ENCODED_EXEC=1 switch two
+// scan strategies off at Open. Results are identical either way; they
+// exist for the differential test legs and have no PRAGMA.
 package quack
 
 import (
@@ -208,8 +208,10 @@ func WithMemoryLimit(bytes int64) Option {
 	return func(c *core.Config) { c.MemoryLimit = bytes }
 }
 
-// WithTotalRAM tells the adaptive policy how much RAM the application
-// and database share.
+// WithTotalRAM records how much RAM the application and database share,
+// the denominator of the thresholds in adaptive.Policy. Nothing in the
+// engine consults that policy yet (see SetAppUsage); to bound the
+// engine's memory, use WithMemoryLimit.
 func WithTotalRAM(bytes int64) Option {
 	return func(c *core.Config) { c.TotalRAM = bytes }
 }
@@ -341,8 +343,14 @@ func (c *Conn) Query(sql string, args ...any) (*Rows, error) {
 // truncates the WAL. Fails with an error if transactions are in flight.
 func (db *DB) Checkpoint() error { return db.core.Checkpoint() }
 
-// SetAppUsage informs the adaptive policy of the host application's
-// current resource usage (§4 cooperation).
+// SetAppUsage records the host application's current resource usage
+// (§4 cooperation). Today that is all it does: the engine keeps the
+// observation (Internal().Monitor()) and a Policy that would turn it
+// into decisions, but no operator consults the policy yet — queries do
+// not compress harder or switch join strategy because of this call.
+// What the engine does enforce is the memory budget (WithMemoryLimit,
+// PRAGMA memory_limit): operators spill and queries queue to stay
+// inside it.
 func (db *DB) SetAppUsage(ramBytes int64, cpuFraction float64) {
 	db.core.Monitor().SetAppUsage(adaptive.Usage{AppRAM: ramBytes, AppCPU: cpuFraction})
 }

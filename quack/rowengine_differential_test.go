@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/quack"
 )
 
 // The vectorized engine has one implementation of every operator, so
 // comparing it with itself at another thread count only proves that the
 // two drivers agree. The independent oracle is the tuple-at-a-time row
-// engine (internal/exec/rowengine.go): different scan loop, different
+// engine (internal/oracle): different scan loop, different
 // expression interpreter, different aggregate state, update, finish and
 // sort code, sharing only the logical plan and the DISTINCT value
 // encoding. This suite
@@ -187,9 +188,8 @@ func TestRowEngineDifferential(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for _, budget := range []string{"", "1MB"} {
 			db := rowEngineDB(t, threads, budget)
-			sess := db.Internal().NewSession()
 			for _, q := range queries {
-				want, err := sess.ExecuteRowEngine(q)
+				want, err := oracle.Query(db.Internal(), q)
 				if err != nil {
 					t.Fatalf("row engine %q: %v", q, err)
 				}

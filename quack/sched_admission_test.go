@@ -208,6 +208,8 @@ func TestPragmaKnobRacesUnderLoad(t *testing.T) {
 				return
 			default:
 			}
+			// Zone maps have no PRAGMA; flip the knob where tests do.
+			db.Internal().SetZoneMaps(i%2 == 1)
 			if _, err := conn.Exec(stmts[i%len(stmts)]); err != nil {
 				t.Errorf("toggler: %v", err)
 				return
@@ -216,7 +218,6 @@ func TestPragmaKnobRacesUnderLoad(t *testing.T) {
 	}
 	togglers.Add(2)
 	go toggle([]string{
-		"PRAGMA zone_maps=0", "PRAGMA zone_maps=1",
 		"PRAGMA checksum_verification=0", "PRAGMA checksum_verification=1",
 		"PRAGMA priority=250",
 	})
@@ -246,7 +247,7 @@ func TestPragmaKnobRacesUnderLoad(t *testing.T) {
 	close(stop)
 	togglers.Wait()
 	// The database must come back to a known state for later asserts.
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	mustExec(t, db, "PRAGMA memory_limit=-1")
 }
 
@@ -312,7 +313,7 @@ func TestRebuildStatsRefutesDeletedRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	mustExec(t, db, "CREATE TABLE t (id BIGINT, v BIGINT)")
 	app, err := db.Appender("t")
 	if err != nil {
@@ -373,7 +374,7 @@ func TestRebuildStatsRefutesDeletedRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	if n := mustExec(t, db, "DELETE FROM t WHERE id >= 10000"); n != 10_000 {
 		t.Fatalf("deleted %d rows after reopen", n)
 	}

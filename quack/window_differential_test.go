@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/types"
 	"repro/quack"
 )
@@ -686,10 +687,9 @@ func TestWindowRowEngineDifferential(t *testing.T) {
 		"SELECT id, count(*) OVER (PARTITION BY p), min(o) OVER (PARTITION BY p), max(d) OVER (PARTITION BY p) FROM w",
 		"SELECT id, sum(v) OVER (ORDER BY o, id) FROM w WHERE v IS NOT NULL ORDER BY id LIMIT 800",
 	}
-	sess := db.Internal().NewSession()
 	for _, q := range queries {
 		want := queryAll(t, db, q)
-		got, err := sess.ExecuteRowEngine(q)
+		got, err := oracle.Query(db.Internal(), q)
 		if err != nil {
 			t.Fatalf("row engine %q: %v", q, err)
 		}

@@ -44,9 +44,9 @@ func zoneMapCompare(t *testing.T, db *quack.DB, threadCounts []int) {
 	for _, threads := range threadCounts {
 		mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
 		for _, q := range zoneMapQueries {
-			mustExec(t, db, "PRAGMA zone_maps=0")
+			db.Internal().SetZoneMaps(false)
 			want := queryAll(t, db, q)
-			mustExec(t, db, "PRAGMA zone_maps=1")
+			db.Internal().SetZoneMaps(true)
 			got := queryAll(t, db, q)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("threads=%d query %q diverges with zone maps on:\n got (%d rows): %.300v\nwant (%d rows): %.300v",
@@ -62,20 +62,20 @@ func zoneMapCompare(t *testing.T, db *quack.DB, threadCounts []int) {
 // byte-identical, and the skip counter must actually move.
 func TestZoneMapDifferential(t *testing.T) {
 	db := differentialDB(t, 1)
-	skippedBefore := pragmaInt(t, db, "segments_skipped")
+	skippedBefore := db.Metrics()["scan_segments_skipped_total"]
 	zoneMapCompare(t, db, []int{1, 2, 8})
-	if pragmaInt(t, db, "segments_skipped") == skippedBefore {
+	if db.Metrics()["scan_segments_skipped_total"] == skippedBefore {
 		t.Fatal("the selective palette skipped no segments; zone maps are not wired into the scan")
 	}
 
 	// With skipping disabled the counter must not move.
-	mustExec(t, db, "PRAGMA zone_maps=0")
-	before := pragmaInt(t, db, "segments_skipped")
+	db.Internal().SetZoneMaps(false)
+	before := db.Metrics()["scan_segments_skipped_total"]
 	queryAll(t, db, zoneMapQueries[0])
-	if pragmaInt(t, db, "segments_skipped") != before {
-		t.Fatal("PRAGMA zone_maps=0 still skipped segments")
+	if db.Metrics()["scan_segments_skipped_total"] != before {
+		t.Fatal("zone maps off still skipped segments")
 	}
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 }
 
 // TestZoneMapDifferentialReopen checkpoints the fixture into a database
@@ -130,7 +130,7 @@ func TestZoneMapDifferentialReopen(t *testing.T) {
 	defer db.Close()
 	// Pin skipping on: the CI differential matrix also runs this suite
 	// with QUACK_DISABLE_ZONEMAPS=1 as the session default.
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 
 	// Cold: EXPLAIN consults only catalog-loaded stats; no chain reads.
 	readsBefore := blocksRead(t, db)
@@ -142,9 +142,9 @@ func TestZoneMapDifferentialReopen(t *testing.T) {
 		t.Fatalf("cold EXPLAIN reports %d/%d segments skipped, want >90%%", skipped, total)
 	}
 
-	skippedBefore := pragmaInt(t, db, "segments_skipped")
+	skippedBefore := db.Metrics()["scan_segments_skipped_total"]
 	zoneMapCompare(t, db, []int{1, 2, 8})
-	if pragmaInt(t, db, "segments_skipped") == skippedBefore {
+	if db.Metrics()["scan_segments_skipped_total"] == skippedBefore {
 		t.Fatal("post-reopen palette skipped no segments")
 	}
 }
@@ -157,7 +157,7 @@ func TestZoneMapExplainMatchesSequential(t *testing.T) {
 	db := openMem(t)
 	// Pin skipping on: the CI differential matrix also runs this suite
 	// with QUACK_DISABLE_ZONEMAPS=1 as the session default.
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	mustExec(t, db, "CREATE TABLE seq (id BIGINT, v BIGINT)")
 	app, err := db.Appender("seq")
 	if err != nil {
@@ -198,9 +198,9 @@ func TestZoneMapExplainMatchesSequential(t *testing.T) {
 	// and the sequential (threads=1) engine is the baseline.
 	q := "SELECT count(*), sum(v) FROM seq WHERE id >= 500000 AND id < 510000"
 	mustExec(t, db, "PRAGMA threads=1")
-	mustExec(t, db, "PRAGMA zone_maps=0")
+	db.Internal().SetZoneMaps(false)
 	want := queryAll(t, db, q)
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 	for _, threads := range []int{1, 2, 8} {
 		mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
 		if got := queryAll(t, db, q); fmt.Sprint(got) != fmt.Sprint(want) {
@@ -209,13 +209,13 @@ func TestZoneMapExplainMatchesSequential(t *testing.T) {
 	}
 
 	// With zone maps off the note disappears.
-	mustExec(t, db, "PRAGMA zone_maps=0")
+	db.Internal().SetZoneMaps(false)
 	for _, l := range queryAll(t, db, "EXPLAIN SELECT v FROM seq WHERE id = 7") {
 		if strings.Contains(l[0], "zone filters") {
-			t.Fatalf("zone-filter note still present with zone_maps=0: %q", l[0])
+			t.Fatalf("zone-filter note still present with zone maps off: %q", l[0])
 		}
 	}
-	mustExec(t, db, "PRAGMA zone_maps=1")
+	db.Internal().SetZoneMaps(true)
 }
 
 var skipNoteRE = regexp.MustCompile(`segments skipped: (\d+)/(\d+)$`)
