@@ -1,8 +1,10 @@
 // Dashboard (paper §2): ETL writers continuously refresh the data while
 // OLAP readers drive visualizations — concurrently, inside one process.
 // MVCC gives every query a consistent snapshot without blocking the
-// writers, and the application feeds its own resource usage to the
-// engine's cooperation policy (§4).
+// writers. The application cooperates over memory (§4) the one way the
+// engine honours: as its own RAM need changes it moves PRAGMA
+// memory_limit, which admission re-reads, operators spill to stay under
+// and Auto joins fall back to the merge join for.
 package main
 
 import (
@@ -75,15 +77,22 @@ func main() {
 		}
 	}()
 
-	// Dashboard readers: each "panel" re-runs its aggregation and tells
-	// the engine how much memory the app layer is using right now.
+	// Dashboard readers: each "panel" re-runs its aggregation. The first
+	// one also stands in for the app layer's own memory use, which swings
+	// between 128MB and 384MB of the 512MB the process may take: the
+	// engine's budget is what is left.
+	const processRAM = 512 << 20
 	for panel := 0; panel < 3; panel++ {
 		wg.Add(1)
 		go func(panel int) {
 			defer wg.Done()
-			appRAM := int64(100 << 20)
-			for time.Now().Before(deadline) {
-				db.SetAppUsage(appRAM, 0.3)
+			for round := 0; time.Now().Before(deadline); round++ {
+				if panel == 0 {
+					appRAM := int64(128+64*(round%5)) << 20
+					if _, err := db.Exec(fmt.Sprintf("PRAGMA memory_limit='%dMB'", (processRAM-appRAM)>>20)); err != nil {
+						log.Fatal(err)
+					}
+				}
 				rows, err := db.Query(`
 					SELECT host, count(*), avg(cpu), max(mem)
 					FROM metrics GROUP BY host ORDER BY host`)

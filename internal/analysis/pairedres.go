@@ -46,7 +46,7 @@ func checkPoolPairing(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.CallExpr:
-			// Ledger updates can be atomic: h.reservedPar.Add(need).
+			// Ledger updates can be atomic: h.reserved.Add(need).
 			if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
 				switch sel.Sel.Name {
 				case "Add", "Sub", "Store":

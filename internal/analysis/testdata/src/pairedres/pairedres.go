@@ -47,14 +47,14 @@ func (r *spillRun) grow(n int64) {
 }
 
 type parRun struct {
-	pool        *BufferPool
-	reservedPar atomic.Int64
+	pool     *BufferPool
+	reserved atomic.Int64
 }
 
 // grow updates the ledger through an atomic method call.
 func (r *parRun) grow(n int64) {
 	if r.pool.Reserve(n) {
-		r.reservedPar.Add(n)
+		r.reserved.Add(n)
 	}
 }
 

@@ -1,14 +1,14 @@
-// Package adaptive holds the paper's cooperation surface (§4): because
-// the embedded DBMS shares the machine with its host application, the
-// host reports its resource usage (Monitor) and a Policy turns an
-// observation into decisions — compress in-memory intermediates harder
-// as the application's RAM need grows (Figure 1), trade the RAM-hungry
-// hash join for the out-of-core merge join under memory pressure.
+// Package adaptive models the paper's cooperation surface (§4) for the
+// Figure 1 reproduction beside it: the host reports its resource usage
+// (Monitor) and a Policy turns an observation into decisions — compress
+// in-memory intermediates harder as the application's RAM need grows
+// (Figure 1), trade the RAM-hungry hash join for the out-of-core merge
+// join under memory pressure.
 //
-// Today the engine only records the observation: no operator consults
-// Policy yet. The Figure 1 reproduction (internal/bench) is its one
-// caller; the engine's own reaction to memory pressure is the
-// memory_limit budget, spilling and admission control.
+// The engine does not consult it. quack reacts to memory pressure
+// through the memory_limit budget — spilling, admission control, the
+// Auto join's merge fallback — which the host moves as its own need
+// changes (examples/dashboard).
 package adaptive
 
 import (
@@ -26,9 +26,8 @@ type Usage struct {
 }
 
 // Monitor tracks the most recent usage observation. In a real deployment
-// the feed comes from OS counters; experiments and the host application
-// push observations via SetAppUsage (see docs/ARCHITECTURE.md,
-// Substitutions).
+// the feed would come from OS counters; the simulation pushes
+// observations via SetAppUsage.
 type Monitor struct {
 	mu  sync.RWMutex
 	cur Usage

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
+	"repro/internal/bench/adaptive"
 	"repro/internal/compress"
 )
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adaptive"
 	"repro/internal/buffer"
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -41,8 +40,6 @@ type Config struct {
 	// cooperation requirement (§4): an embedded DBMS must not assume it
 	// owns the machine.
 	MemoryLimit int64
-	// TotalRAM the application and DBMS share, for the adaptive policy.
-	TotalRAM int64
 	// DisableChecksums skips verification on block reads (experiment E8).
 	DisableChecksums bool
 	// MemTest runs moving-inversions tests on buffer allocation (§3).
@@ -67,17 +64,15 @@ type Config struct {
 // Database is one embedded database instance. It is safe for concurrent
 // use by multiple sessions.
 type Database struct {
-	cfg     Config
-	store   *storage.Manager
-	wal     *wal.Log
-	cat     *catalog.Catalog
-	txns    *txn.Manager
-	pool    *buffer.Pool
-	monitor *adaptive.Monitor
-	policy  *adaptive.Policy
-	logger  walLogger
-	sched   *sched.Scheduler
-	admit   admitState
+	cfg    Config
+	store  *storage.Manager
+	wal    *wal.Log
+	cat    *catalog.Catalog
+	txns   *txn.Manager
+	pool   *buffer.Pool
+	logger walLogger
+	sched  *sched.Scheduler
+	admit  admitState
 
 	ddlMu       sync.Mutex // serializes DDL and checkpoints
 	pendingFree []storage.BlockID
@@ -109,9 +104,6 @@ func Open(cfg Config) (*Database, error) {
 	if cfg.VacuumEvery <= 0 {
 		cfg.VacuumEvery = 256
 	}
-	if cfg.TotalRAM <= 0 {
-		cfg.TotalRAM = 8 << 30
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = defaultThreads()
 	}
@@ -127,13 +119,11 @@ func Open(cfg Config) (*Database, error) {
 		return nil, err
 	}
 	db := &Database{
-		cfg:     cfg,
-		store:   store,
-		cat:     catalog.New(),
-		pool:    pool,
-		monitor: adaptive.NewMonitor(),
+		cfg:   cfg,
+		store: store,
+		cat:   catalog.New(),
+		pool:  pool,
 	}
-	db.policy = adaptive.NewPolicy(db.monitor, cfg.TotalRAM)
 	db.threads.Store(int64(cfg.Threads))
 	db.zoneMapsOff.Store(defaultZoneMapsDisabled())
 	db.encExecOff.Store(defaultEncodedExecDisabled())
@@ -262,12 +252,6 @@ func (db *Database) Txns() *txn.Manager { return db.txns }
 
 // Pool exposes the buffer pool.
 func (db *Database) Pool() *buffer.Pool { return db.pool }
-
-// Monitor exposes the resource monitor the host application feeds.
-func (db *Database) Monitor() *adaptive.Monitor { return db.monitor }
-
-// Policy exposes the adaptive resource policy.
-func (db *Database) Policy() *adaptive.Policy { return db.policy }
 
 // Store exposes the block manager (experiments and tools).
 func (db *Database) Store() *storage.Manager { return db.store }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -402,9 +401,7 @@ func BenchmarkAggAccumulate(b *testing.B) {
 	ctx := &Context{Threads: 1}
 	for _, shape := range accumulateShapes(100_000) {
 		b.Run(shape.name, func(b *testing.B) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < b.N; i++ {
+			benchPerRow(b, shape.rows, func() {
 				tbl := newAggTable(ctx, shape.node, 1)
 				for seq, c := range shape.chunks {
 					if err := tbl.accumulate(ctx, seq, c); err != nil {
@@ -412,11 +409,7 @@ func BenchmarkAggAccumulate(b *testing.B) {
 					}
 				}
 				tbl.close()
-			}
-			runtime.ReadMemStats(&after)
-			rows := float64(b.N) * float64(shape.rows)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
 		})
 	}
 }

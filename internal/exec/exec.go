@@ -14,8 +14,8 @@
 // sorts, the result sink). A pipeline's workers draw table segments
 // ("morsels") from a shared atomic counter, keeping every core busy
 // without up-front range partitioning. Operator state is thread-local —
-// each worker owns partial aggregate hash tables and partitioned
-// join-build tables — and is merged once at the pipeline breaker.
+// each worker owns partial aggregate hash tables and the join-build
+// chunks it kept — and is merged once at the pipeline breaker.
 // Streaming pipelines reassemble their output in morsel order, and
 // breaker merges order groups by first appearance, sorted rows by a
 // hidden input-position tiebreak and join matches by build position, so
@@ -187,11 +187,13 @@ func (c *Context) sortBudget() int64 {
 
 // Operator is a pull-based physical operator.
 type Operator interface {
-	// Open prepares the operator (and its children) for execution.
+	// Open prepares the operator (and its children) for execution. It is
+	// called at most once: after an Open that failed only Close follows.
 	Open(ctx *Context) error
 	// Next returns the next chunk, or nil when exhausted.
 	Next(ctx *Context) (*vector.Chunk, error)
-	// Close releases resources. Idempotent.
+	// Close releases resources, whether or not Open ran or succeeded.
+	// Idempotent.
 	Close(ctx *Context)
 }
 
@@ -263,7 +265,9 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 			return nil, err
 		}
 		if len(n.LeftKeys) == 0 {
-			return prof.wrap(newNLJoin(left, right, n, n.Extra), n, true), nil
+			// CROSS and non-equi joins: the same operator with no table. There
+			// is no strategy to choose and the build reserves best-effort.
+			return prof.wrap(newHashJoin(left, right, n, false), n, true), nil
 		}
 		return prof.wrap(newEquiJoin(left, right, n), n, true), nil
 	case *plan.AggNode:

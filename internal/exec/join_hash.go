@@ -1,16 +1,12 @@
 package exec
 
 import (
-	"errors"
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"repro/internal/buffer"
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -30,48 +26,32 @@ type equiJoinOp struct {
 }
 
 func (j *equiJoinOp) Open(ctx *Context) error {
-	strategy := ctx.JoinStrategy
-	if j.node.Type == plan.JoinLeft && strategy == JoinAuto {
-		// LEFT joins have no merge fallback: run the hash join with the
-		// budget enforced so an oversized build surfaces as an error
-		// instead of silently starving the application.
-		hj := newHashJoin(j.left, j.right, j.node, true)
-		j.impl = hj
-		return hj.Open(ctx)
-	}
-	switch strategy {
-	case JoinForceMerge:
-		if j.node.Type == plan.JoinLeft {
-			return fmt.Errorf("exec: merge join does not support LEFT joins")
-		}
+	if ctx.JoinStrategy == JoinForceMerge {
 		j.impl = newMergeJoin(j.left, j.right, j.node, nil)
 		return j.impl.Open(ctx)
-	case JoinForceHash:
-		j.impl = newHashJoin(j.left, j.right, j.node, false)
-		return j.impl.Open(ctx)
-	default:
-		// Register the hash join as the implementation before opening:
-		// if Open fails for a reason other than memory pressure, Close
-		// must still reach it to release its pool reservations.
-		hj := newHashJoin(j.left, j.right, j.node, true)
-		j.impl = hj
-		err := hj.Open(ctx)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, buffer.ErrOutOfMemory) {
-			return err
-		}
-		// The build side exceeded the memory budget: hand the chunks
-		// already pulled from the right child to a merge join, which
-		// sorts with spill-to-disk instead of holding a hash table. The
-		// right child stays open; the merge join continues its stream.
-		prefetched := hj.takeBuild(ctx)
-		mj := newMergeJoin(j.left, j.right, j.node, prefetched)
-		mj.rightOpen = true
-		j.impl = mj
-		return mj.Open(ctx)
 	}
+	// Auto enforces the budget on the build. The hash join is registered
+	// before it opens: if Open fails, Close must still reach it.
+	hj := newHashJoin(j.left, j.right, j.node, ctx.JoinStrategy == JoinAuto)
+	j.impl = hj
+	err := hj.Open(ctx)
+	if !hj.overBudget || j.node.Type == plan.JoinLeft {
+		// LEFT joins have no merge fallback: an oversized build surfaces as
+		// an error instead of silently starving the application.
+		return err
+	}
+	// The build side exceeded the memory budget: hand the chunks already
+	// pulled from the right child to a merge join, which sorts with
+	// spill-to-disk instead of holding a hash table (the failed build
+	// holds no reservation). Both children stay open; the merge join
+	// continues the right child's stream.
+	if slot := ctx.Prof.Slot(j.node); slot != nil {
+		slot.JoinFallback.Store(true)
+	}
+	mj := newMergeJoin(j.left, j.right, j.node, hj.buildChunks)
+	mj.opened = true
+	j.impl = mj
+	return mj.Open(ctx)
 }
 
 func (j *equiJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return j.impl.Next(ctx) }
@@ -92,259 +72,226 @@ func makeRef(chunk, row int) buildRef { return buildRef(int64(chunk)<<20 | int64
 func (r buildRef) chunk() int         { return int(int64(r) >> 20) }
 func (r buildRef) row() int           { return int(int64(r) & (1<<20 - 1)) }
 
+// hashJoinOp materializes its build (right) side and probes it from
+// inside the probe source's workers. With keys the build rows are
+// indexed by a partitioned hash table; a join without keys (CROSS, a
+// non-equi condition) has no table and every build row is a candidate
+// for every probe row. Either way candidates come in global build order
+// and joinEmitter turns them into output.
 type hashJoinOp struct {
 	left, right source
 	node        *plan.JoinNode
 	enforce     bool // respect the pool budget (Auto mode)
 
+	// buildChunks is the build side in global build order (by source
+	// sequence), whichever worker produced which chunk.
 	buildChunks []*vector.Chunk
-	ht          map[string][]buildRef
-	// parts is the partitioned hash table a parallel build produces
-	// instead of ht: partition p holds the keys with hashKey(key)%P==p.
-	parts    []map[string][]buildRef
-	reserved int64
-	// reservedPar accumulates the parallel build workers' reservations.
-	reservedPar atomic.Int64
-	rightTypes  []types.Type
-	outTypes    []types.Type
-	nl          int // left column count
-
-	keyBuf   []byte
-	leftOpen bool
+	// parts is the hash table: partition p maps the encoded keys with
+	// partOf(key) == p to their build rows, in build order.
+	parts []map[string][]buildRef
+	// reserved is what the pool holds for buildChunks and parts.
+	reserved atomic.Int64
+	// overBudget: the enforced build stopped at a refused reservation.
+	// buildChunks then holds what was pulled so far, the refused chunk
+	// included, for the merge join to take over.
+	overBudget bool
 }
 
 func newHashJoin(left, right source, n *plan.JoinNode, enforce bool) *hashJoinOp {
 	return &hashJoinOp{left: left, right: right, node: n, enforce: enforce}
 }
 
-// takeBuild hands the materialized build chunks to a fallback strategy
-// and releases the hash table's pool reservations (the fallback does
-// its own accounting).
-func (h *hashJoinOp) takeBuild(ctx *Context) []*vector.Chunk {
-	if ctx.Pool != nil {
-		if h.reserved > 0 {
-			ctx.Pool.Release(h.reserved)
-			h.reserved = 0
-		}
-		if r := h.reservedPar.Swap(0); r > 0 {
-			ctx.Pool.Release(r)
-		}
+// refOverhead is the table's share of a build row's reservation.
+const refOverhead = 24
+
+func (h *hashJoinOp) release(ctx *Context) {
+	if r := h.reserved.Swap(0); r > 0 {
+		ctx.Pool.Release(r)
 	}
-	out := h.buildChunks
-	h.buildChunks = nil
-	h.ht = nil
-	return out
 }
 
+// Open opens both children before it builds. Once the build has reserved
+// anything there is nothing left to open, so a reservation the build was
+// refused is the only way this join exceeds its budget, and the merge
+// fallback finds both children open: no child is ever opened twice.
 func (h *hashJoinOp) Open(ctx *Context) error {
-	h.nl = len(h.node.Left.Schema())
-	h.outTypes = schemaTypes(h.node.Schema())
-	h.rightTypes = schemaTypes(h.node.Right.Schema())
-
-	// Build phase. A build side with several workers gets the
-	// thread-local partitioned build — except when the memory budget is
-	// enforced (Auto mode with a limit), where the sequential build's
-	// deterministic chunk accounting keeps the merge-join fallback
-	// exact. A pipeline on the build side still scans on all its workers
-	// either way; only the hash-table insertion differs.
 	if err := h.right.Open(ctx); err != nil {
 		return err
 	}
-	enforced := h.enforce && ctx.Pool != nil && ctx.Pool.Limit() > 0
-	if workers := h.right.workerCount(ctx); workers > 1 && !enforced {
-		if err := h.parallelBuild(ctx, workers); err != nil {
-			return err
-		}
-	} else if err := h.sequentialBuild(ctx); err != nil {
-		return err
-	}
-
-	// Probe phase: the probe stage runs inside the probe source's
-	// workers, and Next pulls the join output from it in the source's
-	// order; the hash table is read-only now. Attach only after the probe
-	// source opened successfully — an Open failure falls back to the
-	// merge join, which must get the source without the stage.
 	if err := h.left.Open(ctx); err != nil {
 		return err
 	}
-	h.leftOpen = true
-	h.left.attachStages(func() stage { return &probeStage{h: h} })
+	if err := h.build(ctx); err != nil {
+		return err
+	}
+	// The probe runs as a stage inside the probe source's workers and
+	// Next pulls the join output from it in the source's order; the
+	// table is read-only now. The stage is attached only to a finished
+	// build: the merge fallback reads the source without it.
+	h.left.attachStages(h.newProbeStage)
 	return nil
 }
 
-func (h *hashJoinOp) sequentialBuild(ctx *Context) error {
-	h.ht = make(map[string][]buildRef)
-	refOverhead := int64(24)
-	insert := func(ci int, chunk *vector.Chunk) error {
-		keys := make([]*vector.Vector, len(h.node.RightKeys))
-		for i, k := range h.node.RightKeys {
-			v, err := k.Eval(chunk)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		for r := 0; r < chunk.Len(); r++ {
-			if anyNull(keys, r) {
-				continue // NULL keys never match
-			}
-			h.keyBuf = encodeKeyRow(h.keyBuf[:0], keys, r)
-			h.ht[string(h.keyBuf)] = append(h.ht[string(h.keyBuf)], makeRef(ci, r))
-		}
-		return nil
-	}
-	for {
-		chunk, err := h.right.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if chunk == nil {
-			break
-		}
-		if ctx.Pool != nil {
-			need := chunkHeapBytes(chunk) + int64(chunk.Len())*refOverhead
-			if err := ctx.Pool.Reserve(need); err != nil {
-				if !h.enforce {
-					// Forced hash join: account what fits, keep going.
-					h.buildChunks = append(h.buildChunks, chunk)
-					if err := insert(len(h.buildChunks)-1, chunk); err != nil {
-						return err
-					}
-					continue
-				}
-				h.buildChunks = append(h.buildChunks, chunk)
-				if h.reserved > 0 {
-					ctx.Pool.Release(h.reserved)
-					h.reserved = 0
-				}
-				return err // ErrOutOfMemory → caller falls back
-			}
-			h.reserved += need
-		}
-		h.buildChunks = append(h.buildChunks, chunk)
-		if err := insert(len(h.buildChunks)-1, chunk); err != nil {
-			return err
-		}
-	}
-	return nil
+func (h *hashJoinOp) newProbeStage() stage {
+	return &probeStage{h: h, keys: make([]*vector.Vector, len(h.node.LeftKeys)), em: newJoinEmitter(h.node)}
 }
 
-// parallelBuild drains the build side with thread-local partitioned
-// hash tables: each worker routes its rows by key hash into P per-worker
-// partitions, and P merge tasks then combine the workers' slices of one
-// partition each. Bucket ref lists are sorted into global build order
-// afterwards, so probe output is byte-identical to the sequential
-// build's. The partition count is the actual worker count
-// (morsel-capped), not the raw Threads setting.
-func (h *hashJoinOp) parallelBuild(ctx *Context, nparts int) error {
-	refOverhead := int64(24)
+// builtChunk is one chunk of the build side with its rows' keys, encoded
+// once by the worker that produced it.
+type builtChunk struct {
+	seq   int
+	chunk *vector.Chunk
+	keys  []byte  // the rows' encoded keys, back to back
+	ends  []int32 // row r's key is keys[ends[r-1]:ends[r]]
+	part  []int32 // row r's partition; -1 for a NULL key, which never matches
+}
 
-	type buildWorker struct {
-		chunks []*vector.Chunk
-		seqs   []int
-		parts  []map[string][]buildRef // refs use worker-local chunk indexes
-		keyBuf []byte
+// build drains the build side and indexes it. Every worker's sink
+// reserves and keeps its chunks with their sequence numbers and encoded
+// keys; ordering the kept chunks by sequence gives the global build
+// order, and partition p's map is then filled by one task that walks the
+// chunks in that order and inserts the rows whose key selects p — so
+// every ref list is in build order by construction, at any worker count.
+// A build that fails holds no reservation when it returns.
+func (h *hashJoinOp) build(ctx *Context) error {
+	// Under an enforced budget the caller pulls the source through Next,
+	// one chunk at a time: a refused reservation leaves the stream just
+	// past the refused chunk, where the merge join resumes it.
+	src := h.right
+	enforced := h.enforce && ctx.Pool != nil && ctx.Pool.Limit() > 0
+	if enforced {
+		src = &opSource{h.right}
 	}
-	var workers []*buildWorker
-	err := h.right.consume(ctx, nparts, ctx.Prof.Slot(h.node), func(w int) sinkFunc {
-		bw := &buildWorker{parts: make([]map[string][]buildRef, nparts)}
-		for p := range bw.parts {
-			bw.parts[p] = make(map[string][]buildRef)
-		}
-		workers = append(workers, bw)
-		return func(seq int, chunk *vector.Chunk) error {
+	workers := src.workerCount(ctx)
+	slot := ctx.Prof.Slot(h.node)
+	if len(h.node.RightKeys) > 0 {
+		h.parts = make([]map[string][]buildRef, workers)
+	}
+
+	sinks := make([][]builtChunk, workers)
+	err := src.consume(ctx, workers, slot, func(w int) sinkFunc {
+		keyVecs := make([]*vector.Vector, len(h.node.RightKeys))
+		return func(seq int, c *vector.Chunk) error {
+			b := builtChunk{seq: seq, chunk: c}
+			var err error
 			if ctx.Pool != nil {
-				need := chunkHeapBytes(chunk) + int64(chunk.Len())*refOverhead
-				// Unenforced build: account what fits, keep going.
-				if err := ctx.Pool.Reserve(need); err == nil {
-					h.reservedPar.Add(need)
-				}
+				need := c.HeapBytes() + int64(c.Len())*refOverhead
+				if rerr := ctx.Pool.Reserve(need); rerr == nil {
+					h.reserved.Add(need)
+				} else if enforced {
+					h.overBudget, err = true, rerr // ErrOutOfMemory → Auto falls back
+				} // else: forced or keyless build, account what fits and keep going
 			}
-			local := len(bw.chunks)
-			bw.chunks = append(bw.chunks, chunk)
-			bw.seqs = append(bw.seqs, seq)
-			keys := make([]*vector.Vector, len(h.node.RightKeys))
-			for i, k := range h.node.RightKeys {
-				v, err := k.Eval(chunk)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
+			if err == nil {
+				err = h.encodeKeys(&b, keyVecs)
 			}
-			for r := 0; r < chunk.Len(); r++ {
-				if anyNull(keys, r) {
-					continue // NULL keys never match
-				}
-				bw.keyBuf = encodeKeyRow(bw.keyBuf[:0], keys, r)
-				m := bw.parts[hashKey(bw.keyBuf)%uint64(nparts)]
-				m[string(bw.keyBuf)] = append(m[string(bw.keyBuf)], makeRef(local, r))
-			}
-			return nil
+			// Kept either way: the chunk that overflows the budget still
+			// goes to the fallback.
+			sinks[w] = append(sinks[w], b)
+			return err
 		}
 	})
+	var all []builtChunk
+	for _, s := range sinks {
+		all = append(all, s...)
+	}
+	slices.SortStableFunc(all, func(a, b builtChunk) int { return a.seq - b.seq })
+	h.buildChunks = make([]*vector.Chunk, len(all))
+	rows := 0
+	for i, b := range all {
+		h.buildChunks[i] = b.chunk
+		rows += b.chunk.Len()
+	}
+	if slot != nil {
+		slot.JoinBuildRows.Store(int64(rows))
+		slot.JoinBuildBytes.Store(h.reserved.Load())
+	}
 	if err != nil {
+		h.release(ctx)
 		return err
 	}
 
-	// Renumber the workers' chunks into global build order (by morsel
-	// sequence) — the order the sequential build would have seen.
-	type chunkPos struct{ w, local, seq int }
-	var all []chunkPos
-	for w, bw := range workers {
-		for local, seq := range bw.seqs {
-			all = append(all, chunkPos{w: w, local: local, seq: seq})
+	fill := func(p int) {
+		var t0 time.Time
+		if slot != nil {
+			t0 = time.Now()
+		}
+		m := make(map[string][]buildRef)
+		for ci, b := range all {
+			start := int32(0)
+			for r, end := range b.ends {
+				if b.part[r] == int32(p) {
+					m[string(b.keys[start:end])] = append(m[string(b.keys[start:end])], makeRef(ci, r))
+				}
+				start = end
+			}
+		}
+		h.parts[p] = m
+		if slot != nil {
+			slot.BusyNs.Add(time.Since(t0).Nanoseconds())
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	globalIdx := make([][]int, len(workers))
-	for w, bw := range workers {
-		globalIdx[w] = make([]int, len(bw.chunks))
+	switch len(h.parts) {
+	case 0: // no keys, no table
+	case 1:
+		fill(0)
+	default:
+		// One scheduler task per partition (pure compute; tasks never block).
+		var wg sync.WaitGroup
+		q := ctx.queryTasks()
+		for p := range h.parts {
+			wg.Add(1)
+			q.Submit(func() {
+				defer wg.Done()
+				fill(p)
+			})
+		}
+		wg.Wait()
 	}
-	h.buildChunks = make([]*vector.Chunk, len(all))
-	for g, cp := range all {
-		h.buildChunks[g] = workers[cp.w].chunks[cp.local]
-		globalIdx[cp.w][cp.local] = g
-	}
-
-	// Merge: one scheduler task per partition, partitions in parallel
-	// on the engine-wide pool (pure compute; tasks never block).
-	h.parts = make([]map[string][]buildRef, nparts)
-	var wg sync.WaitGroup
-	q := ctx.queryTasks()
-	for p := 0; p < nparts; p++ {
-		p := p
-		wg.Add(1)
-		q.Submit(func() {
-			defer wg.Done()
-			merged := make(map[string][]buildRef)
-			for w, bw := range workers {
-				gi := globalIdx[w]
-				for key, refs := range bw.parts[p] {
-					dst := merged[key]
-					for _, ref := range refs {
-						dst = append(dst, makeRef(gi[ref.chunk()], ref.row()))
-					}
-					merged[key] = dst
-				}
-			}
-			// Packed refs order exactly as (global chunk, row).
-			for _, refs := range merged {
-				sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-			}
-			h.parts[p] = merged
-		})
-	}
-	wg.Wait()
 	return nil
 }
 
-// lookup returns the build rows matching an encoded key, in global
-// build order, regardless of which build produced the table.
-func (h *hashJoinOp) lookup(key []byte) []buildRef {
-	if h.parts != nil {
-		return h.parts[hashKey(key)%uint64(len(h.parts))][string(key)]
+// encodeKeys evaluates the build keys over b's chunk and encodes every
+// row's key, once, along with the partition it selects. keyVecs is the
+// calling worker's scratch.
+func (h *hashJoinOp) encodeKeys(b *builtChunk, keyVecs []*vector.Vector) error {
+	if len(keyVecs) == 0 {
+		return nil
 	}
-	return h.ht[string(key)]
+	for i, e := range h.node.RightKeys {
+		v, err := e.Eval(b.chunk)
+		if err != nil {
+			return err
+		}
+		keyVecs[i] = v
+	}
+	n := b.chunk.Len()
+	b.keys = make([]byte, 0, n*9*len(keyVecs)) // exact for fixed-width keys
+	b.ends, b.part = make([]int32, n), make([]int32, n)
+	for r := 0; r < n; r++ {
+		b.part[r] = -1
+		if !anyNull(keyVecs, r) {
+			start := len(b.keys)
+			b.keys = encodeKeyRow(b.keys, keyVecs, r)
+			b.part[r] = int32(h.partOf(b.keys[start:]))
+		}
+		b.ends[r] = int32(len(b.keys))
+	}
+	return nil
+}
+
+// partOf routes an encoded key to its partition.
+func (h *hashJoinOp) partOf(key []byte) int {
+	if len(h.parts) == 1 {
+		return 0
+	}
+	return int(hashKey(key) % uint64(len(h.parts)))
+}
+
+// lookup returns the build rows matching an encoded key, in global
+// build order.
+func (h *hashJoinOp) lookup(key []byte) []buildRef {
+	return h.parts[h.partOf(key)][string(key)]
 }
 
 // hashKey is FNV-1a; it only routes keys to partitions (the partition
@@ -371,179 +318,60 @@ func anyNull(vecs []*vector.Vector, r int) bool {
 // runs inside its workers and the stream is already in source order.
 func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return h.left.Next(ctx) }
 
-// probeStage probes the shared (read-only) hash table from inside a
+// probeStage probes the shared (read-only) build side from inside a
 // source worker. Each worker owns its stage instance, so the key buffer
-// never contends.
+// and the emitter's scratch never contend.
 type probeStage struct {
 	h      *hashJoinOp
+	keys   []*vector.Vector
 	keyBuf []byte
+	em     joinEmitter
 }
 
-func (ps *probeStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
-	var err error
-	ps.keyBuf, err = ps.h.probeChunk(c, ps.keyBuf, emit)
-	return err
-}
-
-// probeChunk joins one probe chunk against the build table, emitting
-// matched (and, for LEFT joins, padded unmatched) chunks. It only reads
-// shared state, so any number of workers may run it concurrently with
-// their own key buffers.
-func (h *hashJoinOp) probeChunk(probe *vector.Chunk, keyBuf []byte, emit func(*vector.Chunk) error) ([]byte, error) {
-	keys := make([]*vector.Vector, len(h.node.LeftKeys))
+// run joins one probe chunk against the build side: it names each probe
+// row's candidates in build order and the emitter does the rest.
+//
+//quack:hotpath
+func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chunk) error) error {
+	h := ps.h
 	for i, k := range h.node.LeftKeys {
 		v, err := k.Eval(probe)
 		if err != nil {
-			return keyBuf, err
+			return err
 		}
-		keys[i] = v
+		ps.keys[i] = v
 	}
-	n := probe.Len()
-	matched := make([]bool, n)
-
-	cand := vector.NewChunk(h.outTypes)
-	var candProbe []int
-	flush := func() error {
-		if cand.Len() == 0 {
-			return nil
-		}
-		keep := cand
-		probeRows := candProbe
-		if h.node.Extra != nil {
-			mask, err := h.node.Extra.Eval(cand)
-			if err != nil {
-				return err
-			}
-			sel := expr.SelectTrue(mask, nil)
-			if len(sel) < cand.Len() {
-				filtered := vector.NewChunk(h.outTypes)
-				cand.CompactInto(filtered, sel)
-				keep = filtered
-				probeRows = make([]int, len(sel))
-				for i, s := range sel {
-					probeRows[i] = candProbe[s]
+	ps.em.begin(probe, emit)
+	for r, n := 0, probe.Len(); r < n; r++ {
+		if len(ps.keys) == 0 {
+			for _, bc := range h.buildChunks {
+				for br, bn := 0, bc.Len(); br < bn; br++ {
+					if err := ps.em.add(r, bc, br); err != nil {
+						return err
+					}
 				}
 			}
-		}
-		for _, pr := range probeRows {
-			matched[pr] = true
-		}
-		if keep.Len() > 0 {
-			if err := emit(keep); err != nil {
-				return err
-			}
-		}
-		cand = vector.NewChunk(h.outTypes)
-		candProbe = nil
-		return nil
-	}
-
-	for r := 0; r < n; r++ {
-		if anyNull(keys, r) {
 			continue
 		}
-		keyBuf = encodeKeyRow(keyBuf[:0], keys, r)
-		for _, ref := range h.lookup(keyBuf) {
-			bc := h.buildChunks[ref.chunk()]
-			br := ref.row()
-			row := cand.Len()
-			cand.SetLen(row + 1)
-			for c := 0; c < h.nl; c++ {
-				if probe.Cols[c].IsNull(r) {
-					cand.Cols[c].SetNull(row)
-				} else {
-					cand.Cols[c].Set(row, probe.Cols[c].Get(r))
-				}
-			}
-			for c := 0; c < len(h.rightTypes); c++ {
-				if bc.Cols[c].IsNull(br) {
-					cand.Cols[h.nl+c].SetNull(row)
-				} else {
-					cand.Cols[h.nl+c].Set(row, bc.Cols[c].Get(br))
-				}
-			}
-			candProbe = append(candProbe, r)
-			if cand.Len() == vector.ChunkCapacity {
-				if err := flush(); err != nil {
-					return keyBuf, err
-				}
+		if anyNull(ps.keys, r) {
+			continue // NULL keys never match
+		}
+		ps.keyBuf = encodeKeyRow(ps.keyBuf[:0], ps.keys, r)
+		for _, ref := range h.lookup(ps.keyBuf) {
+			if err := ps.em.add(r, h.buildChunks[ref.chunk()], ref.row()); err != nil {
+				return err
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return keyBuf, err
-	}
-
-	if h.node.Type == plan.JoinLeft {
-		outer := vector.NewChunk(h.outTypes)
-		for r := 0; r < n; r++ {
-			if matched[r] {
-				continue
-			}
-			row := outer.Len()
-			outer.SetLen(row + 1)
-			for c := 0; c < h.nl; c++ {
-				if probe.Cols[c].IsNull(r) {
-					outer.Cols[c].SetNull(row)
-				} else {
-					outer.Cols[c].Set(row, probe.Cols[c].Get(r))
-				}
-			}
-			for c := 0; c < len(h.rightTypes); c++ {
-				outer.Cols[h.nl+c].SetNull(row)
-			}
-			if outer.Len() == vector.ChunkCapacity {
-				if err := emit(outer); err != nil {
-					return keyBuf, err
-				}
-				outer = vector.NewChunk(h.outTypes)
-			}
-		}
-		if outer.Len() > 0 {
-			if err := emit(outer); err != nil {
-				return keyBuf, err
-			}
-		}
-	}
-	return keyBuf, nil
+	return ps.em.finish()
 }
 
+// Close stops the probe before it drops the build side: the probe
+// stages read buildChunks and parts from the probe source's workers, and
+// only the source's Close waits for those to retire.
 func (h *hashJoinOp) Close(ctx *Context) {
-	if ctx.Pool != nil && h.reserved > 0 {
-		ctx.Pool.Release(h.reserved)
-		h.reserved = 0
-	}
-	if ctx.Pool != nil {
-		if r := h.reservedPar.Swap(0); r > 0 {
-			ctx.Pool.Release(r)
-		}
-	}
-	h.ht = nil
-	h.parts = nil
-	h.buildChunks = nil
-	if h.leftOpen {
-		h.left.Close(ctx)
-	}
+	h.left.Close(ctx)
+	h.release(ctx)
+	h.buildChunks, h.parts = nil, nil
 	h.right.Close(ctx)
-}
-
-// chunkHeapBytes estimates a chunk's resident size for pool accounting.
-func chunkHeapBytes(c *vector.Chunk) int64 {
-	var total int64
-	for _, col := range c.Cols {
-		n := int64(col.Len())
-		switch col.Type {
-		case types.Varchar:
-			for _, s := range col.Str {
-				total += int64(len(s)) + 16
-			}
-		case types.Boolean:
-			total += n
-		case types.Integer:
-			total += 4 * n
-		default:
-			total += 8 * n
-		}
-	}
-	return total
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/extsort"
 	"repro/internal/plan"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -18,19 +17,20 @@ import (
 type mergeJoinOp struct {
 	left, right Operator
 	node        *plan.JoinNode
-	prefetched  []*vector.Chunk // right chunks already pulled by a failed hash build
-	rightOpen   bool            // right child is already open (fallback path)
+	prefetched  []*vector.Chunk // right chunks already pulled by an over-budget hash build
+	opened      bool            // that build left both children open
 
-	nl, nr   int
-	nk       int
-	outTypes []types.Type
+	nl, nr, nk int
 
 	lIter, rIter *extsort.Iterator
 	lCur, rCur   *mergeCursor
-	rGroup       []*vector.Chunk // buffered right group with current key
-	rGroupRows   int
-	queue        []*vector.Chunk
-	done         bool
+	// groupSrcs/groupRows pick the right rows of the current key group.
+	groupSrcs []*vector.Chunk
+	groupRows []int32
+	em        joinEmitter
+	enqueue   func(*vector.Chunk) error // the emitter's sink: append to queue
+	queue     []*vector.Chunk
+	done      bool
 }
 
 func newMergeJoin(left, right Operator, n *plan.JoinNode, prefetched []*vector.Chunk) *mergeJoinOp {
@@ -44,91 +44,63 @@ func (m *mergeJoinOp) Open(ctx *Context) error {
 	m.nl = len(m.node.Left.Schema())
 	m.nr = len(m.node.Right.Schema())
 	m.nk = len(m.node.LeftKeys)
-	m.outTypes = schemaTypes(m.node.Schema())
-
-	budget := ctx.sortBudget()
-	keys := make([]extsort.Key, m.nk)
-	keyTypes := make([]types.Type, m.nk)
-	for i, k := range m.node.LeftKeys {
-		keyTypes[i] = k.Type()
+	m.em = newJoinEmitter(m.node)
+	m.enqueue = func(c *vector.Chunk) error {
+		m.queue = append(m.queue, c)
+		return nil
 	}
 
-	// Sort the right side (keys appended after the payload columns).
-	rTypes := append(schemaTypes(m.node.Right.Schema()), keyTypes...)
-	for i := range keys {
-		keys[i] = extsort.Key{Col: m.nr + i}
-	}
-	rSorter := extsort.NewSorter(rTypes, keys, budget, ctx.TmpDir)
-	if ctx.Pool != nil {
-		rSorter.SetPool(ctx.Pool)
-	}
-	feed := func(chunk *vector.Chunk) error {
-		ext, err := extendWithKeys(chunk, m.node.RightKeys)
-		if err != nil {
-			return err
-		}
-		return rSorter.Add(ext)
-	}
-	for _, chunk := range m.prefetched {
-		if err := feed(chunk); err != nil {
-			return err
-		}
+	var err error
+	if m.rIter, err = m.sortSide(ctx, m.right, m.node.Right, m.node.RightKeys, m.prefetched); err != nil {
+		return err
 	}
 	m.prefetched = nil
-	if m.rightOpen {
-		// Fallback from a failed hash build: the right child is already
-		// open and partially drained; continue where it stopped.
-		if err := drain(ctx, m.right, feed); err != nil {
-			return err
-		}
-	} else if err := openAndDrain(ctx, m.right, feed); err != nil {
+	if m.lIter, err = m.sortSide(ctx, m.left, m.node.Left, m.node.LeftKeys, nil); err != nil {
 		return err
 	}
-	rIter, err := rSorter.Finish()
-	if err != nil {
+	m.lCur, m.rCur = &mergeCursor{iter: m.lIter}, &mergeCursor{iter: m.rIter}
+	if err := m.lCur.loadIfNeeded(); err != nil {
 		return err
 	}
-	m.rIter = rIter
+	return m.rCur.loadIfNeeded()
+}
 
-	// Sort the left side.
-	lTypes := append(schemaTypes(m.node.Left.Schema()), keyTypes...)
-	lKeys := make([]extsort.Key, m.nk)
-	for i := range lKeys {
-		lKeys[i] = extsort.Key{Col: m.nl + i}
+// sortSide sorts one input externally on its key columns, which are
+// appended after the payload columns: first the chunks an over-budget
+// hash build already pulled, then whatever the child still yields —
+// opened here unless that build left it open.
+func (m *mergeJoinOp) sortSide(ctx *Context, child Operator, side plan.Node, keyExprs []expr.Expr, prefetched []*vector.Chunk) (*extsort.Iterator, error) {
+	colTypes := schemaTypes(side.Schema())
+	keys := make([]extsort.Key, len(keyExprs))
+	for i, k := range keyExprs {
+		keys[i] = extsort.Key{Col: len(colTypes)}
+		colTypes = append(colTypes, k.Type())
 	}
-	lSorter := extsort.NewSorter(lTypes, lKeys, budget, ctx.TmpDir)
+	sorter := extsort.NewSorter(colTypes, keys, ctx.sortBudget(), ctx.TmpDir)
 	if ctx.Pool != nil {
-		lSorter.SetPool(ctx.Pool)
+		sorter.SetPool(ctx.Pool)
 	}
-	if err := openAndDrain(ctx, m.left, func(chunk *vector.Chunk) error {
-		ext, err := extendWithKeys(chunk, m.node.LeftKeys)
+	feed := func(chunk *vector.Chunk) error {
+		ext, err := extendWithKeys(chunk, keyExprs)
 		if err != nil {
 			return err
 		}
-		return lSorter.Add(ext)
-	}); err != nil {
-		return err
+		return sorter.Add(ext)
 	}
-	lIter, err := lSorter.Finish()
-	if err != nil {
-		return err
+	for _, chunk := range prefetched {
+		if err := feed(chunk); err != nil {
+			return nil, err
+		}
 	}
-	m.lIter = lIter
-
-	m.lCur = &mergeCursor{iter: m.lIter}
-	m.rCur = &mergeCursor{iter: m.rIter}
-	if err := m.lCur.init(); err != nil {
-		return err
+	if !m.opened {
+		if err := child.Open(ctx); err != nil {
+			return nil, err
+		}
 	}
-	return m.rCur.init()
-}
-
-// openAndDrain opens op and feeds every chunk to fn.
-func openAndDrain(ctx *Context, op Operator, fn func(*vector.Chunk) error) error {
-	if err := op.Open(ctx); err != nil {
-		return err
+	if err := drain(ctx, child, feed); err != nil {
+		return nil, err
 	}
-	return drain(ctx, op, fn)
+	return sorter.Finish()
 }
 
 // drain feeds every remaining chunk of an already-open operator to fn.
@@ -167,8 +139,6 @@ type mergeCursor struct {
 	chunk *vector.Chunk
 	row   int
 }
-
-func (c *mergeCursor) init() error { return c.loadIfNeeded() }
 
 func (c *mergeCursor) loadIfNeeded() error {
 	for c.chunk == nil || c.row >= c.chunk.Len() {
@@ -217,17 +187,6 @@ func (m *mergeJoinOp) compareCursors() int {
 	return 0
 }
 
-// keysAreNull reports whether any key of the cursor's current row is
-// NULL (such rows never match).
-func keysAreNull(c *mergeCursor, payloadCols, nk int) bool {
-	for i := 0; i < nk; i++ {
-		if c.chunk.Cols[payloadCols+i].IsNull(c.row) {
-			return true
-		}
-	}
-	return false
-}
-
 func (m *mergeJoinOp) Next(ctx *Context) (*vector.Chunk, error) {
 	for len(m.queue) == 0 {
 		if m.done {
@@ -249,13 +208,13 @@ func (m *mergeJoinOp) step() error {
 			m.done = true
 			return nil
 		}
-		if keysAreNull(m.lCur, m.nl, m.nk) {
+		if anyNull(m.lCur.chunk.Cols[m.nl:], m.lCur.row) { // NULL keys never match
 			if err := m.lCur.advance(); err != nil {
 				return err
 			}
 			continue
 		}
-		if keysAreNull(m.rCur, m.nr, m.nk) {
+		if anyNull(m.rCur.chunk.Cols[m.nr:], m.rCur.row) {
 			if err := m.rCur.advance(); err != nil {
 				return err
 			}
@@ -277,115 +236,55 @@ func (m *mergeJoinOp) step() error {
 	}
 }
 
-// emitGroup collects the right rows equal to the current key, then
-// streams left rows with that key against them.
+// emitGroup collects the right rows equal to the current key — as
+// picks into the sorted right chunks, which outlive the cursor — then
+// pairs every left row of that key with them through the emitter.
 func (m *mergeJoinOp) emitGroup() error {
-	// Snapshot the key from the left cursor (values survive advancing).
-	keyVals := make([]types.Value, m.nk)
-	for i := 0; i < m.nk; i++ {
-		keyVals[i] = m.lCur.chunk.Cols[m.nl+i].Get(m.lCur.row)
-	}
+	// The key is the left cursor's current row; its chunk survives
+	// advancing.
+	keyChunk, keyRow := m.lCur.chunk, m.lCur.row
 	sameKey := func(c *mergeCursor, payloadCols int) bool {
 		if c.exhausted() {
 			return false
 		}
 		for i := 0; i < m.nk; i++ {
 			col := c.chunk.Cols[payloadCols+i]
-			if col.IsNull(c.row) {
-				return false
-			}
-			if types.Compare(col.Get(c.row), keyVals[i]) != 0 {
+			if col.IsNull(c.row) || extsort.CompareValues(col, c.row, keyChunk.Cols[m.nl+i], keyRow) != 0 {
 				return false
 			}
 		}
 		return true
 	}
 
-	// Buffer the right group (bounded by key-group size).
-	rTypes := make([]types.Type, m.nr)
-	for i := 0; i < m.nr; i++ {
-		rTypes[i] = m.rCur.chunk.Cols[i].Type
-	}
-	group := vector.NewChunk(rTypes)
-	var groups []*vector.Chunk
+	clear(m.groupSrcs) // let the previous group's chunks go
+	m.groupSrcs, m.groupRows = m.groupSrcs[:0], m.groupRows[:0]
 	for sameKey(m.rCur, m.nr) {
-		row := group.Len()
-		group.SetLen(row + 1)
-		for ci := 0; ci < m.nr; ci++ {
-			if m.rCur.chunk.Cols[ci].IsNull(m.rCur.row) {
-				group.Cols[ci].SetNull(row)
-			} else {
-				group.Cols[ci].Set(row, m.rCur.chunk.Cols[ci].Get(m.rCur.row))
-			}
-		}
-		if group.Len() == vector.ChunkCapacity {
-			groups = append(groups, group)
-			group = vector.NewChunk(rTypes)
-		}
+		m.groupSrcs = append(m.groupSrcs, m.rCur.chunk)
+		m.groupRows = append(m.groupRows, int32(m.rCur.row))
 		if err := m.rCur.advance(); err != nil {
 			return err
 		}
 	}
-	if group.Len() > 0 {
-		groups = append(groups, group)
-	}
 
-	out := vector.NewChunk(m.outTypes)
+	m.em.begin(m.lCur.chunk, m.enqueue)
 	for sameKey(m.lCur, m.nl) {
-		for _, g := range groups {
-			for gr := 0; gr < g.Len(); gr++ {
-				row := out.Len()
-				out.SetLen(row + 1)
-				for c := 0; c < m.nl; c++ {
-					if m.lCur.chunk.Cols[c].IsNull(m.lCur.row) {
-						out.Cols[c].SetNull(row)
-					} else {
-						out.Cols[c].Set(row, m.lCur.chunk.Cols[c].Get(m.lCur.row))
-					}
-				}
-				for c := 0; c < m.nr; c++ {
-					if g.Cols[c].IsNull(gr) {
-						out.Cols[m.nl+c].SetNull(row)
-					} else {
-						out.Cols[m.nl+c].Set(row, g.Cols[c].Get(gr))
-					}
-				}
-				if out.Len() == vector.ChunkCapacity {
-					if err := m.flushFiltered(out); err != nil {
-						return err
-					}
-					out = vector.NewChunk(m.outTypes)
-				}
+		if m.lCur.chunk != m.em.probe {
+			// The group runs on into the next sorted left chunk.
+			if err := m.em.finish(); err != nil {
+				return err
+			}
+			m.em.begin(m.lCur.chunk, m.enqueue)
+		}
+		for i, src := range m.groupSrcs {
+			if err := m.em.add(m.lCur.row, src, int(m.groupRows[i])); err != nil {
+				return err
 			}
 		}
 		if err := m.lCur.advance(); err != nil {
 			return err
 		}
 	}
-	return m.flushFiltered(out)
-}
-
-func (m *mergeJoinOp) flushFiltered(out *vector.Chunk) error {
-	if out.Len() == 0 {
-		return nil
-	}
-	if m.node.Extra != nil {
-		mask, err := m.node.Extra.Eval(out)
-		if err != nil {
-			return err
-		}
-		sel := expr.SelectTrue(mask, nil)
-		if len(sel) == 0 {
-			return nil
-		}
-		if len(sel) < out.Len() {
-			filtered := vector.NewChunk(m.outTypes)
-			out.CompactInto(filtered, sel)
-			out = filtered
-		}
-	}
-	m.queue = append(m.queue, out)
-	return nil
+	return m.em.finish()
 }
 
 func (m *mergeJoinOp) Close(ctx *Context) {

@@ -1,0 +1,278 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/plan"
+	"repro/internal/table"
+	"repro/internal/txn"
+	"repro/internal/types"
+	"repro/internal/vector"
+)
+
+// TestJoinCloseMidStream: closing a join whose probe still runs on
+// scheduler workers — a LIMIT above it, an error elsewhere in the tree —
+// must stop those workers before the build side is dropped. Close used
+// to nil the table first: the workers then indexed a nil slice (a panic
+// on a pool goroutine, i.e. in the host's process), and the race
+// detector reports the unsynchronized write either way.
+func TestJoinCloseMidStream(t *testing.T) {
+	join, mgr := buildJoinFixture(t, 40*vector.ChunkCapacity, 2000)
+	pool := buffer.NewPool(0, nil)
+	errDownstream := errors.New("downstream failed")
+	for i := 0; i < 500; i++ {
+		op, err := Build(join, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: 4, JoinStrategy: JoinForceHash}
+		if i%2 == 0 { // the consumer stops pulling
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if c, err := op.Next(ctx); err != nil || c == nil {
+				t.Fatalf("first chunk: %v, %v", c, err)
+			}
+			op.Close(ctx)
+		} else if err := Run(ctx, op, func(*vector.Chunk) error { return errDownstream }); err != errDownstream {
+			t.Fatalf("Run: %v, want the downstream error", err)
+		}
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("iteration %d: %d pool bytes still reserved after Close", i, used)
+		}
+	}
+}
+
+// TestKeylessJoinReservesBuild: a join without keys materializes its
+// build side through the same build as a hash join, so the pool sees it
+// while the probe runs and gets it back on Close — and a budget too
+// small for it never fails the query (best-effort, like a forced hash
+// build).
+func TestKeylessJoinReservesBuild(t *testing.T) {
+	join, mgr := buildJoinFixture(t, 3000, 2500)
+	join.Type, join.LeftKeys, join.RightKeys = plan.JoinCross, nil, nil
+	for _, threads := range []int{1, 4} {
+		pool := buffer.NewPool(0, nil)
+		op, err := Build(join, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads}
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := op.Next(ctx); err != nil || c == nil {
+			t.Fatalf("first chunk: %v, %v", c, err)
+		}
+		if want := int64(2500 * (8 + refOverhead)); pool.Used() != want {
+			t.Fatalf("threads=%d: pool holds %d bytes during the probe, want the build side's %d", threads, pool.Used(), want)
+		}
+		op.Close(ctx)
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("threads=%d: %d pool bytes still reserved after Close", threads, used)
+		}
+
+		tiny := buffer.NewPool(4<<10, nil)
+		op, err = Build(join, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		err = Run(&Context{Txn: mgr.Begin(), Pool: tiny, Threads: threads}, op, func(c *vector.Chunk) error {
+			rows += c.Len()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("threads=%d: cross join under a 4KB limit: %v", threads, err)
+		}
+		if rows != 3000*2500 {
+			t.Fatalf("threads=%d: %d rows, want %d", threads, rows, 3000*2500)
+		}
+		if used := tiny.Used(); used != 0 {
+			t.Fatalf("threads=%d: %d pool bytes still reserved under the tiny limit", threads, used)
+		}
+	}
+}
+
+// joinBenchFixture builds a probe and a build table of (k, v) rows, keyed
+// by row number through probeKey and buildKey, and the inner join on k.
+func joinBenchFixture(b testing.TB, keyType types.Type, probeN, buildN int, probeKey, buildKey func(i int) types.Value) (*plan.JoinNode, *txn.Manager) {
+	b.Helper()
+	mgr := txn.NewManager(nil)
+	mk := func(name string, n int, key func(int) types.Value) *catalog.Table {
+		entry := &catalog.Table{Name: name, Columns: []catalog.Column{{Name: "k", Type: keyType}, {Name: "v", Type: types.BigInt}}}
+		entry.Data = table.New(entry.Types(), nil)
+		tx := mgr.Begin()
+		c := vector.NewChunk(entry.Types())
+		for i := 0; i < n; i++ {
+			c.AppendRow(key(i), types.NewBigInt(int64(i)))
+			if c.Len() == vector.ChunkCapacity || i == n-1 {
+				if err := entry.Data.Append(tx, c); err != nil {
+					b.Fatal(err)
+				}
+				c = vector.NewChunk(entry.Types())
+			}
+		}
+		if _, err := mgr.Commit(tx); err != nil {
+			b.Fatal(err)
+		}
+		return entry
+	}
+	scan := func(e *catalog.Table) *plan.ScanNode {
+		return &plan.ScanNode{Table: e, TableAlias: e.Name, Columns: []int{0, 1}}
+	}
+	return &plan.JoinNode{
+		Left:      scan(mk("probe", probeN, probeKey)),
+		Right:     scan(mk("build", buildN, buildKey)),
+		Type:      plan.JoinInner,
+		LeftKeys:  []expr.Expr{&expr.ColRef{Idx: 0, Typ: keyType}},
+		RightKeys: []expr.Expr{&expr.ColRef{Idx: 0, Typ: keyType}},
+	}, mgr
+}
+
+// joinBenchShapes are the benchmark gate's join (10k-row unique BIGINT
+// build, 100k-row probe, one match each), a duplicate-heavy build (100
+// keys, 100 matches per probe row) and a VARCHAR key.
+var joinBenchShapes = []struct {
+	name           string
+	keyType        types.Type
+	probeN, buildN int
+	probeKey       func(i int) types.Value
+	buildKey       func(i int) types.Value
+}{
+	{"bigint_unique", types.BigInt, 100_000, 10_000,
+		func(i int) types.Value { return types.NewBigInt(int64(i % 10_000)) },
+		func(i int) types.Value { return types.NewBigInt(int64(i)) }},
+	{"bigint_dup100", types.BigInt, 10_000, 10_000,
+		func(i int) types.Value { return types.NewBigInt(int64(i % 100)) },
+		func(i int) types.Value { return types.NewBigInt(int64(i % 100)) }},
+	{"varchar_unique", types.Varchar, 100_000, 10_000,
+		func(i int) types.Value { return types.NewVarchar(fmt.Sprintf("key-%06d", i%10_000)) },
+		func(i int) types.Value { return types.NewVarchar(fmt.Sprintf("key-%06d", i)) }},
+}
+
+// BenchmarkJoinBuild measures the hash join's build alone — drain the
+// build side, reserve, encode the keys, order, fill the table — in ns
+// and allocations per build row, at one, two and four workers.
+func BenchmarkJoinBuild(b *testing.B) {
+	for _, s := range joinBenchShapes {
+		for _, threads := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/threads=%d", s.name, threads), func(b *testing.B) {
+				join, mgr := joinBenchFixture(b, s.keyType, 1, s.buildN, s.probeKey, s.buildKey)
+				benchPerRow(b, s.buildN, func() {
+					right, err := buildSource(join.Right, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					h := newHashJoin(nil, right, join, false)
+					ctx := &Context{Txn: mgr.Begin(), Threads: threads}
+					if err := right.Open(ctx); err != nil {
+						b.Fatal(err)
+					}
+					if err := h.build(ctx); err != nil {
+						b.Fatal(err)
+					}
+					right.Close(ctx)
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkJoinProbe measures the probe alone — key encoding, lookup,
+// candidate emission through the emitter — over pre-scanned probe chunks
+// against a built table, in ns and allocations per probe row. The only
+// allocations at steady state are the emitted chunks themselves.
+func BenchmarkJoinProbe(b *testing.B) {
+	for i, s := range joinBenchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			ctx, probe, ps := builtProbe(b, i)
+			rows := 0
+			emit := func(c *vector.Chunk) error { rows += c.Len(); return nil }
+			benchPerRow(b, s.probeN, func() {
+				for _, c := range probe {
+					if err := ps.run(ctx, c, emit); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if rows == 0 {
+				b.Fatal("probe emitted nothing")
+			}
+		})
+	}
+}
+
+// builtProbe returns the probe side's chunks and a probe stage over the
+// built table of one shape.
+func builtProbe(tb testing.TB, shape int) (*Context, []*vector.Chunk, stage) {
+	s := joinBenchShapes[shape]
+	join, mgr := joinBenchFixture(tb, s.keyType, s.probeN, s.buildN, s.probeKey, s.buildKey)
+	ctx := &Context{Txn: mgr.Begin(), Threads: 1}
+	left, err := buildSource(join.Left, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	probe, err := Collect(ctx, left)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	right, err := buildSource(join.Right, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := newHashJoin(nil, right, join, false)
+	if err := right.Open(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	defer right.Close(ctx)
+	if err := h.build(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	return ctx, probe, h.newProbeStage()
+}
+
+// TestJoinProbeAllocatesOnlyItsOutput: once the stage's scratch exists,
+// probing a chunk of fixed-width keys allocates the chunks it emits and
+// nothing else — no per-row boxing, no per-chunk candidate buffers.
+func TestJoinProbeAllocatesOnlyItsOutput(t *testing.T) {
+	ctx, probe, ps := builtProbe(t, 0)
+	var out *vector.Chunk
+	emitted := 0
+	emit := func(c *vector.Chunk) error { out = c; emitted++; return nil }
+	run := func() {
+		if err := ps.run(ctx, probe[0], emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // sizes the scratch
+	emitted = 0
+	got := testing.AllocsPerRun(50, run)
+	perChunk := float64(emitted) / 51
+	want := perChunk * testing.AllocsPerRun(50, func() { out = vector.NewChunk(out.Types()) })
+	if perChunk != 1 || got > want {
+		t.Fatalf("probing one chunk emits %.0f chunks and allocates %.0f times; its output alone is %.0f", perChunk, got, want)
+	}
+}
+
+// benchPerRow times b.N calls of run and reports ns/row and allocs/row
+// over the rows one call handles.
+func benchPerRow(b *testing.B, rows int, run func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(rows)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/row")
+}

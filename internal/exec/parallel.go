@@ -173,9 +173,6 @@ func (p *pipelineOp) workerCount(ctx *Context) int {
 // Next or consume, so parents may still attach stages after a
 // successful Open.
 func (p *pipelineOp) Open(ctx *Context) error {
-	if p.src != nil {
-		return nil // reopened by a join fallback; keep the source
-	}
 	src, err := p.spec.scan.Table.Data.NewMorselSource(ctx.Txn, scanOptions(ctx, p.spec.scan))
 	if err != nil {
 		return err

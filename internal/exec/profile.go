@@ -54,6 +54,15 @@ type OpProfile struct {
 	AggStateBytes atomic.Int64
 	aggStateCur   atomic.Int64
 
+	// JoinBuildRows is the size of a join's materialized build side and
+	// JoinBuildBytes what the pool held for it and its hash table (the
+	// peak: the reservation only grows until the join closes).
+	// JoinFallback marks an Auto join that degraded to the merge join;
+	// the two counts are then what the hash build held when it gave up.
+	JoinBuildRows  atomic.Int64
+	JoinBuildBytes atomic.Int64
+	JoinFallback   atomic.Bool
+
 	// SortKeyBytes is the width of one normalized sort key of the
 	// operator's external sort; TieFallbacks counts its comparisons that
 	// tied on an encoded VARCHAR prefix and compared the full strings.
@@ -235,6 +244,9 @@ type OpProfileSnap struct {
 	SpillPartitions int64            `json:"spill_partitions,omitempty"`
 	AggGroups       int64            `json:"agg_groups,omitempty"`
 	AggStateBytes   int64            `json:"agg_state_bytes,omitempty"`
+	JoinBuildRows   int64            `json:"join_build_rows,omitempty"`
+	JoinBuildBytes  int64            `json:"join_build_bytes,omitempty"`
+	JoinFallback    string           `json:"join_fallback,omitempty"`
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
@@ -265,8 +277,13 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SpillPartitions: o.SpillParts.Load(),
 		AggGroups:       o.AggGroups.Load(),
 		AggStateBytes:   o.AggStateBytes.Load(),
+		JoinBuildRows:   o.JoinBuildRows.Load(),
+		JoinBuildBytes:  o.JoinBuildBytes.Load(),
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
+	}
+	if o.JoinFallback.Load() {
+		s.JoinFallback = "merge"
 	}
 	for _, c := range o.Children {
 		s.Children = append(s.Children, snapOp(c))
@@ -326,6 +343,12 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.AggGroups > 0 || s.AggStateBytes > 0 {
 		fmt.Fprintf(sb, " groups=%d state_bytes=%d", s.AggGroups, s.AggStateBytes)
+	}
+	if s.JoinBuildRows > 0 || s.JoinBuildBytes > 0 {
+		fmt.Fprintf(sb, " build_rows=%d build_bytes=%d", s.JoinBuildRows, s.JoinBuildBytes)
+	}
+	if s.JoinFallback != "" {
+		fmt.Fprintf(sb, " fallback=%s", s.JoinFallback)
 	}
 	if s.SortKeyBytes > 0 {
 		fmt.Fprintf(sb, " key_bytes=%d tie_fallbacks=%d", s.SortKeyBytes, s.TieFallbacks)

@@ -96,7 +96,7 @@ func (s *Sorter) Add(c *vector.Chunk) error {
 	if c.Len() == 0 {
 		return nil
 	}
-	b := chunkBytes(c)
+	b := c.HeapBytes()
 	fits := s.reserve(b)
 	if !fits && len(s.chunks) > 0 {
 		if err := s.spill(); err != nil {
@@ -205,42 +205,9 @@ func (g *gatherer) pickRun(m *memRun, from, n int) {
 	g.n = n
 }
 
-// into fills out with the picked rows: one type switch per column, not
-// one per column per row.
-//
-//quack:hotpath
+// into fills out with the picked rows.
 func (g *gatherer) into(out *vector.Chunk) {
-	srcs, rows := g.srcs[:g.n], g.rows[:g.n]
-	out.SetLen(g.n)
-	for ci, dst := range out.Cols {
-		switch dst.Type {
-		case types.Boolean:
-			for i, src := range srcs {
-				dst.Bools[i] = src.Cols[ci].Bools[rows[i]]
-			}
-		case types.Integer:
-			for i, src := range srcs {
-				dst.I32[i] = src.Cols[ci].I32[rows[i]]
-			}
-		case types.BigInt, types.Timestamp:
-			for i, src := range srcs {
-				dst.I64[i] = src.Cols[ci].I64[rows[i]]
-			}
-		case types.Double:
-			for i, src := range srcs {
-				dst.F64[i] = src.Cols[ci].F64[rows[i]]
-			}
-		case types.Varchar:
-			for i, src := range srcs {
-				dst.Str[i] = src.Cols[ci].Str[rows[i]]
-			}
-		}
-		for i, src := range srcs {
-			if v := src.Cols[ci]; !v.Valid.AllValid() && v.IsNull(int(rows[i])) {
-				dst.SetNull(i)
-			}
-		}
-	}
+	vector.GatherInto(out, 0, g.srcs[:g.n], g.rows[:g.n])
 	g.n = 0
 }
 
@@ -606,7 +573,7 @@ func (c *runCursor) account(next *vector.Chunk) {
 	}
 	var n int64
 	if next != nil {
-		n = chunkBytes(next) + int64(next.Len()*c.l.stride)
+		n = next.HeapBytes() + int64(next.Len()*c.l.stride)
 	}
 	switch {
 	case n > c.reserved:
@@ -757,24 +724,4 @@ func CompareValues(a *vector.Vector, ra int, b *vector.Vector, rb int) int {
 	default:
 		return 0
 	}
-}
-
-func chunkBytes(c *vector.Chunk) int64 {
-	var total int64
-	for _, col := range c.Cols {
-		n := int64(col.Len())
-		switch col.Type {
-		case types.Varchar:
-			for _, s := range col.Str {
-				total += int64(len(s)) + 16
-			}
-		case types.Boolean:
-			total += n
-		case types.Integer:
-			total += 4 * n
-		default:
-			total += 8 * n
-		}
-	}
-	return total
 }

@@ -81,8 +81,8 @@ type rowIterator interface {
 }
 
 // build translates a logical plan into tuple-at-a-time operators. Only
-// the read-only core (scan, filter, project, aggregate, sort, window,
-// limit) is supported.
+// the read-only core (scan, filter, project, join, aggregate, sort,
+// window, limit) is supported.
 func build(node plan.Node) (rowIterator, error) {
 	switch n := node.(type) {
 	case *plan.ScanNode:
@@ -117,6 +117,16 @@ func build(node plan.Node) (rowIterator, error) {
 			return nil, err
 		}
 		return &rowWindow{child: child, node: n}, nil
+	case *plan.JoinNode:
+		left, err := build(n.Left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := build(n.Right)
+		if err != nil {
+			return nil, err
+		}
+		return &rowJoin{left: left, right: right, node: n}, nil
 	case *plan.LimitNode:
 		child, err := build(n.Child)
 		if err != nil {
@@ -255,15 +265,7 @@ func (p *rowProject) NextRow() ([]types.Value, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make([]types.Value, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := evalRow(e, row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return evalRowAll(p.exprs, row)
 }
 
 func (p *rowProject) Close() { p.child.Close() }

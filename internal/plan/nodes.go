@@ -120,8 +120,8 @@ func (n *ProjectNode) Children() []Node { return []Node{n.Child} }
 
 // JoinNode joins Left and Right. Equi-key expressions are evaluated over
 // the respective child schemas; Extra (if set) is evaluated over the
-// concatenated schema after key matching. A join without keys is a
-// nested-loop (cross + filter) join.
+// concatenated schema after key matching. A join without keys pairs
+// every left row with every right row (cross + filter).
 type JoinNode struct {
 	Left, Right Node
 	Type        JoinKind

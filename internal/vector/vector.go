@@ -486,6 +486,70 @@ func (c *Chunk) CompactInto(dst *Chunk, sel []int) {
 	dst.n = len(sel)
 }
 
+// GatherInto fills dst's columns from colOff on with rows picked from
+// many source chunks: row i of dst.Cols[colOff+c] becomes row rows[i] of
+// srcs[i].Cols[c], and dst's length becomes len(srcs). Columns below
+// colOff are the caller's (a join fills its probe side there); sources
+// may carry more columns than dst takes. One type switch per column,
+// not one per column per row.
+//
+//quack:hotpath
+func GatherInto(dst *Chunk, colOff int, srcs []*Chunk, rows []int32) {
+	for c, col := range dst.Cols[colOff:] {
+		col.SetLen(len(srcs))
+		col.Valid.Reset()
+		switch col.Type {
+		case types.Boolean:
+			for i, src := range srcs {
+				col.Bools[i] = src.Cols[c].Bools[rows[i]]
+			}
+		case types.Integer:
+			for i, src := range srcs {
+				col.I32[i] = src.Cols[c].I32[rows[i]]
+			}
+		case types.BigInt, types.Timestamp:
+			for i, src := range srcs {
+				col.I64[i] = src.Cols[c].I64[rows[i]]
+			}
+		case types.Double:
+			for i, src := range srcs {
+				col.F64[i] = src.Cols[c].F64[rows[i]]
+			}
+		case types.Varchar:
+			for i, src := range srcs {
+				col.Str[i] = src.Cols[c].Str[rows[i]]
+			}
+		}
+		for i, src := range srcs {
+			if v := src.Cols[c]; !v.Valid.AllValid() && v.IsNull(int(rows[i])) {
+				col.SetNull(i)
+			}
+		}
+	}
+	dst.n = len(srcs)
+}
+
+// HeapBytes estimates the chunk's resident size for pool accounting.
+func (c *Chunk) HeapBytes() int64 {
+	var total int64
+	for _, col := range c.Cols {
+		n := int64(col.Len())
+		switch col.Type {
+		case types.Varchar:
+			for _, s := range col.Str {
+				total += int64(len(s)) + 16
+			}
+		case types.Boolean:
+			total += n
+		case types.Integer:
+			total += 4 * n
+		default:
+			total += 8 * n
+		}
+	}
+	return total
+}
+
 // Compact keeps only the selected rows, in place (via a scratch chunk).
 func (c *Chunk) Compact(sel []int) {
 	scratch := NewChunk(c.Types())

@@ -143,6 +143,44 @@ func TestCompactInto(t *testing.T) {
 	}
 }
 
+// TestGatherInto: rows picked from several source chunks land, typed
+// and with their NULLs, in the destination's columns from the offset on
+// — sources may be wider than what the destination takes, the columns
+// below the offset are left alone, and a reused destination forgets its
+// old NULLs.
+func TestGatherInto(t *testing.T) {
+	typs := []types.Type{types.Boolean, types.Integer, types.BigInt, types.Double, types.Varchar, types.Timestamp}
+	mk := func(base int) *Chunk {
+		c := NewChunk(append(append([]types.Type(nil), typs...), types.BigInt)) // one column the gather ignores
+		for r := 0; r < 5; r++ {
+			v := base + r
+			c.AppendRow(types.NewBool(v%2 == 0), types.NewInt(int32(v)), types.NewBigInt(int64(v)*10),
+				types.NewDouble(float64(v)/2), types.NewVarchar(string(rune('a'+v))), types.NewTimestamp(int64(v)), types.NewBigInt(-1))
+		}
+		return c
+	}
+	a, b := mk(0), mk(10)
+	b.Cols[2].SetNull(4)
+	b.Cols[4].SetNull(4)
+	dst := NewChunk(append([]types.Type{types.Varchar}, typs...))
+	dst.SetLen(3)
+	for _, col := range dst.Cols {
+		col.SetNull(0) // stale NULLs of an earlier use
+	}
+	srcs, rows := []*Chunk{b, a, b}, []int32{4, 2, 0}
+	GatherInto(dst, 1, srcs, rows)
+	if dst.Len() != 3 || !dst.Cols[0].IsNull(0) {
+		t.Fatalf("len=%d, column below the offset touched: %v", dst.Len(), !dst.Cols[0].IsNull(0))
+	}
+	for i, src := range srcs {
+		for c := range typs {
+			if got, want := dst.Cols[1+c].Get(i), src.Cols[c].Get(int(rows[i])); !types.Equal(got, want) || got.Null != want.Null {
+				t.Errorf("row %d col %d: got %v, want %v", i, c, got, want)
+			}
+		}
+	}
+}
+
 func TestChunkRoundTripCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	chunk := NewChunk([]types.Type{types.Boolean, types.Integer, types.BigInt, types.Double, types.Varchar, types.Timestamp})

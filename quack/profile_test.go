@@ -18,6 +18,9 @@ type profNode struct {
 	Morsels     int64       `json:"morsels"`
 	Groups      int64       `json:"agg_groups"`
 	StateBytes  int64       `json:"agg_state_bytes"`
+	BuildRows   int64       `json:"join_build_rows"`
+	BuildBytes  int64       `json:"join_build_bytes"`
+	Fallback    string      `json:"join_fallback"`
 	BusyNs      int64       `json:"busy_ns"`
 	SegsScanned int64       `json:"segments_scanned"`
 	SegsSkipped int64       `json:"segments_skipped"`
@@ -321,6 +324,73 @@ func TestExplainAnalyzeSortKeys(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeJoinBuild: the join says what it did. Its line
+// carries the build side's row count and the pool bytes held for it and
+// the table, and an Auto join that degraded to the merge join because
+// the build did not fit the budget says so — at one worker and at four.
+func TestExplainAnalyzeJoinBuild(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		// Unlimited at first, whatever QUACK_MEMORY_LIMIT a CI leg exports.
+		db, err := quack.Open(":memory:", quack.WithThreads(threads), quack.WithMemoryLimit(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		mustExec(t, db, "CREATE TABLE small (k BIGINT)")
+		mustExec(t, db, "CREATE TABLE big (k BIGINT, v BIGINT)")
+		app, err := db.Appender("big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bigRows = 40_000
+		for i := 0; i < bigRows; i++ {
+			if err := app.AppendRow(int64(i), int64(i*3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := app.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "INSERT INTO small SELECT k FROM big WHERE k % 400 = 0")
+		conn := db.Conn()
+		const q = "SELECT small.k, big.v FROM small JOIN big ON small.k = big.k"
+		for _, budget := range []string{"", "1MB"} {
+			if budget != "" {
+				mustExec(t, db, "PRAGMA memory_limit='"+budget+"'")
+			}
+			doc := lastProfile(t, conn, q)
+			join := doc.Plan
+			for !strings.HasPrefix(join.Name, "INNER JOIN") {
+				join = join.Children[0]
+			}
+			if doc.Rows != bigRows/400 {
+				t.Fatalf("threads=%d budget=%q: %d rows, want %d", threads, budget, doc.Rows, bigRows/400)
+			}
+			if budget == "" {
+				// 16 B of payload and 24 B of table per build row.
+				if join.BuildRows != bigRows || join.BuildBytes != bigRows*40 || join.Fallback != "" {
+					t.Errorf("threads=%d: build_rows=%d build_bytes=%d fallback=%q, want %d rows, %d bytes, no fallback",
+						threads, join.BuildRows, join.BuildBytes, join.Fallback, bigRows, bigRows*40)
+				}
+				continue
+			}
+			if join.Fallback != "merge" || join.BuildRows == 0 || join.BuildRows >= bigRows || join.BuildBytes > 1<<20 {
+				t.Errorf("threads=%d budget=%s: build_rows=%d build_bytes=%d fallback=%q, want a partial build handed to the merge join",
+					threads, budget, join.BuildRows, join.BuildBytes, join.Fallback)
+			}
+			var text []string
+			for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+q) {
+				text = append(text, row[0])
+			}
+			for _, piece := range []string{"build_rows=", "build_bytes=", "fallback=merge"} {
+				if !strings.Contains(strings.Join(text, "\n"), piece) {
+					t.Errorf("threads=%d budget=%s: EXPLAIN ANALYZE has no %q:\n%s", threads, budget, piece, strings.Join(text, "\n"))
+				}
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeBreakerBusy pins where pipeline-fused work is
 // booked: a breaker's sink (accumulation, run generation) runs inside
 // the scan pipeline's workers, but its time belongs to the breaker's
@@ -352,6 +422,7 @@ func TestExplainAnalyzeBreakerBusy(t *testing.T) {
 		for _, tc := range []struct{ q, breaker string }{
 			{"SELECT id - id % 8, count(*), sum(price) FROM facts GROUP BY 1", "AGGREGATE"},
 			{"SELECT id, price FROM facts ORDER BY price, id", "SORT"},
+			{"SELECT id, grp FROM facts JOIN dims ON id = key", "INNER JOIN"},
 		} {
 			doc := lastProfile(t, conn, tc.q)
 			br, scan := find(doc.Plan, tc.breaker), find(doc.Plan, "SCAN")

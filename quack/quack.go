@@ -106,7 +106,11 @@
 // report key_bytes, the width of one row's normalized sort key, and
 // tie_fallbacks, the comparisons that tied on an encoded VARCHAR
 // prefix and compared the full strings: a sort of long strings sharing
-// their first 14 bytes shows up here. PRAGMA profiling=1 collects the same profile for every
+// their first 14 bytes shows up here. A JOIN line carries build_rows and
+// build_bytes — the materialized build side and what the buffer pool
+// held for it and its hash table — and fallback=merge when an Auto join
+// degraded to the out-of-core merge join because the build did not fit
+// the budget. PRAGMA profiling=1 collects the same profile for every
 // statement a session runs, and PRAGMA last_profile returns the most
 // recent one as a single JSON object. Profiles are deterministic where
 // the engine is: per-operator row counts are identical at every thread
@@ -132,6 +136,13 @@
 // (0 logs everything, negative — the default — disables).
 //
 // # Knobs
+//
+// Six options to Open, and no others: WithMemoryLimit, WithThreads,
+// WithTmpDir, WithLogger, WithMemTest and WithoutChecksumVerification.
+// An application that shares its machine with the engine cooperates
+// through the first one's runtime twin: it moves PRAGMA memory_limit as
+// its own memory need changes, and admission, spilling and the join's
+// merge fallback follow.
 //
 // Thirteen PRAGMAs, and no others. Engine-wide (any session; environment
 // variables set the default at Open):
@@ -167,7 +178,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/types"
@@ -206,14 +216,6 @@ type Option func(*core.Config)
 // assume it owns all resources (§4).
 func WithMemoryLimit(bytes int64) Option {
 	return func(c *core.Config) { c.MemoryLimit = bytes }
-}
-
-// WithTotalRAM records how much RAM the application and database share,
-// the denominator of the thresholds in adaptive.Policy. Nothing in the
-// engine consults that policy yet (see SetAppUsage); to bound the
-// engine's memory, use WithMemoryLimit.
-func WithTotalRAM(bytes int64) Option {
-	return func(c *core.Config) { c.TotalRAM = bytes }
 }
 
 // WithoutChecksumVerification disables block checksum verification on
@@ -342,18 +344,6 @@ func (c *Conn) Query(sql string, args ...any) (*Rows, error) {
 // Checkpoint forces all committed data into the database file and
 // truncates the WAL. Fails with an error if transactions are in flight.
 func (db *DB) Checkpoint() error { return db.core.Checkpoint() }
-
-// SetAppUsage records the host application's current resource usage
-// (§4 cooperation). Today that is all it does: the engine keeps the
-// observation (Internal().Monitor()) and a Policy that would turn it
-// into decisions, but no operator consults the policy yet — queries do
-// not compress harder or switch join strategy because of this call.
-// What the engine does enforce is the memory budget (WithMemoryLimit,
-// PRAGMA memory_limit): operators spill and queries queue to stay
-// inside it.
-func (db *DB) SetAppUsage(ramBytes int64, cpuFraction float64) {
-	db.core.Monitor().SetAppUsage(adaptive.Usage{AppRAM: ramBytes, AppCPU: cpuFraction})
-}
 
 // MemoryUsed returns the engine's currently reserved bytes.
 func (db *DB) MemoryUsed() int64 { return db.core.Pool().Used() }

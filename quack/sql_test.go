@@ -179,7 +179,7 @@ func TestJoinVarieties(t *testing.T) {
 		[][]string{{"2", "2"}, {"3", "3"}})
 	checkQ(t, setup, "SELECT count(*) FROM a CROSS JOIN b", [][]string{{"9"}})
 	checkQ(t, setup, "SELECT count(*) FROM a, b WHERE x < y", [][]string{{"6"}})
-	// Non-equi join condition takes the nested-loop path.
+	// Non-equi join condition: the keyless join.
 	checkQ(t, setup, "SELECT x, y FROM a JOIN b ON x > y ORDER BY x, y",
 		[][]string{{"3", "2"}})
 	// Join keys with expressions.
