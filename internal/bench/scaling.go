@@ -41,8 +41,8 @@ const scalingAggQuery = "SELECT region, count(*), sum(qty), avg(price), min(pric
 const scalingSortQuery = "SELECT id, qty, price FROM t ORDER BY qty DESC, price, id"
 
 // scalingWindowQuery is the partitioned analytics workload: per-worker
-// sorted runs feed the partition cutter and the frames evaluate on the
-// exchange pool — ranking and a running sum per region.
+// sorted runs feed the merge ranges, which cut and evaluate the
+// partitions — ranking and a running sum per region.
 const scalingWindowQuery = "SELECT id, row_number() OVER (PARTITION BY region ORDER BY qty DESC, id), sum(price) OVER (PARTITION BY region ORDER BY qty DESC, id) FROM t"
 
 // scalingAggBudgetQuery is the budgeted-aggregation workload: a

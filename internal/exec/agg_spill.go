@@ -107,9 +107,10 @@ func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 	return t
 }
 
-// accumulate folds one chunk into the table. seq is the chunk's
-// sequence number in the source's stream (its morsel, for a pipeline);
-// all chunks of one seq must be accumulated consecutively.
+// accumulate folds one chunk into the table. seq is the chunk's own
+// sequence number in the source's stream (sinkFunc): a group's first
+// position is (seq, row) and each seq is one DOUBLE subtotal, so no two
+// chunks may share one.
 //
 // The budget is touched at three points: shedding before the keys are
 // resolved, growth when the probe meets a new group the store has no

@@ -16,6 +16,8 @@
 // without up-front range partitioning. Operator state is thread-local —
 // each worker owns partial aggregate hash tables and the join-build
 // chunks it kept — and is merged once at the pipeline breaker.
+// A join's probe is one more stage of its probe side's pipeline, so a
+// breaker above a join consumes the probe output on every worker.
 // Streaming pipelines reassemble their output in morsel order, and
 // breaker merges order groups by first appearance, sorted rows by a
 // hidden input-position tiebreak and join matches by build position, so
@@ -26,7 +28,7 @@
 // written against worker-local state, and Context.Threads = 1 is that
 // same code with one worker. Only the driver differs — several worker
 // states advance as steps on the engine-wide scheduler, a single one
-// runs inline on the calling goroutine (see pipelineOp, exchangeOp).
+// runs inline on the calling goroutine (see pipelineOp).
 //
 // The package also houses the join-strategy decision the paper's
 // cooperation section describes (§4): an equi-join prefers an in-memory
@@ -121,8 +123,8 @@ type Context struct {
 	// SortBudget caps the in-memory footprint of sorts; <=0 derives it
 	// from the pool limit.
 	SortBudget int64
-	// Threads sizes the worker state of pipelines and exchanges (morsel
-	// scanners, partial tables, merge ranges), read when an operator
+	// Threads sizes the worker state of pipelines and sorted streams
+	// (morsel scanners, partial tables, merge ranges), read when an operator
 	// opens; <=1 means one worker, which runs inline on the calling
 	// goroutine. Wider queries run on Sched's engine-wide pool, so
 	// Threads bounds a query's task width, not its goroutines.
@@ -201,18 +203,20 @@ type Operator interface {
 // tree is the same for every worker count: operators read
 // Context.Threads when they open. A non-nil prof compiles profiling
 // hooks into the tree — operators are wrapped with their plan node's
-// profile slot and pipeline stages count rows per node; it must come
-// from NewProfiler over the same (optimized) plan, and the executing
-// Context must carry it in Prof.
+// profile slot and stages count rows per node; it must come from
+// NewProfiler over the same (optimized) plan, and the executing Context
+// must carry it in Prof.
 //
 // A maximal scan→filter→project chain compiles into one morsel pipeline
-// streaming into whatever sits above it, anything else into its
-// operator. The pipeline operator is not wrapped: its per-node row
-// counts come from stage hooks and the morsel claim site, and its time
-// is the workers' busy time.
+// streaming into whatever sits above it, a join and the filters and
+// projections above it into the join (a source), anything else into its
+// operator. Sources are not wrapped: their per-node row counts come from
+// stage hooks and the morsel claim site, and their time is the workers'
+// busy time.
 func Build(node plan.Node, prof *Profiler) (Operator, error) {
-	if spec := compilePipeline(node, prof); spec != nil {
-		return newPipelineOp(spec), nil
+	switch node.(type) {
+	case *plan.ScanNode, *plan.FilterNode, *plan.ProjectNode, *plan.JoinNode:
+		return buildSource(node, prof)
 	}
 	return buildOperator(node, prof)
 }
@@ -234,28 +238,24 @@ func HasAggregate(node plan.Node) bool {
 }
 
 // buildSource builds the input of a pipeline breaker or join: the
-// morsel pipeline when the subtree is one, any other operator behind
-// the one-worker adapter.
+// morsel pipeline when the subtree is one, a join as itself, any other
+// operator behind the one-worker adapter. A filter or projection above
+// a join or another operator (HAVING over an aggregate, the projection
+// stripping hidden sort columns, ...) becomes a stage of the source
+// below it.
 func buildSource(node plan.Node, prof *Profiler) (source, error) {
 	if spec := compilePipeline(node, prof); spec != nil {
 		return newPipelineOp(spec), nil
 	}
-	op, err := buildOperator(node, prof)
-	if err != nil {
-		return nil, err
+	if f := nodeStage(node, prof); f != nil {
+		src, err := buildSource(node.Children()[0], prof)
+		if err != nil {
+			return nil, err
+		}
+		src.attachStages(f)
+		return src, nil
 	}
-	return &opSource{op}, nil
-}
-
-// buildOperator builds the operator of a node that is not a morsel
-// pipeline.
-func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
-	switch n := node.(type) {
-	case *plan.FilterNode, *plan.ProjectNode:
-		// Stranded above a breaker or join (HAVING over an aggregate, the
-		// projection stripping hidden sort columns, ...).
-		return buildExchange(n, prof)
-	case *plan.JoinNode:
+	if n, ok := node.(*plan.JoinNode); ok {
 		left, err := buildSource(n.Left, prof)
 		if err != nil {
 			return nil, err
@@ -267,9 +267,21 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 		if len(n.LeftKeys) == 0 {
 			// CROSS and non-equi joins: the same operator with no table. There
 			// is no strategy to choose and the build reserves best-effort.
-			return prof.wrap(newHashJoin(left, right, n, false), n, true), nil
+			return newHashJoin(left, right, n, false), nil
 		}
-		return prof.wrap(newEquiJoin(left, right, n), n, true), nil
+		return newEquiJoin(left, right, n), nil
+	}
+	op, err := buildOperator(node, prof)
+	if err != nil {
+		return nil, err
+	}
+	return &opSource{Operator: op}, nil
+}
+
+// buildOperator builds the operator of a node that is not a source of
+// its own: a breaker, LIMIT, UNION ALL, VALUES or a DML statement.
+func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
+	switch n := node.(type) {
 	case *plan.AggNode:
 		// DISTINCT aggregates participate in worker-local partial
 		// aggregation: their per-worker value sets merge by set union.
@@ -277,25 +289,25 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newAggOp(src, n), n, true), nil
+		return prof.wrap(newAggOp(src, n), n), nil
 	case *plan.SortNode:
 		src, err := buildSource(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newSortOp(src, n), n, true), nil
+		return prof.wrap(newSortOp(src, n), n), nil
 	case *plan.WindowNode:
 		src, err := buildSource(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newWindowOp(src, n), n, true), nil
+		return prof.wrap(newWindowOp(src, n), n), nil
 	case *plan.LimitNode:
 		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&limitOp{child: child, limit: n.Limit, offset: n.Offset}, n, true), nil
+		return prof.wrap(&limitOp{child: child, limit: n.Limit, offset: n.Offset}, n), nil
 	case *plan.UnionAllNode:
 		ops := make([]Operator, len(n.Inputs))
 		for i, in := range n.Inputs {
@@ -305,9 +317,9 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 			}
 			ops[i] = op
 		}
-		return prof.wrap(&unionOp{inputs: ops}, n, true), nil
+		return prof.wrap(&unionOp{inputs: ops}, n), nil
 	case *plan.ValuesNode:
-		return prof.wrap(&valuesOp{node: n}, n, true), nil
+		return prof.wrap(&valuesOp{node: n}, n), nil
 	case *plan.InsertNode:
 		// DML inputs run like any query: the morsel source snapshots the
 		// segment list at open, so an INSERT ... SELECT reading its own
@@ -318,7 +330,7 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&insertOp{child: child, table: n.Table}, n, true), nil
+		return prof.wrap(&insertOp{child: child, table: n.Table}, n), nil
 	case *plan.UpdateNode:
 		// UPDATE/DELETE materialize every row id before touching the
 		// table (Halloween protection), so their filter scans can fan
@@ -327,13 +339,13 @@ func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&updateOp{child: child, node: n}, n, true), nil
+		return prof.wrap(&updateOp{child: child, node: n}, n), nil
 	case *plan.DeleteNode:
 		child, err := Build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&deleteOp{child: child, table: n.Table}, n, true), nil
+		return prof.wrap(&deleteOp{child: child, table: n.Table}, n), nil
 	default:
 		return nil, fmt.Errorf("exec: no operator for %T", node)
 	}

@@ -15,25 +15,24 @@ import (
 // and degrades to the out-of-core merge join when it does not — the §4
 // RAM-versus-CPU trade-off. LEFT joins always use the hash
 // implementation (merge join here is inner-only).
-func newEquiJoin(left, right source, n *plan.JoinNode) Operator {
-	return &equiJoinOp{left: left, right: right, node: n}
+func newEquiJoin(left, right source, n *plan.JoinNode) source {
+	return &equiJoinOp{source: newHashJoin(left, right, n, false), node: n}
 }
 
+// equiJoinOp is a source that forwards to the join it runs: the hash
+// join until Open hands over to the merge join behind opSource.
 type equiJoinOp struct {
-	left, right source
-	node        *plan.JoinNode
-	impl        Operator
+	source
+	node *plan.JoinNode
 }
 
 func (j *equiJoinOp) Open(ctx *Context) error {
+	hj := j.source.(*hashJoinOp)
 	if ctx.JoinStrategy == JoinForceMerge {
-		j.impl = newMergeJoin(j.left, j.right, j.node, nil)
-		return j.impl.Open(ctx)
+		return j.openMerge(ctx, hj, newMergeJoin(hj.left, hj.right, j.node, nil))
 	}
-	// Auto enforces the budget on the build. The hash join is registered
-	// before it opens: if Open fails, Close must still reach it.
-	hj := newHashJoin(j.left, j.right, j.node, ctx.JoinStrategy == JoinAuto)
-	j.impl = hj
+	// Auto enforces the budget on the build.
+	hj.enforce = ctx.JoinStrategy == JoinAuto
 	err := hj.Open(ctx)
 	if !hj.overBudget || j.node.Type == plan.JoinLeft {
 		// LEFT joins have no merge fallback: an oversized build surfaces as
@@ -48,21 +47,19 @@ func (j *equiJoinOp) Open(ctx *Context) error {
 	if slot := ctx.Prof.Slot(j.node); slot != nil {
 		slot.JoinFallback.Store(true)
 	}
-	mj := newMergeJoin(j.left, j.right, j.node, hj.buildChunks)
+	mj := newMergeJoin(hj.left, hj.right, j.node, hj.buildChunks)
 	mj.opened = true
-	j.impl = mj
-	return mj.Open(ctx)
+	return j.openMerge(ctx, hj, mj)
 }
 
-func (j *equiJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return j.impl.Next(ctx) }
-
-func (j *equiJoinOp) Close(ctx *Context) {
-	if j.impl != nil {
-		j.impl.Close(ctx)
-		return
-	}
-	j.left.Close(ctx)
-	j.right.Close(ctx)
+// openMerge runs the merge join in place of the unopened or failed hash
+// join hj: a plain operator behind opSource, which counts its rows into
+// the join's profile slot and runs the stages attached above the join.
+func (j *equiJoinOp) openMerge(ctx *Context, hj *hashJoinOp, mj *mergeJoinOp) error {
+	src := &opSource{Operator: ctx.Prof.wrap(mj, j.node)}
+	src.attachStages(hj.above...)
+	j.source = src
+	return src.Open(ctx)
 }
 
 // buildRef packs (chunk, row) into one int64.
@@ -78,10 +75,19 @@ func (r buildRef) row() int           { return int(int64(r) & (1<<20 - 1)) }
 // non-equi condition) has no table and every build row is a candidate
 // for every probe row. Either way candidates come in global build order
 // and joinEmitter turns them into output.
+//
+// Once built, the join is a source: its probe is a stage of the probe
+// source, stages a parent attaches run behind it, and a breaker above
+// the join consumes the probe output on the probe source's workers.
 type hashJoinOp struct {
 	left, right source
 	node        *plan.JoinNode
 	enforce     bool // respect the pool budget (Auto mode)
+
+	// above holds the stages attached before the probe was: Open attaches
+	// them behind it.
+	above   []stageFactory
+	probing bool
 
 	// buildChunks is the build side in global build order (by source
 	// sequence), whichever worker produced which chunk.
@@ -124,12 +130,28 @@ func (h *hashJoinOp) Open(ctx *Context) error {
 	if err := h.build(ctx); err != nil {
 		return err
 	}
-	// The probe runs as a stage inside the probe source's workers and
-	// Next pulls the join output from it in the source's order; the
+	// The probe runs as a stage inside the probe source's workers; the
 	// table is read-only now. The stage is attached only to a finished
-	// build: the merge fallback reads the source without it.
-	h.left.attachStages(h.newProbeStage)
+	// build: the merge fallback reads the source without it. Its rows
+	// and its own time are the join's.
+	h.left.attachStages(timedFactory(ctx.Prof.Slot(h.node), h.newProbeStage))
+	h.left.attachStages(h.above...)
+	h.above, h.probing = nil, true
 	return nil
+}
+
+func (h *hashJoinOp) attachStages(f ...stageFactory) {
+	if !h.probing {
+		h.above = append(h.above, f...)
+		return
+	}
+	h.left.attachStages(f...)
+}
+
+func (h *hashJoinOp) workerCount(ctx *Context) int { return h.left.workerCount(ctx) }
+
+func (h *hashJoinOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error {
+	return h.left.consume(ctx, workers, slot, mkSink)
 }
 
 func (h *hashJoinOp) newProbeStage() stage {
@@ -160,7 +182,7 @@ func (h *hashJoinOp) build(ctx *Context) error {
 	src := h.right
 	enforced := h.enforce && ctx.Pool != nil && ctx.Pool.Limit() > 0
 	if enforced {
-		src = &opSource{h.right}
+		src = &opSource{Operator: h.right}
 	}
 	workers := src.workerCount(ctx)
 	slot := ctx.Prof.Slot(h.node)
@@ -314,8 +336,7 @@ func anyNull(vecs []*vector.Vector, r int) bool {
 	return false
 }
 
-// Next pulls the join output from the probe source: the probe stage
-// runs inside its workers and the stream is already in source order.
+// Next pulls the join output from the probe source in its order.
 func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return h.left.Next(ctx) }
 
 // probeStage probes the shared (read-only) build side from inside a

@@ -3,8 +3,11 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -275,4 +278,243 @@ func benchPerRow(b *testing.B, rows int, run func()) {
 	n := float64(b.N) * float64(rows)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/row")
+}
+
+// probeFanoutFixture joins a 3000-row probe table (k BIGINT, d DOUBLE)
+// whose every hundredth row carries key 7 with a 3000-row build table
+// (k BIGINT, id BIGINT, e DOUBLE) of key 7 only: each matching probe row
+// meets 3000 build rows, so a probe morsel emits about thirty chunks.
+// e mixes magnitudes 1e12 apart, so a DOUBLE sum depends on where its
+// subtotals start.
+func probeFanoutFixture(t *testing.T) (*plan.JoinNode, *txn.Manager) {
+	t.Helper()
+	mgr := txn.NewManager(nil)
+	mk := func(name string, cols []catalog.Column, row func(i int) []types.Value) *catalog.Table {
+		entry := &catalog.Table{Name: name, Columns: cols}
+		entry.Data = table.New(entry.Types(), nil)
+		tx := mgr.Begin()
+		c := vector.NewChunk(entry.Types())
+		for i := 0; i < 3000; i++ {
+			c.AppendRow(row(i)...)
+			if c.Len() == vector.ChunkCapacity || i == 2999 {
+				if err := entry.Data.Append(tx, c); err != nil {
+					t.Fatal(err)
+				}
+				c = vector.NewChunk(entry.Types())
+			}
+		}
+		if _, err := mgr.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		return entry
+	}
+	probe := mk("p", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "d", Type: types.Double}}, func(i int) []types.Value {
+		k := int64(i)
+		if i%100 == 0 {
+			k = 7
+		}
+		return []types.Value{types.NewBigInt(k), types.NewDouble(float64(i%13) * 0.3)}
+	})
+	build := mk("b", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "id", Type: types.BigInt}, {Name: "e", Type: types.Double}}, func(i int) []types.Value {
+		return []types.Value{types.NewBigInt(7), types.NewBigInt(int64(i)), types.NewDouble(float64(i%97)*0.1 + float64(i%5)*1e12)}
+	})
+	key := &expr.ColRef{Idx: 0, Typ: types.BigInt}
+	return &plan.JoinNode{
+		Left:     &plan.ScanNode{Table: probe, TableAlias: "p", Columns: []int{0, 1}},
+		Right:    &plan.ScanNode{Table: build, TableAlias: "b", Columns: []int{0, 1, 2}},
+		Type:     plan.JoinInner,
+		LeftKeys: []expr.Expr{key}, RightKeys: []expr.Expr{key},
+	}, mgr
+}
+
+// TestProbeSinkPositions: a breaker fed by a probe that emits several
+// chunks per morsel sees one seq per chunk, in stream order. First-seen
+// group order (build ids past the first chunk must not jump ahead of
+// earlier rows), the DOUBLE subtotals, and the order of sort rows whose
+// keys are all equal must match the same plan drained through opSource
+// on one worker — the join's stream numbered by arrival.
+func TestProbeSinkPositions(t *testing.T) {
+	join, mgr := probeFanoutFixture(t)
+	col := func(i int, typ types.Type) expr.Expr { return &expr.ColRef{Idx: i, Typ: typ} }
+	agg := &plan.AggNode{
+		Child:   join,
+		GroupBy: []expr.Expr{&expr.Arith{Op: expr.OpMod, L: col(3, types.BigInt), R: &expr.Const{Val: types.NewBigInt(1500)}, Typ: types.BigInt}},
+		Names:   []string{"g"},
+		Aggs: []plan.AggSpec{
+			{Func: "count", Type: types.BigInt, Name: "n"},
+			{Func: "sum", Arg: col(4, types.Double), Type: types.Double, Name: "se"},
+			{Func: "sum", Arg: col(1, types.Double), Type: types.Double, Name: "sd"},
+		},
+	}
+	sort := &plan.SortNode{Child: join, Keys: []plan.SortKey{{Expr: col(2, types.BigInt)}}}
+	render := func(op Operator, threads int) string {
+		var out strings.Builder
+		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
+			fmt.Fprint(&out, c.Len(), ":")
+			for r := 0; r < c.Len(); r++ {
+				for _, v := range c.Cols {
+					if v.Type == types.Double {
+						fmt.Fprintf(&out, "%x,", math.Float64bits(v.F64[r]))
+					} else {
+						fmt.Fprint(&out, v.Get(r).String(), ",")
+					}
+				}
+			}
+			out.WriteString("|")
+		}
+		return out.String()
+	}
+	viaOpSource := func(node plan.Node) Operator {
+		src, err := buildSource(join, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := node.(*plan.AggNode); ok {
+			return newAggOp(&opSource{Operator: src}, n)
+		}
+		return newSortOp(&opSource{Operator: src}, node.(*plan.SortNode))
+	}
+	for _, node := range []plan.Node{agg, sort} {
+		want := render(viaOpSource(node), 1)
+		for _, threads := range []int{1, 2, 4} {
+			op, err := Build(node, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(op, threads); got != want {
+				t.Fatalf("%T threads=%d: the probe-fed breaker diverges from the opSource-fed one:\n got %.300s\nwant %.300s", node, threads, got, want)
+			}
+		}
+	}
+
+	// The fixture really emits several chunks per morsel, each under a seq
+	// of its own.
+	src, err := buildSource(join, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &Context{Txn: mgr.Begin(), Threads: 1}
+	if err := src.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	last, maxK := -1, 0
+	err = src.consume(ctx, 1, nil, func(int) sinkFunc {
+		return func(seq int, c *vector.Chunk) error {
+			if seq <= last {
+				return fmt.Errorf("seq %d after %d", seq, last)
+			}
+			last, maxK = seq, max(maxK, seq&(1<<chunkSeqBits-1))
+			return nil
+		}
+	})
+	src.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxK < 2 {
+		t.Fatalf("a morsel emitted at most %d chunks, want >= 3", maxK+1)
+	}
+
+	// The counters fail instead of wrapping.
+	if s, err := chunkSeq(3, 2); err != nil || s != 3<<chunkSeqBits|2 {
+		t.Fatalf("chunkSeq(3, 2) = %d, %v", s, err)
+	}
+	if _, err := chunkSeq(3, 1<<chunkSeqBits); err == nil {
+		t.Fatal("chunk counter overflow did not error")
+	}
+	if _, err := chunkSeq(1<<(47-chunkSeqBits), 0); err == nil {
+		t.Fatal("morsel counter overflow did not error")
+	}
+}
+
+// TestAggOverJoinAccumulatesOnWorkers: an aggregation above a join is
+// fed by the probe on the probe source's workers — at four threads
+// more than one of them accumulates.
+func TestAggOverJoinAccumulatesOnWorkers(t *testing.T) {
+	join, mgr := buildJoinFixture(t, 40*vector.ChunkCapacity, 3000)
+	agg := &plan.AggNode{
+		Child:   join,
+		GroupBy: []expr.Expr{&expr.Arith{Op: expr.OpMod, L: &expr.ColRef{Idx: 1, Typ: types.BigInt}, R: &expr.Const{Val: types.NewBigInt(16)}, Typ: types.BigInt}},
+		Names:   []string{"g"},
+		Aggs:    []plan.AggSpec{{Func: "count", Type: types.BigInt, Name: "n"}},
+	}
+	op, err := Build(agg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := op.(*aggOp)
+	if !ok {
+		t.Fatalf("built %T, want *aggOp", op)
+	}
+	if _, ok := a.src.(*equiJoinOp); !ok {
+		t.Fatalf("aggregation source is %T, want the join itself", a.src)
+	}
+	ctx := &Context{Txn: mgr.Begin(), Threads: 4}
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := op.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rows := a.workerRows()
+	op.Close(ctx)
+	busy := 0
+	var total int64
+	for _, n := range rows {
+		if n > 0 {
+			busy++
+		}
+		total += n
+	}
+	if busy < 2 || total != 3000 {
+		t.Fatalf("join rows accumulated per worker %v, want >= 2 workers and 3000 rows", rows)
+	}
+}
+
+// TestProfileProbeTimeBookedToJoin: a join's probe runs inside its probe
+// source's workers, but its own time is booked to the join's BusyNs and
+// kept out of the scan leaf's — at one worker and four. The probe
+// sleeps, so the shares cannot be confused with scan work.
+func TestProfileProbeTimeBookedToJoin(t *testing.T) {
+	join, mgr := buildJoinFixture(t, 20*vector.ChunkCapacity, 10)
+	scan := join.Left
+	const nap = 2 * time.Millisecond
+	for _, threads := range []int{1, 4} {
+		prof := NewProfiler(join)
+		src, err := buildSource(scan, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.attachStages(timedFactory(prof.Slot(join), func() stage { return sleepStage(nap) }))
+		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Prof: prof}
+		if err := src.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		err = src.consume(ctx, src.workerCount(ctx), nil, func(int) sinkFunc {
+			return func(int, *vector.Chunk) error { return nil }
+		})
+		src.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, ss := prof.Slot(join), prof.Slot(scan)
+		slept := 20 * nap.Nanoseconds()
+		if js.Chunks.Load() != 20 || js.Rows.Load() != 20*vector.ChunkCapacity {
+			t.Fatalf("threads=%d: join counted %d chunks, %d rows, want 20 and %d", threads, js.Chunks.Load(), js.Rows.Load(), 20*vector.ChunkCapacity)
+		}
+		if js.BusyNs.Load() < slept {
+			t.Errorf("threads=%d: join busy %dns < %dns slept in its probe", threads, js.BusyNs.Load(), slept)
+		}
+		if leaf := ss.BusyNs.Load(); leaf <= 0 || leaf >= slept {
+			t.Errorf("threads=%d: scan busy %dns, want > 0 and without the %dns its probe slept", threads, leaf, slept)
+		}
+	}
+}
+
+// sleepStage passes every chunk on after a nap.
+type sleepStage time.Duration
+
+func (s sleepStage) run(_ *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
+	time.Sleep(time.Duration(s))
+	return emit(c)
 }

@@ -49,8 +49,8 @@ func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*exchangeOp); !ok {
-		t.Fatalf("built %T, want *exchangeOp", op)
+	if src, ok := op.(*opSource); !ok || len(src.stages) != 2 {
+		t.Fatalf("built %T, want the aggregate's *opSource running HAVING and the projection", op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -61,8 +61,9 @@ func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	return out
 }
 
-// TestExchangeMatchesSequential: the exchange over a breaker must
-// reproduce its inline (one-worker) stream exactly on the scheduler.
+// TestExchangeMatchesSequential: the stages over a breaker, run on the
+// caller by its opSource, must reproduce the one-worker stream exactly
+// when the breaker below runs on the scheduler.
 func TestExchangeMatchesSequential(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 40_000)
 	want := renderPlan(t, node, &Context{Txn: mgr.Begin(), Threads: 1})
@@ -72,15 +73,15 @@ func TestExchangeMatchesSequential(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
 		got := renderPlan(t, node, &Context{Txn: mgr.Begin(), Threads: threads})
 		if got != want {
-			t.Fatalf("threads=%d exchange diverges:\n got: %.300s\nwant: %.300s", threads, got, want)
+			t.Fatalf("threads=%d stages over the aggregate diverge:\n got: %.300s\nwant: %.300s", threads, got, want)
 		}
 	}
 }
 
-// TestExchangeAboveSortStripsHiddenColumns mirrors the planner shape of
-// ORDER BY over a non-output column: a stripping projection above the
-// sort breaker, which the exchange must run in parallel while keeping
-// the sorted order intact.
+// TestExchangeAboveSort mirrors the planner shape of ORDER BY over a
+// non-output column: a stripping projection above the sort breaker,
+// which runs as a stage of the sort's opSource and must keep the sorted
+// order intact.
 func TestExchangeAboveSort(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node, _ := mkSortNode(t, 25_000, mgr)
@@ -96,12 +97,12 @@ func TestExchangeAboveSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, ok := op.(*exchangeOp)
+		src, ok := op.(*opSource)
 		if !ok {
-			t.Fatalf("built %T, want *exchangeOp", op)
+			t.Fatalf("built %T, want *opSource", op)
 		}
-		if _, ok := ex.child.(*sortOp); !ok {
-			t.Fatalf("exchange child is %T, want *sortOp", ex.child)
+		if _, ok := src.Operator.(*sortOp); !ok || len(src.stages) != 1 {
+			t.Fatalf("opSource runs %d stages over %T, want one over *sortOp", len(src.stages), src.Operator)
 		}
 		out := ""
 		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
@@ -117,8 +118,8 @@ func TestExchangeAboveSort(t *testing.T) {
 	}
 }
 
-// TestExchangeEarlyClose: a limit above the exchange abandons the
-// stream; Close must join the producer, workers and watcher without
+// TestExchangeEarlyClose: a limit above the stages over an aggregate
+// abandons the stream; Close must join the aggregation's workers without
 // deadlocking.
 func TestExchangeEarlyClose(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 60_000)
@@ -130,12 +131,12 @@ func TestExchangeEarlyClose(t *testing.T) {
 	ctx := &Context{Txn: mgr.Begin(), Threads: 4}
 	chunks := collectAll(t, ctx, op)
 	if rows := countRows(chunks); rows != 2 {
-		t.Fatalf("limit over exchange: %d rows, want 2", rows)
+		t.Fatalf("limit over the stages: %d rows, want 2", rows)
 	}
 }
 
-// TestExchangeErrorPropagates: a failing stage expression inside an
-// exchange worker must surface as the query error.
+// TestExchangeErrorPropagates: a failing stage expression above a
+// breaker must surface as the query error.
 func TestExchangeErrorPropagates(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	entry := buildFactTable(t, mgr, 20_000)

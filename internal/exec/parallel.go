@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -10,21 +11,42 @@ import (
 )
 
 // sinkFunc receives one chunk a source produced, tagged with the
-// sequence number that orders it in the source's stream: the morsel
-// number for a pipeline, the chunk ordinal for any other operator.
+// sequence number that orders it in the source's stream. Every chunk
+// has a seq of its own, and seqs grow in stream order: a position
+// derived from (seq, row in chunk) — first-seen group order, the sort
+// and window tiebreak, the hash join's build order, the DOUBLE
+// reduction's subtotal boundaries — is then the same whichever worker
+// saw the chunk. A pipeline numbers the chunks one morsel emits with
+// chunkSeq, any other operator's chunks are numbered by arrival.
 type sinkFunc func(seq int, c *vector.Chunk) error
+
+// chunkSeqBits is how many low bits of a pipeline's seq number the
+// chunks of one morsel: a probe may emit many chunks for one morsel.
+// The rest holds the morsel number, and packAggPos shifts a seq by 16
+// more bits, so a morsel number must stay below 1<<(47-chunkSeqBits).
+const chunkSeqBits = 24
+
+// chunkSeq is the seq of the k-th chunk morsel m's pipeline emitted. It
+// fails instead of wrapping when either count outgrows its bits.
+func chunkSeq(m, k int) (int, error) {
+	if k >= 1<<chunkSeqBits || m >= 1<<(47-chunkSeqBits) {
+		return 0, fmt.Errorf("exec: morsel %d emitted chunk %d: past the %d-bit chunk counter", m, k, chunkSeqBits)
+	}
+	return m<<chunkSeqBits | k, nil
+}
 
 // source is what a pipeline breaker (aggregate, sort, window
 // partitioner, hash-join build and probe) is written against. Next
 // streams the source's chunks in sequence order; consume instead pushes
 // them into worker-local sinks with no ordering barrier. There are two
 // providers: the morsel pipeline (pipelineOp) and the adapter that
-// presents any other operator as a one-worker source (opSource).
+// presents any other operator as a one-worker source (opSource). A join
+// is a source too: it forwards to its probe side's source, whose
+// workers run the probe.
 type source interface {
 	Operator
 	// attachStages appends per-worker stages behind the source's own
-	// (the hash join attaches its probe). Call it before the first Next
-	// or consume.
+	// (a join's probe). Call it before the first Next or consume.
 	attachStages(f ...stageFactory)
 	// workerCount is how many worker states the source can keep busy
 	// under ctx.Threads. Valid after Open.
@@ -57,15 +79,47 @@ func timedSink(sink sinkFunc, slot *OpProfile, spent *int64) sinkFunc {
 	}
 }
 
-// opSource presents any operator as a one-worker source: its chunks are
-// drained on the calling goroutine and numbered by arrival, which is the
-// order every consumer of the operator would see. Attached stages run
-// on an exchange over the operator.
-type opSource struct{ Operator }
+// opSource presents any operator that is neither a pipeline nor a join
+// as a one-worker source: its chunks are drained on the calling
+// goroutine, run through the attached stages right there, and numbered
+// by arrival, which is the order every consumer would see.
+type opSource struct {
+	Operator
+	stages []stage
+	queue  []*vector.Chunk // stage output Next has yet to return
+}
 
-func (s *opSource) attachStages(f ...stageFactory) { s.Operator = newExchangeOp(s.Operator, f) }
+func (s *opSource) attachStages(f ...stageFactory) {
+	for _, mk := range f {
+		s.stages = append(s.stages, mk())
+	}
+}
 
 func (s *opSource) workerCount(*Context) int { return 1 }
+
+// Next pulls the operator and runs the stages over each chunk; chunks
+// the stages empty are dropped.
+func (s *opSource) Next(ctx *Context) (*vector.Chunk, error) {
+	for len(s.queue) == 0 {
+		c, err := s.Operator.Next(ctx)
+		if err != nil || c == nil || len(s.stages) == 0 {
+			return c, err
+		}
+		if err := runStages(ctx, s.stages, c, s.push); err != nil {
+			return nil, err
+		}
+	}
+	c := s.queue[0]
+	s.queue = s.queue[1:]
+	return c, nil
+}
+
+func (s *opSource) push(c *vector.Chunk) error {
+	if c.Len() > 0 {
+		s.queue = append(s.queue, c)
+	}
+	return nil
+}
 
 func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int) sinkFunc) error {
 	sink := timedSink(mkSink(0), slot, nil)
@@ -145,8 +199,10 @@ type pipeWorker struct {
 	ms     *table.MorselScanner
 	stages []stage
 	sink   sinkFunc
-	sinkNs int64 // time the current morsel spent in a profiled sink
-	q      *sched.Query
+	// bookedNs is the time the current morsel spent in work booked to
+	// another profile slot: a breaker's sink, a join's probe.
+	bookedNs int64
+	q        *sched.Query
 	// out collects the current morsel's chunks in ordered mode.
 	out []*vector.Chunk
 }
@@ -188,14 +244,20 @@ func (p *pipelineOp) newWorker(ctx *Context) *pipeWorker {
 	for _, f := range p.extra {
 		w.stages = append(w.stages, f())
 	}
+	for _, s := range w.stages {
+		if ps, ok := s.(*profStage); ok && ps.timed {
+			ps.booked = &w.bookedNs
+		}
+	}
 	return w
 }
 
 // morsel is the one worker body: claim a morsel, run the stages over it
-// and hand every non-empty result chunk to the sink. It returns the
-// morsel's sequence number, -1 once the source is exhausted. With a
-// profile slot, the scan's busy time covers the scan and the stages
-// only — a breaker's sink books its own.
+// and hand every non-empty result chunk to the sink under its chunkSeq.
+// It returns the morsel's sequence number, -1 once the source is
+// exhausted. With a profile slot, the scan's busy time covers the scan
+// and the filter and projection stages only — a join's probe and a
+// breaker's sink book their own.
 //
 //quack:hotpath
 func (w *pipeWorker) morsel() (int, error) {
@@ -204,7 +266,7 @@ func (w *pipeWorker) morsel() (int, error) {
 	var t0 time.Time
 	if slot != nil {
 		t0 = time.Now()
-		w.sinkNs = 0
+		w.bookedNs = 0
 	}
 	seq, chunk, err := w.ms.Next()
 	if seq < 0 && err == nil {
@@ -218,15 +280,21 @@ func (w *pipeWorker) morsel() (int, error) {
 		}
 	}
 	if err == nil && chunk != nil {
+		k := 0
 		err = runStages(w.ctx, w.stages, chunk, func(c *vector.Chunk) error {
 			if c.Len() == 0 {
 				return nil
 			}
-			return w.sink(seq, c)
+			cs, serr := chunkSeq(seq, k)
+			if serr != nil {
+				return serr
+			}
+			k++
+			return w.sink(cs, c)
 		})
 	}
 	if slot != nil {
-		slot.BusyNs.Add(time.Since(t0).Nanoseconds() - w.sinkNs)
+		slot.BusyNs.Add(time.Since(t0).Nanoseconds() - w.bookedNs)
 	}
 	return seq, err
 }
@@ -394,7 +462,7 @@ func (p *pipelineOp) Next(ctx *Context) (*vector.Chunk, error) {
 func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error {
 	mk := func(i int) *pipeWorker {
 		w := p.newWorker(ctx)
-		w.sink = timedSink(mkSink(i), slot, &w.sinkNs)
+		w.sink = timedSink(mkSink(i), slot, &w.bookedNs)
 		return w
 	}
 	if workers <= 1 { // inline driver

@@ -19,9 +19,10 @@ type stageFactory func() stage
 
 // pipelineSpec describes a parallelizable streaming pipeline: a base
 // table scan whose segments are the morsels, followed by per-worker
-// stages (filter, project, join probe). A pipeline never reorders or
-// buffers rows, so its output re-assembled in morsel order is the same
-// chunk stream whichever worker ran which morsel.
+// stages (filter, project; join probes and the stages above them are
+// attached by the joins). A pipeline never reorders or buffers rows, so
+// its output re-assembled in morsel order is the same chunk stream
+// whichever worker ran which morsel.
 type pipelineSpec struct {
 	scan   *plan.ScanNode
 	stages []stageFactory
@@ -53,8 +54,7 @@ func (p *pipelineSpec) newStages() []stage {
 // non-nil every stage is wrapped with its plan node's profile slot so
 // per-node row counts survive the pipeline collapse.
 func compilePipeline(node plan.Node, prof *Profiler) *pipelineSpec {
-	switch n := node.(type) {
-	case *plan.ScanNode:
+	if n, ok := node.(*plan.ScanNode); ok {
 		spec := &pipelineSpec{scan: n, scanSlot: prof.Slot(n), countScanRows: true}
 		if f := n.Filter; f != nil {
 			// The pushed filter is part of the scan node's semantics: the
@@ -64,27 +64,31 @@ func compilePipeline(node plan.Node, prof *Profiler) *pipelineSpec {
 				func() stage { return &filterStage{cond: f} }))
 		}
 		return spec
-	case *plan.FilterNode:
-		spec := compilePipeline(n.Child, prof)
-		if spec == nil {
-			return nil
-		}
-		cond := n.Cond
-		spec.stages = append(spec.stages, profFactory(prof.Slot(n),
-			func() stage { return &filterStage{cond: cond} }))
-		return spec
-	case *plan.ProjectNode:
-		spec := compilePipeline(n.Child, prof)
-		if spec == nil {
-			return nil
-		}
-		exprs := n.Exprs
-		spec.stages = append(spec.stages, profFactory(prof.Slot(n),
-			func() stage { return &projectStage{exprs: exprs} }))
-		return spec
-	default:
+	}
+	f := nodeStage(node, prof)
+	if f == nil {
 		return nil
 	}
+	spec := compilePipeline(node.Children()[0], prof)
+	if spec != nil {
+		spec.stages = append(spec.stages, f)
+	}
+	return spec
+}
+
+// nodeStage returns the stage a filter or projection node compiles to —
+// the same whether a pipeline or another source runs it — or nil for any
+// other node.
+func nodeStage(node plan.Node, prof *Profiler) stageFactory {
+	switch n := node.(type) {
+	case *plan.FilterNode:
+		cond := n.Cond
+		return profFactory(prof.Slot(n), func() stage { return &filterStage{cond: cond} })
+	case *plan.ProjectNode:
+		exprs := n.Exprs
+		return profFactory(prof.Slot(n), func() stage { return &projectStage{exprs: exprs} })
+	}
+	return nil
 }
 
 // runStages threads a chunk through the stages, fanning emitted chunks

@@ -68,6 +68,10 @@ type OpProfile struct {
 	// tied on an encoded VARCHAR prefix and compared the full strings.
 	SortKeyBytes atomic.Int64
 	TieFallbacks atomic.Int64
+	// MergeRanges is how many key ranges a sort's or window's merge phase
+	// ran on (1: the serial merge on the caller). A window cuts and
+	// evaluates its partitions where they are merged.
+	MergeRanges atomic.Int64
 }
 
 // noteAggBytes moves the aggregation's reserved state bytes by d and
@@ -119,24 +123,20 @@ func (p *Profiler) Slot(n plan.Node) *OpProfile {
 }
 
 // wrap decorates a physical operator with its plan node's profile slot.
-// countRows=false is for operators whose output rows are already
-// counted by pipeline stages (the exchange) — the wrapper then records
-// wall time only.
-func (p *Profiler) wrap(op Operator, n plan.Node, countRows bool) Operator {
+func (p *Profiler) wrap(op Operator, n plan.Node) Operator {
 	slot := p.Slot(n)
 	if slot == nil {
 		return op
 	}
-	return &profOp{inner: op, slot: slot, countRows: countRows}
+	return &profOp{inner: op, slot: slot}
 }
 
 // profOp times an operator at its pull boundary and counts the chunks
 // it emits. Wall time is inclusive of children, like every EXPLAIN
 // ANALYZE the authors have ever read.
 type profOp struct {
-	inner     Operator
-	slot      *OpProfile
-	countRows bool
+	inner Operator
+	slot  *OpProfile
 }
 
 func (p *profOp) Open(ctx *Context) error {
@@ -150,7 +150,7 @@ func (p *profOp) Next(ctx *Context) (*vector.Chunk, error) {
 	t0 := time.Now()
 	chunk, err := p.inner.Next(ctx)
 	p.slot.WallNs.Add(time.Since(t0).Nanoseconds())
-	if chunk != nil && p.countRows {
+	if chunk != nil {
 		p.slot.Rows.Add(int64(chunk.Len()))
 		p.slot.Chunks.Add(1)
 	}
@@ -164,10 +164,9 @@ func (p *profOp) Close(ctx *Context) {
 }
 
 // profFactory wraps a stage factory so every chunk the stage emits is
-// counted into slot. Stage wrapping is how pipeline-collapsed plan
-// nodes (filters and projections that became morsel-pipeline or
-// exchange stages) keep per-node row counts. Row-transparent wrapping only — never applied to
-// sliceStage implementors.
+// counted into slot. Stage wrapping is how plan nodes that run as stages
+// of a source (filters, projections, a join's probe) keep per-node row
+// counts.
 func profFactory(slot *OpProfile, f stageFactory) stageFactory {
 	if slot == nil {
 		return f
@@ -175,17 +174,50 @@ func profFactory(slot *OpProfile, f stageFactory) stageFactory {
 	return func() stage { return &profStage{inner: f(), slot: slot} }
 }
 
+// timedFactory is profFactory for a stage that is an operator's own work
+// — a join's probe: the stage's time, less what its emits spent
+// downstream, is booked to slot's BusyNs, and a pipeline worker keeps it
+// out of its scan's busy time (pipeWorker.bookedNs), the way timedSink
+// does for a breaker's sink.
+func timedFactory(slot *OpProfile, f stageFactory) stageFactory {
+	if slot == nil {
+		return f
+	}
+	return func() stage { return &profStage{inner: f(), slot: slot, timed: true} }
+}
+
 type profStage struct {
 	inner stage
 	slot  *OpProfile
+	timed bool
+	// booked, when set, also receives a timed stage's own nanoseconds.
+	booked *int64
 }
 
 func (s *profStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
-	return s.inner.run(ctx, c, func(out *vector.Chunk) error {
+	if !s.timed {
+		return s.inner.run(ctx, c, func(out *vector.Chunk) error {
+			s.slot.Rows.Add(int64(out.Len()))
+			s.slot.Chunks.Add(1)
+			return emit(out)
+		})
+	}
+	t0 := time.Now()
+	var down int64 // time spent downstream of this stage
+	err := s.inner.run(ctx, c, func(out *vector.Chunk) error {
 		s.slot.Rows.Add(int64(out.Len()))
 		s.slot.Chunks.Add(1)
-		return emit(out)
+		t1 := time.Now()
+		err := emit(out)
+		down += time.Since(t1).Nanoseconds()
+		return err
 	})
+	own := time.Since(t0).Nanoseconds() - down
+	s.slot.BusyNs.Add(own)
+	if s.booked != nil {
+		*s.booked += own
+	}
+	return err
 }
 
 // recordSortSpill books bytes an operator's external sorters spilled:
@@ -249,6 +281,7 @@ type OpProfileSnap struct {
 	JoinFallback    string           `json:"join_fallback,omitempty"`
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
+	MergeRanges     int64            `json:"merge_ranges,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
 }
 
@@ -281,6 +314,7 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		JoinBuildBytes:  o.JoinBuildBytes.Load(),
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
+		MergeRanges:     o.MergeRanges.Load(),
 	}
 	if o.JoinFallback.Load() {
 		s.JoinFallback = "merge"
@@ -352,6 +386,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.SortKeyBytes > 0 {
 		fmt.Fprintf(sb, " key_bytes=%d tie_fallbacks=%d", s.SortKeyBytes, s.TieFallbacks)
+	}
+	if s.MergeRanges > 0 {
+		fmt.Fprintf(sb, " merge_ranges=%d", s.MergeRanges)
 	}
 	sb.WriteString("]\n")
 	for _, c := range s.Children {

@@ -9,14 +9,13 @@ import (
 	"repro/internal/vector"
 )
 
-// reorderBuf is the ordered-merge state machine shared by the operators
-// that fan work out to the scheduler and must re-emit the results in a
-// deterministic sequence order: the morsel pipeline (pipelineOp) and
-// the exchange operator (which also evaluates window partitions). It bounds how far
-// producers may run ahead of the merge point: a ticket is taken
-// (tryAcquire) before work is submitted and returned when that
-// sequence's results are emitted, so the reorder buffer holds at most
-// cap(window) entries even under scheduling skew.
+// reorderBuf is the ordered-merge state machine of the morsel pipeline
+// (pipelineOp), which fans morsels out to the scheduler and must re-emit
+// their results in morsel order. It bounds how far producers may run
+// ahead of the merge point: a ticket is taken (tryAcquire) before work
+// is submitted and returned when that sequence's results are emitted,
+// so the reorder buffer holds at most cap(window) entries even under
+// scheduling skew.
 //
 // The consumer side is single-threaded: park stashes a completed
 // sequence, advance promotes the next expected sequence's chunks to the
@@ -53,15 +52,8 @@ func (b *reorderBuf) release() { <-b.window }
 // park stores one sequence's result chunks for ordered emission.
 func (b *reorderBuf) park(seq int, chunks []*vector.Chunk) { b.pending[seq] = chunks }
 
-// parked reports how many sequences await emission.
-func (b *reorderBuf) parked() int { return len(b.pending) }
-
 // seq returns the next sequence number the merge is waiting for.
 func (b *reorderBuf) seq() int { return b.nextSeq }
-
-// skip abandons the next expected sequence (a gap left by a producer
-// error path that never posted it).
-func (b *reorderBuf) skip() { b.nextSeq++ }
 
 // pop returns the next queued chunk, if any.
 func (b *reorderBuf) pop() (*vector.Chunk, bool) {
@@ -100,30 +92,31 @@ func (b *reorderBuf) drop() {
 
 // ---- partitioned-merge re-emission ----
 
-// mergeStreamDepth bounds how many chunks each range may run ahead of
+// mergeStreamDepth bounds how many batches each range may run ahead of
 // the in-order consumer.
 const mergeStreamDepth = 4
 
 type mergeMsg struct {
-	chunk *vector.Chunk
-	err   error
+	chunks []*vector.Chunk
+	err    error
 }
 
-// rangeCursor produces one key range's output chunks in order: either
-// an extsort partition iterator directly, or a transforming wrapper
-// (the window operator cuts partitions on the way out). nil means the
-// range is exhausted. Steps call it from pool workers, one chunk per
-// step.
+// rangeCursor produces one key range's output in order, a batch of
+// chunks at a time: a sorted chunk as merged (chunkCursor), or the
+// output slices of the window partitions one cut completed. nil means
+// the range is exhausted. Steps call it from pool workers, one batch per
+// step, so a range runs ahead of the consumer by whole batches — for a
+// window, whole partitions.
 type rangeCursor interface {
-	Next() (*vector.Chunk, error)
+	Next() ([]*vector.Chunk, error)
 }
 
 // parMergeStream is the consumer side of the partitioned merge: N
 // ranges each loser-tree-merge one disjoint key range (an Iterator from
-// extsort.PartitionMerge, optionally transformed) and the stream
-// re-emits their chunks in range order, which is the exact order the
+// extsort.PartitionMerge, behind a rangeCursor) and the stream re-emits
+// their batches in range order, which is the exact order the
 // single-threaded merge would produce. Each range runs as a
-// re-submitting scheduler step producing one chunk at a time; its
+// re-submitting scheduler step producing one batch at a time; its
 // channel bounds how far it runs ahead, and a range whose channel is
 // full parks — costing the shared pool nothing — until the consumer
 // drains it.
@@ -180,7 +173,7 @@ func (r *mergeRange) finish() {
 	r.s.wg.Done()
 }
 
-// step produces one chunk. The channel-room check happens before the
+// step produces one batch. The channel-room check happens before the
 // cursor runs and the step is the channel's only sender, so the send
 // can never block a pool worker; a full channel parks the range until
 // the consumer frees a slot.
@@ -197,20 +190,20 @@ func (r *mergeRange) step() {
 		return
 	}
 	r.mu.Unlock()
-	c, err := r.cur.Next()
+	b, err := r.cur.Next()
 	if err != nil {
 		s.outs[r.w] <- mergeMsg{err: err}
 		r.finish()
 		return
 	}
-	if c == nil {
+	if b == nil {
 		r.finish()
 		return
 	}
-	if c.Len() > 0 {
+	for _, c := range b {
 		s.rows[r.w] += int64(c.Len())
-		s.outs[r.w] <- mergeMsg{chunk: c}
 	}
+	s.outs[r.w] <- mergeMsg{chunks: b}
 	s.q.Submit(r.step)
 }
 
@@ -225,8 +218,8 @@ func (s *parMergeStream) unpark(w int) {
 	r.mu.Unlock()
 }
 
-// Next returns the next chunk in global key order, or nil at the end.
-func (s *parMergeStream) Next() (*vector.Chunk, error) {
+// Next returns the next batch in global key order, or nil at the end.
+func (s *parMergeStream) Next() ([]*vector.Chunk, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -241,7 +234,7 @@ func (s *parMergeStream) Next() (*vector.Chunk, error) {
 			s.err = msg.err
 			return nil, msg.err
 		}
-		return msg.chunk, nil
+		return msg.chunks, nil
 	}
 	return nil, nil
 }
@@ -266,5 +259,14 @@ func (s *parMergeStream) Close() {
 	s.wg.Wait()
 }
 
-// chunkCursor is the plain rangeCursor: forward sorted chunks as-is.
-func chunkCursor(part *extsort.Iterator) rangeCursor { return part }
+// chunkCursor is the plain rangeCursor: the sorted chunks as merged,
+// one per batch.
+type chunkCursor struct{ part *extsort.Iterator }
+
+func (c chunkCursor) Next() ([]*vector.Chunk, error) {
+	chunk, err := c.part.Next()
+	if chunk == nil || err != nil {
+		return nil, err
+	}
+	return []*vector.Chunk{chunk}, nil
+}

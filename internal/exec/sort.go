@@ -34,22 +34,23 @@ type sortedStream struct {
 	rangeKeys []extsort.Key
 	extend    func(seq int, chunk *vector.Chunk) (*vector.Chunk, error)
 	// cursor turns one merge range — the whole serial merge is one —
-	// into the chunks the stream emits for it (chunkCursor forwards them
-	// as merged).
+	// into the batches the stream emits for it (chunkCursor forwards the
+	// chunks as merged).
 	cursor func(part *extsort.Iterator) rangeCursor
 
-	iter  *extsort.Iterator
-	merge *parMergeStream // partitioned merge phase (nil: serial merge)
-	out   rangeCursor     // what Next drains; nil until built
+	iter    *extsort.Iterator
+	merge   *parMergeStream // partitioned merge phase (nil: serial merge)
+	out     rangeCursor     // what Next drains; nil until built
+	pending []*vector.Chunk // the rest of out's current batch
 }
 
 func (s *sortedStream) Open(ctx *Context) error {
-	s.iter, s.merge, s.out = nil, nil, nil
+	s.iter, s.merge, s.out, s.pending = nil, nil, nil, nil
 	return s.src.Open(ctx)
 }
 
-// positionColumn is the hidden tiebreak column of a chunk that arrived
-// as the source's seq-th.
+// positionColumn is the hidden tiebreak column of the chunk the source
+// numbered seq.
 func positionColumn(seq, n int) *vector.Vector {
 	tie := vector.NewLen(types.BigInt, n)
 	for r := 0; r < n; r++ {
@@ -113,6 +114,7 @@ func (s *sortedStream) build(ctx *Context) error {
 	// merge too: every range holds its own loaded chunk per run, and a
 	// budget that one worker's run generation fitted into need not cover
 	// that.
+	ranges := 1
 	if workers > 1 {
 		parts, err := iter.PartitionMerge(ctx.Threads, s.rangeKeys)
 		if err != nil {
@@ -123,10 +125,15 @@ func (s *sortedStream) build(ctx *Context) error {
 		if len(parts) > 1 {
 			s.merge = newParMergeStream(ctx, parts, s.cursor)
 			s.out = s.merge
-			return nil
+			ranges = len(parts)
 		}
 	}
-	s.out = s.cursor(iter)
+	if s.out == nil {
+		s.out = s.cursor(iter)
+	}
+	if slot := ctx.Prof.Slot(s.node); slot != nil {
+		slot.MergeRanges.Store(int64(ranges))
+	}
 	return nil
 }
 
@@ -138,7 +145,16 @@ func (s *sortedStream) Next(ctx *Context) (*vector.Chunk, error) {
 			return nil, err
 		}
 	}
-	return s.out.Next()
+	for len(s.pending) == 0 {
+		b, err := s.out.Next()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		s.pending = b
+	}
+	c := s.pending[0]
+	s.pending = s.pending[1:]
+	return c, nil
 }
 
 // mergeRows reports rows emitted per merge-phase worker (test hook;
@@ -151,7 +167,7 @@ func (s *sortedStream) mergeRows() []int64 {
 }
 
 func (s *sortedStream) Close(ctx *Context) {
-	s.out = nil
+	s.out, s.pending = nil, nil
 	if s.merge != nil {
 		s.merge.Close() // join range workers before their files close
 		s.merge = nil
@@ -198,7 +214,7 @@ func newSortOp(src source, n *plan.SortNode) *sortOp {
 			ext.Cols = append(ext.Cols, positionColumn(seq, chunk.Len()))
 			return ext, nil
 		},
-		cursor: chunkCursor,
+		cursor: func(part *extsort.Iterator) rangeCursor { return chunkCursor{part} },
 	}}
 }
 

@@ -21,14 +21,13 @@ import (
 //     one sorter per worker (splitting the sort budget, like ORDER BY)
 //     and k-way merges all runs.
 //  2. Cut: the merged stream is split into partitions wherever the
-//     partition keys change (windowPartitionOp emits one chunk per
-//     partition).
-//  3. Evaluate: windowEvalStage computes every function over one
-//     partition and emits the payload plus the new columns. The stage
-//     runs on an exchange: with several workers partitions are
-//     evaluated concurrently and the exchange's reorder-merge re-emits
-//     them in partition order.
+//     partition keys change.
+//  3. Evaluate: every function is computed over a partition as soon as
+//     it is cut, and the partition leaves as the payload plus the new
+//     columns in ChunkCapacity slices.
 //
+// Cutting and evaluation run where the merge runs (partitionCutCursor):
+// on the range workers of a partitioned merge, else on the caller.
 // Output order is (partition keys, order keys, input position) at every
 // thread count.
 
@@ -80,98 +79,33 @@ func (l windowLayout) partKeys() []extsort.Key {
 	return keys
 }
 
-// partitionCutter splits a sorted (partition, order, position) chunk
-// stream into one chunk per partition: runs of rows equal on the
-// partition keys are contiguous in sorted input, so the cutter
-// bulk-copies each run and emits whenever the keys change. It is used
-// on the consumer thread over the serial merge and by every
-// partitioned-merge worker on its own key range (range boundaries snap
-// to partition-key boundaries, so no partition straddles two workers).
-type partitionCutter struct {
-	partKeys []extsort.Key
-	npk      int
-
-	part    *vector.Chunk // partition under accumulation
-	prev    *vector.Chunk // chunk/row of the previously appended row
-	prevRow int
-}
-
-func newPartitionCutter(lay windowLayout) *partitionCutter {
-	return &partitionCutter{partKeys: lay.partKeys(), npk: lay.npk}
-}
-
-// feed cuts one sorted chunk, emitting every partition it completes.
-func (pc *partitionCutter) feed(c *vector.Chunk, emit func(*vector.Chunk) error) error {
-	n := c.Len()
-	pos := 0
-	for pos < n {
-		if pc.part != nil && pc.part.Len() > 0 && pc.npk > 0 &&
-			extsort.CompareRows(pc.prev, pc.prevRow, c, pos, pc.partKeys) != 0 {
-			out := pc.part
-			pc.part = nil
-			if err := emit(out); err != nil {
-				return err
-			}
-		}
-		// Extend the run of rows sharing this row's partition and
-		// bulk-copy it.
-		end := pos + 1
-		if pc.npk > 0 {
-			for end < n && extsort.CompareRows(c, end-1, c, end, pc.partKeys) == 0 {
-				end++
-			}
-		} else {
-			end = n
-		}
-		if pc.part == nil {
-			pc.part = vector.NewChunk(c.Types())
-		}
-		for ci, col := range pc.part.Cols {
-			col.AppendRange(c.Cols[ci], pos, end-pos)
-		}
-		pc.part.SetLen(pc.part.Cols[0].Len())
-		pc.prev, pc.prevRow = c, end-1
-		pos = end
-	}
-	return nil
-}
-
-// flush emits the final partition, if any.
-func (pc *partitionCutter) flush(emit func(*vector.Chunk) error) error {
-	if pc.part == nil || pc.part.Len() == 0 {
-		pc.part = nil
-		return nil
-	}
-	out := pc.part
-	pc.part = nil
-	return emit(out)
-}
-
-// windowPartitionOp produces the partition stream of a WindowNode: a
-// sortedStream over the extended layout, ordered by (partition, order,
-// position), whose cursor cuts every merge range into one chunk per
-// partition. Partition chunks keep the extended layout; the eval stage
-// strips it.
+// windowOp is the window operator: a sortedStream over the extended
+// layout, ordered by (partition, order, position), whose cursor cuts
+// every merge range into partitions and evaluates them.
 //
 // With threads > 1 and a PARTITION BY, the merge phase itself
-// partitions: key ranges snapped to partition-key boundaries are merged
-// AND cut by N workers concurrently, and the stream re-emits whole
-// partitions in order — the cutting no longer runs on the consumer.
-// Otherwise the one range is the serial merge, cut on the consumer.
-type windowPartitionOp struct {
+// partitions: key ranges snapped to partition-key boundaries are merged,
+// cut and evaluated by N workers concurrently, and the stream re-emits
+// them in order. Otherwise the one range is the serial merge, cut and
+// evaluated on the caller.
+type windowOp struct {
 	sortedStream
 }
 
-func newWindowPartitionOp(n *plan.WindowNode, src source) *windowPartitionOp {
+func newWindowOp(src source, n *plan.WindowNode) *windowOp {
 	lay := layoutOf(n)
-	return &windowPartitionOp{sortedStream{
+	outTypes := append([]types.Type(nil), schemaTypes(n.Child.Schema())...)
+	for _, f := range n.Funcs {
+		outTypes = append(outTypes, f.Type)
+	}
+	return &windowOp{sortedStream{
 		src: src, node: n,
 		extTypes: lay.extTypes(n), keys: lay.sortKeys(n), rangeKeys: lay.partKeys(),
 		extend: func(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
 			return lay.extend(n, chunk, seq)
 		},
 		cursor: func(part *extsort.Iterator) rangeCursor {
-			return &partitionCutCursor{part: part, cutter: newPartitionCutter(lay)}
+			return &partitionCutCursor{node: n, lay: lay, partKeys: lay.partKeys(), outTypes: outTypes, in: part}
 		},
 	}}
 }
@@ -201,188 +135,133 @@ func (l windowLayout) extend(n *plan.WindowNode, chunk *vector.Chunk, seq int) (
 	return ext, nil
 }
 
-// partitionCutCursor adapts the partition cutter to the pull-based
-// rangeCursor — one per range of the partitioned merge, run on the
-// scheduler, or one over the serial merge, run on the consumer: each
-// Next feeds merged chunks to the cutter until at least one whole
-// partition is queued, then emits queued partitions one at a time.
+// partitionCutCursor is the window's rangeCursor — one per range of the
+// partitioned merge, run on the scheduler, or one over the serial merge,
+// run on the caller. It splits its sorted (partition, order, position)
+// chunk stream into partitions: runs of rows equal on the partition keys
+// are contiguous in sorted input, so it bulk-copies each run and cuts
+// whenever the keys change (range boundaries snap to partition-key
+// boundaries, so no partition straddles two ranges). Each Next feeds
+// merged chunks in until at least one partition has been cut and
+// evaluated, and returns the output slices queued so far as one batch.
 type partitionCutCursor struct {
-	part   *extsort.Iterator
-	cutter *partitionCutter
-	queue  []*vector.Chunk
-	done   bool
+	node     *plan.WindowNode
+	lay      windowLayout
+	partKeys []extsort.Key
+	outTypes []types.Type
+	in       *extsort.Iterator
+
+	part    *vector.Chunk // partition under accumulation
+	prev    *vector.Chunk // chunk/row of the previously appended row
+	prevRow int
+	queue   []*vector.Chunk // output slices of evaluated partitions
+	done    bool
 }
 
-func (pc *partitionCutCursor) enq(c *vector.Chunk) error {
-	pc.queue = append(pc.queue, c)
+// feed cuts one sorted chunk, evaluating every partition it completes.
+func (pc *partitionCutCursor) feed(c *vector.Chunk) error {
+	n := c.Len()
+	pos := 0
+	for pos < n {
+		if pc.part != nil && pc.lay.npk > 0 &&
+			extsort.CompareRows(pc.prev, pc.prevRow, c, pos, pc.partKeys) != 0 {
+			if err := pc.flush(); err != nil {
+				return err
+			}
+		}
+		// Extend the run of rows sharing this row's partition and
+		// bulk-copy it.
+		end := pos + 1
+		if pc.lay.npk > 0 {
+			for end < n && extsort.CompareRows(c, end-1, c, end, pc.partKeys) == 0 {
+				end++
+			}
+		} else {
+			end = n
+		}
+		if pc.part == nil {
+			pc.part = vector.NewChunk(c.Types())
+		}
+		for ci, col := range pc.part.Cols {
+			col.AppendRange(c.Cols[ci], pos, end-pos)
+		}
+		pc.part.SetLen(pc.part.Cols[0].Len())
+		pc.prev, pc.prevRow = c, end-1
+		pos = end
+	}
 	return nil
 }
 
-func (pc *partitionCutCursor) Next() (*vector.Chunk, error) {
-	for {
-		if len(pc.queue) > 0 {
-			c := pc.queue[0]
-			pc.queue = pc.queue[1:]
-			return c, nil
+// flush evaluates the partition under accumulation, if any.
+func (pc *partitionCutCursor) flush() error {
+	part := pc.part
+	pc.part = nil
+	if part == nil {
+		return nil
+	}
+	return pc.evaluate(part)
+}
+
+// evaluate computes every window function over one cut partition and
+// queues the payload plus the results, sliced back to engine-sized
+// chunks.
+func (pc *partitionCutCursor) evaluate(part *vector.Chunk) error {
+	outs, err := evalWindowPartition(pc.node, pc.lay, part)
+	if err != nil {
+		return err
+	}
+	n := part.Len()
+	for base := 0; base < n; base += vector.ChunkCapacity {
+		m := min(n-base, vector.ChunkCapacity)
+		out := vector.NewChunk(pc.outTypes)
+		for c := 0; c < pc.lay.np; c++ {
+			out.Cols[c].AppendRange(part.Cols[c], base, m)
 		}
-		if pc.done {
-			return nil, nil
+		for j, ov := range outs {
+			out.Cols[pc.lay.np+j].AppendRange(ov, base, m)
 		}
-		c, err := pc.part.Next()
+		out.SetLen(m)
+		pc.queue = append(pc.queue, out)
+	}
+	return nil
+}
+
+func (pc *partitionCutCursor) Next() ([]*vector.Chunk, error) {
+	for len(pc.queue) == 0 && !pc.done {
+		c, err := pc.in.Next()
 		if err != nil {
 			return nil, err
 		}
 		if c == nil {
 			pc.done = true
-			if err := pc.cutter.flush(pc.enq); err != nil {
-				return nil, err
-			}
-			continue
+			err = pc.flush()
+		} else {
+			err = pc.feed(c)
 		}
-		if c.Len() == 0 {
-			continue
-		}
-		if err := pc.cutter.feed(c, pc.enq); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
-}
-
-// windowEvalStage computes every window function over one partition
-// chunk and emits the payload columns plus the function results, sliced
-// back to engine-sized chunks. Instances are stateless apart from the
-// shared immutable node, so the exchange runs them concurrently across
-// partitions.
-type windowEvalStage struct {
-	node     *plan.WindowNode
-	lay      windowLayout
-	outTypes []types.Type
-}
-
-func newWindowEvalStage(n *plan.WindowNode) *windowEvalStage {
-	lay := layoutOf(n)
-	outTypes := append([]types.Type(nil), schemaTypes(n.Child.Schema())...)
-	for _, f := range n.Funcs {
-		outTypes = append(outTypes, f.Type)
-	}
-	return &windowEvalStage{node: n, lay: lay, outTypes: outTypes}
-}
-
-func (w *windowEvalStage) run(ctx *Context, part *vector.Chunk, emit func(*vector.Chunk) error) error {
-	return w.runSlice(ctx, part, 0, part.Len(), emit)
-}
-
-// wantSlices reports whether splitting an oversized partition across
-// workers can actually beat one worker. Only general (non-growing)
-// frames qualify: their O(n·width) per-row rescans divide cleanly by
-// row range. Growing frames (the SQL default) fold a serial prefix —
-// every slice would redo the rows before it — and ranking/lag do O(n)
-// total anyway, so for those the whole partition stays one work item.
-// Every slice also redoes the O(n) per-partition setup (peer groups,
-// argument evaluation), so bounded frames must additionally be wide
-// enough to amortize it — narrow frames stay unsplit.
-func (w *windowEvalStage) wantSlices(int) bool {
-	f := w.node.Frame
-	if !f.Set || (f.Start.Unbounded && f.Start.Preceding) {
-		return false
-	}
-	hasAgg := false
-	for _, fn := range w.node.Funcs {
-		switch fn.Func {
-		case "count", "sum", "avg", "min", "max":
-			hasAgg = true
-		}
-	}
-	if !hasAgg {
-		return false
-	}
-	if f.End.Unbounded {
-		return true // width ~ n: rescans dominate any setup
-	}
-	if !f.Rows {
-		return false // RANGE general frames: peer-group width, unknown
-	}
-	// ROWS with bounded offsets: width in rows, signed by direction.
-	back, fwd := int64(0), int64(0)
-	if f.Start.Preceding {
-		back = f.Start.Offset
-	} else if !f.Start.Current {
-		back = -f.Start.Offset
-	}
-	if !f.End.Preceding && !f.End.Current {
-		fwd = f.End.Offset
-	} else if f.End.Preceding {
-		fwd = -f.End.Offset
-	}
-	// The per-slice setup is ~2 full-partition passes and the split cap
-	// is 4 items/worker; width >= 64 amortizes it up to 16 workers.
-	return back+fwd+1 >= 64
-}
-
-// runSlice evaluates rows [lo, hi) of one partition chunk — the
-// exchange splits oversized partitions into such slices so several
-// workers evaluate one huge partition concurrently. Values are
-// bit-identical to whole-partition evaluation: ranking and peer data
-// derive from the full partition, and growing frames re-accumulate
-// their prefix left-to-right from row 0 (same DOUBLE fold order).
-// Slice bounds are ChunkCapacity-aligned, so emission chunk boundaries
-// equal the unsplit operator's.
-func (w *windowEvalStage) runSlice(ctx *Context, part *vector.Chunk, lo, hi int, emit func(*vector.Chunk) error) error {
-	outs, err := evalWindowPartitionSlice(w.node, w.lay, part, lo, hi)
-	if err != nil {
-		return err
-	}
-	for base := lo; base < hi; base += vector.ChunkCapacity {
-		m := hi - base
-		if m > vector.ChunkCapacity {
-			m = vector.ChunkCapacity
-		}
-		out := vector.NewChunk(w.outTypes)
-		for c := 0; c < w.lay.np; c++ {
-			out.Cols[c].AppendRange(part.Cols[c], base, m)
-		}
-		for j, ov := range outs {
-			out.Cols[w.lay.np+j].AppendRange(ov, base-lo, m)
-		}
-		out.SetLen(m)
-		if err := emit(out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newWindowOp builds the window operator: per-worker sorters feed the
-// merged partition stream, and the eval stage runs on an exchange whose
-// ordered merge keeps emission in partition order.
-func newWindowOp(src source, n *plan.WindowNode) Operator {
-	return newExchangeOp(newWindowPartitionOp(n, src),
-		[]stageFactory{func() stage { return newWindowEvalStage(n) }})
+	b := pc.queue
+	pc.queue = nil
+	return b, nil
 }
 
 // ---- per-partition evaluation ----
 
-// evalWindowPartitionSlice computes every window function for rows
-// [lo, hi) of one partition (rows already in (order keys, input
-// position) order), returning one result vector of length hi-lo per
-// function. Ranking, peer groups and frame bounds always derive from
-// the whole partition, so any slicing of [0, n) yields bit-identical
-// values — including non-associative DOUBLE sums, which are always
-// folded left-to-right from the partition start.
-func evalWindowPartitionSlice(node *plan.WindowNode, lay windowLayout, part *vector.Chunk, lo, hi int) ([]*vector.Vector, error) {
+// evalWindowPartition computes every window function over one partition
+// (rows already in (order keys, input position) order), returning one
+// result vector per function. DOUBLE sums fold left to right from the
+// partition start.
+func evalWindowPartition(node *plan.WindowNode, lay windowLayout, part *vector.Chunk) ([]*vector.Vector, error) {
 	n := part.Len()
-	m := hi - lo
-
 	peerStart, peerEnd, dense := peerGroups(part, lay, n)
 
 	outs := make([]*vector.Vector, len(node.Funcs))
 	for j, f := range node.Funcs {
 		var arg *vector.Vector
 		if f.Arg != nil {
-			// Evaluate against the shared partition chunk directly —
-			// args only reference the payload prefix, and concurrent
-			// slice workers must not mutate the chunk (a projected
-			// sub-chunk's SetLen would materialize shared masks).
+			// Args only reference the payload prefix of the partition.
 			v, err := f.Arg.Eval(part)
 			if err != nil {
 				return nil, err
@@ -391,26 +270,26 @@ func evalWindowPartitionSlice(node *plan.WindowNode, lay windowLayout, part *vec
 		}
 		switch f.Func {
 		case "row_number":
-			out := vector.NewLen(types.BigInt, m)
-			for i := lo; i < hi; i++ {
-				out.I64[i-lo] = int64(i) + 1
+			out := vector.NewLen(types.BigInt, n)
+			for i := range n {
+				out.I64[i] = int64(i) + 1
 			}
 			outs[j] = out
 		case "rank":
-			out := vector.NewLen(types.BigInt, m)
-			for i := lo; i < hi; i++ {
-				out.I64[i-lo] = int64(peerStart[i]) + 1
+			out := vector.NewLen(types.BigInt, n)
+			for i := range n {
+				out.I64[i] = int64(peerStart[i]) + 1
 			}
 			outs[j] = out
 		case "dense_rank":
-			out := vector.NewLen(types.BigInt, m)
-			copy(out.I64, dense[lo:hi])
+			out := vector.NewLen(types.BigInt, n)
+			copy(out.I64, dense)
 			outs[j] = out
 		case "lag", "lead":
-			outs[j] = evalShift(f, arg, n, lo, hi)
+			outs[j] = evalShift(f, arg, n)
 		case "count", "sum", "avg", "min", "max":
 			bounds, growing := node.Frame.Bounds(n, peerStart, peerEnd, lay.nok > 0)
-			outs[j] = evalFrameAgg(f, arg, n, lo, hi, bounds, growing)
+			outs[j] = evalFrameAgg(f, arg, n, bounds, growing)
 		default:
 			return nil, fmt.Errorf("exec: unknown window function %q", f.Func)
 		}
@@ -455,28 +334,27 @@ func peerGroups(part *vector.Chunk, lay windowLayout, n int) (peerStart, peerEnd
 	return
 }
 
-// evalShift computes lag/lead for partition rows [lo, hi).
-func evalShift(f plan.WindowFunc, arg *vector.Vector, n, lo, hi int) *vector.Vector {
-	out := vector.NewLen(f.Type, hi-lo)
+// evalShift computes lag/lead over a partition of n rows.
+func evalShift(f plan.WindowFunc, arg *vector.Vector, n int) *vector.Vector {
+	out := vector.NewLen(f.Type, n)
 	off := int(f.Offset)
 	if f.Func == "lag" {
 		off = -off
 	}
-	for i := lo; i < hi; i++ {
+	for i := range n {
 		j := i + off
-		o := i - lo
 		if j < 0 || j >= n {
-			out.Set(o, f.Default)
+			out.Set(i, f.Default)
 			continue
 		}
 		if arg.IsNull(j) {
-			out.SetNull(o)
+			out.SetNull(i)
 			continue
 		}
 		if arg.Type == f.Type {
-			out.SetFrom(o, arg, j)
+			out.SetFrom(i, arg, j)
 		} else { // NULL-typed argument: every row is NULL, unreachable
-			out.Set(o, arg.Get(j))
+			out.Set(i, arg.Get(j))
 		}
 	}
 	return out
@@ -558,18 +436,16 @@ func (a *frameAcc) finish(f *plan.WindowFunc, arg *vector.Vector, out *vector.Ve
 	}
 }
 
-// evalFrameAgg computes one aggregate over the frames of partition rows
-// [lo, hi). Growing frames accumulate incrementally left-to-right from
-// the partition start (identical to direct iteration, including the
-// DOUBLE reduction order, whatever the slice bounds); general frames
-// are re-scanned per row, so slices divide their O(n·width) cost
-// cleanly across workers.
-func evalFrameAgg(f plan.WindowFunc, arg *vector.Vector, n, lo, hi int, bounds func(i int) (int, int), growing bool) *vector.Vector {
-	out := vector.NewLen(f.Type, hi-lo)
+// evalFrameAgg computes one aggregate over the frames of a partition's n
+// rows. Growing frames accumulate incrementally left to right from the
+// partition start (identical to direct iteration, including the DOUBLE
+// reduction order); general frames are re-scanned per row.
+func evalFrameAgg(f plan.WindowFunc, arg *vector.Vector, n int, bounds func(i int) (int, int), growing bool) *vector.Vector {
+	out := vector.NewLen(f.Type, n)
 	var acc frameAcc
 	if growing {
 		cur := 0
-		for i := 0; i < hi; i++ {
+		for i := range n {
 			_, fhi := bounds(i)
 			if fhi > n-1 {
 				fhi = n - 1
@@ -578,13 +454,11 @@ func evalFrameAgg(f plan.WindowFunc, arg *vector.Vector, n, lo, hi int, bounds f
 				acc.add(&f, arg, cur)
 				cur++
 			}
-			if i >= lo {
-				acc.finish(&f, arg, out, i-lo)
-			}
+			acc.finish(&f, arg, out, i)
 		}
 		return out
 	}
-	for i := lo; i < hi; i++ {
+	for i := range n {
 		flo, fhi := bounds(i)
 		if flo < 0 {
 			flo = 0
@@ -596,7 +470,7 @@ func evalFrameAgg(f plan.WindowFunc, arg *vector.Vector, n, lo, hi int, bounds f
 		for r := flo; r <= fhi; r++ {
 			acc.add(&f, arg, r)
 		}
-		acc.finish(&f, arg, out, i-lo)
+		acc.finish(&f, arg, out, i)
 	}
 	return out
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/table"
 	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -47,8 +49,8 @@ func renderWindow(t *testing.T, node plan.Node, ctx *Context) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*exchangeOp); !ok {
-		t.Fatalf("built %T, want exchange-wrapped window", op)
+	if _, ok := op.(*windowOp); !ok {
+		t.Fatalf("built %T, want *windowOp", op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -59,9 +61,9 @@ func renderWindow(t *testing.T, node plan.Node, ctx *Context) string {
 	return out
 }
 
-// TestParallelWindowMatchesSequential: the exchange-evaluated window
-// over per-worker sorted runs must be bit-identical — values and row
-// order — to the single-threaded operator.
+// TestParallelWindowMatchesSequential: the window over per-worker sorted
+// runs, evaluated in its merge ranges, must be bit-identical — values
+// and row order — to the single-threaded operator.
 func TestParallelWindowMatchesSequential(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, 30_000, mgr)
@@ -96,7 +98,7 @@ func TestParallelWindowSpillDifferential(t *testing.T) {
 }
 
 // TestParallelWindowEarlyClose: a limit above the window abandons the
-// stream mid-partition; Close must cancel the pipeline and exchange
+// stream mid-partition; Close must cancel the pipeline and merge-range
 // workers without deadlocking or leaking reservations.
 func TestParallelWindowEarlyClose(t *testing.T) {
 	mgr := txn.NewManager(nil)
@@ -196,25 +198,27 @@ func TestWindowFrameEdgeCases(t *testing.T) {
 }
 
 // TestParallelWindowMergePartitioned: with a PARTITION BY, the window's
-// merge AND partition cutting must run on the range workers; asserted
-// via worker row counters (1-CPU hosts can't show wall-clock speedup).
+// merge, partition cutting AND evaluation must run on the range workers;
+// asserted via range row counters (1-CPU hosts can't show wall-clock
+// speedup).
 func TestParallelWindowMergePartitioned(t *testing.T) {
-	const rows = 30_000
 	mgr := txn.NewManager(nil)
-	node := mkWindowNode(t, rows, mgr)
+	assertWindowRanges(t, mkWindowNode(t, 30_000, mgr), mgr, 8, 30_000)
+}
+
+// assertWindowRanges drains a window at the given thread count and
+// checks that at least two merge ranges evaluated rows, rows in all.
+func assertWindowRanges(t *testing.T, node plan.Node, mgr *txn.Manager, threads, rows int) {
+	t.Helper()
 	op, err := Build(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, ok := op.(*exchangeOp)
+	wp, ok := op.(*windowOp)
 	if !ok {
-		t.Fatalf("built %T, want *exchangeOp", op)
+		t.Fatalf("built %T, want *windowOp", op)
 	}
-	wp, ok := ex.child.(*windowPartitionOp)
-	if !ok {
-		t.Fatalf("exchange child is %T, want *windowPartitionOp", ex.child)
-	}
-	ctx := &Context{Txn: mgr.Begin(), Threads: 8}
+	ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -246,18 +250,60 @@ func TestParallelWindowMergePartitioned(t *testing.T) {
 		sum += n
 	}
 	if nonzero < 2 {
-		t.Fatalf("window merge+cut ran on %d workers (range rows %v), want >= 2", nonzero, counts)
+		t.Fatalf("threads=%d: window merge+cut+eval ran on %d ranges (range rows %v), want >= 2", threads, nonzero, counts)
 	}
-	if sum != rows {
-		t.Fatalf("range workers cut %d rows total, want %d (%v)", sum, rows, counts)
+	if sum != int64(rows) {
+		t.Fatalf("range workers evaluated %d rows total, want %d (%v)", sum, rows, counts)
 	}
 }
 
-// TestExchangeSplitsOversizedChunks: a window with one huge partition
-// (empty PARTITION BY) produces a single oversized partition chunk; the
-// exchange must re-split it into ChunkCapacity-aligned slice items and
-// the sliced evaluation must stay bit-identical to sequential.
-func TestExchangeSplitsOversizedChunks(t *testing.T) {
+// TestWindowBenchmarkShapeEvaluatesOnRanges: the benchmark's window —
+// row_number() and a DOUBLE sum over PARTITION BY an 8-valued VARCHAR,
+// ORDER BY qty DESC, id — splits its merge into ranges at two threads,
+// so its partitions are evaluated on both workers.
+func TestWindowBenchmarkShapeEvaluatesOnRanges(t *testing.T) {
+	const rows = 30_000
+	mgr := txn.NewManager(nil)
+	entry := &catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "id", Type: types.BigInt}, {Name: "region", Type: types.Varchar},
+		{Name: "qty", Type: types.BigInt}, {Name: "price", Type: types.Double}}}
+	entry.Data = table.New(entry.Types(), nil)
+	tx := mgr.Begin()
+	regions := []string{"north", "south", "east", "west", "emea", "apac", "latam", "anz"}
+	c := vector.NewChunk(entry.Types())
+	for i := 0; i < rows; i++ {
+		c.AppendRow(types.NewBigInt(int64(i)), types.NewVarchar(regions[i*7%8]),
+			types.NewBigInt(int64(i*31%100)+1), types.NewDouble(float64(i*17%1000)*0.37))
+		if c.Len() == vector.ChunkCapacity || i == rows-1 {
+			if err := entry.Data.Append(tx, c); err != nil {
+				t.Fatal(err)
+			}
+			c = vector.NewChunk(entry.Types())
+		}
+	}
+	if _, err := mgr.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	col := func(i int, typ types.Type) expr.Expr { return &expr.ColRef{Idx: i, Typ: typ} }
+	order := []plan.SortKey{{Expr: col(2, types.BigInt), Desc: true}, {Expr: col(0, types.BigInt)}}
+	node := &plan.WindowNode{
+		Child:       &plan.ScanNode{Table: entry, Columns: []int{0, 1, 2, 3}},
+		PartitionBy: []expr.Expr{col(1, types.Varchar)},
+		OrderBy:     order,
+		Funcs: []plan.WindowFunc{
+			{Func: "row_number", Type: types.BigInt, Name: "rn"},
+			{Func: "sum", Arg: col(3, types.Double), Type: types.Double, Name: "s"},
+		},
+	}
+	assertWindowRanges(t, node, mgr, 2, rows)
+}
+
+// TestWindowOnePartitionWideFrameMatchesSequential: a window with one
+// huge partition (empty PARTITION BY) and a wide general frame is
+// evaluated by the serial merge's cursor as one partition, sliced into
+// ChunkCapacity output chunks; values and chunks must be identical at
+// every thread count.
+func TestWindowOnePartitionWideFrameMatchesSequential(t *testing.T) {
 	const rows = 20_000
 	mgr := txn.NewManager(nil)
 	entry := buildFactTable(t, mgr, rows)
@@ -268,8 +314,7 @@ func TestExchangeSplitsOversizedChunks(t *testing.T) {
 	node := &plan.WindowNode{
 		Child:   &plan.ScanNode{Table: entry, Columns: []int{0}},
 		OrderBy: []plan.SortKey{{Expr: mod(97)}},
-		// General (non-growing) wide frame: slices split its O(n*width)
-		// rescan across workers (width 201 passes the wantSlices gate).
+		// General (non-growing) wide frame: an O(n*width) rescan.
 		Frame: plan.WindowFrame{Set: true, Rows: true,
 			Start: plan.FrameBound{Offset: 100, Preceding: true},
 			End:   plan.FrameBound{Offset: 100}},
@@ -284,45 +329,7 @@ func TestExchangeSplitsOversizedChunks(t *testing.T) {
 	for _, threads := range []int{2, 8} {
 		got := renderWindow(t, node, &Context{Txn: mgr.Begin(), Threads: threads})
 		if got != want {
-			t.Fatalf("threads=%d sliced huge-partition eval diverges:\n got: %.200s\nwant: %.200s", threads, got, want)
+			t.Fatalf("threads=%d huge-partition eval diverges:\n got: %.200s\nwant: %.200s", threads, got, want)
 		}
-	}
-}
-
-// TestSplitChunkPolicy pins the re-split shape: ChunkCapacity alignment
-// (so output chunk boundaries match unsplit evaluation), a 4-per-worker
-// item cap, and pass-through for engine-sized chunks.
-func TestSplitChunkPolicy(t *testing.T) {
-	e := &exchangeOp{workers: 2}
-	mk := func(n int) *vector.Chunk {
-		c := vector.NewChunk([]types.Type{types.BigInt})
-		for i := 0; i < n; i++ {
-			c.AppendRow(types.NewBigInt(int64(i)))
-		}
-		return c
-	}
-	if items := e.splitChunk(mk(vector.ChunkCapacity), 7); len(items) != 1 || items[0].seq != 7 {
-		t.Fatalf("engine-sized chunk split: %v", items)
-	}
-	huge := mk(20 * vector.ChunkCapacity)
-	items := e.splitChunk(huge, 0)
-	if len(items) < 2 || len(items) > 8 { // capped at workers*4
-		t.Fatalf("%d items, want 2..8", len(items))
-	}
-	last := 0
-	for i, it := range items {
-		if it.seq != i {
-			t.Fatalf("item %d seq %d", i, it.seq)
-		}
-		if it.lo != last {
-			t.Fatalf("item %d starts at %d, want %d", i, it.lo, last)
-		}
-		if it.lo%vector.ChunkCapacity != 0 {
-			t.Fatalf("item %d not ChunkCapacity-aligned: %d", i, it.lo)
-		}
-		last = it.hi
-	}
-	if last != huge.Len() {
-		t.Fatalf("items cover %d rows, want %d", last, huge.Len())
 	}
 }

@@ -240,3 +240,98 @@ func TestJoinOutputIdenticalToParent(t *testing.T) {
 		}
 	}
 }
+
+// breakerPalette is every shape whose operators sit above a join or a
+// breaker: a breaker fed by a join's probe, a join built from a join, a
+// join probing a join, stages over an aggregate, and a window without
+// PARTITION BY whose wide general frame spans one 20k-row partition.
+var breakerPalette = []struct{ name, sql string }{
+	{"agg_over_join", "SELECT b.s, count(*), sum(b.d), sum(p.d) FROM p JOIN b ON p.k = b.k GROUP BY b.s"},
+	{"agg_over_join_dup", "SELECT p.id % 5, count(*), sum(b.d), sum(p.d * 0.1) FROM p JOIN b ON p.k = b.k WHERE p.k = 7 GROUP BY p.id % 5"},
+	// Under the 1MB budget the join falls back to the merge join.
+	{"agg_over_fallback", "SELECT c.k2, count(*), sum(w.d), min(w.s) FROM c JOIN w ON c.k = w.k GROUP BY c.k2"},
+	{"sort_over_join", "SELECT p.id, b.id, b.k2 FROM p JOIN b ON p.k = b.k ORDER BY b.k2"},
+	{"window_over_join", "SELECT p.id, b.id, row_number() OVER (PARTITION BY b.k2 ORDER BY p.x), sum(b.d) OVER (PARTITION BY b.k2 ORDER BY p.x) FROM p JOIN b ON p.k = b.k"},
+	{"build_is_join", "SELECT c.id, j.pid, j.bid FROM c JOIN (SELECT p.id AS pid, b.id AS bid, b.k2 AS k2 FROM p JOIN b ON p.k = b.k WHERE p.id < 1500) AS j ON c.k2 = j.k2 WHERE c.id < 6"},
+	{"left_over_join", "SELECT p.id, b.id, c.id FROM p JOIN b ON p.k = b.k LEFT JOIN c ON b.k2 = c.k2 AND c.id < 6 WHERE p.id < 1500"},
+	{"having_project", "SELECT k2, count(*) * 2, sum(d) + 1 FROM w GROUP BY k2 HAVING count(*) > 3"},
+	{"window_wide_frame", "SELECT id, sum(x) OVER (ORDER BY k2, id ROWS BETWEEN 100 PRECEDING AND 100 FOLLOWING), min(d) OVER (ORDER BY k2, id ROWS BETWEEN 100 PRECEDING AND 100 FOLLOWING), sum(d) OVER (ORDER BY k2, id ROWS BETWEEN 100 PRECEDING AND 100 FOLLOWING) FROM w WHERE id < 20000"},
+}
+
+// breakerGolden is what the parent commit (stages above a breaker or a
+// join on an exchange, a join drained into the breaker above it on one
+// goroutine) returned for breakerPalette, identical there at 1, 2 and 4
+// threads; keyed by shape and memory_limit.
+var breakerGolden = map[string]string{
+	"agg_over_join/":        "rows=301 chunks=1 fnv=086bcc475306ea17",
+	"agg_over_join/1MB":     "rows=301 chunks=1 fnv=086bcc475306ea17",
+	"agg_over_join_dup/":    "rows=3 chunks=1 fnv=5251686a4470fd48",
+	"agg_over_join_dup/1MB": "rows=3 chunks=1 fnv=5251686a4470fd48",
+	"agg_over_fallback/":    "rows=5 chunks=1 fnv=96babb8e019ecc01",
+	"agg_over_fallback/1MB": "rows=5 chunks=1 fnv=f6e48d62e2ab8459",
+	"sort_over_join/":       "rows=10840 chunks=11 fnv=03698784651007c1",
+	"sort_over_join/1MB":    "rows=10840 chunks=11 fnv=03698784651007c1",
+	"window_over_join/":     "rows=10840 chunks=13 fnv=2920833107c244ee",
+	"window_over_join/1MB":  "rows=10840 chunks=13 fnv=2920833107c244ee",
+	"build_is_join/":        "rows=8101 chunks=8 fnv=bf035319fbc35671",
+	"build_is_join/1MB":     "rows=8101 chunks=8 fnv=bf035319fbc35671",
+	"left_over_join/":       "rows=10172 chunks=69 fnv=85fcf2be6ace65bd",
+	"left_over_join/1MB":    "rows=10172 chunks=69 fnv=85fcf2be6ace65bd",
+	"having_project/":       "rows=5 chunks=1 fnv=e0f590d8fb64630a",
+	"having_project/1MB":    "rows=5 chunks=1 fnv=e0f590d8fb64630a",
+	"window_wide_frame/":    "rows=20000 chunks=20 fnv=08e13443dd643f9b",
+	"window_wide_frame/1MB": "rows=20000 chunks=20 fnv=08e13443dd643f9b",
+}
+
+// valueFingerprint is joinFingerprint with DOUBLEs hashed by their bits,
+// so a sum folded in another order cannot hide behind its rendering. A
+// NaN is hashed as NaN: which payload survives NaN + NaN depends on the
+// operand order the compiler picked (a -race build picks differently),
+// and the engine treats every NaN as one value anyway.
+func valueFingerprint(t *testing.T, db *quack.DB, sql string) string {
+	t.Helper()
+	rows, err := db.Query(sql)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	h := fnv.New64a()
+	nrows, nchunks := 0, 0
+	for c := rows.NextChunk(); c != nil; c = rows.NextChunk() {
+		fmt.Fprintf(h, "#%d\n", c.Len())
+		for r := 0; r < c.Len(); r++ {
+			for _, col := range c.Cols {
+				if f := col.F64; col.Type == quack.Double && !col.IsNull(r) && !math.IsNaN(f[r]) {
+					fmt.Fprintf(h, "%x|", math.Float64bits(f[r]))
+				} else {
+					fmt.Fprintf(h, "%s|", col.Get(r).String())
+				}
+			}
+			fmt.Fprintln(h)
+		}
+		nrows += c.Len()
+		nchunks++
+	}
+	return fmt.Sprintf("rows=%d chunks=%d fnv=%016x", nrows, nchunks, h.Sum64())
+}
+
+// TestBreakerOverJoinIdenticalToParent pins values (DOUBLEs by bits), row
+// order and chunk boundaries of every breakerPalette shape to what the
+// parent commit produced, at 1, 2 and 4 workers, unbudgeted and under a
+// 1MB memory_limit.
+func TestBreakerOverJoinIdenticalToParent(t *testing.T) {
+	for _, threads := range []int{1, 2, 4} {
+		for _, budget := range []string{"", "1MB"} {
+			db := joinDB(t, threads, budget)
+			for _, q := range breakerPalette {
+				key := q.name + "/" + budget
+				got := valueFingerprint(t, db, q.sql)
+				if want := breakerGolden[key]; got != want {
+					t.Errorf("threads=%d %s:\n got %q\nwant %q", threads, key, got, want)
+				}
+			}
+			if used := db.MemoryUsed(); used != 0 {
+				t.Fatalf("threads=%d budget=%q: %d pool bytes still reserved after the palette", threads, budget, used)
+			}
+		}
+	}
+}

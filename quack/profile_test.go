@@ -25,6 +25,7 @@ type profNode struct {
 	SegsScanned int64       `json:"segments_scanned"`
 	SegsSkipped int64       `json:"segments_skipped"`
 	SpillBytes  int64       `json:"spill_bytes"`
+	MergeRanges int64       `json:"merge_ranges"`
 	Children    []*profNode `json:"children"`
 }
 
@@ -392,15 +393,16 @@ func TestExplainAnalyzeJoinBuild(t *testing.T) {
 }
 
 // TestExplainAnalyzeBreakerBusy pins where pipeline-fused work is
-// booked: a breaker's sink (accumulation, run generation) runs inside
-// the scan pipeline's workers, but its time belongs to the breaker's
-// own busy_ns, not to the scan leaf's — at one worker and at four
-// alike. The split itself is timing (and columnar accumulation costs
-// less than the scan that feeds it), so what is pinned is that the
-// breaker has busy time at all and that the scan reports morsels; that
-// the sink's time goes to the breaker and not to the scan is pinned
-// deterministically, with a sleeping sink, by
-// TestProfileSinkTimeBookedToBreaker in internal/exec.
+// booked: a breaker's sink (accumulation, run generation) and a join's
+// probe run inside the scan pipeline's workers, but their time belongs
+// to the breaker's and the join's own busy_ns, not to the scan leaf's —
+// at one worker and at four alike. The split itself is timing (and
+// columnar accumulation costs less than the scan that feeds it), so what
+// is pinned is that the breaker (and a join feeding it) has busy time at
+// all and that the scan reports morsels; that the time goes there and
+// not to the scan is pinned deterministically, with a sleeping sink and
+// a sleeping probe, by TestProfileSinkTimeBookedToBreaker and
+// TestProfileProbeTimeBookedToJoin in internal/exec.
 func TestExplainAnalyzeBreakerBusy(t *testing.T) {
 	find := func(n *profNode, prefix string) *profNode {
 		var hit *profNode
@@ -423,11 +425,16 @@ func TestExplainAnalyzeBreakerBusy(t *testing.T) {
 			{"SELECT id - id % 8, count(*), sum(price) FROM facts GROUP BY 1", "AGGREGATE"},
 			{"SELECT id, price FROM facts ORDER BY price, id", "SORT"},
 			{"SELECT id, grp FROM facts JOIN dims ON id = key", "INNER JOIN"},
+			// The aggregation consumes the probe on the probe side's workers.
+			{"SELECT grp, count(*), sum(qty) FROM facts JOIN dims ON id = key GROUP BY grp", "AGGREGATE"},
 		} {
 			doc := lastProfile(t, conn, tc.q)
 			br, scan := find(doc.Plan, tc.breaker), find(doc.Plan, "SCAN")
 			if br == nil || scan == nil {
 				t.Fatalf("threads=%d %q: no %s over SCAN in the profile", threads, tc.q, tc.breaker)
+			}
+			if join := find(doc.Plan, "INNER JOIN"); join != nil && (join.BusyNs <= 0 || join.Rows == 0) {
+				t.Errorf("threads=%d %q: join busy_ns=%d rows=%d, want its build and probe time and its rows", threads, tc.q, join.BusyNs, join.Rows)
 			}
 			if scan.Morsels == 0 || scan.BusyNs <= 0 {
 				t.Errorf("threads=%d %q: scan morsels=%d busy_ns=%d, want both > 0", threads, tc.q, scan.Morsels, scan.BusyNs)
@@ -457,6 +464,45 @@ func TestExplainAnalyzeBreakerBusy(t *testing.T) {
 			if strings.HasPrefix(trimmed, "SCAN") && !strings.Contains(line, "morsels=") {
 				t.Errorf("threads=%d: SCAN line has no morsels: %s", threads, line)
 			}
+		}
+	}
+}
+
+// TestExplainAnalyzeMergeRanges: SORT and WINDOW lines say how many key
+// ranges their merge phase ran on — 1 for the serial merge on the
+// caller, where a window without PARTITION BY is also evaluated, more
+// when a PARTITION BY window over several workers is cut and evaluated
+// on the range workers.
+func TestExplainAnalyzeMergeRanges(t *testing.T) {
+	for _, tc := range []struct {
+		threads  int
+		q, op    string
+		parallel bool
+	}{
+		{1, "SELECT id, price FROM facts ORDER BY price, id", "SORT", false},
+		{1, "SELECT id, row_number() OVER (PARTITION BY qty ORDER BY id) FROM facts", "WINDOW", false},
+		{4, "SELECT id, price FROM facts ORDER BY price, id", "SORT", true},
+		{4, "SELECT id, row_number() OVER (PARTITION BY qty ORDER BY id) FROM facts", "WINDOW", true},
+		{4, "SELECT id, row_number() OVER (ORDER BY qty, id) FROM facts", "WINDOW", false},
+	} {
+		db := differentialDBWith(t, quack.WithThreads(tc.threads))
+		doc := lastProfile(t, db.Conn(), tc.q)
+		n := doc.Plan
+		for !strings.HasPrefix(n.Name, tc.op) {
+			if len(n.Children) == 0 {
+				t.Fatalf("%q: no %s in the profile", tc.q, tc.op)
+			}
+			n = n.Children[0]
+		}
+		if got := n.MergeRanges; (got > 1) != tc.parallel || got < 1 {
+			t.Errorf("threads=%d %q: merge_ranges=%d, want partitioned: %v", tc.threads, tc.q, got, tc.parallel)
+		}
+		var text []string
+		for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+tc.q) {
+			text = append(text, row[0])
+		}
+		if want := fmt.Sprintf(" merge_ranges=%d", n.MergeRanges); !strings.Contains(strings.Join(text, "\n"), want) {
+			t.Errorf("threads=%d %q: EXPLAIN ANALYZE has no %q:\n%s", tc.threads, tc.q, want, strings.Join(text, "\n"))
 		}
 	}
 }

@@ -608,7 +608,7 @@ func TestWindowDifferentialOrder(t *testing.T) {
 		"SELECT p, count(*) OVER (PARTITION BY p) FROM w WHERE o IS NOT NULL",
 		// Window over an aggregate (breaker below the window).
 		"SELECT p, rank() OVER (ORDER BY count(*) DESC, p) FROM w GROUP BY p",
-		// Projection above the window runs on the exchange.
+		// Projection above the window runs as a stage of its source.
 		"SELECT id * 2, row_number() OVER (PARTITION BY p ORDER BY o, id) + 10 FROM w",
 		// Window feeding an outer sort on the window column.
 		"SELECT id, dense_rank() OVER (PARTITION BY g ORDER BY v DESC) AS dr FROM w ORDER BY dr, id LIMIT 500",
