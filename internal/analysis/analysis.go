@@ -17,7 +17,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"regexp"
 	"sort"
@@ -205,18 +204,5 @@ func All() []*Analyzer {
 		Atomicfield,
 		Hotpath,
 		Erracc,
-	}
-}
-
-// forEachFunc invokes fn for every function declaration and function
-// literal in the package, with the declaration the literal is nested
-// in (decl is nil for literals in package-level var initializers).
-func forEachFunc(pkg *Package, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd, fd.Body)
-			}
-		}
 	}
 }

@@ -23,29 +23,6 @@ func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// baseIdentObj resolves the object of the left-most identifier of a
-// possibly-chained selector expression (x in x.a.b[i].c), or nil.
-func baseIdentObj(info *types.Info, expr ast.Expr) types.Object {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return info.ObjectOf(e)
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.CallExpr:
-			expr = e.Fun
-		default:
-			return nil
-		}
-	}
-}
-
 // selectedField returns the *types.Var of the struct field a selector
 // expression refers to, or nil when sel is not a field selection.
 func selectedField(info *types.Info, sel *ast.SelectorExpr) *types.Var {

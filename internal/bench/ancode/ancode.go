@@ -46,9 +46,6 @@ func MustNew(a int64) *Codec {
 	return c
 }
 
-// A returns the encoding constant.
-func (c *Codec) A() int64 { return c.a }
-
 // MaxValue returns the largest magnitude the codec can encode without
 // overflow.
 func (c *Codec) MaxValue() int64 { return c.max }

@@ -29,13 +29,6 @@ func NewCompressedIntermediate(data []int64) *CompressedIntermediate {
 	return &CompressedIntermediate{level: compress.None, raw: data}
 }
 
-// Level returns the current encoding level.
-func (c *CompressedIntermediate) Level() compress.Level {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.level
-}
-
 // FootprintBytes returns the structure's current resident size.
 func (c *CompressedIntermediate) FootprintBytes() int64 {
 	c.mu.Lock()

@@ -19,14 +19,6 @@ import (
 // default used by quack-bench; tests and -short runs use smaller values.
 type Scale float64
 
-func (s Scale) rows(base int) int {
-	n := int(float64(base) * float64(s))
-	if n < 1000 {
-		n = 1000
-	}
-	return n
-}
-
 // GenSalesTable fills `name` with a synthetic OLAP fact table:
 //
 //	id BIGINT, region VARCHAR(8 distinct), qty BIGINT(1..100),

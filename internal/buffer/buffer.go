@@ -116,9 +116,6 @@ func (p *Pool) MemTestEnabled() bool {
 	return p.testAlloc
 }
 
-// Tester exposes the memory tester (for fault-injection hooks and stats).
-func (p *Pool) Tester() *memtest.Tester { return p.tester }
-
 // AddEvictable registers reloadable cached state (LRU order: oldest
 // first).
 func (p *Pool) AddEvictable(e Evictable) {

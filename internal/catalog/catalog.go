@@ -182,18 +182,6 @@ func (c *Catalog) View(name string) (*View, bool) {
 	return v, ok
 }
 
-// Views returns all views sorted by name.
-func (c *Catalog) Views() []*View {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*View, 0, len(c.views))
-	for _, v := range c.views {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // ---- serialization (checkpoint root chain payload) ----
 
 // Serialize encodes the catalog: table schemas with their column chain

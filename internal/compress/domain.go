@@ -3,7 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Compressed-domain helpers: predicates over encoded buffers without
@@ -157,14 +156,4 @@ func DecodeStringDict(src []byte) (StringDict, []byte, error) {
 		return StringDict{}, nil, err
 	}
 	return StringDict{Values: values, Indexes: indexes}, rest, nil
-}
-
-// Int64SaturatingBounds is Int64Bounds with the full-int64 fallback: it
-// always returns an interval, degrading to [MinInt64, MaxInt64] when the
-// scheme cannot be bounded without decoding.
-func Int64SaturatingBounds(data []byte) (int64, int64) {
-	if lo, hi, ok := Int64Bounds(data); ok {
-		return lo, hi
-	}
-	return math.MinInt64, math.MaxInt64
 }

@@ -273,9 +273,6 @@ func (db *Database) SetThreads(n int) {
 	db.sched.Resize(n)
 }
 
-// Scheduler exposes the engine-wide morsel scheduler (tests).
-func (db *Database) Scheduler() *sched.Scheduler { return db.sched }
-
 // defaultThreads resolves the engine-wide default parallelism: the
 // QUACK_THREADS environment variable lets harnesses (CI matrices,
 // benchmarks) pin it without touching call sites; otherwise every core
@@ -358,10 +355,6 @@ func (db *Database) WALSize() int64 { return db.wal.Size() }
 func (db *Database) LogInsert(tx *txn.Transaction, tableName string, chunk *vector.Chunk) {
 	db.logger.LogInsert(tx, tableName, chunk)
 }
-
-// AfterCommit runs post-commit housekeeping for externally managed
-// transactions (bulk appenders).
-func (db *Database) AfterCommit() { db.afterCommit() }
 
 // TmpDir returns the spill directory.
 func (db *Database) TmpDir() string {

@@ -72,6 +72,7 @@ type aggTable struct {
 	spillFile *extsort.StateSpillFile
 	groupVecs []*vector.Vector
 	argVecs   []*vector.Vector
+	keys      keyScratch
 	payBuf    []byte
 	// inflight is the resolved prefix of the chunk being probed while the
 	// store makes room mid-chunk; a compaction renumbers it in place.
@@ -144,16 +145,16 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 		}
 	}
 	st := t.store
-	st.prepare(t.groupVecs, n)
+	st.prepare(&t.keys, t.groupVecs, n)
 	for r := 0; ; {
-		if r = st.resolve(t.groupVecs, n, seq, r); r == n {
+		if r = st.resolve(&t.keys, t.groupVecs, n, seq, r, true); r == n {
 			break
 		}
 		if err := t.growAt(r); err != nil {
 			return err
 		}
 	}
-	slots := st.slots[:n]
+	slots := t.keys.slots[:n]
 	if st.floatSums || t.spillable {
 		st.beginMorselRows(slots, t.curTouch)
 	}
@@ -170,7 +171,7 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 // the compaction after it renumbers them.
 func (t *aggTable) growAt(r int) error {
 	st := t.store
-	t.inflight = st.slots[:r]
+	t.inflight = t.keys.slots[:r]
 	if st.floatSums || t.spillable {
 		st.beginMorselRows(t.inflight, t.curTouch)
 	}

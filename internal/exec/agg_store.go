@@ -60,18 +60,26 @@ type groupStore struct {
 	slotBytes int64 // bytes one slot takes across the per-slot columns
 	floatSums bool  // any aggSumFloat column: morsel boundaries matter
 
-	// Per-chunk scratch, reused so a chunk over existing groups
-	// allocates nothing.
+	// Insert scratch, reused so a chunk over existing groups allocates
+	// nothing.
 	keyBuf []byte // the last new group's encoded key
-	kv     []uint64
-	hv     []uint64
-	slots  []uint32
 	fresh  []freshSlot
 
 	// hashFilter, when set, post-processes every key hash. Tests use it to
 	// force collisions; production stores leave it nil.
 	hashFilter func(uint64) uint64
 }
+
+// keyScratch is a caller's scratch for prepare and resolve: row hashes,
+// fixed-width key values and the slot vector. The aggregation's table
+// and every join probe worker own one, so lookups never share a write.
+type keyScratch struct {
+	hv, kv []uint64
+	slots  []uint32
+}
+
+// noSlot is the slot of a row that has none: a key a lookup did not find.
+const noSlot = ^uint32(0)
 
 // freshSlot is a slot a chunk touched for the first time in its morsel,
 // with the touch stamp it carried before.
@@ -289,6 +297,9 @@ func bucketsFor(slotCap int) int {
 // capacities: what the budget is charged.
 func (s *groupStore) bytesAt(slotCap, arenaCap int) int64 {
 	b := int64(slotCap)*s.slotBytes + int64(arenaCap) + int64(bucketsFor(slotCap))*8
+	if !s.fixed {
+		b += 4 // keyOff's closing offset
+	}
 	for j := range s.aggs {
 		b += s.aggs[j].extraBytes()
 	}
@@ -409,20 +420,21 @@ func growScratch[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// prepare hashes the group columns of an n-row chunk into hv, a column
-// at a time. A fixed-width key also leaves its 8-byte key values in kv.
+// prepare hashes the key columns of an n-row chunk into ks.hv, a column
+// at a time. A fixed-width key also leaves its 8-byte key values in
+// ks.kv.
 //
 //quack:hotpath
-func (s *groupStore) prepare(vecs []*vector.Vector, n int) {
-	s.hv = growScratch(s.hv, n)
-	s.slots = growScratch(s.slots, n)
-	hv := s.hv
+func (s *groupStore) prepare(ks *keyScratch, vecs []*vector.Vector, n int) {
+	ks.hv = growScratch(ks.hv, n)
+	ks.slots = growScratch(ks.slots, n)
+	hv := ks.hv
 	switch {
 	case len(vecs) == 0:
 		return
 	case s.fixed:
-		s.kv = growScratch(s.kv, n)
-		kv, v := s.kv, vecs[0]
+		ks.kv = growScratch(ks.kv, n)
+		kv, v := ks.kv, vecs[0]
 		switch v.Type {
 		case types.Boolean:
 			for r, b := range v.Bools[:n] {
@@ -491,12 +503,12 @@ func (s *groupStore) room(n, keyBytes int, g growth) (slotCap, arenaCap int, err
 	}
 	if need := len(s.arena) + keyBytes; need > arenaCap {
 		if need > math.MaxUint32 {
-			return 0, 0, fmt.Errorf("aggregation: one worker's group keys exceed 4 GiB")
+			return 0, 0, fmt.Errorf("hash table: one store's keys exceed 4 GiB")
 		}
 		arenaCap = min(reach(need, arenaCap, 256), math.MaxUint32)
 	}
 	if uint64(slotCap) >= math.MaxUint32 {
-		return 0, 0, fmt.Errorf("aggregation: one worker holds more than 2^32 groups")
+		return 0, 0, fmt.Errorf("hash table: one store holds more than 2^32 keys")
 	}
 	return slotCap, arenaCap, nil
 }
@@ -509,19 +521,23 @@ func (s *groupStore) newSlot(h uint64, pos int64) uint32 {
 	return sl
 }
 
-// resolve maps the rows from..n of the chunk prepare just hashed to their
-// slots, creating slots for new keys, and returns n — or the first row
-// whose new group found the store full (an arena key it could not place
-// is left in keyBuf). The caller then grows the store, or spills and
-// compacts it, renumbering slots[:row], and resumes from that row.
-// Nothing here allocates once keyBuf has grown to the longest key.
+// resolve maps the rows from..n of the chunk prepare just hashed into ks
+// to their slots in ks.slots, creating slots for new keys, and returns n
+// — or the first row whose new group found the store full (an arena key
+// it could not place is left in keyBuf). The caller then grows the
+// store, or spills and compacts it, renumbering slots[:row], and resumes
+// from that row. Nothing here allocates once keyBuf has grown to the
+// longest key. Without insert it only looks up and writes nothing but
+// ks, so workers may share the store: a key it does not hold, or a NULL
+// fixed-width key, stops it like a full store, and the caller resolves
+// that row to noSlot and resumes past it.
 //
 //quack:hotpath
-func (s *groupStore) resolve(vecs []*vector.Vector, n, seq, from int) int {
+func (s *groupStore) resolve(ks *keyScratch, vecs []*vector.Vector, n, seq, from int, insert bool) int {
 	if s.cap == 0 {
 		return from
 	}
-	slots, hv := s.slots[:n], s.hv[:n]
+	slots, hv := ks.slots[:n], ks.hv[:n]
 	buckets, mask := s.buckets, s.mask
 	switch {
 	case len(vecs) == 0:
@@ -531,12 +547,12 @@ func (s *groupStore) resolve(vecs []*vector.Vector, n, seq, from int) int {
 		}
 		clear(slots[from:])
 	case s.fixed:
-		kv, valid := s.kv[:n], &vecs[0].Valid
+		kv, valid := ks.kv[:n], &vecs[0].Valid
 		all := valid.AllValid()
 		for r := from; r < n; r++ {
 			if !all && !valid.IsValid(r) {
-				if s.nullSlot == 0 {
-					if s.n == s.cap {
+				if s.nullSlot == 0 || !insert {
+					if s.n == s.cap || !insert {
 						return r
 					}
 					s.nullSlot = s.newSlot(nullKeyHash, packAggPos(seq, r)) + 1
@@ -549,7 +565,7 @@ func (s *groupStore) resolve(vecs []*vector.Vector, n, seq, from int) int {
 			for i := h & mask; ; i = (i + 1) & mask {
 				b := buckets[i]
 				if b == 0 {
-					if s.n == s.cap {
+					if s.n == s.cap || !insert {
 						return r
 					}
 					sl := s.newSlot(h, packAggPos(seq, r))
@@ -571,6 +587,9 @@ func (s *groupStore) resolve(vecs []*vector.Vector, n, seq, from int) int {
 			for i := h & mask; ; i = (i + 1) & mask {
 				b := buckets[i]
 				if b == 0 {
+					if !insert {
+						return r
+					}
 					// A new group: only now is the row's key encoded.
 					s.keyBuf = encodeKeyRow(s.keyBuf[:0], vecs, r)
 					if s.n == s.cap || len(s.arena)+len(s.keyBuf) > cap(s.arena) {

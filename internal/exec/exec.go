@@ -38,7 +38,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -392,6 +391,3 @@ func schemaTypes(cols []plan.ColInfo) []types.Type {
 	}
 	return out
 }
-
-// errStop is used internally to stop Run early (limit).
-var errStop = errors.New("stop")

@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,10 +72,11 @@ func (r buildRef) row() int           { return int(int64(r) & (1<<20 - 1)) }
 
 // hashJoinOp materializes its build (right) side and probes it from
 // inside the probe source's workers. With keys the build rows are
-// indexed by a partitioned hash table; a join without keys (CROSS, a
-// non-equi condition) has no table and every build row is a candidate
-// for every probe row. Either way candidates come in global build order
-// and joinEmitter turns them into output.
+// indexed by a groupStore — the aggregation's hash table, without
+// aggregates — whose slots are the distinct build keys; a join without
+// keys (CROSS, a non-equi condition) has no table and every build row is
+// a candidate for every probe row. Either way candidates come in global
+// build order and joinEmitter turns them into output.
 //
 // Once built, the join is a source: its probe is a stage of the probe
 // source, stages a parent attaches run behind it, and a breaker above
@@ -92,10 +94,14 @@ type hashJoinOp struct {
 	// buildChunks is the build side in global build order (by source
 	// sequence), whichever worker produced which chunk.
 	buildChunks []*vector.Chunk
-	// parts is the hash table: partition p maps the encoded keys with
-	// partOf(key) == p to their build rows, in build order.
-	parts []map[string][]buildRef
-	// reserved is what the pool holds for buildChunks and parts.
+	// store indexes a keyed build. Slot s's build rows, in build order,
+	// are refs[start[s]:start[s+1]]; a row with a NULL key is in no list.
+	store *groupStore
+	start []uint32
+	refs  []buildRef
+	// hashFilter is handed to the store (a test hook; see groupStore).
+	hashFilter func(uint64) uint64
+	// reserved is what the pool holds for buildChunks and the table.
 	reserved atomic.Int64
 	// overBudget: the enforced build stopped at a refused reservation.
 	// buildChunks then holds what was pulled so far, the refused chunk
@@ -158,23 +164,12 @@ func (h *hashJoinOp) newProbeStage() stage {
 	return &probeStage{h: h, keys: make([]*vector.Vector, len(h.node.LeftKeys)), em: newJoinEmitter(h.node)}
 }
 
-// builtChunk is one chunk of the build side with its rows' keys, encoded
-// once by the worker that produced it.
-type builtChunk struct {
-	seq   int
-	chunk *vector.Chunk
-	keys  []byte  // the rows' encoded keys, back to back
-	ends  []int32 // row r's key is keys[ends[r-1]:ends[r]]
-	part  []int32 // row r's partition; -1 for a NULL key, which never matches
-}
-
 // build drains the build side and indexes it. Every worker's sink
-// reserves and keeps its chunks with their sequence numbers and encoded
-// keys; ordering the kept chunks by sequence gives the global build
-// order, and partition p's map is then filled by one task that walks the
-// chunks in that order and inserts the rows whose key selects p — so
-// every ref list is in build order by construction, at any worker count.
-// A build that fails holds no reservation when it returns.
+// reserves and keeps its chunks with their sequence numbers; ordering
+// the kept chunks by sequence gives the global build order, and the
+// index then walks them in that order on the caller — so every row list
+// is in build order by construction, at any worker count. A build that
+// fails holds no reservation when it returns.
 func (h *hashJoinOp) build(ctx *Context) error {
 	// Under an enforced budget the caller pulls the source through Next,
 	// one chunk at a time: a refused reservation leaves the stream just
@@ -186,15 +181,14 @@ func (h *hashJoinOp) build(ctx *Context) error {
 	}
 	workers := src.workerCount(ctx)
 	slot := ctx.Prof.Slot(h.node)
-	if len(h.node.RightKeys) > 0 {
-		h.parts = make([]map[string][]buildRef, workers)
-	}
 
-	sinks := make([][]builtChunk, workers)
+	type seqChunk struct {
+		seq   int
+		chunk *vector.Chunk
+	}
+	sinks := make([][]seqChunk, workers)
 	err := src.consume(ctx, workers, slot, func(w int) sinkFunc {
-		keyVecs := make([]*vector.Vector, len(h.node.RightKeys))
 		return func(seq int, c *vector.Chunk) error {
-			b := builtChunk{seq: seq, chunk: c}
 			var err error
 			if ctx.Pool != nil {
 				need := c.HeapBytes() + int64(c.Len())*refOverhead
@@ -204,20 +198,14 @@ func (h *hashJoinOp) build(ctx *Context) error {
 					h.overBudget, err = true, rerr // ErrOutOfMemory → Auto falls back
 				} // else: forced or keyless build, account what fits and keep going
 			}
-			if err == nil {
-				err = h.encodeKeys(&b, keyVecs)
-			}
 			// Kept either way: the chunk that overflows the budget still
 			// goes to the fallback.
-			sinks[w] = append(sinks[w], b)
+			sinks[w] = append(sinks[w], seqChunk{seq, c})
 			return err
 		}
 	})
-	var all []builtChunk
-	for _, s := range sinks {
-		all = append(all, s...)
-	}
-	slices.SortStableFunc(all, func(a, b builtChunk) int { return a.seq - b.seq })
+	all := slices.Concat(sinks...)
+	slices.SortStableFunc(all, func(a, b seqChunk) int { return a.seq - b.seq })
 	h.buildChunks = make([]*vector.Chunk, len(all))
 	rows := 0
 	for i, b := range all {
@@ -228,129 +216,114 @@ func (h *hashJoinOp) build(ctx *Context) error {
 		slot.JoinBuildRows.Store(int64(rows))
 		slot.JoinBuildBytes.Store(h.reserved.Load())
 	}
-	if err != nil {
-		h.release(ctx)
-		return err
+	if err == nil && len(h.node.RightKeys) > 0 && uint64(rows) > math.MaxUint32 {
+		err = fmt.Errorf("join build: more than 2^32 rows") // the row lists' offsets are uint32
 	}
-
-	fill := func(p int) {
-		var t0 time.Time
-		if slot != nil {
-			t0 = time.Now()
-		}
-		m := make(map[string][]buildRef)
-		for ci, b := range all {
-			start := int32(0)
-			for r, end := range b.ends {
-				if b.part[r] == int32(p) {
-					m[string(b.keys[start:end])] = append(m[string(b.keys[start:end])], makeRef(ci, r))
-				}
-				start = end
-			}
-		}
-		h.parts[p] = m
+	if err == nil && len(h.node.RightKeys) > 0 {
+		t0 := time.Now()
+		h.store = newGroupStore(&plan.AggNode{GroupBy: h.node.RightKeys}, false, false)
+		h.store.hashFilter = h.hashFilter
+		err = h.index(rows)
 		if slot != nil {
 			slot.BusyNs.Add(time.Since(t0).Nanoseconds())
+			slot.JoinBuildKeys.Store(int64(h.store.n))
+			slot.JoinTableBytes.Store(h.tableBytes())
 		}
 	}
-	switch len(h.parts) {
-	case 0: // no keys, no table
-	case 1:
-		fill(0)
-	default:
-		// One scheduler task per partition (pure compute; tasks never block).
-		var wg sync.WaitGroup
-		q := ctx.queryTasks()
-		for p := range h.parts {
-			wg.Add(1)
-			q.Submit(func() {
-				defer wg.Done()
-				fill(p)
-			})
-		}
-		wg.Wait()
+	if err != nil {
+		h.release(ctx)
 	}
+	return err
+}
+
+// index fills the store with the build keys, a chunk at a time in build
+// order, growing it the way the aggregation does, then lays each slot's
+// rows out contiguously: rows counted per slot, a prefix sum, one
+// scatter into refs.
+//
+//quack:hotpath
+func (h *hashJoinOp) index(rows int) error {
+	st := h.store
+	var ks keyScratch
+	keys := make([]*vector.Vector, len(h.node.RightKeys))
+	rowSlot := make([]uint32, 0, rows)
+	for ci, c := range h.buildChunks {
+		n := c.Len()
+		for i, e := range h.node.RightKeys {
+			v, err := e.Eval(c)
+			if err != nil {
+				return err
+			}
+			keys[i] = v
+		}
+		st.prepare(&ks, keys, n)
+		for r := 0; ; {
+			if r = st.resolve(&ks, keys, n, ci, r, true); r == n {
+				break
+			}
+			slotCap, arenaCap, err := st.room(1, len(st.keyBuf), growDouble)
+			if err != nil {
+				return err
+			}
+			st.rebuild(nil, slotCap, arenaCap)
+		}
+		slots := ks.slots[:n]
+		for r := range slots {
+			if anyNull(keys, r) {
+				slots[r] = noSlot // NULL keys never match
+			}
+		}
+		rowSlot = append(rowSlot, slots...)
+	}
+	// start[s+1] counts slot s's rows; the prefix sum makes start[s] its
+	// list's first index, which the scatter advances to the list's end —
+	// the next list's first index, so a shift by one finishes it.
+	start := make([]uint32, st.n+1)
+	for _, sl := range rowSlot {
+		if sl != noSlot {
+			start[sl+1]++
+		}
+	}
+	for s := 1; s <= st.n; s++ {
+		start[s] += start[s-1]
+	}
+	refs := make([]buildRef, start[st.n])
+	for ci, c := range h.buildChunks {
+		for r, sl := range rowSlot[:c.Len()] {
+			if sl != noSlot {
+				refs[start[sl]] = makeRef(ci, r)
+				start[sl]++
+			}
+		}
+		rowSlot = rowSlot[c.Len():]
+	}
+	copy(start[1:], start[:st.n])
+	start[0] = 0
+	h.start, h.refs = start, refs
 	return nil
 }
 
-// encodeKeys evaluates the build keys over b's chunk and encodes every
-// row's key, once, along with the partition it selects. keyVecs is the
-// calling worker's scratch.
-func (h *hashJoinOp) encodeKeys(b *builtChunk, keyVecs []*vector.Vector) error {
-	if len(keyVecs) == 0 {
-		return nil
-	}
-	for i, e := range h.node.RightKeys {
-		v, err := e.Eval(b.chunk)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	n := b.chunk.Len()
-	b.keys = make([]byte, 0, n*9*len(keyVecs)) // exact for fixed-width keys
-	b.ends, b.part = make([]int32, n), make([]int32, n)
-	for r := 0; r < n; r++ {
-		b.part[r] = -1
-		if !anyNull(keyVecs, r) {
-			start := len(b.keys)
-			b.keys = encodeKeyRow(b.keys, keyVecs, r)
-			b.part[r] = int32(h.partOf(b.keys[start:]))
-		}
-		b.ends[r] = int32(len(b.keys))
-	}
-	return nil
-}
-
-// partOf routes an encoded key to its partition.
-func (h *hashJoinOp) partOf(key []byte) int {
-	if len(h.parts) == 1 {
-		return 0
-	}
-	return int(hashKey(key) % uint64(len(h.parts)))
-}
-
-// lookup returns the build rows matching an encoded key, in global
-// build order.
-func (h *hashJoinOp) lookup(key []byte) []buildRef {
-	return h.parts[h.partOf(key)][string(key)]
-}
-
-// hashKey is FNV-1a; it only routes keys to partitions (the partition
-// maps still compare full keys).
-func hashKey(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func anyNull(vecs []*vector.Vector, r int) bool {
-	for _, v := range vecs {
-		if v.IsNull(r) {
-			return true
-		}
-	}
-	return false
+// tableBytes is what the index holds: the store and the row lists.
+func (h *hashJoinOp) tableBytes() int64 {
+	return h.store.bytes() + int64(cap(h.refs))*8 + int64(cap(h.start))*4
 }
 
 // Next pulls the join output from the probe source in its order.
 func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return h.left.Next(ctx) }
 
 // probeStage probes the shared (read-only) build side from inside a
-// source worker. Each worker owns its stage instance, so the key buffer
+// source worker. Each worker owns its stage instance, so the key scratch
 // and the emitter's scratch never contend.
 type probeStage struct {
-	h      *hashJoinOp
-	keys   []*vector.Vector
-	keyBuf []byte
-	em     joinEmitter
+	h    *hashJoinOp
+	keys []*vector.Vector
+	ks   keyScratch
+	em   joinEmitter
 }
 
-// run joins one probe chunk against the build side: it names each probe
-// row's candidates in build order and the emitter does the rest.
+// run joins one probe chunk against the build side: it resolves the
+// chunk's keys to build slots at once, walks each hit's row list in
+// build order, and the emitter does the rest.
 //
 //quack:hotpath
 func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chunk) error) error {
@@ -363,8 +336,9 @@ func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chu
 		ps.keys[i] = v
 	}
 	ps.em.begin(probe, emit)
-	for r, n := 0, probe.Len(); r < n; r++ {
-		if len(ps.keys) == 0 {
+	n := probe.Len()
+	if len(ps.keys) == 0 {
+		for r := 0; r < n; r++ {
 			for _, bc := range h.buildChunks {
 				for br, bn := 0, bc.Len(); br < bn; br++ {
 					if err := ps.em.add(r, bc, br); err != nil {
@@ -372,13 +346,21 @@ func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chu
 					}
 				}
 			}
+		}
+		return ps.em.finish()
+	}
+	h.store.prepare(&ps.ks, ps.keys, n)
+	slots := ps.ks.slots[:n]
+	for r := 0; r < n; r++ {
+		if r = h.store.resolve(&ps.ks, ps.keys, n, 0, r, false); r < n {
+			slots[r] = noSlot // a key the build does not hold, or a NULL
+		}
+	}
+	for r, sl := range slots {
+		if sl == noSlot {
 			continue
 		}
-		if anyNull(ps.keys, r) {
-			continue // NULL keys never match
-		}
-		ps.keyBuf = encodeKeyRow(ps.keyBuf[:0], ps.keys, r)
-		for _, ref := range h.lookup(ps.keyBuf) {
+		for _, ref := range h.refs[h.start[sl]:h.start[sl+1]] {
 			if err := ps.em.add(r, h.buildChunks[ref.chunk()], ref.row()); err != nil {
 				return err
 			}
@@ -388,11 +370,11 @@ func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chu
 }
 
 // Close stops the probe before it drops the build side: the probe
-// stages read buildChunks and parts from the probe source's workers, and
-// only the source's Close waits for those to retire.
+// stages read buildChunks and the table from the probe source's workers,
+// and only the source's Close waits for those to retire.
 func (h *hashJoinOp) Close(ctx *Context) {
 	h.left.Close(ctx)
 	h.release(ctx)
-	h.buildChunks, h.parts = nil, nil
+	h.buildChunks, h.store, h.start, h.refs = nil, nil, nil, nil
 	h.right.Close(ctx)
 }

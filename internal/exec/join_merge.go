@@ -187,6 +187,15 @@ func (m *mergeJoinOp) compareCursors() int {
 	return 0
 }
 
+func anyNull(vecs []*vector.Vector, r int) bool {
+	for _, v := range vecs {
+		if v.IsNull(r) {
+			return true
+		}
+	}
+	return false
+}
+
 func (m *mergeJoinOp) Next(ctx *Context) (*vector.Chunk, error) {
 	for len(m.queue) == 0 {
 		if m.done {

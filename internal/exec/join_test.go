@@ -3,9 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -103,36 +101,49 @@ func TestKeylessJoinReservesBuild(t *testing.T) {
 	}
 }
 
+// newTestTable commits a table of n rows, row(i) being row i.
+func newTestTable(tb testing.TB, mgr *txn.Manager, name string, cols []catalog.Column, n int, row func(i int) []types.Value) *catalog.Table {
+	tb.Helper()
+	entry := &catalog.Table{Name: name, Columns: cols}
+	entry.Data = table.New(entry.Types(), nil)
+	tx := mgr.Begin()
+	c := vector.NewChunk(entry.Types())
+	for i := 0; i < n; i++ {
+		c.AppendRow(row(i)...)
+		if c.Len() == vector.ChunkCapacity || i == n-1 {
+			if err := entry.Data.Append(tx, c); err != nil {
+				tb.Fatal(err)
+			}
+			c = vector.NewChunk(entry.Types())
+		}
+	}
+	if _, err := mgr.Commit(tx); err != nil {
+		tb.Fatal(err)
+	}
+	return entry
+}
+
+// scanAll scans every column of a table.
+func scanAll(e *catalog.Table) *plan.ScanNode {
+	cols := make([]int, len(e.Columns))
+	for i := range cols {
+		cols[i] = i
+	}
+	return &plan.ScanNode{Table: e, TableAlias: e.Name, Columns: cols}
+}
+
 // joinBenchFixture builds a probe and a build table of (k, v) rows, keyed
 // by row number through probeKey and buildKey, and the inner join on k.
 func joinBenchFixture(b testing.TB, keyType types.Type, probeN, buildN int, probeKey, buildKey func(i int) types.Value) (*plan.JoinNode, *txn.Manager) {
 	b.Helper()
 	mgr := txn.NewManager(nil)
 	mk := func(name string, n int, key func(int) types.Value) *catalog.Table {
-		entry := &catalog.Table{Name: name, Columns: []catalog.Column{{Name: "k", Type: keyType}, {Name: "v", Type: types.BigInt}}}
-		entry.Data = table.New(entry.Types(), nil)
-		tx := mgr.Begin()
-		c := vector.NewChunk(entry.Types())
-		for i := 0; i < n; i++ {
-			c.AppendRow(key(i), types.NewBigInt(int64(i)))
-			if c.Len() == vector.ChunkCapacity || i == n-1 {
-				if err := entry.Data.Append(tx, c); err != nil {
-					b.Fatal(err)
-				}
-				c = vector.NewChunk(entry.Types())
-			}
-		}
-		if _, err := mgr.Commit(tx); err != nil {
-			b.Fatal(err)
-		}
-		return entry
-	}
-	scan := func(e *catalog.Table) *plan.ScanNode {
-		return &plan.ScanNode{Table: e, TableAlias: e.Name, Columns: []int{0, 1}}
+		cols := []catalog.Column{{Name: "k", Type: keyType}, {Name: "v", Type: types.BigInt}}
+		return newTestTable(b, mgr, name, cols, n, func(i int) []types.Value { return []types.Value{key(i), types.NewBigInt(int64(i))} })
 	}
 	return &plan.JoinNode{
-		Left:      scan(mk("probe", probeN, probeKey)),
-		Right:     scan(mk("build", buildN, buildKey)),
+		Left:      scanAll(mk("probe", probeN, probeKey)),
+		Right:     scanAll(mk("build", buildN, buildKey)),
 		Type:      plan.JoinInner,
 		LeftKeys:  []expr.Expr{&expr.ColRef{Idx: 0, Typ: keyType}},
 		RightKeys: []expr.Expr{&expr.ColRef{Idx: 0, Typ: keyType}},
@@ -160,35 +171,51 @@ var joinBenchShapes = []struct {
 		func(i int) types.Value { return types.NewVarchar(fmt.Sprintf("key-%06d", i)) }},
 }
 
-// BenchmarkJoinBuild measures the hash join's build alone — drain the
-// build side, reserve, encode the keys, order, fill the table — in ns
-// and allocations per build row, at one, two and four workers.
+// buildOnce runs the hash join's build alone — drain the build side,
+// reserve, order, index — at the given worker count.
+func buildOnce(tb testing.TB, join *plan.JoinNode, mgr *txn.Manager, threads int) {
+	right, err := buildSource(join.Right, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := newHashJoin(nil, right, join, false)
+	ctx := &Context{Txn: mgr.Begin(), Threads: threads}
+	if err := right.Open(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if err := h.build(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	right.Close(ctx)
+}
+
+// BenchmarkJoinBuild measures the hash join's build alone in ns and
+// allocations per build row, at one, two and four workers.
 func BenchmarkJoinBuild(b *testing.B) {
 	for _, s := range joinBenchShapes {
 		for _, threads := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/threads=%d", s.name, threads), func(b *testing.B) {
 				join, mgr := joinBenchFixture(b, s.keyType, 1, s.buildN, s.probeKey, s.buildKey)
-				benchPerRow(b, s.buildN, func() {
-					right, err := buildSource(join.Right, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					h := newHashJoin(nil, right, join, false)
-					ctx := &Context{Txn: mgr.Begin(), Threads: threads}
-					if err := right.Open(ctx); err != nil {
-						b.Fatal(err)
-					}
-					if err := h.build(ctx); err != nil {
-						b.Fatal(err)
-					}
-					right.Close(ctx)
-				})
+				benchPerRow(b, s.buildN, func() { buildOnce(b, join, mgr, threads) })
 			})
 		}
 	}
 }
 
-// BenchmarkJoinProbe measures the probe alone — key encoding, lookup,
+// TestJoinBuildAllocatesPerChunk: the build allocates per chunk and per
+// table growth, never per row — no key arena, no per-key slice, no map
+// entry — on every shape of BenchmarkJoinBuild.
+func TestJoinBuildAllocatesPerChunk(t *testing.T) {
+	for _, s := range joinBenchShapes {
+		join, mgr := joinBenchFixture(t, s.keyType, 1, s.buildN, s.probeKey, s.buildKey)
+		perRow := testing.AllocsPerRun(5, func() { buildOnce(t, join, mgr, 1) }) / float64(s.buildN)
+		if perRow > 0.05 {
+			t.Errorf("%s: %.3f allocations per build row, want <= 0.05", s.name, perRow)
+		}
+	}
+}
+
+// BenchmarkJoinProbe measures the probe alone — key hashing, lookup,
 // candidate emission through the emitter — over pre-scanned probe chunks
 // against a built table, in ns and allocations per probe row. The only
 // allocations at steady state are the emitted chunks themselves.
@@ -289,39 +316,20 @@ func benchPerRow(b *testing.B, rows int, run func()) {
 func probeFanoutFixture(t *testing.T) (*plan.JoinNode, *txn.Manager) {
 	t.Helper()
 	mgr := txn.NewManager(nil)
-	mk := func(name string, cols []catalog.Column, row func(i int) []types.Value) *catalog.Table {
-		entry := &catalog.Table{Name: name, Columns: cols}
-		entry.Data = table.New(entry.Types(), nil)
-		tx := mgr.Begin()
-		c := vector.NewChunk(entry.Types())
-		for i := 0; i < 3000; i++ {
-			c.AppendRow(row(i)...)
-			if c.Len() == vector.ChunkCapacity || i == 2999 {
-				if err := entry.Data.Append(tx, c); err != nil {
-					t.Fatal(err)
-				}
-				c = vector.NewChunk(entry.Types())
-			}
-		}
-		if _, err := mgr.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		return entry
-	}
-	probe := mk("p", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "d", Type: types.Double}}, func(i int) []types.Value {
+	probe := newTestTable(t, mgr, "p", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "d", Type: types.Double}}, 3000, func(i int) []types.Value {
 		k := int64(i)
 		if i%100 == 0 {
 			k = 7
 		}
 		return []types.Value{types.NewBigInt(k), types.NewDouble(float64(i%13) * 0.3)}
 	})
-	build := mk("b", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "id", Type: types.BigInt}, {Name: "e", Type: types.Double}}, func(i int) []types.Value {
+	build := newTestTable(t, mgr, "b", []catalog.Column{{Name: "k", Type: types.BigInt}, {Name: "id", Type: types.BigInt}, {Name: "e", Type: types.Double}}, 3000, func(i int) []types.Value {
 		return []types.Value{types.NewBigInt(7), types.NewBigInt(int64(i)), types.NewDouble(float64(i%97)*0.1 + float64(i%5)*1e12)}
 	})
 	key := &expr.ColRef{Idx: 0, Typ: types.BigInt}
 	return &plan.JoinNode{
-		Left:     &plan.ScanNode{Table: probe, TableAlias: "p", Columns: []int{0, 1}},
-		Right:    &plan.ScanNode{Table: build, TableAlias: "b", Columns: []int{0, 1, 2}},
+		Left:     scanAll(probe),
+		Right:    scanAll(build),
 		Type:     plan.JoinInner,
 		LeftKeys: []expr.Expr{key}, RightKeys: []expr.Expr{key},
 	}, mgr
@@ -348,21 +356,7 @@ func TestProbeSinkPositions(t *testing.T) {
 	}
 	sort := &plan.SortNode{Child: join, Keys: []plan.SortKey{{Expr: col(2, types.BigInt)}}}
 	render := func(op Operator, threads int) string {
-		var out strings.Builder
-		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
-			fmt.Fprint(&out, c.Len(), ":")
-			for r := 0; r < c.Len(); r++ {
-				for _, v := range c.Cols {
-					if v.Type == types.Double {
-						fmt.Fprintf(&out, "%x,", math.Float64bits(v.F64[r]))
-					} else {
-						fmt.Fprint(&out, v.Get(r).String(), ",")
-					}
-				}
-			}
-			out.WriteString("|")
-		}
-		return out.String()
+		return renderChunks(collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op))
 	}
 	viaOpSource := func(node plan.Node) Operator {
 		src, err := buildSource(join, nil)

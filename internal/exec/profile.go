@@ -57,10 +57,14 @@ type OpProfile struct {
 	// JoinBuildRows is the size of a join's materialized build side and
 	// JoinBuildBytes what the pool held for it and its hash table (the
 	// peak: the reservation only grows until the join closes).
-	// JoinFallback marks an Auto join that degraded to the merge join;
-	// the two counts are then what the hash build held when it gave up.
+	// JoinBuildKeys counts the table's distinct build keys, JoinTableBytes
+	// what it occupies (store and row lists). JoinFallback marks an Auto
+	// join that degraded to the merge join; the counts are then what the
+	// hash build held when it gave up.
 	JoinBuildRows  atomic.Int64
 	JoinBuildBytes atomic.Int64
+	JoinBuildKeys  atomic.Int64
+	JoinTableBytes atomic.Int64
 	JoinFallback   atomic.Bool
 
 	// SortKeyBytes is the width of one normalized sort key of the
@@ -278,6 +282,8 @@ type OpProfileSnap struct {
 	AggStateBytes   int64            `json:"agg_state_bytes,omitempty"`
 	JoinBuildRows   int64            `json:"join_build_rows,omitempty"`
 	JoinBuildBytes  int64            `json:"join_build_bytes,omitempty"`
+	JoinBuildKeys   int64            `json:"join_build_keys,omitempty"`
+	JoinTableBytes  int64            `json:"join_table_bytes,omitempty"`
 	JoinFallback    string           `json:"join_fallback,omitempty"`
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
@@ -312,6 +318,8 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		AggStateBytes:   o.AggStateBytes.Load(),
 		JoinBuildRows:   o.JoinBuildRows.Load(),
 		JoinBuildBytes:  o.JoinBuildBytes.Load(),
+		JoinBuildKeys:   o.JoinBuildKeys.Load(),
+		JoinTableBytes:  o.JoinTableBytes.Load(),
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
 		MergeRanges:     o.MergeRanges.Load(),
@@ -379,7 +387,8 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 		fmt.Fprintf(sb, " groups=%d state_bytes=%d", s.AggGroups, s.AggStateBytes)
 	}
 	if s.JoinBuildRows > 0 || s.JoinBuildBytes > 0 {
-		fmt.Fprintf(sb, " build_rows=%d build_bytes=%d", s.JoinBuildRows, s.JoinBuildBytes)
+		fmt.Fprintf(sb, " build_rows=%d build_keys=%d build_bytes=%d table_bytes=%d",
+			s.JoinBuildRows, s.JoinBuildKeys, s.JoinBuildBytes, s.JoinTableBytes)
 	}
 	if s.JoinFallback != "" {
 		fmt.Fprintf(sb, " fallback=%s", s.JoinFallback)

@@ -168,9 +168,6 @@ func Open(path string, opts Options) (*Manager, bool, error) {
 	return m, false, nil
 }
 
-// Path returns the database file path ("" for in-memory).
-func (m *Manager) Path() string { return m.path }
-
 // InMemory reports whether this database is volatile.
 func (m *Manager) InMemory() bool { return m.inMemory }
 
@@ -308,9 +305,6 @@ func (m *Manager) Checkpoint(root BlockID, newlyFree []BlockID) error {
 	m.Free(newlyFree...)
 	return m.writeHeader()
 }
-
-// Sync flushes the backing file.
-func (m *Manager) Sync() error { return m.f.Sync() }
 
 // Close syncs and closes the database file.
 func (m *Manager) Close() error {

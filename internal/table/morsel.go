@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/txn"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -60,12 +59,6 @@ func (t *DataTable) NewMorselSource(tx *txn.Transaction, opts ScanOptions) (*Mor
 		ns:      ns,
 		release: release,
 	}, nil
-}
-
-// OutputTypes returns the chunk schema every worker produces.
-func (m *MorselSource) OutputTypes() []types.Type {
-	r := segReader{t: m.t, cols: m.cols, rowIDs: m.rowIDs}
-	return r.outputTypes()
 }
 
 // NumMorsels returns the total number of morsels the source will hand

@@ -316,22 +316,6 @@ func (t *DataTable) SetSegmentStats(stats [][]ColStats) {
 	}
 }
 
-// SegmentStats snapshots the current stats of column c, one entry per
-// segment (used by the checkpointer for tables whose layout matches the
-// disk image).
-func (t *DataTable) SegmentStats(c int) []ColStats {
-	t.mu.RLock()
-	segs := t.segs
-	t.mu.RUnlock()
-	out := make([]ColStats, len(segs))
-	for i, s := range segs {
-		s.mu.RLock()
-		out[i] = s.stats[c]
-		s.mu.RUnlock()
-	}
-	return out
-}
-
 // RebuildStats recomputes every segment's per-column zone-map
 // statistics exactly from the versions still reachable by some active
 // or future snapshot (PRAGMA rebuild_stats). Runtime maintenance only

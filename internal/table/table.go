@@ -197,14 +197,6 @@ func NewPersisted(typs []types.Type, diskRows int64, loader ColumnLoader, pool *
 // Types returns the column types.
 func (t *DataTable) Types() []types.Type { return t.typs }
 
-// NumRows returns the number of allocated row slots (including rows not
-// visible to a given snapshot).
-func (t *DataTable) NumRows() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rowCount
-}
-
 // snapshotSegments returns the segment list and per-segment row counts
 // at call time. A scan bounded by them observes no rows appended
 // afterwards — not even by its own transaction — which is what makes a
@@ -269,13 +261,6 @@ func (t *DataTable) SetDiskRows(n int64) {
 	t.mu.Lock()
 	t.diskRows = n
 	t.mu.Unlock()
-}
-
-// DiskRows returns the row count covered by the persistent image.
-func (t *DataTable) DiskRows() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.diskRows
 }
 
 // ResetDirty clears all dirty flags (called after a checkpoint wrote the

@@ -96,13 +96,6 @@ func (t *Transaction) AppendLog(recType byte, payload []byte) {
 	t.mu.Unlock()
 }
 
-// HasWrites reports whether the transaction has queued any changes.
-func (t *Transaction) HasWrites() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.undo) > 0 || len(t.log) > 0
-}
-
 // CommitFlush is the durability hook the Manager calls under the commit
 // lock: it must make the log records durable (WAL append + fsync) before
 // the commit becomes visible. Errors abort the transaction.
@@ -126,13 +119,6 @@ func NewManager(flush CommitFlush) *Manager {
 		active:   make(map[uint64]*Transaction),
 		flush:    flush,
 	}
-}
-
-// SetFlush replaces the commit durability hook.
-func (m *Manager) SetFlush(f CommitFlush) {
-	m.mu.Lock()
-	m.flush = f
-	m.mu.Unlock()
 }
 
 // Begin starts a transaction whose snapshot is the latest commit.

@@ -54,15 +54,6 @@ func (m *Bitmask) SetValid(i int) {
 	m.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Set marks row i valid or invalid.
-func (m *Bitmask) Set(i int, valid bool) {
-	if valid {
-		m.SetValid(i)
-	} else {
-		m.SetInvalid(i)
-	}
-}
-
 // Reset returns the mask to the all-valid state.
 func (m *Bitmask) Reset() { m.words = nil }
 
@@ -78,24 +69,6 @@ func (m *Bitmask) CountValid(n int) int {
 		}
 	}
 	return count
-}
-
-// CopyFrom makes this mask an exact copy of src over n rows.
-func (m *Bitmask) CopyFrom(src *Bitmask, n int) {
-	if src.words == nil {
-		m.words = nil
-		return
-	}
-	w := MaskWords(n)
-	if cap(m.words) < w {
-		m.words = make([]uint64, w)
-	} else {
-		m.words = m.words[:w]
-	}
-	copy(m.words, src.words[:min(w, len(src.words))])
-	for i := len(src.words); i < w; i++ {
-		m.words[i] = ^uint64(0)
-	}
 }
 
 func (m *Bitmask) materialize(n int) {
@@ -326,18 +299,6 @@ func (v *Vector) AppendFrom(src *Vector, srcRow int) {
 	}
 }
 
-// CopyFrom makes this vector an exact copy of src.
-func (v *Vector) CopyFrom(src *Vector) {
-	v.Type = src.Type
-	v.SetLen(src.length)
-	copy(v.Bools, src.Bools)
-	copy(v.I32, src.I32)
-	copy(v.I64, src.I64)
-	copy(v.F64, src.F64)
-	copy(v.Str, src.Str)
-	v.Valid.CopyFrom(&src.Valid, src.length)
-}
-
 // AppendRange bulk-appends count rows of src starting at srcStart.
 func (v *Vector) AppendRange(src *Vector, srcStart, count int) {
 	base := v.length
@@ -548,20 +509,6 @@ func (c *Chunk) HeapBytes() int64 {
 		}
 	}
 	return total
-}
-
-// Compact keeps only the selected rows, in place (via a scratch chunk).
-func (c *Chunk) Compact(sel []int) {
-	scratch := NewChunk(c.Types())
-	c.CompactInto(scratch, sel)
-	*c = *scratch
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func maxInt(a, b int) int {

@@ -20,6 +20,8 @@ type profNode struct {
 	StateBytes  int64       `json:"agg_state_bytes"`
 	BuildRows   int64       `json:"join_build_rows"`
 	BuildBytes  int64       `json:"join_build_bytes"`
+	BuildKeys   int64       `json:"join_build_keys"`
+	TableBytes  int64       `json:"join_table_bytes"`
 	Fallback    string      `json:"join_fallback"`
 	BusyNs      int64       `json:"busy_ns"`
 	SegsScanned int64       `json:"segments_scanned"`
@@ -327,8 +329,9 @@ func TestExplainAnalyzeSortKeys(t *testing.T) {
 
 // TestExplainAnalyzeJoinBuild: the join says what it did. Its line
 // carries the build side's row count and the pool bytes held for it and
-// the table, and an Auto join that degraded to the merge join because
-// the build did not fit the budget says so — at one worker and at four.
+// the table, the table's distinct keys and the bytes it really occupies,
+// and an Auto join that degraded to the merge join because the build did
+// not fit the budget says so — at one worker and at four.
 func TestExplainAnalyzeJoinBuild(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		// Unlimited at first, whatever QUACK_MEMORY_LIMIT a CI leg exports.
@@ -372,6 +375,16 @@ func TestExplainAnalyzeJoinBuild(t *testing.T) {
 				if join.BuildRows != bigRows || join.BuildBytes != bigRows*40 || join.Fallback != "" {
 					t.Errorf("threads=%d: build_rows=%d build_bytes=%d fallback=%q, want %d rows, %d bytes, no fallback",
 						threads, join.BuildRows, join.BuildBytes, join.Fallback, bigRows, bigRows*40)
+				}
+				// The table, slice by slice: 40000 keys in a store doubled from
+				// 16 slots to 65536, each slot's hash, first position, touch
+				// stamp and key 8 B, 131072 8-byte buckets; then one 8-byte ref
+				// per row and bigRows+1 4-byte list offsets.
+				const slots, buckets = 1 << 16, 1 << 17
+				wantTable := int64(slots*4*8 + buckets*8 + bigRows*8 + (bigRows+1)*4)
+				if join.BuildKeys != bigRows || join.TableBytes != wantTable {
+					t.Errorf("threads=%d: build_keys=%d table_bytes=%d, want %d keys, %d bytes",
+						threads, join.BuildKeys, join.TableBytes, bigRows, wantTable)
 				}
 				continue
 			}
