@@ -291,8 +291,8 @@ func TestJoinProbeAllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
-// benchPerRow times b.N calls of run and reports ns/row and allocs/row
-// over the rows one call handles.
+// benchPerRow times b.N calls of run and reports ns/row, allocs/row and
+// B/row over the rows one call handles.
 func benchPerRow(b *testing.B, rows int, run func()) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -305,6 +305,7 @@ func benchPerRow(b *testing.B, rows int, run func()) {
 	n := float64(b.N) * float64(rows)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/row")
 }
 
 // probeFanoutFixture joins a 3000-row probe table (k BIGINT, d DOUBLE)

@@ -76,6 +76,10 @@ type OpProfile struct {
 	// ran on (1: the serial merge on the caller). A window cuts and
 	// evaluates its partitions where they are merged.
 	MergeRanges atomic.Int64
+	// WindowHeldRows is the most rows a window's cursor held at once: the
+	// rows of its output slices not yet emitted, and of the merged chunks
+	// a function still reads.
+	WindowHeldRows atomic.Int64
 }
 
 // noteAggBytes moves the aggregation's reserved state bytes by d and
@@ -88,6 +92,20 @@ func (o *OpProfile) noteAggBytes(d int64) {
 	for {
 		peak := o.AggStateBytes.Load()
 		if cur <= peak || o.AggStateBytes.CompareAndSwap(peak, cur) {
+			return
+		}
+	}
+}
+
+// noteWindowHeld raises the recorded window held-rows high-water mark to
+// n. A nil slot is profiling off.
+func (o *OpProfile) noteWindowHeld(n int64) {
+	if o == nil {
+		return
+	}
+	for {
+		peak := o.WindowHeldRows.Load()
+		if n <= peak || o.WindowHeldRows.CompareAndSwap(peak, n) {
 			return
 		}
 	}
@@ -288,6 +306,7 @@ type OpProfileSnap struct {
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
 	MergeRanges     int64            `json:"merge_ranges,omitempty"`
+	WindowHeldRows  int64            `json:"window_held_rows,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
 }
 
@@ -323,6 +342,7 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
 		MergeRanges:     o.MergeRanges.Load(),
+		WindowHeldRows:  o.WindowHeldRows.Load(),
 	}
 	if o.JoinFallback.Load() {
 		s.JoinFallback = "merge"
@@ -398,6 +418,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.MergeRanges > 0 {
 		fmt.Fprintf(sb, " merge_ranges=%d", s.MergeRanges)
+	}
+	if s.WindowHeldRows > 0 {
+		fmt.Fprintf(sb, " held_rows=%d", s.WindowHeldRows)
 	}
 	sb.WriteString("]\n")
 	for _, c := range s.Children {

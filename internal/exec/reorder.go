@@ -103,10 +103,9 @@ type mergeMsg struct {
 
 // rangeCursor produces one key range's output in order, a batch of
 // chunks at a time: a sorted chunk as merged (chunkCursor), or the
-// output slices of the window partitions one cut completed. nil means
-// the range is exhausted. Steps call it from pool workers, one batch per
-// step, so a range runs ahead of the consumer by whole batches — for a
-// window, whole partitions.
+// window output slices that merged chunks completed. nil means the range
+// is exhausted. Steps call it from pool workers, one batch per step, so
+// a range runs ahead of the consumer by whole batches.
 type rangeCursor interface {
 	Next() ([]*vector.Chunk, error)
 }

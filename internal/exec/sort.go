@@ -13,7 +13,8 @@ import (
 // feeds its own external sorter (building sorted runs independently,
 // sharing the sort budget and buffer pool, spilling to disk past the
 // budget), and build k-way merges every worker's runs and in-memory
-// buffers through the extsort merge machinery.
+// buffers through the extsort merge machinery. Both lay their sorted
+// rows out by one rule, sortLayout.
 //
 // Determinism: extend closes every row with a hidden tiebreak key — its
 // packed (seq, row) position in the source's stream (positionColumn) —
@@ -36,7 +37,7 @@ type sortedStream struct {
 	// cursor turns one merge range — the whole serial merge is one —
 	// into the batches the stream emits for it (chunkCursor forwards the
 	// chunks as merged).
-	cursor func(part *extsort.Iterator) rangeCursor
+	cursor func(ctx *Context, part *extsort.Iterator) rangeCursor
 
 	iter    *extsort.Iterator
 	merge   *parMergeStream // partitioned merge phase (nil: serial merge)
@@ -57,6 +58,47 @@ func positionColumn(seq, n int) *vector.Vector {
 		tie.I64[r] = packAggPos(seq, r)
 	}
 	return tie
+}
+
+// sortLayout is the one row layout of a sortedStream: the payload
+// columns, then every key that is not a plain payload column, evaluated,
+// then the hidden position column. A key that is a *expr.ColRef into the
+// payload sorts on that payload column itself, so the sorted row carries
+// no copy of it. It returns the sorted rows' types, the sort keys (one
+// per key, then the position) and the extend that widens a payload
+// chunk into that layout.
+func sortLayout(payload []types.Type, keys []plan.SortKey) ([]types.Type, []extsort.Key, func(seq int, chunk *vector.Chunk) (*vector.Chunk, error)) {
+	extTypes := append([]types.Type(nil), payload...)
+	sortKeys := make([]extsort.Key, 0, len(keys)+1)
+	var evals []expr.Expr
+	for _, k := range keys {
+		col := len(extTypes)
+		if c, ok := k.Expr.(*expr.ColRef); ok && c.Idx < len(payload) && payload[c.Idx] == c.Typ {
+			col = c.Idx
+		} else {
+			evals = append(evals, k.Expr)
+			extTypes = append(extTypes, k.Expr.Type())
+		}
+		sortKeys = append(sortKeys, extsort.Key{Col: col, Desc: k.Desc, NullsFirst: k.NullsFirst})
+	}
+	sortKeys = append(sortKeys, extsort.Key{Col: len(extTypes)})
+	extTypes = append(extTypes, types.BigInt)
+	extend := func(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
+		cols := make([]*vector.Vector, 0, len(extTypes))
+		cols = append(cols, chunk.Cols...)
+		for _, e := range evals {
+			v, err := e.Eval(chunk)
+			if err != nil {
+				return nil, err
+			}
+			cols = append(cols, v)
+		}
+		cols = append(cols, positionColumn(seq, chunk.Len()))
+		ext := &vector.Chunk{Cols: cols}
+		ext.SetLen(chunk.Len())
+		return ext, nil
+	}
+	return extTypes, sortKeys, extend
 }
 
 func (s *sortedStream) build(ctx *Context) error {
@@ -123,13 +165,13 @@ func (s *sortedStream) build(ctx *Context) error {
 			return err
 		}
 		if len(parts) > 1 {
-			s.merge = newParMergeStream(ctx, parts, s.cursor)
+			s.merge = newParMergeStream(ctx, parts, func(part *extsort.Iterator) rangeCursor { return s.cursor(ctx, part) })
 			s.out = s.merge
 			ranges = len(parts)
 		}
 	}
 	if s.out == nil {
-		s.out = s.cursor(iter)
+		s.out = s.cursor(ctx, iter)
 	}
 	if slot := ctx.Prof.Slot(s.node); slot != nil {
 		slot.MergeRanges.Store(int64(ranges))
@@ -180,9 +222,9 @@ func (s *sortedStream) Close(ctx *Context) {
 	s.src.Close(ctx)
 }
 
-// sortOp is the ORDER BY pipeline breaker: a sortedStream over (payload,
-// evaluated sort keys, tiebreak), repacked to the serial merge's chunk
-// boundaries and stripped back to the payload.
+// sortOp is the ORDER BY pipeline breaker: a sortedStream over
+// sortLayout's rows, repacked to the serial merge's chunk boundaries and
+// stripped back to the payload.
 type sortOp struct {
 	sortedStream
 	np int // payload column count
@@ -194,27 +236,11 @@ type sortOp struct {
 
 func newSortOp(src source, n *plan.SortNode) *sortOp {
 	payload := schemaTypes(n.Child.Schema())
-	np, nk := len(payload), len(n.Keys)
-	extTypes := append(append([]types.Type(nil), payload...), keyTypesOf(n)...)
-	extTypes = append(extTypes, types.BigInt) // hidden (morsel, row) tiebreak
-	keys := make([]extsort.Key, nk+1)
-	for i, k := range n.Keys {
-		keys[i] = extsort.Key{Col: np + i, Desc: k.Desc, NullsFirst: k.NullsFirst}
-	}
-	keys[nk] = extsort.Key{Col: np + nk}
-	keyExprs := keyExprsOf(n)
-	return &sortOp{np: np, sortedStream: sortedStream{
+	extTypes, keys, extend := sortLayout(payload, n.Keys)
+	return &sortOp{np: len(payload), sortedStream: sortedStream{
 		src: src, node: n,
-		extTypes: extTypes, keys: keys, rangeKeys: keys,
-		extend: func(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
-			ext, err := extendWithKeys(chunk, keyExprs)
-			if err != nil {
-				return nil, err
-			}
-			ext.Cols = append(ext.Cols, positionColumn(seq, chunk.Len()))
-			return ext, nil
-		},
-		cursor: func(part *extsort.Iterator) rangeCursor { return chunkCursor{part} },
+		extTypes: extTypes, keys: keys, rangeKeys: keys, extend: extend,
+		cursor: func(_ *Context, part *extsort.Iterator) rangeCursor { return chunkCursor{part} },
 	}}
 }
 
@@ -298,22 +324,4 @@ func splitBudget(budget int64, workers int) int64 {
 		}
 	}
 	return budget
-}
-
-func keyTypesOf(n *plan.SortNode) []types.Type {
-	out := make([]types.Type, len(n.Keys))
-	for i, k := range n.Keys {
-		out[i] = k.Expr.Type()
-	}
-	return out
-}
-
-// keyExprsOf returns the sort keys' expressions, ready for
-// extendWithKeys (shared with the merge join's run builder).
-func keyExprsOf(n *plan.SortNode) []expr.Expr {
-	out := make([]expr.Expr, len(n.Keys))
-	for i, k := range n.Keys {
-		out[i] = k.Expr
-	}
-	return out
 }

@@ -26,6 +26,10 @@ var benchRegions = []string{"amer", "apac", "emea", "latam", "mena", "nordics", 
 // benchShapes are the benchmark's sort class (id, qty, price ORDER BY
 // qty DESC, price, id) and its window class led by the low-cardinality
 // VARCHAR partition key (PARTITION BY region ORDER BY qty DESC, id).
+// The engine keys both on the payload columns themselves, as here, and
+// adds only its hidden position column: ORDER BY gathers 4 columns per
+// merged row and the window 5 (exec's BenchmarkWindow measures the
+// whole window operator).
 var benchShapes = []benchShape{
 	{
 		name:  "sort",

@@ -9,10 +9,9 @@
 //
 // Only tests and internal/bench import it. It shares no operator, state
 // layout, update or finish code with internal/exec (and does not import
-// it); the two meet only at the logical plan and at the three helpers
-// both must agree on — types.CanonF64Bits, the types value-key codec and
-// plan.WindowFrame.Bounds — so agreement between the engines is
-// evidence, not tautology. It does not enforce the memory budget and
+// it); the two meet only at the logical plan and at the two helpers
+// both must agree on — types.CanonF64Bits and the types value-key codec —
+// so agreement between the engines is evidence, not tautology. It does not enforce the memory budget and
 // never spills: budgeted runs of the vectorized engine are compared
 // against this unbudgeted reference.
 package oracle
@@ -71,6 +70,14 @@ func Query(db DB, sqlText string, params ...types.Value) ([][]types.Value, error
 // first-seen order.
 func Aggregate(node *plan.AggNode, rows [][]types.Value) ([][]types.Value, error) {
 	return run(nil, &rowAgg{child: &rowSlice{rows: rows}, node: node})
+}
+
+// Window runs node's window functions over the given boxed rows
+// (node.Child is not consulted), returning the
+// rows in (partition keys, order keys, input position) order, each
+// followed by one value per function.
+func Window(node *plan.WindowNode, rows [][]types.Value) ([][]types.Value, error) {
+	return run(nil, &rowWindow{child: &rowSlice{rows: rows}, node: node})
 }
 
 // rowIterator produces one row at a time; nil row means exhausted.
@@ -155,7 +162,7 @@ func run(tx *txn.Transaction, it rowIterator) ([][]types.Value, error) {
 	}
 }
 
-// rowSlice replays boxed rows (the input of Aggregate).
+// rowSlice replays boxed rows (the input of Aggregate and Window).
 type rowSlice struct {
 	rows [][]types.Value
 	pos  int

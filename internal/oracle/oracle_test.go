@@ -116,6 +116,8 @@ func TestOracleHandComputed(t *testing.T) {
 			[]string{"10|NULL|20|-1", "20|10|30|-1", "30|20|40|10", "40|30|NULL|20", "7|NULL|NULL|-1"}},
 		{"rows_frame", "SELECT x, sum(x) OVER (ORDER BY o, x ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING), count(*) OVER (ORDER BY o, x ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) FROM s",
 			[]string{"10|30|2", "20|60|3", "30|90|3", "40|77|3", "7|47|2"}},
+		{"huge_frame_offsets", "SELECT x, sum(x) OVER (ORDER BY o, x ROWS BETWEEN CURRENT ROW AND 9223372036854775807 FOLLOWING), sum(x) OVER (ORDER BY o, x ROWS BETWEEN 9223372036854775807 PRECEDING AND 9223372036854775807 FOLLOWING) FROM s",
+			[]string{"10|107|107", "20|97|107", "30|77|107", "40|47|107", "7|7|107"}},
 		{"distinct", "SELECT g, count(DISTINCT x), sum(DISTINCT x), count(x), sum(x) FROM d GROUP BY g",
 			[]string{"1|2|12|3|17", "2|1|3|2|6"}},
 		{"float_keys", "SELECT x, count(*), sum(n) FROM f GROUP BY x",

@@ -13,10 +13,10 @@ import (
 // order keys) — insertion order is the hidden tiebreak, exactly the
 // vectorized engine's (partition, order, position) total order — cut
 // into partitions, and every function is computed with boxed per-row
-// accumulation. Frame semantics are shared with the vectorized engine
-// through plan.WindowFrame.Bounds, and DOUBLE aggregates fold left-to-right in
-// partition order, so the output matches the chunked executors
-// bit-for-bit, row order included.
+// accumulation. Frames are resolved per row by plan.WindowFrame.Bounds,
+// which the streaming vectorized operator does not use, and DOUBLE
+// aggregates fold left-to-right in partition order, so the output
+// matches the chunked executors bit-for-bit, row order included.
 type rowWindow struct {
 	child rowIterator
 	node  *plan.WindowNode
@@ -220,7 +220,7 @@ func (w *rowWindow) evalPartition(rows, oks [][]types.Value, part []int) error {
 				}
 			}
 		default: // count, sum, avg, min, max
-			bounds, _ := w.node.Frame.Bounds(n, peerStart, peerEnd, len(w.node.OrderBy) > 0)
+			bounds := w.node.Frame.Bounds(n, peerStart, peerEnd, len(w.node.OrderBy) > 0)
 			for i := 0; i < n; i++ {
 				lo, hi := bounds(i)
 				if lo < 0 {
@@ -247,7 +247,7 @@ func (w *rowWindow) evalPartition(rows, oks [][]types.Value, part []int) error {
 }
 
 // rowFrameAgg folds one frame [lo, hi] left-to-right over boxed values,
-// mirroring frameAcc's semantics (NULLs skipped; empty frames yield
+// mirroring the engine's frame aggregates (NULLs skipped; empty frames yield
 // NULL, count 0).
 func rowFrameAgg(f *plan.WindowFunc, args []types.Value, lo, hi int) types.Value {
 	var (

@@ -278,20 +278,20 @@ type WindowFrame struct {
 
 // Bounds resolves the frame into a per-row [lo, hi] row interval
 // (unclamped) over a partition of n rows in (order keys, input position)
-// order; peerStart and peerEnd give every row's ORDER BY peer group.
-// growing reports that lo is pinned at 0 and hi never decreases, which
-// lets an evaluator accumulate incrementally. The vectorized window
-// operator and the row-engine oracle both resolve frames here, so frame
-// semantics exist once.
-func (f WindowFrame) Bounds(n int, peerStart, peerEnd []int, hasOrder bool) (bounds func(i int) (lo, hi int), growing bool) {
+// order; peerStart and peerEnd give every row's ORDER BY peer group. An
+// offset reaching past the partition resolves to just outside it (-1 or
+// n). The row-engine oracle resolves frames here; the vectorized window
+// operator streams the same frames without materializing a partition, so
+// the two implement frame semantics independently.
+func (f WindowFrame) Bounds(n int, peerStart, peerEnd []int, hasOrder bool) func(i int) (lo, hi int) {
 	if !f.Set {
 		if !hasOrder {
 			// Whole partition.
-			return func(int) (int, int) { return 0, n - 1 }, true
+			return func(int) (int, int) { return 0, n - 1 }
 		}
 		// SQL default: RANGE UNBOUNDED PRECEDING .. CURRENT ROW — the
 		// running frame including the current row's peers.
-		return func(i int) (int, int) { return 0, peerEnd[i] }, true
+		return func(i int) (int, int) { return 0, peerEnd[i] }
 	}
 	resolve := func(b FrameBound, start bool) func(i int) int {
 		switch {
@@ -308,17 +308,27 @@ func (f WindowFrame) Bounds(n int, peerStart, peerEnd []int, hasOrder bool) (bou
 			}
 			return func(i int) int { return peerEnd[i] }
 		case b.Preceding:
+			// Offsets saturate at the partition edge instead of wrapping.
 			off := int(b.Offset)
-			return func(i int) int { return i - off }
+			return func(i int) int {
+				if off > i {
+					return -1
+				}
+				return i - off
+			}
 		default:
 			off := int(b.Offset)
-			return func(i int) int { return i + off }
+			return func(i int) int {
+				if off > n-1-i {
+					return n
+				}
+				return i + off
+			}
 		}
 	}
 	lo := resolve(f.Start, true)
 	hi := resolve(f.End, false)
-	growing = f.Start.Unbounded && f.Start.Preceding
-	return func(i int) (int, int) { return lo(i), hi(i) }, growing
+	return func(i int) (int, int) { return lo(i), hi(i) }
 }
 
 // WindowNode evaluates window functions sharing one OVER specification:

@@ -30,8 +30,8 @@ func (m *Bitmask) AllValid() bool { return m.words == nil }
 
 // IsValid reports whether row i is valid. Rows beyond the materialized
 // words were never invalidated (SetInvalid/SetValid grow the mask), so
-// they are valid — vectors longer than the materialized prefix (e.g.
-// window partition buffers) read correctly.
+// they are valid — vectors longer than the materialized prefix (e.g. a
+// window's output slices, filled by appending) read correctly.
 func (m *Bitmask) IsValid(i int) bool {
 	if m.words == nil || i>>6 >= len(m.words) {
 		return true

@@ -2,6 +2,7 @@ package quack_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -270,9 +271,12 @@ func evalRef(t *testing.T, rows [][]types.Value, c refCase) map[int64]types.Valu
 		var key strings.Builder
 		for _, p := range c.part {
 			v := row[p]
-			if v.Null {
+			switch {
+			case v.Null:
 				key.WriteString("\x00N")
-			} else {
+			case v.Type == types.Double: // -0 = +0, every NaN one key
+				fmt.Fprintf(&key, "\x01%x\x00", types.CanonF64Bits(v.F64))
+			default:
 				key.WriteString("\x01" + v.String() + "\x00")
 			}
 		}
@@ -590,6 +594,131 @@ func TestWindowDifferentialFuzz(t *testing.T) {
 				baseline = got
 			} else if fmt.Sprint(got) != fmt.Sprint(baseline) {
 				t.Fatalf("case %d %s [%s]: diverges across thread counts", ci, expr, name)
+			}
+		}
+	}
+}
+
+// streamFixtureRows is the second fixture, shaped for the places a
+// streaming window can break. Partitioned by o (DOUBLE), sorted NULLs
+// first: the NULL partition is rows [0, 1024) and the ±0.0 partition
+// rows [1024, 3072), so both start and end on a merged-chunk boundary;
+// -0.0 and +0.0 share a partition, and so do two NaN payloads. Ordered
+// by d within o = 1.5, one peer group (d = 7) spans about 3,400 rows,
+// more than three merged chunks. d also holds ±0.0 and both NaN payloads. The
+// rows are inserted shuffled, so the sort has work to do.
+func streamFixtureRows() [][]types.Value {
+	nanA, nanB := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000abc)
+	type part struct {
+		o    types.Value
+		rows int
+	}
+	parts := []part{
+		{types.NewNull(types.Double), 1024}, {types.NewDouble(0), 2048}, {types.NewDouble(1.5), 3500},
+		{types.NewDouble(nanA), 700}, {types.NewDouble(2.5), 5},
+	}
+	var okeys []types.Value
+	for _, p := range parts {
+		for i := 0; i < p.rows; i++ {
+			o := p.o
+			if !o.Null && o.F64 == 0 && i%2 == 1 {
+				o = types.NewDouble(math.Copysign(0, -1))
+			}
+			if !o.Null && o.F64 != o.F64 && i%2 == 1 {
+				o = types.NewDouble(nanB)
+			}
+			okeys = append(okeys, o)
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	rng.Shuffle(len(okeys), func(i, j int) { okeys[i], okeys[j] = okeys[j], okeys[i] })
+	ds := []types.Value{types.NewDouble(0), types.NewDouble(math.Copysign(0, -1)), types.NewDouble(nanA),
+		types.NewDouble(nanB), types.NewNull(types.Double), types.NewDouble(-2.25), types.NewDouble(3.5)}
+	groups := []string{"ash", "birch", "cedar"}
+	rows := make([][]types.Value, len(okeys))
+	for i, o := range okeys {
+		row := make([]types.Value, 6)
+		row[wID] = types.NewBigInt(int64(i))
+		row[wP] = types.NewVarchar(groups[i%len(groups)])
+		row[wG] = types.NewBigInt(int64(i % 4))
+		row[wO] = o
+		if !o.Null && o.F64 == 1.5 && rng.Intn(35) != 0 {
+			row[wD] = types.NewDouble(7)
+		} else {
+			row[wD] = ds[rng.Intn(len(ds))]
+		}
+		if i%11 == 0 {
+			row[wV] = types.NewNull(types.BigInt)
+		} else {
+			row[wV] = types.NewBigInt(int64((i*29)%1000 - 500))
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestWindowDifferentialStream runs the streaming window's edge cases
+// over streamFixtureRows — peer groups and partitions longer than a
+// merged chunk, partitions cut exactly at a chunk boundary, lag/lead
+// reaching 1,500 rows and frames 1,100 rows wide, DOUBLE keys holding
+// ±0.0 and NaN payloads — against the reference evaluator and the
+// row-engine oracle at threads 1, 2 and 8.
+func TestWindowDifferentialStream(t *testing.T) {
+	rows := streamFixtureRows()
+	dbs := []*quack.DB{windowDB(t, 1, rows), windowDB(t, 2, rows), windowDB(t, 8, rows)}
+	partO := []int{wO}
+	ordD := []refOrd{{col: wD}}
+	ordDID := []refOrd{{col: wD}, {col: wID}}
+	wide := refFrame{set: true, rows: true, start: refBound{offset: 1100, preceding: true}, end: refBound{offset: 1100}}
+	cases := []refCase{
+		{fn: "row_number", arg: -1, part: partO, ord: ordD},
+		{fn: "rank", arg: -1, part: partO, ord: ordD},
+		{fn: "dense_rank", arg: -1, part: partO, ord: []refOrd{{col: wD, desc: true, nullsFirst: true}}},
+		{fn: "sum", arg: wV, part: partO, ord: ordD},
+		{fn: "sum", arg: wD, part: partO, ord: ordD},
+		{fn: "count", arg: wD, part: partO, ord: ordD,
+			frame: refFrame{set: true, start: refBound{current: true}, end: refBound{current: true}}},
+		{fn: "avg", arg: wV, part: partO, ord: ordD,
+			frame: refFrame{set: true, start: refBound{current: true}, end: refBound{unbounded: true}}},
+		{fn: "count_star", arg: -1, part: partO},
+		{fn: "lag", arg: wV, off: 1500, def: types.NewNull(types.BigInt), part: partO, ord: ordDID},
+		{fn: "lead", arg: wV, off: 1500, def: types.NewBigInt(-1), part: partO, ord: ordDID},
+		{fn: "lead", arg: wD, off: 1500, def: types.NewNull(types.BigInt), part: partO, ord: ordDID},
+		{fn: "sum", arg: wV, part: partO, ord: ordDID, frame: wide},
+		{fn: "sum", arg: wD, part: partO, ord: ordDID, frame: wide},
+		{fn: "min", arg: wD, part: partO, ord: ordDID, frame: wide},
+		{fn: "max", arg: wD, part: partO, ord: ordDID, frame: wide},
+		{fn: "max", arg: wV, part: []int{wO, wP}, ord: ordDID,
+			frame: refFrame{set: true, rows: true, start: refBound{unbounded: true, preceding: true}, end: refBound{offset: 1100}}},
+		{fn: "count", arg: wV, part: partO, ord: ordDID,
+			frame: refFrame{set: true, rows: true, start: refBound{offset: 1500, preceding: true}, end: refBound{offset: 1100, preceding: true}}},
+		{fn: "sum", arg: wV, ord: []refOrd{{col: wO}, {col: wD}}},
+		{fn: "min", arg: wD, part: []int{wD}},
+	}
+	for ci, c := range cases {
+		expr := c.sql()
+		q := "SELECT id, " + expr + " FROM w ORDER BY id"
+		want := evalRef(t, rows, c)
+		oracleRows, err := oracle.Query(dbs[0].Internal(), q)
+		if err != nil {
+			t.Fatalf("case %d %s: row engine: %v", ci, expr, err)
+		}
+		for _, row := range oracleRows {
+			if got, exp := row[1].String(), want[row[0].I64].String(); got != exp {
+				t.Fatalf("case %d %s id=%d: row engine %q, reference %q", ci, expr, row[0].I64, got, exp)
+			}
+		}
+		for di, db := range dbs {
+			got := queryAll(t, db, q)
+			if len(got) != len(rows) {
+				t.Fatalf("case %d %s [db %d]: %d rows, want %d", ci, expr, di, len(got), len(rows))
+			}
+			for _, row := range got {
+				var id int64
+				fmt.Sscan(row[0], &id)
+				if exp := want[id].String(); row[1] != exp {
+					t.Fatalf("case %d %s [db %d] id=%d: got %q, want %q", ci, expr, di, id, row[1], exp)
+				}
 			}
 		}
 	}
