@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"time"
+
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -20,11 +22,11 @@ import (
 // each aggregate runs one typed loop over its argument column against
 // flat per-slot state columns (agg_store.go, agg_kernels.go).
 //
-// Under an enforced memory budget the workers spill partitions to
-// sorted state runs and the finish phase merges resident partials with
-// the runs partition-by-partition across ctx.Threads workers (see
-// agg_spill.go) — the memory envelope stays bounded at every worker
-// count.
+// Under an enforced memory budget the workers spill partitions to state
+// runs. The finish folds the resident partials in place and, only if
+// something spilled, re-loads every partition by hash across
+// ctx.Threads workers (see agg_spill.go) — the memory envelope stays
+// bounded at every worker count.
 type aggOp struct {
 	src  source
 	node *plan.AggNode
@@ -82,6 +84,7 @@ func (a *aggOp) build(ctx *Context) error {
 	if err != nil {
 		return err
 	}
+	t0 := time.Now()
 	fin, err := finishAggTables(ctx, a.node, a.tables)
 	if err != nil {
 		return err
@@ -89,6 +92,10 @@ func (a *aggOp) build(ctx *Context) error {
 	a.fin = fin
 	if slot := ctx.Prof.Slot(a.node); slot != nil {
 		slot.AggGroups.Store(fin.groups)
+		slot.AggFinishNs.Store(max(time.Since(t0).Nanoseconds(), 1))
+		slot.AggFolded.Store(fin.folded)
+		slot.AggReloadedParts.Store(fin.reloaded)
+		slot.AggResplitDepth.Store(int64(fin.depth))
 	}
 	return nil
 }

@@ -183,24 +183,6 @@ func distinctSetBytes(set map[string]struct{}) int64 {
 	return b
 }
 
-// clearTo zeroes the first n entries of a column the aggregate's kind
-// allocates (the others stay nil).
-func clearTo[T any](col []T, n int) { clear(col[:min(n, len(col))]) }
-
-func (c *aggCol) reset(n int) {
-	clearTo(c.count, n)
-	clearTo(c.sumI, n)
-	clearTo(c.sumF, n)
-	clearTo(c.curF, n)
-	clearTo(c.set, n)
-	clearTo(c.bestI, n)
-	clearTo(c.bestF, n)
-	clearTo(c.bestS, n)
-	clearTo(c.distinct, n)
-	c.leafSlot, c.leafSeq, c.leafSum = c.leafSlot[:0], c.leafSeq[:0], c.leafSum[:0]
-	c.distBytes = 0
-}
-
 // ---- kernels ----
 
 // update folds one chunk's argument column into the slots its rows
@@ -498,68 +480,43 @@ func (o *leavesBySeq) Swap(i, j int) {
 	o.sums[i], o.sums[j] = o.sums[j], o.sums[i]
 }
 
-// ---- merging ----
+// ---- folding ----
 
-// absorb folds src's slots into this column; to maps a source slot to
-// its slot here. A slot opened by the merge is zero, so folding into it
-// is a copy.
-func (c *aggCol) absorb(src *aggCol, to []uint32) {
+// fold folds slot ss of src, the same aggregate in another store, into
+// slot. Counts, integer sums, min/max and set unions commute. A DOUBLE
+// sum's state is its leaves — sumF is still zero wherever partials meet
+// (see aggTable.retain) — delimited in src by leafStart (groupLeaves),
+// appended here and ordered by foldLeaves.
+func (c *aggCol) fold(slot uint32, src *aggCol, ss uint32, leafStart []uint32) {
 	switch c.kind {
 	case aggCountStar, aggCount:
-		for ss, sl := range to {
-			c.count[sl] += src.count[ss]
-		}
-	case aggSumInt:
-		for ss, sl := range to {
-			c.count[sl] += src.count[ss]
-			c.sumI[sl] += src.sumI[ss]
-		}
+		c.count[slot] += src.count[ss]
 	case aggSumFloat:
-		// Pending subtotals were flushed before the merge: with retain
-		// the sums travel as leaves and sumF is still zero everywhere.
-		for ss, sl := range to {
-			c.count[sl] += src.count[ss]
+		c.count[slot] += src.count[ss]
+		lo, hi := leafStart[ss], leafStart[ss+1]
+		for range hi - lo {
+			c.leafSlot = append(c.leafSlot, slot)
 		}
-		// Exact capacities: the merge reserved the two leaf lists' sizes,
-		// not what append's doubling would take.
-		n := len(c.leafSlot) + len(src.leafSlot)
-		c.leafSlot = append(make([]uint32, 0, n), c.leafSlot...)
-		c.leafSeq = append(append(make([]int64, 0, n), c.leafSeq...), src.leafSeq...)
-		c.leafSum = append(append(make([]float64, 0, n), c.leafSum...), src.leafSum...)
-		for _, ss := range src.leafSlot {
-			c.leafSlot = append(c.leafSlot, to[ss])
-		}
+		c.leafSeq = append(c.leafSeq, src.leafSeq[lo:hi]...)
+		c.leafSum = append(c.leafSum, src.leafSum[lo:hi]...)
+	case aggSumInt:
+		c.count[slot] += src.count[ss]
+		c.sumI[slot] += src.sumI[ss]
 	case aggMinMax:
-		for ss, sl := range to {
-			if !src.set[ss] {
-				continue
-			}
-			switch c.argType {
-			case types.Double:
-				keepBest(c.bestF, c.set, sl, src.bestF[ss], floatBetter(src.bestF[ss], c.bestF[sl], c.isMax))
-			case types.Varchar:
-				keepBest(c.bestS, c.set, sl, src.bestS[ss], ordBetter(src.bestS[ss], c.bestS[sl], c.isMax))
-			default:
-				keepBest(c.bestI, c.set, sl, src.bestI[ss], ordBetter(src.bestI[ss], c.bestI[sl], c.isMax))
-			}
+		if !src.set[ss] {
+			return
+		}
+		switch c.argType {
+		case types.Double:
+			keepBest(c.bestF, c.set, slot, src.bestF[ss], floatBetter(src.bestF[ss], c.bestF[slot], c.isMax))
+		case types.Varchar:
+			keepBest(c.bestS, c.set, slot, src.bestS[ss], ordBetter(src.bestS[ss], c.bestS[slot], c.isMax))
+		default:
+			keepBest(c.bestI, c.set, slot, src.bestI[ss], ordBetter(src.bestI[ss], c.bestI[slot], c.isMax))
 		}
 	case aggDistinct:
-		for ss, sl := range to {
-			set := src.distinct[ss]
-			if set == nil {
-				continue
-			}
-			if c.distinct[sl] == nil {
-				c.distinct[sl] = set
-				c.distBytes += distinctSetBytes(set)
-				continue
-			}
-			for k := range set {
-				if _, ok := c.distinct[sl][k]; !ok {
-					c.distinct[sl][k] = struct{}{}
-					c.distBytes += int64(len(k)) + distinctValueBytes
-				}
-			}
+		for k := range src.distinct[ss] {
+			c.addDistinctKey(slot, []byte(k))
 		}
 	}
 }
@@ -676,16 +633,17 @@ func (c *aggCol) foldState(r *stateReader, slot uint32) {
 
 // ---- finishing ----
 
-// finish writes the aggregate's result for the slots in sel into out,
-// whose type is the aggregate's result type.
-func (c *aggCol) finish(out *vector.Vector, sel []uint32) {
+// finish writes the aggregate's result for the slots in sel into rows
+// at, at+1, ... of out, whose type is the aggregate's result type.
+func (c *aggCol) finish(out *vector.Vector, at int, sel []uint32) {
 	switch c.kind {
 	case aggCountStar, aggCount:
 		for i, s := range sel {
-			out.I64[i] = c.count[s]
+			out.I64[at+i] = c.count[s]
 		}
 	case aggSumInt:
 		for i, s := range sel {
+			i += at
 			switch n := c.count[s]; {
 			case n == 0:
 				out.SetNull(i)
@@ -697,6 +655,7 @@ func (c *aggCol) finish(out *vector.Vector, sel []uint32) {
 		}
 	case aggSumFloat:
 		for i, s := range sel {
+			i += at
 			switch n := c.count[s]; {
 			case n == 0:
 				out.SetNull(i)
@@ -708,6 +667,7 @@ func (c *aggCol) finish(out *vector.Vector, sel []uint32) {
 		}
 	case aggMinMax:
 		for i, s := range sel {
+			i += at
 			if !c.set[s] {
 				out.SetNull(i)
 				continue
@@ -727,7 +687,7 @@ func (c *aggCol) finish(out *vector.Vector, sel []uint32) {
 		}
 	case aggDistinct:
 		for i, s := range sel {
-			out.Set(i, c.finishDistinct(c.distinct[s]))
+			out.Set(at+i, c.finishDistinct(c.distinct[s]))
 		}
 	}
 }

@@ -25,7 +25,7 @@ func AggWorkersAdmitted(limit int64, threads int, n *plan.AggNode) int {
 	// What a store holding one morsel of all-new groups is charged: its
 	// per-slot columns and table buckets, plus arena keys at a nominal 16
 	// bytes per VARCHAR.
-	st := newGroupStore(n, true, false)
+	st := newGroupStore(n, true)
 	floor := st.bytesAt(table.SegRows, 0)
 	if !st.fixed {
 		for _, t := range st.keyTypes {

@@ -1,11 +1,14 @@
 package exec
 
 import (
-	"bytes"
 	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/extsort"
@@ -18,10 +21,13 @@ import (
 // an aggOp keeps its groups in one groupStore; the top bits of a group's
 // key hash assign it to one of aggFanout partitions. Under an enforced
 // memory budget the slots of a partition whose state no longer fits are
-// written to a sorted-key state run (extsort.StateRun), the store is
-// compacted and the budget returned; the finish phase spills each
-// table's resident remainder and merges every partition's runs
-// partition-by-partition across ctx.Threads workers.
+// written, with their stored hashes, to a state run (extsort.StateRun),
+// the store is compacted and the budget returned. The finish never
+// spills what is resident: if nothing spilled, the tables' partials fold
+// in place into the earliest table holding the same key; else each
+// partition is re-loaded into one store by hash — its runs and the
+// tables' resident slots of it — across ctx.Threads workers, re-split on
+// the next hash bits when it does not fit (see finishAggTables).
 //
 // Determinism at every thread count and every budget:
 //   - counts, integer sums, min/max and DISTINCT value sets merge
@@ -34,9 +40,10 @@ import (
 //     exactly;
 //   - emission orders groups by firstPos, the packed (morsel, row)
 //     position of first appearance, which is the input stream's
-//     first-seen order; the spilled path routes finished rows through
-//     per-worker extsort sorters keyed on firstPos and one MergeFinish
-//     stream, so even the output sort is memory-bounded.
+//     first-seen order: the resident path merges the tables' slots
+//     by it, the spilled path routes finished rows through per-worker
+//     extsort sorters keyed on it and one MergeFinish stream, so even
+//     the output sort is memory-bounded.
 
 // aggTable is one accumulation thread's group store with its budget,
 // spill runs and per-chunk driver. It is not safe for concurrent use;
@@ -73,6 +80,7 @@ type aggTable struct {
 	groupVecs []*vector.Vector
 	argVecs   []*vector.Vector
 	keys      keyScratch
+	keyBuf    []byte // a spilled record's key and payload, reused
 	payBuf    []byte
 	// inflight is the resolved prefix of the chunk being probed while the
 	// store makes room mid-chunk; a compaction renumbers it in place.
@@ -101,7 +109,7 @@ func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 	}
 	t.spillable = ctx.Pool != nil && ctx.Pool.Limit() > 0
 	t.retain = tables > 1 || t.spillable
-	t.store = newGroupStore(n, t.retain, false)
+	t.store = newGroupStore(n, t.retain)
 	if t.spillable {
 		t.softCap = max(ctx.Pool.Limit()/int64(2*max(tables, 1)), 1)
 	}
@@ -323,7 +331,7 @@ func (t *aggTable) spillOne() (bool, error) {
 			keep = append(keep, uint32(sl))
 		}
 	}
-	if err := t.writeRun(best, victims, t.leafIndex(victims)); err != nil {
+	if err := t.writeRun(best, victims); err != nil {
 		return true, err
 	}
 	// Compact to the survivors plus an eighth, never past the old
@@ -344,30 +352,20 @@ func (t *aggTable) spillOne() (bool, error) {
 	return true, t.settle()
 }
 
-// leafIndex flushes the pending DOUBLE subtotal of every slot about to
-// be spilled into its leaves and groups each aggregate's leaves by slot
-// for writeRun.
-func (t *aggTable) leafIndex(slots []uint32) [][]uint32 {
+// writeRun serializes the given slots of partition p to a state run, in
+// slot order (the finish re-loads a run by hash), their pending DOUBLE
+// subtotals flushed into leaves first. The slots stay in the store; the
+// caller drops them.
+func (t *aggTable) writeRun(p int, slots []uint32) error {
 	st := t.store
-	idx := make([][]uint32, len(st.aggs))
 	for j := range st.aggs {
-		c := &st.aggs[j]
-		if c.kind != aggSumFloat {
-			continue
+		if c := &st.aggs[j]; c.kind == aggSumFloat {
+			for _, sl := range slots {
+				c.flush(sl, st.touch[sl]-1, true)
+			}
 		}
-		for _, sl := range slots {
-			c.flush(sl, st.touch[sl]-1, true)
-		}
-		idx[j] = c.groupLeaves(st.n)
 	}
-	return idx
-}
-
-// writeRun serializes the given slots of partition p to a sorted-key
-// state run. The slots stay in the store; the caller drops them.
-func (t *aggTable) writeRun(p int, slots []uint32, leaves [][]uint32) error {
-	st := t.store
-	keys := st.sortSlotsByKey(slots)
+	leaves := st.leafIndex()
 	if t.spillFile == nil {
 		sf, err := extsort.NewStateSpillFile(t.tmpDir)
 		if err != nil {
@@ -380,9 +378,10 @@ func (t *aggTable) writeRun(p int, slots []uint32, leaves [][]uint32) error {
 	if err != nil {
 		return err
 	}
-	for i, sl := range slots {
+	for _, sl := range slots {
+		t.keyBuf = st.appendKey(t.keyBuf[:0], sl)
 		t.payBuf = st.appendState(t.payBuf[:0], sl, leaves)
-		if err := w.Append(keys[i], t.payBuf); err != nil {
+		if err := w.Append(t.keyBuf, t.payBuf); err != nil {
 			w.Abort()
 			return err
 		}
@@ -407,37 +406,10 @@ func (t *aggTable) writeRun(p int, slots []uint32, leaves [][]uint32) error {
 	return nil
 }
 
-// spillAll spills every partition's remaining resident slots and drops
-// the store. The finish phase calls it (nothing is in flight anymore) so
-// the merge streams from runs with O(block) memory and the output
-// sorters inherit the whole budget.
-func (t *aggTable) spillAll() error {
-	t.curTouch = 0 // no morsel in flight; every slot is spillable
-	st := t.store
-	var parts [aggFanout][]uint32
-	all := make([]uint32, st.n)
-	for sl := range all {
-		all[sl] = uint32(sl)
-		p := aggPartOfHash(st.hashes[sl])
-		parts[p] = append(parts[p], uint32(sl))
-	}
-	leaves := t.leafIndex(all)
-	for p, slots := range parts {
-		if len(slots) == 0 {
-			continue
-		}
-		if err := t.writeRun(p, slots, leaves); err != nil {
-			return err
-		}
-	}
-	t.dropStore()
-	return nil
-}
-
 // dropStore frees the store and its reservation (its groups were
 // spilled or merged into another table's store).
 func (t *aggTable) dropStore() {
-	t.store = newGroupStore(t.node, t.retain, false)
+	t.store = newGroupStore(t.node, t.retain)
 	if t.reserved > 0 {
 		t.release(t.reserved)
 	}
@@ -455,334 +427,361 @@ func (t *aggTable) close() {
 
 // ---- finish phase ----
 
-// aggFinish streams the merged groups of one or more aggTables in
-// first-seen (firstPos) order. Without spills it emits straight from the
-// one store the partials were merged into; with spills it streams a
-// MergeFinish iterator over per-worker firstPos-keyed sorters fed by
-// the partition merges.
+// aggFinish streams the finished groups of one or more aggTables in
+// first-seen (firstPos) order: straight from the tables' stores when
+// nothing spilled, else from a MergeFinish iterator over the firstPos-
+// keyed sorters the partition re-loads fed.
 type aggFinish struct {
 	node     *plan.AggNode
 	outTypes []types.Type
 
-	// In-memory path: the final store and the slots in emission order
-	// (nil: slot order, which for a lone table is arrival order).
+	parts []finishPart      // resident path: the tables' slots
+	left  int64             // resident path: groups not yet emitted
+	iter  *extsort.Iterator // spilled path
+
+	groups, folded, reloaded int64   // folded across tables; partitions with runs
+	depth                    int     // deepest re-split (0: none)
+	mergeGroups              []int64 // groups each finish worker re-loaded (test hook)
+}
+
+// finishPart is one table's slots in firstPos order and the next one to
+// emit.
+type finishPart struct {
 	store *groupStore
 	order []uint32
 	pos   int
-	sel   []uint32
-
-	iter *extsort.Iterator // spilled path
-
-	groups      int64
-	mergeGroups []int64 // groups merged per finish worker (test hook)
 }
 
-// finishAggTables merges the tables (one per accumulation thread) into
-// an emission stream. On success ownership of any output-sorter files
-// moves to the returned finish; the tables themselves (reservations,
-// state runs, the final store) stay owned by the caller and must outlive
-// the stream.
+func (p *finishPart) head() int64 { return p.store.firstPos[p.order[p.pos]] }
+
+// finishAggTables finishes the tables (one per accumulation thread) into
+// an emission stream without spilling what is resident: if nothing
+// spilled, their groups fold in place (foldTables) and the tables' slots
+// are emitted in firstPos order from their stores; else every partition
+// is re-loaded by hash, which folds across the tables too, and emitted
+// through sorters (reload). On success ownership of any output-sorter
+// files moves to the returned finish; the tables stay the caller's and
+// must outlive the stream.
 func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*aggFinish, error) {
 	f := &aggFinish{node: node, outTypes: schemaTypes(node.Schema())}
-
-	// Finish pending per-morsel DOUBLE subtotals before any merge.
 	spilled := false
 	for _, t := range tables {
-		t.curTouch = 0 // no morsel in flight anymore
+		t.curTouch = 0      // no morsel in flight anymore
+		t.spillable = false // and nothing spills from here on
 		t.store.flushPending()
 		spilled = spilled || t.spills > 0
 	}
-	if !spilled {
-		merged, err := mergeResidentStores(tables)
-		if err != nil {
-			return nil, err
-		}
-		spilled = !merged
+	if spilled {
+		return f, f.reload(ctx, tables)
 	}
-	if !spilled {
-		st := tables[0].store
-		st.foldLeaves()
-		if err := tables[0].settle(); err != nil { // the leaves are gone: only ever a release
-			return nil, err
-		}
-		if len(node.GroupBy) == 0 && st.n == 0 {
-			// A global aggregation over zero rows yields one row: count =
-			// 0, other aggregates NULL — an untouched slot.
-			st.rebuild(nil, 1, 0)
-			st.newSlot(0, 0)
-		}
-		f.store = st
-		f.groups = int64(st.n)
-		// Slots are in arrival order; that is firstPos order unless
-		// partials were merged or a morsel arrived in several chunks.
-		if !slices.IsSorted(st.firstPos[:st.n]) {
-			f.order = make([]uint32, st.n)
-			for i := range f.order {
-				f.order[i] = uint32(i)
-			}
-			slices.SortFunc(f.order, func(a, b uint32) int {
-				return cmp.Or(cmp.Compare(st.firstPos[a], st.firstPos[b]), cmp.Compare(a, b))
-			})
-		}
-		return f, nil
-	}
-
-	// Spill the remaining resident partials too: the merge then streams
-	// every partition from sorted runs with O(block) memory, and the
-	// budget the resident states held moves to the output sorters (which
-	// spill in turn if even the finished groups exceed it).
+	f.foldTables(tables)
+	// Settle the reservations with the stores: the fold moved state
+	// between the tables, so only the net change reaches the pool. What
+	// the finish adds — the leaves of the subtotals pending at the end of
+	// the input, gone again once folded — is reserved best-effort, like a
+	// run cursor's block: this is the path that hands the budget back.
+	var net int64
 	for _, t := range tables {
-		if err := t.spillAll(); err != nil {
-			return nil, err
+		t.store.foldLeaves()
+		net += t.store.bytes() - t.reserved
+	}
+	if t0 := tables[0]; net <= 0 || t0.tryReserve(net) {
+		t0.release(max(-net, 0))
+		for _, t := range tables {
+			t.reserved = t.store.bytes()
 		}
 	}
-
-	// Partition-wise merge across ctx.Threads workers: worker w merges
-	// partitions w, w+W, ... and appends finished rows (group values,
-	// aggregate results, firstPos) to its own firstPos-keyed sorter.
-	// MergeFinish then streams one globally ordered result — the same
-	// first-seen order the in-memory path emits, whatever the partition
-	// assignment, because firstPos is unique per group.
-	ng, na := len(node.GroupBy), len(node.Aggs)
-	outTypes := append(slices.Clip(f.outTypes), types.BigInt)
-	sortKeys := []extsort.Key{{Col: ng + na}}
-	workers := min(max(ctx.Threads, 1), aggFanout)
-	budget := splitBudget(ctx.sortBudget(), workers)
-	sorters := make([]*extsort.Sorter, workers)
-	for w := range sorters {
-		sorters[w] = extsort.NewSorter(outTypes, sortKeys, budget, ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorters[w].SetPool(ctx.Pool)
+	if st := tables[0].store; len(node.GroupBy) == 0 && !slices.ContainsFunc(tables, func(t *aggTable) bool { return t.store.n > 0 }) {
+		// A global aggregation over zero rows yields one row: count = 0,
+		// other aggregates NULL — an untouched slot.
+		st.rebuild(nil, 1, 0)
+		st.newSlot(0, 0)
+	}
+	for _, t := range tables {
+		// Slots are in arrival order: firstPos order unless a fold lowered a
+		// firstPos or a morsel arrived in several chunks.
+		st := t.store
+		order := make([]uint32, st.n)
+		for sl := range order {
+			order[sl] = uint32(sl)
 		}
-	}
-	// Worker w's task merges partitions w, w+W, ... one partition per
-	// scheduler step (re-submitting between partitions), so long merges
-	// share the pool fairly with other queries.
-	f.mergeGroups = make([]int64, workers)
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	remaining := workers
-	done := make(chan struct{})
-	q := ctx.queryTasks()
-	for w := 0; w < workers; w++ {
-		w := w
-		p := w
-		var task func()
-		task = func() {
-			mu.Lock()
-			stop := firstErr != nil
-			mu.Unlock()
-			if stop || p >= aggFanout {
-				mu.Lock()
-				remaining--
-				if remaining == 0 {
-					close(done)
-				}
-				mu.Unlock()
-				return
-			}
-			if err := mergeAggPartition(p, node, tables, outTypes, sorters[w], &f.mergeGroups[w]); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				remaining--
-				if remaining == 0 {
-					close(done)
-				}
-				mu.Unlock()
-				return
-			}
-			p += workers
-			q.Submit(task)
+		if !slices.IsSorted(st.firstPos[:st.n]) {
+			slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(st.firstPos[a], st.firstPos[b]) })
 		}
-		q.Submit(task)
+		f.parts = append(f.parts, finishPart{store: st, order: order})
+		f.groups += int64(st.n)
 	}
-	<-done
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		for _, s := range sorters {
-			s.Close()
-		}
-		return nil, err
-	}
-	iter, err := extsort.MergeFinish(sorters)
-	if err != nil {
-		for _, s := range sorters {
-			s.Close()
-		}
-		return nil, err
-	}
-	f.iter = iter
-	for _, n := range f.mergeGroups {
-		f.groups += n
-	}
+	f.left = f.groups
 	return f, nil
 }
 
-// mergeResidentStores folds every table's store into the first table's
-// (spill-free finish): source slots are walked in order and re-probed
-// with their stored hash. The first table reserves a source's whole
-// footprint before absorbing it and the source's own reservation is
-// released right after, so the merge never holds more than one source
-// twice. It reports false, with the tables intact, when the budget
-// refuses that — the caller then takes the spilled path.
-func mergeResidentStores(tables []*aggTable) (bool, error) {
-	dst := tables[0]
-	for _, t := range tables[1:] {
-		src := t.store
-		if src.n == 0 {
-			continue
+// foldTables folds every table's groups in place into the earliest table
+// holding the same key: a slot re-probes the earlier tables in order
+// with its stored hash, lookup only, and the first hit takes its state;
+// the table is then compacted to the slots that missed. No slot is
+// inserted, so the fold fits any budget that held the tables.
+func (f *aggFinish) foldTables(tables []*aggTable) {
+	for t := 1; t < len(tables); t++ {
+		src := tables[t].store
+		idx := src.leafIndex()
+		for _, dst := range tables[:t] { // room, once, for every leaf the fold may move
+			for j := range src.aggs {
+				c, n := &dst.store.aggs[j], len(src.aggs[j].leafSlot)
+				c.leafSlot, c.leafSeq, c.leafSum = slices.Grow(c.leafSlot, n), slices.Grow(c.leafSeq, n), slices.Grow(c.leafSum, n)
+			}
 		}
-		slotCap, arenaCap, err := dst.store.room(src.n, len(src.arena), growExact)
-		if err != nil {
-			return false, err
+		keep, arena := make([]uint32, 0, src.n), 0
+	slots:
+		for ss := range uint32(src.n) {
+			h, k := src.hashes[ss], src.keyOf(ss)
+			for _, dst := range tables[:t] {
+				if sl, ok := dst.store.probe(h, k, false); ok {
+					dst.store.foldSlot(sl, src, ss, idx)
+					f.folded++
+					continue slots
+				}
+			}
+			keep, arena = append(keep, ss), arena+len(k.bytes)
 		}
-		grow := dst.store.bytesAt(slotCap, arenaCap) - dst.store.bytes()
-		for j := range src.aggs {
-			grow += src.aggs[j].extraBytes()
-		}
-		if !dst.tryReserve(grow) {
-			return false, nil
-		}
-		if slotCap != dst.store.cap || arenaCap != cap(dst.store.arena) {
-			dst.store.rebuild(nil, slotCap, arenaCap)
-		}
-		dst.store.absorb(src)
-		t.dropStore()
-		if err := dst.settle(); err != nil {
-			return false, err
+		if len(keep) < src.n {
+			src.rebuild(keep, len(keep), arena)
 		}
 	}
-	return true, nil
 }
 
-// runStateSource streams one spilled run's partial states in key order.
-// (Resident states never reach the partition merge: the spilled finish
-// path spills every table's remainder first, so runs are the only
-// sources.)
-type runStateSource struct {
-	cur  *extsort.StateCursor
-	done bool
-}
-
-func (s *runStateSource) advance() error {
-	ok, err := s.cur.Next()
+// reload finishes a spilled aggregation. Worker w re-loads partitions w,
+// w+W, ... one per scheduler step and appends the finished rows, firstPos
+// last, to its own firstPos-keyed sorter; MergeFinish then streams the
+// order the resident path emits, since firstPos is unique per group.
+func (f *aggFinish) reload(ctx *Context, tables []*aggTable) error {
+	leaves := make([][][]uint32, len(tables))
+	for i, t := range tables {
+		leaves[i] = t.store.leafIndex()
+	}
+	for p := range aggFanout {
+		if slices.ContainsFunc(tables, func(t *aggTable) bool { return len(t.runs[p]) > 0 }) {
+			f.reloaded++
+		}
+	}
+	outTypes := append(slices.Clip(f.outTypes), types.BigInt)
+	workers := min(max(ctx.Threads, 1), aggFanout)
+	budget := splitBudget(ctx.sortBudget(), workers)
+	loaders := make([]*partLoader, workers)
+	sorters := make([]*extsort.Sorter, workers)
+	for w := range loaders {
+		sorters[w] = extsort.NewSorter(outTypes, []extsort.Key{{Col: len(outTypes) - 1}}, budget, ctx.TmpDir)
+		if ctx.Pool != nil {
+			sorters[w].SetPool(ctx.Pool)
+		}
+		loaders[w] = &partLoader{tables: tables, leaves: leaves, sorter: sorters[w], outTypes: outTypes,
+			out: vector.NewChunk(outTypes), aggTable: aggTable{node: f.node, pool: buffer.NewPool(budget, nil)}}
+	}
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+	)
+	errs := make([]error, workers) // worker w's, written by its steps only
+	q := ctx.queryTasks()
+	wg.Add(workers)
+	for w := range workers {
+		p := w
+		var task func()
+		task = func() {
+			first := uint64(p) << (64 - aggPartBits) // partition p's hashes: first..first|(1<<60-1)
+			if p < aggFanout && !stop.Load() {
+				if errs[w] = loaders[w].load(p, first, first|(1<<(64-aggPartBits)-1), 0); errs[w] == nil {
+					p += workers
+					q.Submit(task)
+					return
+				}
+				stop.Store(true)
+			}
+			if errs[w] == nil {
+				errs[w] = loaders[w].flush() // the worker's last rows
+			}
+			wg.Done()
+		}
+		q.Submit(task)
+	}
+	wg.Wait()
+	err := cmp.Or(errs...)
+	if err == nil {
+		// Every group is in the sorters: the resident state and its budget
+		// go before the output merge starts.
+		for _, t := range tables {
+			t.dropStore()
+		}
+		f.iter, err = extsort.MergeFinish(sorters)
+	}
 	if err != nil {
+		for _, s := range sorters {
+			s.Close()
+		}
 		return err
 	}
-	s.done = !ok
+	for _, l := range loaders {
+		f.mergeGroups = append(f.mergeGroups, l.groups)
+		f.groups += l.groups
+		f.depth = max(f.depth, l.depth)
+	}
 	return nil
 }
 
-func (s *runStateSource) curKey() ([]byte, bool) {
-	if s.done {
-		return nil, false
-	}
-	return s.cur.Key(), true
+// partLoader re-loads partitions on one finish worker: a partition's
+// groups — the tables' slots in it and its run records — fold by stored
+// hash into its aggTable's store, held by a private pool to the worker's
+// share of the sort budget. A store of more than one group that outgrows
+// it is dropped and its hash range re-split in halves, each read anew.
+type partLoader struct {
+	aggTable
+	tables   []*aggTable
+	leaves   [][][]uint32 // per table: its leafIndex
+	sorter   *extsort.Sorter
+	outTypes []types.Type
+	sel      []uint32
+	out      *vector.Chunk // finished rows not yet handed to the sorter
+	groups   int64
+	depth    int
 }
 
-// mergeDistinctCap bounds the DISTINCT sets a partition merge holds
-// before it finishes the batch early: the merge is the memory-reclaiming
-// path and runs unaccounted.
-const mergeDistinctCap = 1 << 20
+// load finishes the groups of partition p whose hashes lie in [from, to],
+// which depth halvings of the partition's hash range produced. A range
+// that does not fit is halved; one hash value that does not fit fails.
+func (l *partLoader) load(p int, from, to uint64, depth int) error {
+	l.depth = max(l.depth, depth)
+	l.store = newGroupStore(l.node, true)
+	err := l.fill(p, from, to)
+	if err == nil {
+		err = l.emit()
+	}
+	l.release(l.reserved)
+	if !errors.Is(err, buffer.ErrOutOfMemory) {
+		return err
+	}
+	if from == to {
+		return fmt.Errorf("aggregation: groups sharing one 64-bit hash outgrow the memory budget: %w", err)
+	}
+	mid := from + (to-from)/2
+	if err := l.load(p, from, mid, depth+1); err != nil {
+		return err
+	}
+	return l.load(p, mid+1, to, depth+1)
+}
 
-// mergeAggPartition k-way merges one partition's spilled runs across
-// all tables in group-key order. Equal keys are adjacent in that order,
-// so each group's partials decode straight into one slot of a small
-// merge store — the same columns, fold and emission as the resident
-// path — which is finished a chunk at a time into the worker's output
-// sorter.
-func mergeAggPartition(p int, node *plan.AggNode, tables []*aggTable, outTypes []types.Type, sorter *extsort.Sorter, groupsMerged *int64) error {
-	posCol := len(outTypes) - 1
-	var srcs []*runStateSource
-	defer func() {
-		// Release every cursor's read-back block reservation; drained
-		// cursors already did, so this only matters on error exits.
-		for _, s := range srcs {
-			s.cur.Close()
+// fill folds every table's slots and run records of partition p whose
+// hashes lie in [from, to] into the store.
+func (l *partLoader) fill(p int, from, to uint64) error {
+	for i, t := range l.tables {
+		src := t.store
+		for ss := range uint32(src.n) {
+			if h := src.hashes[ss]; from <= h && h <= to {
+				sl, err := l.slot(h, src.keyOf(ss))
+				if err == nil {
+					l.store.foldSlot(sl, src, ss, l.leaves[i])
+					err = l.settle()
+				}
+				if err != nil {
+					return err
+				}
+			}
 		}
-	}()
-	for _, t := range tables {
 		for _, run := range t.runs[p] {
-			rs := &runStateSource{cur: run.Cursor()}
-			srcs = append(srcs, rs)
-			if err := rs.advance(); err != nil {
+			if err := l.fillRun(run, p, from, to); err != nil {
 				return err
 			}
 		}
 	}
+	return nil
+}
 
-	st := newGroupStore(node, true, true)
-	st.rebuild(nil, vector.ChunkCapacity, 0)
-	sel := make([]uint32, 0, vector.ChunkCapacity)
-	flush := func() error {
-		if st.n == 0 {
-			return nil
-		}
-		st.foldLeaves()
-		sel = sel[:0]
-		for sl := 0; sl < st.n; sl++ {
-			sel = append(sel, uint32(sl))
-		}
-		out := vector.NewChunk(outTypes)
-		if err := st.emit(out, sel); err != nil {
+// fillRun is fill for one run's records. A record whose hash is not in
+// the run's partition is a corrupt run.
+func (l *partLoader) fillRun(run *extsort.StateRun, p int, from, to uint64) error {
+	cur := run.Cursor()
+	defer cur.Close()
+	for {
+		ok, err := cur.Next()
+		if err != nil || !ok {
 			return err
 		}
-		copy(out.Cols[posCol].I64, st.firstPos[:st.n])
-		*groupsMerged += int64(st.n)
-		st.reset()
-		return sorter.Add(out)
-	}
-	var minKey []byte
-	for {
-		// Find the smallest current key, then fold every source holding
-		// it. Fold order between sources is irrelevant: counts, integer
-		// sums, min/max and set unions commute, and DOUBLE leaves are
-		// ordered by morsel seq before they are summed.
-		minKey = minKey[:0]
-		found := false
-		for _, s := range srcs {
-			k, ok := s.curKey()
-			if !ok {
-				continue
-			}
-			if !found || bytes.Compare(k, minKey) < 0 {
-				minKey = append(minKey[:0], k...)
-				found = true
-			}
+		state := cur.State()
+		k, valid := l.store.parseKey(cur.Key())
+		if !valid || len(state) < 8 || aggPartOfHash(binary.LittleEndian.Uint64(state)) != p {
+			return fmt.Errorf("agg spill: corrupt state run record in partition %d", p)
 		}
-		if !found {
-			break
-		}
-		slot := st.appendGroup(minKey)
-		for _, s := range srcs {
-			k, ok := s.curKey()
-			if !ok || !bytes.Equal(k, minKey) {
-				continue
+		if h := binary.LittleEndian.Uint64(state); from <= h && h <= to {
+			sl, err := l.slot(h, k)
+			if err == nil {
+				err = l.store.foldState(sl, state)
 			}
-			if err := st.foldState(slot, s.cur.State()); err != nil {
-				return err
+			if err == nil {
+				err = l.settle()
 			}
-			if err := s.advance(); err != nil {
-				return err
-			}
-		}
-		distinct := int64(0)
-		for j := range st.aggs {
-			distinct += st.aggs[j].distBytes
-		}
-		if st.n == vector.ChunkCapacity || distinct > mergeDistinctCap {
-			if err := flush(); err != nil {
+			if err != nil {
 				return err
 			}
 		}
 	}
-	return flush()
+}
+
+// settle is aggTable.settle, except that one group, which no re-split
+// divides, never outgrows the budget: what it cannot hold goes unreserved.
+func (l *partLoader) settle() error {
+	if err := l.aggTable.settle(); err != nil && l.store.n > 1 {
+		return err
+	}
+	return nil
+}
+
+// slot finds k's slot in the store or opens one, growing the store
+// within the budget.
+func (l *partLoader) slot(h uint64, k groupKey) (uint32, error) {
+	if sl, ok := l.store.probe(h, k, false); ok {
+		return sl, nil
+	}
+	if err := l.makeRoom(1, len(k.bytes)); err != nil {
+		return 0, err
+	}
+	sl, _ := l.store.probe(h, k, true)
+	return sl, nil
+}
+
+// emit appends the store's finished groups, firstPos in the hidden last
+// column, to the worker's pending chunk, handing each full one to the
+// sorter: under a small budget each chunk it takes is a run of its own.
+func (l *partLoader) emit() error {
+	st := l.store
+	st.foldLeaves()
+	for from := 0; from < st.n; {
+		at := l.out.Len()
+		n := min(st.n-from, vector.ChunkCapacity-at)
+		l.sel = l.sel[:0]
+		for sl := range uint32(n) {
+			l.sel = append(l.sel, uint32(from)+sl)
+		}
+		l.out.SetLen(at + n)
+		if err := st.emit(l.out, at, l.sel); err != nil {
+			return err
+		}
+		copy(l.out.Cols[len(l.outTypes)-1].I64[at:], st.firstPos[from:from+n])
+		if from += n; l.out.Len() == vector.ChunkCapacity {
+			if err := l.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	l.groups += int64(st.n)
+	return nil
+}
+
+// flush hands the pending rows to the sorter.
+func (l *partLoader) flush() error {
+	if l.out.Len() == 0 {
+		return nil
+	}
+	out := l.out
+	l.out = vector.NewChunk(l.outTypes)
+	return l.sorter.Add(out)
 }
 
 // next emits the next chunk of finished groups in firstPos order.
@@ -797,24 +796,37 @@ func (f *aggFinish) next() (*vector.Chunk, error) {
 		out.SetLen(c.Len())
 		return out, nil
 	}
-	n := min(f.store.n-f.pos, vector.ChunkCapacity)
-	if n <= 0 {
+	n := int(min(f.left, vector.ChunkCapacity))
+	if n == 0 {
 		return nil, nil
 	}
-	var sel []uint32
-	if f.order != nil {
-		sel = f.order[f.pos : f.pos+n]
-	} else {
-		sel = f.sel[:0]
-		for i := 0; i < n; i++ {
-			sel = append(sel, uint32(f.pos+i))
-		}
-		f.sel = sel
-	}
-	f.pos += n
+	f.left -= int64(n)
 	out := vector.NewChunk(f.outTypes)
-	if err := f.store.emit(out, sel); err != nil {
-		return nil, err
+	out.SetLen(n)
+	// Merge the parts by firstPos: emit the part whose next slot comes
+	// first for as long as its slots precede every other part's next.
+	for at := 0; at < n; {
+		var p *finishPart
+		bound := int64(math.MaxInt64)
+		for i := range f.parts {
+			if q := &f.parts[i]; q.pos < len(q.order) {
+				if p == nil || q.head() < p.head() {
+					p, q = q, p
+				}
+				if q != nil {
+					bound = min(bound, q.head())
+				}
+			}
+		}
+		end := p.pos + 1
+		for end < len(p.order) && end-p.pos < n-at && (bound == math.MaxInt64 || p.store.firstPos[p.order[end]] < bound) {
+			end++
+		}
+		if err := p.store.emit(out, at, p.order[p.pos:end]); err != nil {
+			return nil, err
+		}
+		at += end - p.pos
+		p.pos = end
 	}
 	return out, nil
 }
@@ -826,5 +838,5 @@ func (f *aggFinish) close() {
 		f.iter.Close()
 		f.iter = nil
 	}
-	f.store = nil
+	f.parts = nil
 }

@@ -224,9 +224,9 @@ func TestAggStateCodecRoundtrip(t *testing.T) {
 		{Func: "min", Arg: col, Type: types.Double},
 		{Func: "sum", Arg: col, Distinct: true, Type: types.Double},
 	}}
-	st := newGroupStore(node, true, true)
+	st := newGroupStore(node, true)
 	st.rebuild(nil, 4, 0)
-	slot := st.appendGroup(nil)
+	slot, _ := st.probe(mix64(0), groupKey{}, true)
 	st.firstPos[slot] = packAggPos(7, 42)
 	st.aggs[0].count[slot] = 12345
 	st.aggs[1].count[slot] = 3
@@ -248,9 +248,9 @@ func TestAggStateCodecRoundtrip(t *testing.T) {
 	index[1] = st.aggs[1].groupLeaves(st.n)
 	payload := st.appendState(nil, slot, index)
 
-	got := newGroupStore(node, true, true)
+	got := newGroupStore(node, true)
 	got.rebuild(nil, 4, 0)
-	gs := got.appendGroup(nil)
+	gs, _ := got.probe(mix64(0), groupKey{}, true)
 	if err := got.foldState(gs, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +277,10 @@ func TestAggStateCodecRoundtrip(t *testing.T) {
 	}
 	// Truncated payloads must error, not panic.
 	for cut := 0; cut < len(payload); cut += 3 {
-		trunc := newGroupStore(node, true, true)
+		trunc := newGroupStore(node, true)
 		trunc.rebuild(nil, 4, 0)
-		if err := trunc.foldState(trunc.appendGroup(nil), payload[:cut]); err == nil {
+		sl, _ := trunc.probe(mix64(0), groupKey{}, true)
+		if err := trunc.foldState(sl, payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -259,12 +258,10 @@ func keyMatchesRow(key []byte, vecs []*vector.Vector, r int) bool {
 	return true
 }
 
-// newGroupStore builds an empty store for the aggregation. byteKeys
-// forces arena keys whatever the key types — the spilled-partition merge
-// appends keys straight from state runs and never probes.
-func newGroupStore(node *plan.AggNode, retain, byteKeys bool) *groupStore {
+// newGroupStore builds an empty store for the aggregation.
+func newGroupStore(node *plan.AggNode, retain bool) *groupStore {
 	s := &groupStore{keyTypes: groupTypes(node), retain: retain}
-	s.fixed = !byteKeys && len(s.keyTypes) == 1 && s.keyTypes[0] != types.Varchar
+	s.fixed = len(s.keyTypes) == 1 && s.keyTypes[0] != types.Varchar
 	s.slotBytes = 8 + 8 + 8 // hashes, firstPos, touch
 	if s.fixed {
 		s.slotBytes += 8
@@ -383,20 +380,6 @@ func (s *groupStore) rebuild(keep []uint32, newCap, newArenaCap int) (remap []ui
 		s.buckets[i] = h&hashTagMask | uint64(sl+1)
 	}
 	return remap
-}
-
-// reset empties a merge store for its next batch, keeping capacity.
-func (s *groupStore) reset() {
-	n := s.n
-	clear(s.hashes[:n])
-	clear(s.firstPos[:n])
-	clear(s.touch[:n])
-	clear(s.keyOff[:n+1])
-	s.arena = s.arena[:0]
-	for j := range s.aggs {
-		s.aggs[j].reset(n)
-	}
-	s.n = 0
 }
 
 func keyWidth(t types.Type) int {
@@ -700,11 +683,12 @@ func (s *groupStore) appendKey(buf []byte, slot uint32) []byte {
 	return buf
 }
 
-// emitKeys writes the group keys of the slots in sel into cols.
-func (s *groupStore) emitKeys(cols []*vector.Vector, sel []uint32) error {
+// emitKeys writes the group keys of the slots in sel into rows at, at+1,
+// ... of cols.
+func (s *groupStore) emitKeys(cols []*vector.Vector, at int, sel []uint32) error {
 	if !s.fixed {
 		for i, sl := range sel {
-			if err := decodeKeyRowInto(s.arena[s.keyOff[sl]:s.keyOff[sl+1]], cols, i); err != nil {
+			if err := decodeKeyRowInto(s.arena[s.keyOff[sl]:s.keyOff[sl+1]], cols, at+i); err != nil {
 				return err
 			}
 		}
@@ -714,25 +698,25 @@ func (s *groupStore) emitKeys(cols []*vector.Vector, sel []uint32) error {
 	switch col.Type {
 	case types.Boolean:
 		for i, sl := range sel {
-			col.Bools[i] = kv[sl] != 0
+			col.Bools[at+i] = kv[sl] != 0
 		}
 	case types.Integer:
 		for i, sl := range sel {
-			col.I32[i] = int32(kv[sl])
+			col.I32[at+i] = int32(kv[sl])
 		}
 	case types.BigInt, types.Timestamp:
 		for i, sl := range sel {
-			col.I64[i] = int64(kv[sl])
+			col.I64[at+i] = int64(kv[sl])
 		}
 	case types.Double:
 		for i, sl := range sel {
-			col.F64[i] = math.Float64frombits(kv[sl])
+			col.F64[at+i] = math.Float64frombits(kv[sl])
 		}
 	}
 	if s.nullSlot != 0 {
 		for i, sl := range sel {
 			if sl+1 == s.nullSlot {
-				col.SetNull(i)
+				col.SetNull(at + i)
 			}
 		}
 	}
@@ -740,101 +724,134 @@ func (s *groupStore) emitKeys(cols []*vector.Vector, sel []uint32) error {
 }
 
 // emit writes the finished rows of the slots in sel — group keys, then
-// one column per aggregate — into the first columns of out, a column at
-// a time. DOUBLE sums must have been folded (flushPending, foldLeaves).
-func (s *groupStore) emit(out *vector.Chunk, sel []uint32) error {
-	out.SetLen(len(sel))
+// one column per aggregate — into rows at, at+1, ... of the first
+// columns of out, a column at a time; out is already that long. DOUBLE
+// sums must have been folded (flushPending, foldLeaves).
+func (s *groupStore) emit(out *vector.Chunk, at int, sel []uint32) error {
 	ng := len(s.keyTypes)
-	if err := s.emitKeys(out.Cols[:ng], sel); err != nil {
+	if err := s.emitKeys(out.Cols[:ng], at, sel); err != nil {
 		return err
 	}
 	for j := range s.aggs {
-		s.aggs[j].finish(out.Cols[ng+j], sel)
+		s.aggs[j].finish(out.Cols[ng+j], at, sel)
 	}
 	return nil
 }
 
-// ---- merging stores and spilled states ----
+// ---- folding stores and spilled states ----
 
-// appendGroup opens a slot for a key read from a state run (merge
-// stores: arena keys, no table). The caller keeps n under cap.
-func (s *groupStore) appendGroup(key []byte) uint32 {
-	sl := s.newSlot(0, math.MaxInt64)
-	s.arena = append(s.arena, key...)
-	s.keyOff[sl+1] = uint32(len(s.arena))
-	return sl
+// groupKey is one group's key in the form a store keeps it: a fixed-width
+// store's 8-byte value (null: its NULL group), else the encodeKeyRow
+// bytes of an arena store.
+type groupKey struct {
+	val   uint64
+	null  bool
+	bytes []byte
 }
 
-// lookupOrInsert finds the slot holding src's slot ss, creating it when
-// absent; the stored hash is reused, the key compared in its stored
-// form. Both stores are of the same aggregation, so the same key mode.
-func (s *groupStore) lookupOrInsert(src *groupStore, ss uint32) (slot uint32, found bool) {
-	h := src.hashes[ss]
-	if s.fixed && ss+1 == src.nullSlot {
-		if s.nullSlot != 0 {
-			return s.nullSlot - 1, true
-		}
-		s.nullSlot = s.newSlot(h, 0) + 1
-		return s.nullSlot - 1, false
-	}
-	var key []byte
+// keyOf returns slot's key.
+func (s *groupStore) keyOf(slot uint32) groupKey {
 	if !s.fixed {
-		key = src.arena[src.keyOff[ss]:src.keyOff[ss+1]]
+		return groupKey{bytes: s.arena[s.keyOff[slot]:s.keyOff[slot+1]]}
+	}
+	return groupKey{val: s.keyVal[slot], null: slot+1 == s.nullSlot}
+}
+
+// parseKey reads a spilled record's key (appendKey layout) into the
+// store's form, reporting false for bytes no fixed-width key encodes. An
+// arena key is checked when it is emitted (decodeKeyRowInto).
+func (s *groupStore) parseKey(key []byte) (groupKey, bool) {
+	switch {
+	case !s.fixed:
+		return groupKey{bytes: key}, true
+	case len(key) == 1 && key[0] == 0:
+		return groupKey{null: true}, true
+	case len(key) != 1+keyWidth(s.keyTypes[0]) || key[0] != 1:
+		return groupKey{}, false
+	}
+	var v uint64
+	for i := len(key) - 1; i > 0; i-- {
+		v = v<<8 | uint64(key[i])
+	}
+	if len(key) == 5 {
+		v = uint64(int64(int32(v))) // INTEGER keys are kept sign-extended
+	}
+	return groupKey{val: v}, true
+}
+
+// probe looks k up under its stored hash h, comparing the stored hash
+// tag before the key. With insert it opens a slot for a key it does not
+// find — the caller has made room (room, rebuild) for one slot and
+// len(k.bytes) arena bytes — whose firstPos starts past every position,
+// for the folds to lower.
+func (s *groupStore) probe(h uint64, k groupKey, insert bool) (uint32, bool) {
+	if k.null {
+		if s.nullSlot == 0 && insert {
+			s.nullSlot = s.newSlot(h, math.MaxInt64) + 1
+		}
+		return s.nullSlot - 1, s.nullSlot != 0
+	}
+	if s.cap == 0 {
+		return 0, false
 	}
 	tag := h & hashTagMask
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
 		b := s.buckets[i]
 		if b == 0 {
-			sl := s.newSlot(h, 0)
+			if !insert {
+				return 0, false
+			}
+			sl := s.newSlot(h, math.MaxInt64)
 			if s.fixed {
-				s.keyVal[sl] = src.keyVal[ss]
+				s.keyVal[sl] = k.val
 			} else {
-				s.arena = append(s.arena, key...)
+				s.arena = append(s.arena, k.bytes...)
 				s.keyOff[sl+1] = uint32(len(s.arena))
 			}
 			s.buckets[i] = tag | uint64(sl+1)
-			return sl, false
-		}
-		if b&hashTagMask != tag {
-			continue
-		}
-		sl := uint32(b) - 1
-		if s.fixed {
-			if s.keyVal[sl] == src.keyVal[ss] {
-				return sl, true
-			}
-		} else if bytes.Equal(s.arena[s.keyOff[sl]:s.keyOff[sl+1]], key) {
 			return sl, true
 		}
-	}
-}
-
-// absorb merges every group of src (another worker's partial of the
-// same aggregation) into s: source slots are walked in order, re-probed
-// with their stored hash, and their typed columns folded. Counts,
-// integer sums, min/max and DISTINCT unions commute; DOUBLE leaves are
-// concatenated and ordered by foldLeaves. The caller has made room
-// (room, rebuild) for src.n slots and len(src.arena) key bytes.
-func (s *groupStore) absorb(src *groupStore) {
-	to := make([]uint32, src.n)
-	for ss := 0; ss < src.n; ss++ {
-		sl, found := s.lookupOrInsert(src, uint32(ss))
-		to[ss] = sl
-		if !found || src.firstPos[ss] < s.firstPos[sl] {
-			s.firstPos[sl] = src.firstPos[ss]
+		if sl := uint32(b) - 1; b&hashTagMask == tag {
+			if s.fixed && s.keyVal[sl] == k.val || !s.fixed && bytes.Equal(s.arena[s.keyOff[sl]:s.keyOff[sl+1]], k.bytes) {
+				return sl, true
+			}
 		}
 	}
+}
+
+// foldSlot folds slot ss of src — another store of the same aggregation,
+// its leaves grouped by leafIndex into idx — into slot: firstPos takes
+// the minimum, counts, integer sums, min/max and DISTINCT sets fold
+// commutatively, and DOUBLE leaves are appended for foldLeaves to order.
+func (s *groupStore) foldSlot(slot uint32, src *groupStore, ss uint32, idx [][]uint32) {
+	if p := src.firstPos[ss]; p < s.firstPos[slot] {
+		s.firstPos[slot] = p
+	}
 	for j := range s.aggs {
-		s.aggs[j].absorb(&src.aggs[j], to)
+		s.aggs[j].fold(slot, &src.aggs[j], ss, idx[j])
 	}
 }
 
-// appendState serializes slot's aggregate state: the payload of a
-// spilled state record. DOUBLE sums travel as their exact (morsel seq,
-// bits) leaves and DISTINCT sets as sorted encoded values, so a round
-// trip loses nothing the deterministic finish depends on. leaves[j]
-// indexes aggregate j's leaves by slot (aggCol.groupLeaves).
+// leafIndex groups every DOUBLE sum's leaves by slot (aggCol.groupLeaves)
+// and returns each aggregate's offsets (nil: no leaves).
+func (s *groupStore) leafIndex() [][]uint32 {
+	idx := make([][]uint32, len(s.aggs))
+	for j := range s.aggs {
+		if c := &s.aggs[j]; c.kind == aggSumFloat {
+			idx[j] = c.groupLeaves(s.n)
+		}
+	}
+	return idx
+}
+
+// appendState serializes slot as a spilled record's payload: its stored
+// hash as 8 little-endian bytes, which name its partition and re-load it
+// without rehashing the key, then its state. DOUBLE sums travel as their
+// exact (morsel seq, bits) leaves and DISTINCT sets as sorted encoded
+// values, so a round trip loses nothing the deterministic finish depends
+// on. leaves is the store's leafIndex.
 func (s *groupStore) appendState(buf []byte, slot uint32, leaves [][]uint32) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, s.hashes[slot])
 	buf = binary.AppendVarint(buf, s.firstPos[slot])
 	for j := range s.aggs {
 		buf = s.aggs[j].appendState(buf, slot, leaves[j])
@@ -842,10 +859,11 @@ func (s *groupStore) appendState(buf []byte, slot uint32, leaves [][]uint32) []b
 	return buf
 }
 
-// foldState decodes one spilled state payload into slot, folding it
-// with whatever the slot already holds.
+// foldState decodes one appendState payload into slot, folding it with
+// whatever the slot already holds.
 func (s *groupStore) foldState(slot uint32, payload []byte) error {
 	r := &stateReader{b: payload}
+	r.u64() // the hash, which the re-load has read
 	if pos := r.varint(); pos < s.firstPos[slot] {
 		s.firstPos[slot] = pos
 	}
@@ -856,36 +874,6 @@ func (s *groupStore) foldState(slot uint32, payload []byte) error {
 		r.fail()
 	}
 	return r.err
-}
-
-// sortSlotsByKey orders slots by their encoded group keys, returning the
-// keys alongside (a spilled run is written in key order).
-func (s *groupStore) sortSlotsByKey(slots []uint32) (keys [][]byte) {
-	var arena []byte
-	offs := make([]int, 0, len(slots)+1)
-	for _, sl := range slots {
-		offs = append(offs, len(arena))
-		arena = s.appendKey(arena, sl)
-	}
-	offs = append(offs, len(arena))
-	keys = make([][]byte, len(slots))
-	for i := range slots {
-		keys[i] = arena[offs[i]:offs[i+1]]
-	}
-	sort.Sort(&slotsByKey{slots, keys})
-	return keys
-}
-
-type slotsByKey struct {
-	slots []uint32
-	keys  [][]byte
-}
-
-func (o *slotsByKey) Len() int           { return len(o.slots) }
-func (o *slotsByKey) Less(i, j int) bool { return bytes.Compare(o.keys[i], o.keys[j]) < 0 }
-func (o *slotsByKey) Swap(i, j int) {
-	o.slots[i], o.slots[j] = o.slots[j], o.slots[i]
-	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
 }
 
 // stateReader decodes state payloads with one sticky error.

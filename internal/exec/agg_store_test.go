@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -438,26 +439,35 @@ func fuzzCodecShapes() []*plan.AggNode {
 	}
 }
 
-// encodeSlot re-serializes slot of a merge store.
-func encodeSlot(st *groupStore, slot uint32) []byte {
-	idx := make([][]uint32, len(st.aggs))
-	for j := range st.aggs {
-		if st.aggs[j].kind == aggSumFloat {
-			idx[j] = st.aggs[j].groupLeaves(st.n)
-		}
+// encodeRecord serializes slot the way a spill writes it: its key, and
+// its stored hash followed by its state.
+func encodeRecord(st *groupStore, slot uint32) (key, payload []byte) {
+	return st.appendKey(nil, slot), st.appendState(nil, slot, st.leafIndex())
+}
+
+// loadRecord reads one spilled record back the way a partition re-load
+// does: the hash off the payload, the key into the store's form, a slot
+// for it, the state folded in.
+func loadRecord(node *plan.AggNode, key, payload []byte) (*groupStore, uint32, error) {
+	st := newGroupStore(node, true)
+	k, ok := st.parseKey(key)
+	if !ok || len(payload) < 8 {
+		return nil, 0, errCorruptGroupKey
 	}
-	return st.appendState(nil, slot, idx)
+	st.rebuild(nil, 4, len(k.bytes))
+	slot, _ := st.probe(binary.LittleEndian.Uint64(payload), k, true)
+	return st, slot, st.foldState(slot, payload)
 }
 
 // FuzzAggStateCodec throws arbitrary key and payload bytes at the path
-// a spilled state run is read back through (decodeGroupKey, foldState,
-// then the fold and emission of what was decoded). The contract: an
-// error, or a state that re-encodes to a fixed point and emits the key
-// decodeGroupKey sees — never a panic, and nothing sized from a length
-// the payload's own size does not bound.
+// a spilled state record is read back through (the hash, parseKey,
+// foldState, then the fold and emission of what was decoded). The
+// contract: an error, or a record that re-encodes to a fixed point and
+// emits the key decodeGroupKey sees — never a panic, and nothing sized
+// from a length the payload's own size does not bound.
 func FuzzAggStateCodec(f *testing.F) {
 	shapes := fuzzCodecShapes()
-	// Seeds: a real state of every shape — accumulated through the
+	// Seeds: a real record of every shape — accumulated through the
 	// kernels, serialized like a spill — and a few broken ones.
 	rng := rand.New(rand.NewSource(3))
 	for si, node := range shapes {
@@ -485,23 +495,22 @@ func FuzzAggStateCodec(f *testing.F) {
 			}
 		}
 		tbl.store.flushPending()
-		key := tbl.store.appendKey(nil, 0)
-		payload := encodeSlot(tbl.store, 0)
+		key, payload := encodeRecord(tbl.store, 0)
 		f.Add(uint8(si), key, payload)
 		f.Add(uint8(si), key[:len(key)/2], payload[:len(payload)/2])
 		f.Add(uint8(si), append([]byte{}, key...), append(payload, 0))
 		tbl.close()
 	}
-	f.Add(uint8(0), []byte{0}, []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // an absurd varint
-	f.Add(uint8(1), []byte{1, 0xff, 0xff, 0xff, 0xff}, []byte{0, 0, 0xff, 0xff, 0x03})          // a string length past the key; a leaf count past the payload
+	noHash := make([]byte, 8)
+	f.Add(uint8(0), []byte{0}, append(noHash, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)) // an absurd varint
+	f.Add(uint8(1), []byte{1, 0xff, 0xff, 0xff, 0xff}, append(noHash, 0, 0, 0xff, 0xff, 0x03))          // a string length past the key; a leaf count past the payload
+	f.Add(uint8(0), []byte{1, 1, 2, 3}, append(noHash, 0, 0, 0, 0, 0))                                  // a fixed-width key of the wrong width
 
 	f.Fuzz(func(t *testing.T, shape uint8, key, payload []byte) {
 		node := shapes[int(shape)%len(shapes)]
 		boxed, keyErr := decodeGroupKey(string(key), groupTypes(node))
-		st := newGroupStore(node, true, true)
-		st.rebuild(nil, 4, 0)
-		slot := st.appendGroup(key)
-		if err := st.foldState(slot, payload); err != nil {
+		st, slot, err := loadRecord(node, key, payload)
+		if err != nil {
 			return
 		}
 		for j := range st.aggs {
@@ -514,20 +523,19 @@ func FuzzAggStateCodec(f *testing.F) {
 			}
 		}
 		// Whatever decoded re-encodes to a fixed point.
-		canon := encodeSlot(st, slot)
-		again := newGroupStore(node, true, true)
-		again.rebuild(nil, 4, 0)
-		s2 := again.appendGroup(key)
-		if err := again.foldState(s2, canon); err != nil {
-			t.Fatalf("re-encoded state does not decode: %v", err)
+		canonKey, canon := encodeRecord(st, slot)
+		again, s2, err := loadRecord(node, canonKey, canon)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		if twice := encodeSlot(again, s2); string(twice) != string(canon) {
-			t.Fatalf("state encoding is not a fixed point:\n once: %x\ntwice: %x", canon, twice)
+		if k2, twice := encodeRecord(again, s2); string(k2) != string(canonKey) || string(twice) != string(canon) {
+			t.Fatalf("record encoding is not a fixed point:\n once: %x %x\ntwice: %x %x", canonKey, canon, k2, twice)
 		}
 		// And it finishes: the key as decodeGroupKey sees it, or an error.
 		again.foldLeaves()
 		out := vector.NewChunk(schemaTypes(node.Schema()))
-		err := again.emit(out, []uint32{s2})
+		out.SetLen(1)
+		err = again.emit(out, 0, []uint32{s2})
 		if (err == nil) != (keyErr == nil) {
 			t.Fatalf("emit error %v, decodeGroupKey error %v", err, keyErr)
 		}

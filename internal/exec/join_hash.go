@@ -221,7 +221,7 @@ func (h *hashJoinOp) build(ctx *Context) error {
 	}
 	if err == nil && len(h.node.RightKeys) > 0 {
 		t0 := time.Now()
-		h.store = newGroupStore(&plan.AggNode{GroupBy: h.node.RightKeys}, false, false)
+		h.store = newGroupStore(&plan.AggNode{GroupBy: h.node.RightKeys}, false)
 		h.store.hashFilter = h.hashFilter
 		err = h.index(rows)
 		if slot != nil {

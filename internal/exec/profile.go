@@ -53,6 +53,15 @@ type OpProfile struct {
 	AggGroups     atomic.Int64
 	AggStateBytes atomic.Int64
 	aggStateCur   atomic.Int64
+	// AggFinishNs is the time an aggregation spent finishing its workers'
+	// tables (finishAggTables); AggFolded the groups it folded from one
+	// table into another in place; AggReloadedParts the partitions it
+	// re-loaded from state runs, and AggResplitDepth the deepest re-split
+	// of one (0: none).
+	AggFinishNs      atomic.Int64
+	AggFolded        atomic.Int64
+	AggReloadedParts atomic.Int64
+	AggResplitDepth  atomic.Int64
 
 	// JoinBuildRows is the size of a join's materialized build side and
 	// JoinBuildBytes what the pool held for it and its hash table (the
@@ -298,6 +307,10 @@ type OpProfileSnap struct {
 	SpillPartitions int64            `json:"spill_partitions,omitempty"`
 	AggGroups       int64            `json:"agg_groups,omitempty"`
 	AggStateBytes   int64            `json:"agg_state_bytes,omitempty"`
+	AggFinishNs     int64            `json:"agg_finish_ns,omitempty"`
+	AggFolded       int64            `json:"agg_folded,omitempty"`
+	AggReloaded     int64            `json:"agg_reloaded_parts,omitempty"`
+	AggResplitDepth int64            `json:"agg_resplit_depth,omitempty"`
 	JoinBuildRows   int64            `json:"join_build_rows,omitempty"`
 	JoinBuildBytes  int64            `json:"join_build_bytes,omitempty"`
 	JoinBuildKeys   int64            `json:"join_build_keys,omitempty"`
@@ -335,6 +348,10 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SpillPartitions: o.SpillParts.Load(),
 		AggGroups:       o.AggGroups.Load(),
 		AggStateBytes:   o.AggStateBytes.Load(),
+		AggFinishNs:     o.AggFinishNs.Load(),
+		AggFolded:       o.AggFolded.Load(),
+		AggReloaded:     o.AggReloadedParts.Load(),
+		AggResplitDepth: o.AggResplitDepth.Load(),
 		JoinBuildRows:   o.JoinBuildRows.Load(),
 		JoinBuildBytes:  o.JoinBuildBytes.Load(),
 		JoinBuildKeys:   o.JoinBuildKeys.Load(),
@@ -384,6 +401,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if ns := s.BusyNs; ns > 0 {
 		fmt.Fprintf(sb, " busy=%s", fmtDur(ns))
+	}
+	if ns := s.AggFinishNs; ns > 0 {
+		fmt.Fprintf(sb, " finish=%s folded=%d reloaded_parts=%d resplit_depth=%d", fmtDur(ns), s.AggFolded, s.AggReloaded, s.AggResplitDepth)
 	}
 	if s.Morsels > 0 {
 		fmt.Fprintf(sb, " morsels=%d", s.Morsels)

@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,16 +9,16 @@ import (
 	"repro/internal/buffer"
 )
 
-// State runs are the operator-state spilling substrate: sorted runs of
-// opaque (key, state) records, written when an operator's accumulator
-// table exceeds its memory budget and merged back partition-by-partition
-// at finish. The layout mirrors the sorted-row runs above — length-
-// prefixed blocks with a block-offset index recorded at spill time, read
-// back with positional reads so readers never contend on a shared file
-// offset. All of one spiller's runs append to a single unlinked temp
-// file (one fd per spilling thread, however many times it spills). The
-// first consumer is the partitioned hash aggregate (internal/exec);
-// ORDER BY and window buffering are expected to reuse it.
+// State runs are the operator-state spilling substrate: runs of opaque
+// (key, state) records in the order they were appended, written when an
+// operator's accumulator table exceeds its memory budget and read back
+// partition-by-partition at finish. The layout mirrors the sorted-row
+// runs above — length-prefixed blocks with a block-offset index recorded
+// at spill time, read back with positional reads so readers never
+// contend on a shared file offset. All of one spiller's runs append to a
+// single unlinked temp file (one fd per spilling thread, however many
+// times it spills). The one consumer is the partitioned hash aggregate
+// (internal/exec), which re-loads its runs by hash and needs no order.
 
 // stateBlockTarget is the block size state-run writers aim for before
 // flushing; one block is the unit of read-back IO.
@@ -79,25 +78,19 @@ func (sf *StateSpillFile) NewRun() (*StateRunWriter, error) {
 	return &StateRunWriter{sf: sf}, nil
 }
 
-// StateRunWriter writes one sorted state run. Append must be called
-// with strictly ascending keys; Finish seals the run for reading.
+// StateRunWriter writes one state run. Records keep the order they are
+// appended in; keys may repeat and come in any order. Finish seals the
+// run for reading.
 type StateRunWriter struct {
-	sf      *StateSpillFile
-	block   []byte
-	offs    []int64
-	bytes   int64
-	lastKey []byte
-	n       int
+	sf    *StateSpillFile
+	block []byte
+	offs  []int64
+	bytes int64
+	n     int
 }
 
-// Append adds one record. Keys must arrive in strictly ascending order —
-// the merge machinery depends on it, so a violation is an error, not a
-// silent mis-sort.
+// Append adds one record.
 func (w *StateRunWriter) Append(key, state []byte) error {
-	if w.n > 0 && bytes.Compare(key, w.lastKey) <= 0 {
-		return fmt.Errorf("extsort: state run keys not strictly ascending")
-	}
-	w.lastKey = append(w.lastKey[:0], key...)
 	w.block = binary.AppendUvarint(w.block, uint64(len(key)))
 	w.block = append(w.block, key...)
 	w.block = binary.AppendUvarint(w.block, uint64(len(state)))
@@ -145,7 +138,7 @@ func (w *StateRunWriter) Abort() {
 	w.sf.active = false
 }
 
-// StateRun is one sealed sorted run of (key, state) records.
+// StateRun is one sealed run of (key, state) records.
 type StateRun struct {
 	sf    *StateSpillFile
 	offs  []int64
@@ -166,7 +159,7 @@ func (r *StateRun) Cursor() *StateCursor {
 	return &StateCursor{run: r}
 }
 
-// StateCursor streams a run's records in key order.
+// StateCursor streams a run's records in the order they were appended.
 type StateCursor struct {
 	run      *StateRun
 	blockIdx int

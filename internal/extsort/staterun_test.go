@@ -67,9 +67,11 @@ func TestStateRunRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStateRunRejectsUnsortedKeys: the merge machinery depends on
-// strictly ascending keys, so the writer must refuse violations.
-func TestStateRunRejectsUnsortedKeys(t *testing.T) {
+// TestStateRunKeepsAppendOrder: a run is read back in the order it was
+// written, whatever the keys — descending, repeated, empty — because its
+// reader re-loads records by hash and needs no key order. One writer at
+// a time still holds.
+func TestStateRunKeepsAppendOrder(t *testing.T) {
 	sf, err := NewStateSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +81,31 @@ func TestStateRunRejectsUnsortedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("b"), []byte("x")); err != nil {
+	keys := []string{"b", "b", "a", "", "c", "a"}
+	for i, k := range keys {
+		if err := w.Append([]byte(k), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("b"), []byte("x")); err == nil {
-		t.Fatal("duplicate key accepted")
+	cur := run.Cursor()
+	for i, k := range keys {
+		if ok, err := cur.Next(); !ok || err != nil {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
+		}
+		if string(cur.Key()) != k || len(cur.State()) != 1 || cur.State()[0] != byte(i) {
+			t.Fatalf("record %d = (%q, %v), want (%q, [%d])", i, cur.Key(), cur.State(), k, i)
+		}
+	}
+	if ok, err := cur.Next(); ok || err != nil {
+		t.Fatalf("past the last record: ok=%v err=%v", ok, err)
+	}
+	w, err = sf.NewRun()
+	if err != nil {
+		t.Fatal(err)
 	}
 	w.Abort()
 	// A second writer may start after Abort; before it, NewRun refuses.

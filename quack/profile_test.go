@@ -3,6 +3,7 @@ package quack_test
 import (
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,10 @@ type profNode struct {
 	Morsels     int64       `json:"morsels"`
 	Groups      int64       `json:"agg_groups"`
 	StateBytes  int64       `json:"agg_state_bytes"`
+	FinishNs    int64       `json:"agg_finish_ns"`
+	Folded      int64       `json:"agg_folded"`
+	Reloaded    int64       `json:"agg_reloaded_parts"`
+	Resplit     int64       `json:"agg_resplit_depth"`
 	BuildRows   int64       `json:"join_build_rows"`
 	BuildBytes  int64       `json:"join_build_bytes"`
 	BuildKeys   int64       `json:"join_build_keys"`
@@ -401,6 +406,54 @@ func TestExplainAnalyzeJoinBuild(t *testing.T) {
 					t.Errorf("threads=%d budget=%s: EXPLAIN ANALYZE has no %q:\n%s", threads, budget, piece, strings.Join(text, "\n"))
 				}
 			}
+		}
+	}
+}
+
+// TestExplainAnalyzeAggFinish pins the aggregation's finish on the
+// AGGREGATE line, next to busy=, and in the JSON profile: its time, the
+// groups folded from one worker's table into another's, and the
+// partitions re-loaded from state runs with the deepest re-split. With
+// no limit nothing is re-loaded, and a key that recurs in every morsel
+// folds across the workers' tables; under a 256KB limit the
+// high-cardinality aggregation spills while it accumulates, so the
+// finish re-loads the partitions that spilled — and only then.
+func TestExplainAnalyzeAggFinish(t *testing.T) {
+	db := differentialDBWith(t, quack.WithThreads(2), quack.WithMemoryLimit(-1))
+	conn := db.Conn()
+	for _, tc := range []struct {
+		q, budget string
+		folds     bool
+	}{
+		{"SELECT id - id % 4, count(*), sum(price), min(qty) FROM facts GROUP BY 1", "", false},
+		{"SELECT id % 1000, count(*), sum(price) FROM facts GROUP BY 1", "", true},
+		{"SELECT id - id % 4, count(*), sum(price), min(qty) FROM facts GROUP BY 1", "256KB", false},
+	} {
+		if tc.budget != "" {
+			mustExec(t, db, "PRAGMA memory_limit='"+tc.budget+"'")
+		}
+		doc := lastProfile(t, conn, tc.q)
+		agg := doc.Plan
+		for !strings.HasPrefix(agg.Name, "AGGREGATE") {
+			agg = agg.Children[0]
+		}
+		spilled := agg.SpillBytes > 0
+		if spilled != (tc.budget != "") {
+			t.Fatalf("%q budget=%q: spilled %dB", tc.q, tc.budget, agg.SpillBytes)
+		}
+		if agg.FinishNs <= 0 || (agg.Folded > 0) != tc.folds || (agg.Reloaded > 0) != spilled || agg.Reloaded > 16 {
+			t.Errorf("%q budget=%q: agg_finish_ns=%d agg_folded=%d agg_reloaded_parts=%d", tc.q, tc.budget, agg.FinishNs, agg.Folded, agg.Reloaded)
+		}
+		var line string
+		for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+tc.q) {
+			if strings.Contains(row[0], "AGGREGATE") {
+				line = row[0]
+			}
+		}
+		want := regexp.MustCompile(`busy=\S+ finish=\S+ folded=\d+ reloaded_parts=(\d+) resplit_depth=\d+ `)
+		m := want.FindStringSubmatch(line)
+		if m == nil || (m[1] != "0") != spilled {
+			t.Errorf("%q budget=%q: AGGREGATE line lacks the finish fields next to busy=:\n%s", tc.q, tc.budget, line)
 		}
 	}
 }
