@@ -156,12 +156,6 @@ func (p *Pool) Reserve(n int64) error {
 	return nil
 }
 
-// TryReserve is Reserve that reports success instead of evicting hard:
-// callers use it to probe whether an in-memory strategy fits.
-func (p *Pool) TryReserve(n int64) bool {
-	return p.Reserve(n) == nil
-}
-
 // Release returns n bytes of budget.
 func (p *Pool) Release(n int64) {
 	p.mu.Lock()

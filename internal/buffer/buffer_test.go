@@ -140,13 +140,3 @@ func TestNegativeReservation(t *testing.T) {
 		t.Fatal("negative reservation accepted")
 	}
 }
-
-func TestTryReserve(t *testing.T) {
-	p := NewPool(100, nil)
-	if !p.TryReserve(50) {
-		t.Fatal("should fit")
-	}
-	if p.TryReserve(51) {
-		t.Fatal("should not fit")
-	}
-}

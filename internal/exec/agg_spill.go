@@ -599,6 +599,9 @@ func (f *aggFinish) reload(ctx *Context, tables []*aggTable) error {
 			if errs[w] == nil {
 				errs[w] = loaders[w].flush() // the worker's last rows
 			}
+			if errs[w] == nil {
+				errs[w] = sorters[w].Seal() // sort its tail here, not on the caller
+			}
 			wg.Done()
 		}
 		q.Submit(task)

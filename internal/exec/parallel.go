@@ -306,14 +306,19 @@ func (w *pipeWorker) collect(_ int, c *vector.Chunk) error {
 	return nil
 }
 
-// submit starts n worker states on the scheduler.
+// submit starts n worker states on the scheduler. All are built before
+// any is submitted, so a state cannot run through several morsels while
+// its siblings are still being built.
 func (p *pipelineOp) submit(ctx *Context, n int, mk func(i int) *pipeWorker) {
 	p.idle = sync.NewCond(&p.mu)
 	p.active = n
 	q := ctx.queryTasks()
-	for i := 0; i < n; i++ {
-		w := mk(i)
-		w.q = q
+	ws := make([]*pipeWorker, n)
+	for i := range ws {
+		ws[i] = mk(i)
+		ws[i].q = q
+	}
+	for _, w := range ws {
 		q.Submit(w.step)
 	}
 }

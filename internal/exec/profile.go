@@ -85,6 +85,11 @@ type OpProfile struct {
 	// ran on (1: the serial merge on the caller). A window cuts and
 	// evaluates its partitions where they are merged.
 	MergeRanges atomic.Int64
+	// MergeAheadBytes is the most bytes the ranges of a partitioned merge
+	// held queued ahead of the consumer at once; MergeParks counts how
+	// often a range parked because its next batch found no room.
+	MergeAheadBytes atomic.Int64
+	MergeParks      atomic.Int64
 	// WindowHeldRows is the most rows a window's cursor held at once: the
 	// rows of its output slices not yet emitted, and of the merged chunks
 	// a function still reads.
@@ -94,27 +99,24 @@ type OpProfile struct {
 // noteAggBytes moves the aggregation's reserved state bytes by d and
 // raises the recorded peak. A nil slot is profiling off.
 func (o *OpProfile) noteAggBytes(d int64) {
-	if o == nil {
-		return
-	}
-	cur := o.aggStateCur.Add(d)
-	for {
-		peak := o.AggStateBytes.Load()
-		if cur <= peak || o.AggStateBytes.CompareAndSwap(peak, cur) {
-			return
-		}
+	if o != nil {
+		raisePeak(&o.AggStateBytes, o.aggStateCur.Add(d))
 	}
 }
 
 // noteWindowHeld raises the recorded window held-rows high-water mark to
 // n. A nil slot is profiling off.
 func (o *OpProfile) noteWindowHeld(n int64) {
-	if o == nil {
-		return
+	if o != nil {
+		raisePeak(&o.WindowHeldRows, n)
 	}
+}
+
+// raisePeak raises the high-water mark peak to n.
+func raisePeak(peak *atomic.Int64, n int64) {
 	for {
-		peak := o.WindowHeldRows.Load()
-		if n <= peak || o.WindowHeldRows.CompareAndSwap(peak, n) {
+		p := peak.Load()
+		if n <= p || peak.CompareAndSwap(p, n) {
 			return
 		}
 	}
@@ -319,6 +321,8 @@ type OpProfileSnap struct {
 	SortKeyBytes    int64            `json:"sort_key_bytes,omitempty"`
 	TieFallbacks    int64            `json:"tie_fallbacks,omitempty"`
 	MergeRanges     int64            `json:"merge_ranges,omitempty"`
+	MergeAheadBytes int64            `json:"merge_ahead_bytes,omitempty"`
+	MergeParks      int64            `json:"merge_parks,omitempty"`
 	WindowHeldRows  int64            `json:"window_held_rows,omitempty"`
 	Children        []*OpProfileSnap `json:"children,omitempty"`
 }
@@ -359,6 +363,8 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		SortKeyBytes:    o.SortKeyBytes.Load(),
 		TieFallbacks:    o.TieFallbacks.Load(),
 		MergeRanges:     o.MergeRanges.Load(),
+		MergeAheadBytes: o.MergeAheadBytes.Load(),
+		MergeParks:      o.MergeParks.Load(),
 		WindowHeldRows:  o.WindowHeldRows.Load(),
 	}
 	if o.JoinFallback.Load() {
@@ -438,6 +444,9 @@ func (s *OpProfileSnap) WriteTree(sb *strings.Builder, depth int) {
 	}
 	if s.MergeRanges > 0 {
 		fmt.Fprintf(sb, " merge_ranges=%d", s.MergeRanges)
+	}
+	if s.MergeRanges > 1 {
+		fmt.Fprintf(sb, " ahead=%d parks=%d", s.MergeAheadBytes, s.MergeParks)
 	}
 	if s.WindowHeldRows > 0 {
 		fmt.Fprintf(sb, " held_rows=%d", s.WindowHeldRows)

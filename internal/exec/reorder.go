@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/buffer"
 	"repro/internal/extsort"
 	"repro/internal/sched"
 	"repro/internal/vector"
@@ -92,13 +93,17 @@ func (b *reorderBuf) drop() {
 
 // ---- partitioned-merge re-emission ----
 
-// mergeStreamDepth bounds how many batches each range may run ahead of
-// the in-order consumer.
-const mergeStreamDepth = 4
+// mergeStreamFloor is how many batches a range may queue ahead of the
+// consumer for free. Past it, every batch is reserved from the pool and
+// charged to the range's share of the sort budget.
+const mergeStreamFloor = 4
 
-type mergeMsg struct {
-	chunks []*vector.Chunk
-	err    error
+// mergeBatch is one queued batch, its heap bytes, and whether they are
+// reserved from the pool.
+type mergeBatch struct {
+	chunks   []*vector.Chunk
+	bytes    int64
+	reserved bool
 }
 
 // rangeCursor produces one key range's output in order, a batch of
@@ -114,20 +119,29 @@ type rangeCursor interface {
 // ranges each loser-tree-merge one disjoint key range (an Iterator from
 // extsort.PartitionMerge, behind a rangeCursor) and the stream re-emits
 // their batches in range order, which is the exact order the
-// single-threaded merge would produce. Each range runs as a
-// re-submitting scheduler step producing one batch at a time; its
-// channel bounds how far it runs ahead, and a range whose channel is
-// full parks — costing the shared pool nothing — until the consumer
-// drains it.
+// single-threaded merge would produce. Each range is a re-submitting
+// scheduler step that queues one batch at a time, so it keeps merging
+// while the consumer reads the ranges before it: mergeStreamFloor
+// batches for free, every further one reserved from the pool up to the
+// range's share of the sort budget. A batch past the share, or one the
+// pool refuses, parks the range until the consumer takes a batch from
+// it. With no budget ranges run to their end.
 type parMergeStream struct {
-	outs   []chan mergeMsg
 	ranges []*mergeRange
 	q      *sched.Query
+	pool   *buffer.Pool
+	share  int64 // reserved bytes a range may queue (0: unbounded)
+	slot   *OpProfile
 	cancel atomic.Bool
 	wg     sync.WaitGroup
-	cur    int
-	err    error
-	closed bool
+
+	// mu guards the ranges' queues and states and ahead; ready is
+	// broadcast whenever a range queues a batch, parks or ends.
+	mu    sync.Mutex
+	ready *sync.Cond
+	ahead int64 // bytes queued in all ranges
+
+	cur int
 
 	// rows counts rows emitted per range. Written by the range's own
 	// step chain; read only after the stream is drained or Closed.
@@ -136,25 +150,33 @@ type parMergeStream struct {
 
 // mergeRange is one key range's task state. Exactly one step is
 // outstanding per range at any time (queued, running or parked), so
-// finish runs exactly once.
+// end runs exactly once.
 type mergeRange struct {
-	s      *parMergeStream
-	w      int
-	part   *extsort.Iterator
-	cur    rangeCursor
-	mu     sync.Mutex
-	parked bool
+	s    *parMergeStream
+	w    int
+	part *extsort.Iterator
+	cur  rangeCursor
+	held *mergeBatch // produced, found no room: queued first when unparked
+
+	// under s.mu
+	queue    []*mergeBatch
+	reserved int64 // bytes of queue reserved from the pool
+	parked   bool
+	done     bool
+	err      error
 }
 
-func newParMergeStream(ctx *Context, parts []*extsort.Iterator, mkCursor func(part *extsort.Iterator) rangeCursor) *parMergeStream {
+func newParMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile, mkCursor func(part *extsort.Iterator) rangeCursor) *parMergeStream {
 	s := &parMergeStream{
-		outs:   make([]chan mergeMsg, len(parts)),
 		ranges: make([]*mergeRange, len(parts)),
 		q:      ctx.queryTasks(),
+		pool:   ctx.Pool,
+		share:  splitBudget(ctx.sortBudget(), len(parts)),
+		slot:   slot,
 		rows:   make([]int64, len(parts)),
 	}
+	s.ready = sync.NewCond(&s.mu)
 	for i := range parts {
-		s.outs[i] = make(chan mergeMsg, mergeStreamDepth)
 		s.ranges[i] = &mergeRange{s: s, w: i, part: parts[i], cur: mkCursor(parts[i])}
 		s.wg.Add(1)
 		s.q.Submit(s.ranges[i].step)
@@ -162,100 +184,142 @@ func newParMergeStream(ctx *Context, parts []*extsort.Iterator, mkCursor func(pa
 	return s
 }
 
-// finish retires the range: the channel close is the consumer's
-// end-of-range signal, and dropping the range's cursors releases any
-// loaded (pool-accounted) chunk of its boundary-capped clones. The
-// shared parent keeps the underlying files open.
-func (r *mergeRange) finish() {
-	close(r.s.outs[r.w])
+// end retires the range. Closing its Iterator releases any loaded
+// (pool-accounted) chunk of its clones; the shared parent keeps the
+// underlying files open.
+func (r *mergeRange) end(err error) {
+	s := r.s
 	r.part.Close()
-	r.s.wg.Done()
+	s.mu.Lock()
+	r.done, r.err = true, err
+	s.ready.Broadcast()
+	s.mu.Unlock()
+	s.wg.Done()
 }
 
-// step produces one batch. The channel-room check happens before the
-// cursor runs and the step is the channel's only sender, so the send
-// can never block a pool worker; a full channel parks the range until
-// the consumer frees a slot.
+// step produces one batch, unless a batch that found no room is still
+// held, and queues it if it fits; otherwise the range parks holding it.
 func (r *mergeRange) step() {
 	s := r.s
-	if s.cancel.Load() {
-		r.finish()
+	b := r.held
+	if b == nil && !s.cancel.Load() {
+		chunks, err := r.cur.Next()
+		if err != nil || chunks == nil {
+			r.end(err)
+			return
+		}
+		b = &mergeBatch{chunks: chunks}
+		for _, c := range chunks {
+			s.rows[r.w] += int64(c.Len())
+			b.bytes += c.HeapBytes()
+		}
+	}
+	s.mu.Lock()
+	if s.cancel.Load() { // checked under mu: Close looks for parked ranges under it
+		s.mu.Unlock()
+		r.end(nil)
 		return
 	}
-	r.mu.Lock()
-	if len(s.outs[r.w]) == cap(s.outs[r.w]) {
-		r.parked = true
-		r.mu.Unlock()
+	if !r.admitLocked(b) {
+		r.held, r.parked = b, true
+		if s.slot != nil {
+			s.slot.MergeParks.Add(1)
+		}
+		s.ready.Broadcast()
+		s.mu.Unlock()
 		return
 	}
-	r.mu.Unlock()
-	b, err := r.cur.Next()
-	if err != nil {
-		s.outs[r.w] <- mergeMsg{err: err}
-		r.finish()
-		return
+	r.held = nil
+	r.queue = append(r.queue, b)
+	s.ahead += b.bytes
+	if s.slot != nil {
+		raisePeak(&s.slot.MergeAheadBytes, s.ahead)
 	}
-	if b == nil {
-		r.finish()
-		return
-	}
-	for _, c := range b {
-		s.rows[r.w] += int64(c.Len())
-	}
-	s.outs[r.w] <- mergeMsg{chunks: b}
+	s.ready.Broadcast()
+	s.mu.Unlock()
 	s.q.Submit(r.step)
 }
 
-// unpark re-submits a parked range after the consumer freed a slot.
-func (s *parMergeStream) unpark(w int) {
-	r := s.ranges[w]
-	r.mu.Lock()
+// admitLocked reports whether b may join the range's queue: free within
+// the floor, else within the range's share and a pool reservation.
+func (r *mergeRange) admitLocked(b *mergeBatch) bool {
+	s := r.s
+	if len(r.queue) < mergeStreamFloor {
+		return true
+	}
+	if s.share > 0 && r.reserved+b.bytes > s.share {
+		return false
+	}
+	if s.pool != nil {
+		if s.pool.Reserve(b.bytes) != nil {
+			return false
+		}
+		b.reserved = true
+		r.reserved += b.bytes
+	}
+	return true
+}
+
+// popLocked takes the range's oldest batch, returns its reservation and
+// re-submits the range if it parked for want of room.
+func (r *mergeRange) popLocked() *mergeBatch {
+	s := r.s
+	b := r.queue[0]
+	r.queue[0] = nil
+	r.queue = r.queue[1:]
+	s.ahead -= b.bytes
+	if b.reserved {
+		r.reserved -= b.bytes
+		s.pool.Release(b.bytes)
+	}
 	if r.parked && !s.cancel.Load() {
 		r.parked = false
 		s.q.Submit(r.step)
 	}
-	r.mu.Unlock()
+	return b
 }
 
-// Next returns the next batch in global key order, or nil at the end.
+// Next returns the next batch in global key order, or nil at the end. A
+// range's error is sticky: the stream stays on that range.
 func (s *parMergeStream) Next() ([]*vector.Chunk, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	for s.cur < len(s.outs) {
-		msg, ok := <-s.outs[s.cur]
-		if !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.cur < len(s.ranges) {
+		r := s.ranges[s.cur]
+		switch {
+		case len(r.queue) > 0:
+			return r.popLocked().chunks, nil
+		case r.done && r.err != nil:
+			return nil, r.err
+		case r.done:
 			s.cur++
-			continue
+		default:
+			s.ready.Wait()
 		}
-		s.unpark(s.cur)
-		if msg.err != nil {
-			s.err = msg.err
-			return nil, msg.err
-		}
-		return msg.chunks, nil
 	}
 	return nil, nil
 }
 
-// Close cancels outstanding range steps and joins them. It must be
-// called before the parent iterator (which owns the shared run files)
-// closes.
+// Close cancels outstanding range steps, joins them and releases what
+// the ranges queued and nobody read. It must be called before the
+// parent iterator (which owns the shared run files) closes; a second
+// Close finds nothing left to do.
 func (s *parMergeStream) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
 	s.cancel.Store(true)
+	s.mu.Lock()
 	for _, r := range s.ranges {
-		r.mu.Lock()
 		if r.parked {
 			r.parked = false
 			s.q.Submit(r.step)
 		}
-		r.mu.Unlock()
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
+	for _, r := range s.ranges {
+		for len(r.queue) > 0 {
+			r.popLocked() // every step has ended: no lock needed
+		}
+	}
 }
 
 // chunkCursor is the plain rangeCursor: the sorted chunks as merged,

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"cmp"
+	"sync"
+	"time"
+
 	"repro/internal/expr"
 	"repro/internal/extsort"
 	"repro/internal/plan"
@@ -111,7 +115,8 @@ func (s *sortedStream) build(ctx *Context) error {
 	// merged after consume has joined every worker, so the slice needs
 	// no locking; the shared buffer pool is internally synchronized.
 	var sorters []*extsort.Sorter
-	err := s.src.consume(ctx, workers, ctx.Prof.Slot(s.node), func(w int) sinkFunc {
+	slot := ctx.Prof.Slot(s.node)
+	err := s.src.consume(ctx, workers, slot, func(w int) sinkFunc {
 		sorter := extsort.NewSorter(s.extTypes, s.keys, budget, ctx.TmpDir)
 		if ctx.Pool != nil {
 			sorter.SetPool(ctx.Pool)
@@ -125,13 +130,13 @@ func (s *sortedStream) build(ctx *Context) error {
 			return sorter.Add(ext)
 		}
 	})
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
+	if err == nil && len(sorters) > 1 {
+		err = sealSorters(ctx, sorters, slot)
 	}
-	iter, err := extsort.MergeFinish(sorters)
+	var iter *extsort.Iterator
+	if err == nil {
+		iter, err = extsort.MergeFinish(sorters)
+	}
 	if err != nil {
 		for _, sorter := range sorters {
 			sorter.Close()
@@ -165,7 +170,7 @@ func (s *sortedStream) build(ctx *Context) error {
 			return err
 		}
 		if len(parts) > 1 {
-			s.merge = newParMergeStream(ctx, parts, func(part *extsort.Iterator) rangeCursor { return s.cursor(ctx, part) })
+			s.merge = newParMergeStream(ctx, parts, slot, func(part *extsort.Iterator) rangeCursor { return s.cursor(ctx, part) })
 			s.out = s.merge
 			ranges = len(parts)
 		}
@@ -173,10 +178,32 @@ func (s *sortedStream) build(ctx *Context) error {
 	if s.out == nil {
 		s.out = s.cursor(ctx, iter)
 	}
-	if slot := ctx.Prof.Slot(s.node); slot != nil {
+	if slot != nil {
 		slot.MergeRanges.Store(int64(ranges))
 	}
 	return nil
+}
+
+// sealSorters sorts every worker's buffered tail (Sorter.Seal) on a step
+// of its own on the query's scheduler account and waits for them all,
+// booking their time to slot.
+func sealSorters(ctx *Context, sorters []*extsort.Sorter, slot *OpProfile) error {
+	errs := make([]error, len(sorters))
+	var wg sync.WaitGroup
+	wg.Add(len(sorters))
+	q := ctx.queryTasks()
+	for i, sorter := range sorters {
+		q.Submit(func() {
+			defer wg.Done()
+			t0 := time.Now()
+			errs[i] = sorter.Seal()
+			if slot != nil {
+				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
+			}
+		})
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // Next runs the sort phase on the first call, then streams the merge

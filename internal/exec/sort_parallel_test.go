@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/expr"
+	"repro/internal/extsort"
 	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // mkSortNode builds ORDER BY (v % 97) ASC, v DESC over the fact table:
@@ -174,5 +176,176 @@ func TestParallelSortMergePartitioned(t *testing.T) {
 	}
 	if sum != rows {
 		t.Fatalf("range workers merged %d rows total, want %d (%v)", sum, rows, counts)
+	}
+}
+
+// BenchmarkSort measures the whole ORDER BY operator — extend, run sort,
+// merge and repack — on the benchmark's sort shape, SELECT id, qty,
+// price FROM t ORDER BY qty DESC, price, id over windowBenchTable's 100k
+// rows, in ns, allocations and bytes per input row at threads 1 and 2.
+func BenchmarkSort(b *testing.B) {
+	const rows = 100_000
+	mgr := txn.NewManager(nil)
+	node := &plan.SortNode{
+		Child: &plan.ScanNode{Table: windowBenchTable(b, mgr, rows), Columns: []int{0, 2, 3}},
+		Keys: []plan.SortKey{{Expr: windowBenchCol(1, types.BigInt), Desc: true},
+			{Expr: windowBenchCol(2, types.Double)}, {Expr: windowBenchCol(0, types.BigInt)}},
+	}
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchPerRow(b, rows, func() {
+				op, err := Build(node, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				chunks, err := Collect(&Context{Txn: mgr.Begin(), Threads: threads}, op)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := countRows(chunks); n != rows {
+					b.Fatalf("sort returned %d of %d rows", n, rows)
+				}
+			})
+		})
+	}
+}
+
+// runAheadCursor is a rangeCursor of left one-chunk batches, each of
+// rows BIGINT values equal to the batch's number, counting from base.
+type runAheadCursor struct{ base, left, rows int }
+
+func (c *runAheadCursor) Next() ([]*vector.Chunk, error) {
+	if c.left == 0 {
+		return nil, nil
+	}
+	c.left--
+	ch := vector.NewChunk([]types.Type{types.BigInt})
+	for range c.rows {
+		ch.AppendRow(types.NewBigInt(int64(c.base)))
+	}
+	c.base++
+	return []*vector.Chunk{ch}, nil
+}
+
+// settled waits until range w has ended or parked and returns how many
+// batches and bytes it holds queued, and whether it ended.
+func settled(s *parMergeStream, w int) (batches int, bytes int64, done bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.ranges[w]
+	for !r.done && !r.parked {
+		s.ready.Wait()
+	}
+	for _, b := range r.queue {
+		bytes += b.bytes
+	}
+	return len(r.queue), bytes, r.done
+}
+
+// TestMergeRangesRunAhead: a range that is not at the consumer's head
+// keeps merging — to its end without a budget, to its share of the sort
+// budget plus the free floor with one, or until the pool refuses a batch
+// — and the stream still emits every batch in range order, returning
+// every reserved byte whether it is drained or closed early.
+func TestMergeRangesRunAhead(t *testing.T) {
+	const rows, n0, n1 = 128, 6, 40
+	const batch = rows * 8 // bytes of one batch
+	start := func(ctx *Context, slot *OpProfile) *parMergeStream {
+		parts := []*extsort.Iterator{{}, {}}
+		cursors := []*runAheadCursor{{base: 0, left: n0, rows: rows}, {base: 1000, left: n1, rows: rows}}
+		i := 0
+		return newParMergeStream(ctx, parts, slot, func(*extsort.Iterator) rangeCursor {
+			i++
+			return cursors[i-1]
+		})
+	}
+	drain := func(t *testing.T, s *parMergeStream, batches int) {
+		t.Helper()
+		want := make([]int64, 0, n0+n1)
+		for b := range n0 {
+			want = append(want, int64(b))
+		}
+		for b := range n1 {
+			want = append(want, int64(1000+b))
+		}
+		for _, w := range want[:min(batches, len(want))] {
+			b, err := s.Next()
+			if err != nil || len(b) != 1 || b[0].Len() != rows || b[0].Cols[0].I64[0] != w {
+				t.Fatalf("batch %d: got %v, %v", w, b, err)
+			}
+		}
+		if batches >= len(want) {
+			if b, err := s.Next(); b != nil || err != nil {
+				t.Fatalf("past the end: %v, %v", b, err)
+			}
+		}
+	}
+
+	t.Run("unbounded", func(t *testing.T) {
+		pool := buffer.NewPool(0, nil)
+		slot := &OpProfile{}
+		s := start(&Context{Threads: 2, Pool: pool}, slot)
+		if got, bytes, done := settled(s, 1); !done || got != n1 || bytes != n1*batch {
+			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want all %d unread", got, bytes, done, n1)
+		}
+		drain(t, s, n0+n1)
+		s.Close()
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("pool holds %d B after the drain", used)
+		}
+		if slot.MergeParks.Load() != 0 || slot.MergeAheadBytes.Load() < n1*batch {
+			t.Fatalf("parks=%d ahead=%d, want no parks and ahead >= %d", slot.MergeParks.Load(), slot.MergeAheadBytes.Load(), n1*batch)
+		}
+	})
+
+	t.Run("share", func(t *testing.T) {
+		const share = 3 * batch
+		pool := buffer.NewPool(0, nil)
+		slot := &OpProfile{}
+		s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * share}, slot)
+		got, bytes, done := settled(s, 1)
+		if done || bytes > share+mergeStreamFloor*batch || got != mergeStreamFloor+3 {
+			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want it parked at %d B", got, bytes, done, share+mergeStreamFloor*batch)
+		}
+		drain(t, s, n0+n1)
+		s.Close()
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("pool holds %d B after the drain", used)
+		}
+		if slot.MergeParks.Load() == 0 || slot.MergeAheadBytes.Load() < bytes {
+			t.Fatalf("parks=%d ahead=%d, want parks and ahead >= %d", slot.MergeParks.Load(), slot.MergeAheadBytes.Load(), bytes)
+		}
+	})
+
+	t.Run("pool_refuses", func(t *testing.T) {
+		const limit = 1 << 20
+		pool := buffer.NewPool(limit, nil)
+		if err := pool.Reserve(limit - 2*batch); err != nil {
+			t.Fatal(err)
+		}
+		s := start(&Context{Threads: 2, Pool: pool, SortBudget: limit}, nil)
+		settled(s, 0)
+		if got, _, done := settled(s, 1); done || got > mergeStreamFloor+2 {
+			t.Fatalf("range 1 settled with %d batches, done=%v; want it parked past %d", got, done, mergeStreamFloor+2)
+		}
+		drain(t, s, n0+n1)
+		s.Close()
+		if used := pool.Used(); used != limit-2*batch {
+			t.Fatalf("pool holds %d B after the drain, want the baseline %d", used, limit-2*batch)
+		}
+	})
+
+	for _, read := range []int{0, 3, n0 + 2} {
+		t.Run(fmt.Sprintf("close_after_%d", read), func(t *testing.T) {
+			pool := buffer.NewPool(0, nil)
+			s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * 3 * batch}, nil)
+			settled(s, 1)
+			drain(t, s, read)
+			s.Close()
+			s.Close() // a second Close is a no-op
+			if used := pool.Used(); used != 0 {
+				t.Fatalf("pool holds %d B after Close", used)
+			}
+		})
 	}
 }

@@ -45,8 +45,9 @@ type Sorter struct {
 	layout   *keyLayout
 
 	chunks   []*vector.Chunk
-	rows     int   // buffered rows
-	bytes    int64 // buffered rows plus their encoded keys
+	rows     int     // buffered rows
+	bytes    int64   // buffered rows plus their encoded keys
+	tail     *memRun // the buffered rows Seal sorted
 	reserved int64
 	runs     []runFile
 	spilled  int64 // bytes spilled (stats)
@@ -133,15 +134,16 @@ func (s *Sorter) releaseReserved() {
 	}
 }
 
-// memRun is a sorted in-memory run: the buffered chunks and their
+// memRun is a sorted in-memory run: the buffered chunks and their n
 // encoded rows in sort order, each row's ordinal naming its chunk row.
 type memRun struct {
 	l      *keyLayout
 	chunks []*vector.Chunk
 	rows   []byte
+	n      int
 }
 
-func (m *memRun) len() int { return len(m.rows) / m.l.stride }
+func (m *memRun) len() int { return m.n }
 
 // key returns the key bytes of the run's i-th row.
 func (m *memRun) key(i int) []byte {
@@ -172,19 +174,23 @@ func (s *Sorter) sortBuffered(must bool) *memRun {
 	}
 	rs := runSorter{l: s.layout, rows: rows, chunks: s.chunks}
 	rs.sort()
-	return &memRun{l: s.layout, chunks: s.chunks, rows: rows}
+	return &memRun{l: s.layout, chunks: s.chunks, rows: rows, n: s.rows}
 }
 
-// takeSorted sorts the buffered rows into an in-memory run, leaving the
-// sorter's buffer empty; the caller moves s.reserved along with the run.
-// When the pool has no room for the run's keys it returns nil and the
-// caller spills instead.
-func (s *Sorter) takeSorted() *memRun {
-	run := s.sortBuffered(true)
-	if run != nil {
-		s.chunks, s.rows, s.bytes = nil, 0, 0
+// Seal sorts the buffered rows into the sorter's in-memory tail, which
+// merges straight from memory, or spills them as the last run when the
+// pool has no room for their keys. Producers of a multi-producer sort
+// each seal their own sorter, so the tails sort concurrently; Finish and
+// MergeFinish seal whatever nobody sealed. No Add may follow.
+func (s *Sorter) Seal() error {
+	if len(s.chunks) == 0 {
+		return nil
 	}
-	return run
+	if s.tail = s.sortBuffered(true); s.tail == nil {
+		return s.spill()
+	}
+	s.chunks, s.rows, s.bytes = nil, 0, 0
+	return nil
 }
 
 // gatherer materializes sorted rows a column at a time: the rows of one
@@ -259,15 +265,16 @@ func (s *Sorter) spill() error {
 // Finish completes the sort and returns an iterator over sorted chunks.
 // The sorter must not be Added to afterwards.
 func (s *Sorter) Finish() (*Iterator, error) {
+	if err := s.Seal(); err != nil {
+		return nil, err
+	}
 	it := &Iterator{colTypes: s.colTypes, keys: s.keys, layout: s.layout}
-	if len(s.runs) == 0 {
-		if run := s.takeSorted(); run != nil {
-			it.mem = run
-			it.pool = s.pool
-			it.reserved = s.reserved
-			s.reserved = 0 // ownership moves to the iterator
-			return it, nil
-		}
+	if len(s.runs) == 0 && s.tail != nil {
+		it.mem, s.tail = s.tail, nil
+		it.pool = s.pool
+		it.reserved = s.reserved
+		s.reserved = 0 // ownership moves to the iterator
+		return it, nil
 	}
 	if err := s.registerInto(it); err != nil {
 		it.Close()
@@ -302,23 +309,17 @@ func MergeFinish(sorters []*Sorter) (*Iterator, error) {
 	return it, nil
 }
 
-// registerInto hands the sorter's spilled runs and sorted in-memory
-// buffer to a merging iterator, transferring pool-reservation ownership
-// (once the tail is dealt with, file ownership moves to it.files even on
-// error — the caller closes the iterator, and the sorter, which keeps
-// whatever a failed tail spill left it). The sorter is left empty.
+// registerInto seals the sorter and hands its spilled runs and sorted
+// tail to a merging iterator, transferring pool-reservation ownership
+// (once sealed, file ownership moves to it.files even on error — the
+// caller closes the iterator, and the sorter, which keeps whatever a
+// failed tail spill left it). The sorter is left empty.
 func (s *Sorter) registerInto(it *Iterator) error {
-	// The unspilled tail merges directly from memory — no disk round-trip
-	// for the rows that fit the budget — unless the pool has no room for
-	// its keys: then it becomes the last run.
-	var tail *memRun
-	if len(s.chunks) > 0 {
-		if tail = s.takeSorted(); tail == nil {
-			if err := s.spill(); err != nil {
-				return err
-			}
-		}
+	if err := s.Seal(); err != nil {
+		return err
 	}
+	tail := s.tail
+	s.tail = nil
 	if s.pool != nil {
 		it.pool = s.pool
 		it.reserved += s.reserved
@@ -330,7 +331,7 @@ func (s *Sorter) registerInto(it *Iterator) error {
 		it.files = append(it.files, r.f)
 	}
 	for _, r := range runs {
-		c := &runCursor{l: it.layout, run: r, pool: it.pool}
+		c := &runCursor{l: it.layout, run: r, pool: it.pool, endChunk: len(r.offs)}
 		if err := c.load(); err != nil {
 			c.close()
 			return err
@@ -340,7 +341,7 @@ func (s *Sorter) registerInto(it *Iterator) error {
 		}
 	}
 	if tail != nil {
-		it.cursors = append(it.cursors, &memCursor{run: tail})
+		it.cursors = append(it.cursors, &memCursor{run: tail, end: tail.n})
 	}
 	if s.layout != it.layout {
 		// One counter per merge: fold this producer's run-sort fallbacks
@@ -357,7 +358,7 @@ func (s *Sorter) Close() {
 		_ = r.f.Close()
 	}
 	s.runs = nil
-	s.chunks, s.rows, s.bytes = nil, 0, 0
+	s.chunks, s.rows, s.bytes, s.tail = nil, 0, 0, nil
 	s.releaseReserved()
 }
 
@@ -507,14 +508,15 @@ type cursor interface {
 	close()
 }
 
-// memCursor walks a producer's sorted in-memory run.
+// memCursor walks a producer's sorted in-memory run up to row end (a
+// key-range clone stops where the next range's clone starts).
 type memCursor struct {
-	run *memRun
-	pos int
+	run      *memRun
+	pos, end int
 }
 
 func (c *memCursor) chunk() *vector.Chunk {
-	if c.run == nil || c.pos >= c.run.len() {
+	if c.run == nil || c.pos >= c.end {
 		return nil
 	}
 	ch, _ := c.run.ref(c.pos)
@@ -543,6 +545,9 @@ type runCursor struct {
 	cur  *vector.Chunk
 	keys []byte // cur's rows encoded, once per load
 	row  int
+	// endChunk, endRow is the first position past the cursor: where the
+	// next key range's clone starts, else past the run's last chunk.
+	endChunk, endRow int
 
 	// pool accounts the one decoded chunk (and its keys) the cursor keeps
 	// resident. Accounting is best-effort: the merge is the path that
@@ -617,9 +622,8 @@ func (r *runFile) readChunk(i int) (*vector.Chunk, error) {
 }
 
 func (c *runCursor) load() error {
-	if c.idx >= len(c.run.offs) {
-		c.cur, c.keys = nil, nil
-		c.account(nil)
+	if c.idx >= len(c.run.offs) || (c.idx == c.endChunk && c.endRow == 0) {
+		c.close()
 		return nil
 	}
 	chunk, err := c.run.readChunk(c.idx)
@@ -641,7 +645,11 @@ func (c *runCursor) load() error {
 
 func (c *runCursor) advance() error {
 	c.row++
-	if c.cur != nil && c.row >= c.cur.Len() {
+	switch {
+	case c.cur == nil:
+	case c.idx-1 == c.endChunk && c.row >= c.endRow:
+		c.close()
+	case c.row >= c.cur.Len():
 		return c.load()
 	}
 	return nil

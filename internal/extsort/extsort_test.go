@@ -698,6 +698,61 @@ func TestPartitionMergeWindowPrefixBounds(t *testing.T) {
 	}
 }
 
+// TestPartitionMergeCapsAtChunkStart: when a range boundary falls on the
+// first row of a spilled run's chunk — each prefix value here fills
+// exactly one run chunk — the range before it must stop without loading
+// that chunk, and the ranges together emit every row once, in order.
+func TestPartitionMergeCapsAtChunkStart(t *testing.T) {
+	typs := []types.Type{types.BigInt, types.BigInt}
+	s := NewSorter(typs, []Key{{Col: 0}, {Col: 1}}, 0, t.TempDir())
+	const groups = 8
+	for g := range groups {
+		c := vector.NewChunk(typs)
+		for r := range vector.ChunkCapacity {
+			c.AppendRow(types.NewBigInt(int64(g)), types.NewBigInt(int64(g*vector.ChunkCapacity+r)))
+		}
+		if err := s.Add(c); err != nil {
+			t.Fatal(err)
+		}
+		if g%4 == 3 { // two runs of four one-group chunks
+			if err := s.spill(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	it, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	parts, err := it.PartitionMerge(4, it.keys[:1])
+	if err != nil || len(parts) < 2 {
+		t.Fatalf("PartitionMerge: %d ranges, %v", len(parts), err)
+	}
+	want := int64(0)
+	for _, p := range parts {
+		for {
+			c, err := p.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c == nil {
+				break
+			}
+			for _, v := range c.Cols[1].I64[:c.Len()] {
+				if v != want {
+					t.Fatalf("row %d: got %d", want, v)
+				}
+				want++
+			}
+		}
+		p.Close()
+	}
+	if want != groups*vector.ChunkCapacity {
+		t.Fatalf("ranges emitted %d rows, want %d", want, groups*vector.ChunkCapacity)
+	}
+}
+
 // TestPartitionMergeEarlyClose: abandoning range iterators mid-stream
 // and closing the parent must return every pool reservation and leave
 // no open run file.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/vector"
 )
 
 // Partitioned merge: instead of one consumer thread streaming the k-way
@@ -31,7 +29,10 @@ type partCursor interface {
 	// compares strictly greater than bound row boundRow on its first
 	// nkeys keys (at the start when bound is nil). Returns nil when the
 	// remaining range is empty.
-	seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error)
+	seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error)
+	// endAt caps the cursor where next — a clone of the same sequence at
+	// or after it — starts, and reports whether rows remain before it.
+	endAt(next partCursor) bool
 }
 
 // PartitionMerge splits this merge into up to n disjoint key-range
@@ -41,7 +42,8 @@ type partCursor interface {
 // merge, or a group prefix (e.g. window PARTITION BY columns) so that
 // rows equal on the prefix — one window partition — never straddle two
 // ranges. Being a prefix of the sort keys, its encoding is a prefix of
-// the encoded keys, which is what sampling, seeks and range caps compare.
+// the encoded keys, which is what sampling and seeks compare. A range's
+// clone of a cursor ends where the next range's clone starts.
 //
 // It returns nil (and no error) when partitioning is not worthwhile:
 // n < 2, an empty input, or sampled boundaries that collapse onto too
@@ -63,7 +65,7 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 		if it.mem == nil || it.mem.len() == 0 || it.memPos > 0 {
 			return nil, nil
 		}
-		cursors = []cursor{&memCursor{run: it.mem}}
+		cursors = []cursor{&memCursor{run: it.mem, end: it.mem.n}}
 	}
 	parts := make([]partCursor, 0, len(cursors))
 	for _, c := range cursors {
@@ -108,41 +110,46 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 		return nil, nil
 	}
 
-	out := make([]*Iterator, 0, bounds.Len()+1)
-	for i := 0; i <= bounds.Len(); i++ {
-		rangeIt := &Iterator{colTypes: it.colTypes, keys: it.keys, layout: l, shared: true}
-		for _, pc := range parts {
-			var c cursor
+	out := make([]*Iterator, bounds.Len()+1)
+	for i := range out {
+		out[i] = &Iterator{colTypes: it.colTypes, keys: it.keys, layout: l, shared: true}
+	}
+	starts := make([]partCursor, len(out))
+	for _, pc := range parts {
+		// Range i's clone starts past bound i-1 and ends where range i+1's
+		// starts. A nil start means this range and all later ones are
+		// empty for the cursor.
+		clear(starts)
+		for i := range starts {
 			var err error
 			if i == 0 {
-				c, err = pc.seekClone(nil, 0, nkeys)
+				starts[i], err = pc.seekClone(nil, 0, nkeys)
 			} else {
-				c, err = pc.seekClone(bounds, i-1, nkeys)
+				starts[i], err = pc.seekClone(bounds, i-1, nkeys)
 			}
 			if err != nil {
-				for _, done := range out {
-					done.Close()
+				for _, c := range starts[:i] {
+					c.close()
 				}
-				rangeIt.Close()
+				for _, r := range out {
+					r.Close()
+				}
 				return nil, err
 			}
+			if starts[i] == nil {
+				break
+			}
+		}
+		for i, c := range starts {
 			if c == nil {
+				break
+			}
+			if i+1 < len(starts) && starts[i+1] != nil && !c.endAt(starts[i+1]) {
+				c.close() // nothing of the cursor's sequence in this range
 				continue
 			}
-			if i < bounds.Len() {
-				rc := &rangeCursor{inner: c, bound: bounds, boundRow: i, nkeys: nkeys}
-				rc.check()
-				if rc.done {
-					// Clone landed past this range's cap; drop it and
-					// release whatever chunk it pinned.
-					rc.close()
-					continue
-				}
-				c = rc
-			}
-			rangeIt.cursors = append(rangeIt.cursors, c)
+			out[i].cursors = append(out[i].cursors, c)
 		}
-		out = append(out, rangeIt)
 	}
 	it.handedOff = true
 	return out, nil
@@ -153,46 +160,6 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 func pastBound(c cursor, bound *keyedRows, boundRow, nkeys int) bool {
 	return bound.l.compare(c.key(), c.chunk(), c.rowIdx(), bound.key(boundRow), bound.chunk, boundRow, nkeys) > 0
 }
-
-// rangeCursor caps a cursor at an upper boundary row (inclusive of rows
-// comparing equal on the bound keys): past it the cursor reads as
-// exhausted, leaving the remaining rows to the next range's own clones.
-type rangeCursor struct {
-	inner    cursor
-	bound    *keyedRows
-	boundRow int
-	nkeys    int
-	done     bool
-}
-
-func (c *rangeCursor) check() {
-	if !c.done && (c.inner.chunk() == nil || pastBound(c.inner, c.bound, c.boundRow, c.nkeys)) {
-		c.done = true
-	}
-}
-
-func (c *rangeCursor) chunk() *vector.Chunk {
-	if c.done {
-		return nil
-	}
-	return c.inner.chunk()
-}
-
-func (c *rangeCursor) rowIdx() int { return c.inner.rowIdx() }
-func (c *rangeCursor) key() []byte { return c.inner.key() }
-
-func (c *rangeCursor) advance() error {
-	if c.done {
-		return nil
-	}
-	if err := c.inner.advance(); err != nil {
-		return err
-	}
-	c.check()
-	return nil
-}
-
-func (c *rangeCursor) close() { c.inner.close() }
 
 // sampleStride spaces at most max samples evenly over n positions.
 func sampleStride(n, max int) int {
@@ -210,8 +177,8 @@ func (c *memCursor) sampleInto(into *keyedRows, max int) error {
 	return nil
 }
 
-func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error) {
-	clone := &memCursor{run: c.run}
+func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error) {
+	clone := &memCursor{run: c.run, end: c.run.n}
 	if bound != nil {
 		// First row strictly past the boundary prefix; the run is sorted
 		// by the full keys and the bound keys are a prefix of them, so the
@@ -227,6 +194,11 @@ func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, er
 	return clone, nil
 }
 
+func (c *memCursor) endAt(next partCursor) bool {
+	c.end = next.(*memCursor).pos
+	return c.pos < c.end
+}
+
 // ---- runCursor partitioning ----
 
 func (c *runCursor) sampleInto(into *keyedRows, max int) error {
@@ -239,8 +211,8 @@ func (c *runCursor) sampleInto(into *keyedRows, max int) error {
 	return nil
 }
 
-func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, error) {
-	clone := &runCursor{l: c.l, run: c.run, pool: c.pool}
+func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error) {
+	clone := &runCursor{l: c.l, run: c.run, pool: c.pool, endChunk: len(c.run.offs)}
 	if bound != nil {
 		// Binary search the chunk index: the last chunk whose first row is
 		// not past the boundary may still hold in-range rows; later chunks
@@ -267,4 +239,10 @@ func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (cursor, er
 		return nil, nil
 	}
 	return clone, nil
+}
+
+func (c *runCursor) endAt(next partCursor) bool {
+	n := next.(*runCursor)
+	c.endChunk, c.endRow = n.idx-1, n.row
+	return c.idx-1 < c.endChunk || (c.idx-1 == c.endChunk && c.row < c.endRow)
 }

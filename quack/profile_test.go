@@ -33,6 +33,8 @@ type profNode struct {
 	SegsSkipped int64       `json:"segments_skipped"`
 	SpillBytes  int64       `json:"spill_bytes"`
 	MergeRanges int64       `json:"merge_ranges"`
+	MergeAhead  int64       `json:"merge_ahead_bytes"`
+	MergeParks  int64       `json:"merge_parks"`
 	Children    []*profNode `json:"children"`
 }
 
@@ -538,7 +540,10 @@ func TestExplainAnalyzeBreakerBusy(t *testing.T) {
 // ranges their merge phase ran on — 1 for the serial merge on the
 // caller, where a window without PARTITION BY is also evaluated, more
 // when a PARTITION BY window over several workers is cut and evaluated
-// on the range workers.
+// on the range workers. A partitioned merge also says how far its ranges
+// ran ahead of the consumer (ahead=, JSON merge_ahead_bytes: every batch
+// is queued before it is read) and how often one parked on its share of
+// the sort budget (parks=, JSON merge_parks).
 func TestExplainAnalyzeMergeRanges(t *testing.T) {
 	for _, tc := range []struct {
 		threads  int
@@ -563,12 +568,19 @@ func TestExplainAnalyzeMergeRanges(t *testing.T) {
 		if got := n.MergeRanges; (got > 1) != tc.parallel || got < 1 {
 			t.Errorf("threads=%d %q: merge_ranges=%d, want partitioned: %v", tc.threads, tc.q, got, tc.parallel)
 		}
+		if (n.MergeAhead > 0) != tc.parallel || (!tc.parallel && n.MergeParks != 0) {
+			t.Errorf("threads=%d %q: merge_ahead_bytes=%d merge_parks=%d, want run-ahead only when partitioned", tc.threads, tc.q, n.MergeAhead, n.MergeParks)
+		}
 		var text []string
 		for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+tc.q) {
 			text = append(text, row[0])
 		}
-		if want := fmt.Sprintf(" merge_ranges=%d", n.MergeRanges); !strings.Contains(strings.Join(text, "\n"), want) {
-			t.Errorf("threads=%d %q: EXPLAIN ANALYZE has no %q:\n%s", tc.threads, tc.q, want, strings.Join(text, "\n"))
+		want := regexp.MustCompile(fmt.Sprintf(` merge_ranges=%d[\]\s]`, n.MergeRanges))
+		if tc.parallel {
+			want = regexp.MustCompile(fmt.Sprintf(` merge_ranges=%d ahead=[1-9]\d* parks=\d+[\]\s]`, n.MergeRanges))
+		}
+		if !want.MatchString(strings.Join(text, "\n")) {
+			t.Errorf("threads=%d %q: EXPLAIN ANALYZE does not match %q:\n%s", tc.threads, tc.q, want, strings.Join(text, "\n"))
 		}
 	}
 }
