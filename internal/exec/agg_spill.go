@@ -13,6 +13,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/extsort"
 	"repro/internal/plan"
+	"repro/internal/sched"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -582,7 +583,7 @@ func (f *aggFinish) reload(ctx *Context, tables []*aggTable) error {
 	)
 	errs := make([]error, workers) // worker w's, written by its steps only
 	q := ctx.queryTasks()
-	wg.Add(workers)
+	steps := make([]sched.Task, workers)
 	for w := range workers {
 		p := w
 		var task func()
@@ -604,8 +605,10 @@ func (f *aggFinish) reload(ctx *Context, tables []*aggTable) error {
 			}
 			wg.Done()
 		}
-		q.Submit(task)
+		steps[w] = task
 	}
+	wg.Add(workers)
+	q.Submit(steps...)
 	wg.Wait()
 	err := cmp.Or(errs...)
 	if err == nil {

@@ -306,21 +306,20 @@ func (w *pipeWorker) collect(_ int, c *vector.Chunk) error {
 	return nil
 }
 
-// submit starts n worker states on the scheduler. All are built before
-// any is submitted, so a state cannot run through several morsels while
-// its siblings are still being built.
+// submit starts n worker states on the scheduler in one batch, so a
+// state cannot run through several morsels before its siblings are
+// queued.
 func (p *pipelineOp) submit(ctx *Context, n int, mk func(i int) *pipeWorker) {
 	p.idle = sync.NewCond(&p.mu)
 	p.active = n
 	q := ctx.queryTasks()
-	ws := make([]*pipeWorker, n)
-	for i := range ws {
-		ws[i] = mk(i)
-		ws[i].q = q
+	steps := make([]sched.Task, n)
+	for i := range steps {
+		w := mk(i)
+		w.q = q
+		steps[i] = w.step
 	}
-	for _, w := range ws {
-		q.Submit(w.step)
-	}
+	q.Submit(steps...)
 }
 
 // exitLocked retires one worker state. Caller holds p.mu.

@@ -81,7 +81,7 @@ type OpProfile struct {
 	// tied on an encoded VARCHAR prefix and compared the full strings.
 	SortKeyBytes atomic.Int64
 	TieFallbacks atomic.Int64
-	// MergeRanges is how many key ranges a sort's or window's merge phase
+	// MergeRanges is how many row ranges a sort's or window's merge phase
 	// ran on (1: the serial merge on the caller). A window cuts and
 	// evaluates its partitions where they are merged.
 	MergeRanges atomic.Int64

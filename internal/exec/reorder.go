@@ -106,7 +106,7 @@ type mergeBatch struct {
 	reserved bool
 }
 
-// rangeCursor produces one key range's output in order, a batch of
+// rangeCursor produces one merge range's output in order, a batch of
 // chunks at a time: a sorted chunk as merged (chunkCursor), or the
 // window output slices that merged chunks completed. nil means the range
 // is exhausted. Steps call it from pool workers, one batch per step, so
@@ -116,7 +116,7 @@ type rangeCursor interface {
 }
 
 // parMergeStream is the consumer side of the partitioned merge: N
-// ranges each loser-tree-merge one disjoint key range (an Iterator from
+// ranges each loser-tree-merge one row range of the merge (an Iterator from
 // extsort.PartitionMerge, behind a rangeCursor) and the stream re-emits
 // their batches in range order, which is the exact order the
 // single-threaded merge would produce. Each range is a re-submitting
@@ -148,7 +148,7 @@ type parMergeStream struct {
 	rows []int64
 }
 
-// mergeRange is one key range's task state. Exactly one step is
+// mergeRange is one merge range's task state. Exactly one step is
 // outstanding per range at any time (queued, running or parked), so
 // end runs exactly once.
 type mergeRange struct {
@@ -176,11 +176,13 @@ func newParMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile,
 		rows:   make([]int64, len(parts)),
 	}
 	s.ready = sync.NewCond(&s.mu)
+	steps := make([]sched.Task, len(parts))
 	for i := range parts {
 		s.ranges[i] = &mergeRange{s: s, w: i, part: parts[i], cur: mkCursor(parts[i])}
-		s.wg.Add(1)
-		s.q.Submit(s.ranges[i].step)
+		steps[i] = s.ranges[i].step
 	}
+	s.wg.Add(len(parts))
+	s.q.Submit(steps...)
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/extsort"
 	"repro/internal/plan"
+	"repro/internal/sched"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -150,12 +151,12 @@ func (s *sortedStream) build(ctx *Context) error {
 	recordSortSpill(ctx, s.node, spilled)
 	s.iter = iter
 
-	// Partitioned merge phase: split the cursors' key domain at sampled
+	// Partitioned merge phase: cut the merge into row ranges at sampled
 	// quantiles of the range keys and let ctx.Threads workers each
 	// loser-tree-merge their own range (and run cursor over it). The
-	// hidden tiebreak makes the keys a total order, so ranges are exact
-	// and the re-emitted concatenation is bit-identical to the serial
-	// merge. PartitionMerge returns nil on skew/tiny inputs and for an
+	// concatenated ranges are the serial merge; under the full keys they
+	// end on chunk boundaries, so even the chunks are the serial merge's.
+	// PartitionMerge returns nil on skew/tiny inputs and for an
 	// empty range-key prefix — then the serial loser-tree merge stands.
 	// A source that generated its runs on one worker keeps the serial
 	// merge too: every range holds its own loaded chunk per run, and a
@@ -191,17 +192,18 @@ func sealSorters(ctx *Context, sorters []*extsort.Sorter, slot *OpProfile) error
 	errs := make([]error, len(sorters))
 	var wg sync.WaitGroup
 	wg.Add(len(sorters))
-	q := ctx.queryTasks()
+	steps := make([]sched.Task, len(sorters))
 	for i, sorter := range sorters {
-		q.Submit(func() {
+		steps[i] = func() {
 			defer wg.Done()
 			t0 := time.Now()
 			errs[i] = sorter.Seal()
 			if slot != nil {
 				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
 			}
-		})
+		}
 	}
+	ctx.queryTasks().Submit(steps...)
 	wg.Wait()
 	return cmp.Or(errs...)
 }
@@ -250,15 +252,12 @@ func (s *sortedStream) Close(ctx *Context) {
 }
 
 // sortOp is the ORDER BY pipeline breaker: a sortedStream over
-// sortLayout's rows, repacked to the serial merge's chunk boundaries and
-// stripped back to the payload.
+// sortLayout's rows, stripped back to the payload. Its merge ranges end
+// on chunk boundaries (PartitionMerge under the full keys), so the
+// stream's chunks are the serial merge's at every thread count.
 type sortOp struct {
 	sortedStream
 	np int // payload column count
-
-	carry  *vector.Chunk // repack buffer aligning chunk boundaries
-	rem    *vector.Chunk // unconsumed tail of the last merged chunk
-	remPos int
 }
 
 func newSortOp(src source, n *plan.SortNode) *sortOp {
@@ -271,14 +270,8 @@ func newSortOp(src source, n *plan.SortNode) *sortOp {
 	}}
 }
 
-func (s *sortOp) Open(ctx *Context) error {
-	s.carry = nil
-	s.rem, s.remPos = nil, 0
-	return s.sortedStream.Open(ctx)
-}
-
 func (s *sortOp) Next(ctx *Context) (*vector.Chunk, error) {
-	chunk, err := s.nextSorted(ctx)
+	chunk, err := s.sortedStream.Next(ctx)
 	if err != nil || chunk == nil {
 		return nil, err
 	}
@@ -286,59 +279,6 @@ func (s *sortOp) Next(ctx *Context) (*vector.Chunk, error) {
 	out := &vector.Chunk{Cols: chunk.Cols[:s.np]}
 	out.SetLen(chunk.Len())
 	return out, nil
-}
-
-// nextSorted streams the merge phase. The partitioned merge emits a
-// partial chunk at every range boundary, so its output is repacked into
-// full ChunkCapacity chunks — the exact boundaries the serial merge
-// produces, keeping the operator's chunk stream identical at every
-// thread count.
-func (s *sortOp) nextSorted(ctx *Context) (*vector.Chunk, error) {
-	for {
-		if s.rem != nil {
-			if s.carry == nil && s.remPos == 0 && s.rem.Len() == vector.ChunkCapacity {
-				out := s.rem
-				s.rem = nil
-				return out, nil
-			}
-			if s.carry == nil {
-				s.carry = vector.NewChunk(s.rem.Types())
-			}
-			take := vector.ChunkCapacity - s.carry.Len()
-			if rest := s.rem.Len() - s.remPos; take > rest {
-				take = rest
-			}
-			for ci, col := range s.carry.Cols {
-				col.AppendRange(s.rem.Cols[ci], s.remPos, take)
-			}
-			s.carry.SetLen(s.carry.Cols[0].Len())
-			s.remPos += take
-			if s.remPos == s.rem.Len() {
-				s.rem = nil
-			}
-			if s.carry.Len() == vector.ChunkCapacity {
-				out := s.carry
-				s.carry = nil
-				return out, nil
-			}
-			continue
-		}
-		c, err := s.sortedStream.Next(ctx)
-		if err != nil || s.merge == nil {
-			return c, err // the serial merge's chunks are already full
-		}
-		if c == nil { // tail: the stream's only partial chunk
-			out := s.carry
-			s.carry = nil
-			return out, nil
-		}
-		s.rem, s.remPos = c, 0
-	}
-}
-
-func (s *sortOp) Close(ctx *Context) {
-	s.carry, s.rem = nil, nil
-	s.sortedStream.Close(ctx)
 }
 
 // splitBudget divides a sort budget among the sorters of one operator

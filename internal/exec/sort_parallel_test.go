@@ -127,8 +127,8 @@ func TestParallelSortErrorPropagates(t *testing.T) {
 // TestParallelSortMergePartitioned: the merge phase must actually run
 // partitioned — on a 1-CPU host wall-clock speedup is unobservable, so
 // this asserts the work split instead: several range workers each
-// merged a non-trivial share of the rows, and the repacked stream still
-// matches the sequential merge (covered by MatchesSequential above).
+// merged a non-trivial share of the rows, and the concatenated ranges
+// still match the sequential merge (covered by MatchesSequential above).
 func TestParallelSortMergePartitioned(t *testing.T) {
 	const rows = 30_000
 	node, mgr := mkSortNode(t, rows, txn.NewManager(nil))
@@ -180,7 +180,7 @@ func TestParallelSortMergePartitioned(t *testing.T) {
 }
 
 // BenchmarkSort measures the whole ORDER BY operator — extend, run sort,
-// merge and repack — on the benchmark's sort shape, SELECT id, qty,
+// merge and strip — on the benchmark's sort shape, SELECT id, qty,
 // price FROM t ORDER BY qty DESC, price, id over windowBenchTable's 100k
 // rows, in ns, allocations and bytes per input row at threads 1 and 2.
 func BenchmarkSort(b *testing.B) {

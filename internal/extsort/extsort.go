@@ -12,6 +12,7 @@ package extsort
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -64,6 +65,7 @@ type runFile struct {
 	f       *os.File
 	offs    []int64
 	size    int64 // bytes written: the end of the last chunk
+	rows    int   // every chunk holds ChunkCapacity rows but the last
 	samples *keyedRows
 }
 
@@ -256,31 +258,17 @@ func (s *Sorter) spill() error {
 		out.Reset()
 	}
 	s.spilled += written
-	s.runs = append(s.runs, runFile{f: f, offs: offs, size: written, samples: samples})
+	s.runs = append(s.runs, runFile{f: f, offs: offs, size: written, rows: run.len(), samples: samples})
 	s.chunks, s.rows, s.bytes = nil, 0, 0
 	s.releaseReserved()
 	return nil
 }
 
-// Finish completes the sort and returns an iterator over sorted chunks.
-// The sorter must not be Added to afterwards.
+// Finish completes the sort and returns an iterator over sorted chunks:
+// the merge of this one sorter. The sorter must not be Added to
+// afterwards.
 func (s *Sorter) Finish() (*Iterator, error) {
-	if err := s.Seal(); err != nil {
-		return nil, err
-	}
-	it := &Iterator{colTypes: s.colTypes, keys: s.keys, layout: s.layout}
-	if len(s.runs) == 0 && s.tail != nil {
-		it.mem, s.tail = s.tail, nil
-		it.pool = s.pool
-		it.reserved = s.reserved
-		s.reserved = 0 // ownership moves to the iterator
-		return it, nil
-	}
-	if err := s.registerInto(it); err != nil {
-		it.Close()
-		return nil, err
-	}
-	return it, nil
+	return MergeFinish([]*Sorter{s})
 }
 
 // MergeFinish finishes every sorter and returns one iterator k-way
@@ -291,9 +279,6 @@ func (s *Sorter) Finish() (*Iterator, error) {
 // runs and buffered rows (including pool reservations) moves to the
 // iterator even on error.
 func MergeFinish(sorters []*Sorter) (*Iterator, error) {
-	if len(sorters) == 1 {
-		return sorters[0].Finish()
-	}
 	it := &Iterator{}
 	for _, s := range sorters {
 		if it.colTypes == nil {
@@ -331,17 +316,19 @@ func (s *Sorter) registerInto(it *Iterator) error {
 		it.files = append(it.files, r.f)
 	}
 	for _, r := range runs {
-		c := &runCursor{l: it.layout, run: r, pool: it.pool, endChunk: len(r.offs)}
+		c := &runCursor{l: it.layout, run: r, pool: it.pool}
 		if err := c.load(); err != nil {
 			c.close()
 			return err
 		}
 		if c.cur != nil {
 			it.cursors = append(it.cursors, c)
+			it.left += r.rows
 		}
 	}
 	if tail != nil {
-		it.cursors = append(it.cursors, &memCursor{run: tail, end: tail.n})
+		it.cursors = append(it.cursors, &memCursor{run: tail})
+		it.left += tail.n
 	}
 	if s.layout != it.layout {
 		// One counter per merge: fold this producer's run-sort fallbacks
@@ -374,19 +361,18 @@ type Iterator struct {
 	// Close so partitioned-merge cursors can keep pread-ing them.
 	files []*os.File
 
-	// in-memory mode: the one sorted run and the next row to emit
-	mem    *memRun
-	memPos int
-
-	// merge mode: each cursor walks one sorted sequence (a spilled run
-	// file or a producer's sorted in-memory buffer); the loser tree
-	// replays only the advanced cursor's path per emitted row.
+	// Each cursor walks one sorted sequence (a spilled run file or a
+	// producer's sorted in-memory buffer); the loser tree replays only
+	// the advanced cursor's path per emitted row.
 	cursors []cursor
 	lt      *loserTree
+	// The iterator drops its merge's first skip rows and emits the next
+	// left: a PartitionMerge range is a row range of the serial merge.
+	skip, left int
 
 	gather gatherer
 
-	// shared marks a key-range iterator returned by PartitionMerge: its
+	// shared marks a range iterator returned by PartitionMerge: its
 	// cursors read the parent's files and buffers, which the parent
 	// alone closes/releases.
 	shared bool
@@ -420,50 +406,55 @@ func (it *Iterator) Next() (*vector.Chunk, error) {
 	if it.handedOff {
 		return nil, fmt.Errorf("extsort: Next on a partitioned iterator")
 	}
-	if it.cursors == nil {
-		if it.mem == nil || it.memPos >= it.mem.len() {
-			return nil, nil
-		}
-		n := min(it.mem.len()-it.memPos, vector.ChunkCapacity)
-		it.gather.pickRun(it.mem, it.memPos, n)
-		it.memPos += n
-		out := vector.NewChunk(it.colTypes)
-		it.gather.into(out)
-		return out, nil
-	}
-	if len(it.cursors) == 0 {
+	if it.left == 0 {
 		return nil, nil
 	}
 	if it.lt == nil {
 		it.lt = newLoserTree(it.cursors, it.layout)
 	}
-	if err := it.mergePicks(); err != nil {
+	n := min(it.left, vector.ChunkCapacity)
+	if m, ok := it.cursors[0].(*memCursor); ok && len(it.cursors) == 1 {
+		m.pos += it.skip // a lone run drains in bulk
+		it.gather.pickRun(m.run, m.pos, n)
+		m.pos, it.skip = m.pos+n, 0
+	} else if err := it.mergePicks(n); err != nil {
 		it.err = err
 		it.Close()
 		return nil, err
 	}
-	if it.gather.n == 0 {
-		return nil, nil
-	}
+	it.left -= n
 	out := vector.NewChunk(it.colTypes)
 	it.gather.into(out)
 	return out, nil
 }
 
-// mergePicks pops up to one chunk of winners off the loser tree. A
-// picked chunk stays alive through its pick after its cursor moves on.
+// errShortMerge reports cursors that ran out before the iterator's row
+// count did: a run that lost rows.
+var errShortMerge = errors.New("extsort: merge ran out of rows")
+
+// mergePicks pops the next n winners off the loser tree, after the skip
+// rows before them. A picked chunk stays alive through its pick after
+// its cursor moves on. The iterator's last row is picked but not popped,
+// so no cursor loads a run chunk past it.
 //
 //quack:hotpath
-func (it *Iterator) mergePicks() error {
+func (it *Iterator) mergePicks(n int) error {
 	g := &it.gather
-	for g.n < vector.ChunkCapacity {
+	for g.n < n {
 		w := it.lt.winner()
 		if w < 0 {
-			break
+			g.n = 0
+			return errShortMerge
 		}
 		c := it.cursors[w]
-		g.srcs[g.n], g.rows[g.n] = c.chunk(), int32(c.rowIdx())
-		g.n++
+		if it.skip > 0 {
+			it.skip--
+		} else {
+			g.srcs[g.n], g.rows[g.n] = c.chunk(), int32(c.rowIdx())
+			if g.n++; g.n == it.left {
+				break
+			}
+		}
 		if err := c.advance(); err != nil {
 			g.n = 0
 			return err
@@ -475,7 +466,7 @@ func (it *Iterator) mergePicks() error {
 
 // Close releases all remaining run files and buffered-row reservations.
 // Safe to call at any point, including before the stream is drained.
-// Key-range iterators from PartitionMerge only drop their cursors; the
+// Range iterators from PartitionMerge only drop their cursors; the
 // parent owns (and closes) the underlying files and reservations.
 func (it *Iterator) Close() {
 	for _, c := range it.cursors {
@@ -483,7 +474,6 @@ func (it *Iterator) Close() {
 	}
 	it.cursors = nil
 	it.lt = nil
-	it.mem = nil
 	it.gather = gatherer{}
 	if it.shared {
 		return
@@ -508,15 +498,14 @@ type cursor interface {
 	close()
 }
 
-// memCursor walks a producer's sorted in-memory run up to row end (a
-// key-range clone stops where the next range's clone starts).
+// memCursor walks a producer's sorted in-memory run.
 type memCursor struct {
-	run      *memRun
-	pos, end int
+	run *memRun
+	pos int
 }
 
 func (c *memCursor) chunk() *vector.Chunk {
-	if c.run == nil || c.pos >= c.end {
+	if c.run == nil || c.pos >= c.run.n {
 		return nil
 	}
 	ch, _ := c.run.ref(c.pos)
@@ -545,9 +534,6 @@ type runCursor struct {
 	cur  *vector.Chunk
 	keys []byte // cur's rows encoded, once per load
 	row  int
-	// endChunk, endRow is the first position past the cursor: where the
-	// next key range's clone starts, else past the run's last chunk.
-	endChunk, endRow int
 
 	// pool accounts the one decoded chunk (and its keys) the cursor keeps
 	// resident. Accounting is best-effort: the merge is the path that
@@ -622,7 +608,7 @@ func (r *runFile) readChunk(i int) (*vector.Chunk, error) {
 }
 
 func (c *runCursor) load() error {
-	if c.idx >= len(c.run.offs) || (c.idx == c.endChunk && c.endRow == 0) {
+	if c.idx >= len(c.run.offs) {
 		c.close()
 		return nil
 	}
@@ -645,11 +631,7 @@ func (c *runCursor) load() error {
 
 func (c *runCursor) advance() error {
 	c.row++
-	switch {
-	case c.cur == nil:
-	case c.idx-1 == c.endChunk && c.row >= c.endRow:
-		c.close()
-	case c.row >= c.cur.Len():
+	if c.cur != nil && c.row >= c.cur.Len() {
 		return c.load()
 	}
 	return nil

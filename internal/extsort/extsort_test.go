@@ -412,7 +412,7 @@ func TestMergeFinishMultiProducer(t *testing.T) {
 }
 
 // TestIteratorCloseReleasesReservations: abandoning the stream early —
-// both in-memory mode and mid-merge — must return every buffered-row
+// both an unspilled sort and mid-merge — must return every buffered-row
 // reservation to the pool.
 func TestIteratorCloseReleasesReservations(t *testing.T) {
 	fill := func(s *Sorter) {
@@ -581,25 +581,33 @@ func fanInSorters(t *testing.T, k, rows int, budget int64) []*Sorter {
 
 func drainRows(t *testing.T, it *Iterator) []string {
 	t.Helper()
-	var out []string
+	out, _ := drainChunks(t, it)
+	return out
+}
+
+// drainChunks drains it, returning its rows and the length of every
+// chunk it emitted.
+func drainChunks(t *testing.T, it *Iterator) (rows []string, lens []int) {
+	t.Helper()
 	for {
 		c, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c == nil {
-			return out
+			return rows, lens
 		}
 		for r := 0; r < c.Len(); r++ {
-			out = append(out, fmt.Sprint(c.Row(r)))
+			rows = append(rows, fmt.Sprint(c.Row(r)))
 		}
+		lens = append(lens, c.Len())
 	}
 }
 
-// TestPartitionMergeMatchesSerial: splitting the merge into N key
-// ranges and concatenating the ranges must reproduce the serial
-// loser-tree merge row-for-row — high fan-in (dozens of runs plus
-// in-memory buffers), duplicate-heavy keys, NULLs, NaN, at widths
+// TestPartitionMergeMatchesSerial: splitting the merge into N ranges
+// and concatenating the ranges must reproduce the serial loser-tree
+// merge row for row and chunk for chunk — high fan-in (dozens of runs
+// plus in-memory buffers), duplicate-heavy keys, NULLs, NaN, at widths
 // 1/2/8. Width 1 (PartitionMerge declined) pins the fallback.
 func TestPartitionMergeMatchesSerial(t *testing.T) {
 	const rows = 30_000
@@ -607,7 +615,7 @@ func TestPartitionMergeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := drainRows(t, serial)
+	want, wantLens := drainChunks(t, serial)
 	serial.Close()
 	if len(want) != rows {
 		t.Fatalf("serial merge lost rows: %d", len(want))
@@ -622,29 +630,30 @@ func TestPartitionMergeMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
+		var gotLens []int
 		if parts == nil {
 			if width >= 2 {
 				t.Fatalf("width=%d: PartitionMerge declined", width)
 			}
-			got = drainRows(t, it)
+			got, gotLens = drainChunks(t, it)
 		} else {
 			if len(parts) < 2 || len(parts) > width {
 				t.Fatalf("width=%d: %d ranges", width, len(parts))
 			}
-			nonEmpty := 0
-			for _, p := range parts {
-				r := drainRows(t, p)
-				if len(r) > 0 {
-					nonEmpty++
+			for pi, p := range parts {
+				r, lens := drainChunks(t, p)
+				if len(r) == 0 {
+					t.Fatalf("width=%d: range %d is empty", width, pi)
 				}
 				got = append(got, r...)
+				gotLens = append(gotLens, lens...)
 				p.Close()
-			}
-			if nonEmpty < 2 {
-				t.Fatalf("width=%d: only %d non-empty ranges", width, nonEmpty)
 			}
 		}
 		it.Close()
+		if fmt.Sprint(gotLens) != fmt.Sprint(wantLens) {
+			t.Fatalf("width=%d: chunk lengths %v, want %v", width, gotLens, wantLens)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("width=%d: %d rows, want %d", width, len(got), len(want))
 		}
@@ -702,6 +711,8 @@ func TestPartitionMergeWindowPrefixBounds(t *testing.T) {
 // first row of a spilled run's chunk — each prefix value here fills
 // exactly one run chunk — the range before it must stop without loading
 // that chunk, and the ranges together emit every row once, in order.
+// Draining a range reads exactly the run chunks its rows lie in, less
+// the one per run its clone loaded when PartitionMerge positioned it.
 func TestPartitionMergeCapsAtChunkStart(t *testing.T) {
 	typs := []types.Type{types.BigInt, types.BigInt}
 	s := NewSorter(typs, []Key{{Col: 0}, {Col: 1}}, 0, t.TempDir())
@@ -730,7 +741,9 @@ func TestPartitionMergeCapsAtChunkStart(t *testing.T) {
 		t.Fatalf("PartitionMerge: %d ranges, %v", len(parts), err)
 	}
 	want := int64(0)
-	for _, p := range parts {
+	for pi, p := range parts {
+		before := runChunkReads.Load()
+		chunks, runs := map[int64]bool{}, map[int64]bool{}
 		for {
 			c, err := p.Next()
 			if err != nil {
@@ -744,13 +757,135 @@ func TestPartitionMergeCapsAtChunkStart(t *testing.T) {
 					t.Fatalf("row %d: got %d", want, v)
 				}
 				want++
+				g := v / vector.ChunkCapacity // one group per run chunk, four per run
+				chunks[g], runs[g/4] = true, true
 			}
+		}
+		if reads, inRange := runChunkReads.Load()-before, int64(len(chunks)-len(runs)); reads != inRange {
+			t.Fatalf("range %d read %d run chunks while draining, want %d: its rows' chunks less its clones' first loads", pi, reads, inRange)
 		}
 		p.Close()
 	}
 	if want != groups*vector.ChunkCapacity {
 		t.Fatalf("ranges emitted %d rows, want %d", want, groups*vector.ChunkCapacity)
 	}
+}
+
+// fuzzSorters splits rows of fanInSorters' schema and keys among
+// producers, the rng choosing each row's producer, a duplicate-heavy
+// leading key with NULLs, a DOUBLE key with NULLs, NaN and +Inf, and
+// each producer's budget (in memory, or spilling runs of a few chunks
+// or of less than one).
+func fuzzSorters(t *testing.T, seed int64, producers, rows int) []*Sorter {
+	t.Helper()
+	typs := []types.Type{types.BigInt, types.Double, types.BigInt}
+	keys := []Key{{Col: 0}, {Col: 1, Desc: true, NullsFirst: true}, {Col: 2}}
+	rng := rand.New(rand.NewSource(seed))
+	dbls := []float64{0, 1, 2, math.NaN(), math.Inf(1)}
+	dom := 1 + rng.Intn(12)
+	out := make([]*Sorter, producers)
+	chunks := make([]*vector.Chunk, producers)
+	for i := range out {
+		budget := []int64{0, 2 << 10, 8 << 10, 64 << 10}[rng.Intn(4)]
+		out[i] = NewSorter(typs, keys, budget, t.TempDir())
+		chunks[i] = vector.NewChunk(typs)
+	}
+	add := func(w int) {
+		if err := out[w].Add(chunks[w]); err != nil {
+			t.Fatal(err)
+		}
+		chunks[w] = vector.NewChunk(typs)
+	}
+	for r := range rows {
+		kv, dv := types.NewBigInt(int64(rng.Intn(dom))), types.NewDouble(dbls[rng.Intn(len(dbls))])
+		if rng.Intn(16) == 0 {
+			kv = types.NewNull(types.BigInt)
+		}
+		if rng.Intn(16) == 0 {
+			dv = types.NewNull(types.Double)
+		}
+		w := rng.Intn(producers)
+		chunks[w].AppendRow(kv, dv, types.NewBigInt(int64(r)))
+		if chunks[w].Len() == vector.ChunkCapacity || rng.Intn(512) == 0 {
+			add(w)
+		}
+	}
+	for w := range chunks {
+		if chunks[w].Len() > 0 {
+			add(w)
+		}
+	}
+	return out
+}
+
+// FuzzPartitionMerge: for fuzzed producers, budgets, rows, widths 2–8
+// and cut keys — the full keys, or a prefix of one or two — every range
+// PartitionMerge returns is non-empty, and the ranges concatenated are
+// the serial merge: chunk for chunk under the full keys, row for row
+// under a prefix, where no prefix group spans two ranges. A declined
+// split leaves the parent's own merge intact.
+func FuzzPartitionMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, producers uint8, rows uint16, width, cut uint8) {
+		k := 1 + int(producers)%8
+		n := int(rows) % 12_000
+		w := 2 + int(width)%7
+		serial, err := MergeFinish(fuzzSorters(t, seed, k, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantLens := drainChunks(t, serial)
+		serial.Close()
+		it, err := MergeFinish(fuzzSorters(t, seed, k, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		nkeys := len(it.keys)
+		if c := int(cut) % 3; c > 0 {
+			nkeys = c
+		}
+		parts, err := it.PartitionMerge(w, it.keys[:nkeys])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parts == nil {
+			if got, lens := drainChunks(t, it); fmt.Sprint(got, lens) != fmt.Sprint(want, wantLens) {
+				t.Fatal("a declined PartitionMerge changed the parent's merge")
+			}
+			return
+		}
+		if len(parts) < 2 || len(parts) > w {
+			t.Fatalf("width %d: %d ranges", w, len(parts))
+		}
+		var got []string
+		var lens []int
+		groups := map[string]int{} // prefix group -> its range
+		for pi, p := range parts {
+			rows, plens := drainChunks(t, p)
+			p.Close()
+			if len(rows) == 0 {
+				t.Fatalf("range %d of %d is empty", pi, len(parts))
+			}
+			got, lens = append(got, rows...), append(lens, plens...)
+			if nkeys == len(it.keys) {
+				continue
+			}
+			for _, row := range rows {
+				// Rows print as "[k d id]": the group is the first nkeys fields.
+				g := strings.Join(strings.Fields(strings.Trim(row, "[]"))[:nkeys], " ")
+				if prev, ok := groups[g]; ok && prev != pi {
+					t.Fatalf("prefix group %s spans ranges %d and %d", g, prev, pi)
+				}
+				groups[g] = pi
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ranges' rows differ from the serial merge (%d vs %d rows)", len(got), len(want))
+		}
+		if nkeys == len(it.keys) && fmt.Sprint(lens) != fmt.Sprint(wantLens) {
+			t.Fatalf("chunk lengths %v, serial %v", lens, wantLens)
+		}
+	})
 }
 
 // TestPartitionMergeEarlyClose: abandoning range iterators mid-stream

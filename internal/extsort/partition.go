@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/vector"
 )
 
 // Partitioned merge: instead of one consumer thread streaming the k-way
-// merge, the cursors' key domain is split into disjoint ranges at
-// sampled key quantiles and every range becomes its own Iterator —
-// loser-tree merging private cursor clones over the shared runs and
-// buffers — safe to drain from N goroutines concurrently. Concatenating
-// the ranges in order reproduces the exact total order of the single
-// merge, whatever boundaries the sample picked, so output stays
-// bit-identical at every worker count.
+// merge, the serial merge's rows are split into consecutive row ranges
+// cut at sampled key quantiles, and every range becomes its own Iterator
+// — loser-tree merging private cursor clones over the shared runs and
+// buffers — safe to drain from N goroutines concurrently. A range is
+// fixed by its first row and its row count, so concatenating the ranges
+// in order reproduces the single merge exactly, whatever boundaries the
+// sample picked, and output stays bit-identical at every worker count.
 
 // maxSamplesPerCursor bounds the quantile sample: per run at most this
 // many evenly spaced rows of its boundary footer, per in-memory buffer
@@ -30,27 +32,34 @@ type partCursor interface {
 	// nkeys keys (at the start when bound is nil). Returns nil when the
 	// remaining range is empty.
 	seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error)
-	// endAt caps the cursor where next — a clone of the same sequence at
-	// or after it — starts, and reports whether rows remain before it.
-	endAt(next partCursor) bool
+	// rank is the index of the current row in the sequence, rows the
+	// sequence's length.
+	rank() int
+	rows() int
 }
 
-// PartitionMerge splits this merge into up to n disjoint key-range
+// PartitionMerge splits this merge into up to n consecutive row-range
 // iterators that together stream the same total order Next would, each
 // independently drainable (typically from its own goroutine). boundKeys
 // is the key prefix ranges are cut on: the full sort keys for a plain
 // merge, or a group prefix (e.g. window PARTITION BY columns) so that
 // rows equal on the prefix — one window partition — never straddle two
 // ranges. Being a prefix of the sort keys, its encoding is a prefix of
-// the encoded keys, which is what sampling and seeks compare. A range's
-// clone of a cursor ends where the next range's clone starts.
+// the encoded keys, which is what sampling and seeks compare.
+//
+// A cut's rank in the serial merge is the sum of its clones' positions.
+// Under the full sort keys every row boundary is a key boundary, so each
+// cut moves up to a multiple of ChunkCapacity: the ranges' chunks are
+// then the serial merge's chunks. A range's clones start at its key cut
+// and skip the rows up to its row cut; it emits the rows up to the next
+// row cut and stops on its last row.
 //
 // It returns nil (and no error) when partitioning is not worthwhile:
-// n < 2, an empty input, or sampled boundaries that collapse onto too
-// few distinct prefix values (heavy skew). The parent iterator must not
-// have been Next'ed; on success it is consumed — only its Close matters
-// afterwards (it owns the files/buffers the ranges read), and it must
-// be closed only after every range iterator is done.
+// n < 2, an empty input, or cuts that leave fewer than two non-empty
+// ranges (heavy skew, or little more than a chunk of rows). The parent
+// iterator must not have been Next'ed; on success it is consumed — only
+// its Close matters afterwards (it owns the files/buffers the ranges
+// read), and it must be closed only after every range iterator is done.
 func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) {
 	if n < 2 || it.handedOff || it.lt != nil || len(boundKeys) == 0 {
 		return nil, nil // already streaming (or nothing to split)
@@ -59,16 +68,8 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 	if nkeys > len(it.keys) || !slices.Equal(boundKeys, it.keys[:nkeys]) {
 		return nil, fmt.Errorf("extsort: PartitionMerge bound keys are not a prefix of the sort keys")
 	}
-	cursors := it.cursors
-	if cursors == nil {
-		// In-memory mode partitions too: wrap the sorted buffer.
-		if it.mem == nil || it.mem.len() == 0 || it.memPos > 0 {
-			return nil, nil
-		}
-		cursors = []cursor{&memCursor{run: it.mem, end: it.mem.n}}
-	}
-	parts := make([]partCursor, 0, len(cursors))
-	for _, c := range cursors {
+	parts := make([]partCursor, 0, len(it.cursors))
+	for _, c := range it.cursors {
 		pc, ok := c.(partCursor)
 		if !ok {
 			return nil, nil
@@ -110,46 +111,57 @@ func (it *Iterator) PartitionMerge(n int, boundKeys []Key) ([]*Iterator, error) 
 		return nil, nil
 	}
 
-	out := make([]*Iterator, bounds.Len()+1)
-	for i := range out {
-		out[i] = &Iterator{colTypes: it.colTypes, keys: it.keys, layout: l, shared: true}
+	// Clone every cursor at every key cut into its range; a cut's rank
+	// sums its clones' positions (a cursor's length past its end).
+	ranges := make([]*Iterator, bounds.Len()+1)
+	for i := range ranges {
+		ranges[i] = &Iterator{colTypes: it.colTypes, keys: it.keys, layout: l, shared: true}
 	}
-	starts := make([]partCursor, len(out))
+	ranks := make([]int, len(ranges)+1)
+	ranks[len(ranges)] = it.left
 	for _, pc := range parts {
-		// Range i's clone starts past bound i-1 and ends where range i+1's
-		// starts. A nil start means this range and all later ones are
-		// empty for the cursor.
-		clear(starts)
-		for i := range starts {
-			var err error
-			if i == 0 {
-				starts[i], err = pc.seekClone(nil, 0, nkeys)
-			} else {
-				starts[i], err = pc.seekClone(bounds, i-1, nkeys)
+		var c partCursor
+		var err error
+		for i, r := range ranges {
+			switch {
+			case i == 0:
+				c, err = pc.seekClone(nil, 0, nkeys)
+			case c != nil: // a cursor past its end at one cut is at all later ones
+				c, err = pc.seekClone(bounds, i-1, nkeys)
 			}
 			if err != nil {
-				for _, c := range starts[:i] {
-					c.close()
-				}
-				for _, r := range out {
+				for _, r := range ranges {
 					r.Close()
 				}
 				return nil, err
 			}
-			if starts[i] == nil {
-				break
-			}
-		}
-		for i, c := range starts {
 			if c == nil {
-				break
-			}
-			if i+1 < len(starts) && starts[i+1] != nil && !c.endAt(starts[i+1]) {
-				c.close() // nothing of the cursor's sequence in this range
+				ranks[i] += pc.rows()
 				continue
 			}
-			out[i].cursors = append(out[i].cursors, c)
+			ranks[i] += c.rank()
+			r.cursors = append(r.cursors, c)
 		}
+	}
+	cuts := slices.Clone(ranks)
+	if nkeys == len(it.keys) {
+		for i, r := range cuts {
+			cuts[i] = min(it.left, (r+vector.ChunkCapacity-1)/vector.ChunkCapacity*vector.ChunkCapacity)
+		}
+	}
+	out := ranges[:0]
+	for i, r := range ranges {
+		if r.skip, r.left = cuts[i]-ranks[i], cuts[i+1]-cuts[i]; r.left == 0 {
+			r.Close()
+			continue
+		}
+		out = append(out, r)
+	}
+	if len(out) < 2 {
+		for _, r := range out {
+			r.Close()
+		}
+		return nil, nil
 	}
 	it.handedOff = true
 	return out, nil
@@ -178,7 +190,7 @@ func (c *memCursor) sampleInto(into *keyedRows, max int) error {
 }
 
 func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error) {
-	clone := &memCursor{run: c.run, end: c.run.n}
+	clone := &memCursor{run: c.run}
 	if bound != nil {
 		// First row strictly past the boundary prefix; the run is sorted
 		// by the full keys and the bound keys are a prefix of them, so the
@@ -194,10 +206,8 @@ func (c *memCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor
 	return clone, nil
 }
 
-func (c *memCursor) endAt(next partCursor) bool {
-	c.end = next.(*memCursor).pos
-	return c.pos < c.end
-}
+func (c *memCursor) rank() int { return c.pos }
+func (c *memCursor) rows() int { return c.run.n }
 
 // ---- runCursor partitioning ----
 
@@ -212,7 +222,7 @@ func (c *runCursor) sampleInto(into *keyedRows, max int) error {
 }
 
 func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor, error) {
-	clone := &runCursor{l: c.l, run: c.run, pool: c.pool, endChunk: len(c.run.offs)}
+	clone := &runCursor{l: c.l, run: c.run, pool: c.pool}
 	if bound != nil {
 		// Binary search the chunk index: the last chunk whose first row is
 		// not past the boundary may still hold in-range rows; later chunks
@@ -241,8 +251,6 @@ func (c *runCursor) seekClone(bound *keyedRows, boundRow, nkeys int) (partCursor
 	return clone, nil
 }
 
-func (c *runCursor) endAt(next partCursor) bool {
-	n := next.(*runCursor)
-	c.endChunk, c.endRow = n.idx-1, n.row
-	return c.idx-1 < c.endChunk || (c.idx-1 == c.endChunk && c.row < c.endRow)
-}
+// rank counts on the run's chunks being full but the last.
+func (c *runCursor) rank() int { return (c.idx-1)*vector.ChunkCapacity + c.row }
+func (c *runCursor) rows() int { return c.run.rows }

@@ -168,15 +168,20 @@ func (s *Scheduler) NewQuery(priority int) *Query {
 	return &Query{s: s, weight: float64(priority) / float64(DefaultPriority)}
 }
 
-// Submit queues one step on the query's FIFO.
-func (q *Query) Submit(t Task) {
+// Submit queues steps on the query's FIFO, in order and under one
+// lock, and wakes up to as many workers: a step that runs and
+// re-submits itself queues behind every step of the same call.
+func (q *Query) Submit(ts ...Task) {
+	if len(ts) == 0 {
+		return
+	}
 	s := q.s
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		panic("sched: Submit on stopped scheduler")
 	}
-	q.tasks = append(q.tasks, t)
+	q.tasks = append(q.tasks, ts...)
 	if !q.queued {
 		q.queued = true
 		q.wait = time.Now()
@@ -197,7 +202,9 @@ func (q *Query) Submit(t Task) {
 		s.runnable = append(s.runnable, q)
 	}
 	s.mu.Unlock()
-	s.cond.Signal()
+	for range ts {
+		s.cond.Signal()
+	}
 }
 
 // pickLocked pops the next task: from the runnable query with the

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +58,38 @@ func TestResubmittingChain(t *testing.T) {
 	}
 	if n != 100 {
 		t.Fatalf("chain ran %d steps, want 100", n)
+	}
+}
+
+// TestBatchSubmitOrder: one Submit of several steps queues them all
+// before any runs, so on a one-worker pool a step that re-submits
+// itself runs its second step after its batch siblings, not before.
+func TestBatchSubmitOrder(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	q := s.NewQuery(0)
+	var order []string // written by the one worker only
+	done := make(chan struct{})
+	var a func()
+	steps := 0
+	a = func() {
+		steps++
+		order = append(order, fmt.Sprint("a", steps))
+		if steps == 1 {
+			q.Submit(a)
+			return
+		}
+		close(done)
+	}
+	b := func() { order = append(order, "b") }
+	q.Submit(a, b)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("steps did not complete")
+	}
+	if got := strings.Join(order, ","); got != "a1,b,a2" {
+		t.Fatalf("ran %s, want a1,b,a2", got)
 	}
 }
 
