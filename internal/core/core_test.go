@@ -395,3 +395,58 @@ func TestThreadsFromEnv(t *testing.T) {
 		t.Fatalf("SetThreads(0) resolved %d, want 3 from QUACK_THREADS", got)
 	}
 }
+
+// TestParseByteSize: memory_limit sizes parse to bytes; NaN, infinities,
+// sizes past MaxInt64 bytes and positive sizes under one byte are
+// rejected by the PRAGMA (leaving the limit as it was) and ignored from
+// QUACK_MEMORY_LIMIT, instead of silently meaning "unlimited".
+func TestParseByteSize(t *testing.T) {
+	db, err := Open(Config{Path: ":memory:"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const kept = 4 << 20
+	for _, tc := range []struct {
+		in   string
+		want int64
+		bad  bool
+	}{
+		{in: "512MB", want: 512 << 20},
+		{in: "1048576", want: 1 << 20},
+		{in: "1.5kb", want: 1536},
+		{in: " 2 GB ", want: 2 << 30},
+		{in: "0", want: 0},
+		{in: "-1", want: -1},
+		{in: "NaN", bad: true},
+		{in: "inf", bad: true},
+		{in: "-Inf", bad: true},
+		{in: "1e30TB", bad: true},
+		{in: "9223372036854775808", bad: true},
+		{in: "0.5", bad: true},
+		{in: "12XB", bad: true},
+	} {
+		got, err := parseByteSize(tc.in)
+		if tc.bad != (err != nil) || (!tc.bad && got != tc.want) {
+			t.Errorf("parseByteSize(%q) = %d, %v; want %d, bad=%v", tc.in, got, err, tc.want, tc.bad)
+		}
+
+		db.pool.SetLimit(kept)
+		_, err = db.NewSession().ExecuteOne(fmt.Sprintf("PRAGMA memory_limit='%s'", tc.in))
+		switch lim := db.pool.Limit(); {
+		case tc.bad && (err == nil || lim != kept):
+			t.Errorf("PRAGMA memory_limit='%s': err %v, limit %d; want an error and the limit kept at %d", tc.in, err, lim, kept)
+		case !tc.bad && (err != nil || lim != tc.want):
+			t.Errorf("PRAGMA memory_limit='%s': err %v, limit %d; want %d", tc.in, err, lim, tc.want)
+		}
+
+		t.Setenv("QUACK_MEMORY_LIMIT", tc.in)
+		want := tc.want
+		if tc.bad || want < 0 {
+			want = 0 // ignored with a warning
+		}
+		if got := defaultMemoryLimit(); got != want {
+			t.Errorf("QUACK_MEMORY_LIMIT=%q resolved %d, want %d", tc.in, got, want)
+		}
+	}
+}

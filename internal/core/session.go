@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -657,18 +658,16 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 	// Surface how aggregation cooperates with an enforced memory_limit:
 	// partitions whose accumulator states outgrow the budget spill to
 	// sorted state runs and merge back at finish — at full parallelism.
-	if lim := s.db.pool.Limit(); lim > 0 && exec.HasAggregate(node) {
+	if lim, agg := s.db.pool.Limit(), exec.FindAggregate(node); lim > 0 && agg != nil {
 		out.AppendRow(types.NewVarchar(
 			"NOTE: aggregation spills partition-wise under memory_limit (see agg_spill_partitions_total in PRAGMA metrics)"))
 		// Surface the budget floor: states touched by in-flight morsels
 		// cannot spill, so a tight budget admits fewer accumulation
 		// workers instead of hard-failing the reservation.
-		if agg := exec.FindAggregate(node); agg != nil {
-			threads := s.threads()
-			if w := exec.AggWorkersAdmitted(lim, threads, agg); w < threads {
-				out.AppendRow(types.NewVarchar(fmt.Sprintf(
-					"NOTE: memory_limit admits %d of %d aggregation workers (unspillable in-flight states)", w, threads)))
-			}
+		threads := s.threads()
+		if w := exec.AggWorkersAdmitted(lim, threads, agg); w < threads {
+			out.AppendRow(types.NewVarchar(fmt.Sprintf(
+				"NOTE: memory_limit admits %d of %d aggregation workers (unspillable in-flight states)", w, threads)))
 		}
 	}
 	return &Result{
@@ -879,9 +878,12 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 	}
 }
 
-// parseByteSize parses "512MB", "1GB", "1048576" etc.
-func parseByteSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+// parseByteSize parses "512MB", "1GB", "1048576" etc. A negative size
+// is returned as is (memory_limit reads it as unlimited); NaN, an
+// infinity, a size past MaxInt64 bytes and a positive size under one
+// byte are errors rather than a limit nobody asked for.
+func parseByteSize(in string) (int64, error) {
+	s := strings.TrimSpace(strings.ToUpper(in))
 	mult := int64(1)
 	for _, suffix := range []struct {
 		s string
@@ -895,7 +897,11 @@ func parseByteSize(s string) (int64, error) {
 	}
 	n, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
-		return 0, fmt.Errorf("cannot parse byte size %q", s)
+		return 0, fmt.Errorf("cannot parse byte size %q", in)
 	}
-	return int64(n * float64(mult)), nil
+	b := n * float64(mult)
+	if math.IsNaN(b) || math.Abs(b) >= 1<<63 || (b > 0 && b < 1) {
+		return 0, fmt.Errorf("byte size %q is not a number of bytes in range", in)
+	}
+	return int64(b), nil
 }

@@ -49,7 +49,7 @@ func AggWorkersAdmitted(limit int64, threads int, n *plan.AggNode) int {
 }
 
 // FindAggregate returns the first hash aggregation in the plan, if any
-// (EXPLAIN consults it for the worker-clamp NOTE).
+// (EXPLAIN consults it for its memory_limit NOTEs).
 func FindAggregate(node plan.Node) *plan.AggNode {
 	if n, ok := node.(*plan.AggNode); ok {
 		return n

@@ -220,22 +220,6 @@ func Build(node plan.Node, prof *Profiler) (Operator, error) {
 	return buildOperator(node, prof)
 }
 
-// HasAggregate reports whether the plan contains a hash aggregation.
-// EXPLAIN uses it to note that an enforced memory_limit makes the
-// operator spill partition-wise state runs instead of degrading (the
-// pre-spill engine pinned budgeted parallel aggregation to one worker).
-func HasAggregate(node plan.Node) bool {
-	if _, ok := node.(*plan.AggNode); ok {
-		return true
-	}
-	for _, c := range node.Children() {
-		if HasAggregate(c) {
-			return true
-		}
-	}
-	return false
-}
-
 // buildSource builds the input of a pipeline breaker or join: the
 // morsel pipeline when the subtree is one, a join as itself, any other
 // operator behind the one-worker adapter. A filter or projection above

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
@@ -133,14 +134,6 @@ func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int
 	})
 }
 
-// parResult is one processed morsel: its dense sequence number and the
-// chunks its pipeline emitted (empty when every row was filtered out).
-type parResult struct {
-	seq    int
-	chunks []*vector.Chunk
-	err    error
-}
-
 // pipelineOp executes a morsel-driven pipeline: a table scan whose
 // segments are the morsels, followed by per-worker stages. It keeps
 // workerCount worker states (a morsel scanner plus private stage
@@ -155,17 +148,12 @@ type parResult struct {
 // then execute side by side on their own goroutines instead of queueing
 // behind one another in the pool.
 //
-// Next reassembles the chunks in morsel order, so consumers observe the
-// same chunk stream at every worker count. Flow control on the
-// scheduler: a state takes a reorder-buffer ticket before claiming a
-// morsel and the merger returns it when that morsel is emitted. A state
-// that finds no ticket parks (costing the pool nothing) and is
-// re-submitted by the consumer when it frees one; the results channel's
-// capacity equals the ticket window, so a step's send never blocks a
-// pool worker.
+// Next emits the chunks in morsel order, so consumers observe the same
+// chunk stream at every worker count: on the scheduler the states are
+// the producers of an orderedStream whose positions are morsels, and
+// their run-ahead is bounded like a merge range's.
 //
-// consume is the sink mode for pipeline breakers: no ordering barrier,
-// no tickets.
+// consume is the sink mode for pipeline breakers: no ordering barrier.
 type pipelineOp struct {
 	spec  *pipelineSpec
 	extra []stageFactory // stages attached by a parent (join probe)
@@ -173,17 +161,14 @@ type pipelineOp struct {
 	src     *table.MorselSource
 	nmorsel int
 
-	// buf orders the emitted chunks. On the scheduler it is the ticketed
-	// reorder window; inline it is just the emission queue.
-	buf     *reorderBuf
-	inline  *pipeWorker    // Next's only state when one worker suffices
-	results chan parResult // ordered mode on the scheduler
+	stream *orderedStream // Next's states on the scheduler (nil: inline)
+	out    batchReader    // what Next drains; unset until started
 
+	// consume's states on the scheduler: wg joins them, and the first
+	// failing state sets failed (under mu) and cancelled.
+	wg        sync.WaitGroup
 	mu        sync.Mutex
-	idle      *sync.Cond    // signalled when active reaches zero
-	parked    []*pipeWorker // states waiting for a ticket
-	active    int           // states queued or running on the pool
-	cancelled bool
+	cancelled atomic.Bool
 
 	closeOnce sync.Once
 	// failed is the stream's sticky error: set by Next on the consumer,
@@ -203,7 +188,7 @@ type pipeWorker struct {
 	// another profile slot: a breaker's sink, a join's probe.
 	bookedNs int64
 	q        *sched.Query
-	// out collects the current morsel's chunks in ordered mode.
+	// out collects the current morsel's chunks for Next.
 	out []*vector.Chunk
 }
 
@@ -299,168 +284,92 @@ func (w *pipeWorker) morsel() (int, error) {
 	return seq, err
 }
 
-// collect is the ordered-mode sink: the morsel's chunks wait in out
-// until the driver posts them under the morsel's sequence number.
-func (w *pipeWorker) collect(_ int, c *vector.Chunk) error {
-	w.out = append(w.out, c)
-	return nil
-}
-
-// submit starts n worker states on the scheduler in one batch, so a
-// state cannot run through several morsels before its siblings are
-// queued.
-func (p *pipelineOp) submit(ctx *Context, n int, mk func(i int) *pipeWorker) {
-	p.idle = sync.NewCond(&p.mu)
-	p.active = n
-	q := ctx.queryTasks()
-	steps := make([]sched.Task, n)
-	for i := range steps {
-		w := mk(i)
-		w.q = q
-		steps[i] = w.step
+// next is Next's producer step, inline or on the scheduler: one morsel's
+// chunks as the batch at its sequence number, empty when the segment was
+// skipped or every row filtered out.
+func (w *pipeWorker) next(b *streamBatch) (bool, error) {
+	seq, err := w.morsel()
+	if seq < 0 || err != nil {
+		return false, err
 	}
-	q.Submit(steps...)
+	*b = streamBatch{chunks: w.out, start: seq, span: 1}
+	w.out = nil
+	return true, nil
 }
 
-// exitLocked retires one worker state. Caller holds p.mu.
-func (p *pipelineOp) exitLocked() {
-	p.active--
-	if p.active == 0 {
-		p.idle.Broadcast()
-	}
-}
+// close has nothing to release: the morsel source is the operator's.
+func (w *pipeWorker) close() {}
 
-// step is the scheduler driver: run the body for one morsel, then
-// re-submit. It never blocks the pool. In ordered mode (p.results set)
-// a missing ticket parks the state and the results channel always has
-// room for ticket holders; in sink mode the first error cancels the
-// sibling states.
+// step is consume's scheduler driver: run the body for one morsel, then
+// re-submit. The first error cancels the sibling states.
 //
 //quack:hotpath
 func (w *pipeWorker) step() {
 	p := w.op
-	ordered := p.results != nil
-	p.mu.Lock()
-	if p.cancelled {
-		p.exitLocked()
-		p.mu.Unlock()
-		return
-	}
-	if ordered && !p.buf.tryAcquire() {
-		p.parked = append(p.parked, w)
-		p.exitLocked()
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	seq, err := w.morsel()
-	if seq >= 0 && ordered {
-		p.results <- parResult{seq: seq, chunks: w.out, err: err}
-		w.out = nil
-	}
-	if seq >= 0 && err == nil {
-		w.q.Submit(w.step)
-		return
-	}
-	p.mu.Lock()
-	switch {
-	case seq < 0 && ordered:
-		p.buf.release() // no morsel claimed; return the ticket
-	case err != nil && !ordered:
-		if p.failed == nil {
-			p.failed = err
+	if !p.cancelled.Load() {
+		seq, err := w.morsel()
+		if seq >= 0 && err == nil {
+			w.q.Submit(w.step)
+			return
 		}
-		p.cancelled = true
+		if err != nil {
+			p.mu.Lock()
+			if p.failed == nil {
+				p.failed = err
+			}
+			p.mu.Unlock()
+			p.cancelled.Store(true)
+		}
 	}
-	p.exitLocked()
-	p.mu.Unlock()
+	p.wg.Done()
 }
 
-// unparkOne re-submits one parked worker state after the consumer freed
-// a ticket. Spurious unparks are harmless: the state parks again.
-func (p *pipelineOp) unparkOne() {
-	p.mu.Lock()
-	if !p.cancelled && len(p.parked) > 0 {
-		w := p.parked[len(p.parked)-1]
-		p.parked = p.parked[:len(p.parked)-1]
-		p.active++
-		w.q.Submit(w.step)
-	}
-	p.mu.Unlock()
-}
-
-// start sets up ordered mode: one inline state, or several on the
-// scheduler feeding the ticketed reorder window.
+// start sets up Next: one state run inline, or several as the producers
+// of an ordered stream on the scheduler. Every state's sink collects its
+// morsel's chunks into the state's batch.
 func (p *pipelineOp) start(ctx *Context) {
-	workers := p.workerCount(ctx)
-	if workers == 1 {
-		p.buf = newReorderBuf(0)
-		p.inline = p.newWorker(ctx)
-		p.inline.sink = func(_ int, c *vector.Chunk) error {
-			p.buf.push(c)
+	prods := make([]producer, p.workerCount(ctx))
+	for i := range prods {
+		w := p.newWorker(ctx)
+		w.sink = func(_ int, c *vector.Chunk) error {
+			w.out = append(w.out, c)
 			return nil
 		}
-		return
+		prods[i] = w
 	}
-	win := workers * 4
-	p.results = make(chan parResult, win) // cap = tickets: sends never block
-	p.buf = newReorderBuf(win)
-	p.submit(ctx, workers, func(int) *pipeWorker {
-		w := p.newWorker(ctx)
-		w.sink = w.collect
-		return w
-	})
+	p.out.next = prods[0].next
+	if len(prods) > 1 {
+		p.stream = newOrderedStream(ctx, prods, p.nmorsel, nil)
+		p.out.next = p.stream.Next
+	}
 }
 
 // Next implements Operator: it emits the pipeline's chunks in morsel
-// order. On the scheduler, out-of-order results are parked in a bounded
-// reorder buffer (claims require tickets, so at most the window depth
-// in morsels is ever buffered).
+// order.
 //
 //quack:hotpath
 func (p *pipelineOp) Next(ctx *Context) (*vector.Chunk, error) {
 	if p.failed != nil {
 		return nil, p.failed
 	}
-	if p.buf == nil {
+	if p.out.next == nil {
 		p.start(ctx)
 	}
-	for {
-		if out, ok := p.buf.pop(); ok {
-			return out, nil
-		}
-		if p.inline != nil { // inline driver: the next morsel, right here
-			seq, err := p.inline.morsel()
-			if err != nil {
-				p.failed = err
-				return nil, err
-			}
-			if seq < 0 {
-				return nil, nil
-			}
-			continue
-		}
-		if p.buf.seq() >= p.nmorsel {
-			return nil, nil
-		}
-		if p.buf.advance() { // freed a ticket: let a parked state claim it
-			p.unparkOne()
-			continue
-		}
-		res := <-p.results
-		if res.err != nil {
-			p.failed = res.err
-			return nil, res.err
-		}
-		p.buf.park(res.seq, res.chunks)
+	c, err := p.out.chunk()
+	if err != nil {
+		p.failed = err
 	}
+	return c, err
 }
 
 // consume implements source. It replaces Next; Close must still be
 // called to release the morsel source. On the scheduler each state is a
 // re-submitting step, so the FIFO round-robins morsels across states
 // even on a one-worker pool — partial sinks stay spread the way
-// per-state goroutines would have spread them.
+// per-state goroutines would have spread them. Every state is built
+// before any is submitted, and all are submitted in one batch, so a
+// state cannot run through several morsels before its siblings are
+// queued.
 //
 //quack:hotpath
 func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error {
@@ -477,34 +386,30 @@ func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink 
 			}
 		}
 	}
-	p.submit(ctx, workers, mk)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.active > 0 {
-		p.idle.Wait()
+	q := ctx.queryTasks()
+	steps := make([]sched.Task, workers)
+	for i := range steps {
+		w := mk(i)
+		w.q = q
+		steps[i] = w.step
 	}
+	p.wg.Add(workers)
+	q.Submit(steps...)
+	p.wg.Wait()
 	return p.failed
 }
 
-// Close stops the worker states and releases the morsel source. Queued
-// steps observe the cancel flag and retire; parked states are dropped
-// without costing the pool a slot.
+// Close stops Next's worker states — queued steps observe the cancel
+// flag and retire, parked ones are dropped, queued batches released —
+// and then releases the morsel source.
 func (p *pipelineOp) Close(ctx *Context) {
 	p.closeOnce.Do(func() {
-		if p.idle != nil {
-			p.mu.Lock()
-			p.cancelled = true
-			p.parked = nil
-			for p.active > 0 {
-				p.idle.Wait()
-			}
-			p.mu.Unlock()
+		if p.stream != nil {
+			p.stream.Close()
 		}
 		if p.src != nil {
 			p.src.Close()
 		}
-		if p.buf != nil {
-			p.buf.drop()
-		}
+		p.out = batchReader{}
 	})
 }

@@ -92,6 +92,193 @@ func TestParallelScanPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestOrderedPipelineRunAhead: an ordered pipeline on the scheduler
+// re-emits its morsels through an orderedStream. Its chunk stream equals
+// the inline driver's; under a pool limit its worker states run past the
+// free floor on pool reservations, park at their share and still emit
+// in order; Close after one chunk retires every step and returns every
+// reserved byte; and a failing morsel fails Next for good.
+func TestOrderedPipelineRunAhead(t *testing.T) {
+	const segs = 64
+	mgr := txn.NewManager(nil)
+	entry := buildFactTable(t, mgr, segs*int(vector.ChunkCapacity))
+	v := &expr.ColRef{Idx: 0, Typ: types.BigInt}
+	bigint := func(n int64) expr.Expr { return &expr.Const{Val: types.NewBigInt(n)} }
+	// Every fourth morsel is filtered out whole: its batch is empty.
+	keep := &expr.Compare{Op: expr.CmpNe,
+		L: &expr.Arith{Op: expr.OpMod, L: &expr.Arith{Op: expr.OpDiv, L: v, R: bigint(int64(vector.ChunkCapacity)), Typ: types.BigInt}, R: bigint(4), Typ: types.BigInt},
+		R: bigint(1)}
+	open := func(cond expr.Expr, ctx *Context) *pipelineOp {
+		t.Helper()
+		op, err := Build(&plan.FilterNode{Child: &plan.ScanNode{Table: entry, Columns: []int{0}}, Cond: cond}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := op.(*pipelineOp)
+		if !ok {
+			t.Fatalf("built %T, want *pipelineOp", op)
+		}
+		if err := p.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	render := func(chunks []*vector.Chunk) string {
+		out := ""
+		for _, c := range chunks {
+			out += fmt.Sprint(c.Cols[0].I64[:c.Len()], "|")
+		}
+		return out
+	}
+	// next reads one chunk; drain reads the rest.
+	next := func(p *pipelineOp, ctx *Context) *vector.Chunk {
+		t.Helper()
+		c, err := p.Next(ctx)
+		if err != nil || c == nil {
+			t.Fatalf("Next: %v, %v", c, err)
+		}
+		return c
+	}
+	drain := func(p *pipelineOp, ctx *Context, chunks []*vector.Chunk) []*vector.Chunk {
+		t.Helper()
+		for {
+			c, err := p.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c == nil {
+				return chunks
+			}
+			chunks = append(chunks, c)
+		}
+	}
+	// retired checks that every step of p's stream has ended.
+	retired := func(p *pipelineOp) {
+		t.Helper()
+		s := p.stream
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.live != 0 {
+			t.Fatalf("%d of %d producers still live after Close", s.live, len(s.prods))
+		}
+	}
+
+	ctx1 := &Context{Txn: mgr.Begin(), Threads: 1}
+	p1 := open(keep, ctx1)
+	want := render(drain(p1, ctx1, nil))
+	p1.Close(ctx1)
+
+	t.Run("matches_inline", func(t *testing.T) {
+		ctx := &Context{Txn: mgr.Begin(), Threads: 4}
+		p := open(keep, ctx)
+		defer p.Close(ctx)
+		if got := render(drain(p, ctx, nil)); got != want {
+			t.Fatalf("threads=4 stream diverges:\n got: %.200s\nwant: %.200s", got, want)
+		}
+	})
+
+	// A full morsel's batch is 8 KiB of BIGINTs: a 128 KiB pool gives
+	// each of the 4 states a 16 KiB share of the 64 KiB sort budget, so
+	// 4 states x (floor + 2) batches cannot hold the 63 morsels left
+	// after the first: some state must park.
+	const limit = 128 << 10
+	t.Run("parks_in_order", func(t *testing.T) {
+		pool := buffer.NewPool(limit, nil)
+		ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool}
+		p := open(keep, ctx)
+		defer p.Close(ctx)
+		chunks := []*vector.Chunk{next(p, ctx)}
+		parked := 0
+		for w := range p.stream.prods {
+			if _, _, done := settled(p.stream, w); !done {
+				parked++
+			}
+		}
+		if parked == 0 || pool.Used() == 0 {
+			t.Fatalf("%d states parked holding %d reserved bytes; want parks past the floor", parked, pool.Used())
+		}
+		if got := render(drain(p, ctx, chunks)); got != want {
+			t.Fatalf("parked stream diverges:\n got: %.200s\nwant: %.200s", got, want)
+		}
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("pool holds %d B after the drain", used)
+		}
+	})
+
+	t.Run("close_after_one", func(t *testing.T) {
+		pool := buffer.NewPool(limit, nil)
+		const baseline = 4 << 10
+		if err := pool.Reserve(baseline); err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool}
+		p := open(keep, ctx)
+		next(p, ctx)
+		for w := range p.stream.prods {
+			settled(p.stream, w)
+		}
+		if pool.Used() == baseline {
+			t.Fatal("no state reserved a batch past the floor")
+		}
+		p.Close(ctx)
+		retired(p)
+		if used := pool.Used(); used != baseline {
+			t.Fatalf("pool holds %d B after Close, want the baseline %d", used, baseline)
+		}
+	})
+
+	t.Run("failing_morsel", func(t *testing.T) {
+		// 10 / (v - 5000) divides by zero in morsel 4 only.
+		fails := &expr.Compare{Op: expr.CmpGt,
+			L: &expr.Arith{Op: expr.OpDiv, L: bigint(10), R: &expr.Arith{Op: expr.OpSub, L: v, R: bigint(5000), Typ: types.BigInt}, Typ: types.BigInt},
+			R: bigint(0)}
+		ctx := &Context{Txn: mgr.Begin(), Threads: 4}
+		p := open(fails, ctx)
+		var err error
+		for err == nil {
+			var c *vector.Chunk
+			if c, err = p.Next(ctx); c == nil && err == nil {
+				t.Fatal("stream ended without the morsel's error")
+			}
+		}
+		if _, again := p.Next(ctx); again != err {
+			t.Fatalf("second Next returned %v, want the first error %v", again, err)
+		}
+		p.Close(ctx)
+		retired(p)
+	})
+}
+
+// BenchmarkOrderedScan is the scan class's ordered root shape, SELECT
+// id, qty, price FROM t WHERE qty > 98 AND price < 10.0, over
+// windowBenchTable's 100k rows, drained through pipelineOp.Next at
+// threads 1 (the inline driver) and 2 (the ordered stream): ns/row and
+// allocs/row per scanned row.
+func BenchmarkOrderedScan(b *testing.B) {
+	const rows = 100_000
+	mgr := txn.NewManager(nil)
+	node := &plan.ScanNode{Table: windowBenchTable(b, mgr, rows), Columns: []int{0, 2, 3},
+		Filter: &expr.Logic{Op: expr.OpAnd,
+			L: &expr.Compare{Op: expr.CmpGt, L: windowBenchCol(1, types.BigInt), R: &expr.Const{Val: types.NewBigInt(98)}},
+			R: &expr.Compare{Op: expr.CmpLt, L: windowBenchCol(2, types.Double), R: &expr.Const{Val: types.NewDouble(10.0)}}}}
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchPerRow(b, rows, func() {
+				op, err := Build(node, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := op.(*pipelineOp); !ok {
+					b.Fatalf("built %T, want *pipelineOp", op)
+				}
+				if _, err := Collect(&Context{Txn: mgr.Begin(), Threads: threads}, op); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // TestParallelAggMatchesSequential: worker-local partial aggregates
 // must merge to the one-worker aggregate's exact output, including the
 // first-seen group emission order.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -10,214 +11,146 @@ import (
 	"repro/internal/vector"
 )
 
-// reorderBuf is the ordered-merge state machine of the morsel pipeline
-// (pipelineOp), which fans morsels out to the scheduler and must re-emit
-// their results in morsel order. It bounds how far producers may run
-// ahead of the merge point: a ticket is taken (tryAcquire) before work
-// is submitted and returned when that sequence's results are emitted,
-// so the reorder buffer holds at most cap(window) entries even under
-// scheduling skew.
-//
-// The consumer side is single-threaded: park stashes a completed
-// sequence, advance promotes the next expected sequence's chunks to the
-// emission queue (returning its ticket), and pop drains the queue.
-type reorderBuf struct {
-	window  chan struct{}
-	pending map[int][]*vector.Chunk
-	queue   []*vector.Chunk
-	nextSeq int
-}
-
-func newReorderBuf(depth int) *reorderBuf {
-	return &reorderBuf{
-		window:  make(chan struct{}, depth),
-		pending: make(map[int][]*vector.Chunk, depth),
-	}
-}
-
-// tryAcquire takes a ticket if one is free. Scheduler steps must not
-// block, so a producer that misses parks itself instead of waiting.
-func (b *reorderBuf) tryAcquire() bool {
-	select {
-	case b.window <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// release returns a ticket without emitting anything (a producer that
-// acquired one but claimed no work).
-func (b *reorderBuf) release() { <-b.window }
-
-// park stores one sequence's result chunks for ordered emission.
-func (b *reorderBuf) park(seq int, chunks []*vector.Chunk) { b.pending[seq] = chunks }
-
-// seq returns the next sequence number the merge is waiting for.
-func (b *reorderBuf) seq() int { return b.nextSeq }
-
-// pop returns the next queued chunk, if any.
-func (b *reorderBuf) pop() (*vector.Chunk, bool) {
-	if len(b.queue) == 0 {
-		return nil, false
-	}
-	c := b.queue[0]
-	b.queue = b.queue[1:]
-	return c, true
-}
-
-// push queues a chunk for emission directly: an inline driver produces
-// in sequence order and needs neither tickets nor parking.
-func (b *reorderBuf) push(c *vector.Chunk) { b.queue = append(b.queue, c) }
-
-// advance promotes the next expected sequence's parked chunks to the
-// emission queue and returns its ticket. It reports false when that
-// sequence has not arrived yet.
-func (b *reorderBuf) advance() bool {
-	chunks, ok := b.pending[b.nextSeq]
-	if !ok {
-		return false
-	}
-	delete(b.pending, b.nextSeq)
-	b.nextSeq++
-	b.release()
-	b.queue = chunks
-	return true
-}
-
-// drop frees the buffered chunks (shutdown).
-func (b *reorderBuf) drop() {
-	b.pending = nil
-	b.queue = nil
-}
-
-// ---- partitioned-merge re-emission ----
-
-// mergeStreamFloor is how many batches a range may queue ahead of the
+// streamFloor is how many batches a producer may queue ahead of the
 // consumer for free. Past it, every batch is reserved from the pool and
-// charged to the range's share of the sort budget.
-const mergeStreamFloor = 4
+// charged to the producer's share of the sort budget.
+const streamFloor = 4
 
-// mergeBatch is one queued batch, its heap bytes, and whether they are
-// reserved from the pool.
-type mergeBatch struct {
-	chunks   []*vector.Chunk
-	bytes    int64
-	reserved bool
+// streamBatch is one batch of an ordered stream: its chunks, the first
+// position it covers and how many it spans, its heap bytes, and whether
+// they are reserved from the pool.
+type streamBatch struct {
+	chunks      []*vector.Chunk
+	start, span int
+	bytes       int64
+	reserved    bool
 }
 
-// rangeCursor produces one merge range's output in order, a batch of
-// chunks at a time: a sorted chunk as merged (chunkCursor), or the
-// window output slices that merged chunks completed. nil means the range
-// is exhausted. Steps call it from pool workers, one batch per step, so
-// a range runs ahead of the consumer by whole batches.
-type rangeCursor interface {
-	Next() ([]*vector.Chunk, error)
+// producer makes one producer's batches of an ordered stream, in
+// position order: next fills b with the next one, reporting false once
+// the producer is exhausted. close releases what it holds once it has
+// ended.
+type producer interface {
+	next(b *streamBatch) (bool, error)
+	close()
 }
 
-// parMergeStream is the consumer side of the partitioned merge: N
-// ranges each loser-tree-merge one row range of the merge (an Iterator from
-// extsort.PartitionMerge, behind a rangeCursor) and the stream re-emits
-// their batches in range order, which is the exact order the
-// single-threaded merge would produce. Each range is a re-submitting
-// scheduler step that queues one batch at a time, so it keeps merging
-// while the consumer reads the ranges before it: mergeStreamFloor
-// batches for free, every further one reserved from the pool up to the
-// range's share of the sort budget. A batch past the share, or one the
-// pool refuses, parks the range until the consumer takes a batch from
-// it. With no budget ranges run to their end.
-type parMergeStream struct {
-	ranges []*mergeRange
+// orderedStream is the executor's one ordered hand-off: N producers run
+// as re-submitting scheduler steps and one consumer re-emits their
+// batches in position order. A position is whatever the producers count
+// — a row of the serial merge for a merge range (rangeProducer), a
+// morsel for a pipeline's worker state (pipeWorker.next) — and Next
+// emits the queued batch that starts where the last one ended, so the
+// stream is the one a single producer would have made.
+//
+// Each step queues one batch, so a producer keeps working while the
+// consumer reads the positions before it: streamFloor batches for free,
+// every further one reserved from the pool up to the producer's share
+// of the sort budget. A batch past the share, or one the pool refuses,
+// parks the producer holding it until the consumer takes a batch from
+// it. With no budget producers run to their end. A parked producer
+// never holds the position the consumer waits for: its held batch
+// follows its queued ones, and with nothing queued it is admitted free.
+type orderedStream struct {
+	prods  []*streamProducer
 	q      *sched.Query
 	pool   *buffer.Pool
-	share  int64 // reserved bytes a range may queue (0: unbounded)
+	share  int64 // reserved bytes a producer may queue (0: unbounded)
 	slot   *OpProfile
+	end    int // positions in the stream
 	cancel atomic.Bool
 	wg     sync.WaitGroup
 
-	// mu guards the ranges' queues and states and ahead; ready is
-	// broadcast whenever a range queues a batch, parks or ends.
+	// mu guards the producers' queues and states, ahead, live and err;
+	// ready is broadcast whenever a producer queues a batch, parks or
+	// ends.
 	mu    sync.Mutex
 	ready *sync.Cond
-	ahead int64 // bytes queued in all ranges
+	ahead int64 // bytes queued in all producers
+	live  int   // producers that have not ended
+	err   error // the first producer error, sticky
 
-	cur int
+	pos int // the next position to emit
 
-	// rows counts rows emitted per range. Written by the range's own
-	// step chain; read only after the stream is drained or Closed.
+	// rows counts rows queued per producer. Written by the producer's
+	// own step chain; read only after the stream is drained or Closed.
 	rows []int64
 }
 
-// mergeRange is one merge range's task state. Exactly one step is
-// outstanding per range at any time (queued, running or parked), so
+// streamProducer is one producer's task state. Exactly one step is
+// outstanding per producer at any time (queued, running or parked), so
 // end runs exactly once.
-type mergeRange struct {
-	s    *parMergeStream
+type streamProducer struct {
+	s    *orderedStream
 	w    int
-	part *extsort.Iterator
-	cur  rangeCursor
-	held *mergeBatch // produced, found no room: queued first when unparked
+	prod producer
+	held *streamBatch // produced, found no room: queued first when unparked
 
 	// under s.mu
-	queue    []*mergeBatch
+	queue    []*streamBatch
 	reserved int64 // bytes of queue reserved from the pool
 	parked   bool
 	done     bool
-	err      error
 }
 
-func newParMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile, mkCursor func(part *extsort.Iterator) rangeCursor) *parMergeStream {
-	s := &parMergeStream{
-		ranges: make([]*mergeRange, len(parts)),
-		q:      ctx.queryTasks(),
-		pool:   ctx.Pool,
-		share:  splitBudget(ctx.sortBudget(), len(parts)),
-		slot:   slot,
-		rows:   make([]int64, len(parts)),
+func newOrderedStream(ctx *Context, prods []producer, end int, slot *OpProfile) *orderedStream {
+	s := &orderedStream{
+		prods: make([]*streamProducer, len(prods)),
+		q:     ctx.queryTasks(),
+		pool:  ctx.Pool,
+		share: splitBudget(ctx.sortBudget(), len(prods)),
+		slot:  slot,
+		end:   end,
+		live:  len(prods),
+		rows:  make([]int64, len(prods)),
 	}
 	s.ready = sync.NewCond(&s.mu)
-	steps := make([]sched.Task, len(parts))
-	for i := range parts {
-		s.ranges[i] = &mergeRange{s: s, w: i, part: parts[i], cur: mkCursor(parts[i])}
-		steps[i] = s.ranges[i].step
+	steps := make([]sched.Task, len(prods))
+	for i, p := range prods {
+		s.prods[i] = &streamProducer{s: s, w: i, prod: p}
+		steps[i] = s.prods[i].step
 	}
-	s.wg.Add(len(parts))
+	s.wg.Add(len(prods))
 	s.q.Submit(steps...)
 	return s
 }
 
-// end retires the range. Closing its Iterator releases any loaded
-// (pool-accounted) chunk of its clones; the shared parent keeps the
-// underlying files open.
-func (r *mergeRange) end(err error) {
+// end retires the producer. The first error fails the stream and
+// cancels the other producers.
+func (r *streamProducer) end(err error) {
 	s := r.s
-	r.part.Close()
+	r.prod.close()
 	s.mu.Lock()
-	r.done, r.err = true, err
+	r.done = true
+	s.live--
+	if err != nil && s.err == nil {
+		s.err = err
+		s.cancel.Store(true)
+	}
 	s.ready.Broadcast()
 	s.mu.Unlock()
 	s.wg.Done()
 }
 
 // step produces one batch, unless a batch that found no room is still
-// held, and queues it if it fits; otherwise the range parks holding it.
-func (r *mergeRange) step() {
+// held, and queues it if it fits; otherwise the producer parks holding
+// it.
+func (r *streamProducer) step() {
 	s := r.s
 	b := r.held
 	if b == nil && !s.cancel.Load() {
-		chunks, err := r.cur.Next()
-		if err != nil || chunks == nil {
+		b = new(streamBatch)
+		if ok, err := r.prod.next(b); err != nil || !ok {
 			r.end(err)
 			return
 		}
-		b = &mergeBatch{chunks: chunks}
-		for _, c := range chunks {
+		for _, c := range b.chunks {
 			s.rows[r.w] += int64(c.Len())
 			b.bytes += c.HeapBytes()
 		}
 	}
 	s.mu.Lock()
-	if s.cancel.Load() { // checked under mu: Close looks for parked ranges under it
+	if s.cancel.Load() { // checked under mu: Close looks for parked producers under it
 		s.mu.Unlock()
 		r.end(nil)
 		return
@@ -242,11 +175,13 @@ func (r *mergeRange) step() {
 	s.q.Submit(r.step)
 }
 
-// admitLocked reports whether b may join the range's queue: free within
-// the floor, else within the range's share and a pool reservation.
-func (r *mergeRange) admitLocked(b *mergeBatch) bool {
+// admitLocked reports whether b may join the producer's queue: free
+// within the floor or when it holds no bytes (a morsel whose rows were
+// all filtered out), else within the producer's share and a pool
+// reservation.
+func (r *streamProducer) admitLocked(b *streamBatch) bool {
 	s := r.s
-	if len(r.queue) < mergeStreamFloor {
+	if len(r.queue) < streamFloor || b.bytes == 0 {
 		return true
 	}
 	if s.share > 0 && r.reserved+b.bytes > s.share {
@@ -262,9 +197,9 @@ func (r *mergeRange) admitLocked(b *mergeBatch) bool {
 	return true
 }
 
-// popLocked takes the range's oldest batch, returns its reservation and
-// re-submits the range if it parked for want of room.
-func (r *mergeRange) popLocked() *mergeBatch {
+// popLocked takes the producer's oldest batch, returns its reservation
+// and re-submits the producer if it parked for want of room.
+func (r *streamProducer) popLocked() *streamBatch {
 	s := r.s
 	b := r.queue[0]
 	r.queue[0] = nil
@@ -281,35 +216,36 @@ func (r *mergeRange) popLocked() *mergeBatch {
 	return b
 }
 
-// Next returns the next batch in global key order, or nil at the end. A
-// range's error is sticky: the stream stays on that range.
-func (s *parMergeStream) Next() ([]*vector.Chunk, error) {
+// Next fills b with the batch at the next position, reporting false
+// once every position is emitted. A position no producer can still
+// produce, and the first producer error, fail the stream for good.
+func (s *orderedStream) Next(b *streamBatch) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.cur < len(s.ranges) {
-		r := s.ranges[s.cur]
-		switch {
-		case len(r.queue) > 0:
-			return r.popLocked().chunks, nil
-		case r.done && r.err != nil:
-			return nil, r.err
-		case r.done:
-			s.cur++
-		default:
-			s.ready.Wait()
+	for s.err == nil && s.pos < s.end {
+		for _, r := range s.prods {
+			if len(r.queue) > 0 && r.queue[0].start == s.pos {
+				*b = *r.popLocked()
+				s.pos += b.span
+				return true, nil
+			}
 		}
+		if s.live == 0 {
+			s.err = fmt.Errorf("exec: ordered stream: no producer holds position %d of %d", s.pos, s.end)
+			break
+		}
+		s.ready.Wait()
 	}
-	return nil, nil
+	return false, s.err
 }
 
-// Close cancels outstanding range steps, joins them and releases what
-// the ranges queued and nobody read. It must be called before the
-// parent iterator (which owns the shared run files) closes; a second
-// Close finds nothing left to do.
-func (s *parMergeStream) Close() {
+// Close cancels outstanding producer steps, joins them and releases
+// what the producers queued and nobody read. A second Close finds
+// nothing left to do.
+func (s *orderedStream) Close() {
 	s.cancel.Store(true)
 	s.mu.Lock()
-	for _, r := range s.ranges {
+	for _, r := range s.prods {
 		if r.parked {
 			r.parked = false
 			s.q.Submit(r.step)
@@ -317,11 +253,76 @@ func (s *parMergeStream) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	for _, r := range s.ranges {
+	for _, r := range s.prods {
 		for len(r.queue) > 0 {
 			r.popLocked() // every step has ended: no lock needed
 		}
 	}
+}
+
+// batchReader hands an operator's Next the chunks of a batch source one
+// at a time: an ordered stream, or one producer run on the caller.
+type batchReader struct {
+	next func(b *streamBatch) (bool, error)
+	b    streamBatch // the current batch, less the chunks handed out
+}
+
+func (r *batchReader) chunk() (*vector.Chunk, error) {
+	for len(r.b.chunks) == 0 {
+		if ok, err := r.next(&r.b); err != nil || !ok {
+			return nil, err
+		}
+	}
+	c := r.b.chunks[0]
+	r.b.chunks = r.b.chunks[1:]
+	return c, nil
+}
+
+// rangeCursor produces one merge range's output in order, a batch of
+// chunks at a time: a sorted chunk as merged (chunkCursor), or the
+// window output slices that merged chunks completed. nil means the range
+// is exhausted.
+type rangeCursor interface {
+	Next() ([]*vector.Chunk, error)
+}
+
+// rangeProducer is a merge range as a producer: its cursor's batches,
+// each placed at the first row of the serial merge it covers.
+type rangeProducer struct {
+	part *extsort.Iterator
+	cur  rangeCursor
+	pos  int // the serial merge's row the next batch starts at
+}
+
+func (r *rangeProducer) next(b *streamBatch) (bool, error) {
+	chunks, err := r.cur.Next()
+	if err != nil || chunks == nil {
+		return false, err
+	}
+	*b = streamBatch{chunks: chunks, start: r.pos}
+	for _, c := range chunks {
+		b.span += c.Len()
+	}
+	r.pos += b.span
+	return true, nil
+}
+
+// close releases any loaded (pool-accounted) chunk of the range's
+// clones; the shared parent keeps the underlying files open.
+func (r *rangeProducer) close() { r.part.Close() }
+
+// newMergeStream re-emits the ranges of a partitioned merge
+// (extsort.PartitionMerge), each through its cursor; a range starts at
+// the rows of the ranges before it. Close the stream before the parent
+// iterator, which owns the shared run files.
+func newMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile, cursor func(*Context, *extsort.Iterator) rangeCursor) *orderedStream {
+	prods := make([]producer, len(parts))
+	rows := 0
+	for i, part := range parts {
+		prods[i] = &rangeProducer{part: part, cur: cursor(ctx, part), pos: rows}
+		rows += part.Rows()
+	}
+	return newOrderedStream(ctx, prods, rows, slot)
 }
 
 // chunkCursor is the plain rangeCursor: the sorted chunks as merged,

@@ -44,14 +44,13 @@ type sortedStream struct {
 	// chunks as merged).
 	cursor func(ctx *Context, part *extsort.Iterator) rangeCursor
 
-	iter    *extsort.Iterator
-	merge   *parMergeStream // partitioned merge phase (nil: serial merge)
-	out     rangeCursor     // what Next drains; nil until built
-	pending []*vector.Chunk // the rest of out's current batch
+	iter  *extsort.Iterator
+	merge *orderedStream // partitioned merge phase (nil: serial merge)
+	out   batchReader    // what Next drains; unset until built
 }
 
 func (s *sortedStream) Open(ctx *Context) error {
-	s.iter, s.merge, s.out, s.pending = nil, nil, nil, nil
+	s.iter, s.merge, s.out = nil, nil, batchReader{}
 	return s.src.Open(ctx)
 }
 
@@ -171,13 +170,13 @@ func (s *sortedStream) build(ctx *Context) error {
 			return err
 		}
 		if len(parts) > 1 {
-			s.merge = newParMergeStream(ctx, parts, slot, func(part *extsort.Iterator) rangeCursor { return s.cursor(ctx, part) })
-			s.out = s.merge
+			s.merge = newMergeStream(ctx, parts, slot, s.cursor)
+			s.out.next = s.merge.Next
 			ranges = len(parts)
 		}
 	}
-	if s.out == nil {
-		s.out = s.cursor(ctx, iter)
+	if s.out.next == nil {
+		s.out.next = (&rangeProducer{cur: s.cursor(ctx, iter)}).next
 	}
 	if slot != nil {
 		slot.MergeRanges.Store(int64(ranges))
@@ -211,21 +210,12 @@ func sealSorters(ctx *Context, sorters []*extsort.Sorter, slot *OpProfile) error
 // Next runs the sort phase on the first call, then streams the merge
 // phase: cursor's chunks, range by range when the merge is partitioned.
 func (s *sortedStream) Next(ctx *Context) (*vector.Chunk, error) {
-	if s.out == nil {
+	if s.out.next == nil {
 		if err := s.build(ctx); err != nil {
 			return nil, err
 		}
 	}
-	for len(s.pending) == 0 {
-		b, err := s.out.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		s.pending = b
-	}
-	c := s.pending[0]
-	s.pending = s.pending[1:]
-	return c, nil
+	return s.out.chunk()
 }
 
 // mergeRows reports rows emitted per merge-phase worker (test hook;
@@ -238,7 +228,7 @@ func (s *sortedStream) mergeRows() []int64 {
 }
 
 func (s *sortedStream) Close(ctx *Context) {
-	s.out, s.pending = nil, nil
+	s.out = batchReader{}
 	if s.merge != nil {
 		s.merge.Close() // join range workers before their files close
 		s.merge = nil

@@ -227,12 +227,12 @@ func (c *runAheadCursor) Next() ([]*vector.Chunk, error) {
 	return []*vector.Chunk{ch}, nil
 }
 
-// settled waits until range w has ended or parked and returns how many
-// batches and bytes it holds queued, and whether it ended.
-func settled(s *parMergeStream, w int) (batches int, bytes int64, done bool) {
+// settled waits until producer w has ended or parked and returns how
+// many batches and bytes it holds queued, and whether it ended.
+func settled(s *orderedStream, w int) (batches int, bytes int64, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.ranges[w]
+	r := s.prods[w]
 	for !r.done && !r.parked {
 		s.ready.Wait()
 	}
@@ -250,16 +250,14 @@ func settled(s *parMergeStream, w int) (batches int, bytes int64, done bool) {
 func TestMergeRangesRunAhead(t *testing.T) {
 	const rows, n0, n1 = 128, 6, 40
 	const batch = rows * 8 // bytes of one batch
-	start := func(ctx *Context, slot *OpProfile) *parMergeStream {
-		parts := []*extsort.Iterator{{}, {}}
-		cursors := []*runAheadCursor{{base: 0, left: n0, rows: rows}, {base: 1000, left: n1, rows: rows}}
-		i := 0
-		return newParMergeStream(ctx, parts, slot, func(*extsort.Iterator) rangeCursor {
-			i++
-			return cursors[i-1]
-		})
+	start := func(ctx *Context, slot *OpProfile) *orderedStream {
+		prods := []producer{
+			&rangeProducer{part: &extsort.Iterator{}, cur: &runAheadCursor{base: 0, left: n0, rows: rows}},
+			&rangeProducer{part: &extsort.Iterator{}, cur: &runAheadCursor{base: 1000, left: n1, rows: rows}, pos: n0 * rows},
+		}
+		return newOrderedStream(ctx, prods, (n0+n1)*rows, slot)
 	}
-	drain := func(t *testing.T, s *parMergeStream, batches int) {
+	drain := func(t *testing.T, s *orderedStream, batches int) {
 		t.Helper()
 		want := make([]int64, 0, n0+n1)
 		for b := range n0 {
@@ -268,15 +266,16 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		for b := range n1 {
 			want = append(want, int64(1000+b))
 		}
+		var b streamBatch
 		for _, w := range want[:min(batches, len(want))] {
-			b, err := s.Next()
-			if err != nil || len(b) != 1 || b[0].Len() != rows || b[0].Cols[0].I64[0] != w {
-				t.Fatalf("batch %d: got %v, %v", w, b, err)
+			ok, err := s.Next(&b)
+			if err != nil || !ok || len(b.chunks) != 1 || b.chunks[0].Len() != rows || b.chunks[0].Cols[0].I64[0] != w {
+				t.Fatalf("batch %d: got %v, %v, %v", w, b, ok, err)
 			}
 		}
 		if batches >= len(want) {
-			if b, err := s.Next(); b != nil || err != nil {
-				t.Fatalf("past the end: %v, %v", b, err)
+			if ok, err := s.Next(&b); ok || err != nil {
+				t.Fatalf("past the end: %v, %v", ok, err)
 			}
 		}
 	}
@@ -304,8 +303,8 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		slot := &OpProfile{}
 		s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * share}, slot)
 		got, bytes, done := settled(s, 1)
-		if done || bytes > share+mergeStreamFloor*batch || got != mergeStreamFloor+3 {
-			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want it parked at %d B", got, bytes, done, share+mergeStreamFloor*batch)
+		if done || bytes > share+streamFloor*batch || got != streamFloor+3 {
+			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want it parked at %d B", got, bytes, done, share+streamFloor*batch)
 		}
 		drain(t, s, n0+n1)
 		s.Close()
@@ -325,8 +324,8 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		}
 		s := start(&Context{Threads: 2, Pool: pool, SortBudget: limit}, nil)
 		settled(s, 0)
-		if got, _, done := settled(s, 1); done || got > mergeStreamFloor+2 {
-			t.Fatalf("range 1 settled with %d batches, done=%v; want it parked past %d", got, done, mergeStreamFloor+2)
+		if got, _, done := settled(s, 1); done || got > streamFloor+2 {
+			t.Fatalf("range 1 settled with %d batches, done=%v; want it parked past %d", got, done, streamFloor+2)
 		}
 		drain(t, s, n0+n1)
 		s.Close()

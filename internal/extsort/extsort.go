@@ -385,6 +385,10 @@ type Iterator struct {
 	err error
 }
 
+// Rows is how many rows the iterator has yet to emit: before its first
+// Next, a PartitionMerge range's row count.
+func (it *Iterator) Rows() int { return it.left }
+
 // KeyBytes is the width of one row's normalized sort key, arrival
 // ordinal included.
 func (it *Iterator) KeyBytes() int { return it.layout.stride }

@@ -20,9 +20,10 @@
 // Tasks must not block on other pool tasks. Every operator in
 // internal/exec submits steps that run bounded compute (plus file IO
 // for spilling operators) and either finish or re-submit themselves;
-// coordination with the consuming session goroutine goes through
-// channels with capacity guaranteed by ticket windows, so a pool of any
-// size — including one worker — makes progress.
+// a step that finds no room to queue its output parks instead of
+// waiting, and the consuming session goroutine re-submits it when it
+// takes output, so a pool of any size — including one worker — makes
+// progress.
 package sched
 
 import (
