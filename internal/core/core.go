@@ -125,8 +125,6 @@ func Open(cfg Config) (*Database, error) {
 		pool:  pool,
 	}
 	db.threads.Store(int64(cfg.Threads))
-	db.zoneMapsOff.Store(defaultZoneMapsDisabled())
-	db.encExecOff.Store(defaultEncodedExecDisabled())
 	// One engine-wide worker pool multiplexes runnable morsels from every
 	// active query (morsel-driven scheduling): total engine goroutines are
 	// bounded by the pool size no matter how many sessions run queries
@@ -295,20 +293,10 @@ func defaultThreads() int {
 // baseline.
 func (db *Database) ZoneMapsEnabled() bool { return !db.zoneMapsOff.Load() }
 
-// SetZoneMaps toggles zone-map segment skipping at runtime: the hook the
-// differential tests and the selectivity sweep flip. It is not user
-// surface; QUACK_DISABLE_ZONEMAPS sets the default at Open.
+// SetZoneMaps toggles zone-map segment skipping at runtime: the
+// reference toggle the differential tests and the selectivity sweep
+// flip. It is not user surface; skipping is on at Open.
 func (db *Database) SetZoneMaps(on bool) { db.zoneMapsOff.Store(!on) }
-
-// defaultZoneMapsDisabled resolves the QUACK_DISABLE_ZONEMAPS
-// environment variable. Like QUACK_THREADS and QUACK_MEMORY_LIMIT it
-// exists for harnesses: the CI differential matrix runs a leg with
-// skipping off and asserts byte-identical results against the skipping
-// engine.
-func defaultZoneMapsDisabled() bool {
-	env := os.Getenv("QUACK_DISABLE_ZONEMAPS")
-	return env == "1" || env == "true" || env == "TRUE"
-}
 
 // EncodedExecEnabled reports whether scans may evaluate exact pushed
 // conjuncts directly over compressed segments and materialize only the
@@ -317,16 +305,8 @@ func defaultZoneMapsDisabled() bool {
 func (db *Database) EncodedExecEnabled() bool { return !db.encExecOff.Load() }
 
 // SetEncodedExec toggles encoded execution at runtime (tests and the
-// selectivity sweep, like SetZoneMaps).
+// selectivity sweep, like SetZoneMaps); it is on at Open.
 func (db *Database) SetEncodedExec(on bool) { db.encExecOff.Store(!on) }
-
-// defaultEncodedExecDisabled resolves the QUACK_DISABLE_ENCODED_EXEC
-// environment variable; the CI differential matrix runs legs with
-// encoded execution forced off, mirroring QUACK_DISABLE_ZONEMAPS.
-func defaultEncodedExecDisabled() bool {
-	env := os.Getenv("QUACK_DISABLE_ENCODED_EXEC")
-	return env == "1" || env == "true" || env == "TRUE"
-}
 
 // defaultMemoryLimit resolves the engine-wide default memory budget:
 // the QUACK_MEMORY_LIMIT environment variable (a byte size such as

@@ -94,7 +94,7 @@ type Stats struct {
 	SegmentsEncodedExec atomic.Int64
 	RowsEncodedSelected atomic.Int64
 	// SortSpilledBytes totals the bytes external sorts (ORDER BY, window
-	// sorts) wrote to spill runs under a memory budget.
+	// and merge-join sorts) wrote to spill runs under a memory budget.
 	SortSpilledBytes atomic.Int64
 	// SortTieFallbacks counts external-sort comparisons that tied on an
 	// encoded VARCHAR key prefix and fell back to comparing the strings.
@@ -247,12 +247,7 @@ func buildSource(node plan.Node, prof *Profiler) (source, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(n.LeftKeys) == 0 {
-			// CROSS and non-equi joins: the same operator with no table. There
-			// is no strategy to choose and the build reserves best-effort.
-			return newHashJoin(left, right, n, false), nil
-		}
-		return newEquiJoin(left, right, n), nil
+		return newHashJoin(left, right, n), nil
 	}
 	op, err := buildOperator(node, prof)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/extsort"
 	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/txn"
@@ -128,6 +129,9 @@ func countRows(chunks []*vector.Chunk) int {
 	return rows
 }
 
+// TestHashAndMergeJoinAgree: both strategies find the 2000 pairs, and
+// both emit full chunks — the merge join's key groups share the output
+// chunk of their sorted left chunk rather than emitting one chunk each.
 func TestHashAndMergeJoinAgree(t *testing.T) {
 	for _, strategy := range []JoinStrategy{JoinForceHash, JoinForceMerge} {
 		join, mgr := buildJoinFixture(t, 3000, 2000)
@@ -140,8 +144,8 @@ func TestHashAndMergeJoinAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %v: %v", strategy, err)
 		}
-		if rows := countRows(chunks); rows != 2000 {
-			t.Fatalf("strategy %v: %d rows, want 2000", strategy, rows)
+		if rows := countRows(chunks); rows != 2000 || len(chunks) != 2 {
+			t.Fatalf("strategy %v: %d rows in %d chunks, want 2000 in 2", strategy, rows, len(chunks))
 		}
 	}
 }
@@ -154,16 +158,15 @@ func TestMergeJoinCompareDoesNotAllocate(t *testing.T) {
 	side := func(k int64, s string, d float64) *mergeCursor {
 		c := vector.NewChunk(typs)
 		c.AppendRow(types.NewBigInt(0), types.NewBigInt(k), types.NewVarchar(s), types.NewDouble(d))
-		return &mergeCursor{chunk: c}
+		return &mergeCursor{chunk: c, keys: []extsort.Key{{Col: 1}, {Col: 2}, {Col: 3}}}
 	}
-	m := &mergeJoinOp{nl: 1, nr: 1, nk: 3}
-	m.lCur, m.rCur = side(7, "emea", 1.5), side(7, "emea", 2.5)
-	if c := m.compareCursors(); c >= 0 {
-		t.Fatalf("compareCursors = %d, want < 0 (third key decides)", c)
+	l, r := side(7, "emea", 1.5), side(7, "emea", 2.5)
+	if c := l.compare(r.chunk, r.row, r.keys); c >= 0 {
+		t.Fatalf("compare = %d, want < 0 (third key decides)", c)
 	}
 	var sink int
-	if allocs := testing.AllocsPerRun(200, func() { sink += m.compareCursors() }); allocs != 0 {
-		t.Fatalf("compareCursors allocates %.0f times per call", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { sink += l.compare(r.chunk, r.row, r.keys) }); allocs != 0 {
+		t.Fatalf("compare allocates %.0f times per call", allocs)
 	}
 	_ = sink
 }
@@ -190,6 +193,38 @@ func TestAutoJoinFallsBackUnderMemoryPressure(t *testing.T) {
 	}
 }
 
+// TestMergeJoinSpillIsCounted: the sorters of a merge join that an Auto
+// join fell back to spill under the TestAutoJoinFallsBackUnderMemoryPressure
+// budget, and their spill is booked like any sort's — into the engine's
+// counter and the JOIN slot — at one worker and at four.
+func TestMergeJoinSpillIsCounted(t *testing.T) {
+	join, mgr := buildJoinFixture(t, 10, 50_000)
+	for _, threads := range []int{1, 4} {
+		pool := buffer.NewPool(128<<10, nil)
+		prof := NewProfiler(join)
+		op, err := Build(join, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := &Stats{}
+		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, Stats: stats, Prof: prof, TmpDir: t.TempDir()}
+		chunks, err := Collect(ctx, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := prof.Slot(join)
+		if rows := countRows(chunks); rows != 10 || !slot.JoinFallback.Load() {
+			t.Fatalf("threads=%d: %d rows, fallback=%v, want 10 rows from the merge join", threads, rows, slot.JoinFallback.Load())
+		}
+		if stats.SortSpilledBytes.Load() <= 0 || slot.SpillBytes.Load() <= 0 {
+			t.Fatalf("threads=%d: sort_spill_bytes=%d, JOIN spill=%d, want both > 0", threads, stats.SortSpilledBytes.Load(), slot.SpillBytes.Load())
+		}
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("threads=%d: %d pool bytes still reserved", threads, used)
+		}
+	}
+}
+
 func TestLeftJoinUnderHardLimitErrors(t *testing.T) {
 	// LEFT joins have no out-of-core fallback; under a hard limit the
 	// budget violation must surface instead of silently overcommitting.
@@ -204,6 +239,9 @@ func TestLeftJoinUnderHardLimitErrors(t *testing.T) {
 	_, err = Collect(ctx, op)
 	if err == nil || !errors.Is(err, buffer.ErrOutOfMemory) {
 		t.Fatalf("LEFT join under hard limit: %v", err)
+	}
+	if used := pool.Used(); used != 0 {
+		t.Fatalf("the failed build left %d pool bytes reserved", used)
 	}
 }
 

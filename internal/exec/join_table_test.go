@@ -96,7 +96,7 @@ func hashJoinRun(t *testing.T, join *plan.JoinNode, mgr *txn.Manager, threads in
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj := src.(*equiJoinOp).source.(*hashJoinOp)
+	hj := src.(*hashJoinOp)
 	hj.hashFilter = filter
 	ctx := &Context{Txn: mgr.Begin(), Threads: threads, JoinStrategy: JoinForceHash}
 	if err := src.Open(ctx); err != nil {

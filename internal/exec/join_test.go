@@ -178,7 +178,7 @@ func buildOnce(tb testing.TB, join *plan.JoinNode, mgr *txn.Manager, threads int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := newHashJoin(nil, right, join, false)
+	h := newHashJoin(nil, right, join)
 	ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 	if err := right.Open(ctx); err != nil {
 		tb.Fatal(err)
@@ -257,7 +257,7 @@ func builtProbe(tb testing.TB, shape int) (*Context, []*vector.Chunk, stage) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := newHashJoin(nil, right, join, false)
+	h := newHashJoin(nil, right, join)
 	if err := right.Open(ctx); err != nil {
 		tb.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestAggOverJoinAccumulatesOnWorkers(t *testing.T) {
 	if !ok {
 		t.Fatalf("built %T, want *aggOp", op)
 	}
-	if _, ok := a.src.(*equiJoinOp); !ok {
+	if _, ok := a.src.(*hashJoinOp); !ok {
 		t.Fatalf("aggregation source is %T, want the join itself", a.src)
 	}
 	ctx := &Context{Txn: mgr.Begin(), Threads: 4}

@@ -124,14 +124,15 @@ func (s *opSource) push(c *vector.Chunk) error {
 
 func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int) sinkFunc) error {
 	sink := timedSink(mkSink(0), slot, nil)
-	seq := -1
-	return drain(ctx, s, func(c *vector.Chunk) error {
-		seq++
-		if c.Len() == 0 {
-			return nil
+	for seq := 0; ; seq++ {
+		c, err := s.Next(ctx)
+		if err == nil && c != nil && c.Len() > 0 {
+			err = sink(seq, c)
 		}
-		return sink(seq, c)
-	})
+		if err != nil || c == nil {
+			return err
+		}
+	}
 }
 
 // pipelineOp executes a morsel-driven pipeline: a table scan whose

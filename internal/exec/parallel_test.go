@@ -344,27 +344,48 @@ func TestParallelScanEarlyClose(t *testing.T) {
 }
 
 // TestParallelHashJoinMatchesSequential covers the partitioned build
-// and the in-worker probe at several thread counts.
+// and the in-worker probe at several thread counts, and the merge join —
+// forced, and an Auto join whose build a 128KB pool hands over — whose
+// sorts run on the same workers.
 func TestParallelHashJoinMatchesSequential(t *testing.T) {
 	join, mgr := buildJoinFixture(t, 9_000, 6_000)
-	render := func(threads int) string {
-		op, err := Build(join, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := &Context{Txn: mgr.Begin(), Threads: threads, JoinStrategy: JoinForceHash}
-		out := ""
-		for _, c := range collectAll(t, ctx, op) {
-			for r := 0; r < c.Len(); r++ {
-				out += fmt.Sprint(c.Row(r), ";")
+	for _, tc := range []struct {
+		name     string
+		strategy JoinStrategy
+		limit    int64
+	}{
+		{"hash", JoinForceHash, 0},
+		{"merge", JoinForceMerge, 0},
+		{"auto_128KB", JoinAuto, 128 << 10},
+	} {
+		render := func(threads int) string {
+			prof := NewProfiler(join)
+			op, err := Build(join, prof)
+			if err != nil {
+				t.Fatal(err)
 			}
+			pool := buffer.NewPool(tc.limit, nil)
+			ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, JoinStrategy: tc.strategy, Prof: prof, TmpDir: t.TempDir()}
+			out := ""
+			for _, c := range collectAll(t, ctx, op) {
+				out += fmt.Sprint("#", c.Len(), ";")
+				for r := 0; r < c.Len(); r++ {
+					out += fmt.Sprint(c.Row(r), ";")
+				}
+			}
+			if fell := prof.Slot(join).JoinFallback.Load(); fell != (tc.limit > 0) {
+				t.Fatalf("%s threads=%d: fallback=%v", tc.name, threads, fell)
+			}
+			if used := pool.Used(); used != 0 {
+				t.Fatalf("%s threads=%d: %d pool bytes still reserved", tc.name, threads, used)
+			}
+			return out
 		}
-		return out
-	}
-	want := render(1)
-	for _, threads := range []int{2, 4} {
-		if got := render(threads); got != want {
-			t.Fatalf("threads=%d join diverges", threads)
+		want := render(1)
+		for _, threads := range []int{2, 4} {
+			if got := render(threads); got != want {
+				t.Fatalf("%s threads=%d join diverges", tc.name, threads)
+			}
 		}
 	}
 }
@@ -380,12 +401,22 @@ func TestParallelAutoJoinStillFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: 4, JoinStrategy: JoinAuto, TmpDir: t.TempDir()}
-	chunks, err := Collect(ctx, op)
+	hj := op.(*hashJoinOp)
+	rows := 0
+	err = Run(ctx, op, func(c *vector.Chunk) error {
+		// The build handed over before the first row came out: it holds
+		// nothing for the chunks it had kept.
+		if held := hj.reserved.Load(); held != 0 {
+			return fmt.Errorf("the handed-over build still holds %d pool bytes", held)
+		}
+		rows += c.Len()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := countRows(chunks); rows != 10 {
-		t.Fatalf("fallback join: %d rows, want 10", rows)
+	if rows != 10 || !hj.handedOver.Load() {
+		t.Fatalf("fallback join: %d rows, handed over %v, want 10 rows from the merge join", rows, hj.handedOver.Load())
 	}
 	// The abandoned hash join and the merge join must both have
 	// returned their pool reservations.

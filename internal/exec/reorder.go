@@ -329,6 +329,8 @@ func newMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile, cu
 // one per batch.
 type chunkCursor struct{ part *extsort.Iterator }
 
+func newChunkCursor(_ *Context, part *extsort.Iterator) rangeCursor { return chunkCursor{part} }
+
 func (c chunkCursor) Next() ([]*vector.Chunk, error) {
 	chunk, err := c.part.Next()
 	if chunk == nil || err != nil {

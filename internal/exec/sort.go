@@ -13,13 +13,14 @@ import (
 	"repro/internal/vector"
 )
 
-// sortedStream is the sort phase ORDER BY and the window partitioner
-// share: each worker of the source widens its chunks with extend and
-// feeds its own external sorter (building sorted runs independently,
-// sharing the sort budget and buffer pool, spilling to disk past the
-// budget), and build k-way merges every worker's runs and in-memory
-// buffers through the extsort merge machinery. Both lay their sorted
-// rows out by one rule, sortLayout.
+// sortedStream is the one sort phase: ORDER BY, the window partitioner
+// and both sides of the merge join run on it. Each worker of the source
+// widens its chunks with extend and feeds its own external sorter
+// (building sorted runs independently, sharing the sort budget and
+// buffer pool, spilling to disk past the budget) — fill — and finish
+// k-way merges every worker's runs and in-memory buffers through the
+// extsort merge machinery. All lay their sorted rows out by one rule,
+// sortLayout.
 //
 // Determinism: extend closes every row with a hidden tiebreak key — its
 // packed (seq, row) position in the source's stream (positionColumn) —
@@ -105,22 +106,28 @@ func sortLayout(payload []types.Type, keys []plan.SortKey) ([]types.Type, []exts
 	return extTypes, sortKeys, extend
 }
 
-func (s *sortedStream) build(ctx *Context) error {
-	// Split the budget across the actual worker count (bounded by
-	// morsels), keeping the memory envelope that of one sorter.
+// newSorter is one producer's external sorter of the stream's rows.
+func (s *sortedStream) newSorter(ctx *Context, budget int64) *extsort.Sorter {
+	sorter := extsort.NewSorter(s.extTypes, s.keys, budget, ctx.TmpDir)
+	if ctx.Pool != nil {
+		sorter.SetPool(ctx.Pool)
+	}
+	return sorter
+}
+
+// fill drains the source on its workers, each into a sorter of its own.
+// The budget is split across the actual worker count (bounded by
+// morsels), keeping the memory envelope that of one sorter. A failed
+// fill closes its sorters.
+func (s *sortedStream) fill(ctx *Context) ([]*extsort.Sorter, error) {
 	workers := s.src.workerCount(ctx)
 	budget := splitBudget(ctx.sortBudget(), workers)
-
 	// mkSink runs on the coordinating goroutine and the sorters are only
 	// merged after consume has joined every worker, so the slice needs
 	// no locking; the shared buffer pool is internally synchronized.
 	var sorters []*extsort.Sorter
-	slot := ctx.Prof.Slot(s.node)
-	err := s.src.consume(ctx, workers, slot, func(w int) sinkFunc {
-		sorter := extsort.NewSorter(s.extTypes, s.keys, budget, ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
+	err := s.src.consume(ctx, workers, ctx.Prof.Slot(s.node), func(w int) sinkFunc {
+		sorter := s.newSorter(ctx, budget)
 		sorters = append(sorters, sorter)
 		return func(seq int, chunk *vector.Chunk) error {
 			ext, err := s.extend(seq, chunk)
@@ -130,7 +137,26 @@ func (s *sortedStream) build(ctx *Context) error {
 			return sorter.Add(ext)
 		}
 	})
-	if err == nil && len(sorters) > 1 {
+	if err != nil {
+		closeSorters(sorters)
+		return nil, err
+	}
+	return sorters, nil
+}
+
+func closeSorters(sorters []*extsort.Sorter) {
+	for _, sorter := range sorters {
+		sorter.Close()
+	}
+}
+
+// finish turns filled sorters into the stream: it seals their tails in
+// parallel, merges them, books their spill and sets up the merge phase.
+// The sorters are the stream's from here on, even on error.
+func (s *sortedStream) finish(ctx *Context, sorters []*extsort.Sorter) error {
+	slot := ctx.Prof.Slot(s.node)
+	var err error
+	if len(sorters) > 1 {
 		err = sealSorters(ctx, sorters, slot)
 	}
 	var iter *extsort.Iterator
@@ -138,9 +164,7 @@ func (s *sortedStream) build(ctx *Context) error {
 		iter, err = extsort.MergeFinish(sorters)
 	}
 	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
+		closeSorters(sorters)
 		return err
 	}
 	var spilled int64
@@ -157,12 +181,11 @@ func (s *sortedStream) build(ctx *Context) error {
 	// end on chunk boundaries, so even the chunks are the serial merge's.
 	// PartitionMerge returns nil on skew/tiny inputs and for an
 	// empty range-key prefix — then the serial loser-tree merge stands.
-	// A source that generated its runs on one worker keeps the serial
-	// merge too: every range holds its own loaded chunk per run, and a
-	// budget that one worker's run generation fitted into need not cover
-	// that.
+	// Runs generated by one producer keep the serial merge too: every
+	// range holds its own loaded chunk per run, and a budget that one
+	// producer's run generation fitted into need not cover that.
 	ranges := 1
-	if workers > 1 {
+	if len(sorters) > 1 {
 		parts, err := iter.PartitionMerge(ctx.Threads, s.rangeKeys)
 		if err != nil {
 			iter.Close()
@@ -179,7 +202,7 @@ func (s *sortedStream) build(ctx *Context) error {
 		s.out.next = (&rangeProducer{cur: s.cursor(ctx, iter)}).next
 	}
 	if slot != nil {
-		slot.MergeRanges.Store(int64(ranges))
+		raisePeak(&slot.MergeRanges, int64(ranges))
 	}
 	return nil
 }
@@ -211,7 +234,11 @@ func sealSorters(ctx *Context, sorters []*extsort.Sorter, slot *OpProfile) error
 // phase: cursor's chunks, range by range when the merge is partitioned.
 func (s *sortedStream) Next(ctx *Context) (*vector.Chunk, error) {
 	if s.out.next == nil {
-		if err := s.build(ctx); err != nil {
+		sorters, err := s.fill(ctx)
+		if err == nil {
+			err = s.finish(ctx, sorters)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -228,6 +255,13 @@ func (s *sortedStream) mergeRows() []int64 {
 }
 
 func (s *sortedStream) Close(ctx *Context) {
+	s.closeSort(ctx)
+	s.src.Close(ctx)
+}
+
+// closeSort stops the merge phase and drops the sorted rows; the source
+// stays open.
+func (s *sortedStream) closeSort(ctx *Context) {
 	s.out = batchReader{}
 	if s.merge != nil {
 		s.merge.Close() // join range workers before their files close
@@ -238,7 +272,6 @@ func (s *sortedStream) Close(ctx *Context) {
 		s.iter.Close()
 		s.iter = nil
 	}
-	s.src.Close(ctx)
 }
 
 // sortOp is the ORDER BY pipeline breaker: a sortedStream over
@@ -256,7 +289,7 @@ func newSortOp(src source, n *plan.SortNode) *sortOp {
 	return &sortOp{np: len(payload), sortedStream: sortedStream{
 		src: src, node: n,
 		extTypes: extTypes, keys: keys, rangeKeys: keys, extend: extend,
-		cursor: func(_ *Context, part *extsort.Iterator) rangeCursor { return chunkCursor{part} },
+		cursor: newChunkCursor,
 	}}
 }
 

@@ -98,16 +98,7 @@ func runEncodedPalette(t *testing.T, path string, threads int, encodedExec bool)
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// Pin the knobs: the CI differential matrix also runs this suite
-	// with QUACK_DISABLE_ZONEMAPS=1 / QUACK_DISABLE_ENCODED_EXEC=1 as
-	// session defaults, and encoded execution rides on the zone-filter
-	// push-down.
-	db.Internal().SetZoneMaps(true)
-	if encodedExec {
-		db.Internal().SetEncodedExec(true)
-	} else {
-		db.Internal().SetEncodedExec(false)
-	}
+	db.Internal().SetEncodedExec(encodedExec)
 	mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
 	before := db.Metrics()["scan_segments_encoded_total"]
 	for _, q := range encodedExecQueries {

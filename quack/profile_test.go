@@ -338,7 +338,8 @@ func TestExplainAnalyzeSortKeys(t *testing.T) {
 // carries the build side's row count and the pool bytes held for it and
 // the table, the table's distinct keys and the bytes it really occupies,
 // and an Auto join that degraded to the merge join because the build did
-// not fit the budget says so — at one worker and at four.
+// not fit the budget says so, with its sorts' key width and spill — at
+// one worker and at four.
 func TestExplainAnalyzeJoinBuild(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		// Unlimited at first, whatever QUACK_MEMORY_LIMIT a CI leg exports.
@@ -403,7 +404,9 @@ func TestExplainAnalyzeJoinBuild(t *testing.T) {
 			for _, row := range queryAll(t, db, "EXPLAIN ANALYZE "+q) {
 				text = append(text, row[0])
 			}
-			for _, piece := range []string{"build_rows=", "build_bytes=", "fallback=merge"} {
+			// The merge join's sorters spill under the budget, and its line
+			// says so beside their key width.
+			for _, piece := range []string{"build_rows=", "build_bytes=", "fallback=merge", "key_bytes=", "spilled="} {
 				if !strings.Contains(strings.Join(text, "\n"), piece) {
 					t.Errorf("threads=%d budget=%s: EXPLAIN ANALYZE has no %q:\n%s", threads, budget, piece, strings.Join(text, "\n"))
 				}

@@ -70,12 +70,11 @@
 // directly, so skipped segments are never decompressed. Skipping never
 // changes results; it only avoids touching bytes the filter would
 // discard. EXPLAIN reports the pushed predicates and a
-// "segments skipped: X/Y" note per scan. Skipping is not a user knob:
-// the QUACK_DISABLE_ZONEMAPS=1 environment variable turns it off at
-// Open for the differential test legs (mirroring QUACK_THREADS and
-// QUACK_MEMORY_LIMIT), and scan_segments_scanned_total /
-// scan_segments_skipped_total in the metrics registry count what scans
-// did.
+// "segments skipped: X/Y" note per scan. Skipping is not a knob: the
+// differential tests compare it against a scan that reads every segment
+// in-process, through the Internal() test hook, and
+// scan_segments_scanned_total / scan_segments_skipped_total in the
+// metrics registry count what scans did.
 //
 // Segments that survive skipping can still execute without being
 // decompressed: exact pushed conjuncts run as selection kernels over
@@ -88,9 +87,9 @@
 // execution never changes results — the full filter still runs on what
 // the scan emits — and it steps aside automatically for segments with
 // in-flight updates or payload shapes a kernel cannot answer exactly.
-// QUACK_DISABLE_ENCODED_EXEC=1 turns it off at Open (a test leg, like
-// QUACK_DISABLE_ZONEMAPS); because the kernels consume the pushed zone
-// filters, disabling zone maps disables encoded execution too. EXPLAIN
+// It is not a knob either (the differential tests switch it off the same
+// way); because the kernels consume the pushed zone filters, a scan
+// without zone maps runs without encoded execution too. EXPLAIN
 // adds an "encoded execution: X/Y surviving segments" note per scan,
 // EXPLAIN ANALYZE reports enc=N and decoded=N selected=N per operator,
 // and scan_segments_encoded_total / scan_rows_encoded_selected_total in
@@ -168,9 +167,8 @@
 //	PRAGMA metrics                 registry snapshot as (name, value) rows
 //	PRAGMA database_size           blocks read, written and free
 //
-// QUACK_DISABLE_ZONEMAPS=1 and QUACK_DISABLE_ENCODED_EXEC=1 switch two
-// scan strategies off at Open. Results are identical either way; they
-// exist for the differential test legs and have no PRAGMA.
+// Two environment variables, and no others: QUACK_MEMORY_LIMIT and
+// QUACK_THREADS, the defaults above.
 package quack
 
 import (

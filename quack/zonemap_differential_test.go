@@ -128,9 +128,6 @@ func TestZoneMapDifferentialReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// Pin skipping on: the CI differential matrix also runs this suite
-	// with QUACK_DISABLE_ZONEMAPS=1 as the session default.
-	db.Internal().SetZoneMaps(true)
 
 	// Cold: EXPLAIN consults only catalog-loaded stats; no chain reads.
 	readsBefore := blocksRead(t, db)
@@ -155,9 +152,6 @@ func TestZoneMapDifferentialReopen(t *testing.T) {
 // more than 90% of the segments.
 func TestZoneMapExplainMatchesSequential(t *testing.T) {
 	db := openMem(t)
-	// Pin skipping on: the CI differential matrix also runs this suite
-	// with QUACK_DISABLE_ZONEMAPS=1 as the session default.
-	db.Internal().SetZoneMaps(true)
 	mustExec(t, db, "CREATE TABLE seq (id BIGINT, v BIGINT)")
 	app, err := db.Appender("seq")
 	if err != nil {
