@@ -15,6 +15,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/table"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Column describes one table column.
@@ -49,6 +50,26 @@ func (t *Table) ColumnIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// CheckNotNull rejects a NULL among the first n rows of v when the
+// column is NOT NULL. Every write path checks before it stores: INSERT,
+// UPDATE, COPY FROM and the Appender.
+func (c Column) CheckNotNull(v *vector.Vector, n int) error {
+	if !c.NotNull || v.Valid.CountValid(n) == n {
+		return nil
+	}
+	return fmt.Errorf("NOT NULL constraint violated: column %q", c.Name)
+}
+
+// CheckNotNull runs Column.CheckNotNull over every column of chunk.
+func (t *Table) CheckNotNull(chunk *vector.Chunk) error {
+	for i, c := range t.Columns {
+		if err := c.CheckNotNull(chunk.Cols[i], chunk.Len()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Types returns the column types in order.

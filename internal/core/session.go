@@ -544,6 +544,9 @@ func (s *Session) copy(st *sql.CopyStmt, tx *txn.Transaction) (*Result, error) {
 			if chunk == nil {
 				break
 			}
+			if err := entry.CheckNotNull(chunk); err != nil {
+				return nil, err
+			}
 			if err := entry.Data.Append(tx, chunk); err != nil {
 				return nil, err
 			}

@@ -118,23 +118,6 @@ func TestWriteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInferTypes(t *testing.T) {
-	path := writeFile(t, "id,price,label\n1,2.5,abc\n2,3,def\n")
-	names, typs, err := InferTypes(path, Options{Header: true}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names[0] != "id" || names[2] != "label" {
-		t.Fatalf("names: %v", names)
-	}
-	want := []types.Type{types.BigInt, types.Double, types.Varchar}
-	for i := range want {
-		if typs[i] != want[i] {
-			t.Fatalf("column %d inferred %v, want %v", i, typs[i], want[i])
-		}
-	}
-}
-
 func TestStreamingChunks(t *testing.T) {
 	var sb []byte
 	for i := 0; i < 3000; i++ {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/table"
@@ -175,12 +173,6 @@ func (i *insertOp) Next(ctx *Context) (*vector.Chunk, error) {
 		return nil, nil
 	}
 	i.done = true
-	notNull := make([]int, 0)
-	for idx, col := range i.table.Columns {
-		if col.NotNull {
-			notNull = append(notNull, idx)
-		}
-	}
 	for {
 		chunk, err := i.child.Next(ctx)
 		if err != nil {
@@ -189,13 +181,8 @@ func (i *insertOp) Next(ctx *Context) (*vector.Chunk, error) {
 		if chunk == nil {
 			break
 		}
-		for _, c := range notNull {
-			col := chunk.Cols[c]
-			for r := 0; r < chunk.Len(); r++ {
-				if col.IsNull(r) {
-					return nil, fmt.Errorf("NOT NULL constraint violated: column %q", i.table.Columns[c].Name)
-				}
-			}
+		if err := i.table.CheckNotNull(chunk); err != nil {
+			return nil, err
 		}
 		if err := i.table.Data.Append(ctx.Txn, chunk); err != nil {
 			return nil, err
@@ -257,12 +244,8 @@ func (u *updateOp) Next(ctx *Context) (*vector.Chunk, error) {
 	}
 	tbl := u.node.Table
 	for i, colIdx := range u.node.SetCols {
-		if tbl.Columns[colIdx].NotNull {
-			for r := 0; r < newVals[i].Len(); r++ {
-				if newVals[i].IsNull(r) {
-					return nil, fmt.Errorf("NOT NULL constraint violated: column %q", tbl.Columns[colIdx].Name)
-				}
-			}
+		if err := tbl.Columns[colIdx].CheckNotNull(newVals[i], newVals[i].Len()); err != nil {
+			return nil, err
 		}
 	}
 	var count int64

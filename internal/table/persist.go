@@ -61,9 +61,7 @@ func (t *DataTable) SerializeColumn(tx *txn.Transaction, c int) ([]byte, int64, 
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
 		out = append(out, enc...)
 		st := ColStats{Valid: true}
-		for i := 0; i < count; i++ {
-			st.widenValue(seg.Get(i))
-		}
+		st.widenRange(seg, 0, count)
 		stats = append(stats, st)
 	}
 	return out, rows, stats, nil
@@ -223,7 +221,7 @@ func (t *DataTable) ApplyCommittedUpdate(col int, rowIDs []int64, vals *vector.V
 		}
 		s.mu.Lock()
 		s.cols[col].Set(int(rid%SegRows), vals.Get(j))
-		s.stats[col].widenValue(vals.Get(j))
+		s.stats[col].widenRange(vals, j, 1)
 		s.mu.Unlock()
 	}
 	t.loadMu.Lock()

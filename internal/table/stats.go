@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Zone maps: per-segment, per-column statistics maintained at append
@@ -34,27 +35,75 @@ type ColStats struct {
 	NonNullCount int64
 }
 
-// widenValue folds one observed value into the stats.
-func (st *ColStats) widenValue(v types.Value) {
-	if !st.Valid {
+// widenRange folds rows [start, start+k) of v into the stats. It reads
+// v's native slice and leaves the stats exactly as folding each row's
+// Value in order would: types.Compare's order (NaN greatest, -0 == +0)
+// and, on a tie, the value seen first.
+func (st *ColStats) widenRange(v *vector.Vector, start, k int) {
+	if !st.Valid || k <= 0 {
 		return
 	}
-	if v.Null {
-		st.NullCount++
-		return
-	}
-	st.NonNullCount++
-	if !st.HasMinMax {
-		st.Min, st.Max = v, v
-		st.HasMinMax = true
-	} else {
-		if types.Compare(v, st.Min) < 0 {
-			st.Min = v
+	var n int // non-NULL rows folded
+	switch v.Type {
+	case types.BigInt, types.Timestamp:
+		lo, hi := st.Min.I64, st.Max.I64
+		if n = foldOrdered(v.I64[start:start+k], &v.Valid, start, st.HasMinMax, &lo, &hi); n > 0 {
+			st.Min, st.Max = types.Value{Type: v.Type, I64: lo}, types.Value{Type: v.Type, I64: hi}
 		}
-		if types.Compare(v, st.Max) > 0 {
-			st.Max = v
+	case types.Integer:
+		lo, hi := int32(st.Min.I64), int32(st.Max.I64)
+		if n = foldOrdered(v.I32[start:start+k], &v.Valid, start, st.HasMinMax, &lo, &hi); n > 0 {
+			st.Min, st.Max = types.NewInt(lo), types.NewInt(hi)
+		}
+	case types.Double:
+		lo, hi := st.Min.F64, st.Max.F64
+		if n = foldOrdered(v.F64[start:start+k], &v.Valid, start, st.HasMinMax, &lo, &hi); n > 0 {
+			st.Min, st.Max = types.NewDouble(lo), types.NewDouble(hi)
+		}
+	case types.Varchar:
+		lo, hi := st.Min.Str, st.Max.Str
+		if n = foldOrdered(v.Str[start:start+k], &v.Valid, start, st.HasMinMax, &lo, &hi); n > 0 {
+			st.Min, st.Max = types.NewVarchar(lo), types.NewVarchar(hi)
+		}
+	case types.Boolean:
+		lo, hi := st.Min.Bool || !st.HasMinMax, st.Max.Bool && st.HasMinMax
+		for i, x := range v.Bools[start : start+k] {
+			if v.Valid.IsValid(start + i) {
+				lo, hi, n = lo && x, hi || x, n+1
+			}
+		}
+		if n > 0 {
+			st.Min, st.Max = types.NewBool(lo), types.NewBool(hi)
 		}
 	}
+	st.NullCount += int64(k - n)
+	st.NonNullCount += int64(n)
+	st.HasMinMax = st.HasMinMax || n > 0
+}
+
+// foldOrdered widens [*lo, *hi] by the valid values of vals (rows
+// start.. of their vector) and returns how many there were; has says
+// whether lo and hi hold a value yet. A NaN (x != x, never true but for
+// floats) sorts above every number.
+func foldOrdered[T int32 | int64 | float64 | string](vals []T, valid *vector.Bitmask, start int, has bool, lo, hi *T) int {
+	n, l, h := 0, *lo, *hi
+	all := valid.AllValid()
+	for i, x := range vals {
+		if !all && !valid.IsValid(start+i) {
+			continue
+		}
+		n++
+		switch {
+		case !has:
+			l, h, has = x, x, true
+		case x < l || (l != l && x == x):
+			l = x
+		case x > h || (x != x && h == h):
+			h = x
+		}
+	}
+	*lo, *hi = l, h
+	return n
 }
 
 // ZoneOp is the operator of a scan-eligible conjunct.
@@ -386,17 +435,18 @@ func (s *segment) rebuildStatsLocked(typs []types.Type, oldestVisible uint64) er
 			if data.Len() < n {
 				n = data.Len()
 			}
-			for r := 0; r < n; r++ {
-				if live[r] {
-					st.widenValue(data.Get(r))
+			for r := 0; r < n; {
+				run := r
+				for run < n && live[run] {
+					run++
 				}
+				st.widenRange(data, r, run-r)
+				r = run + 1
 			}
 		}
 		// Undo versions still reachable by old snapshots stay covered.
 		for nd := s.updates[c]; nd != nil; nd = nd.next {
-			for j := range nd.rows {
-				st.widenValue(nd.old.Get(j))
-			}
+			st.widenRange(nd.old, 0, len(nd.rows))
 		}
 		s.stats[c] = st
 	}

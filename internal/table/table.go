@@ -527,6 +527,20 @@ func (a *appendAction) Rollback() {
 // to others when tx commits. All columns must be resident (appends touch
 // every column), which Append ensures.
 func (t *DataTable) Append(tx *txn.Transaction, chunk *vector.Chunk) error {
+	return t.appendChunk(chunk, tx, tx.ID())
+}
+
+// AppendCommitted bulk-appends rows that are immediately visible to
+// everyone (bulk load, WAL recovery). stamp is usually txn.EpochTS.
+func (t *DataTable) AppendCommitted(chunk *vector.Chunk, stamp uint64) error {
+	return t.appendChunk(chunk, nil, stamp)
+}
+
+// appendChunk is the one append loop: it fills the tail segment and
+// then fresh ones a column range at a time, stamps the rows with stamp
+// and widens the zone maps. With a tx the rows are its undoable
+// appends.
+func (t *DataTable) appendChunk(chunk *vector.Chunk, tx *txn.Transaction, stamp uint64) error {
 	if chunk.NumCols() != len(t.typs) {
 		return fmt.Errorf("table: append of %d columns into %d-column table", chunk.NumCols(), len(t.typs))
 	}
@@ -546,8 +560,7 @@ func (t *DataTable) Append(tx *txn.Transaction, chunk *vector.Chunk) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendDirty.Store(true)
-	row := 0
-	for row < chunk.Len() {
+	for row := 0; row < chunk.Len(); {
 		var s *segment
 		if len(t.segs) > 0 {
 			s = t.segs[len(t.segs)-1]
@@ -568,24 +581,27 @@ func (t *DataTable) Append(tx *txn.Transaction, chunk *vector.Chunk) error {
 			s.mu.Unlock()
 			return fmt.Errorf("table: append into unloaded segment")
 		}
-		s.materializeInsertIDs()
-		k := SegRows - s.n
-		if rem := chunk.Len() - row; rem < k {
-			k = rem
+		if stamp != s.insertAll {
+			s.materializeInsertIDs()
 		}
+		k := min(SegRows-s.n, chunk.Len()-row)
 		first := s.n
-		for i := 0; i < k; i++ {
-			for c := range t.typs {
-				s.cols[c].AppendFrom(chunk.Cols[c], row+i)
-			}
+		for c := range t.typs {
+			s.cols[c].AppendRange(chunk.Cols[c], row, k)
+			s.stats[c].widenRange(chunk.Cols[c], row, k)
+		}
+		if s.insertID != nil {
 			// Atomic like every other insertID access: concurrent
 			// scanners read these stamps lock-free via loadInsert.
-			atomic.StoreUint64(&s.insertID[first+i], tx.ID())
+			for i := first; i < first+k; i++ {
+				atomic.StoreUint64(&s.insertID[i], stamp)
+			}
 		}
 		s.n += k
-		s.widenStats(chunk, row, k)
 		s.mu.Unlock()
-		tx.PushUndo(&appendAction{t: t, seg: s, first: first, count: k})
+		if tx != nil {
+			tx.PushUndo(&appendAction{t: t, seg: s, first: first, count: k})
+		}
 		row += k
 		t.rowCount += int64(k)
 	}
@@ -607,77 +623,6 @@ func (t *DataTable) materializeTail(cols []int) error {
 		return nil
 	}
 	return t.materializeSegCols(tail, cols)
-}
-
-// widenStats folds k appended rows (chunk rows [row, row+k)) into the
-// segment's zone maps. Caller holds s.mu.
-func (s *segment) widenStats(chunk *vector.Chunk, row, k int) {
-	for c := range s.stats {
-		st := &s.stats[c]
-		for i := 0; i < k; i++ {
-			st.widenValue(chunk.Cols[c].Get(row + i))
-		}
-	}
-}
-
-// AppendCommitted bulk-appends rows that are immediately visible to
-// everyone (bulk load, WAL recovery). stamp is usually txn.EpochTS.
-func (t *DataTable) AppendCommitted(chunk *vector.Chunk, stamp uint64) error {
-	if chunk.NumCols() != len(t.typs) {
-		return fmt.Errorf("table: append of %d columns into %d-column table", chunk.NumCols(), len(t.typs))
-	}
-	cols := make([]int, len(t.typs))
-	for i := range cols {
-		cols[i] = i
-	}
-	release, err := t.PinColumns(cols)
-	if err != nil {
-		return err
-	}
-	defer release()
-	if err := t.materializeTail(cols); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.appendDirty.Store(true)
-	row := 0
-	for row < chunk.Len() {
-		var s *segment
-		if len(t.segs) > 0 {
-			s = t.segs[len(t.segs)-1]
-		}
-		if s == nil || s.n == SegRows {
-			s = newSegment(len(t.typs))
-			for c, typ := range t.typs {
-				s.cols[c] = vector.New(typ, SegRows)
-			}
-			t.segs = append(t.segs, s)
-		}
-		s.mu.Lock()
-		if stamp != s.insertAll {
-			s.materializeInsertIDs()
-		}
-		k := SegRows - s.n
-		if rem := chunk.Len() - row; rem < k {
-			k = rem
-		}
-		first := s.n
-		for i := 0; i < k; i++ {
-			for c := range t.typs {
-				s.cols[c].AppendFrom(chunk.Cols[c], row+i)
-			}
-			if s.insertID != nil {
-				atomic.StoreUint64(&s.insertID[first+i], stamp)
-			}
-		}
-		s.n += k
-		s.widenStats(chunk, row, k)
-		s.mu.Unlock()
-		row += k
-		t.rowCount += int64(k)
-	}
-	return nil
 }
 
 // ---- deletes ----
@@ -859,17 +804,16 @@ func (t *DataTable) Update(tx *txn.Transaction, col int, rowIDs []int64, vals *v
 			old:  vector.New(t.typs[col], len(batchIDs)),
 		}
 		node.stamp.Store(tx.ID())
-		st := &s.stats[col]
 		for j, rid := range batchIDs {
 			r := int(rid % SegRows)
 			node.rows[j] = int32(r)
 			node.old.AppendFrom(data, r)
 			data.SetFrom(r, vals, start+j)
-			// Widen the zone map with the new value; the old value was
-			// already covered, so the stats stay a superset of every
-			// version reachable through the undo chain.
-			st.widenValue(vals.Get(start + j))
 		}
+		// Widen the zone map with the new values; the old ones were
+		// already covered, so the stats stay a superset of every version
+		// reachable through the undo chain.
+		s.stats[col].widenRange(vals, start, len(batchIDs))
 		node.next = s.updates[col]
 		s.updates[col] = node
 		s.mu.Unlock()

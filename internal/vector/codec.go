@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -46,14 +47,17 @@ func EncodeVector(dst []byte, v *Vector) []byte {
 			dst = append(dst, b)
 		}
 	case types.Integer:
+		dst = slices.Grow(dst, 4*n)
 		for i := 0; i < n; i++ {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(v.I32[i]))
 		}
 	case types.BigInt, types.Timestamp:
+		dst = slices.Grow(dst, 8*n)
 		for i := 0; i < n; i++ {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I64[i]))
 		}
 	case types.Double:
+		dst = slices.Grow(dst, 8*n)
 		for i := 0; i < n; i++ {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64Bits(v.F64[i])))
 		}

@@ -305,3 +305,42 @@ func TestTypesOfChunk(t *testing.T) {
 		t.Fatal("Types mismatch")
 	}
 }
+
+// TestAppendRangeSetsValidBits appends over slots whose mask bits were
+// cleared by earlier use: valid source rows must come out valid, both
+// from an all-valid source and from one with NULLs.
+func TestAppendRangeSetsValidBits(t *testing.T) {
+	mixed := New(types.BigInt, 0)
+	for i := 0; i < 200; i++ {
+		if i%3 == 0 {
+			mixed.Append(types.NewNull(types.BigInt))
+		} else {
+			mixed.Append(types.NewBigInt(int64(i)))
+		}
+	}
+	allValid := New(types.BigInt, 0)
+	for i := 0; i < 200; i++ {
+		allValid.Append(types.NewBigInt(int64(i)))
+	}
+	// Unaligned offsets go bit by bit; aligned ones a word at a time.
+	for _, off := range []struct{ dst, src int }{{5, 7}, {64, 0}, {0, 0}} {
+		for _, src := range []*Vector{allValid, mixed} {
+			dst := New(types.BigInt, 0)
+			for i := 0; i < 300; i++ {
+				dst.Append(types.NewNull(types.BigInt))
+			}
+			dst.SetLen(off.dst) // the slots after keep their cleared bits
+			dst.AppendRange(src, off.src, 150)
+			for i := 0; i < 150; i++ {
+				if got, want := dst.IsNull(off.dst+i), src.IsNull(off.src+i); got != want {
+					t.Fatalf("offsets %+v row %d: IsNull %v, source %v", off, off.dst+i, got, want)
+				}
+			}
+			for i := 0; i < off.dst; i++ {
+				if !dst.IsNull(i) {
+					t.Fatalf("offsets %+v: row %d before the range lost its NULL", off, i)
+				}
+			}
+		}
+	}
+}

@@ -89,13 +89,17 @@ func (l *Log) AppendCommit(records []Record, commitTS uint64) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf []byte
+	size := frameHeader + 1 + 8 // the commit marker
 	for _, r := range records {
-		buf = appendFramed(buf, r)
+		size += frameHeader + 1 + len(r.Payload)
+	}
+	buf := make([]byte, 0, size)
+	for _, r := range records {
+		buf = appendFramed(buf, r.Type, r.Payload)
 	}
 	var ts [8]byte
 	binary.LittleEndian.PutUint64(ts[:], commitTS)
-	buf = appendFramed(buf, Record{Type: RecCommit, Payload: ts[:]})
+	buf = appendFramed(buf, RecCommit, ts[:])
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -106,14 +110,21 @@ func (l *Log) AppendCommit(records []Record, commitTS uint64) error {
 	return nil
 }
 
-// frame: len u32 | crc u64 | type u8 | payload
-func appendFramed(dst []byte, r Record) []byte {
-	body := make([]byte, 1+len(r.Payload))
-	body[0] = byte(r.Type)
-	copy(body[1:], r.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint64(dst, checksum.Sum(body))
-	return append(dst, body...)
+// frameHeader is the bytes a frame puts before its body.
+const frameHeader = 4 + 8
+
+// appendFramed appends one frame, len u32 | crc u64 | type u8 | payload,
+// where len and crc cover the body (type and payload). The body is
+// written in place and the header filled in after it.
+func appendFramed(dst []byte, typ RecordType, payload []byte) []byte {
+	head := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, byte(typ))
+	dst = append(dst, payload...)
+	body := dst[head+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[head:], uint32(len(body)))
+	binary.LittleEndian.PutUint64(dst[head+4:], checksum.Sum(body))
+	return dst
 }
 
 // CommittedTxn is one fully committed transaction recovered from the log.
@@ -142,15 +153,15 @@ func (l *Log) Replay() ([]CommittedTxn, error) {
 	)
 	off := 0
 	for off < len(data) {
-		if len(data)-off < 12 {
+		if len(data)-off < frameHeader {
 			break // torn frame header
 		}
 		length := int(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint64(data[off+4:])
-		if length < 1 || off+12+length > len(data) {
+		if length < 1 || off+frameHeader+length > len(data) {
 			break // torn frame body
 		}
-		body := data[off+12 : off+12+length]
+		body := data[off+frameHeader : off+frameHeader+length]
 		if checksum.Sum(body) != crc {
 			if len(pending) == 0 {
 				break // corruption at a txn boundary: treat as torn tail
@@ -158,7 +169,7 @@ func (l *Log) Replay() ([]CommittedTxn, error) {
 			return out, fmt.Errorf("wal: corrupt record at offset %d inside a transaction", off)
 		}
 		rec := Record{Type: RecordType(body[0]), Payload: append([]byte(nil), body[1:]...)}
-		off += 12 + length
+		off += frameHeader + length
 		if rec.Type == RecCommit {
 			if len(rec.Payload) != 8 {
 				return out, fmt.Errorf("wal: malformed commit marker")

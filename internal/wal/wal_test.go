@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -143,4 +145,44 @@ func TestEmptyTransaction(t *testing.T) {
 	if err != nil || len(txns) != 1 || txns[0].CommitTS != 5 || len(txns[0].Records) != 0 {
 		t.Fatalf("empty txn replay: %+v %v", txns, err)
 	}
+}
+
+// TestAppendCommitGoldenBytes pins the on-disk framing: the bytes of a
+// multi-record commit (one record with an empty payload) as the
+// copy-per-record framing wrote them, read back by Replay.
+func TestAppendCommitGoldenBytes(t *testing.T) {
+	const golden = "03000000e23edc000c3bd0c001743105000000a2afc43eb3ce28420564617461" +
+		"010000005e9e0f301e18d7230709000000c5b0dbe4c15a4406080700000000000000"
+	l, path := openTemp(t)
+	recs := []Record{
+		{Type: RecCreateTable, Payload: []byte("t1")},
+		{Type: RecInsert, Payload: []byte("data")},
+		{Type: RecDelete},
+	}
+	if err := l.AppendCommit(recs, 7); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != golden {
+		t.Fatalf("framing changed:\n got %x\nwant %s", got, golden)
+	}
+	if l.Size() != int64(len(golden)/2) {
+		t.Fatalf("Size %d, wrote %d bytes", l.Size(), len(golden)/2)
+	}
+	txns, err := l.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txns) != 1 || txns[0].CommitTS != 7 || len(txns[0].Records) != 3 {
+		t.Fatalf("replayed %+v", txns)
+	}
+	for i, r := range txns[0].Records {
+		if r.Type != recs[i].Type || !bytes.Equal(r.Payload, recs[i].Payload) {
+			t.Fatalf("record %d: %+v, want %+v", i, r, recs[i])
+		}
+	}
+	_ = l.Close()
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/txn"
+	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -18,6 +19,7 @@ type Appender struct {
 	tx     *txn.Transaction
 	ownTx  bool
 	chunk  *vector.Chunk
+	vals   []types.Value // AppendRow's converted row
 	closed bool
 	rows   int64
 }
@@ -47,22 +49,25 @@ func (a *Appender) AppendRow(args ...any) error {
 	if len(args) != len(a.entry.Columns) {
 		return fmt.Errorf("quack: AppendRow got %d values for %d columns", len(args), len(a.entry.Columns))
 	}
-	row := a.chunk.Len()
-	a.chunk.SetLen(row + 1)
+	// Convert and check the whole row before the chunk grows: a
+	// rejected row must leave nothing behind for Close to commit.
+	a.vals = a.vals[:0]
 	for i, arg := range args {
+		col := a.entry.Columns[i]
 		v, err := toValue(arg)
 		if err != nil {
 			return err
 		}
-		cv, err := v.Cast(a.entry.Columns[i].Type)
+		cv, err := v.Cast(col.Type)
 		if err != nil {
-			return fmt.Errorf("quack: column %q: %w", a.entry.Columns[i].Name, err)
+			return fmt.Errorf("quack: column %q: %w", col.Name, err)
 		}
-		if cv.Null && a.entry.Columns[i].NotNull {
-			return fmt.Errorf("quack: NOT NULL constraint violated: column %q", a.entry.Columns[i].Name)
+		if cv.Null && col.NotNull {
+			return fmt.Errorf("quack: NOT NULL constraint violated: column %q", col.Name)
 		}
-		a.chunk.Cols[i].Set(row, cv)
+		a.vals = append(a.vals, cv)
 	}
+	a.chunk.AppendRow(a.vals...)
 	a.rows++
 	if a.chunk.Len() >= vector.ChunkCapacity {
 		return a.flush()
@@ -86,6 +91,9 @@ func (a *Appender) AppendChunk(c *Chunk) error {
 		if got[i] != want[i] {
 			return fmt.Errorf("quack: AppendChunk column %d is %s, want %s", i, got[i], want[i])
 		}
+	}
+	if err := a.entry.CheckNotNull(c); err != nil {
+		return fmt.Errorf("quack: %w", err)
 	}
 	if err := a.flush(); err != nil {
 		return err
