@@ -87,8 +87,9 @@ type Reader struct {
 	fieldErr error
 
 	// interned[c] holds the VARCHAR values of column c seen in the
-	// current chunk, one copy each.
-	interned []internTable
+	// current chunk, one copy each (nil for other types).
+	interned [][]string
+	seed     maphash.Seed
 }
 
 // NewReader opens path for streaming chunked reads.
@@ -121,7 +122,13 @@ func newReader(rd io.Reader, bufSize int, colTypes []types.Type, opts Options) (
 		colTypes: colTypes,
 		nullLit:  opts.NullLiteral,
 		comma:    utf8.AppendRune(nil, comma),
-		interned: make([]internTable, len(colTypes)),
+		interned: make([][]string, len(colTypes)),
+		seed:     maphash.MakeSeed(),
+	}
+	for c, t := range colTypes {
+		if t == types.Varchar {
+			r.interned[c] = make([]string, 2*vector.ChunkCapacity)
+		}
 	}
 	if opts.Header {
 		if _, err := r.readRecord(nil, 0); err != nil {
@@ -135,8 +142,8 @@ func newReader(rd io.Reader, bufSize int, colTypes []types.Type, opts Options) (
 func (r *Reader) NextChunk() (*vector.Chunk, error) {
 	chunk := vector.NewChunk(r.colTypes)
 	chunk.SetLen(vector.ChunkCapacity)
-	for c := range r.interned {
-		r.interned[c].reset()
+	for _, slots := range r.interned {
+		clear(slots)
 	}
 	n := 0
 	for n < vector.ChunkCapacity {
@@ -458,9 +465,6 @@ func parseExactFloat(b []byte) (float64, bool) {
 	if b[0] == '-' || b[0] == '+' {
 		digits = b[1:]
 	}
-	if len(digits) > 20 { // more than 19 digits could overflow m
-		return 0, false
-	}
 	var m uint64
 	point := -1
 	for i := 0; i < len(digits); i++ {
@@ -472,13 +476,15 @@ func parseExactFloat(b []byte) (float64, bool) {
 			point = i
 			continue
 		}
-		m = m*10 + uint64(d)
+		if m = m*10 + uint64(d); m >= 1<<53 { // m < 2^57: no wrap
+			return 0, false
+		}
 	}
 	nd, frac := len(digits), 0
 	if point >= 0 {
 		nd, frac = nd-1, len(digits)-1-point
 	}
-	if nd == 0 || m >= 1<<53 || frac >= len(pow10) {
+	if nd == 0 || frac >= len(pow10) {
 		return 0, false
 	}
 	f := float64(m) / pow10[frac]
@@ -511,48 +517,24 @@ func parseBool(b []byte) (val, ok bool) {
 	return false, false
 }
 
-// internTable is an open-addressing set of the strings of one column
-// in the current chunk. A slot whose gen is not the table's is empty,
-// so reset is one increment. With twice as many slots as a chunk has
-// rows, a probe always ends.
-type internTable struct {
-	gen   uint32
-	seed  maphash.Seed
-	slots []internSlot
-}
-
-type internSlot struct {
-	gen uint32
-	s   string
-}
-
-func (t *internTable) reset() {
-	t.gen++
-	if t.gen == 0 { // wrapped: forget every slot for real
-		clear(t.slots)
-		t.gen = 1
-	}
-}
-
 // intern copies a VARCHAR field out of the read buffer, once per
 // distinct value of the column in the current chunk, so a value holds
-// only its own bytes.
+// only its own bytes. The column's slots are an open-addressing set
+// with twice as many slots as a chunk has rows, so a probe always ends
+// on an empty slot; "" marks one, and the empty value needs no copy.
 func (r *Reader) intern(c int, b []byte) string {
-	t := &r.interned[c]
-	if t.slots == nil {
-		t.seed = maphash.MakeSeed()
-		t.slots = make([]internSlot, 2*vector.ChunkCapacity)
+	if len(b) == 0 {
+		return ""
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := maphash.Bytes(t.seed, b) & mask; ; i = (i + 1) & mask {
-		sl := &t.slots[i]
-		if sl.gen != t.gen {
-			s := string(b)
-			*sl = internSlot{t.gen, s}
-			return s
+	slots := r.interned[c]
+	mask := uint64(len(slots) - 1)
+	for i := maphash.Bytes(r.seed, b) & mask; ; i = (i + 1) & mask {
+		if slots[i] == "" {
+			slots[i] = string(b)
+			return slots[i]
 		}
-		if sl.s == string(b) {
-			return sl.s
+		if slots[i] == string(b) {
+			return slots[i]
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -173,9 +174,16 @@ func TestReaderMatchesEncodingCSV(t *testing.T) {
 		{"bigint overflow", "9223372036854775808\n", []types.Type{bi}, Options{}},
 		{"min int64", "-9223372036854775808\n", []types.Type{bi}, Options{}},
 		{"doubles", "NaN\n-0\n+Inf\n-inf\n1e400\n0x1p-2\n1_000\n", []types.Type{db}, Options{}},
-		{"decimal doubles", "604.6602879796196\n9007199254740993\n9007199254740992\n-0.0\n+.5\n5.\n.\n-.\n1.2.3\n" +
+		{"decimal doubles", "604.6602879796196\n9007199254740993\n9007199254740992\n-0.0\n+.5\n5.\n" +
 			"000000000000000000001.5\n0.0000000000000000000001\n12345678901234567890\n-1234.5678\n", []types.Type{db}, Options{}},
-		{"decimal integers", "007\n-0\n+5\n999999999999999999\n-9223372036854775807\n1-2\n--1\n+\n", []types.Type{bi}, Options{}},
+		{"20-digit doubles", "18446744073709551616\n18446744073709551617\n-18446744073709551617\n36893488147419103232\n", []types.Type{db}, Options{}},
+		{"lone point", ".\n", []types.Type{db}, Options{}},
+		{"signed lone point", "-.\n", []types.Type{db}, Options{}},
+		{"two points", "1.2.3\n", []types.Type{db}, Options{}},
+		{"decimal integers", "007\n-0\n+5\n999999999999999999\n-9223372036854775807\n", []types.Type{bi}, Options{}},
+		{"inner sign", "1-2\n", []types.Type{bi}, Options{}},
+		{"double sign", "--1\n", []types.Type{bi}, Options{}},
+		{"lone sign", "+\n", []types.Type{bi}, Options{}},
 		{"booleans", "true\nFALSE\nT\nf\n1\n0\nTrue\n", []types.Type{types.Boolean}, Options{}},
 		{"bad boolean", "yes\n", []types.Type{types.Boolean}, Options{}},
 		{"padded boolean", " true\n", []types.Type{types.Boolean}, Options{}},
@@ -264,17 +272,25 @@ func TestNextChunkAllocations(t *testing.T) {
 }
 
 // TestParseExactFloatMatchesStrconv: wherever the exact fast path
-// answers, it answers strconv.ParseFloat's bits.
+// answers, it answers strconv.ParseFloat's bits. The inputs include
+// 20-digit integers k·2^64 + r, whose digits wrap a uint64 to r.
 func TestParseExactFloatMatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	hits := 0
 	for i := 0; i < 200_000; i++ {
 		v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
 		var s string
-		if i%2 == 0 {
+		switch i % 3 {
+		case 0:
 			s = strconv.FormatFloat(v, 'g', -1, 64)
-		} else {
+		case 1:
 			s = strconv.FormatFloat(v, 'f', rng.Intn(25), 64)
+		default:
+			k := new(big.Int).Lsh(big.NewInt(rng.Int63n(5)+1), 64)
+			s = k.Add(k, big.NewInt(rng.Int63n(1<<53))).String()
+			if rng.Intn(2) == 0 {
+				s = "-" + s
+			}
 		}
 		got, ok := parseExactFloat([]byte(s))
 		if !ok {
@@ -310,6 +326,7 @@ func FuzzCSVReader(f *testing.F) {
 	f.Add([]byte("1,a\"b\n"), byte(0), false, []byte{1, 4})
 	f.Add([]byte("\"x\ny\"z\n"), byte(0|1<<5), false, []byte{4})
 	f.Add([]byte("604.6602879796196,-12\n+.5,007\n"), byte(0), false, []byte{3, 2})
+	f.Add([]byte("18446744073709551616\n-18446744073709551617\n36893488147419103232\n"), byte(0), false, []byte{3})
 	f.Fuzz(func(t *testing.T, data []byte, sel byte, header bool, typeSel []byte) {
 		if len(typeSel) == 0 || len(typeSel) > 8 {
 			return

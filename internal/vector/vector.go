@@ -71,39 +71,6 @@ func (m *Bitmask) CountValid(n int) int {
 	return count
 }
 
-// copyRange sets bits [dst, dst+n) of m to bits [srcStart, srcStart+n)
-// of src, a word at a time where both sides are word-aligned.
-func (m *Bitmask) copyRange(dst int, src *Bitmask, srcStart, n int) {
-	if m.words == nil {
-		// Every bit of m is set: only src's NULLs need clearing.
-		for i := 0; src.words != nil && i < n; i++ {
-			if !src.IsValid(srcStart + i) {
-				m.SetInvalid(dst + i)
-			}
-		}
-		return
-	}
-	m.ensure(dst + n)
-	for i := 0; i < n; {
-		d, s := dst+i, srcStart+i
-		if d&63 == 0 && s&63 == 0 && n-i >= 64 {
-			w := ^uint64(0) // bits past src's words are valid
-			if s>>6 < len(src.words) {
-				w = src.words[s>>6]
-			}
-			m.words[d>>6] = w
-			i += 64
-			continue
-		}
-		if src.IsValid(s) {
-			m.words[d>>6] |= 1 << (uint(d) & 63)
-		} else {
-			m.words[d>>6] &^= 1 << (uint(d) & 63)
-		}
-		i++
-	}
-}
-
 func (m *Bitmask) materialize(n int) {
 	if m.words == nil {
 		w := MaskWords(maxInt(n, ChunkCapacity))
@@ -350,7 +317,16 @@ func (v *Vector) AppendRange(src *Vector, srcStart, count int) {
 	case types.Varchar:
 		copy(v.Str[base:], src.Str[srcStart:srcStart+count])
 	}
-	v.Valid.copyRange(base, &src.Valid, srcStart, count)
+	if src.Valid.AllValid() && v.Valid.AllValid() {
+		return
+	}
+	for i := 0; i < count; i++ {
+		if src.Valid.IsValid(srcStart + i) {
+			v.Valid.SetValid(base + i)
+		} else {
+			v.Valid.SetInvalid(base + i)
+		}
+	}
 }
 
 // CompactInto writes the rows selected by sel into dst, in order.
