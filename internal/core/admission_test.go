@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,11 +18,23 @@ func admitDB(t *testing.T, limit int64) *Database {
 	return db
 }
 
+// waitQueued blocks until n queries wait at the gate.
+func waitQueued(t *testing.T, db *Database, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for db.admit.queueDepth() != int64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters queued", db.admit.queueDepth(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAdmitUnlimited: no budget, no gating.
 func TestAdmitUnlimited(t *testing.T) {
 	db := admitDB(t, -1)
 	for i := 0; i < 100; i++ {
-		release, _, err := db.admit.admit(1.0, 0, 100)
+		release, _, err := db.admit.admit()
 		if err != nil {
 			t.Fatalf("admission gated an unlimited database: %v", err)
 		}
@@ -29,57 +42,36 @@ func TestAdmitUnlimited(t *testing.T) {
 	}
 }
 
-// TestAdmitFailFast: with depth 0 a query that does not fit is rejected
-// immediately, and the slot frees on release.
-func TestAdmitFailFast(t *testing.T) {
-	db := admitDB(t, 1<<20)
-	r1, _, err := db.admit.admit(0.6, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.admit.admit(0.6, 0, 100); err == nil {
-		t.Fatal("second 0.6 claim of a full budget admitted with depth 0")
-	} else if !strings.Contains(err.Error(), "fail") {
-		t.Fatalf("unexpected fail-fast error: %v", err)
-	}
-	r1()
-	r2, _, err := db.admit.admit(0.6, 0, 100)
-	if err != nil {
-		t.Fatalf("claim after release rejected: %v", err)
-	}
-	r2()
-}
-
-// TestAdmitAlwaysOne: even a claim exceeding the whole budget admits
-// when nothing else runs — serial progress beats deadlock.
+// TestAdmitAlwaysOne: a budget smaller than any query still admits a
+// query when nothing else runs — serial progress beats deadlock.
 func TestAdmitAlwaysOne(t *testing.T) {
 	db := admitDB(t, 1)
-	release, _, err := db.admit.admit(1.0, 0, 100)
+	release, _, err := db.admit.admit()
 	if err != nil {
 		t.Fatalf("sole query rejected: %v", err)
 	}
 	release()
 }
 
-// TestAdmitQueueWaits: a waiter is admitted when the blocking query
+// TestAdmitQueueWaits: a waiter is admitted when the running query
 // releases.
 func TestAdmitQueueWaits(t *testing.T) {
 	db := admitDB(t, 1<<20)
-	r1, _, err := db.admit.admit(0.8, 0, 100)
+	r1, _, err := db.admit.admit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	admitted := make(chan func(), 1)
 	go func() {
-		r2, _, err := db.admit.admit(0.8, 8, 100)
+		r2, _, err := db.admit.admit()
 		if err != nil {
-			t.Errorf("queued claim rejected: %v", err)
+			t.Errorf("queued query rejected: %v", err)
 		}
 		admitted <- r2
 	}()
 	select {
 	case <-admitted:
-		t.Fatal("second 0.8 claim admitted while the first still holds")
+		t.Fatal("second query admitted while the first still holds the gate")
 	case <-time.After(50 * time.Millisecond):
 	}
 	r1()
@@ -95,19 +87,16 @@ func TestAdmitQueueWaits(t *testing.T) {
 // the queue-full error while earlier waiters keep their place.
 func TestAdmitQueueFull(t *testing.T) {
 	db := admitDB(t, 1<<20)
-	r1, _, err := db.admit.admit(0.9, 0, 100)
+	r1, _, err := db.admit.admit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	const depth = 2
-	started := make(chan struct{}, depth)
-	for i := 0; i < depth; i++ {
+	for i := 0; i < admitQueueDepth; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
-			r, _, err := db.admit.admit(0.9, depth, 100)
+			r, _, err := db.admit.admit()
 			if err != nil {
 				t.Errorf("waiter rejected: %v", err)
 				return
@@ -115,77 +104,98 @@ func TestAdmitQueueFull(t *testing.T) {
 			r()
 		}()
 	}
-	for i := 0; i < depth; i++ {
-		<-started
-	}
-	// Wait until both goroutines are actually queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		db.admit.mu.Lock()
-		n := len(db.admit.queue)
-		db.admit.mu.Unlock()
-		if n == depth {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters queued", n, depth)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, err := db.admit.admit(0.9, depth, 100); err == nil {
+	waitQueued(t, db, admitQueueDepth)
+	if _, _, err := db.admit.admit(); err == nil {
 		t.Fatal("arrival beyond queue depth admitted")
-	} else if !strings.Contains(err.Error(), "queue full") {
+	} else if !strings.Contains(err.Error(), "queue full (32 waiting)") {
 		t.Fatalf("unexpected queue-full error: %v", err)
 	}
 	r1()
 	wg.Wait()
 }
 
-// TestAdmitPriorityOrder: of two waiters, the higher-priority one is
-// admitted first even though it arrived second.
-func TestAdmitPriorityOrder(t *testing.T) {
+// TestAdmitFIFOOrder: waiters take the gate in the order they arrived,
+// one at a time.
+func TestAdmitFIFOOrder(t *testing.T) {
 	db := admitDB(t, 1<<20)
-	r1, _, err := db.admit.admit(0.9, 0, 100)
+	r1, _, err := db.admit.admit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := make(chan int, 2)
-	enqueue := func(prio int) {
+	const waiters = 5
+	order := make(chan int, waiters)
+	var inside atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, _, err := db.admit.admit()
+			if err != nil {
+				t.Errorf("waiter %d rejected: %v", i, err)
+				return
+			}
+			if n := inside.Add(1); n != 1 {
+				t.Errorf("waiter %d admitted beside %d others", i, n-1)
+			}
+			order <- i
+			inside.Add(-1)
+			r()
+		}(i)
+		// Let waiter i queue before the next one arrives.
+		waitQueued(t, db, i+1)
+	}
+	r1()
+	wg.Wait()
+	close(order)
+	next := 0
+	for i := range order {
+		if i != next {
+			t.Fatalf("waiter %d admitted when waiter %d was next", i, next)
+		}
+		next++
+	}
+	if next != waiters {
+		t.Fatalf("%d of %d waiters admitted", next, waiters)
+	}
+}
+
+// TestAdmitLimitLifted: lifting memory_limit while queries wait releases
+// every one of them at once, while the gated query still runs.
+func TestAdmitLimitLifted(t *testing.T) {
+	db := admitDB(t, 1<<20)
+	r1, _, err := db.admit.admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 3
+	released := make(chan time.Duration, waiters)
+	for i := 0; i < waiters; i++ {
 		go func() {
-			r, _, err := db.admit.admit(0.9, 8, prio)
+			r, wait, err := db.admit.admit()
 			if err != nil {
 				t.Errorf("waiter rejected: %v", err)
-				return
 			}
-			order <- prio
+			released <- wait
 			r()
 		}()
-		// Wait for the waiter to register before starting the next so
-		// arrival order is deterministic.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			db.admit.mu.Lock()
-			queued := false
-			for _, w := range db.admit.queue {
-				if w.priority == prio {
-					queued = true
-				}
+	}
+	waitQueued(t, db, waiters)
+	if _, err := db.NewSession().Execute("PRAGMA memory_limit=-1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < waiters; i++ {
+		select {
+		case wait := <-released:
+			if wait <= 0 {
+				t.Errorf("released waiter reports wait %v", wait)
 			}
-			db.admit.mu.Unlock()
-			if queued {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("waiter with priority %d never queued", prio)
-			}
-			time.Sleep(time.Millisecond)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiters released after the limit was lifted", i, waiters)
 		}
 	}
-	enqueue(100)
-	enqueue(300)
-	r1()
-	if first := <-order; first != 300 {
-		t.Fatalf("priority-100 waiter admitted before priority-300")
+	if n := db.admit.queueDepth(); n != 0 {
+		t.Fatalf("%d waiters still queued", n)
 	}
-	<-order
+	r1()
 }

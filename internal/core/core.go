@@ -217,7 +217,6 @@ func (db *Database) initMetrics() {
 	}
 	m.Gauge("admission_queue_depth", db.admit.queueDepth)
 	m.Gauge("admission_running", db.admit.runningCount)
-	m.Gauge("admission_claimed_bytes", db.admit.claimedBytes)
 
 	// Query-level latency (SELECT and DML plans).
 	db.queryNs = m.Histogram("query")

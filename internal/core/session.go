@@ -12,7 +12,6 @@ import (
 	"repro/internal/csvio"
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/sched"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -50,25 +49,6 @@ type Session struct {
 	current *txn.Transaction
 	// JoinStrategy overrides the adaptive join choice for experiments.
 	JoinStrategy exec.JoinStrategy
-	// Threads overrides the database's default query parallelism for
-	// this session; <=0 means "use the database default". It caps how
-	// many tasks this session's queries keep runnable on the shared
-	// pool — it does not resize the pool itself.
-	Threads int
-	// Priority is this session's scheduling weight (PRAGMA priority):
-	// a priority-200 query receives twice the pool share of a
-	// priority-100 one, and admission serves higher priorities first.
-	// <=0 means the default (100).
-	Priority int
-	// MemoryShare is the fraction of the engine-wide memory budget one
-	// query of this session claims at admission (PRAGMA memory_share).
-	// Meaningful only when a memory_limit is enforced.
-	MemoryShare float64
-	// AdmissionQueueDepth bounds how many queries may wait for
-	// admission before new arrivals are rejected (PRAGMA
-	// admission_queue_depth). 0 makes this session fail fast instead
-	// of queuing.
-	AdmissionQueueDepth int
 	// Profiling enables the per-operator query profiler for every
 	// statement this session runs (PRAGMA profiling); EXPLAIN ANALYZE
 	// profiles its statement regardless. Off by default — the operator
@@ -108,30 +88,8 @@ type slowLogLine struct {
 	SpillBytes  int64  `json:"spill_bytes"`
 }
 
-// threads resolves the parallelism for this session's next query.
-func (s *Session) threads() int {
-	if s.Threads > 0 {
-		return s.Threads
-	}
-	return s.db.Threads()
-}
-
 // NewSession opens a session.
-func (db *Database) NewSession() *Session {
-	return &Session{
-		db:                  db,
-		MemoryShare:         defaultMemoryShare,
-		AdmissionQueueDepth: defaultAdmissionDepth,
-	}
-}
-
-// priority resolves this session's scheduling priority.
-func (s *Session) priority() int {
-	if s.Priority > 0 {
-		return s.Priority
-	}
-	return sched.DefaultPriority
-}
+func (db *Database) NewSession() *Session { return &Session{db: db} }
 
 // InTransaction reports whether an explicit transaction is open.
 func (s *Session) InTransaction() bool { return s.current != nil && !s.current.Done() }
@@ -220,10 +178,17 @@ func (s *Session) executeStmt(stmt sql.Statement, params []types.Value) (*Result
 }
 
 // inTxn runs fn in the session's explicit transaction, or in a
-// one-statement autocommit transaction.
+// one-statement autocommit transaction. Either way a statement that
+// fails leaves nothing behind: inside an explicit transaction its
+// changes and log records are rolled back to where it began.
 func (s *Session) inTxn(fn func(tx *txn.Transaction) (*Result, error)) (*Result, error) {
 	if s.InTransaction() {
-		return fn(s.current)
+		mark := s.current.Mark()
+		res, err := fn(s.current)
+		if err != nil {
+			s.current.RollbackTo(mark)
+		}
+		return res, err
 	}
 	tx := s.db.txns.Begin()
 	res, err := fn(tx)
@@ -299,12 +264,11 @@ func (s *Session) execContext(tx *txn.Transaction) *exec.Context {
 		Logger:             s.db.logger,
 		TmpDir:             s.db.TmpDir(),
 		JoinStrategy:       s.JoinStrategy,
-		Threads:            s.threads(),
+		Threads:            s.db.Threads(),
 		Stats:              &s.db.execStats,
 		DisableZoneMaps:    !s.db.ZoneMapsEnabled(),
 		DisableEncodedExec: !s.db.EncodedExecEnabled(),
 		Sched:              s.db.sched,
-		Priority:           s.priority(),
 	}
 }
 
@@ -383,7 +347,7 @@ func (s *Session) runDML(node plan.Node, tx *txn.Transaction) (*Result, error) {
 // every worker, the write itself runs on the consuming thread, and the
 // scan-open segment snapshot keeps self-referencing statements safe.
 func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Result, error) {
-	release, admitWait, err := s.db.admit.admit(s.MemoryShare, s.AdmissionQueueDepth, s.priority())
+	release, admitWait, err := s.db.admit.admit()
 	if err != nil {
 		return nil, err
 	}
@@ -667,7 +631,7 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 		// Surface the budget floor: states touched by in-flight morsels
 		// cannot spill, so a tight budget admits fewer accumulation
 		// workers instead of hard-failing the reservation.
-		threads := s.threads()
+		threads := s.db.Threads()
 		if w := exec.AggWorkersAdmitted(lim, threads, agg); w < threads {
 			out.AppendRow(types.NewVarchar(fmt.Sprintf(
 				"NOTE: memory_limit admits %d of %d aggregation workers (unspillable in-flight states)", w, threads)))
@@ -760,48 +724,13 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 			return nil, err
 		}
 		s.db.pool.SetLimit(bytes)
+		s.db.admit.wake()
 		return &Result{}, nil
 	case "threads":
 		if !hasVal {
 			return readback(strconv.FormatInt(int64(s.db.Threads()), 10)), nil
 		}
 		s.db.SetThreads(int(intVal))
-		return &Result{}, nil
-	case "priority":
-		// Session scheduling weight on the shared pool; higher = larger
-		// CPU share and earlier admission. Fairness only — results are
-		// identical at every priority.
-		if !hasVal {
-			return readback(strconv.Itoa(s.priority())), nil
-		}
-		if intVal <= 0 {
-			return nil, fmt.Errorf("PRAGMA priority requires a positive integer")
-		}
-		s.Priority = int(intVal)
-		return &Result{}, nil
-	case "memory_share":
-		// Fraction of the engine-wide memory budget one query of this
-		// session claims at admission (meaningful under memory_limit).
-		if !hasVal {
-			return readback(strconv.FormatFloat(s.MemoryShare, 'g', -1, 64)), nil
-		}
-		f, err := strconv.ParseFloat(strVal, 64)
-		if err != nil || f <= 0 || f > 1 {
-			return nil, fmt.Errorf("PRAGMA memory_share requires a fraction in (0, 1], got %q", strVal)
-		}
-		s.MemoryShare = f
-		return &Result{}, nil
-	case "admission_queue_depth":
-		// How many queries may wait for admission before new arrivals
-		// are rejected; 0 makes this session fail fast instead of
-		// queuing.
-		if !hasVal {
-			return readback(strconv.Itoa(s.AdmissionQueueDepth)), nil
-		}
-		if intVal < 0 {
-			return nil, fmt.Errorf("PRAGMA admission_queue_depth requires a non-negative integer")
-		}
-		s.AdmissionQueueDepth = int(intVal)
 		return &Result{}, nil
 	case "rebuild_stats":
 		// Recompute a table's per-segment zone-map statistics exactly

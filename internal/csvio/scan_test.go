@@ -240,16 +240,18 @@ func TestVarcharRetainsOnlyItsBytes(t *testing.T) {
 }
 
 // TestNextChunkAllocations pins the scanner's allocations: per chunk,
-// not per row, for non-VARCHAR columns. Timestamps are written the way
-// COPY TO writes them; ParseTimestamp's later layouts cost the errors
-// of the layouts tried before them.
+// not per row, for non-VARCHAR columns. The three TIMESTAMP columns
+// hold the shapes ParseTimestamp accepts without a zone: six fraction
+// digits (how COPY TO writes them), whole seconds and a bare date.
 func TestNextChunkAllocations(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 4*vector.ChunkCapacity; i++ {
-		fmt.Fprintf(&sb, "%d,%d,%g,%t,2024-01-02 03:04:%02d.000000\n", i, i%100, float64(i)/7, i%2 == 0, i%60)
+		fmt.Fprintf(&sb, "%d,%d,%g,%t,2024-01-02 03:04:%02d.000000,2024-01-02 03:04:%02d,2024-01-%02d\n",
+			i, i%100, float64(i)/7, i%2 == 0, i%60, i%60, 1+i%28)
 	}
 	data := []byte(sb.String())
-	typs := []types.Type{types.BigInt, types.Integer, types.Double, types.Boolean, types.Timestamp}
+	typs := []types.Type{types.BigInt, types.Integer, types.Double, types.Boolean,
+		types.Timestamp, types.Timestamp, types.Timestamp}
 	allocs := testing.AllocsPerRun(5, func() {
 		r, err := newReader(bytes.NewReader(data), readBufSize, typs, Options{})
 		if err != nil {

@@ -132,12 +132,9 @@ type Context struct {
 	// database. nil falls back to a process-global default pool sized at
 	// GOMAXPROCS (bare test contexts).
 	Sched *sched.Scheduler
-	// Query is this query's scheduler account (fair share + priority).
-	// Lazily created on first use; the core layer pre-creates it with
-	// the session's PRAGMA priority.
+	// Query is this query's scheduler account (fair share at the
+	// default weight), created on first use.
 	Query *sched.Query
-	// Priority seeds the lazily created Query (0 = default weight).
-	Priority int
 	// Prof, when non-nil, collects this query's per-operator profile
 	// (EXPLAIN ANALYZE / PRAGMA profiling). The tree must have been
 	// built (Build) with the same Profiler. nil is the off state: no
@@ -169,7 +166,7 @@ func (c *Context) queryTasks() *sched.Query {
 		if s == nil {
 			s = defaultSched()
 		}
-		c.Query = s.NewQuery(c.Priority)
+		c.Query = s.NewQuery(0)
 	}
 	return c.Query
 }

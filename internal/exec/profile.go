@@ -285,8 +285,8 @@ func recordSortKeys(ctx *Context, n plan.Node, iter *extsort.Iterator) {
 	}
 }
 
-// QueryStats is the per-query roll-up consulted by the slow-query log.
-// Allocated only when profiling or the slow-query log is active.
+// QueryStats is the per-query roll-up the slow-query log and the
+// profile report. The core layer allocates one for every query.
 type QueryStats struct {
 	SpillBytes atomic.Int64
 }

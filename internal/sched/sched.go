@@ -15,7 +15,10 @@
 // a query has been runnable without service, which bounds worst-case
 // wait even against a stream of high-priority arrivals. A query that
 // was idle re-enters at the floor of the runnable set's virtual times —
-// sleeping banks no credit.
+// sleeping banks no credit. The engine opens every query's account at
+// DefaultPriority, so between queries the pool is plain fair share with
+// aging; other weights come only from callers of NewQuery that pass
+// one, such as this package's tests.
 //
 // Tasks must not block on other pool tasks. Every operator in
 // internal/exec submits steps that run bounded compute (plus file IO
@@ -37,7 +40,8 @@ import (
 // pool task; it may re-submit itself (or successors) to its Query.
 type Task func()
 
-// DefaultPriority is the weight-neutral session priority.
+// DefaultPriority is the weight-neutral priority every engine query
+// runs at.
 const DefaultPriority = 100
 
 // agingRate is the virtual-time credit per nanosecond a runnable query
@@ -160,8 +164,8 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-// NewQuery opens a scheduling account with the given session priority
-// (<=0 means DefaultPriority). Higher priority → larger CPU share.
+// NewQuery opens a scheduling account with the given priority (<=0
+// means DefaultPriority). Higher priority → larger CPU share.
 func (s *Scheduler) NewQuery(priority int) *Query {
 	if priority <= 0 {
 		priority = DefaultPriority

@@ -96,6 +96,38 @@ func (t *Transaction) AppendLog(recType byte, payload []byte) {
 	t.mu.Unlock()
 }
 
+// Mark is a point in a transaction's history: the lengths of its undo
+// buffer and of its queued log records. A statement takes one before it
+// runs so that, if it fails, RollbackTo undoes it alone.
+type Mark struct{ undo, log int }
+
+// Mark returns the transaction's current point.
+func (t *Transaction) Mark() Mark {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Mark{undo: len(t.undo), log: len(t.log)}
+}
+
+// RollbackTo undoes every change made after m, newest first, and drops
+// the log records queued after it, so a commit stores none of them.
+// The transaction stays open.
+func (t *Transaction) RollbackTo(m Mark) {
+	t.mu.Lock()
+	if t.done {
+		t.mu.Unlock()
+		return
+	}
+	undo := t.undo[m.undo:]
+	t.undo = t.undo[:m.undo:m.undo] // the next PushUndo must not overwrite undo
+	clear(t.log[m.log:])
+	t.log = t.log[:m.log]
+	t.mu.Unlock()
+
+	for i := len(undo) - 1; i >= 0; i-- {
+		undo[i].Rollback()
+	}
+}
+
 // CommitFlush is the durability hook the Manager calls under the commit
 // lock: it must make the log records durable (WAL append + fsync) before
 // the commit becomes visible. Errors abort the transaction.

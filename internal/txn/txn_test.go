@@ -223,3 +223,52 @@ func TestConcurrentBeginCommit(t *testing.T) {
 		t.Fatalf("%d transactions leaked", m.ActiveCount())
 	}
 }
+
+// TestRollbackToMark: RollbackTo undoes the actions pushed after the
+// mark, newest first, and drops the log records queued after it; the
+// transaction stays open and commits what came before.
+func TestRollbackToMark(t *testing.T) {
+	var flushed []LogRecord
+	m := NewManager(func(log []LogRecord, _ uint64) error {
+		flushed = log
+		return nil
+	})
+	tx := m.Begin()
+	kept := &recordingAction{}
+	tx.PushUndo(kept)
+	tx.AppendLog(1, []byte("kept"))
+	mark := tx.Mark()
+	var order []int
+	for i := 0; i < 3; i++ {
+		tx.PushUndo(orderAction{i, &order})
+		tx.AppendLog(2, []byte("undone"))
+	}
+	tx.RollbackTo(mark)
+	if fmt.Sprint(order) != "[2 1 0]" {
+		t.Fatalf("undo order %v, want newest first", order)
+	}
+	after := &recordingAction{}
+	tx.PushUndo(after)
+	ts, err := m.Commit(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.committed != ts || after.committed != ts || kept.rolledBack {
+		t.Fatalf("actions around the mark: kept %+v, after %+v", kept, after)
+	}
+	if len(order) != 3 {
+		t.Fatalf("undone actions committed: %v", order)
+	}
+	if len(flushed) != 1 || string(flushed[0].Payload) != "kept" {
+		t.Fatalf("flushed log %v, want only the record before the mark", flushed)
+	}
+}
+
+// orderAction records its index when rolled back.
+type orderAction struct {
+	i     int
+	order *[]int
+}
+
+func (a orderAction) Commit(uint64) { *a.order = append(*a.order, -1) }
+func (a orderAction) Rollback()     { *a.order = append(*a.order, a.i) }

@@ -307,21 +307,44 @@ func (v Value) Cast(to Type) (Value, error) {
 }
 
 // ParseTimestamp parses the timestamp formats the engine accepts and
-// returns microseconds since the Unix epoch.
+// returns microseconds since the Unix epoch. The accepted formats are
+// time.Parse's layouts "2006-01-02 15:04:05.000000", "2006-01-02
+// 15:04:05", "2006-01-02T15:04:05Z07:00" and "2006-01-02", the first
+// that parses winning. Every layout starts with a 10-byte date, so the
+// byte after it picks the only layouts that can parse the field: a
+// well-formed one costs one time.Parse call and no error value.
 func ParseTimestamp(s string) (int64, error) {
 	s = strings.TrimSpace(s)
-	for _, layout := range []string{
-		"2006-01-02 15:04:05.000000",
-		"2006-01-02 15:04:05",
-		"2006-01-02T15:04:05Z07:00",
-		"2006-01-02",
-	} {
+	var layouts []string
+	switch {
+	case len(s) == 10:
+		layouts = tsDate
+	case len(s) > 10 && s[10] == ' ':
+		// The six-digit layout can parse only a field whose last seven
+		// bytes are its fraction; it accepts a few the other does not,
+		// such as a signed fraction (".+12345").
+		layouts = tsSeconds
+		if c := s[len(s)-7]; c == '.' || c == ',' {
+			layouts = tsMicros
+		}
+	case len(s) > 10 && s[10] == 'T':
+		layouts = tsZoned
+	}
+	for _, layout := range layouts {
 		if t, err := time.Parse(layout, s); err == nil {
 			return t.UnixMicro(), nil
 		}
 	}
 	return 0, fmt.Errorf("cannot parse %q as TIMESTAMP", s)
 }
+
+// ParseTimestamp's layout lists, by the byte after the date.
+var (
+	tsDate    = []string{"2006-01-02"}
+	tsSeconds = []string{"2006-01-02 15:04:05"}
+	tsMicros  = []string{"2006-01-02 15:04:05.000000", "2006-01-02 15:04:05"}
+	tsZoned   = []string{"2006-01-02T15:04:05Z07:00"}
+)
 
 // Compare orders two non-NULL values of the same logical family. It
 // returns -1, 0 or +1. Numeric types compare by promoted value; it panics

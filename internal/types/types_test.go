@@ -1,9 +1,13 @@
 package types
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseTypeAliases(t *testing.T) {
@@ -184,6 +188,119 @@ func TestParseTimestampFormats(t *testing.T) {
 	}
 	if _, err := ParseTimestamp("birthday"); err == nil {
 		t.Error("junk timestamp accepted")
+	}
+}
+
+// parseTimestampLoop is ParseTimestamp as it was first written: each
+// layout in turn, the first that parses winning. It is the reference
+// the shape dispatch must agree with.
+func parseTimestampLoop(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	for _, layout := range []string{
+		"2006-01-02 15:04:05.000000",
+		"2006-01-02 15:04:05",
+		"2006-01-02T15:04:05Z07:00",
+		"2006-01-02",
+	} {
+		if t, err := time.Parse(layout, s); err == nil {
+			return t.UnixMicro(), nil
+		}
+	}
+	return 0, fmt.Errorf("cannot parse %q as TIMESTAMP", s)
+}
+
+// TestParseTimestampMatchesLayoutLoop: over generated fields — every
+// fraction length 0–9 with '.' and ',', 'T' with zones, date-only,
+// surrounding white space, one-digit hours, signed fractions and
+// garbage — ParseTimestamp accepts and rejects what the layout loop
+// does, with the same value and error text.
+func TestParseTimestampMatchesLayoutLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	date := func() string {
+		return fmt.Sprintf("%04d-%02d-%02d", 1900+rng.Intn(200), 1+rng.Intn(13), 1+rng.Intn(31))
+	}
+	clock := func() string {
+		h := fmt.Sprintf("%02d", rng.Intn(25))
+		if rng.Intn(8) == 0 {
+			h = fmt.Sprint(rng.Intn(10))
+		}
+		return fmt.Sprintf("%s:%02d:%02d", h, rng.Intn(61), rng.Intn(61))
+	}
+	frac := func() string {
+		n := rng.Intn(10)
+		if n == 0 {
+			return ""
+		}
+		sep := "."
+		if rng.Intn(6) == 0 {
+			sep = ","
+		}
+		d := digits(n)
+		if rng.Intn(10) == 0 {
+			d = "+-"[rng.Intn(2):][:1] + d[1:]
+		}
+		return sep + d
+	}
+	zones := []string{"Z", "+00:00", "+01:00", "-07:30", "+14:00", "+5:00", "", "z", "UTC"}
+	space := []string{"", " ", "\t", "  ", "\n "}
+	garbage := []string{"", "birthday", "2023-11-14x", "2023/11/14", "20231114", "2023-11-14 ",
+		"2023-11-14  22:13:20", "2023-11-14 22:13", "2023-11-14T22:13:20", "2023-11-14 22:13:20.",
+		"2023-11-14 22:13:20.+12345", "2023-11-14 22:13:20.-00000", "2023-11-14 22:13:20.1234567890123",
+		"2023-02-30", "2023-11-14 24:00:00", "2023-11-14 22:13:20.123456 ", "0000-01-01", "9999-12-31 23:59:59.999999"}
+	var fields []string
+	for i := 0; i < 20_000; i++ {
+		var f string
+		switch rng.Intn(5) {
+		case 0:
+			f = date()
+		case 1, 2:
+			f = date() + " " + clock() + frac()
+		case 3:
+			f = date() + "T" + clock() + frac() + zones[rng.Intn(len(zones))]
+		default:
+			f = garbage[rng.Intn(len(garbage))]
+			if f != "" && rng.Intn(2) == 0 {
+				k := rng.Intn(len(f))
+				f = f[:k] + string(rune(' '+rng.Intn(95))) + f[k+1:]
+			}
+		}
+		fields = append(fields, space[rng.Intn(len(space))]+f+space[rng.Intn(len(space))])
+	}
+	fields = append(fields, garbage...)
+	accepted := 0
+	for _, f := range fields {
+		got, gotErr := ParseTimestamp(f)
+		want, wantErr := parseTimestampLoop(f)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+			t.Fatalf("%q: got %d, %v; layout loop %d, %v", f, got, gotErr, want, wantErr)
+		}
+		if gotErr == nil {
+			accepted++
+		}
+	}
+	if accepted < len(fields)/3 || accepted == len(fields) {
+		t.Fatalf("%d of %d fields accepted: the generator checks too little", accepted, len(fields))
+	}
+}
+
+// TestParseTimestampAllocations: the three shapes COPY meets most parse
+// without allocating.
+func TestParseTimestampAllocations(t *testing.T) {
+	for _, s := range []string{"2024-01-02 03:04:05.123456", "2024-01-02 03:04:05", "2024-01-02"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ParseTimestamp(s); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%q: %.0f allocations per parse", s, n)
+		}
 	}
 }
 

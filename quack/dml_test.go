@@ -2,6 +2,8 @@ package quack_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -193,4 +195,109 @@ func TestBigInsertUnderOneSecond(t *testing.T) {
 		t.Fatalf("10k-row INSERT took %v, want < 1s", elapsed)
 	}
 	t.Logf("10k-row INSERT executed in %v", elapsed)
+}
+
+// TestFailedStatementInTransactionLeavesNothing: a statement that fails
+// part-way inside BEGIN — a COPY whose CSV turns ragged after its first
+// chunk, an INSERT … SELECT that errors in its second chunk — is undone
+// alone: COMMIT stores the good statements' rows and nothing of the
+// failed ones, in memory, in the WAL a crash replays and in the
+// checkpoint a clean close writes.
+func TestFailedStatementInTransactionLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "stmt.qdb")
+	db, err := quack.Open(path, quack.WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (v BIGINT)")
+	mustExec(t, db, "CREATE TABLE src (v BIGINT)")
+	app, err := db.Appender("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := app.AppendRow(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var csv strings.Builder
+	for i := 1; i <= 1500; i++ {
+		if i == 1401 {
+			csv.WriteString("1401,1401\n")
+			continue
+		}
+		fmt.Fprintf(&csv, "%d\n", i)
+	}
+	csvPath := filepath.Join(dir, "ragged.csv")
+	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("INSERT INTO t VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(fmt.Sprintf("COPY t FROM '%s'", csvPath)); err == nil {
+		t.Fatal("COPY of a ragged CSV succeeded")
+	}
+	// v = 1500 lies in src's second segment: the first chunk is appended
+	// before the modulo by zero fails.
+	if _, err := tx.Exec("INSERT INTO t SELECT v % (v - 1500) FROM src"); err == nil {
+		t.Fatal("INSERT … SELECT with a modulo by zero succeeded")
+	}
+	if _, err := tx.Exec("INSERT INTO t VALUES (4), (5)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "[[5 15]]"
+	const q = "SELECT count(*), sum(v) FROM t"
+	if got := fmt.Sprint(queryAll(t, db, q)); got != want {
+		t.Fatalf("after COMMIT: %s, want %s", got, want)
+	}
+
+	// A crash now leaves the database file and the WAL as they are; a
+	// copy of both opened elsewhere replays the WAL.
+	crash := filepath.Join(dir, "crash.qdb")
+	for _, suffix := range []string{"", ".wal"} {
+		data, err := os.ReadFile(path + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crash+suffix, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayed, err := quack.Open(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprint(queryAll(t, replayed, q))
+	if err := replayed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after WAL replay: %s, want %s", got, want)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = quack.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := fmt.Sprint(queryAll(t, db, q)); got != want {
+		t.Fatalf("after close and reopen: %s, want %s", got, want)
+	}
 }

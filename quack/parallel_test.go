@@ -197,7 +197,9 @@ func TestParallelSeesOwnTransactionWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(threads int) [][]string {
-		tx.SetThreads(threads)
+		if _, err := tx.Exec(fmt.Sprintf("PRAGMA threads=%d", threads)); err != nil {
+			t.Fatal(err)
+		}
 		rows, err := tx.Query("SELECT grp, count(*), sum(qty) FROM facts GROUP BY grp")
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +220,9 @@ func TestParallelSeesOwnTransactionWrites(t *testing.T) {
 		t.Fatalf("snapshot diverges:\n got: %v\nwant: %v", got, want)
 	}
 	// The uncommitted writes must be visible inside the transaction.
-	tx.SetThreads(8)
+	if _, err := tx.Exec("PRAGMA threads=8"); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := tx.Query("SELECT count(*) FROM facts WHERE qty = 999999")
 	if err != nil {
 		t.Fatal(err)

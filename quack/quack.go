@@ -37,27 +37,20 @@
 // pool sized at Open (WithThreads / QUACK_THREADS, resized by PRAGMA
 // threads), so the engine's goroutine count stays bounded by the pool
 // size no matter how many sessions run concurrently. The pool schedules
-// morsel-sized steps by weighted fair share with priority aging: PRAGMA
-// priority raises a session's CPU share (priority 200 receives twice
-// the share of the default 100) without letting any session starve,
-// and a per-session Threads override caps how many steps one query
-// keeps runnable without resizing the pool. Scheduling, like thread
-// count, never changes results.
+// morsel-sized steps by fair share with aging, so no query starves
+// however many sessions run, and every query keeps up to the pool size
+// of steps runnable. Scheduling, like thread count, never changes
+// results.
 //
 // When a memory budget is enforced (WithMemoryLimit, PRAGMA
 // memory_limit, or the QUACK_MEMORY_LIMIT environment variable), the
 // budget is engine-wide — it covers every session together, not each
-// session separately — and queries pass admission control before they
-// start: each query claims PRAGMA memory_share of the budget (default
-// 1.0, the whole budget — budgeted queries serialize unless a session
-// opts into overlap by lowering its share), and a query whose claim
-// does not fit waits in a bounded queue, served highest-priority
-// first. PRAGMA admission_queue_depth
-// bounds that queue (default 32); setting it to 0 makes the session
-// fail fast instead of queuing. One query is always admitted, so a
-// budget smaller than any claim degrades to serial execution rather
-// than deadlock, and the operators below it spill to stay within the
-// real limit.
+// session separately — and queries pass one admission gate before they
+// start: at most one budgeted query runs at a time, and the others wait
+// first come, first served, in a queue of at most 32; one more arrival
+// fails with a queue-full error. A budget smaller than any query's need
+// still admits one query, and the operators below it spill to stay
+// within the real limit. Lifting the limit releases every waiter.
 //
 // PRAGMA rebuild_stats='t' recomputes table t's per-segment zone-map
 // statistics exactly from the currently visible rows; runtime
@@ -118,7 +111,7 @@
 // The engine also keeps one process-wide metrics registry covering the
 // scheduler (steps, step-wait quantiles, aging interventions, runnable
 // depth), admission control (admitted/queued/rejected, wait quantiles,
-// claimed bytes), the buffer pool (reserved/peak/limit, evictions),
+// queue depth, running), the buffer pool (reserved/peak/limit, evictions),
 // durability (WAL bytes, checkpoint latency), scans (segments
 // scanned/skipped, bytes decompressed), operator spilling and sort-key
 // tie fallbacks (sort_key_tie_fallbacks_total). Read it
@@ -143,7 +136,7 @@
 // its own memory need changes, and admission, spilling and the join's
 // merge fallback follow.
 //
-// Thirteen PRAGMAs, and no others. Engine-wide (any session; environment
+// Ten PRAGMAs, and no others. Engine-wide (any session; environment
 // variables set the default at Open):
 //
 //	PRAGMA memory_limit='64MB'        QUACK_MEMORY_LIMIT  buffer-pool budget, unset = unlimited
@@ -153,11 +146,8 @@
 //	PRAGMA checksum_verification=0|1  —                   block checksum verification on read
 //	PRAGMA rebuild_stats='t'          —                   recompute table t's zone maps exactly
 //
-// Session-scoped:
+// Session-scoped, the only one:
 //
-//	PRAGMA priority=N              scheduling weight, default 100
-//	PRAGMA memory_share=F          fraction of the budget one query claims, default 1.0
-//	PRAGMA admission_queue_depth=N bounded admission queue, default 32; 0 = fail fast
 //	PRAGMA profiling=0|1           per-operator profiler for every statement, default off
 //
 // Every PRAGMA above except rebuild_stats reads its current value back
@@ -302,10 +292,10 @@ func (db *DB) Query(sql string, args ...any) (*Rows, error) {
 	return query(sess, sql, args)
 }
 
-// Conn is a dedicated session on the database: session-scoped settings
-// (PRAGMA priority, memory_share, admission_queue_depth, threads, and
-// the JoinStrategy/Threads overrides on Tx) persist across its queries,
-// unlike DB.Exec/DB.Query which run each call on a fresh session. A
+// Conn is a dedicated session on the database: its session-scoped
+// setting (PRAGMA profiling) and last profile persist across its
+// queries, unlike DB.Exec/DB.Query which run each call on a fresh
+// session. A
 // Conn is not safe for concurrent use; open one per goroutine — they
 // are cheap, and all of them share the database's worker pool and
 // memory budget.

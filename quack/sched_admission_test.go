@@ -47,8 +47,7 @@ func diffSessions() int {
 // TestConcurrentSessionsMatchesSequential is the serve-mode differential
 // guarantee: N sessions running the full query palette concurrently on
 // one shared database must each get results byte-identical to the
-// single-threaded single-session baseline. Sessions carry different
-// scheduler priorities, so the fair-share pool is exercised under skew.
+// single-threaded single-session baseline.
 func TestConcurrentSessionsMatchesSequential(t *testing.T) {
 	seq := differentialDB(t, 1)
 	want := make([][][]string, len(differentialQueries))
@@ -64,10 +63,6 @@ func TestConcurrentSessionsMatchesSequential(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			conn := db.Conn()
-			if _, err := conn.Exec(fmt.Sprintf("PRAGMA priority=%d", 100+(s%4)*100)); err != nil {
-				t.Errorf("session %d: %v", s, err)
-				return
-			}
 			// Stagger starting points so sessions collide on different
 			// operators at any instant.
 			for k := 0; k < len(differentialQueries); k++ {
@@ -219,12 +214,10 @@ func TestPragmaKnobRacesUnderLoad(t *testing.T) {
 	togglers.Add(2)
 	go toggle([]string{
 		"PRAGMA checksum_verification=0", "PRAGMA checksum_verification=1",
-		"PRAGMA priority=250",
 	})
 	go toggle([]string{
 		"PRAGMA threads=1", "PRAGMA threads=6", "PRAGMA threads=3",
 		"PRAGMA memory_limit=-1", "PRAGMA memory_limit='64MB'",
-		"PRAGMA memory_share=0.5",
 	})
 
 	var readers sync.WaitGroup
@@ -249,56 +242,6 @@ func TestPragmaKnobRacesUnderLoad(t *testing.T) {
 	// The database must come back to a known state for later asserts.
 	db.Internal().SetZoneMaps(true)
 	mustExec(t, db, "PRAGMA memory_limit=-1")
-}
-
-// TestAdmissionPragmas pins the admission surface: readbacks, input
-// validation, and that budgeted queries run to completion through the
-// admission gate.
-func TestAdmissionPragmas(t *testing.T) {
-	db, err := quack.Open(":memory:", quack.WithThreads(2), quack.WithMemoryLimit(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	conn := db.Conn()
-	if got := connQueryAll(t, conn, "PRAGMA priority"); got[0][0] != "100" {
-		t.Fatalf("default priority readback = %v", got)
-	}
-	if got := connQueryAll(t, conn, "PRAGMA memory_share"); got[0][0] != "1" {
-		t.Fatalf("default memory_share readback = %v", got)
-	}
-	if got := connQueryAll(t, conn, "PRAGMA admission_queue_depth"); got[0][0] != "32" {
-		t.Fatalf("default admission_queue_depth readback = %v", got)
-	}
-	for _, bad := range []string{
-		"PRAGMA priority=0", "PRAGMA priority=-5",
-		"PRAGMA memory_share=0", "PRAGMA memory_share=1.5",
-		"PRAGMA admission_queue_depth=-1",
-	} {
-		if _, err := conn.Exec(bad); err == nil {
-			t.Fatalf("%q accepted", bad)
-		}
-	}
-	for _, set := range []string{
-		"PRAGMA priority=300", "PRAGMA memory_share=0.5", "PRAGMA admission_queue_depth=0",
-	} {
-		if _, err := conn.Exec(set); err != nil {
-			t.Fatalf("%q: %v", set, err)
-		}
-	}
-	if got := connQueryAll(t, conn, "PRAGMA priority"); got[0][0] != "300" {
-		t.Fatalf("priority readback after set = %v", got)
-	}
-	// Queries still run through the gate with the custom settings.
-	if _, err := conn.Exec("CREATE TABLE t (v BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Exec("INSERT INTO t VALUES (1), (2), (3)"); err != nil {
-		t.Fatal(err)
-	}
-	if got := connQueryAll(t, conn, "SELECT sum(v) FROM t"); got[0][0] != "6" {
-		t.Fatalf("budgeted query via conn = %v", got)
-	}
 }
 
 // TestRebuildStatsRefutesDeletedRange is the zone-map maintenance

@@ -35,9 +35,10 @@ func TestShippedPackageGraph(t *testing.T) {
 }
 
 // TestPragmaSurface pins the PRAGMA names the engine accepts — these
-// thirteen — and that each name this list once also held (ten read-only
-// mirrors of metrics-registry cells, two differential-axis switches)
-// is gone rather than silently accepted.
+// ten — and that each name this list once also held (ten read-only
+// mirrors of metrics-registry cells, two differential-axis switches and
+// three session admission and scheduling settings) is gone rather than
+// silently accepted.
 func TestPragmaSurface(t *testing.T) {
 	db, err := quack.Open(filepath.Join(t.TempDir(), "surface.qdb"), quack.WithThreads(2))
 	if err != nil {
@@ -46,8 +47,7 @@ func TestPragmaSurface(t *testing.T) {
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE t (a BIGINT)")
 	for _, stmt := range []string{
-		"PRAGMA memory_limit", "PRAGMA threads", "PRAGMA priority", "PRAGMA memory_share",
-		"PRAGMA admission_queue_depth", "PRAGMA rebuild_stats='t'", "PRAGMA memtest",
+		"PRAGMA memory_limit", "PRAGMA threads", "PRAGMA rebuild_stats='t'", "PRAGMA memtest",
 		"PRAGMA checksum_verification", "PRAGMA database_size", "PRAGMA profiling",
 		"PRAGMA last_profile", "PRAGMA log_min_duration_ms", "PRAGMA metrics",
 	} {
@@ -59,6 +59,7 @@ func TestPragmaSurface(t *testing.T) {
 		"segments_scanned", "segments_skipped", "segments_encoded", "rows_encoded_selected",
 		"agg_spill_partitions", "agg_spilled_bytes", "sort_spilled_bytes",
 		"memory_used", "memory_peak", "wal_size", "zone_maps", "encoded_exec",
+		"priority", "memory_share", "admission_queue_depth",
 	} {
 		for _, stmt := range []string{"PRAGMA " + name, "PRAGMA " + name + "=1"} {
 			if _, err := db.Query(stmt); err == nil || !strings.Contains(err.Error(), "unknown PRAGMA") {

@@ -10,7 +10,9 @@ import (
 // Tx is an explicit transaction bound to one session. QuackDB uses
 // HyPer-style serializable MVCC: readers never block writers, bulk
 // updates conflict-check at row granularity, and a conflicting write
-// aborts with an error the caller can retry.
+// aborts with an error the caller can retry. A statement that fails,
+// for a conflict or any other reason, is undone alone and the
+// transaction stays open: Commit stores the statements that succeeded.
 type Tx struct {
 	sess *core.Session
 	done bool
@@ -77,10 +79,6 @@ func (t *Tx) Rollback() error {
 // SetJoinStrategy overrides the adaptive hash-versus-merge join choice
 // for queries in this transaction (experiments E7).
 func (t *Tx) SetJoinStrategy(s JoinStrategy) { t.sess.JoinStrategy = exec.JoinStrategy(s) }
-
-// SetThreads overrides the database's query parallelism for this
-// transaction's session (<=0 returns to the database default).
-func (t *Tx) SetThreads(n int) { t.sess.Threads = n }
 
 // JoinStrategy selects the physical equi-join implementation.
 type JoinStrategy int
