@@ -202,9 +202,8 @@ func (db *Database) initMetrics() {
 
 	// Engine-wide morsel scheduler.
 	db.sched.SetMetrics(sched.Metrics{
-		Steps:      m.Counter("sched_steps_total"),
-		StepWait:   m.Histogram("sched_step_wait"),
-		AgingPicks: m.Counter("sched_aging_picks_total"),
+		Steps:    m.Counter("sched_steps_total"),
+		StepWait: m.Histogram("sched_step_wait"),
 	})
 	m.Gauge("sched_runnable_depth", func() int64 { return int64(db.sched.RunnableDepth()) })
 

@@ -132,8 +132,8 @@ type Context struct {
 	// database. nil falls back to a process-global default pool sized at
 	// GOMAXPROCS (bare test contexts).
 	Sched *sched.Scheduler
-	// Query is this query's scheduler account (fair share at the
-	// default weight), created on first use.
+	// Query is this query's scheduler account (its place in the pool's
+	// ring of turns), created on first use.
 	Query *sched.Query
 	// Prof, when non-nil, collects this query's per-operator profile
 	// (EXPLAIN ANALYZE / PRAGMA profiling). The tree must have been

@@ -3,22 +3,15 @@
 // GOMAXPROCS) and resized only by an explicit PRAGMA threads, that
 // multiplexes runnable tasks from every active query. Queries submit
 // short, non-blocking steps (process one morsel, merge one partition);
-// the pool picks the next step by weighted fair share with priority
-// aging, so a long scan cannot starve a point query no matter how many
-// sessions are active.
+// the pool serves them in turns, so a long scan cannot starve a point
+// query no matter how many sessions are active.
 //
-// Fairness model: each query accrues virtual time at rate
-// duration/weight for the steps it runs (weight = priority/100, so a
-// priority-200 query is charged half and receives twice the share), and
-// the pool always runs the runnable query with the lowest effective
-// virtual time. Waiting queries age: the effective key falls the longer
-// a query has been runnable without service, which bounds worst-case
-// wait even against a stream of high-priority arrivals. A query that
-// was idle re-enters at the floor of the runnable set's virtual times —
-// sleeping banks no credit. The engine opens every query's account at
-// DefaultPriority, so between queries the pool is plain fair share with
-// aging; other weights come only from callers of NewQuery that pass
-// one, such as this package's tests.
+// Turn model: the runnable queries form one FIFO ring. A worker pops
+// the query at the head, takes its oldest step and, if the query still
+// has steps queued, puts it back at the tail; a query that becomes
+// runnable joins at the tail. So a runnable query waits at most one step
+// of each other runnable query, and the pick order depends only on the
+// order steps were submitted in, never on how long they ran.
 //
 // Tasks must not block on other pool tasks. Every operator in
 // internal/exec submits steps that run bounded compute (plus file IO
@@ -40,16 +33,6 @@ import (
 // pool task; it may re-submit itself (or successors) to its Query.
 type Task func()
 
-// DefaultPriority is the weight-neutral priority every engine query
-// runs at.
-const DefaultPriority = 100
-
-// agingRate is the virtual-time credit per nanosecond a runnable query
-// waits unserved. At 0.5, a query waiting twice some duration beats a
-// query that just consumed that duration at default weight, whatever
-// their histories — which bounds starvation.
-const agingRate = 0.5
-
 // Scheduler is the engine-wide pool. One instance per open database;
 // tests that build exec contexts directly share a process-global
 // default instance.
@@ -60,10 +43,7 @@ type Scheduler struct {
 	workers int // live pool goroutines
 	stopped bool
 
-	runnable []*Query
-	// lastV is the highest virtual time any query had after service;
-	// a query arriving into an idle pool re-enters at this floor.
-	lastV float64
+	runnable []*Query // the ring: served from the head, joined at the tail
 
 	met Metrics // optional observability hooks (zero value: off)
 }
@@ -75,12 +55,8 @@ type Metrics struct {
 	// Steps counts completed scheduler steps.
 	Steps *obs.Counter
 	// StepWait records, per picked step, how long its query had been
-	// runnable without service — the queueing delay fairness is supposed
-	// to bound.
+	// runnable without service — the queueing delay the turns bound.
 	StepWait *obs.Histogram
-	// AgingPicks counts picks where priority aging changed the decision:
-	// the chosen query was not the one with the lowest raw virtual time.
-	AgingPicks *obs.Counter
 }
 
 // SetMetrics installs the observability hooks (hooks fire under the
@@ -99,17 +75,14 @@ func (s *Scheduler) RunnableDepth() int {
 	return len(s.runnable)
 }
 
-// Query is one query's scheduling account: a FIFO of pending steps plus
-// the fair-share bookkeeping. Created per query execution; it needs no
-// explicit teardown — a drained query simply leaves the runnable set.
+// Query is one query's scheduling account: a FIFO of pending steps and
+// its place in the ring. Created per query execution; it needs no
+// explicit teardown — a drained query simply leaves the ring.
 type Query struct {
-	s       *Scheduler
-	weight  float64
-	vtime   float64
-	wait    time.Time // when the query last became runnable unserved
-	tasks   []Task
-	queued  bool // in s.runnable
-	running int  // steps currently executing on workers
+	s      *Scheduler
+	tasks  []Task
+	queued bool      // in s.runnable
+	wait   time.Time // when the query last joined the ring
 }
 
 // New creates a scheduler with n pool workers (floored at 1).
@@ -164,18 +137,16 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-// NewQuery opens a scheduling account with the given priority (<=0
-// means DefaultPriority). Higher priority → larger CPU share.
-func (s *Scheduler) NewQuery(priority int) *Query {
-	if priority <= 0 {
-		priority = DefaultPriority
-	}
-	return &Query{s: s, weight: float64(priority) / float64(DefaultPriority)}
+// NewQuery opens a scheduling account. Its argument is unused: every
+// query takes the same turns.
+func (s *Scheduler) NewQuery(int) *Query {
+	return &Query{s: s}
 }
 
 // Submit queues steps on the query's FIFO, in order and under one
 // lock, and wakes up to as many workers: a step that runs and
-// re-submits itself queues behind every step of the same call.
+// re-submits itself queues behind every step of the same call. A query
+// that had no steps queued joins the ring at the tail.
 func (q *Query) Submit(ts ...Task) {
 	if len(ts) == 0 {
 		return
@@ -188,22 +159,7 @@ func (q *Query) Submit(ts ...Task) {
 	}
 	q.tasks = append(q.tasks, ts...)
 	if !q.queued {
-		q.queued = true
-		q.wait = time.Now()
-		// Re-enter at the runnable floor: idling banks no credit. A
-		// query with a step still executing is in service, not idle —
-		// clamping it would erase the vtime lead its weight earned.
-		if q.running == 0 {
-			floor := s.lastV
-			for _, r := range s.runnable {
-				if r.vtime < floor {
-					floor = r.vtime
-				}
-			}
-			if q.vtime < floor {
-				q.vtime = floor
-			}
-		}
+		q.queued, q.wait = true, time.Now()
 		s.runnable = append(s.runnable, q)
 	}
 	s.mu.Unlock()
@@ -212,42 +168,27 @@ func (q *Query) Submit(ts ...Task) {
 	}
 }
 
-// pickLocked pops the next task: from the runnable query with the
-// lowest aged virtual time. Caller holds s.mu.
-func (s *Scheduler) pickLocked() (Task, *Query) {
+// pickLocked pops the next task: the oldest step of the query at the
+// head of the ring, which rejoins at the tail if it has more. Caller
+// holds s.mu.
+func (s *Scheduler) pickLocked() Task {
 	if len(s.runnable) == 0 {
-		return nil, nil
+		return nil
 	}
+	q := s.runnable[0]
+	s.runnable = append(s.runnable[:0], s.runnable[1:]...)
 	now := time.Now()
-	best, bestKey := -1, 0.0
-	rawBest, rawV := -1, 0.0
-	for i, q := range s.runnable {
-		key := q.vtime - agingRate*float64(now.Sub(q.wait))
-		if best < 0 || key < bestKey {
-			best, bestKey = i, key
-		}
-		if rawBest < 0 || q.vtime < rawV {
-			rawBest, rawV = i, q.vtime
-		}
-	}
-	q := s.runnable[best]
 	if s.met.StepWait != nil {
 		s.met.StepWait.Observe(now.Sub(q.wait).Nanoseconds())
 	}
-	if s.met.AgingPicks != nil && best != rawBest {
-		s.met.AgingPicks.Inc()
-	}
 	t := q.tasks[0]
 	q.tasks = q.tasks[1:]
-	if len(q.tasks) == 0 {
-		q.queued = false
-		last := len(s.runnable) - 1
-		s.runnable[best] = s.runnable[last]
-		s.runnable = s.runnable[:last]
-	} else {
+	q.queued = len(q.tasks) > 0
+	if q.queued {
 		q.wait = now
+		s.runnable = append(s.runnable, q)
 	}
-	return t, q
+	return t
 }
 
 func (s *Scheduler) worker() {
@@ -259,7 +200,7 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		t, q := s.pickLocked()
+		t := s.pickLocked()
 		if t == nil {
 			if s.stopped {
 				s.workers--
@@ -270,19 +211,11 @@ func (s *Scheduler) worker() {
 			s.cond.Wait()
 			continue
 		}
-		q.running++
 		s.mu.Unlock()
-		start := time.Now()
 		t()
-		d := time.Since(start)
 		s.mu.Lock()
 		if s.met.Steps != nil {
 			s.met.Steps.Inc()
-		}
-		q.running--
-		q.vtime += float64(d) / q.weight
-		if q.vtime > s.lastV {
-			s.lastV = q.vtime
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,48 +146,104 @@ func TestResize(t *testing.T) {
 	}
 }
 
-// TestPriorityShare: with the pool saturated by two equally greedy
-// queries, the higher-priority one gets materially more service. The
-// margin is loose — scheduling is timing-dependent — but a fair-share
-// failure (FIFO across queries) would show ~1:1.
-func TestPriorityShare(t *testing.T) {
-	s := New(1) // one worker makes the shares directly comparable
-	defer s.Stop()
-	spin := func() {
-		deadline := time.Now().Add(200 * time.Microsecond)
-		for time.Now().Before(deadline) {
-		}
+// spin runs the CPU for d: a step that costs real time.
+func spin(d time.Duration) {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
 	}
-	var ranLow, ranHigh atomic.Int64
-	low, high := s.NewQuery(100), s.NewQuery(400)
-	stop := make(chan struct{})
+}
+
+// TestEqualShare: two greedy queries on a one-worker pool — each step
+// re-submits the next — take turns, so their step counts end within one
+// of each other.
+func TestEqualShare(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	const total = 400
+	var ran [2]int // written by the one worker only
 	var wg sync.WaitGroup
-	mkStep := func(q *Query, n *atomic.Int64) func() {
+	// The gate holds the worker until both queries have queued.
+	gate := make(chan struct{})
+	s.NewQuery(0).Submit(func() { <-gate })
+	wg.Add(len(ran))
+	for i := range ran {
+		q := s.NewQuery(0)
 		var step func()
 		step = func() {
-			select {
-			case <-stop:
+			if ran[0]+ran[1] == total {
 				wg.Done()
 				return
-			default:
 			}
-			spin()
-			n.Add(1)
+			ran[i]++
 			q.Submit(step)
 		}
-		return step
+		q.Submit(step)
 	}
-	wg.Add(2)
-	low.Submit(mkStep(low, &ranLow))
-	high.Submit(mkStep(high, &ranHigh))
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
+	close(gate)
 	wg.Wait()
-	l, h := ranLow.Load(), ranHigh.Load()
-	if l == 0 {
-		t.Fatal("low-priority query starved outright")
+	if d := ran[0] - ran[1]; d < -1 || d > 1 {
+		t.Fatalf("greedy queries ran %d and %d steps; want within 1", ran[0], ran[1])
 	}
-	if h < l*2 {
-		t.Fatalf("priority 400 ran %d steps vs %d at priority 100; want at least 2x", h, l)
+}
+
+// TestTurnsRotate: on a one-worker pool, queries with queued steps run
+// one step per turn in the order they joined, however long their steps
+// take, and a query that becomes runnable behind a 1,000-step chain
+// runs before the chain's second step after it.
+func TestTurnsRotate(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	var order []byte // written by the one worker only
+	var wg sync.WaitGroup
+	// The gate holds the worker until all three queries have queued.
+	gate := make(chan struct{})
+	wg.Add(1)
+	s.NewQuery(0).Submit(func() { <-gate; wg.Done() })
+	const turns = 20
+	for i, name := range []byte("ABC") {
+		q := s.NewQuery(0)
+		cost := time.Duration(i) * 100 * time.Microsecond
+		for range turns {
+			wg.Add(1)
+			q.Submit(func() {
+				spin(cost)
+				order = append(order, name)
+				wg.Done()
+			})
+		}
+	}
+	close(gate)
+	wg.Wait()
+	if got, want := string(order), strings.Repeat("ABC", turns); got != want {
+		t.Fatalf("ran %s, want %s", got, want)
+	}
+
+	// The chain queues 1,000 steps at once; its 500th step makes a
+	// second query runnable.
+	const steps = 1000
+	chain, late := s.NewQuery(0), s.NewQuery(0)
+	var ran []int // chain step numbers, 0 for the late query's step
+	wg.Add(steps + 1)
+	chainSteps := make([]Task, steps)
+	for i := range chainSteps {
+		n := i + 1
+		chainSteps[i] = func() {
+			ran = append(ran, n)
+			if n == steps/2 {
+				late.Submit(func() {
+					ran = append(ran, 0)
+					wg.Done()
+				})
+			}
+			wg.Done()
+		}
+	}
+	chain.Submit(chainSteps...)
+	wg.Wait()
+	if len(ran) != steps+1 {
+		t.Fatalf("ran %d steps, want %d", len(ran), steps+1)
+	}
+	at := slices.Index(ran, 0)
+	if at < steps/2 || at > steps/2+1 {
+		t.Fatalf("late query ran after chain step %d; want step %d or %d", ran[at-1], steps/2, steps/2+1)
 	}
 }

@@ -267,17 +267,7 @@ func TestFailedStatementInTransactionLeavesNothing(t *testing.T) {
 
 	// A crash now leaves the database file and the WAL as they are; a
 	// copy of both opened elsewhere replays the WAL.
-	crash := filepath.Join(dir, "crash.qdb")
-	for _, suffix := range []string{"", ".wal"} {
-		data, err := os.ReadFile(path + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(crash+suffix, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replayed, err := quack.Open(crash)
+	replayed, err := quack.Open(crashCopy(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,12 @@
 // All queries — across every session — share one engine-wide worker
 // pool sized at Open (WithThreads / QUACK_THREADS, resized by PRAGMA
 // threads), so the engine's goroutine count stays bounded by the pool
-// size no matter how many sessions run concurrently. The pool schedules
-// morsel-sized steps by fair share with aging, so no query starves
-// however many sessions run, and every query keeps up to the pool size
-// of steps runnable. Scheduling, like thread count, never changes
-// results.
+// size no matter how many sessions run concurrently. The pool runs
+// morsel-sized steps in turns: the runnable queries form one ring and
+// each turn runs one step of the query at its head, so a runnable query
+// waits at most one step of each other runnable query however many
+// sessions run, and every query keeps up to the pool size of steps
+// runnable. Scheduling, like thread count, never changes results.
 //
 // When a memory budget is enforced (WithMemoryLimit, PRAGMA
 // memory_limit, or the QUACK_MEMORY_LIMIT environment variable), the
@@ -109,13 +110,13 @@
 // count.
 //
 // The engine also keeps one process-wide metrics registry covering the
-// scheduler (steps, step-wait quantiles, aging interventions, runnable
-// depth), admission control (admitted/queued/rejected, wait quantiles,
-// queue depth, running), the buffer pool (reserved/peak/limit, evictions),
-// durability (WAL bytes, checkpoint latency), scans (segments
-// scanned/skipped, bytes decompressed), operator spilling and sort-key
-// tie fallbacks (sort_key_tie_fallbacks_total). Read it
-// with DB.Metrics / DB.WriteMetrics or PRAGMA metrics; histogram
+// scheduler (steps, step-wait quantiles, runnable depth), admission
+// control (admitted/queued/rejected, wait quantiles, queue depth,
+// running), the buffer pool (reserved/peak/limit, evictions), durability
+// (WAL bytes, checkpoint latency), scans (segments scanned/skipped,
+// bytes decompressed), operator spilling and sort-key tie fallbacks
+// (sort_key_tie_fallbacks_total). Read it with DB.Metrics /
+// DB.WriteMetrics or PRAGMA metrics; histogram
 // metrics expand to _count, _sum_ns, _p50_ns and _p99_ns cells. It is
 // the one read surface for engine counters: pool_reserved_bytes,
 // pool_peak_bytes, wal_bytes, scan_segments_*_total,
