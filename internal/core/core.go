@@ -82,13 +82,11 @@ type Database struct {
 	encExecOff  atomic.Bool  // disables encoded execution over compressed segments
 	closed      atomic.Bool
 
-	// execStats collects engine-level counters (registered in metrics).
-	execStats exec.Stats
-
 	// metrics is the engine-wide registry; every subsystem counter above
 	// and beside it is registered there at open, so one snapshot reads
 	// the whole engine.
 	metrics      *obs.Registry
+	queryCells   queryCells          // what finished queries' accounts add up to
 	decodeBytes  *obs.ShardedCounter // segment bytes decompressed by scans
 	checkpointNs *obs.Histogram
 	queryNs      *obs.Histogram
@@ -175,20 +173,21 @@ func (db *Database) initMetrics() {
 	m := obs.NewRegistry()
 	db.metrics = m
 
-	// Scans. The *_total names bridge the exec.Stats atomics the
-	// per-scan hooks already maintain; decode bytes are booked by the
-	// table layer on every segment materialization.
-	m.Int64("scan_segments_scanned_total", &db.execStats.SegmentsScanned)
-	m.Int64("scan_segments_skipped_total", &db.execStats.SegmentsSkipped)
-	m.Int64("scan_segments_encoded_total", &db.execStats.SegmentsEncodedExec)
-	m.Int64("scan_rows_encoded_selected_total", &db.execStats.RowsEncodedSelected)
+	// Scans, operator spilling under an enforced memory_limit and sort
+	// tie fallbacks: the sums of every finished query's account
+	// (bookQuery). Decode bytes are booked by the table layer on every
+	// segment materialization.
+	db.queryCells = queryCells{
+		segsScanned:      m.Counter("scan_segments_scanned_total"),
+		segsSkipped:      m.Counter("scan_segments_skipped_total"),
+		segsEncoded:      m.Counter("scan_segments_encoded_total"),
+		rowsEncSelected:  m.Counter("scan_rows_encoded_selected_total"),
+		aggSpillParts:    m.Counter("agg_spill_partitions_total"),
+		aggSpillBytes:    m.Counter("agg_spill_bytes_total"),
+		sortSpillBytes:   m.Counter("sort_spill_bytes_total"),
+		sortTieFallbacks: m.Counter("sort_key_tie_fallbacks_total"),
+	}
 	db.decodeBytes = m.Sharded("scan_bytes_decompressed_total")
-
-	// Operator spilling under an enforced memory_limit.
-	m.Int64("agg_spill_partitions_total", &db.execStats.AggSpillPartitions)
-	m.Int64("agg_spill_bytes_total", &db.execStats.AggSpilledBytes)
-	m.Int64("sort_spill_bytes_total", &db.execStats.SortSpilledBytes)
-	m.Int64("sort_key_tie_fallbacks_total", &db.execStats.SortTieFallbacks)
 
 	// Buffer pool (the cooperation surface of §4).
 	m.Gauge("pool_reserved_bytes", db.pool.Used)
@@ -219,6 +218,28 @@ func (db *Database) initMetrics() {
 
 	// Query-level latency (SELECT and DML plans).
 	db.queryNs = m.Histogram("query")
+}
+
+// queryCells are the registry cells that add up the queries' accounts,
+// one per field of exec.QueryStats.
+type queryCells struct {
+	segsScanned, segsSkipped, segsEncoded, rowsEncSelected *obs.Counter
+	aggSpillParts, aggSpillBytes, sortSpillBytes           *obs.Counter
+	sortTieFallbacks                                       *obs.Counter
+}
+
+// bookQuery adds a finished query's account into the registry. Every
+// executed plan books once, when it ends, whether or not it failed.
+func (db *Database) bookQuery(st *exec.QueryStats) {
+	c := &db.queryCells
+	c.segsScanned.Add(st.SegsScanned.Load())
+	c.segsSkipped.Add(st.SegsSkipped.Load())
+	c.segsEncoded.Add(st.SegsEncoded.Load())
+	c.rowsEncSelected.Add(st.RowsEncSelected.Load())
+	c.aggSpillParts.Add(st.AggSpillParts.Load())
+	c.aggSpillBytes.Add(st.AggSpillBytes.Load())
+	c.sortSpillBytes.Add(st.SortSpillBytes.Load())
+	c.sortTieFallbacks.Add(st.SortTieFallbacks.Load())
 }
 
 // Metrics snapshots the engine-wide registry as sorted samples.

@@ -51,8 +51,11 @@ type Session struct {
 	JoinStrategy exec.JoinStrategy
 	// Profiling enables the per-operator query profiler for every
 	// statement this session runs (PRAGMA profiling); EXPLAIN ANALYZE
-	// profiles its statement regardless. Off by default — the operator
-	// hooks are nil-checked, so unprofiled queries pay nothing.
+	// profiles its statement regardless. Off by default. Every query
+	// keeps its account (exec.QueryStats) either way, which feeds the
+	// registry and the slow-query log; profiling adds the per-operator
+	// slots, whose hooks are nil-checked, so unprofiled queries pay
+	// nothing for them.
 	Profiling bool
 
 	lastProfile *queryProfile // most recent profiled query (PRAGMA last_profile)
@@ -265,7 +268,6 @@ func (s *Session) execContext(tx *txn.Transaction) *exec.Context {
 		TmpDir:             s.db.TmpDir(),
 		JoinStrategy:       s.JoinStrategy,
 		Threads:            s.db.Threads(),
-		Stats:              &s.db.execStats,
 		DisableZoneMaps:    !s.db.ZoneMapsEnabled(),
 		DisableEncodedExec: !s.db.EncodedExecEnabled(),
 		Sched:              s.db.sched,
@@ -298,10 +300,7 @@ func (s *Session) finishQuery(ctx *exec.Context, prof *exec.Profiler, t queryTim
 	if s.db.queryNs != nil {
 		s.db.queryNs.Observe(totalNs)
 	}
-	var spill int64
-	if ctx.QStats != nil {
-		spill = ctx.QStats.SpillBytes.Load()
-	}
+	spill := ctx.Stats.SpillBytes()
 	if prof != nil {
 		s.lastProfile = &queryProfile{
 			Query:       s.curQuery,
@@ -356,7 +355,7 @@ func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Resul
 	node = plan.Optimize(node)
 	optimizeNs := time.Since(t0).Nanoseconds()
 	ctx := s.execContext(tx)
-	ctx.QStats = &exec.QueryStats{}
+	defer s.db.bookQuery(&ctx.Stats)
 	var prof *exec.Profiler
 	if s.profilingOn() {
 		prof = exec.NewProfiler(node)
@@ -590,7 +589,10 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 	}
 	// Surface what each scan's zone maps can prove right now: the pushed
 	// conjuncts it will test per segment, and how many of the table's
-	// segments an immediately-following execution would skip.
+	// segments the zone maps alone refute. A scan may skip more (it also
+	// tests the compressed payloads it loads) and may run segments
+	// encoded: EXPLAIN ANALYZE's segs= and enc= are the measured
+	// numbers.
 	if s.db.ZoneMapsEnabled() {
 		var walk func(n plan.Node)
 		walk = func(n plan.Node) {
@@ -602,18 +604,8 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 					}
 					skipped, total := sn.Table.Data.ZoneSkipInfo(zf)
 					out.AppendRow(types.NewVarchar(fmt.Sprintf(
-						"NOTE: SCAN %s zone filters: %s; segments skipped: %d/%d",
+						"NOTE: SCAN %s zone filters: %s; by zone maps alone, segments skipped: %d/%d",
 						sn.Table.Name, strings.Join(parts, " AND "), skipped, total)))
-					// Of the surviving segments, how many would evaluate the
-					// filters directly on their compressed payloads and
-					// materialize only the selected rows.
-					if s.db.EncodedExecEnabled() {
-						if enc, surv := sn.Table.Data.EncExecInfo(zf); enc > 0 {
-							out.AppendRow(types.NewVarchar(fmt.Sprintf(
-								"NOTE: SCAN %s encoded execution: %d/%d surviving segments",
-								sn.Table.Name, enc, surv)))
-						}
-					}
 				}
 			}
 			for _, c := range n.Children() {

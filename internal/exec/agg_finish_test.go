@@ -109,12 +109,12 @@ func TestAggFinishFoldsWithoutSpilling(t *testing.T) {
 			if err := pool.Reserve(others); err != nil {
 				t.Fatal(err)
 			}
-			ctx := &Context{Threads: 1, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+			ctx := &Context{Threads: 1, Pool: pool, TmpDir: t.TempDir()}
 			got, fin, err := finishRun(ctx, shape.node, shape.chunks, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, b := ctx.Stats.AggSpillPartitions.Load(), ctx.Stats.AggSpilledBytes.Load(); n != 0 || b != 0 {
+			if n, b := ctx.Stats.AggSpillParts.Load(), ctx.Stats.AggSpillBytes.Load(); n != 0 || b != 0 {
 				t.Fatalf("spilled %d partitions (%d bytes) under a budget that holds both stores", n, b)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -153,9 +153,9 @@ func TestAggFinishResplits(t *testing.T) {
 	}
 	run := func(filter func(uint64) uint64, sortBudget int64) ([]string, *aggFinish, error) {
 		pool := buffer.NewPool(64<<10, nil)
-		ctx := &Context{Threads: 2, Pool: pool, SortBudget: sortBudget, TmpDir: t.TempDir(), Stats: &Stats{}}
+		ctx := &Context{Threads: 2, Pool: pool, SortBudget: sortBudget, TmpDir: t.TempDir()}
 		got, fin, err := finishRun(ctx, node, chunks, 2, func(tbl *aggTable) { tbl.store.hashFilter = filter })
-		if ctx.Stats.AggSpillPartitions.Load() == 0 {
+		if ctx.Stats.AggSpillParts.Load() == 0 {
 			t.Fatal("a 64KB budget over 3000 groups spilled nothing")
 		}
 		if used := pool.Used(); used != 0 {

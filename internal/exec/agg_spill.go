@@ -54,9 +54,8 @@ type aggTable struct {
 	store  *groupStore
 	pool   *buffer.Pool
 	tmpDir string
-	stats  *Stats
+	acct   *QueryStats // the query's account
 	prof   *OpProfile  // aggregate node's profile slot (nil off)
-	qstats *QueryStats // per-query roll-up for the slow log (nil off)
 	// spillable marks an enforced budget: reservation failures spill a
 	// partition instead of failing the query.
 	spillable bool
@@ -102,9 +101,8 @@ func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 		node:      n,
 		pool:      ctx.Pool,
 		tmpDir:    ctx.TmpDir,
-		stats:     ctx.Stats,
+		acct:      &ctx.Stats,
 		prof:      ctx.Prof.Slot(n),
-		qstats:    ctx.QStats,
 		groupVecs: make([]*vector.Vector, len(n.GroupBy)),
 		argVecs:   make([]*vector.Vector, len(n.Aggs)),
 	}
@@ -393,16 +391,11 @@ func (t *aggTable) writeRun(p int, slots []uint32) error {
 	}
 	t.runs[p] = append(t.runs[p], run)
 	t.spills++
-	if t.stats != nil {
-		t.stats.AggSpillPartitions.Add(1)
-		t.stats.AggSpilledBytes.Add(run.Bytes())
-	}
+	t.acct.AggSpillParts.Add(1)
+	t.acct.AggSpillBytes.Add(run.Bytes())
 	if t.prof != nil {
 		t.prof.SpillParts.Add(1)
 		t.prof.SpillBytes.Add(run.Bytes())
-	}
-	if t.qstats != nil {
-		t.qstats.SpillBytes.Add(run.Bytes())
 	}
 	return nil
 }

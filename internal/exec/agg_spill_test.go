@@ -79,12 +79,12 @@ func TestAggSpillMatchesUnbudgeted(t *testing.T) {
 	want := renderAgg(t, node, &Context{Txn: mgr.Begin(), Threads: 1, TmpDir: t.TempDir()})
 	for _, threads := range []int{1, 2, 8} {
 		pool := buffer.NewPool(1<<20, nil)
-		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Pool: pool, TmpDir: t.TempDir()}
 		got := renderAgg(t, node, ctx)
 		if got != want {
 			t.Fatalf("threads=%d budgeted aggregation diverges:\n got: %.300s\nwant: %.300s", threads, got, want)
 		}
-		if threads > 1 && ctx.Stats.AggSpillPartitions.Load() == 0 {
+		if threads > 1 && ctx.Stats.AggSpillParts.Load() == 0 {
 			t.Fatalf("threads=%d: no partition spills under a 1MB budget over ~7500 groups", threads)
 		}
 		if used := pool.Used(); used != 0 {
@@ -111,7 +111,7 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 		t.Fatalf("built %T, want *aggOp", op)
 	}
 	pool := buffer.NewPool(1<<20, nil)
-	ctx := &Context{Txn: mgr.Begin(), Threads: 8, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+	ctx := &Context{Txn: mgr.Begin(), Threads: 8, Pool: pool, TmpDir: t.TempDir()}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 	if mergeTotal != 7500 {
 		t.Fatalf("finish workers merged %d groups, want 7500 (%v)", mergeTotal, mergeGroups)
 	}
-	if ctx.Stats.AggSpillPartitions.Load() == 0 {
+	if ctx.Stats.AggSpillParts.Load() == 0 {
 		t.Fatal("no spill events recorded")
 	}
 }
@@ -180,7 +180,7 @@ func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	}
 	pa := op.(*aggOp)
 	pool := buffer.NewPool(1<<20, nil)
-	ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+	ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool, TmpDir: t.TempDir()}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestAggSpillRunCorruptionPropagates(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, 60_000, 8, mgr)
 	pool := buffer.NewPool(1<<20, nil)
-	ctx := &Context{Txn: mgr.Begin(), Threads: 1, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+	ctx := &Context{Txn: mgr.Begin(), Threads: 1, Pool: pool, TmpDir: t.TempDir()}
 
 	// Drive the table directly so corruption lands between spill and
 	// merge: accumulate everything, corrupt one run, then finish.

@@ -370,7 +370,7 @@ func TestAggReservationMatchesFootprint(t *testing.T) {
 		plan.AggSpec{Func: "count", Arg: &expr.ColRef{Idx: 3, Typ: types.BigInt}, Distinct: true, Type: types.BigInt})
 	for _, limit := range []int64{0, 512 << 10} {
 		pool := buffer.NewPool(limit, nil)
-		ctx := &Context{Threads: 1, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
+		ctx := &Context{Threads: 1, Pool: pool, TmpDir: t.TempDir()}
 		tbl := newAggTable(ctx, shape.node, 1)
 		for seq, c := range shape.chunks {
 			if err := tbl.accumulate(ctx, seq, c); err != nil {

@@ -9,27 +9,13 @@ import (
 )
 
 // scanOptions assembles the table-layer options for a scan node: the
-// projected columns, the zone-map-eligible conjuncts of the pushed
-// filter (unless the context disables skipping) and the database-shared
-// segment counters.
+// projected columns and the zone-map-eligible conjuncts of the pushed
+// filter (unless the context disables skipping).
 func scanOptions(ctx *Context, n *plan.ScanNode) table.ScanOptions {
 	opts := table.ScanOptions{Columns: n.Columns, WithRowIDs: n.WithRowID}
 	if !ctx.DisableZoneMaps {
 		opts.ZoneFilters = plan.ScanZoneFilters(n)
 		opts.EncodedExec = !ctx.DisableEncodedExec
-	}
-	if ctx.Stats != nil {
-		opts.SegsScanned = &ctx.Stats.SegmentsScanned
-		opts.SegsSkipped = &ctx.Stats.SegmentsSkipped
-		opts.SegsEncoded = &ctx.Stats.SegmentsEncodedExec
-		opts.RowsEncSelected = &ctx.Stats.RowsEncodedSelected
-	}
-	if slot := ctx.Prof.Slot(n); slot != nil {
-		opts.ProfSegsScanned = &slot.SegsScanned
-		opts.ProfSegsSkipped = &slot.SegsSkipped
-		opts.ProfSegsEncoded = &slot.SegsEncoded
-		opts.ProfDecodedRows = &slot.DecodedRows
-		opts.ProfSelectedRows = &slot.SelectedRows
 	}
 	return opts
 }

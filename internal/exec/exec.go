@@ -71,34 +71,38 @@ type Logger interface {
 	LogDelete(tx *txn.Transaction, table string, rowIDs []int64)
 }
 
-// Stats aggregates engine-level execution counters. One instance lives
-// for the lifetime of a database and is shared by every query context;
-// the core layer surfaces the counters through PRAGMAs.
-type Stats struct {
-	// AggSpillPartitions counts aggregation partition-spill events: a
-	// hash-aggregation partition whose accumulator states were written
-	// to a sorted state run because the memory budget was exceeded.
-	AggSpillPartitions atomic.Int64
-	// AggSpilledBytes totals the bytes written to aggregation state
-	// runs.
-	AggSpilledBytes atomic.Int64
-	// SegmentsScanned counts table-scan segments that were materialized;
-	// SegmentsSkipped counts segments refuted by zone maps (or their
-	// compressed payloads) without being touched.
-	SegmentsScanned atomic.Int64
-	SegmentsSkipped atomic.Int64
-	// SegmentsEncodedExec counts scanned segments whose pushed filters
-	// executed directly over the compressed payloads (also counted in
-	// SegmentsScanned); RowsEncodedSelected totals the rows those
-	// segments selected and gathered instead of decoding fully.
-	SegmentsEncodedExec atomic.Int64
-	RowsEncodedSelected atomic.Int64
-	// SortSpilledBytes totals the bytes external sorts (ORDER BY, window
-	// and merge-join sorts) wrote to spill runs under a memory budget.
-	SortSpilledBytes atomic.Int64
+// QueryStats is one query's account: what its operators did, counted
+// once. Operators add to it as they go (a scan books its segment counts
+// when its pipeline closes); the core layer adds it into the engine's
+// registry cells of the same names when the query ends, error or not,
+// and the slow-query log, PRAGMA last_profile and EXPLAIN ANALYZE read
+// it. A new per-query count is a field here, and a per-operator one a
+// field of OpProfile.
+type QueryStats struct {
+	// SegsScanned counts table-scan segments that were materialized,
+	// SegsSkipped those refuted by zone maps (or their compressed
+	// payloads) without being touched. SegsEncoded counts the scanned
+	// segments whose pushed filters executed over the compressed
+	// payloads, RowsEncSelected the rows those selected and gathered.
+	SegsScanned     atomic.Int64
+	SegsSkipped     atomic.Int64
+	SegsEncoded     atomic.Int64
+	RowsEncSelected atomic.Int64
+	// AggSpillParts counts aggregation partitions whose states were
+	// written to a state run under the memory budget, AggSpillBytes the
+	// bytes written. SortSpillBytes totals what external sorts (ORDER
+	// BY, window and merge-join sorts) wrote to spill runs.
+	AggSpillParts  atomic.Int64
+	AggSpillBytes  atomic.Int64
+	SortSpillBytes atomic.Int64
 	// SortTieFallbacks counts external-sort comparisons that tied on an
 	// encoded VARCHAR key prefix and fell back to comparing the strings.
 	SortTieFallbacks atomic.Int64
+}
+
+// SpillBytes is everything the query's operators spilled.
+func (q *QueryStats) SpillBytes() int64 {
+	return q.AggSpillBytes.Load() + q.SortSpillBytes.Load()
 }
 
 // Context carries per-query execution state.
@@ -107,8 +111,8 @@ type Context struct {
 	Pool   *buffer.Pool
 	Logger Logger
 	TmpDir string
-	// Stats receives engine-level counters when set (database-shared).
-	Stats *Stats
+	// Stats is the query's account.
+	Stats QueryStats
 	// JoinStrategy overrides the adaptive join choice (experiments).
 	JoinStrategy JoinStrategy
 	// DisableZoneMaps turns off zone-map segment skipping (the
@@ -140,9 +144,6 @@ type Context struct {
 	// built (Build) with the same Profiler. nil is the off state: no
 	// hooks fire, nothing allocates.
 	Prof *Profiler
-	// QStats, when non-nil, receives the per-query roll-ups the
-	// slow-query log reports.
-	QStats *QueryStats
 }
 
 var (

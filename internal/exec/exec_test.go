@@ -195,8 +195,8 @@ func TestAutoJoinFallsBackUnderMemoryPressure(t *testing.T) {
 
 // TestMergeJoinSpillIsCounted: the sorters of a merge join that an Auto
 // join fell back to spill under the TestAutoJoinFallsBackUnderMemoryPressure
-// budget, and their spill is booked like any sort's — into the engine's
-// counter and the JOIN slot — at one worker and at four.
+// budget, and their spill is booked like any sort's — into the query's
+// account and the JOIN slot — at one worker and at four.
 func TestMergeJoinSpillIsCounted(t *testing.T) {
 	join, mgr := buildJoinFixture(t, 10, 50_000)
 	for _, threads := range []int{1, 4} {
@@ -206,8 +206,7 @@ func TestMergeJoinSpillIsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := &Stats{}
-		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, Stats: stats, Prof: prof, TmpDir: t.TempDir()}
+		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, Prof: prof, TmpDir: t.TempDir()}
 		chunks, err := Collect(ctx, op)
 		if err != nil {
 			t.Fatal(err)
@@ -216,8 +215,8 @@ func TestMergeJoinSpillIsCounted(t *testing.T) {
 		if rows := countRows(chunks); rows != 10 || !slot.JoinFallback.Load() {
 			t.Fatalf("threads=%d: %d rows, fallback=%v, want 10 rows from the merge join", threads, rows, slot.JoinFallback.Load())
 		}
-		if stats.SortSpilledBytes.Load() <= 0 || slot.SpillBytes.Load() <= 0 {
-			t.Fatalf("threads=%d: sort_spill_bytes=%d, JOIN spill=%d, want both > 0", threads, stats.SortSpilledBytes.Load(), slot.SpillBytes.Load())
+		if ctx.Stats.SortSpillBytes.Load() <= 0 || slot.SpillBytes.Load() <= 0 {
+			t.Fatalf("threads=%d: sort_spill_bytes=%d, JOIN spill=%d, want both > 0", threads, ctx.Stats.SortSpillBytes.Load(), slot.SpillBytes.Load())
 		}
 		if used := pool.Used(); used != 0 {
 			t.Fatalf("threads=%d: %d pool bytes still reserved", threads, used)

@@ -402,15 +402,34 @@ func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink 
 
 // Close stops Next's worker states — queued steps observe the cancel
 // flag and retire, parked ones are dropped, queued batches released —
-// and then releases the morsel source.
+// books what the scan did into the query's account and the scan's
+// profile slot, and then releases the morsel source.
 func (p *pipelineOp) Close(ctx *Context) {
 	p.closeOnce.Do(func() {
 		if p.stream != nil {
 			p.stream.Close()
 		}
 		if p.src != nil {
+			p.bookScan(ctx, p.src.Counts())
 			p.src.Close()
 		}
 		p.out = batchReader{}
 	})
+}
+
+// bookScan adds a retired scan's counts to the query's account and, when
+// profiling, to the scan's slot.
+func (p *pipelineOp) bookScan(ctx *Context, c table.ScanCounts) {
+	st := &ctx.Stats
+	st.SegsScanned.Add(c.Scanned)
+	st.SegsSkipped.Add(c.Skipped)
+	st.SegsEncoded.Add(c.Encoded)
+	st.RowsEncSelected.Add(c.EncodedRows)
+	if slot := p.spec.scanSlot; slot != nil {
+		slot.SegsScanned.Add(c.Scanned)
+		slot.SegsSkipped.Add(c.Skipped)
+		slot.SegsEncoded.Add(c.Encoded)
+		slot.DecodedRows.Add(c.DecodedRows)
+		slot.SelectedRows.Add(c.SelectedRows)
+	}
 }

@@ -253,42 +253,28 @@ func (s *profStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) 
 	return err
 }
 
-// recordSortSpill books bytes an operator's external sorters spilled:
-// into the engine-wide counter, the query's stats (slow-query log) and
-// the operator's profile slot. All three sinks are optional.
+// recordSortSpill books bytes an operator's external sorters spilled
+// into the query's account and the operator's profile slot.
 func recordSortSpill(ctx *Context, n plan.Node, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	if ctx.Stats != nil {
-		ctx.Stats.SortSpilledBytes.Add(bytes)
-	}
-	if ctx.QStats != nil {
-		ctx.QStats.SpillBytes.Add(bytes)
-	}
+	ctx.Stats.SortSpillBytes.Add(bytes)
 	if slot := ctx.Prof.Slot(n); slot != nil {
 		slot.SpillBytes.Add(bytes)
 	}
 }
 
 // recordSortKeys books a finished (or abandoned) external sort's key
-// width and tie fallbacks into the engine-wide counter and the
-// operator's profile slot; call it once the merge workers have stopped.
+// width and tie fallbacks into the query's account and the operator's
+// profile slot; call it once the merge workers have stopped.
 func recordSortKeys(ctx *Context, n plan.Node, iter *extsort.Iterator) {
 	ties := iter.TieFallbacks()
-	if ctx.Stats != nil {
-		ctx.Stats.SortTieFallbacks.Add(ties)
-	}
+	ctx.Stats.SortTieFallbacks.Add(ties)
 	if slot := ctx.Prof.Slot(n); slot != nil {
 		slot.SortKeyBytes.Store(int64(iter.KeyBytes()))
 		slot.TieFallbacks.Add(ties)
 	}
-}
-
-// QueryStats is the per-query roll-up the slow-query log and the
-// profile report. The core layer allocates one for every query.
-type QueryStats struct {
-	SpillBytes atomic.Int64
 }
 
 // OpProfileSnap is the plain (JSON-marshalable) snapshot of a profile
@@ -374,23 +360,6 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		s.Children = append(s.Children, snapOp(c))
 	}
 	return s
-}
-
-// Totals sums the counters the engine also tracks globally, so callers
-// can reconcile a set of per-query profiles against the metrics
-// registry.
-func (s *OpProfileSnap) Totals() (segsScanned, segsSkipped, spillBytes int64) {
-	if s == nil {
-		return 0, 0, 0
-	}
-	segsScanned, segsSkipped, spillBytes = s.SegmentsScanned, s.SegmentsSkipped, s.SpillBytes
-	for _, c := range s.Children {
-		a, b, sp := c.Totals()
-		segsScanned += a
-		segsSkipped += b
-		spillBytes += sp
-	}
-	return segsScanned, segsSkipped, spillBytes
 }
 
 // WriteTree renders the snapshot as an indented text tree — the body of

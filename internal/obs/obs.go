@@ -193,13 +193,6 @@ func (r *Registry) Gauge(name string, read func() int64) {
 	r.register(item{name: name, read: read})
 }
 
-// Int64 registers an existing atomic as a metric. Existing engine
-// counters migrate onto the registry through this without changing
-// their write sites.
-func (r *Registry) Int64(name string, v *atomic.Int64) {
-	r.register(item{name: name, read: v.Load})
-}
-
 // Histogram registers and returns a new histogram. It contributes four
 // samples to snapshots: name_count, name_sum_ns, name_p50_ns and
 // name_p99_ns.

@@ -478,28 +478,3 @@ func (s *segReader) scanSegmentEncoded(seg *segment, base int64, maxRows int) (c
 	s.fillRowIDs(chunk, base)
 	return chunk, k, true
 }
-
-// EncExecInfo reports, for the segments filters do not refute, how many
-// would currently execute encoded (at least one exact conjunct
-// evaluable over a still-compressed column) vs. decode fully. EXPLAIN
-// uses it; the split matches what an immediately-following scan with
-// encoded execution enabled would do for these filter columns.
-func (t *DataTable) EncExecInfo(filters []ZoneFilter) (encoded, total int) {
-	segs, _ := t.snapshotSegments()
-	for _, s := range segs {
-		if segRefuted(t, s, filters) {
-			continue
-		}
-		total++
-		s.mu.RLock()
-		for _, f := range filters {
-			if f.Exact && s.enc != nil && f.Col < len(s.enc) && s.enc[f.Col] != nil &&
-				encSelectable(s.enc[f.Col], t.typs[f.Col], f) {
-				encoded++
-				break
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return encoded, total
-}

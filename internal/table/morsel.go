@@ -1,6 +1,7 @@
 package table
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/txn"
@@ -23,7 +24,9 @@ import (
 //
 // The source pins the projected columns once for all workers; Close
 // releases the pins. A MorselSource is safe for concurrent use; the
-// MorselScanner values it hands out are not (one per worker).
+// MorselScanner values it hands out are not (one per worker). Each
+// scanner counts what it did into plain fields of its own, and Counts
+// sums them once the workers have retired.
 type MorselSource struct {
 	t       *DataTable
 	tx      *txn.Transaction
@@ -35,6 +38,9 @@ type MorselSource struct {
 	release func()
 	next    atomic.Int64
 	closed  atomic.Bool
+
+	mu      sync.Mutex
+	workers []*MorselScanner
 }
 
 // NewMorselSource pins the projected columns and snapshots the segment
@@ -68,10 +74,31 @@ func (m *MorselSource) NumMorsels() int { return len(m.segs) }
 // Worker returns a new scanner drawing morsels from the shared counter.
 // Each worker goroutine must use its own.
 func (m *MorselSource) Worker() *MorselScanner {
-	return &MorselScanner{
+	w := &MorselScanner{
 		segReader: newSegReader(m.t, m.tx, m.cols, m.rowIDs, m.opts.ZoneFilters),
 		src:       m,
 	}
+	m.mu.Lock()
+	m.workers = append(m.workers, w)
+	m.mu.Unlock()
+	return w
+}
+
+// Counts sums what every worker of the source did. Call it once the
+// workers have retired: their counts are plain fields.
+func (m *MorselSource) Counts() ScanCounts {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var c ScanCounts
+	for _, w := range m.workers {
+		c.Scanned += w.counts.Scanned
+		c.Skipped += w.counts.Skipped
+		c.Encoded += w.counts.Encoded
+		c.EncodedRows += w.counts.EncodedRows
+		c.DecodedRows += w.counts.DecodedRows
+		c.SelectedRows += w.counts.SelectedRows
+	}
+	return c
 }
 
 // Close releases the column pins. Idempotent.
@@ -84,7 +111,8 @@ func (m *MorselSource) Close() {
 // MorselScanner is one worker's view of a MorselSource.
 type MorselScanner struct {
 	segReader
-	src *MorselSource
+	src    *MorselSource
+	counts ScanCounts
 }
 
 // Next claims the next unclaimed morsel and materializes it. It returns
@@ -103,26 +131,28 @@ func (w *MorselScanner) Next() (seq int, chunk *vector.Chunk, err error) {
 	}
 	seg := w.src.segs[idx]
 	if len(w.src.opts.ZoneFilters) > 0 && segRefuted(w.src.t, seg, w.src.opts.ZoneFilters) {
-		w.src.opts.countSkipped()
+		w.counts.Skipped++
 		return int(idx), nil, nil
 	}
 	if w.src.opts.EncodedExec {
 		if chunk, selected, ok := w.scanSegmentEncoded(seg, idx*SegRows, w.src.ns[idx]); ok {
-			w.src.opts.countScanned()
-			w.src.opts.countEncoded(selected)
+			w.counts.Scanned++
+			w.counts.Encoded++
+			w.counts.EncodedRows += int64(selected)
+			w.counts.DecodedRows += int64(selected)
+			w.counts.SelectedRows += int64(selected)
 			return int(idx), chunk, nil
 		}
 	}
 	if err := w.src.t.materializeSegCols(seg, w.src.cols); err != nil {
 		return int(idx), nil, err
 	}
-	w.src.opts.countScanned()
 	chunk = w.scanSegment(seg, idx*SegRows, w.src.ns[idx])
-	rows := 0
+	w.counts.Scanned++
+	w.counts.DecodedRows += int64(w.src.ns[idx])
 	if chunk != nil {
-		rows = chunk.Len()
+		w.counts.SelectedRows += int64(chunk.Len())
 	}
-	w.src.opts.countMaterialized(w.src.ns[idx], rows)
 	return int(idx), chunk, nil
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestMorselSourceCoversEverySegmentOnce: concurrent workers must
 // jointly claim each morsel exactly once and reconstruct the same rows
-// a single worker sees.
+// a single worker sees, and the source's counts add up theirs.
 func TestMorselSourceCoversEverySegmentOnce(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	dt := New([]types.Type{types.BigInt}, nil)
@@ -89,6 +89,32 @@ func TestMorselSourceCoversEverySegmentOnce(t *testing.T) {
 		if v != int64(i) {
 			t.Fatalf("row %d = %d", i, v)
 		}
+	}
+	if got, want := src.Counts(), (ScanCounts{Scanned: 11, DecodedRows: rows, SelectedRows: rows}); got != want {
+		t.Fatalf("Counts = %+v, want %+v", got, want)
+	}
+
+	// A zone filter refutes every segment past the second; two workers'
+	// counts add up.
+	lt := ZoneFilter{Col: 0, Op: ZoneLt, Val: types.NewBigInt(2 * SegRows)}
+	fsrc, err := dt.NewMorselSource(reader, ScanOptions{ZoneFilters: []ZoneFilter{lt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fsrc.Close()
+	a, b := fsrc.Worker(), fsrc.Worker()
+	for done := false; !done; {
+		done = true
+		for _, w := range []*MorselScanner{a, b} {
+			if seq, _, err := w.Next(); err != nil {
+				t.Fatal(err)
+			} else if seq >= 0 {
+				done = false
+			}
+		}
+	}
+	if got, want := fsrc.Counts(), (ScanCounts{Scanned: 2, Skipped: 9, DecodedRows: 2 * SegRows, SelectedRows: 2 * SegRows}); got != want {
+		t.Fatalf("filtered Counts = %+v, want %+v", got, want)
 	}
 }
 

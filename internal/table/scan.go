@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -30,84 +29,19 @@ type ScanOptions struct {
 	// surviving rows, their order and their chunk boundaries are
 	// identical with it on or off.
 	EncodedExec bool
-	// SegsScanned/SegsSkipped, when non-nil, count the segments the scan
-	// materialized vs. refuted (EXPLAIN/PRAGMA observability).
-	SegsScanned *atomic.Int64
-	SegsSkipped *atomic.Int64
-	// SegsEncoded counts the scanned segments that executed encoded
-	// (also counted in SegsScanned); RowsEncSelected counts the rows
-	// those segments selected and gathered.
-	SegsEncoded     *atomic.Int64
-	RowsEncSelected *atomic.Int64
-	// ProfSegsScanned/ProfSegsSkipped are the same counts routed into a
-	// per-query profile slot (EXPLAIN ANALYZE); nil when the query is
-	// not profiled.
-	ProfSegsScanned *atomic.Int64
-	ProfSegsSkipped *atomic.Int64
-	ProfSegsEncoded *atomic.Int64
-	// ProfDecodedRows/ProfSelectedRows contrast how many rows the scan
-	// materialized against how many it emitted: the decoded path
-	// materializes every segment row before visibility and filtering,
-	// the encoded path only the selected rows.
-	ProfDecodedRows  *atomic.Int64
-	ProfSelectedRows *atomic.Int64
 }
 
-// countScanned/countSkipped book one segment into every wired counter.
-//
-//quack:hotpath
-func (o *ScanOptions) countScanned() {
-	if o.SegsScanned != nil {
-		o.SegsScanned.Add(1)
-	}
-	if o.ProfSegsScanned != nil {
-		o.ProfSegsScanned.Add(1)
-	}
-}
-
-//quack:hotpath
-func (o *ScanOptions) countSkipped() {
-	if o.SegsSkipped != nil {
-		o.SegsSkipped.Add(1)
-	}
-	if o.ProfSegsSkipped != nil {
-		o.ProfSegsSkipped.Add(1)
-	}
-}
-
-// countEncoded books one encoded-executed segment and its selected rows
-// (callers also call countScanned — encoded segments are scanned ones).
-//
-//quack:hotpath
-func (o *ScanOptions) countEncoded(rows int) {
-	if o.SegsEncoded != nil {
-		o.SegsEncoded.Add(1)
-	}
-	if o.RowsEncSelected != nil {
-		o.RowsEncSelected.Add(int64(rows))
-	}
-	if o.ProfSegsEncoded != nil {
-		o.ProfSegsEncoded.Add(1)
-	}
-	if o.ProfDecodedRows != nil {
-		o.ProfDecodedRows.Add(int64(rows))
-	}
-	if o.ProfSelectedRows != nil {
-		o.ProfSelectedRows.Add(int64(rows))
-	}
-}
-
-// countMaterialized books a decoded-path segment: every segment row was
-// materialized, emitted rows survived visibility.
-//
-//quack:hotpath
-func (o *ScanOptions) countMaterialized(decoded, selected int) {
-	if o.ProfDecodedRows != nil {
-		o.ProfDecodedRows.Add(int64(decoded))
-	}
-	if o.ProfSelectedRows != nil {
-		o.ProfSelectedRows.Add(int64(selected))
-	}
+// ScanCounts is what a scan did, segment by segment: segments
+// materialized (Scanned) and refuted by zone maps or their compressed
+// payloads (Skipped); of the scanned ones, those whose filters executed
+// over the compressed payloads (Encoded) and the rows those selected and
+// gathered (EncodedRows). DecodedRows vs SelectedRows contrasts rows
+// materialized against rows emitted: equal on the encoded path (late
+// materialization), decoded >= selected on the full-decode path.
+type ScanCounts struct {
+	Scanned, Skipped, Encoded int64
+	EncodedRows               int64
+	DecodedRows, SelectedRows int64
 }
 
 // segReader holds the per-reader state needed to materialize one

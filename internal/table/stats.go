@@ -453,15 +453,22 @@ func (s *segment) rebuildStatsLocked(typs []types.Type, oldestVisible uint64) er
 	return nil
 }
 
-// ZoneSkipInfo evaluates filters against every segment's zone maps and
-// returns how many of the total segments would be skipped. EXPLAIN uses
-// it; the counts match what an immediately-following scan would do.
+// ZoneSkipInfo returns how many of the table's segments the zone maps
+// alone refute for filters. EXPLAIN uses it. It reads no payload, so the
+// count does not depend on which columns happen to be loaded; a scan
+// may skip more, because it also tests the compressed payloads of the
+// columns it loads (segRefuted).
 func (t *DataTable) ZoneSkipInfo(filters []ZoneFilter) (skipped, total int) {
 	segs, _ := t.snapshotSegments()
 	for _, s := range segs {
-		if segRefuted(t, s, filters) {
-			skipped++
+		s.mu.RLock()
+		for _, f := range filters {
+			if f.Col < len(s.stats) && s.stats[f.Col].Refutes(f) {
+				skipped++
+				break
+			}
 		}
+		s.mu.RUnlock()
 	}
 	return skipped, len(segs)
 }

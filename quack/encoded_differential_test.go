@@ -133,12 +133,69 @@ func TestEncodedExecDifferential(t *testing.T) {
 	}
 }
 
+// TestExplainIndependentOfLoadedColumns: EXPLAIN's skip count on a
+// reopened file table comes from the zone maps alone, so it reads the
+// same before and after a query loads the filtered column, and EXPLAIN
+// makes no claim about encoded execution. The table's 20 segments hold
+// only 'a' and 'c', which the scan refutes for region = 'b' from the
+// dictionaries once it has loaded them, while the zone maps cannot.
+func TestExplainIndependentOfLoadedColumns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "explain.qdb")
+	db, err := quack.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (region VARCHAR, qty BIGINT)")
+	app, err := db.Appender("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20*1024; i++ {
+		region := "a"
+		if i%2 == 1 {
+			region = "c"
+		}
+		if err := app.AppendRow(region, int64(i%100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT count(*) FROM t WHERE region = 'b'",
+		"SELECT count(*) FROM t WHERE qty > 90",
+	} {
+		db, err := quack.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := queryAll(t, db, "EXPLAIN "+q)
+		analyzed := fmt.Sprint(queryAll(t, db, "EXPLAIN ANALYZE "+q))
+		if strings.Contains(q, "'b'") && !strings.Contains(analyzed, "segs=0/20 scanned/skipped") {
+			t.Fatalf("%q: the scan no longer skips every segment on its dictionaries: %s", q, analyzed)
+		}
+		warm := queryAll(t, db, "EXPLAIN "+q)
+		if fmt.Sprint(cold) != fmt.Sprint(warm) {
+			t.Errorf("%q: EXPLAIN changed once the column was loaded\ncold: %v\nwarm: %v", q, cold, warm)
+		}
+		for _, l := range warm {
+			if strings.Contains(l[0], "encoded execution") {
+				t.Errorf("%q: EXPLAIN claims %q", q, l[0])
+			}
+		}
+		db.Close()
+	}
+}
+
 // TestEncodedExecExplainAndWrites pins the observability surface and
-// the write interaction on a single connection: EXPLAIN (which stays
-// passive and never loads column chains) reports the encoded split once
-// segments are resident, the rows_encoded_selected counter moves, and
-// an UPDATE — which materializes its segments — steps encoded execution
-// aside without changing what a subsequent scan sees.
+// the write interaction on a single connection: EXPLAIN ANALYZE reports
+// the segments that ran encoded, the rows_encoded_selected counter
+// moves, and an UPDATE — which materializes its segments — steps encoded
+// execution aside without changing what a subsequent scan sees.
 func TestEncodedExecExplainAndWrites(t *testing.T) {
 	path := encodedExecFixture(t)
 	db, err := quack.Open(path)
@@ -156,14 +213,14 @@ func TestEncodedExecExplainAndWrites(t *testing.T) {
 	if db.Metrics()["scan_rows_encoded_selected_total"] == 0 {
 		t.Fatal("encoded execution selected no rows")
 	}
-	var note string
-	for _, l := range queryAll(t, db, "EXPLAIN SELECT count(*) FROM facts WHERE grp = 'emea'") {
-		if strings.HasPrefix(l[0], "NOTE: SCAN facts encoded execution:") {
-			note = l[0]
+	var scanLine string
+	for _, l := range queryAll(t, db, "EXPLAIN ANALYZE SELECT count(*) FROM facts WHERE grp = 'emea'") {
+		if strings.Contains(l[0], "SCAN facts") {
+			scanLine = l[0]
 		}
 	}
-	if note == "" {
-		t.Fatal("EXPLAIN has no encoded-execution note for a dictionary predicate over resident segments")
+	if !strings.Contains(scanLine, " enc=") {
+		t.Fatalf("EXPLAIN ANALYZE's SCAN line reports no encoded segments for a dictionary predicate: %q", scanLine)
 	}
 
 	// Writes materialize their segments; encoded execution must step

@@ -32,6 +32,10 @@ type profNode struct {
 	SegsScanned int64       `json:"segments_scanned"`
 	SegsSkipped int64       `json:"segments_skipped"`
 	SpillBytes  int64       `json:"spill_bytes"`
+	SpillParts  int64       `json:"spill_partitions"`
+	SegsEncoded int64       `json:"segments_encoded"`
+	Selected    int64       `json:"selected_rows"`
+	Ties        int64       `json:"tie_fallbacks"`
 	MergeRanges int64       `json:"merge_ranges"`
 	MergeAhead  int64       `json:"merge_ahead_bytes"`
 	MergeParks  int64       `json:"merge_parks"`
@@ -51,30 +55,98 @@ type profDoc struct {
 // lastProfile runs q with profiling on and returns the parsed profile.
 func lastProfile(t *testing.T, c *quack.Conn, q string) *profDoc {
 	t.Helper()
+	doc, err := runProfiled(c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// runProfiled is lastProfile for callers off the test goroutine.
+func runProfiled(c *quack.Conn, q string) (*profDoc, error) {
 	if _, err := c.Exec("PRAGMA profiling=1"); err != nil {
-		t.Fatalf("enable profiling: %v", err)
+		return nil, fmt.Errorf("enable profiling: %v", err)
 	}
 	rows, err := c.Query(q)
 	if err != nil {
-		t.Fatalf("query %q: %v", q, err)
+		return nil, fmt.Errorf("query %q: %v", q, err)
 	}
 	for rows.NextChunk() != nil {
 	}
 	pr, err := c.Query("PRAGMA last_profile")
 	if err != nil {
-		t.Fatalf("last_profile: %v", err)
+		return nil, fmt.Errorf("last_profile: %v", err)
 	}
 	if !pr.Next() {
-		t.Fatal("last_profile returned no rows")
+		return nil, fmt.Errorf("last_profile returned no rows")
 	}
 	var doc profDoc
 	if err := json.Unmarshal([]byte(pr.Value(0).String()), &doc); err != nil {
-		t.Fatalf("last_profile JSON: %v", err)
+		return nil, fmt.Errorf("last_profile JSON: %v", err)
 	}
 	if doc.Plan == nil {
-		t.Fatalf("last_profile has no plan tree: %s", pr.Value(0).String())
+		return nil, fmt.Errorf("last_profile has no plan tree: %s", pr.Value(0).String())
 	}
-	return &doc
+	return &doc, nil
+}
+
+// accountCells are the registry cells that add up the queries'
+// accounts, one per counter a query's account carries.
+var accountCells = []string{
+	"scan_segments_scanned_total", "scan_segments_skipped_total",
+	"scan_segments_encoded_total", "scan_rows_encoded_selected_total",
+	"agg_spill_partitions_total", "agg_spill_bytes_total",
+	"sort_spill_bytes_total", "sort_key_tie_fallbacks_total",
+}
+
+// profileTotals sums a profile into the account cells: spill bytes of
+// AGGREGATE lines are the aggregation's, every other line's are its
+// sorts'. A scan's encoded rows are its selected rows when every segment
+// it scanned ran encoded and 0 when none did; the profile does not split
+// a scan that mixed the two, so one fails the test. So does a scan whose
+// booked segments are not the morsels it claimed.
+func profileTotals(doc *profDoc) (map[string]int64, error) {
+	out := make(map[string]int64, len(accountCells))
+	var bad error
+	var walk func(n *profNode)
+	walk = func(n *profNode) {
+		if n.Morsels != n.SegsScanned+n.SegsSkipped {
+			bad = fmt.Errorf("%s claimed %d morsels, booked %d segments", n.Name, n.Morsels, n.SegsScanned+n.SegsSkipped)
+		}
+		out["scan_segments_scanned_total"] += n.SegsScanned
+		out["scan_segments_skipped_total"] += n.SegsSkipped
+		out["scan_segments_encoded_total"] += n.SegsEncoded
+		switch n.SegsEncoded {
+		case 0:
+		case n.SegsScanned:
+			out["scan_rows_encoded_selected_total"] += n.Selected
+		default:
+			bad = fmt.Errorf("%s ran %d of %d segments encoded", n.Name, n.SegsEncoded, n.SegsScanned)
+		}
+		out["agg_spill_partitions_total"] += n.SpillParts
+		if strings.HasPrefix(n.Name, "AGGREGATE") {
+			out["agg_spill_bytes_total"] += n.SpillBytes
+		} else {
+			out["sort_spill_bytes_total"] += n.SpillBytes
+		}
+		out["sort_key_tie_fallbacks_total"] += n.Ties
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(doc.Plan)
+	return out, bad
+}
+
+// checkAccountCells compares the account cells' registry deltas between
+// m0 and m1 with want.
+func checkAccountCells(t *testing.T, what string, m0, m1, want map[string]int64) {
+	t.Helper()
+	for _, name := range accountCells {
+		if d := m1[name] - m0[name]; d != want[name] {
+			t.Errorf("%s: registry %s moved by %d, the profiles add up to %d", what, name, d, want[name])
+		}
+	}
 }
 
 // flattenRows renders the tree as "name=rows/morsels/groups" in preorder
@@ -156,8 +228,8 @@ func TestProfileRowDeterminism(t *testing.T) {
 
 // TestProfileRegistryReconciliation cross-checks the two observability
 // surfaces against each other: the registry deltas a profiled query
-// causes must equal the totals summed over its profile tree (scan and
-// spill counters feed both through the same increments).
+// causes must equal the totals summed over its profile tree, in every
+// cell the query's account feeds.
 func TestProfileRegistryReconciliation(t *testing.T) {
 	db := differentialDBWith(t, quack.WithThreads(4))
 	conn := db.Conn()
@@ -186,6 +258,115 @@ func TestProfileRegistryReconciliation(t *testing.T) {
 	}
 	if m1["sched_steps_total"] <= m0["sched_steps_total"] {
 		t.Error("scheduler steps did not advance across a parallel query")
+	}
+	want, err := profileTotals(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAccountCells(t, q, m0, m1, want)
+
+	// Every cell, on queries that move it: a cold file table runs a
+	// dictionary predicate encoded, and under a budget an aggregation and
+	// a sort of long shared-prefix strings spill.
+	fdb, err := quack.Open(encodedExecFixture(t), quack.WithThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fdb.Close()
+	mustExec(t, fdb, "PRAGMA memory_limit='1MB'")
+	fconn := fdb.Conn()
+	moved := want // the in-memory query counts toward coverage too
+	for _, q := range []string{
+		"SELECT count(*) FROM facts WHERE grp = 'emea'",
+		"SELECT id - id % 4, count(*), sum(price), min(qty) FROM facts GROUP BY 1",
+		"SELECT id FROM facts ORDER BY 'https://example.org/items/' || grp, id",
+	} {
+		m0 := fdb.Metrics()
+		doc := lastProfile(t, fconn, q)
+		m1 := fdb.Metrics()
+		want, err := profileTotals(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		checkAccountCells(t, q, m0, m1, want)
+		for name, v := range want {
+			moved[name] += v
+		}
+	}
+	for _, name := range accountCells {
+		if moved[name] == 0 {
+			t.Errorf("no query moved %s; the palette no longer covers it", name)
+		}
+	}
+}
+
+// TestAccountsAddUpAcrossSessions: sixteen sessions at four threads each
+// under a 1MB budget scan, spill an aggregation and sort at once, and the
+// registry cells move by exactly what their profiles add up to.
+func TestAccountsAddUpAcrossSessions(t *testing.T) {
+	db := differentialDBWith(t, quack.WithThreads(4))
+	mustExec(t, db, "PRAGMA memory_limit='1MB'")
+	queries := []string{
+		"SELECT count(*), sum(qty) FROM facts WHERE id < 7000",
+		"SELECT id - id % 4, count(*), sum(price) FROM facts GROUP BY 1",
+		"SELECT id, price FROM facts WHERE qty > 100 ORDER BY price, id",
+	}
+	const sessions = 16
+	docs := make([][]*profDoc, sessions)
+	errs := make([]error, sessions)
+	m0 := db.Metrics()
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn := db.Conn()
+			for _, q := range queries {
+				doc, err := runProfiled(conn, q)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				docs[i] = append(docs[i], doc)
+			}
+		}(i)
+	}
+	wg.Wait()
+	m1 := db.Metrics()
+	want := make(map[string]int64)
+	for i := range docs {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		for _, doc := range docs[i] {
+			tot, err := profileTotals(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, v := range tot {
+				want[name] += v
+			}
+		}
+	}
+	checkAccountCells(t, "16 sessions", m0, m1, want)
+	if want["agg_spill_bytes_total"] == 0 || want["scan_segments_skipped_total"] == 0 {
+		t.Errorf("the palette spilled %dB and skipped %d segments, want both > 0",
+			want["agg_spill_bytes_total"], want["scan_segments_skipped_total"])
+	}
+}
+
+// TestFailedQuerySpillIsBooked: a query whose aggregation spills and
+// whose projection then fails still adds its spill to the registry.
+func TestFailedQuerySpillIsBooked(t *testing.T) {
+	db := differentialDBWith(t, quack.WithThreads(2))
+	mustExec(t, db, "PRAGMA memory_limit='256KB'")
+	before := db.Metrics()["agg_spill_bytes_total"]
+	q := "SELECT k, s % (k - k) FROM (SELECT id - id % 4 AS k, sum(qty) AS s FROM facts GROUP BY 1) g"
+	if _, err := db.Query(q); err == nil {
+		t.Fatal("modulo by zero above the aggregation succeeded")
+	}
+	if after := db.Metrics()["agg_spill_bytes_total"]; after <= before {
+		t.Errorf("agg_spill_bytes_total stayed at %d across a failed query that spilled", after)
 	}
 }
 

@@ -63,8 +63,10 @@
 // a WHERE conjunct refutes — consulting the compressed encodings
 // directly, so skipped segments are never decompressed. Skipping never
 // changes results; it only avoids touching bytes the filter would
-// discard. EXPLAIN reports the pushed predicates and a
-// "segments skipped: X/Y" note per scan. Skipping is not a knob: the
+// discard. EXPLAIN reports the pushed predicates and a "by zone maps
+// alone, segments skipped: X/Y" note per scan: it reads no payload, so
+// the note does not change once a query has loaded a column, and a scan
+// may skip more on the payloads it loads. Skipping is not a knob: the
 // differential tests compare it against a scan that reads every segment
 // in-process, through the Internal() test hook, and
 // scan_segments_scanned_total / scan_segments_skipped_total in the
@@ -84,8 +86,7 @@
 // It is not a knob either (the differential tests switch it off the same
 // way); because the kernels consume the pushed zone filters, a scan
 // without zone maps runs without encoded execution too. EXPLAIN
-// adds an "encoded execution: X/Y surviving segments" note per scan,
-// EXPLAIN ANALYZE reports enc=N and decoded=N selected=N per operator,
+// ANALYZE reports the measured enc=N and decoded=N selected=N per scan,
 // and scan_segments_encoded_total / scan_rows_encoded_selected_total in
 // the metrics registry are the cumulative counters.
 //
@@ -122,6 +123,13 @@
 // pool_peak_bytes, wal_bytes, scan_segments_*_total,
 // scan_rows_encoded_selected_total, agg_spill_partitions_total,
 // agg_spill_bytes_total and sort_spill_bytes_total are cells of it.
+// Each query counts its scans, spills and tie fallbacks into an account
+// of its own, and the engine adds that account into those eight cells
+// once, when the statement ends, whether it succeeded or failed: the
+// cells move when a statement finishes, not while it runs, and equal
+// the sum of the finished statements' profiles. The slow-query log's
+// and last_profile's spill_bytes and EXPLAIN ANALYZE's totals line read
+// the same account.
 //
 // WithLogger installs a log sink; PRAGMA log_min_duration_ms=N then
 // emits one JSON line (query, duration_ms, admit_wait_ms, rows,
