@@ -1,5 +1,5 @@
-// Package hotpath exercises the hotpath analyzer: allocation, clock
-// and unguarded-hook work inside //quack:hotpath functions.
+// Package hotpath exercises the hotpath analyzer: allocation and clock
+// work inside //quack:hotpath functions.
 package hotpath
 
 import (
@@ -8,29 +8,32 @@ import (
 	"time"
 )
 
-// OpProfile mirrors the engine's per-operator profile slot: the
-// analyzer recognizes hook values by this type name.
-type OpProfile struct {
-	Rows   atomic.Int64
-	BusyNs atomic.Int64
-}
-
 type op struct {
-	slot *OpProfile
+	busyNs atomic.Int64
 }
 
 //quack:hotpath
-func (o *op) badClock() int64 {
-	t0 := time.Now() // want `time\.Now in a //quack:hotpath function outside a profiling nil-guard`
-	return t0.UnixNano()
-}
-
-//quack:hotpath
-func (o *op) goodClock() {
-	if o.slot != nil {
-		t0 := time.Now()
-		defer func() { o.slot.BusyNs.Add(time.Since(t0).Nanoseconds()) }()
+func (o *op) badClock(rows []int64) int64 {
+	var total int64
+	for _, r := range rows {
+		t0 := time.Now() // want `clock read inside a loop in a //quack:hotpath function`
+		total += r
+		o.busyNs.Add(time.Since(t0).Nanoseconds()) // want `clock read inside a loop in a //quack:hotpath function`
 	}
+	return total
+}
+
+// goodClock reads the clock once per call, at its boundaries.
+//
+//quack:hotpath
+func (o *op) goodClock(rows []int64) int64 {
+	t0 := time.Now()
+	var total int64
+	for _, r := range rows {
+		total += r
+	}
+	o.busyNs.Add(time.Since(t0).Nanoseconds())
+	return total
 }
 
 //quack:hotpath
@@ -69,21 +72,6 @@ func goodAlloc(rows [][]int) int {
 		buf = buf[:0]
 	}
 	return total
-}
-
-//quack:hotpath
-func (o *op) badHook(n int) {
-	o.slot.Rows.Add(int64(n)) // want `profiler hook call without a nil guard`
-}
-
-// goodHook uses the early-bailout guard form.
-//
-//quack:hotpath
-func (o *op) goodHook(n int) {
-	if o.slot == nil {
-		return
-	}
-	o.slot.Rows.Add(int64(n))
 }
 
 // Value mirrors the engine's boxed scalar (internal/types.Value): the
@@ -152,4 +140,4 @@ func coldFormat(v int) string {
 	return fmt.Sprintf("row %d", v)
 }
 
-var _ = []any{(*op).badClock, (*op).goodClock, (*op).badFormat, (*op).goodPanic, badAlloc, goodAlloc, (*op).badHook, (*op).goodHook, badBoxing, goodBoxing, badClosure, goodClosure, coldFormat}
+var _ = []any{(*op).badClock, (*op).goodClock, (*op).badFormat, (*op).goodPanic, badAlloc, goodAlloc, badBoxing, goodBoxing, badClosure, goodClosure, coldFormat}

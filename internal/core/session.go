@@ -49,26 +49,23 @@ type Session struct {
 	current *txn.Transaction
 	// JoinStrategy overrides the adaptive join choice for experiments.
 	JoinStrategy exec.JoinStrategy
-	// Profiling enables the per-operator query profiler for every
-	// statement this session runs (PRAGMA profiling); EXPLAIN ANALYZE
-	// profiles its statement regardless. Off by default. Every query
-	// keeps its account (exec.QueryStats) either way, which feeds the
-	// registry and the slow-query log; profiling adds the per-operator
-	// slots, whose hooks are nil-checked, so unprofiled queries pay
-	// nothing for them.
-	Profiling bool
 
-	lastProfile *queryProfile // most recent profiled query (PRAGMA last_profile)
-	analyzing   bool          // inside EXPLAIN ANALYZE
-	curQuery    string        // SQL text of the batch in flight
-	parseNs     int64         // parse span attributed to the statement in flight
-	bindNs      int64         // bind span of the statement in flight
+	// last is the profile of the session's most recent query (PRAGMA
+	// last_profile, EXPLAIN ANALYZE); every query keeps one.
+	last     queryProfile
+	curQuery string // SQL text of the batch in flight
+	parseNs  int64  // parse span attributed to the statement in flight
+	bindNs   int64  // bind span of the statement in flight
 }
 
 // queryProfile is one query's complete profile: the phase spans around
 // execution plus the plan-mirrored operator tree. PRAGMA last_profile
-// serializes it; EXPLAIN ANALYZE renders it.
+// serializes it; EXPLAIN ANALYZE renders it. The tree is snapshotted
+// (and its operators named) only when one of them, or the slow-query
+// log, reads it.
 type queryProfile struct {
+	root *exec.OpProfile // nil before the session's first query
+
 	Query       string              `json:"query"`
 	Threads     int                 `json:"threads"`
 	ParseNs     int64               `json:"parse_ns"`
@@ -81,14 +78,23 @@ type queryProfile struct {
 	Plan        *exec.OpProfileSnap `json:"plan,omitempty"`
 }
 
+// plan returns the operator tree's snapshot, taking it on first use.
+func (p *queryProfile) plan() *exec.OpProfileSnap {
+	if p.Plan == nil {
+		p.Plan = p.root.Snapshot()
+	}
+	return p.Plan
+}
+
 // slowLogLine is the JSON shape of one slow-query log record (PRAGMA
-// log_min_duration_ms).
+// log_min_duration_ms): the statement's totals and its operator tree.
 type slowLogLine struct {
-	Query       string `json:"query"`
-	DurationMs  int64  `json:"duration_ms"`
-	AdmitWaitMs int64  `json:"admit_wait_ms"`
-	Rows        int64  `json:"rows"`
-	SpillBytes  int64  `json:"spill_bytes"`
+	Query       string              `json:"query"`
+	DurationMs  int64               `json:"duration_ms"`
+	AdmitWaitMs int64               `json:"admit_wait_ms"`
+	Rows        int64               `json:"rows"`
+	SpillBytes  int64               `json:"spill_bytes"`
+	Plan        *exec.OpProfileSnap `json:"plan"`
 }
 
 // NewSession opens a session.
@@ -274,10 +280,6 @@ func (s *Session) execContext(tx *txn.Transaction) *exec.Context {
 	}
 }
 
-// profilingOn reports whether the statement in flight collects a full
-// per-operator profile.
-func (s *Session) profilingOn() bool { return s.Profiling || s.analyzing }
-
 // slowLogOn reports whether the slow-query log observes statements.
 func (s *Session) slowLogOn() bool {
 	return s.db.logSink != nil && s.db.logMinDurMs.Load() >= 0
@@ -292,28 +294,26 @@ type queryTimes struct {
 }
 
 // finishQuery closes out one executed plan: it records the engine-wide
-// latency histogram, publishes the profile when one was collected
-// (PRAGMA last_profile), and emits a slow-query log line when the
-// statement crossed the session's threshold.
-func (s *Session) finishQuery(ctx *exec.Context, prof *exec.Profiler, t queryTimes, rows int64) {
+// latency histogram, publishes its profile (PRAGMA last_profile), and
+// emits a slow-query log line when the statement crossed the session's
+// threshold.
+func (s *Session) finishQuery(ctx *exec.Context, prof *exec.OpProfile, t queryTimes, rows int64) {
 	totalNs := s.parseNs + s.bindNs + t.optimizeNs + t.admitWaitNs + t.executeNs
 	if s.db.queryNs != nil {
 		s.db.queryNs.Observe(totalNs)
 	}
 	spill := ctx.Stats.SpillBytes()
-	if prof != nil {
-		s.lastProfile = &queryProfile{
-			Query:       s.curQuery,
-			Threads:     ctx.Threads,
-			ParseNs:     s.parseNs,
-			BindNs:      s.bindNs,
-			OptimizeNs:  t.optimizeNs,
-			AdmitWaitNs: t.admitWaitNs,
-			ExecuteNs:   t.executeNs,
-			Rows:        rows,
-			SpillBytes:  spill,
-			Plan:        prof.Snapshot(),
-		}
+	s.last = queryProfile{
+		root:        prof,
+		Query:       s.curQuery,
+		Threads:     ctx.Threads,
+		ParseNs:     s.parseNs,
+		BindNs:      s.bindNs,
+		OptimizeNs:  t.optimizeNs,
+		AdmitWaitNs: t.admitWaitNs,
+		ExecuteNs:   t.executeNs,
+		Rows:        rows,
+		SpillBytes:  spill,
 	}
 	if s.slowLogOn() && totalNs/1e6 >= s.db.logMinDurMs.Load() {
 		line, err := json.Marshal(slowLogLine{
@@ -322,6 +322,7 @@ func (s *Session) finishQuery(ctx *exec.Context, prof *exec.Profiler, t queryTim
 			AdmitWaitMs: t.admitWaitNs / 1e6,
 			Rows:        rows,
 			SpillBytes:  spill,
+			Plan:        s.last.plan(),
 		})
 		if err == nil {
 			s.db.logSink(string(line))
@@ -340,11 +341,11 @@ func (s *Session) runDML(node plan.Node, tx *txn.Transaction) (*Result, error) {
 	return s.runNode(node, tx, true)
 }
 
-// runNode is the one path every plan takes: admit, optimize, attach the
-// profiler when one is wanted, build, collect, and close the query out
-// (finishQuery). DML plans run like any query — their input scans use
-// every worker, the write itself runs on the consuming thread, and the
-// scan-open segment snapshot keeps self-referencing statements safe.
+// runNode is the one path every plan takes: admit, optimize, build
+// (with its profile), collect, and close the query out (finishQuery).
+// DML plans run like any query — their input scans use every worker,
+// the write itself runs on the consuming thread, and the scan-open
+// segment snapshot keeps self-referencing statements safe.
 func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Result, error) {
 	release, admitWait, err := s.db.admit.admit()
 	if err != nil {
@@ -356,12 +357,7 @@ func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Resul
 	optimizeNs := time.Since(t0).Nanoseconds()
 	ctx := s.execContext(tx)
 	defer s.db.bookQuery(&ctx.Stats)
-	var prof *exec.Profiler
-	if s.profilingOn() {
-		prof = exec.NewProfiler(node)
-		ctx.Prof = prof
-	}
-	op, err := exec.Build(node, prof)
+	op, prof, err := exec.Build(node)
 	if err != nil {
 		return nil, err
 	}
@@ -637,18 +633,16 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 	}, nil
 }
 
-// explainAnalyze executes the statement with the profiler attached and
-// returns the measured operator tree plus the phase spans instead of
-// the statement's rows. The run is a real execution — same admission,
-// same scheduler, same transaction semantics — so the numbers are the
-// numbers a plain run would have produced.
+// explainAnalyze executes the statement and returns its profile — the
+// measured operator tree plus the phase spans — instead of its rows.
+// The run is a plain execution — same admission, same scheduler, same
+// transaction semantics, and every statement is profiled — so the
+// numbers are the numbers a plain run produces.
 func (s *Session) explainAnalyze(st *sql.ExplainStmt, params []types.Value) (*Result, error) {
 	sel, ok := st.Stmt.(*sql.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("EXPLAIN ANALYZE supports SELECT")
 	}
-	s.analyzing = true
-	defer func() { s.analyzing = false }()
 	if _, err := s.inTxn(func(tx *txn.Transaction) (*Result, error) {
 		binder := &plan.Binder{Cat: s.db.cat, Params: params}
 		t0 := time.Now()
@@ -661,10 +655,10 @@ func (s *Session) explainAnalyze(st *sql.ExplainStmt, params []types.Value) (*Re
 	}); err != nil {
 		return nil, err
 	}
-	p := s.lastProfile
+	p := &s.last
 	out := vector.NewChunk([]types.Type{types.Varchar})
 	var sb strings.Builder
-	p.Plan.WriteTree(&sb, 0)
+	p.plan().WriteTree(&sb, 0)
 	for _, line := range strings.Split(strings.TrimRight(sb.String(), "\n"), "\n") {
 		out.AppendRow(types.NewVarchar(line))
 	}
@@ -756,21 +750,20 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 		read, written := s.db.store.Stats()
 		return readback(fmt.Sprintf("blocks read %d, written %d, free %d", read, written, s.db.store.FreeCount())), nil
 	case "profiling":
-		// Per-operator query profiler for this session's statements; the
-		// result lands in PRAGMA last_profile. EXPLAIN ANALYZE profiles
-		// its statement regardless of this switch.
+		// Every statement is profiled (PRAGMA last_profile): the switch
+		// is accepted, ignored and reads 1.
 		if !hasVal {
-			return boolback(s.Profiling), nil
+			return boolback(true), nil
 		}
-		s.Profiling = intVal != 0 || strings.EqualFold(strVal, "true")
 		return &Result{}, nil
 	case "last_profile":
-		// The most recent profiled query of this session, as one JSON
-		// object ("{}" before any profiled query ran).
-		if s.lastProfile == nil {
+		// The most recent query of this session, as one JSON object ("{}"
+		// before the session ran one).
+		if s.last.root == nil {
 			return readback("{}"), nil
 		}
-		buf, err := json.Marshal(s.lastProfile)
+		s.last.plan()
+		buf, err := json.Marshal(&s.last)
 		if err != nil {
 			return nil, err
 		}

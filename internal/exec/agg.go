@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"time"
-
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -30,14 +28,15 @@ import (
 type aggOp struct {
 	src  source
 	node *plan.AggNode
+	slot *OpProfile
 
 	tables []*aggTable
 	fin    *aggFinish
 	built  bool
 }
 
-func newAggOp(src source, n *plan.AggNode) *aggOp {
-	return &aggOp{src: src, node: n}
+func newAggOp(src source, n *plan.AggNode, slot *OpProfile) *aggOp {
+	return &aggOp{src: src, node: n, slot: slot}
 }
 
 func (a *aggOp) Open(ctx *Context) error {
@@ -74,8 +73,8 @@ func (a *aggOp) build(ctx *Context) error {
 	// mkSink runs on the coordinating goroutine, and the partials are
 	// only read back after consume has joined every worker, so the
 	// tables slice needs no locking.
-	err := a.src.consume(ctx, workers, ctx.Prof.Slot(a.node), func(w int) sinkFunc {
-		t := newAggTable(ctx, a.node, workers)
+	err := a.src.consume(ctx, workers, a.slot, func(w int) sinkFunc {
+		t := newAggTable(ctx, a.node, workers, a.slot)
 		a.tables = append(a.tables, t)
 		return func(seq int, chunk *vector.Chunk) error {
 			return t.accumulate(ctx, seq, chunk)
@@ -84,19 +83,17 @@ func (a *aggOp) build(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	t0 := nanotime()
 	fin, err := finishAggTables(ctx, a.node, a.tables)
 	if err != nil {
 		return err
 	}
 	a.fin = fin
-	if slot := ctx.Prof.Slot(a.node); slot != nil {
-		slot.AggGroups.Store(fin.groups)
-		slot.AggFinishNs.Store(max(time.Since(t0).Nanoseconds(), 1))
-		slot.AggFolded.Store(fin.folded)
-		slot.AggReloadedParts.Store(fin.reloaded)
-		slot.AggResplitDepth.Store(int64(fin.depth))
-	}
+	a.slot.AggGroups.Store(fin.groups)
+	a.slot.AggFinishNs.Store(max(nanotime()-t0, 1))
+	a.slot.AggFolded.Store(fin.folded)
+	a.slot.AggReloadedParts.Store(fin.reloaded)
+	a.slot.AggResplitDepth.Store(int64(fin.depth))
 	return nil
 }
 

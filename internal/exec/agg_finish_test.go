@@ -23,7 +23,7 @@ import (
 func finishRun(ctx *Context, node *plan.AggNode, chunks []*vector.Chunk, tables int, prep func(*aggTable)) (out []string, fin *aggFinish, err error) {
 	tbls := make([]*aggTable, tables)
 	for i := range tbls {
-		tbls[i] = newAggTable(ctx, node, tables)
+		tbls[i] = newAggTable(ctx, node, tables, new(OpProfile))
 		if prep != nil {
 			prep(tbls[i])
 		}
@@ -94,7 +94,7 @@ func TestAggFinishFoldsWithoutSpilling(t *testing.T) {
 			var held [2]int64
 			for i := range held {
 				ctx := &Context{Threads: 1}
-				tbl := newAggTable(ctx, shape.node, 2)
+				tbl := newAggTable(ctx, shape.node, 2, new(OpProfile))
 				for seq := i; seq < len(shape.chunks); seq += 2 {
 					if err := tbl.accumulate(ctx, seq, shape.chunks[seq]); err != nil {
 						t.Fatal(err)
@@ -274,7 +274,7 @@ func BenchmarkAggFinish(b *testing.B) {
 				if shape.name == "spilled_4KB" {
 					ctx.Pool = buffer.NewPool(4<<10, nil)
 				}
-				tbls := []*aggTable{newAggTable(ctx, shape.node, 2), newAggTable(ctx, shape.node, 2)}
+				tbls := []*aggTable{newAggTable(ctx, shape.node, 2, new(OpProfile)), newAggTable(ctx, shape.node, 2, new(OpProfile))}
 				for seq, c := range shape.chunks {
 					if err := tbls[seq%2].accumulate(ctx, seq, c); err != nil {
 						b.Fatal(err)

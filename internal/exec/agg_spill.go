@@ -55,7 +55,7 @@ type aggTable struct {
 	pool   *buffer.Pool
 	tmpDir string
 	acct   *QueryStats // the query's account
-	prof   *OpProfile  // aggregate node's profile slot (nil off)
+	prof   *OpProfile  // the aggregate node's profile slot
 	// spillable marks an enforced budget: reservation failures spill a
 	// partition instead of failing the query.
 	spillable bool
@@ -93,16 +93,17 @@ type aggTable struct {
 	spills   int64
 }
 
-// newAggTable builds one accumulation worker's table. tables is the
-// aggregation's worker count: the tables share the budget, which sizes
-// the proactive-shed share (a lone table keeps half the budget).
-func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
+// newAggTable builds one accumulation worker's table, which books into
+// the aggregate's profile slot. tables is the aggregation's worker
+// count: the tables share the budget, which sizes the proactive-shed
+// share (a lone table keeps half the budget).
+func newAggTable(ctx *Context, n *plan.AggNode, tables int, slot *OpProfile) *aggTable {
 	t := &aggTable{
 		node:      n,
 		pool:      ctx.Pool,
 		tmpDir:    ctx.TmpDir,
 		acct:      &ctx.Stats,
-		prof:      ctx.Prof.Slot(n),
+		prof:      slot,
 		groupVecs: make([]*vector.Vector, len(n.GroupBy)),
 		argVecs:   make([]*vector.Vector, len(n.Aggs)),
 	}
@@ -393,10 +394,8 @@ func (t *aggTable) writeRun(p int, slots []uint32) error {
 	t.spills++
 	t.acct.AggSpillParts.Add(1)
 	t.acct.AggSpillBytes.Add(run.Bytes())
-	if t.prof != nil {
-		t.prof.SpillParts.Add(1)
-		t.prof.SpillBytes.Add(run.Bytes())
-	}
+	t.prof.SpillParts.Add(1)
+	t.prof.SpillBytes.Add(run.Bytes())
 	return nil
 }
 
@@ -567,8 +566,11 @@ func (f *aggFinish) reload(ctx *Context, tables []*aggTable) error {
 		if ctx.Pool != nil {
 			sorters[w].SetPool(ctx.Pool)
 		}
+		// A loader's store is the finish's, not accumulation state: it
+		// reserves from a pool of its own and books into a slot of its
+		// own, which nothing reads.
 		loaders[w] = &partLoader{tables: tables, leaves: leaves, sorter: sorters[w], outTypes: outTypes,
-			out: vector.NewChunk(outTypes), aggTable: aggTable{node: f.node, pool: buffer.NewPool(budget, nil)}}
+			out: vector.NewChunk(outTypes), aggTable: aggTable{node: f.node, pool: buffer.NewPool(budget, nil), prof: new(OpProfile)}}
 	}
 	var (
 		wg   sync.WaitGroup

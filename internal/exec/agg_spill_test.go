@@ -57,7 +57,7 @@ func mkAggNode(t *testing.T, n, div int, mgr *txn.Manager) *plan.AggNode {
 
 func renderAgg(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 	const rows = 60_000
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, rows, 8, mgr)
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, ok := op.(*aggOp)
+	pa, ok := bare(op).(*aggOp)
 	if !ok {
 		t.Fatalf("built %T, want *aggOp", op)
 	}
@@ -174,11 +174,11 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, 60_000, 8, mgr)
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa := op.(*aggOp)
+	pa := bare(op).(*aggOp)
 	pool := buffer.NewPool(1<<20, nil)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool, TmpDir: t.TempDir()}
 	if err := op.Open(ctx); err != nil {
@@ -398,8 +398,8 @@ func TestAggSpillRunCorruptionPropagates(t *testing.T) {
 
 	// Drive the table directly so corruption lands between spill and
 	// merge: accumulate everything, corrupt one run, then finish.
-	tbl := newAggTable(ctx, node, 1)
-	scan, err := Build(node.Child, nil)
+	tbl := newAggTable(ctx, node, 1, new(OpProfile))
+	scan, _, err := Build(node.Child)
 	if err != nil {
 		t.Fatal(err)
 	}

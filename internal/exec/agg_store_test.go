@@ -48,7 +48,7 @@ func tableAgg(t testing.TB, ctx *Context, node *plan.AggNode, chunks []*vector.C
 	t.Helper()
 	tbls := make([]*aggTable, tables)
 	for i := range tbls {
-		tbls[i] = newAggTable(ctx, node, tables)
+		tbls[i] = newAggTable(ctx, node, tables, new(OpProfile))
 		if prep != nil {
 			prep(tbls[i])
 		}
@@ -249,7 +249,7 @@ func TestAggTableCollisionsAndGrowth(t *testing.T) {
 		}
 	}
 	// The growth the fixture is there for: a table starts at 16 slots.
-	tbl := newAggTable(ctx, nodes["two-column key"], 1)
+	tbl := newAggTable(ctx, nodes["two-column key"], 1, new(OpProfile))
 	defer tbl.close()
 	for seq, c := range chunks {
 		if err := tbl.accumulate(ctx, seq, c); err != nil {
@@ -323,7 +323,7 @@ func accumulateShapes(rows int) []accumulateShape {
 func TestAggAccumulateDoesNotAllocate(t *testing.T) {
 	ctx := &Context{Threads: 1}
 	for _, shape := range accumulateShapes(20 * vector.ChunkCapacity) {
-		tbl := newAggTable(ctx, shape.node, 1)
+		tbl := newAggTable(ctx, shape.node, 1, new(OpProfile))
 		for seq, c := range shape.chunks {
 			if err := tbl.accumulate(ctx, seq, c); err != nil {
 				t.Fatal(err)
@@ -371,7 +371,7 @@ func TestAggReservationMatchesFootprint(t *testing.T) {
 	for _, limit := range []int64{0, 512 << 10} {
 		pool := buffer.NewPool(limit, nil)
 		ctx := &Context{Threads: 1, Pool: pool, TmpDir: t.TempDir()}
-		tbl := newAggTable(ctx, shape.node, 1)
+		tbl := newAggTable(ctx, shape.node, 1, new(OpProfile))
 		for seq, c := range shape.chunks {
 			if err := tbl.accumulate(ctx, seq, c); err != nil {
 				t.Fatal(err)
@@ -400,10 +400,11 @@ func TestAggReservationMatchesFootprint(t *testing.T) {
 // min/max among them), the 25k-group BIGINT key, and a two-column key.
 func BenchmarkAggAccumulate(b *testing.B) {
 	ctx := &Context{Threads: 1}
+	slot := new(OpProfile) // the aggregate's, one per query
 	for _, shape := range accumulateShapes(100_000) {
 		b.Run(shape.name, func(b *testing.B) {
 			benchPerRow(b, shape.rows, func() {
-				tbl := newAggTable(ctx, shape.node, 1)
+				tbl := newAggTable(ctx, shape.node, 1, slot)
 				for seq, c := range shape.chunks {
 					if err := tbl.accumulate(ctx, seq, c); err != nil {
 						b.Fatal(err)
@@ -488,7 +489,7 @@ func FuzzAggStateCodec(f *testing.F) {
 			row[0], row[1] = specialValues(colTypes[0])[0], specialValues(colTypes[1])[0] // one group
 			c.AppendRow(row...)
 		}
-		tbl := newAggTable(&Context{Threads: 1}, node, 2)
+		tbl := newAggTable(&Context{Threads: 1}, node, 2, new(OpProfile))
 		for seq := 0; seq < 3; seq++ {
 			if err := tbl.accumulate(&Context{Threads: 1}, seq, c); err != nil {
 				f.Fatal(err)

@@ -139,11 +139,6 @@ type Context struct {
 	// Query is this query's scheduler account (its place in the pool's
 	// ring of turns), created on first use.
 	Query *sched.Query
-	// Prof, when non-nil, collects this query's per-operator profile
-	// (EXPLAIN ANALYZE / PRAGMA profiling). The tree must have been
-	// built (Build) with the same Profiler. nil is the off state: no
-	// hooks fire, nothing allocates.
-	Prof *Profiler
 }
 
 var (
@@ -196,26 +191,31 @@ type Operator interface {
 	Close(ctx *Context)
 }
 
-// Build translates a logical plan into a physical operator tree. The
-// tree is the same for every worker count: operators read
-// Context.Threads when they open. A non-nil prof compiles profiling
-// hooks into the tree — operators are wrapped with their plan node's
-// profile slot and stages count rows per node; it must come from
-// NewProfiler over the same (optimized) plan, and the executing Context
-// must carry it in Prof.
+// Build translates a logical plan into a physical operator tree and the
+// profile its operators book into: one OpProfile slot per plan node,
+// rooted at the returned slot, which Build hands to the operators and
+// stages of its node. The tree is the same for every worker count:
+// operators read Context.Threads when they open.
 //
 // A maximal scan→filter→project chain compiles into one morsel pipeline
 // streaming into whatever sits above it, a join and the filters and
 // projections above it into the join (a source), anything else into its
 // operator. Sources are not wrapped: their per-node row counts come from
-// stage hooks and the morsel claim site, and their time is the workers'
-// busy time.
-func Build(node plan.Node, prof *Profiler) (Operator, error) {
+// stage hooks and the pipeline's scan counts, and their time is the
+// workers' busy time.
+func Build(node plan.Node) (Operator, *OpProfile, error) {
+	prof := mirror(node)
+	op, err := build(node, prof)
+	return op, prof, err
+}
+
+// build builds node's operator; slot is node's profile slot.
+func build(node plan.Node, slot *OpProfile) (Operator, error) {
 	switch node.(type) {
 	case *plan.ScanNode, *plan.FilterNode, *plan.ProjectNode, *plan.JoinNode:
-		return buildSource(node, prof)
+		return buildSource(node, slot)
 	}
-	return buildOperator(node, prof)
+	return buildOperator(node, slot)
 }
 
 // buildSource builds the input of a pipeline breaker or join: the
@@ -224,12 +224,12 @@ func Build(node plan.Node, prof *Profiler) (Operator, error) {
 // a join or another operator (HAVING over an aggregate, the projection
 // stripping hidden sort columns, ...) becomes a stage of the source
 // below it.
-func buildSource(node plan.Node, prof *Profiler) (source, error) {
-	if spec := compilePipeline(node, prof); spec != nil {
+func buildSource(node plan.Node, slot *OpProfile) (source, error) {
+	if spec := compilePipeline(node, slot); spec != nil {
 		return newPipelineOp(spec), nil
 	}
-	if f := nodeStage(node, prof); f != nil {
-		src, err := buildSource(node.Children()[0], prof)
+	if f := nodeStage(node, slot); f != nil {
+		src, err := buildSource(node.Children()[0], slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
@@ -237,17 +237,17 @@ func buildSource(node plan.Node, prof *Profiler) (source, error) {
 		return src, nil
 	}
 	if n, ok := node.(*plan.JoinNode); ok {
-		left, err := buildSource(n.Left, prof)
+		left, err := buildSource(n.Left, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		right, err := buildSource(n.Right, prof)
+		right, err := buildSource(n.Right, slot.Children[1])
 		if err != nil {
 			return nil, err
 		}
-		return newHashJoin(left, right, n), nil
+		return newHashJoin(left, right, n, slot), nil
 	}
-	op, err := buildOperator(node, prof)
+	op, err := buildOperator(node, slot)
 	if err != nil {
 		return nil, err
 	}
@@ -255,76 +255,79 @@ func buildSource(node plan.Node, prof *Profiler) (source, error) {
 }
 
 // buildOperator builds the operator of a node that is not a source of
-// its own: a breaker, LIMIT, UNION ALL, VALUES or a DML statement.
-func buildOperator(node plan.Node, prof *Profiler) (Operator, error) {
+// its own: a breaker, LIMIT, UNION ALL, VALUES or a DML statement. The
+// operator is timed at its pull boundary (profOp).
+func buildOperator(node plan.Node, slot *OpProfile) (Operator, error) {
+	var op Operator
 	switch n := node.(type) {
 	case *plan.AggNode:
 		// DISTINCT aggregates participate in worker-local partial
 		// aggregation: their per-worker value sets merge by set union.
-		src, err := buildSource(n.Child, prof)
+		src, err := buildSource(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newAggOp(src, n), n), nil
+		op = newAggOp(src, n, slot)
 	case *plan.SortNode:
-		src, err := buildSource(n.Child, prof)
+		src, err := buildSource(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newSortOp(src, n), n), nil
+		op = newSortOp(src, n, slot)
 	case *plan.WindowNode:
-		src, err := buildSource(n.Child, prof)
+		src, err := buildSource(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newWindowOp(src, n), n), nil
+		op = newWindowOp(src, n, slot)
 	case *plan.LimitNode:
-		child, err := Build(n.Child, prof)
+		child, err := build(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&limitOp{child: child, limit: n.Limit, offset: n.Offset}, n), nil
+		op = &limitOp{child: child, limit: n.Limit, offset: n.Offset}
 	case *plan.UnionAllNode:
 		ops := make([]Operator, len(n.Inputs))
 		for i, in := range n.Inputs {
-			op, err := Build(in, prof)
+			child, err := build(in, slot.Children[i])
 			if err != nil {
 				return nil, err
 			}
-			ops[i] = op
+			ops[i] = child
 		}
-		return prof.wrap(&unionOp{inputs: ops}, n), nil
+		op = &unionOp{inputs: ops}
 	case *plan.ValuesNode:
-		return prof.wrap(&valuesOp{node: n}, n), nil
+		op = &valuesOp{node: n}
 	case *plan.InsertNode:
 		// DML inputs run like any query: the morsel source snapshots the
 		// segment list at open, so an INSERT ... SELECT reading its own
 		// target inserts exactly the pre-existing rows, and the ordered
 		// merge keeps the consumed row order the same at every worker
 		// count. The write itself stays on the consumer.
-		child, err := Build(n.Child, prof)
+		child, err := build(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&insertOp{child: child, table: n.Table}, n), nil
+		op = &insertOp{child: child, table: n.Table}
 	case *plan.UpdateNode:
 		// UPDATE/DELETE materialize every row id before touching the
 		// table (Halloween protection), so their filter scans can fan
 		// out across workers too.
-		child, err := Build(n.Child, prof)
+		child, err := build(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&updateOp{child: child, node: n}, n), nil
+		op = &updateOp{child: child, node: n}
 	case *plan.DeleteNode:
-		child, err := Build(n.Child, prof)
+		child, err := build(n.Child, slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(&deleteOp{child: child, table: n.Table}, n), nil
+		op = &deleteOp{child: child, table: n.Table}
 	default:
 		return nil, fmt.Errorf("exec: no operator for %T", node)
 	}
+	return &profOp{inner: op, slot: slot}, nil
 }
 
 // Run drains an operator tree, invoking sink for every chunk. It opens

@@ -44,7 +44,7 @@ func testCtx() *Context {
 
 func TestValuesAndLimit(t *testing.T) {
 	node := &plan.LimitNode{Child: valuesNode(1, 2, 3, 4, 5), Limit: 2, Offset: 1}
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestValuesAndLimit(t *testing.T) {
 
 func TestUnionOperator(t *testing.T) {
 	node := &plan.UnionAllNode{Inputs: []plan.Node{valuesNode(1), valuesNode(2, 3)}}
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFilterOperator(t *testing.T) {
 		L: &expr.ColRef{Idx: 0, Typ: types.BigInt},
 		R: &expr.Const{Val: types.NewBigInt(2)}}
 	node := &plan.FilterNode{Child: valuesNode(1, 2, 3, 4), Cond: cond}
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func countRows(chunks []*vector.Chunk) int {
 func TestHashAndMergeJoinAgree(t *testing.T) {
 	for _, strategy := range []JoinStrategy{JoinForceHash, JoinForceMerge} {
 		join, mgr := buildJoinFixture(t, 3000, 2000)
-		op, err := Build(join, nil)
+		op, _, err := Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestAutoJoinFallsBackUnderMemoryPressure(t *testing.T) {
 	// forces the merge fallback, whose sorted runs spill to disk.
 	pool := buffer.NewPool(128<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
-	op, err := Build(join, nil)
+	op, _, err := Build(join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,15 @@ func TestMergeJoinSpillIsCounted(t *testing.T) {
 	join, mgr := buildJoinFixture(t, 10, 50_000)
 	for _, threads := range []int{1, 4} {
 		pool := buffer.NewPool(128<<10, nil)
-		prof := NewProfiler(join)
-		op, err := Build(join, prof)
+		op, slot, err := Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, Prof: prof, TmpDir: t.TempDir()}
+		ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, TmpDir: t.TempDir()}
 		chunks, err := Collect(ctx, op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slot := prof.Slot(join)
 		if rows := countRows(chunks); rows != 10 || !slot.JoinFallback.Load() {
 			t.Fatalf("threads=%d: %d rows, fallback=%v, want 10 rows from the merge join", threads, rows, slot.JoinFallback.Load())
 		}
@@ -230,7 +228,7 @@ func TestLeftJoinUnderHardLimitErrors(t *testing.T) {
 	pool := buffer.NewPool(64<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
 	join.Type = plan.JoinLeft
-	op, err := Build(join, nil)
+	op, _, err := Build(join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,4 +251,13 @@ func TestEncodeKeyRowDistinguishesNulls(t *testing.T) {
 	if k0 == k1 {
 		t.Fatal("NULL and zero encode equally")
 	}
+}
+
+// bare is the operator a profOp times, or op itself: Build times every
+// operator that is not a source at its pull boundary.
+func bare(op Operator) Operator {
+	if p, ok := op.(*profOp); ok {
+		return p.inner
+	}
+	return op
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/extsort"
 	"repro/internal/plan"
@@ -39,6 +38,7 @@ func (r buildRef) row() int           { return int(int64(r) & (1<<20 - 1)) }
 type hashJoinOp struct {
 	left, right source
 	node        *plan.JoinNode
+	slot        *OpProfile
 	// A reservation the pool refuses fails a strict build (an Auto LEFT
 	// join) and hands a build with a sorted side over (an inner Auto
 	// join): handedOver flips, and every build worker feeds its sorter of
@@ -66,8 +66,8 @@ type hashJoinOp struct {
 	reserved atomic.Int64
 }
 
-func newHashJoin(left, right source, n *plan.JoinNode) *hashJoinOp {
-	return &hashJoinOp{left: left, right: right, node: n}
+func newHashJoin(left, right source, n *plan.JoinNode, slot *OpProfile) *hashJoinOp {
+	return &hashJoinOp{left: left, right: right, node: n, slot: slot}
 }
 
 // refOverhead is the table's share of a build row's reservation.
@@ -96,7 +96,7 @@ func (h *hashJoinOp) Open(ctx *Context) error {
 		h.strict = true
 	default:
 		// Forcing the merge join hands over before the first chunk.
-		h.sorted = newJoinSort(h.right, h.node, h.node.Right, h.node.RightKeys)
+		h.sorted = newJoinSort(h.right, h.node.Right, h.node.RightKeys, h.slot)
 		h.handedOver.Store(ctx.JoinStrategy == JoinForceMerge)
 	}
 	if err := h.right.Open(ctx); err != nil {
@@ -112,15 +112,15 @@ func (h *hashJoinOp) Open(ctx *Context) error {
 	if h.handedOver.Load() {
 		// The merge join, a plain operator, runs in place of the probe: its
 		// rows count into the join's profile slot.
-		if slot := ctx.Prof.Slot(h.node); slot != nil && ctx.JoinStrategy == JoinAuto {
-			slot.JoinFallback.Store(true)
+		if ctx.JoinStrategy == JoinAuto {
+			h.slot.JoinFallback.Store(true)
 		}
-		h.left = &opSource{Operator: ctx.Prof.wrap(newMergeJoin(h.left, h.sorted, h.node), h.node)}
+		h.left = &opSource{Operator: &profOp{inner: newMergeJoin(h.left, h.sorted, h.node, h.slot), slot: h.slot}}
 		err = h.left.Open(ctx)
 	} else {
 		// The probe runs as a stage inside the probe source's workers; the
 		// table is read-only now. Its rows and its own time are the join's.
-		h.left.attachStages(timedFactory(ctx.Prof.Slot(h.node), h.newProbeStage))
+		h.left.attachStages(timedFactory(h.slot, h.newProbeStage))
 	}
 	h.left.attachStages(h.above...)
 	h.above, h.probing = nil, true
@@ -176,7 +176,7 @@ type buildSink struct {
 // reservation when it returns.
 func (h *hashJoinOp) build(ctx *Context) error {
 	workers := h.right.workerCount(ctx)
-	slot := ctx.Prof.Slot(h.node)
+	slot := h.slot
 	sinks := make([]buildSink, workers)
 	var sorters []*extsort.Sorter
 	if h.sorted != nil {
@@ -190,7 +190,7 @@ func (h *hashJoinOp) build(ctx *Context) error {
 		b := &sinks[w]
 		return func(seq int, c *vector.Chunk) error {
 			if !h.handedOver.Load() {
-				if kept, err := h.keep(ctx, b, seqChunk{seq, c}, slot); kept || err != nil {
+				if kept, err := h.keep(ctx, b, seqChunk{seq, c}); kept || err != nil {
 					return err
 				}
 			}
@@ -220,15 +220,13 @@ func (h *hashJoinOp) build(ctx *Context) error {
 		if len(h.node.RightKeys) > 0 && uint64(rows) > math.MaxUint32 {
 			err = fmt.Errorf("join build: more than 2^32 rows") // the row lists' offsets are uint32
 		} else if len(h.node.RightKeys) > 0 {
-			t0 := time.Now()
+			t0 := nanotime()
 			h.store = newGroupStore(&plan.AggNode{GroupBy: h.node.RightKeys}, false)
 			h.store.hashFilter = h.hashFilter
 			err = h.index(rows)
-			if slot != nil {
-				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
-				slot.JoinBuildKeys.Store(int64(h.store.n))
-				slot.JoinTableBytes.Store(h.tableBytes())
-			}
+			slot.BusyNs.Add(nanotime() - t0)
+			slot.JoinBuildKeys.Store(int64(h.store.n))
+			slot.JoinTableBytes.Store(h.tableBytes())
 		}
 	}
 	if err != nil {
@@ -242,14 +240,12 @@ func (h *hashJoinOp) build(ctx *Context) error {
 // whether it did. A reservation the pool refuses fails a strict build
 // with the pool's error and hands a build that can sort over; any other
 // build keeps the chunk unreserved.
-func (h *hashJoinOp) keep(ctx *Context, b *buildSink, c seqChunk, slot *OpProfile) (bool, error) {
+func (h *hashJoinOp) keep(ctx *Context, b *buildSink, c seqChunk) (bool, error) {
 	if ctx.Pool != nil {
 		need := c.chunk.HeapBytes() + int64(c.chunk.Len())*refOverhead
 		if err := ctx.Pool.Reserve(need); err == nil {
 			b.reserved += need
-			if held := h.reserved.Add(need); slot != nil {
-				raisePeak(&slot.JoinBuildBytes, held)
-			}
+			raisePeak(&h.slot.JoinBuildBytes, h.reserved.Add(need))
 		} else if h.strict {
 			return false, err // ErrOutOfMemory
 		} else if h.sorted != nil {
@@ -258,9 +254,7 @@ func (h *hashJoinOp) keep(ctx *Context, b *buildSink, c seqChunk, slot *OpProfil
 		}
 	}
 	b.kept = append(b.kept, c)
-	if slot != nil {
-		slot.JoinBuildRows.Add(int64(c.chunk.Len()))
-	}
+	h.slot.JoinBuildRows.Add(int64(c.chunk.Len()))
 	return true, nil
 }
 

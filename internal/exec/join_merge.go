@@ -27,15 +27,16 @@ type mergeJoinOp struct {
 	done      bool
 }
 
-// newJoinSort is one side of the merge join: src's rows sorted on keys.
-func newJoinSort(src source, n *plan.JoinNode, side plan.Node, keys []expr.Expr) *sortedStream {
+// newJoinSort is one side of the merge join: src's rows sorted on keys,
+// booked into the join's profile slot.
+func newJoinSort(src source, side plan.Node, keys []expr.Expr, slot *OpProfile) *sortedStream {
 	sortKeys := make([]plan.SortKey, len(keys))
 	for i, k := range keys {
 		sortKeys[i] = plan.SortKey{Expr: k}
 	}
 	extTypes, layout, extend := sortLayout(schemaTypes(side.Schema()), sortKeys)
 	return &sortedStream{
-		src: src, node: n,
+		src: src, slot: slot,
 		extTypes: extTypes, keys: layout, rangeKeys: layout, extend: extend,
 		cursor: newChunkCursor,
 	}
@@ -43,8 +44,8 @@ func newJoinSort(src source, n *plan.JoinNode, side plan.Node, keys []expr.Expr)
 
 // newMergeJoin joins the left source, sorted here, with the right
 // side's sorted stream.
-func newMergeJoin(left source, right *sortedStream, n *plan.JoinNode) *mergeJoinOp {
-	m := &mergeJoinOp{left: newJoinSort(left, n, n.Left, n.LeftKeys), right: right, em: newJoinEmitter(n)}
+func newMergeJoin(left source, right *sortedStream, n *plan.JoinNode, slot *OpProfile) *mergeJoinOp {
+	m := &mergeJoinOp{left: newJoinSort(left, n.Left, n.LeftKeys, slot), right: right, em: newJoinEmitter(n)}
 	m.lCur.keys, m.rCur.keys = m.left.keys[:len(n.LeftKeys)], right.keys[:len(n.RightKeys)]
 	m.enqueue = func(c *vector.Chunk) error {
 		m.queue = append(m.queue, c)

@@ -92,7 +92,7 @@ func renderChunks(chunks []*vector.Chunk) string {
 // the JOIN line reports is what the table's slices hold.
 func hashJoinRun(t *testing.T, join *plan.JoinNode, mgr *txn.Manager, threads int, filter func(uint64) uint64) ([]*vector.Chunk, int) {
 	t.Helper()
-	src, err := buildSource(join, nil)
+	src, err := buildSource(join, mirror(join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func FuzzJoinKeys(f *testing.F) {
 			cols = append(cols, plan.ColInfo{Name: fmt.Sprint("k", i), Type: kt})
 		}
 		join := keyedJoin(plan.JoinInner, &plan.ValuesNode{Cols: cols, Rows: probeRows}, &plan.ValuesNode{Cols: cols, Rows: buildRows}, keyTypes)
-		op, err := Build(join, nil)
+		op, _, err := Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestJoinCloseMidStream(t *testing.T) {
 	pool := buffer.NewPool(0, nil)
 	errDownstream := errors.New("downstream failed")
 	for i := 0; i < 500; i++ {
-		op, err := Build(join, nil)
+		op, _, err := Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestKeylessJoinReservesBuild(t *testing.T) {
 	join.Type, join.LeftKeys, join.RightKeys = plan.JoinCross, nil, nil
 	for _, threads := range []int{1, 4} {
 		pool := buffer.NewPool(0, nil)
-		op, err := Build(join, nil)
+		op, _, err := Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestKeylessJoinReservesBuild(t *testing.T) {
 		}
 
 		tiny := buffer.NewPool(4<<10, nil)
-		op, err = Build(join, nil)
+		op, _, err = Build(join)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +174,11 @@ var joinBenchShapes = []struct {
 // buildOnce runs the hash join's build alone — drain the build side,
 // reserve, order, index — at the given worker count.
 func buildOnce(tb testing.TB, join *plan.JoinNode, mgr *txn.Manager, threads int) {
-	right, err := buildSource(join.Right, nil)
+	right, err := buildSource(join.Right, mirror(join.Right))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := newHashJoin(nil, right, join)
+	h := newHashJoin(nil, right, join, new(OpProfile))
 	ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 	if err := right.Open(ctx); err != nil {
 		tb.Fatal(err)
@@ -240,12 +240,13 @@ func BenchmarkJoinProbe(b *testing.B) {
 }
 
 // builtProbe returns the probe side's chunks and a probe stage over the
-// built table of one shape.
+// built table of one shape, timed into the join's slot the way Open
+// attaches it.
 func builtProbe(tb testing.TB, shape int) (*Context, []*vector.Chunk, stage) {
 	s := joinBenchShapes[shape]
 	join, mgr := joinBenchFixture(tb, s.keyType, s.probeN, s.buildN, s.probeKey, s.buildKey)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 1}
-	left, err := buildSource(join.Left, nil)
+	left, err := buildSource(join.Left, mirror(join.Left))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -253,11 +254,11 @@ func builtProbe(tb testing.TB, shape int) (*Context, []*vector.Chunk, stage) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	right, err := buildSource(join.Right, nil)
+	right, err := buildSource(join.Right, mirror(join.Right))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := newHashJoin(nil, right, join)
+	h := newHashJoin(nil, right, join, new(OpProfile))
 	if err := right.Open(ctx); err != nil {
 		tb.Fatal(err)
 	}
@@ -265,7 +266,9 @@ func builtProbe(tb testing.TB, shape int) (*Context, []*vector.Chunk, stage) {
 	if err := h.build(ctx); err != nil {
 		tb.Fatal(err)
 	}
-	return ctx, probe, h.newProbeStage()
+	ps := timedFactory(h.slot, h.newProbeStage)()
+	bindStages([]stage{ps}, new(int64))
+	return ctx, probe, ps
 }
 
 // TestJoinProbeAllocatesOnlyItsOutput: once the stage's scratch exists,
@@ -360,19 +363,19 @@ func TestProbeSinkPositions(t *testing.T) {
 		return renderChunks(collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op))
 	}
 	viaOpSource := func(node plan.Node) Operator {
-		src, err := buildSource(join, nil)
+		src, err := buildSource(join, mirror(join))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n, ok := node.(*plan.AggNode); ok {
-			return newAggOp(&opSource{Operator: src}, n)
+			return newAggOp(&opSource{Operator: src}, n, new(OpProfile))
 		}
-		return newSortOp(&opSource{Operator: src}, node.(*plan.SortNode))
+		return newSortOp(&opSource{Operator: src}, node.(*plan.SortNode), new(OpProfile))
 	}
 	for _, node := range []plan.Node{agg, sort} {
 		want := render(viaOpSource(node), 1)
 		for _, threads := range []int{1, 2, 4} {
-			op, err := Build(node, nil)
+			op, _, err := Build(node)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,7 +387,7 @@ func TestProbeSinkPositions(t *testing.T) {
 
 	// The fixture really emits several chunks per morsel, each under a seq
 	// of its own.
-	src, err := buildSource(join, nil)
+	src, err := buildSource(join, mirror(join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +396,7 @@ func TestProbeSinkPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	last, maxK := -1, 0
-	err = src.consume(ctx, 1, nil, func(int) sinkFunc {
+	err = src.consume(ctx, 1, new(OpProfile), func(int) sinkFunc {
 		return func(seq int, c *vector.Chunk) error {
 			if seq <= last {
 				return fmt.Errorf("seq %d after %d", seq, last)
@@ -433,11 +436,11 @@ func TestAggOverJoinAccumulatesOnWorkers(t *testing.T) {
 		Names:   []string{"g"},
 		Aggs:    []plan.AggSpec{{Func: "count", Type: types.BigInt, Name: "n"}},
 	}
-	op, err := Build(agg, nil)
+	op, _, err := Build(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := op.(*aggOp)
+	a, ok := bare(op).(*aggOp)
 	if !ok {
 		t.Fatalf("built %T, want *aggOp", op)
 	}
@@ -475,24 +478,24 @@ func TestProfileProbeTimeBookedToJoin(t *testing.T) {
 	scan := join.Left
 	const nap = 2 * time.Millisecond
 	for _, threads := range []int{1, 4} {
-		prof := NewProfiler(join)
-		src, err := buildSource(scan, prof)
+		prof := mirror(join)
+		js, ss := prof, prof.Children[0]
+		src, err := buildSource(scan, ss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.attachStages(timedFactory(prof.Slot(join), func() stage { return sleepStage(nap) }))
-		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Prof: prof}
+		src.attachStages(timedFactory(js, func() stage { return sleepStage(nap) }))
+		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		if err := src.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		err = src.consume(ctx, src.workerCount(ctx), nil, func(int) sinkFunc {
+		err = src.consume(ctx, src.workerCount(ctx), new(OpProfile), func(int) sinkFunc {
 			return func(int, *vector.Chunk) error { return nil }
 		})
 		src.Close(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, ss := prof.Slot(join), prof.Slot(scan)
 		slept := 20 * nap.Nanoseconds()
 		if js.Chunks.Load() != 20 || js.Rows.Load() != 20*vector.ChunkCapacity {
 			t.Fatalf("threads=%d: join counted %d chunks, %d rows, want 20 and %d", threads, js.Chunks.Load(), js.Rows.Load(), 20*vector.ChunkCapacity)

@@ -45,7 +45,7 @@ func mkHavingPlan(t *testing.T, rows int) (plan.Node, *txn.Manager) {
 
 func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestExchangeAboveSort(t *testing.T) {
 		Names: []string{"v1"},
 	}
 	render := func(threads int) string {
-		op, err := Build(strip, nil)
+		op, _, err := Build(strip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestExchangeAboveSort(t *testing.T) {
 		if !ok {
 			t.Fatalf("built %T, want *opSource", op)
 		}
-		if _, ok := src.Operator.(*sortOp); !ok || len(src.stages) != 1 {
+		if _, ok := bare(src.Operator).(*sortOp); !ok || len(src.stages) != 1 {
 			t.Fatalf("opSource runs %d stages over %T, want one over *sortOp", len(src.stages), src.Operator)
 		}
 		out := ""
@@ -124,7 +124,7 @@ func TestExchangeAboveSort(t *testing.T) {
 func TestExchangeEarlyClose(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 60_000)
 	limited := &plan.LimitNode{Child: node, Limit: 2}
-	op, err := Build(limited, nil)
+	op, _, err := Build(limited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestExchangeErrorPropagates(t *testing.T) {
 		Names: []string{"boom"},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := Build(proj, nil)
+		op, _, err := Build(proj)
 		if err != nil {
 			t.Fatal(err)
 		}

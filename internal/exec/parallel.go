@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sched"
 	"repro/internal/table"
@@ -56,26 +55,21 @@ type source interface {
 	// workerCount): state w pushes every non-empty chunk it produces into
 	// mkSink(w). mkSink runs on the calling goroutine and consume returns
 	// after every state has retired, so sinks need no locking of their
-	// own. slot, when non-nil, is the breaker's profile slot: time spent
-	// inside the sinks is booked to its BusyNs, not to the source.
+	// own. slot is the breaker's profile slot: time spent inside the
+	// sinks is booked to its BusyNs, not to the source.
 	consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error
 }
 
-// timedSink books the time spent in sink to slot; spent, when non-nil,
-// accumulates the same nanoseconds so the caller can keep them out of
-// its own busy time. With profiling off it is sink itself.
-func timedSink(sink sinkFunc, slot *OpProfile, spent *int64) sinkFunc {
-	if slot == nil {
-		return sink
-	}
+// timedSink books the time spent in sink to slot and adds it to
+// *booked, the worker's count of time booked elsewhere, which keeps it
+// out of the worker's own busy time.
+func timedSink(sink sinkFunc, slot *OpProfile, booked *int64) sinkFunc {
 	return func(seq int, c *vector.Chunk) error {
-		t0 := time.Now()
+		t0 := nanotime()
 		err := sink(seq, c)
-		ns := time.Since(t0).Nanoseconds()
+		ns := nanotime() - t0
 		slot.BusyNs.Add(ns)
-		if spent != nil {
-			*spent += ns
-		}
+		*booked += ns
 		return err
 	}
 }
@@ -88,12 +82,16 @@ type opSource struct {
 	Operator
 	stages []stage
 	queue  []*vector.Chunk // stage output Next has yet to return
+	// booked counts the time its timed stages and sink booked; the
+	// operator's own time is its profOp's, so nothing reads it.
+	booked int64
 }
 
 func (s *opSource) attachStages(f ...stageFactory) {
 	for _, mk := range f {
 		s.stages = append(s.stages, mk())
 	}
+	bindStages(s.stages, &s.booked)
 }
 
 func (s *opSource) workerCount(*Context) int { return 1 }
@@ -123,7 +121,7 @@ func (s *opSource) push(c *vector.Chunk) error {
 }
 
 func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int) sinkFunc) error {
-	sink := timedSink(mkSink(0), slot, nil)
+	sink := timedSink(mkSink(0), slot, &s.booked)
 	for seq := 0; ; seq++ {
 		c, err := s.Next(ctx)
 		if err == nil && c != nil && c.Len() > 0 {
@@ -161,6 +159,7 @@ type pipelineOp struct {
 
 	src     *table.MorselSource
 	nmorsel int
+	workers []*pipeWorker // every worker state, booked at Close
 
 	stream *orderedStream // Next's states on the scheduler (nil: inline)
 	out    batchReader    // what Next drains; unset until started
@@ -188,7 +187,11 @@ type pipeWorker struct {
 	// bookedNs is the time the current morsel spent in work booked to
 	// another profile slot: a breaker's sink, a join's probe.
 	bookedNs int64
-	q        *sched.Query
+	// busyNs, rows and chunks are the scan's share of this state's work:
+	// its busy time and the raw morsel chunks it scanned, booked into
+	// the scan's slot when the pipeline closes.
+	busyNs, rows, chunks int64
+	q                    *sched.Query
 	// out collects the current morsel's chunks for Next.
 	out []*vector.Chunk
 }
@@ -221,6 +224,7 @@ func (p *pipelineOp) Open(ctx *Context) error {
 	}
 	p.src = src
 	p.nmorsel = src.NumMorsels()
+	p.workers = make([]*pipeWorker, 0, p.workerCount(ctx))
 	return nil
 }
 
@@ -230,40 +234,29 @@ func (p *pipelineOp) newWorker(ctx *Context) *pipeWorker {
 	for _, f := range p.extra {
 		w.stages = append(w.stages, f())
 	}
-	for _, s := range w.stages {
-		if ps, ok := s.(*profStage); ok && ps.timed {
-			ps.booked = &w.bookedNs
-		}
-	}
+	bindStages(w.stages, &w.bookedNs)
+	p.workers = append(p.workers, w)
 	return w
 }
 
 // morsel is the one worker body: claim a morsel, run the stages over it
 // and hand every non-empty result chunk to the sink under its chunkSeq.
 // It returns the morsel's sequence number, -1 once the source is
-// exhausted. With a profile slot, the scan's busy time covers the scan
-// and the filter and projection stages only — a join's probe and a
-// breaker's sink book their own.
+// exhausted. The scan's busy time covers the scan and the filter and
+// projection stages below a join only — a join's probe and a breaker's
+// sink book their own.
 //
 //quack:hotpath
 func (w *pipeWorker) morsel() (int, error) {
-	spec := w.op.spec
-	slot := spec.scanSlot
-	var t0 time.Time
-	if slot != nil {
-		t0 = time.Now()
-		w.bookedNs = 0
-	}
+	t0 := nanotime()
+	w.bookedNs = 0
 	seq, chunk, err := w.ms.Next()
 	if seq < 0 && err == nil {
 		return -1, nil
 	}
-	if slot != nil {
-		slot.Morsels.Add(1)
-		if chunk != nil && spec.countScanRows {
-			slot.Rows.Add(int64(chunk.Len()))
-			slot.Chunks.Add(1)
-		}
+	if chunk != nil {
+		w.rows += int64(chunk.Len())
+		w.chunks++
 	}
 	if err == nil && chunk != nil {
 		k := 0
@@ -279,9 +272,7 @@ func (w *pipeWorker) morsel() (int, error) {
 			return w.sink(cs, c)
 		})
 	}
-	if slot != nil {
-		slot.BusyNs.Add(time.Since(t0).Nanoseconds() - w.bookedNs)
-	}
+	w.busyNs += nanotime() - t0 - w.bookedNs
 	return seq, err
 }
 
@@ -340,7 +331,7 @@ func (p *pipelineOp) start(ctx *Context) {
 	}
 	p.out.next = prods[0].next
 	if len(prods) > 1 {
-		p.stream = newOrderedStream(ctx, prods, p.nmorsel, nil)
+		p.stream = newOrderedStream(ctx, prods, p.nmorsel)
 		p.out.next = p.stream.Next
 	}
 }
@@ -403,7 +394,8 @@ func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink 
 // Close stops Next's worker states — queued steps observe the cancel
 // flag and retire, parked ones are dropped, queued batches released —
 // books what the scan did into the query's account and the scan's
-// profile slot, and then releases the morsel source.
+// profile slot, and then releases the morsel source. Every state has
+// retired by then, so their counts are plain fields.
 func (p *pipelineOp) Close(ctx *Context) {
 	p.closeOnce.Do(func() {
 		if p.stream != nil {
@@ -417,19 +409,29 @@ func (p *pipelineOp) Close(ctx *Context) {
 	})
 }
 
-// bookScan adds a retired scan's counts to the query's account and, when
-// profiling, to the scan's slot.
+// bookScan adds a retired scan's counts to the query's account and, with
+// its workers' time and rows, to the scan's slot: every morsel a worker
+// claimed was scanned or skipped.
 func (p *pipelineOp) bookScan(ctx *Context, c table.ScanCounts) {
 	st := &ctx.Stats
 	st.SegsScanned.Add(c.Scanned)
 	st.SegsSkipped.Add(c.Skipped)
 	st.SegsEncoded.Add(c.Encoded)
 	st.RowsEncSelected.Add(c.EncodedRows)
-	if slot := p.spec.scanSlot; slot != nil {
-		slot.SegsScanned.Add(c.Scanned)
-		slot.SegsSkipped.Add(c.Skipped)
-		slot.SegsEncoded.Add(c.Encoded)
-		slot.DecodedRows.Add(c.DecodedRows)
-		slot.SelectedRows.Add(c.SelectedRows)
+	slot := p.spec.scanSlot
+	slot.Morsels.Add(c.Scanned + c.Skipped)
+	slot.SegsScanned.Add(c.Scanned)
+	slot.SegsSkipped.Add(c.Skipped)
+	slot.SegsEncoded.Add(c.Encoded)
+	slot.DecodedRows.Add(c.DecodedRows)
+	slot.SelectedRows.Add(c.SelectedRows)
+	var busy, rows, chunks int64
+	for _, w := range p.workers {
+		busy, rows, chunks = busy+w.busyNs, rows+w.rows, chunks+w.chunks
+	}
+	slot.BusyNs.Add(busy)
+	if p.spec.countScanRows {
+		slot.Rows.Add(rows)
+		slot.Chunks.Add(chunks)
 	}
 }

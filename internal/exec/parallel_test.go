@@ -70,7 +70,7 @@ func TestParallelScanPreservesOrder(t *testing.T) {
 	})
 
 	render := func(threads int) string {
-		op, err := Build(node, nil)
+		op, _, err := Build(node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestOrderedPipelineRunAhead(t *testing.T) {
 		R: bigint(1)}
 	open := func(cond expr.Expr, ctx *Context) *pipelineOp {
 		t.Helper()
-		op, err := Build(&plan.FilterNode{Child: &plan.ScanNode{Table: entry, Columns: []int{0}}, Cond: cond}, nil)
+		op, _, err := Build(&plan.FilterNode{Child: &plan.ScanNode{Table: entry, Columns: []int{0}}, Cond: cond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func BenchmarkOrderedScan(b *testing.B) {
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			benchPerRow(b, rows, func() {
-				op, err := Build(node, nil)
+				op, _, err := Build(node)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -299,11 +299,11 @@ func TestParallelAggMatchesSequential(t *testing.T) {
 		}
 	}
 	render := func(threads int) string {
-		op, err := Build(mkNode(), nil)
+		op, _, err := Build(mkNode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := op.(*aggOp); !ok {
+		if _, ok := bare(op).(*aggOp); !ok {
 			t.Fatalf("built %T, want *aggOp", op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
@@ -332,7 +332,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		Child: &plan.ScanNode{Table: entry, Columns: []int{0}},
 		Limit: 5,
 	}
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +359,12 @@ func TestParallelHashJoinMatchesSequential(t *testing.T) {
 		{"auto_128KB", JoinAuto, 128 << 10},
 	} {
 		render := func(threads int) string {
-			prof := NewProfiler(join)
-			op, err := Build(join, prof)
+			op, prof, err := Build(join)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pool := buffer.NewPool(tc.limit, nil)
-			ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, JoinStrategy: tc.strategy, Prof: prof, TmpDir: t.TempDir()}
+			ctx := &Context{Txn: mgr.Begin(), Pool: pool, Threads: threads, JoinStrategy: tc.strategy, TmpDir: t.TempDir()}
 			out := ""
 			for _, c := range collectAll(t, ctx, op) {
 				out += fmt.Sprint("#", c.Len(), ";")
@@ -373,7 +372,7 @@ func TestParallelHashJoinMatchesSequential(t *testing.T) {
 					out += fmt.Sprint(c.Row(r), ";")
 				}
 			}
-			if fell := prof.Slot(join).JoinFallback.Load(); fell != (tc.limit > 0) {
+			if fell := prof.JoinFallback.Load(); fell != (tc.limit > 0) {
 				t.Fatalf("%s threads=%d: fallback=%v", tc.name, threads, fell)
 			}
 			if used := pool.Used(); used != 0 {
@@ -396,7 +395,7 @@ func TestParallelHashJoinMatchesSequential(t *testing.T) {
 func TestParallelAutoJoinStillFallsBack(t *testing.T) {
 	pool := buffer.NewPool(128<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
-	op, err := Build(join, nil)
+	op, _, err := Build(join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,17 +436,17 @@ func TestProfileSinkTimeBookedToBreaker(t *testing.T) {
 	agg := &plan.AggNode{Child: scan, Aggs: []plan.AggSpec{{Func: "count", Type: types.BigInt, Name: "n"}}}
 	const nap = 2 * time.Millisecond
 	for _, threads := range []int{1, 4} {
-		prof := NewProfiler(agg)
-		src, err := buildSource(scan, prof)
+		prof := mirror(agg)
+		src, err := buildSource(scan, prof.Children[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := &Context{Txn: mgr.Begin(), Threads: threads, Prof: prof}
+		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		if err := src.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		var chunks atomic.Int64
-		err = src.consume(ctx, src.workerCount(ctx), prof.Slot(agg), func(int) sinkFunc {
+		err = src.consume(ctx, src.workerCount(ctx), prof, func(int) sinkFunc {
 			return func(int, *vector.Chunk) error {
 				time.Sleep(nap)
 				chunks.Add(1)
@@ -459,10 +458,10 @@ func TestProfileSinkTimeBookedToBreaker(t *testing.T) {
 			t.Fatal(err)
 		}
 		slept := chunks.Load() * nap.Nanoseconds()
-		breaker, leaf := prof.Slot(agg).BusyNs.Load(), prof.Slot(scan).BusyNs.Load()
-		if chunks.Load() != 20 || prof.Slot(scan).Morsels.Load() != 20 {
+		breaker, leaf := prof.BusyNs.Load(), prof.Children[0].BusyNs.Load()
+		if chunks.Load() != 20 || prof.Children[0].Morsels.Load() != 20 {
 			t.Fatalf("threads=%d: sink saw %d chunks, scan claimed %d morsels, want 20 each",
-				threads, chunks.Load(), prof.Slot(scan).Morsels.Load())
+				threads, chunks.Load(), prof.Children[0].Morsels.Load())
 		}
 		if breaker < slept {
 			t.Errorf("threads=%d: breaker busy %dns < %dns slept in its sink", threads, breaker, slept)

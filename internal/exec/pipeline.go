@@ -27,11 +27,11 @@ type pipelineSpec struct {
 	scan   *plan.ScanNode
 	stages []stageFactory
 
-	// scanSlot is the scan node's profile slot when the query is
-	// profiled (nil otherwise): workers add morsel counts and busy time
-	// there. countScanRows means the raw morsel chunks are the scan
-	// node's output (no filter was pushed into the scan) and the claim
-	// site counts their rows; with a pushed filter the wrapped filter
+	// scanSlot is the scan node's profile slot: the pipeline books its
+	// morsels, segment counts and its workers' busy time there when it
+	// closes. countScanRows means the raw morsel chunks are the scan
+	// node's output (no filter was pushed into the scan) and the workers'
+	// row counts are booked too; with a pushed filter the wrapped filter
 	// stage counts the post-filter rows instead: the pushed filter is
 	// part of the scan node.
 	scanSlot      *OpProfile
@@ -49,27 +49,25 @@ func (p *pipelineSpec) newStages() []stage {
 
 // compilePipeline decomposes a plan subtree into a morsel-driven
 // pipeline, or returns nil when the subtree contains a pipeline breaker
-// (aggregate, join, sort, limit, ...) or a non-table source. Filters
-// pushed into the scan become the pipeline's first stage. When prof is
-// non-nil every stage is wrapped with its plan node's profile slot so
-// per-node row counts survive the pipeline collapse.
-func compilePipeline(node plan.Node, prof *Profiler) *pipelineSpec {
+// (aggregate, join, sort, limit, ...) or a non-table source; slot is
+// node's profile slot. Filters pushed into the scan become the
+// pipeline's first stage.
+func compilePipeline(node plan.Node, slot *OpProfile) *pipelineSpec {
 	if n, ok := node.(*plan.ScanNode); ok {
-		spec := &pipelineSpec{scan: n, scanSlot: prof.Slot(n), countScanRows: true}
+		spec := &pipelineSpec{scan: n, scanSlot: slot, countScanRows: true}
 		if f := n.Filter; f != nil {
 			// The pushed filter is part of the scan node's semantics: the
 			// scan slot counts post-filter rows.
 			spec.countScanRows = false
-			spec.stages = append(spec.stages, profFactory(spec.scanSlot,
-				func() stage { return &filterStage{cond: f} }))
+			spec.stages = append(spec.stages, func() stage { return &filterStage{cond: f, slot: slot} })
 		}
 		return spec
 	}
-	f := nodeStage(node, prof)
+	f := nodeStage(node, slot)
 	if f == nil {
 		return nil
 	}
-	spec := compilePipeline(node.Children()[0], prof)
+	spec := compilePipeline(node.Children()[0], slot.Children[0])
 	if spec != nil {
 		spec.stages = append(spec.stages, f)
 	}
@@ -78,15 +76,16 @@ func compilePipeline(node plan.Node, prof *Profiler) *pipelineSpec {
 
 // nodeStage returns the stage a filter or projection node compiles to —
 // the same whether a pipeline or another source runs it — or nil for any
-// other node.
-func nodeStage(node plan.Node, prof *Profiler) stageFactory {
+// other node. The stage counts what it emits into slot, node's profile
+// slot, so per-node row counts survive the pipeline collapse.
+func nodeStage(node plan.Node, slot *OpProfile) stageFactory {
 	switch n := node.(type) {
 	case *plan.FilterNode:
 		cond := n.Cond
-		return profFactory(prof.Slot(n), func() stage { return &filterStage{cond: cond} })
+		return func() stage { return &filterStage{cond: cond, slot: slot} }
 	case *plan.ProjectNode:
 		exprs := n.Exprs
-		return profFactory(prof.Slot(n), func() stage { return &projectStage{exprs: exprs} })
+		return func() stage { return &projectStage{exprs: exprs, slot: slot} }
 	}
 	return nil
 }
@@ -106,9 +105,10 @@ func runStages(ctx *Context, stages []stage, c *vector.Chunk, sink func(*vector.
 }
 
 // filterStage keeps rows where cond is TRUE; morsels with no surviving
-// rows are dropped.
+// rows are dropped. It counts the chunks it emits into slot.
 type filterStage struct {
 	cond   expr.Expr
+	slot   *OpProfile
 	selBuf []int
 }
 
@@ -122,6 +122,7 @@ func (f *filterStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk
 	if len(f.selBuf) == 0 {
 		return nil
 	}
+	f.slot.count(len(f.selBuf))
 	if len(f.selBuf) == c.Len() {
 		return emit(c)
 	}
@@ -130,9 +131,11 @@ func (f *filterStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk
 	return emit(out)
 }
 
-// projectStage computes expressions over the chunk.
+// projectStage computes expressions over the chunk and counts the
+// chunks it emits into slot.
 type projectStage struct {
 	exprs []expr.Expr
+	slot  *OpProfile
 }
 
 //quack:hotpath
@@ -146,5 +149,6 @@ func (p *projectStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chun
 		out.Cols[i] = v
 	}
 	out.SetLen(c.Len())
+	p.slot.count(c.Len())
 	return emit(out)
 }

@@ -11,22 +11,27 @@ import (
 	"repro/internal/vector"
 )
 
-// OpProfile is one operator's slot in a query profile. The profile tree
-// mirrors the optimized plan tree — not the physical operator tree — so
-// its shape is identical at every thread count; workers of a pipeline
-// all add into the same slot's atomics, and row counts come out equal
-// at every thread count by the engine's determinism guarantee.
+// OpProfile is one operator's slot in its query's profile. Every query
+// is profiled: Build mirrors the optimized plan — not the physical
+// operator tree — into one slot per node and hands each operator its
+// own, so the profile's shape is identical at every thread count;
+// workers of a pipeline all add into the same slot's atomics, and row
+// counts come out equal at every thread count by the engine's
+// determinism guarantee. A slot is named (plan.Node.Explain) only when
+// the profile is read (Snapshot).
 type OpProfile struct {
-	Name     string
+	node     plan.Node
 	Children []*OpProfile
+	only     [1]*OpProfile // Children's storage for a node of one child
 
 	// WallNs is inclusive wall time observed at the operator boundary
 	// (Open+Next+Close, children included). BusyNs is summed worker time:
-	// on a pipeline's scan leaf, the time spent scanning and running
-	// stages (its only time — the pipeline has no pull boundary); on a
-	// breaker, the time its sinks spent consuming the source's chunks
-	// (accumulation, run generation, join build), which is part of its
-	// WallNs and never part of the source's BusyNs.
+	// on a pipeline's scan leaf, the time spent scanning and running the
+	// stages below the first join (its only time — the pipeline has no
+	// pull boundary); on a join, the time its probe and the stages above
+	// it spent, plus its build; on a breaker, the time its sinks spent
+	// consuming the source's chunks (accumulation, run generation),
+	// which is part of its WallNs and never part of the source's BusyNs.
 	WallNs atomic.Int64
 	BusyNs atomic.Int64
 
@@ -96,20 +101,33 @@ type OpProfile struct {
 	WindowHeldRows atomic.Int64
 }
 
-// noteAggBytes moves the aggregation's reserved state bytes by d and
-// raises the recorded peak. A nil slot is profiling off.
-func (o *OpProfile) noteAggBytes(d int64) {
-	if o != nil {
-		raisePeak(&o.AggStateBytes, o.aggStateCur.Add(d))
+// mirror builds the profile tree of a plan: one slot per node, its
+// children's slots in Children() order. Every query is profiled, so a
+// slot with one child keeps it in place rather than in a slice of its
+// own.
+func mirror(n plan.Node) *OpProfile {
+	o := &OpProfile{node: n}
+	kids := n.Children()
+	o.Children = o.only[:0]
+	if len(kids) > 1 {
+		o.Children = make([]*OpProfile, 0, len(kids))
 	}
+	for _, c := range kids {
+		o.Children = append(o.Children, mirror(c))
+	}
+	return o
 }
 
-// noteWindowHeld raises the recorded window held-rows high-water mark to
-// n. A nil slot is profiling off.
-func (o *OpProfile) noteWindowHeld(n int64) {
-	if o != nil {
-		raisePeak(&o.WindowHeldRows, n)
-	}
+// count books one emitted chunk of n rows.
+func (o *OpProfile) count(n int) {
+	o.Rows.Add(int64(n))
+	o.Chunks.Add(1)
+}
+
+// noteAggBytes moves the aggregation's reserved state bytes by d and
+// raises the recorded peak.
+func (o *OpProfile) noteAggBytes(d int64) {
+	raisePeak(&o.AggStateBytes, o.aggStateCur.Add(d))
 }
 
 // raisePeak raises the high-water mark peak to n.
@@ -122,47 +140,12 @@ func raisePeak(peak *atomic.Int64, n int64) {
 	}
 }
 
-// Profiler collects one query's profile. A nil *Profiler is the "off"
-// state: every hook is a nil check and no allocation happens anywhere
-// on the query path.
-type Profiler struct {
-	Root  *OpProfile
-	slots map[plan.Node]*OpProfile
-}
+// clockBase anchors nanotime.
+var clockBase = time.Now()
 
-// NewProfiler builds the profile tree mirroring an optimized plan.
-func NewProfiler(root plan.Node) *Profiler {
-	p := &Profiler{slots: make(map[plan.Node]*OpProfile)}
-	p.Root = p.mirror(root)
-	return p
-}
-
-func (p *Profiler) mirror(n plan.Node) *OpProfile {
-	slot := &OpProfile{Name: n.Explain()}
-	p.slots[n] = slot
-	for _, c := range n.Children() {
-		slot.Children = append(slot.Children, p.mirror(c))
-	}
-	return slot
-}
-
-// Slot returns the profile slot for a plan node, or nil when profiling
-// is off (nil receiver) or the node is not part of the mirrored plan.
-func (p *Profiler) Slot(n plan.Node) *OpProfile {
-	if p == nil {
-		return nil
-	}
-	return p.slots[n]
-}
-
-// wrap decorates a physical operator with its plan node's profile slot.
-func (p *Profiler) wrap(op Operator, n plan.Node) Operator {
-	slot := p.Slot(n)
-	if slot == nil {
-		return op
-	}
-	return &profOp{inner: op, slot: slot}
-}
+// nanotime reads the monotonic clock once (time.Now also reads the wall
+// clock): the profile's timings are differences of it.
+func nanotime() int64 { return int64(time.Since(clockBase)) }
 
 // profOp times an operator at its pull boundary and counts the chunks
 // it emits. Wall time is inclusive of children, like every EXPLAIN
@@ -173,108 +156,98 @@ type profOp struct {
 }
 
 func (p *profOp) Open(ctx *Context) error {
-	t0 := time.Now()
+	t0 := nanotime()
 	err := p.inner.Open(ctx)
-	p.slot.WallNs.Add(time.Since(t0).Nanoseconds())
+	p.slot.WallNs.Add(nanotime() - t0)
 	return err
 }
 
 func (p *profOp) Next(ctx *Context) (*vector.Chunk, error) {
-	t0 := time.Now()
+	t0 := nanotime()
 	chunk, err := p.inner.Next(ctx)
-	p.slot.WallNs.Add(time.Since(t0).Nanoseconds())
+	p.slot.WallNs.Add(nanotime() - t0)
 	if chunk != nil {
-		p.slot.Rows.Add(int64(chunk.Len()))
-		p.slot.Chunks.Add(1)
+		p.slot.count(chunk.Len())
 	}
 	return chunk, err
 }
 
 func (p *profOp) Close(ctx *Context) {
-	t0 := time.Now()
+	t0 := nanotime()
 	p.inner.Close(ctx)
-	p.slot.WallNs.Add(time.Since(t0).Nanoseconds())
+	p.slot.WallNs.Add(nanotime() - t0)
 }
 
-// profFactory wraps a stage factory so every chunk the stage emits is
-// counted into slot. Stage wrapping is how plan nodes that run as stages
-// of a source (filters, projections, a join's probe) keep per-node row
-// counts.
-func profFactory(slot *OpProfile, f stageFactory) stageFactory {
-	if slot == nil {
-		return f
-	}
-	return func() stage { return &profStage{inner: f(), slot: slot} }
-}
-
-// timedFactory is profFactory for a stage that is an operator's own work
-// — a join's probe: the stage's time, less what its emits spent
-// downstream, is booked to slot's BusyNs, and a pipeline worker keeps it
-// out of its scan's busy time (pipeWorker.bookedNs), the way timedSink
-// does for a breaker's sink.
+// timedFactory wraps the factory of a stage that is an operator's own
+// work — a join's probe — so every chunk it emits is counted into slot
+// and its time, less what its emits spent in work booked elsewhere (a
+// breaker's sink, a join above), is booked to slot's BusyNs; a pipeline
+// worker keeps that time out of its scan's busy time
+// (pipeWorker.bookedNs), the way timedSink does for a breaker's sink.
+// The stages above the probe run inside its emits, so their time is the
+// join's: a pipeline's stages are timed with the nearest timed producer
+// below them, the scan or a join.
 func timedFactory(slot *OpProfile, f stageFactory) stageFactory {
-	if slot == nil {
-		return f
+	return func() stage {
+		s := &timedStage{inner: f(), slot: slot}
+		s.counted = s.count
+		return s
 	}
-	return func() stage { return &profStage{inner: f(), slot: slot, timed: true} }
 }
 
-type profStage struct {
+type timedStage struct {
 	inner stage
 	slot  *OpProfile
-	timed bool
-	// booked, when set, also receives a timed stage's own nanoseconds.
+	// booked is the worker's count of nanoseconds booked to slots other
+	// than its scan's (bindStages): the stage reads what its emits added
+	// and adds its own.
 	booked *int64
+	// emit is the current run's downstream; counted is s.count bound
+	// once, so a run passes no fresh closure to the inner stage.
+	emit    func(*vector.Chunk) error
+	counted func(*vector.Chunk) error
 }
 
-func (s *profStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
-	if !s.timed {
-		return s.inner.run(ctx, c, func(out *vector.Chunk) error {
-			s.slot.Rows.Add(int64(out.Len()))
-			s.slot.Chunks.Add(1)
-			return emit(out)
-		})
-	}
-	t0 := time.Now()
-	var down int64 // time spent downstream of this stage
-	err := s.inner.run(ctx, c, func(out *vector.Chunk) error {
-		s.slot.Rows.Add(int64(out.Len()))
-		s.slot.Chunks.Add(1)
-		t1 := time.Now()
-		err := emit(out)
-		down += time.Since(t1).Nanoseconds()
-		return err
-	})
-	own := time.Since(t0).Nanoseconds() - down
-	s.slot.BusyNs.Add(own)
-	if s.booked != nil {
-		*s.booked += own
-	}
+func (s *timedStage) count(out *vector.Chunk) error {
+	s.slot.count(out.Len())
+	return s.emit(out)
+}
+
+//quack:hotpath
+func (s *timedStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
+	s.emit = emit
+	t0, before := nanotime(), *s.booked
+	err := s.inner.run(ctx, c, s.counted)
+	total := nanotime() - t0
+	s.slot.BusyNs.Add(total - (*s.booked - before))
+	*s.booked = before + total
 	return err
+}
+
+// bindStages points a worker's timed stages at its booked-time count.
+func bindStages(stages []stage, booked *int64) {
+	for _, s := range stages {
+		if ts, ok := s.(*timedStage); ok {
+			ts.booked = booked
+		}
+	}
 }
 
 // recordSortSpill books bytes an operator's external sorters spilled
 // into the query's account and the operator's profile slot.
-func recordSortSpill(ctx *Context, n plan.Node, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
+func recordSortSpill(ctx *Context, slot *OpProfile, bytes int64) {
 	ctx.Stats.SortSpillBytes.Add(bytes)
-	if slot := ctx.Prof.Slot(n); slot != nil {
-		slot.SpillBytes.Add(bytes)
-	}
+	slot.SpillBytes.Add(bytes)
 }
 
 // recordSortKeys books a finished (or abandoned) external sort's key
 // width and tie fallbacks into the query's account and the operator's
 // profile slot; call it once the merge workers have stopped.
-func recordSortKeys(ctx *Context, n plan.Node, iter *extsort.Iterator) {
+func recordSortKeys(ctx *Context, slot *OpProfile, iter *extsort.Iterator) {
 	ties := iter.TieFallbacks()
 	ctx.Stats.SortTieFallbacks.Add(ties)
-	if slot := ctx.Prof.Slot(n); slot != nil {
-		slot.SortKeyBytes.Store(int64(iter.KeyBytes()))
-		slot.TieFallbacks.Add(ties)
-	}
+	slot.SortKeyBytes.Store(int64(iter.KeyBytes()))
+	slot.TieFallbacks.Add(ties)
 }
 
 // OpProfileSnap is the plain (JSON-marshalable) snapshot of a profile
@@ -313,17 +286,11 @@ type OpProfileSnap struct {
 	Children        []*OpProfileSnap `json:"children,omitempty"`
 }
 
-// Snapshot returns the profile tree as plain values.
-func (p *Profiler) Snapshot() *OpProfileSnap {
-	if p == nil || p.Root == nil {
-		return nil
-	}
-	return snapOp(p.Root)
-}
-
-func snapOp(o *OpProfile) *OpProfileSnap {
+// Snapshot returns the profile tree rooted at o as plain values, named
+// after its plan nodes. Take it once the query has finished.
+func (o *OpProfile) Snapshot() *OpProfileSnap {
 	s := &OpProfileSnap{
-		Name:            o.Name,
+		Name:            o.node.Explain(),
 		WallNs:          o.WallNs.Load(),
 		BusyNs:          o.BusyNs.Load(),
 		Rows:            o.Rows.Load(),
@@ -357,7 +324,7 @@ func snapOp(o *OpProfile) *OpProfileSnap {
 		s.JoinFallback = "merge"
 	}
 	for _, c := range o.Children {
-		s.Children = append(s.Children, snapOp(c))
+		s.Children = append(s.Children, c.Snapshot())
 	}
 	return s
 }

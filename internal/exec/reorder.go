@@ -56,19 +56,20 @@ type orderedStream struct {
 	q      *sched.Query
 	pool   *buffer.Pool
 	share  int64 // reserved bytes a producer may queue (0: unbounded)
-	slot   *OpProfile
-	end    int // positions in the stream
+	end    int   // positions in the stream
 	cancel atomic.Bool
 	wg     sync.WaitGroup
 
-	// mu guards the producers' queues and states, ahead, live and err;
-	// ready is broadcast whenever a producer queues a batch, parks or
-	// ends.
-	mu    sync.Mutex
-	ready *sync.Cond
-	ahead int64 // bytes queued in all producers
-	live  int   // producers that have not ended
-	err   error // the first producer error, sticky
+	// mu guards the producers' queues and states, ahead, peakAhead,
+	// parks, live and err; ready is broadcast whenever a producer queues
+	// a batch, parks or ends.
+	mu        sync.Mutex
+	ready     *sync.Cond
+	ahead     int64 // bytes queued in all producers
+	peakAhead int64 // the most ahead has been
+	parks     int64 // times a producer parked for want of room
+	live      int   // producers that have not ended
+	err       error // the first producer error, sticky
 
 	pos int // the next position to emit
 
@@ -93,13 +94,12 @@ type streamProducer struct {
 	done     bool
 }
 
-func newOrderedStream(ctx *Context, prods []producer, end int, slot *OpProfile) *orderedStream {
+func newOrderedStream(ctx *Context, prods []producer, end int) *orderedStream {
 	s := &orderedStream{
 		prods: make([]*streamProducer, len(prods)),
 		q:     ctx.queryTasks(),
 		pool:  ctx.Pool,
 		share: splitBudget(ctx.sortBudget(), len(prods)),
-		slot:  slot,
 		end:   end,
 		live:  len(prods),
 		rows:  make([]int64, len(prods)),
@@ -157,9 +157,7 @@ func (r *streamProducer) step() {
 	}
 	if !r.admitLocked(b) {
 		r.held, r.parked = b, true
-		if s.slot != nil {
-			s.slot.MergeParks.Add(1)
-		}
+		s.parks++
 		s.ready.Broadcast()
 		s.mu.Unlock()
 		return
@@ -167,9 +165,7 @@ func (r *streamProducer) step() {
 	r.held = nil
 	r.queue = append(r.queue, b)
 	s.ahead += b.bytes
-	if s.slot != nil {
-		raisePeak(&s.slot.MergeAheadBytes, s.ahead)
-	}
+	s.peakAhead = max(s.peakAhead, s.ahead)
 	s.ready.Broadcast()
 	s.mu.Unlock()
 	s.q.Submit(r.step)
@@ -315,14 +311,14 @@ func (r *rangeProducer) close() { r.part.Close() }
 // (extsort.PartitionMerge), each through its cursor; a range starts at
 // the rows of the ranges before it. Close the stream before the parent
 // iterator, which owns the shared run files.
-func newMergeStream(ctx *Context, parts []*extsort.Iterator, slot *OpProfile, cursor func(*Context, *extsort.Iterator) rangeCursor) *orderedStream {
+func newMergeStream(ctx *Context, parts []*extsort.Iterator, cursor func(*Context, *extsort.Iterator) rangeCursor) *orderedStream {
 	prods := make([]producer, len(parts))
 	rows := 0
 	for i, part := range parts {
 		prods[i] = &rangeProducer{part: part, cur: cursor(ctx, part), pos: rows}
 		rows += part.Rows()
 	}
-	return newOrderedStream(ctx, prods, rows, slot)
+	return newOrderedStream(ctx, prods, rows)
 }
 
 // chunkCursor is the plain rangeCursor: the sorted chunks as merged,

@@ -3,7 +3,6 @@ package exec
 import (
 	"cmp"
 	"sync"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/extsort"
@@ -30,7 +29,7 @@ import (
 // thread count.
 type sortedStream struct {
 	src  source
-	node plan.Node // profile slot and spill accounting
+	slot *OpProfile // the operator's profile slot
 
 	extTypes []types.Type  // extend's output schema
 	keys     []extsort.Key // over extTypes, the tiebreak last
@@ -126,7 +125,7 @@ func (s *sortedStream) fill(ctx *Context) ([]*extsort.Sorter, error) {
 	// merged after consume has joined every worker, so the slice needs
 	// no locking; the shared buffer pool is internally synchronized.
 	var sorters []*extsort.Sorter
-	err := s.src.consume(ctx, workers, ctx.Prof.Slot(s.node), func(w int) sinkFunc {
+	err := s.src.consume(ctx, workers, s.slot, func(w int) sinkFunc {
 		sorter := s.newSorter(ctx, budget)
 		sorters = append(sorters, sorter)
 		return func(seq int, chunk *vector.Chunk) error {
@@ -154,10 +153,9 @@ func closeSorters(sorters []*extsort.Sorter) {
 // parallel, merges them, books their spill and sets up the merge phase.
 // The sorters are the stream's from here on, even on error.
 func (s *sortedStream) finish(ctx *Context, sorters []*extsort.Sorter) error {
-	slot := ctx.Prof.Slot(s.node)
 	var err error
 	if len(sorters) > 1 {
-		err = sealSorters(ctx, sorters, slot)
+		err = sealSorters(ctx, sorters, s.slot)
 	}
 	var iter *extsort.Iterator
 	if err == nil {
@@ -171,7 +169,7 @@ func (s *sortedStream) finish(ctx *Context, sorters []*extsort.Sorter) error {
 	for _, sorter := range sorters {
 		spilled += sorter.SpilledBytes()
 	}
-	recordSortSpill(ctx, s.node, spilled)
+	recordSortSpill(ctx, s.slot, spilled)
 	s.iter = iter
 
 	// Partitioned merge phase: cut the merge into row ranges at sampled
@@ -193,7 +191,7 @@ func (s *sortedStream) finish(ctx *Context, sorters []*extsort.Sorter) error {
 			return err
 		}
 		if len(parts) > 1 {
-			s.merge = newMergeStream(ctx, parts, slot, s.cursor)
+			s.merge = newMergeStream(ctx, parts, s.cursor)
 			s.out.next = s.merge.Next
 			ranges = len(parts)
 		}
@@ -201,9 +199,7 @@ func (s *sortedStream) finish(ctx *Context, sorters []*extsort.Sorter) error {
 	if s.out.next == nil {
 		s.out.next = (&rangeProducer{cur: s.cursor(ctx, iter)}).next
 	}
-	if slot != nil {
-		raisePeak(&slot.MergeRanges, int64(ranges))
-	}
+	raisePeak(&s.slot.MergeRanges, int64(ranges))
 	return nil
 }
 
@@ -218,11 +214,9 @@ func sealSorters(ctx *Context, sorters []*extsort.Sorter, slot *OpProfile) error
 	for i, sorter := range sorters {
 		steps[i] = func() {
 			defer wg.Done()
-			t0 := time.Now()
+			t0 := nanotime()
 			errs[i] = sorter.Seal()
-			if slot != nil {
-				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
-			}
+			slot.BusyNs.Add(nanotime() - t0)
 		}
 	}
 	ctx.queryTasks().Submit(steps...)
@@ -259,16 +253,18 @@ func (s *sortedStream) Close(ctx *Context) {
 	s.src.Close(ctx)
 }
 
-// closeSort stops the merge phase and drops the sorted rows; the source
-// stays open.
+// closeSort stops the merge phase, books its run-ahead and drops the
+// sorted rows; the source stays open.
 func (s *sortedStream) closeSort(ctx *Context) {
 	s.out = batchReader{}
 	if s.merge != nil {
 		s.merge.Close() // join range workers before their files close
+		s.slot.MergeParks.Add(s.merge.parks)
+		raisePeak(&s.slot.MergeAheadBytes, s.merge.peakAhead)
 		s.merge = nil
 	}
 	if s.iter != nil {
-		recordSortKeys(ctx, s.node, s.iter)
+		recordSortKeys(ctx, s.slot, s.iter)
 		s.iter.Close()
 		s.iter = nil
 	}
@@ -283,11 +279,11 @@ type sortOp struct {
 	np int // payload column count
 }
 
-func newSortOp(src source, n *plan.SortNode) *sortOp {
+func newSortOp(src source, n *plan.SortNode, slot *OpProfile) *sortOp {
 	payload := schemaTypes(n.Child.Schema())
 	extTypes, keys, extend := sortLayout(payload, n.Keys)
 	return &sortOp{np: len(payload), sortedStream: sortedStream{
-		src: src, node: n,
+		src: src, slot: slot,
 		extTypes: extTypes, keys: keys, rangeKeys: keys, extend: extend,
 		cursor: newChunkCursor,
 	}}

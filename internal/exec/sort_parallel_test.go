@@ -31,11 +31,11 @@ func mkSortNode(t *testing.T, n int, mgr *txn.Manager) (*plan.SortNode, *txn.Man
 
 func renderSort(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*sortOp); !ok {
+	if _, ok := bare(op).(*sortOp); !ok {
 		t.Fatalf("built %T, want *sortOp", op)
 	}
 	out := ""
@@ -86,7 +86,7 @@ func TestParallelSortSpillDifferential(t *testing.T) {
 func TestParallelSortEarlyClose(t *testing.T) {
 	node, mgr := mkSortNode(t, 20_000, txn.NewManager(nil))
 	limited := &plan.LimitNode{Child: node, Limit: 3}
-	op, err := Build(limited, nil)
+	op, _, err := Build(limited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParallelSortErrorPropagates(t *testing.T) {
 			R: &expr.Arith{Op: expr.OpSub, L: col(), R: col(), Typ: types.BigInt}, Typ: types.BigInt}}},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := Build(node, nil)
+		op, _, err := Build(node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestParallelSortErrorPropagates(t *testing.T) {
 func TestParallelSortMergePartitioned(t *testing.T) {
 	const rows = 30_000
 	node, mgr := mkSortNode(t, rows, txn.NewManager(nil))
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := op.(*sortOp)
+	ps, ok := bare(op).(*sortOp)
 	if !ok {
 		t.Fatalf("built %T, want *sortOp", op)
 	}
@@ -194,7 +194,7 @@ func BenchmarkSort(b *testing.B) {
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			benchPerRow(b, rows, func() {
-				op, err := Build(node, nil)
+				op, _, err := Build(node)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,12 +250,12 @@ func settled(s *orderedStream, w int) (batches int, bytes int64, done bool) {
 func TestMergeRangesRunAhead(t *testing.T) {
 	const rows, n0, n1 = 128, 6, 40
 	const batch = rows * 8 // bytes of one batch
-	start := func(ctx *Context, slot *OpProfile) *orderedStream {
+	start := func(ctx *Context) *orderedStream {
 		prods := []producer{
 			&rangeProducer{part: &extsort.Iterator{}, cur: &runAheadCursor{base: 0, left: n0, rows: rows}},
 			&rangeProducer{part: &extsort.Iterator{}, cur: &runAheadCursor{base: 1000, left: n1, rows: rows}, pos: n0 * rows},
 		}
-		return newOrderedStream(ctx, prods, (n0+n1)*rows, slot)
+		return newOrderedStream(ctx, prods, (n0+n1)*rows)
 	}
 	drain := func(t *testing.T, s *orderedStream, batches int) {
 		t.Helper()
@@ -282,8 +282,7 @@ func TestMergeRangesRunAhead(t *testing.T) {
 
 	t.Run("unbounded", func(t *testing.T) {
 		pool := buffer.NewPool(0, nil)
-		slot := &OpProfile{}
-		s := start(&Context{Threads: 2, Pool: pool}, slot)
+		s := start(&Context{Threads: 2, Pool: pool})
 		if got, bytes, done := settled(s, 1); !done || got != n1 || bytes != n1*batch {
 			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want all %d unread", got, bytes, done, n1)
 		}
@@ -292,16 +291,15 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		if used := pool.Used(); used != 0 {
 			t.Fatalf("pool holds %d B after the drain", used)
 		}
-		if slot.MergeParks.Load() != 0 || slot.MergeAheadBytes.Load() < n1*batch {
-			t.Fatalf("parks=%d ahead=%d, want no parks and ahead >= %d", slot.MergeParks.Load(), slot.MergeAheadBytes.Load(), n1*batch)
+		if s.parks != 0 || s.peakAhead < n1*batch {
+			t.Fatalf("parks=%d ahead=%d, want no parks and ahead >= %d", s.parks, s.peakAhead, n1*batch)
 		}
 	})
 
 	t.Run("share", func(t *testing.T) {
 		const share = 3 * batch
 		pool := buffer.NewPool(0, nil)
-		slot := &OpProfile{}
-		s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * share}, slot)
+		s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * share})
 		got, bytes, done := settled(s, 1)
 		if done || bytes > share+streamFloor*batch || got != streamFloor+3 {
 			t.Fatalf("range 1 settled with %d batches (%d B), done=%v; want it parked at %d B", got, bytes, done, share+streamFloor*batch)
@@ -311,8 +309,8 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		if used := pool.Used(); used != 0 {
 			t.Fatalf("pool holds %d B after the drain", used)
 		}
-		if slot.MergeParks.Load() == 0 || slot.MergeAheadBytes.Load() < bytes {
-			t.Fatalf("parks=%d ahead=%d, want parks and ahead >= %d", slot.MergeParks.Load(), slot.MergeAheadBytes.Load(), bytes)
+		if s.parks == 0 || s.peakAhead < bytes {
+			t.Fatalf("parks=%d ahead=%d, want parks and ahead >= %d", s.parks, s.peakAhead, bytes)
 		}
 	})
 
@@ -322,7 +320,7 @@ func TestMergeRangesRunAhead(t *testing.T) {
 		if err := pool.Reserve(limit - 2*batch); err != nil {
 			t.Fatal(err)
 		}
-		s := start(&Context{Threads: 2, Pool: pool, SortBudget: limit}, nil)
+		s := start(&Context{Threads: 2, Pool: pool, SortBudget: limit})
 		settled(s, 0)
 		if got, _, done := settled(s, 1); done || got > streamFloor+2 {
 			t.Fatalf("range 1 settled with %d batches, done=%v; want it parked past %d", got, done, streamFloor+2)
@@ -337,7 +335,7 @@ func TestMergeRangesRunAhead(t *testing.T) {
 	for _, read := range []int{0, 3, n0 + 2} {
 		t.Run(fmt.Sprintf("close_after_%d", read), func(t *testing.T) {
 			pool := buffer.NewPool(0, nil)
-			s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * 3 * batch}, nil)
+			s := start(&Context{Threads: 2, Pool: pool, SortBudget: 2 * 3 * batch})
 			settled(s, 1)
 			drain(t, s, read)
 			s.Close()

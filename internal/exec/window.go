@@ -46,7 +46,7 @@ type windowOp struct {
 	sortedStream
 }
 
-func newWindowOp(src source, n *plan.WindowNode) *windowOp {
+func newWindowOp(src source, n *plan.WindowNode, slot *OpProfile) *windowOp {
 	keys := make([]plan.SortKey, 0, len(n.PartitionBy)+len(n.OrderBy))
 	for _, e := range n.PartitionBy {
 		keys = append(keys, plan.SortKey{Expr: e, NullsFirst: true})
@@ -54,10 +54,10 @@ func newWindowOp(src source, n *plan.WindowNode) *windowOp {
 	keys = append(keys, n.OrderBy...)
 	extTypes, sortKeys, extend := sortLayout(schemaTypes(n.Child.Schema()), keys)
 	return &windowOp{sortedStream{
-		src: src, node: n,
+		src: src, slot: slot,
 		extTypes: extTypes, keys: sortKeys, rangeKeys: sortKeys[:len(n.PartitionBy)], extend: extend,
-		cursor: func(ctx *Context, part *extsort.Iterator) rangeCursor {
-			return newPartitionCutCursor(n, sortKeys, part, ctx.Prof.Slot(n))
+		cursor: func(_ *Context, part *extsort.Iterator) rangeCursor {
+			return newPartitionCutCursor(n, sortKeys, part, slot)
 		},
 	}}
 }
@@ -478,9 +478,7 @@ func (pc *partitionCutCursor) finishPartition() {
 		}
 	}
 	pc.emit(true)
-	if pc.slot != nil {
-		pc.slot.noteWindowHeld(pc.held)
-	}
+	raisePeak(&pc.slot.WindowHeldRows, pc.held)
 	clear(pc.segs)
 	pc.segs, pc.outs, pc.gstarts = pc.segs[:0], pc.outs[:0], pc.gstarts[:0]
 	pc.n, pc.outBase, pc.gdrop, pc.started = 0, 0, 0, false

@@ -51,11 +51,11 @@ func mkWindowNode(t *testing.T, n int, mgr *txn.Manager) *plan.WindowNode {
 
 func renderWindow(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*windowOp); !ok {
+	if _, ok := bare(op).(*windowOp); !ok {
 		t.Fatalf("built %T, want *windowOp", op)
 	}
 	out := ""
@@ -110,7 +110,7 @@ func TestParallelWindowEarlyClose(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, 20_000, mgr)
 	limited := &plan.LimitNode{Child: node, Limit: 5}
-	op, err := Build(limited, nil)
+	op, _, err := Build(limited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestParallelWindowErrorPropagates(t *testing.T) {
 		Funcs: []plan.WindowFunc{{Func: "row_number", Type: types.BigInt, Name: "rn"}},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := Build(node, nil)
+		op, _, err := Build(node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestWindowFrameEdgeCases(t *testing.T) {
 			Frame:   tc.frame,
 			Funcs:   []plan.WindowFunc{{Func: "sum", Arg: col(), Type: types.BigInt, Name: "s"}},
 		}
-		op, err := Build(node, nil)
+		op, _, err := Build(node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,12 +244,11 @@ func TestWindowStreamsInBoundedRows(t *testing.T) {
 		{streamed, 1, 3 * vector.ChunkCapacity},
 		{whole, rows, rows},
 	} {
-		prof := NewProfiler(tc.node)
-		op, err := Build(tc.node, prof)
+		op, prof, err := Build(tc.node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := &Context{Txn: mgr.Begin(), Threads: 1, Prof: prof}
+		ctx := &Context{Txn: mgr.Begin(), Threads: 1}
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +264,7 @@ func TestWindowStreamsInBoundedRows(t *testing.T) {
 			n += c.Len()
 		}
 		op.Close(ctx)
-		held := prof.Slot(tc.node).WindowHeldRows.Load()
+		held := prof.WindowHeldRows.Load()
 		if n != rows || held < tc.min || held > tc.max {
 			t.Fatalf("%s: %d rows, held_rows=%d, want %d rows and held_rows in [%d, %d]", tc.node.Explain(), n, held, rows, tc.min, tc.max)
 		}
@@ -291,11 +290,11 @@ func TestParallelWindowMergePartitioned(t *testing.T) {
 // checks that at least two merge ranges evaluated rows, rows in all.
 func assertWindowRanges(t *testing.T, node plan.Node, mgr *txn.Manager, threads, rows int) {
 	t.Helper()
-	op, err := Build(node, nil)
+	op, _, err := Build(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, ok := op.(*windowOp)
+	wp, ok := bare(op).(*windowOp)
 	if !ok {
 		t.Fatalf("built %T, want *windowOp", op)
 	}
@@ -430,7 +429,7 @@ func BenchmarkWindow(b *testing.B) {
 		for _, threads := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/threads=%d", sh.name, threads), func(b *testing.B) {
 				benchPerRow(b, rows, func() {
-					op, err := Build(sh.node, nil)
+					op, _, err := Build(sh.node)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -601,7 +600,7 @@ func (l *chunkList) Next() (*vector.Chunk, error) {
 // (cycled), returning the output rows rendered.
 func streamWindow(t *testing.T, node *plan.WindowNode, rows [][]types.Value, lens []int) []string {
 	t.Helper()
-	op := newWindowOp(nil, node)
+	op := newWindowOp(nil, node, new(OpProfile))
 	sorter := extsort.NewSorter(op.extTypes, op.keys, 0, "")
 	payload := schemaTypes(node.Child.Schema())
 	for base := 0; base < len(rows); base += vector.ChunkCapacity {
@@ -647,7 +646,7 @@ func streamWindow(t *testing.T, node *plan.WindowNode, rows [][]types.Value, len
 		in = append(in, c)
 		pos += m
 	}
-	cur := newPartitionCutCursor(node, op.keys, &in, nil)
+	cur := newPartitionCutCursor(node, op.keys, &in, new(OpProfile))
 	var out []string
 	for {
 		batch, err := cur.Next()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/table"
 	"repro/quack"
 )
 
@@ -52,7 +53,8 @@ type profDoc struct {
 	Plan       *profNode `json:"plan"`
 }
 
-// lastProfile runs q with profiling on and returns the parsed profile.
+// lastProfile runs q and returns its parsed profile: every statement is
+// profiled.
 func lastProfile(t *testing.T, c *quack.Conn, q string) *profDoc {
 	t.Helper()
 	doc, err := runProfiled(c, q)
@@ -64,9 +66,6 @@ func lastProfile(t *testing.T, c *quack.Conn, q string) *profDoc {
 
 // runProfiled is lastProfile for callers off the test goroutine.
 func runProfiled(c *quack.Conn, q string) (*profDoc, error) {
-	if _, err := c.Exec("PRAGMA profiling=1"); err != nil {
-		return nil, fmt.Errorf("enable profiling: %v", err)
-	}
 	rows, err := c.Query(q)
 	if err != nil {
 		return nil, fmt.Errorf("query %q: %v", q, err)
@@ -103,15 +102,21 @@ var accountCells = []string{
 // AGGREGATE lines are the aggregation's, every other line's are its
 // sorts'. A scan's encoded rows are its selected rows when every segment
 // it scanned ran encoded and 0 when none did; the profile does not split
-// a scan that mixed the two, so one fails the test. So does a scan whose
-// booked segments are not the morsels it claimed.
-func profileTotals(doc *profDoc) (map[string]int64, error) {
+// a scan that mixed the two, so one fails the test. So does a scan of a
+// table in morsels (every scan of the profile must have been drained)
+// whose morsels — the segments it booked as scanned or skipped — are not
+// the table's morsels: a segment booked twice or missed.
+func profileTotals(doc *profDoc, morsels map[string]int64) (map[string]int64, error) {
 	out := make(map[string]int64, len(accountCells))
 	var bad error
 	var walk func(n *profNode)
 	walk = func(n *profNode) {
-		if n.Morsels != n.SegsScanned+n.SegsSkipped {
-			bad = fmt.Errorf("%s claimed %d morsels, booked %d segments", n.Name, n.Morsels, n.SegsScanned+n.SegsSkipped)
+		want := int64(0) // an operator that is not a scan claims none
+		if f := strings.FieldsFunc(n.Name, func(r rune) bool { return r == ' ' || r == '(' }); len(f) > 1 && f[0] == "SCAN" {
+			want = morsels[f[1]]
+		}
+		if n.Morsels != want || n.Morsels != n.SegsScanned+n.SegsSkipped {
+			bad = fmt.Errorf("%s claimed %d morsels, booked %d segments; the table has %d", n.Name, n.Morsels, n.SegsScanned+n.SegsSkipped, want)
 		}
 		out["scan_segments_scanned_total"] += n.SegsScanned
 		out["scan_segments_skipped_total"] += n.SegsSkipped
@@ -136,6 +141,29 @@ func profileTotals(doc *profDoc) (map[string]int64, error) {
 	}
 	walk(doc.Plan)
 	return out, bad
+}
+
+// tableMorsels is how many morsels a scan of each named table hands out
+// (table.MorselSource.NumMorsels): what a drained scan of it books.
+func tableMorsels(t *testing.T, db *quack.DB, names ...string) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64, len(names))
+	tx := db.Internal().Txns().Begin()
+	defer db.Internal().Txns().Rollback(tx)
+	for _, name := range names {
+		entry, err := db.Internal().Catalog().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No columns: counting the morsels loads none of a file table's.
+		src, err := entry.Data.NewMorselSource(tx, table.ScanOptions{Columns: []int{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = int64(src.NumMorsels())
+		src.Close()
+	}
+	return out
 }
 
 // checkAccountCells compares the account cells' registry deltas between
@@ -232,6 +260,7 @@ func TestProfileRowDeterminism(t *testing.T) {
 // cell the query's account feeds.
 func TestProfileRegistryReconciliation(t *testing.T) {
 	db := differentialDBWith(t, quack.WithThreads(4))
+	morsels := tableMorsels(t, db, "facts")
 	conn := db.Conn()
 	// A filter zone maps can refute: some segments skip, the rest scan.
 	q := "SELECT count(*), sum(qty) FROM facts WHERE id < 7000"
@@ -259,7 +288,7 @@ func TestProfileRegistryReconciliation(t *testing.T) {
 	if m1["sched_steps_total"] <= m0["sched_steps_total"] {
 		t.Error("scheduler steps did not advance across a parallel query")
 	}
-	want, err := profileTotals(doc)
+	want, err := profileTotals(doc, morsels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +302,7 @@ func TestProfileRegistryReconciliation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fdb.Close()
+	fmorsels := tableMorsels(t, fdb, "facts")
 	mustExec(t, fdb, "PRAGMA memory_limit='1MB'")
 	fconn := fdb.Conn()
 	moved := want // the in-memory query counts toward coverage too
@@ -284,7 +314,7 @@ func TestProfileRegistryReconciliation(t *testing.T) {
 		m0 := fdb.Metrics()
 		doc := lastProfile(t, fconn, q)
 		m1 := fdb.Metrics()
-		want, err := profileTotals(doc)
+		want, err := profileTotals(doc, fmorsels)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -305,6 +335,7 @@ func TestProfileRegistryReconciliation(t *testing.T) {
 // registry cells move by exactly what their profiles add up to.
 func TestAccountsAddUpAcrossSessions(t *testing.T) {
 	db := differentialDBWith(t, quack.WithThreads(4))
+	morsels := tableMorsels(t, db, "facts")
 	mustExec(t, db, "PRAGMA memory_limit='1MB'")
 	queries := []string{
 		"SELECT count(*), sum(qty) FROM facts WHERE id < 7000",
@@ -339,7 +370,7 @@ func TestAccountsAddUpAcrossSessions(t *testing.T) {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
 		for _, doc := range docs[i] {
-			tot, err := profileTotals(doc)
+			tot, err := profileTotals(doc, morsels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -771,7 +802,7 @@ func TestExplainAnalyzeMergeRanges(t *testing.T) {
 
 // TestSlowQueryLog exercises the WithLogger sink end to end: below the
 // threshold nothing is emitted, at threshold 0 every statement logs one
-// well-formed JSON line.
+// well-formed JSON line, which carries the statement's operator tree.
 func TestSlowQueryLog(t *testing.T) {
 	var mu sync.Mutex
 	var logLines []string
@@ -808,10 +839,11 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("slow log emitted %d lines at threshold 0, want 1", len(logLines))
 	}
 	var rec struct {
-		Query      string `json:"query"`
-		DurationMs *int64 `json:"duration_ms"`
-		Rows       int64  `json:"rows"`
-		SpillBytes int64  `json:"spill_bytes"`
+		Query      string    `json:"query"`
+		DurationMs *int64    `json:"duration_ms"`
+		Rows       int64     `json:"rows"`
+		SpillBytes int64     `json:"spill_bytes"`
+		Plan       *profNode `json:"plan"`
 	}
 	if err := json.Unmarshal([]byte(logLines[0]), &rec); err != nil {
 		t.Fatalf("slow log line is not JSON: %v (%q)", err, logLines[0])
@@ -825,16 +857,50 @@ func TestSlowQueryLog(t *testing.T) {
 	if rec.Rows != 1 {
 		t.Errorf("slow log rows %d, want 1", rec.Rows)
 	}
+	if rec.Plan == nil || rec.Plan.Name != "PROJECT count(*)" || rec.Plan.Rows != rec.Rows {
+		t.Errorf("slow log plan %+v, want a PROJECT count(*) root with the result's %d rows", rec.Plan, rec.Rows)
+	}
+}
+
+// TestEveryQueryIsProfiled: a fresh session that never set a PRAGMA runs
+// a GROUP BY, and PRAGMA last_profile holds its operator tree, whose root
+// emitted the result's rows.
+func TestEveryQueryIsProfiled(t *testing.T) {
+	db := differentialDBWith(t, quack.WithThreads(2))
+	conn := db.Conn()
+	rows, err := conn.Query("SELECT grp, count(*) FROM facts GROUP BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := rows.NumRows()
+	pr, err := conn.Query("PRAGMA last_profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Next() {
+		t.Fatal("PRAGMA last_profile returned no rows")
+	}
+	var doc profDoc
+	if err := json.Unmarshal([]byte(pr.Value(0).String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Plan == nil || doc.Plan.Rows != n || n == 0 || len(doc.Plan.Children) != 1 {
+		t.Fatalf("last_profile plan %+v after a %d-row GROUP BY, want a root with its rows", doc.Plan, n)
+	}
+	if agg := doc.Plan.Children[0]; !strings.HasPrefix(agg.Name, "AGGREGATE") || agg.Groups != n {
+		t.Errorf("last_profile root's child %s produced %d groups, want an AGGREGATE with %d", agg.Name, agg.Groups, n)
+	}
 }
 
 // TestMetricsPragmas covers the remaining observability PRAGMAs: the
 // registry snapshot — every cell a deleted counter PRAGMA used to
 // mirror is listed below — the memory gauges, and the profiling
-// readbacks.
+// readbacks: PRAGMA profiling is accepted and reads 1, since every
+// statement is profiled.
 func TestMetricsPragmas(t *testing.T) {
 	db := differentialDBWith(t, quack.WithThreads(2))
 	conn := db.Conn()
-	if _, err := conn.Exec("PRAGMA profiling=1"); err != nil {
+	if _, err := conn.Exec("PRAGMA profiling=0"); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := conn.Query("SELECT grp, count(*) FROM facts WHERE id < 9000 GROUP BY grp")
@@ -887,8 +953,11 @@ func TestMetricsPragmas(t *testing.T) {
 	}
 
 	// Profiling readbacks.
-	if r := queryAll(t, db, "PRAGMA profiling"); r[0][0] != "0" {
-		t.Errorf("fresh session PRAGMA profiling = %q, want 0", r[0][0])
+	if r := queryAll(t, db, "PRAGMA profiling"); r[0][0] != "1" {
+		t.Errorf("fresh session PRAGMA profiling = %q, want 1", r[0][0])
+	}
+	if r, err := conn.Query("PRAGMA profiling"); err != nil || !r.Next() || r.Value(0).String() != "1" {
+		t.Errorf("PRAGMA profiling after profiling=0 does not read 1 (%v)", err)
 	}
 	if r := queryAll(t, db, "PRAGMA last_profile"); r[0][0] != "{}" {
 		t.Errorf("fresh session PRAGMA last_profile = %q, want {}", r[0][0])

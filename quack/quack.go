@@ -104,9 +104,9 @@
 // build_bytes — the materialized build side and what the buffer pool
 // held for it and its hash table — and fallback=merge when an Auto join
 // degraded to the out-of-core merge join because the build did not fit
-// the budget. PRAGMA profiling=1 collects the same profile for every
-// statement a session runs, and PRAGMA last_profile returns the most
-// recent one as a single JSON object. Profiles are deterministic where
+// the budget. Every statement is profiled, EXPLAIN ANALYZE or not, and
+// PRAGMA last_profile returns the profile of the session's most recent
+// statement as a single JSON object. Profiles are deterministic where
 // the engine is: per-operator row counts are identical at every thread
 // count.
 //
@@ -133,7 +133,8 @@
 //
 // WithLogger installs a log sink; PRAGMA log_min_duration_ms=N then
 // emits one JSON line (query, duration_ms, admit_wait_ms, rows,
-// spill_bytes) for every statement taking at least N milliseconds
+// spill_bytes and plan, the statement's operator tree as in
+// last_profile) for every statement taking at least N milliseconds
 // (0 logs everything, negative — the default — disables).
 //
 // # Knobs
@@ -155,14 +156,14 @@
 //	PRAGMA checksum_verification=0|1  —                   block checksum verification on read
 //	PRAGMA rebuild_stats='t'          —                   recompute table t's zone maps exactly
 //
-// Session-scoped, the only one:
+// Accepted and ignored, reading 1: every statement is profiled.
 //
-//	PRAGMA profiling=0|1           per-operator profiler for every statement, default off
+//	PRAGMA profiling=0|1
 //
 // Every PRAGMA above except rebuild_stats reads its current value back
 // when given no argument. Read-only:
 //
-//	PRAGMA last_profile            most recent profile of this session, JSON
+//	PRAGMA last_profile            profile of this session's most recent statement, JSON
 //	PRAGMA metrics                 registry snapshot as (name, value) rows
 //	PRAGMA database_size           blocks read, written and free
 //
@@ -301,13 +302,11 @@ func (db *DB) Query(sql string, args ...any) (*Rows, error) {
 	return query(sess, sql, args)
 }
 
-// Conn is a dedicated session on the database: its session-scoped
-// setting (PRAGMA profiling) and last profile persist across its
-// queries, unlike DB.Exec/DB.Query which run each call on a fresh
-// session. A
-// Conn is not safe for concurrent use; open one per goroutine — they
-// are cheap, and all of them share the database's worker pool and
-// memory budget.
+// Conn is a dedicated session on the database: its last profile (PRAGMA
+// last_profile) persists across its queries, unlike DB.Exec/DB.Query
+// which run each call on a fresh session. A Conn is not safe for
+// concurrent use; open one per goroutine — they are cheap, and all of
+// them share the database's worker pool and memory budget.
 type Conn struct {
 	sess *core.Session
 }
