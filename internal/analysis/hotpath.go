@@ -11,7 +11,9 @@ import (
 // internal/table and internal/vector. Inside a marked function (and
 // any function literal nested in it) it flags:
 //
-//   - time.Now or time.Since inside a for/range loop — a clock read per
+//   - a clock read inside a for/range loop — time.Now, time.Since, or a
+//     call to a function of the package whose body calls either (a
+//     clock wrapper such as the executor's nanotime) — a clock read per
 //     row; every query is profiled, so time a chunk or a morsel at its
 //     boundary instead;
 //   - fmt.Sprintf/Sprint/Sprintln/Errorf anywhere except as a panic
@@ -35,12 +37,38 @@ var Hotpath = &Analyzer{
 const hotpathMarker = "//quack:hotpath"
 
 func runHotpath(pass *Pass) {
-	for _, fs := range funcBodies(pass.Package) {
+	fns := funcBodies(pass.Package)
+	clocks := clockWrappers(pass.Info, fns)
+	for _, fs := range fns {
 		if !isHotpath(fs.decl) {
 			continue
 		}
-		checkHotFunc(pass, fs.decl.Body)
+		checkHotFunc(pass, fs.decl.Body, clocks)
 	}
+}
+
+// isClockRead reports whether call reads the clock: time.Now, time.Since
+// or one of the package's clock wrappers.
+func isClockRead(info *types.Info, call *ast.CallExpr, clocks map[*types.Func]bool) bool {
+	return isPkgCall(info, call, "time", "Now") || isPkgCall(info, call, "time", "Since") || clocks[calleeFunc(info, call)]
+}
+
+// clockWrappers returns the package's functions whose bodies call
+// time.Now or time.Since.
+func clockWrappers(info *types.Info, fns []funcScope) map[*types.Func]bool {
+	clocks := map[*types.Func]bool{}
+	for _, fs := range fns {
+		ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isClockRead(info, call, nil) {
+				if f, ok := info.Defs[fs.decl.Name].(*types.Func); ok {
+					clocks[f] = true
+				}
+				return false
+			}
+			return true
+		})
+	}
+	return clocks
 }
 
 func isHotpath(decl *ast.FuncDecl) bool {
@@ -55,7 +83,7 @@ func isHotpath(decl *ast.FuncDecl) bool {
 	return false
 }
 
-func checkHotFunc(pass *Pass, body *ast.BlockStmt) {
+func checkHotFunc(pass *Pass, body *ast.BlockStmt, clocks map[*types.Func]bool) {
 	info := pass.Info
 	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && insideLoop(stack, body) {
@@ -70,7 +98,7 @@ func checkHotFunc(pass *Pass, body *ast.BlockStmt) {
 			pass.Reportf(call.Pos(), "call returning a boxed types.Value inside a loop in a //quack:hotpath function; read the vector's typed payload (I64/F64/Str/...) instead")
 			return true
 		}
-		if (isPkgCall(info, call, "time", "Now") || isPkgCall(info, call, "time", "Since")) && insideLoop(stack, body) {
+		if isClockRead(info, call, clocks) && insideLoop(stack, body) {
 			pass.Reportf(call.Pos(), "clock read inside a loop in a //quack:hotpath function reads the clock per iteration; time the chunk or morsel at its boundary instead")
 			return true
 		}

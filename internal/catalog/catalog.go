@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -40,6 +41,22 @@ type Table struct {
 	// chain so a cold open restores zone maps without touching any column
 	// chain (stats are loaded, never recomputed).
 	Stats [][]table.ColStats
+
+	shell atomic.Pointer[Table] // Shell, made on first use
+}
+
+// Shell returns the table's name and columns without its data: a
+// finished query's plan keeps it instead of the table (plan.Release), so
+// a kept plan still explains itself but pins no table's data. It is made
+// once per table.
+func (t *Table) Shell() *Table {
+	if s := t.shell.Load(); s != nil {
+		return s
+	}
+	s := &Table{Name: t.Name, Columns: t.Columns}
+	s.shell.Store(s)
+	t.shell.CompareAndSwap(nil, s)
+	return t.shell.Load()
 }
 
 // ColumnIndex returns the position of the named column, or -1.

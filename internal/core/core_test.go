@@ -6,7 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/oracle"
 	"repro/internal/storage"
@@ -448,5 +451,49 @@ func TestParseByteSize(t *testing.T) {
 		if got := defaultMemoryLimit(); got != want {
 			t.Errorf("QUACK_MEMORY_LIMIT=%q resolved %d, want %d", tc.in, got, want)
 		}
+	}
+}
+
+// TestDroppedTableIsNotPinnedByLastProfile: a session keeps its last
+// query's plan for PRAGMA last_profile, and that plan must not keep a
+// table it scanned alive once the table is dropped.
+func TestDroppedTableIsNotPinnedByLastProfile(t *testing.T) {
+	db := openCore(t, ":memory:")
+	defer db.Close()
+	s := db.NewSession()
+	qs := []string{"CREATE TABLE big (v BIGINT)", "INSERT INTO big VALUES (1), (2), (3), (4)"}
+	for i := 0; i < 12; i++ {
+		qs = append(qs, "INSERT INTO big SELECT v + 1 FROM big")
+	}
+	for _, q := range qs {
+		if _, err := s.ExecuteOne(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	entry, err := db.cat.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := weak.Make(entry.Data)
+	entry = nil
+	if _, err := s.ExecuteOne("SELECT sum(v) FROM big"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecuteOne("DROP TABLE big"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
+	if data.Value() != nil {
+		t.Fatal("the dropped table's data is still reachable: the session's last profile pins it")
+	}
+	// The kept plan still names the table it scanned.
+	res, err := s.ExecuteOne("PRAGMA last_profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc := res.Chunks[0].Cols[0].Get(0).String(); !strings.Contains(doc, `"SCAN big`) {
+		t.Fatalf("last_profile lost the scan's name: %s", doc)
 	}
 }

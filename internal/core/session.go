@@ -382,6 +382,7 @@ func (s *Session) runNode(node plan.Node, tx *txn.Transaction, dml bool) (*Resul
 		}
 		rows = res.NumRows()
 	}
+	plan.Release(node) // the session keeps the plan (s.last), not its tables
 	s.finishQuery(ctx, prof, queryTimes{
 		optimizeNs:  optimizeNs,
 		admitWaitNs: admitWait.Nanoseconds(),

@@ -229,7 +229,7 @@ func buildSource(node plan.Node, slot *OpProfile) (source, error) {
 		return newPipelineOp(spec), nil
 	}
 	if f := nodeStage(node, slot); f != nil {
-		src, err := buildSource(node.Children()[0], slot.Children[0])
+		src, err := buildSource(node.Children()[0], &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
@@ -237,11 +237,11 @@ func buildSource(node plan.Node, slot *OpProfile) (source, error) {
 		return src, nil
 	}
 	if n, ok := node.(*plan.JoinNode); ok {
-		left, err := buildSource(n.Left, slot.Children[0])
+		left, err := buildSource(n.Left, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		right, err := buildSource(n.Right, slot.Children[1])
+		right, err := buildSource(n.Right, &slot.Children[1])
 		if err != nil {
 			return nil, err
 		}
@@ -263,25 +263,25 @@ func buildOperator(node plan.Node, slot *OpProfile) (Operator, error) {
 	case *plan.AggNode:
 		// DISTINCT aggregates participate in worker-local partial
 		// aggregation: their per-worker value sets merge by set union.
-		src, err := buildSource(n.Child, slot.Children[0])
+		src, err := buildSource(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
 		op = newAggOp(src, n, slot)
 	case *plan.SortNode:
-		src, err := buildSource(n.Child, slot.Children[0])
+		src, err := buildSource(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
 		op = newSortOp(src, n, slot)
 	case *plan.WindowNode:
-		src, err := buildSource(n.Child, slot.Children[0])
+		src, err := buildSource(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
 		op = newWindowOp(src, n, slot)
 	case *plan.LimitNode:
-		child, err := build(n.Child, slot.Children[0])
+		child, err := build(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +289,7 @@ func buildOperator(node plan.Node, slot *OpProfile) (Operator, error) {
 	case *plan.UnionAllNode:
 		ops := make([]Operator, len(n.Inputs))
 		for i, in := range n.Inputs {
-			child, err := build(in, slot.Children[i])
+			child, err := build(in, &slot.Children[i])
 			if err != nil {
 				return nil, err
 			}
@@ -304,7 +304,7 @@ func buildOperator(node plan.Node, slot *OpProfile) (Operator, error) {
 		// target inserts exactly the pre-existing rows, and the ordered
 		// merge keeps the consumed row order the same at every worker
 		// count. The write itself stays on the consumer.
-		child, err := build(n.Child, slot.Children[0])
+		child, err := build(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
@@ -313,13 +313,13 @@ func buildOperator(node plan.Node, slot *OpProfile) (Operator, error) {
 		// UPDATE/DELETE materialize every row id before touching the
 		// table (Halloween protection), so their filter scans can fan
 		// out across workers too.
-		child, err := build(n.Child, slot.Children[0])
+		child, err := build(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}
 		op = &updateOp{child: child, node: n}
 	case *plan.DeleteNode:
-		child, err := build(n.Child, slot.Children[0])
+		child, err := build(n.Child, &slot.Children[0])
 		if err != nil {
 			return nil, err
 		}

@@ -479,7 +479,7 @@ func TestProfileProbeTimeBookedToJoin(t *testing.T) {
 	const nap = 2 * time.Millisecond
 	for _, threads := range []int{1, 4} {
 		prof := mirror(join)
-		js, ss := prof, prof.Children[0]
+		js, ss := prof, &prof.Children[0]
 		src, err := buildSource(scan, ss)
 		if err != nil {
 			t.Fatal(err)

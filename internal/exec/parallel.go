@@ -60,18 +60,16 @@ type source interface {
 	consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error
 }
 
-// timedSink books the time spent in sink to slot and adds it to
-// *booked, the worker's count of time booked elsewhere, which keeps it
-// out of the worker's own busy time.
-func timedSink(sink sinkFunc, slot *OpProfile, booked *int64) sinkFunc {
-	return func(seq int, c *vector.Chunk) error {
-		t0 := nanotime()
-		err := sink(seq, c)
-		ns := nanotime() - t0
-		slot.BusyNs.Add(ns)
-		*booked += ns
-		return err
-	}
+// sinkTimed hands chunk c to a breaker's sink, books the time it took
+// to slot, and adds it to *booked, the worker's count of time booked
+// elsewhere, which keeps it out of the worker's own busy time.
+func sinkTimed(sink sinkFunc, slot *OpProfile, booked *int64, seq int, c *vector.Chunk) error {
+	t0 := nanotime()
+	err := sink(seq, c)
+	ns := nanotime() - t0
+	slot.BusyNs.Add(ns)
+	*booked += ns
+	return err
 }
 
 // opSource presents any operator that is neither a pipeline nor a join
@@ -121,11 +119,11 @@ func (s *opSource) push(c *vector.Chunk) error {
 }
 
 func (s *opSource) consume(ctx *Context, _ int, slot *OpProfile, mkSink func(int) sinkFunc) error {
-	sink := timedSink(mkSink(0), slot, &s.booked)
+	sink := mkSink(0)
 	for seq := 0; ; seq++ {
 		c, err := s.Next(ctx)
 		if err == nil && c != nil && c.Len() > 0 {
-			err = sink(seq, c)
+			err = sinkTimed(sink, slot, &s.booked, seq, c)
 		}
 		if err != nil || c == nil {
 			return err
@@ -159,7 +157,7 @@ type pipelineOp struct {
 
 	src     *table.MorselSource
 	nmorsel int
-	workers []*pipeWorker // every worker state, booked at Close
+	inline  *pipeWorker // Next's one state run on the caller, retired at Close
 
 	stream *orderedStream // Next's states on the scheduler (nil: inline)
 	out    batchReader    // what Next drains; unset until started
@@ -183,13 +181,20 @@ type pipeWorker struct {
 	ctx    *Context
 	ms     *table.MorselScanner
 	stages []stage
-	sink   sinkFunc
+	// sink is consume's sink and breaker the slot its time is booked
+	// to; Next's states have no sink and collect into out.
+	sink    sinkFunc
+	breaker *OpProfile
 	// bookedNs is the time the current morsel spent in work booked to
 	// another profile slot: a breaker's sink, a join's probe.
 	bookedNs int64
+	// seq and k number the current morsel's output chunks (chunkSeq);
+	// put is emit bound once, what every morsel's stages run into.
+	seq, k int
+	put    func(*vector.Chunk) error
 	// busyNs, rows and chunks are the scan's share of this state's work:
 	// its busy time and the raw morsel chunks it scanned, booked into
-	// the scan's slot when the pipeline closes.
+	// the scan's slot when the state retires.
 	busyNs, rows, chunks int64
 	q                    *sched.Query
 	// out collects the current morsel's chunks for Next.
@@ -224,18 +229,17 @@ func (p *pipelineOp) Open(ctx *Context) error {
 	}
 	p.src = src
 	p.nmorsel = src.NumMorsels()
-	p.workers = make([]*pipeWorker, 0, p.workerCount(ctx))
 	return nil
 }
 
 // newWorker builds one worker state; the caller points its sink.
 func (p *pipelineOp) newWorker(ctx *Context) *pipeWorker {
 	w := &pipeWorker{op: p, ctx: ctx, ms: p.src.Worker(), stages: p.spec.newStages()}
+	w.put = w.emit
 	for _, f := range p.extra {
 		w.stages = append(w.stages, f())
 	}
 	bindStages(w.stages, &w.bookedNs)
-	p.workers = append(p.workers, w)
 	return w
 }
 
@@ -259,21 +263,32 @@ func (w *pipeWorker) morsel() (int, error) {
 		w.chunks++
 	}
 	if err == nil && chunk != nil {
-		k := 0
-		err = runStages(w.ctx, w.stages, chunk, func(c *vector.Chunk) error {
-			if c.Len() == 0 {
-				return nil
-			}
-			cs, serr := chunkSeq(seq, k)
-			if serr != nil {
-				return serr
-			}
-			k++
-			return w.sink(cs, c)
-		})
+		w.seq, w.k = seq, 0
+		err = runStages(w.ctx, w.stages, chunk, w.put)
 	}
 	w.busyNs += nanotime() - t0 - w.bookedNs
 	return seq, err
+}
+
+// emit hands an output chunk of the current morsel on under its
+// chunkSeq, dropping empty ones: into the batch Next returns, or timed
+// into consume's sink.
+//
+//quack:hotpath
+func (w *pipeWorker) emit(c *vector.Chunk) error {
+	if c.Len() == 0 {
+		return nil
+	}
+	seq, err := chunkSeq(w.seq, w.k)
+	if err != nil {
+		return err
+	}
+	w.k++
+	if w.sink == nil {
+		w.out = append(w.out, c)
+		return nil
+	}
+	return sinkTimed(w.sink, w.breaker, &w.bookedNs, seq, c)
 }
 
 // next is Next's producer step, inline or on the scheduler: one morsel's
@@ -289,8 +304,19 @@ func (w *pipeWorker) next(b *streamBatch) (bool, error) {
 	return true, nil
 }
 
-// close has nothing to release: the morsel source is the operator's.
-func (w *pipeWorker) close() {}
+// close retires a producer state; the morsel source is the operator's.
+func (w *pipeWorker) close() { w.retire() }
+
+// retire books the state's share of the scan into the scan's slot. A
+// state retires once, after its last morsel.
+func (w *pipeWorker) retire() {
+	slot := w.op.spec.scanSlot
+	slot.BusyNs.Add(w.busyNs)
+	if w.op.spec.countScanRows {
+		slot.Rows.Add(w.rows)
+		slot.Chunks.Add(w.chunks)
+	}
+}
 
 // step is consume's scheduler driver: run the body for one morsel, then
 // re-submit. The first error cancels the sibling states.
@@ -313,27 +339,26 @@ func (w *pipeWorker) step() {
 			p.cancelled.Store(true)
 		}
 	}
+	w.retire()
 	p.wg.Done()
 }
 
 // start sets up Next: one state run inline, or several as the producers
-// of an ordered stream on the scheduler. Every state's sink collects its
-// morsel's chunks into the state's batch.
+// of an ordered stream on the scheduler. Every state collects its
+// morsel's chunks into the state's batch (emit).
 func (p *pipelineOp) start(ctx *Context) {
-	prods := make([]producer, p.workerCount(ctx))
+	n := p.workerCount(ctx)
+	if n == 1 {
+		p.inline = p.newWorker(ctx)
+		p.out.next = p.inline.next
+		return
+	}
+	prods := make([]producer, n)
 	for i := range prods {
-		w := p.newWorker(ctx)
-		w.sink = func(_ int, c *vector.Chunk) error {
-			w.out = append(w.out, c)
-			return nil
-		}
-		prods[i] = w
+		prods[i] = p.newWorker(ctx)
 	}
-	p.out.next = prods[0].next
-	if len(prods) > 1 {
-		p.stream = newOrderedStream(ctx, prods, p.nmorsel)
-		p.out.next = p.stream.Next
-	}
+	p.stream = newOrderedStream(ctx, prods, p.nmorsel)
+	p.out.next = p.stream.Next
 }
 
 // Next implements Operator: it emits the pipeline's chunks in morsel
@@ -367,13 +392,14 @@ func (p *pipelineOp) Next(ctx *Context) (*vector.Chunk, error) {
 func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink func(w int) sinkFunc) error {
 	mk := func(i int) *pipeWorker {
 		w := p.newWorker(ctx)
-		w.sink = timedSink(mkSink(i), slot, &w.bookedNs)
+		w.sink, w.breaker = mkSink(i), slot
 		return w
 	}
 	if workers <= 1 { // inline driver
 		w := mk(0)
 		for {
 			if seq, err := w.morsel(); err != nil || seq < 0 {
+				w.retire()
 				return err
 			}
 		}
@@ -393,13 +419,16 @@ func (p *pipelineOp) consume(ctx *Context, workers int, slot *OpProfile, mkSink 
 
 // Close stops Next's worker states — queued steps observe the cancel
 // flag and retire, parked ones are dropped, queued batches released —
-// books what the scan did into the query's account and the scan's
-// profile slot, and then releases the morsel source. Every state has
-// retired by then, so their counts are plain fields.
+// retires the inline one, books what the scan did into the query's
+// account and the scan's profile slot, and then releases the morsel
+// source.
 func (p *pipelineOp) Close(ctx *Context) {
 	p.closeOnce.Do(func() {
 		if p.stream != nil {
 			p.stream.Close()
+		}
+		if p.inline != nil {
+			p.inline.retire()
 		}
 		if p.src != nil {
 			p.bookScan(ctx, p.src.Counts())
@@ -409,9 +438,8 @@ func (p *pipelineOp) Close(ctx *Context) {
 	})
 }
 
-// bookScan adds a retired scan's counts to the query's account and, with
-// its workers' time and rows, to the scan's slot: every morsel a worker
-// claimed was scanned or skipped.
+// bookScan adds a retired scan's counts to the query's account and to
+// the scan's slot: every morsel a worker claimed was scanned or skipped.
 func (p *pipelineOp) bookScan(ctx *Context, c table.ScanCounts) {
 	st := &ctx.Stats
 	st.SegsScanned.Add(c.Scanned)
@@ -425,13 +453,4 @@ func (p *pipelineOp) bookScan(ctx *Context, c table.ScanCounts) {
 	slot.SegsEncoded.Add(c.Encoded)
 	slot.DecodedRows.Add(c.DecodedRows)
 	slot.SelectedRows.Add(c.SelectedRows)
-	var busy, rows, chunks int64
-	for _, w := range p.workers {
-		busy, rows, chunks = busy+w.busyNs, rows+w.rows, chunks+w.chunks
-	}
-	slot.BusyNs.Add(busy)
-	if p.spec.countScanRows {
-		slot.Rows.Add(rows)
-		slot.Chunks.Add(chunks)
-	}
 }

@@ -437,7 +437,7 @@ func TestProfileSinkTimeBookedToBreaker(t *testing.T) {
 	const nap = 2 * time.Millisecond
 	for _, threads := range []int{1, 4} {
 		prof := mirror(agg)
-		src, err := buildSource(scan, prof.Children[0])
+		src, err := buildSource(scan, &prof.Children[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func compilePipeline(node plan.Node, slot *OpProfile) *pipelineSpec {
 	if f == nil {
 		return nil
 	}
-	spec := compilePipeline(node.Children()[0], slot.Children[0])
+	spec := compilePipeline(node.Children()[0], &slot.Children[0])
 	if spec != nil {
 		spec.stages = append(spec.stages, f)
 	}

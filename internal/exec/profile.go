@@ -20,9 +20,10 @@ import (
 // determinism guarantee. A slot is named (plan.Node.Explain) only when
 // the profile is read (Snapshot).
 type OpProfile struct {
-	node     plan.Node
-	Children []*OpProfile
-	only     [1]*OpProfile // Children's storage for a node of one child
+	node plan.Node
+	// Children are the slots of the node's children, in Children()
+	// order: a run of the query's one slot array (mirror).
+	Children []OpProfile
 
 	// WallNs is inclusive wall time observed at the operator boundary
 	// (Open+Next+Close, children included). BusyNs is summed worker time:
@@ -101,21 +102,27 @@ type OpProfile struct {
 	WindowHeldRows atomic.Int64
 }
 
-// mirror builds the profile tree of a plan: one slot per node, its
-// children's slots in Children() order. Every query is profiled, so a
-// slot with one child keeps it in place rather than in a slice of its
-// own.
-func mirror(n plan.Node) *OpProfile {
-	o := &OpProfile{node: n}
-	kids := n.Children()
-	o.Children = o.only[:0]
-	if len(kids) > 1 {
-		o.Children = make([]*OpProfile, 0, len(kids))
+// mirror builds the profile tree of a plan in one allocation: one slot
+// per node, laid out breadth first, so the slots of a node's children
+// are adjacent and its Children is a slice of the array.
+func mirror(root plan.Node) *OpProfile {
+	var nodeBuf [16]plan.Node
+	var kidBuf [16]int
+	nodes, kids := append(nodeBuf[:0], root), kidBuf[:0]
+	for i := 0; i < len(nodes); i++ {
+		c := nodes[i].Children()
+		nodes = append(nodes, c...)
+		kids = append(kids, len(c))
 	}
-	for _, c := range kids {
-		o.Children = append(o.Children, mirror(c))
+	slots := make([]OpProfile, len(nodes))
+	next := 1
+	for i := range slots {
+		end := next + kids[i]
+		slots[i].node = nodes[i]
+		slots[i].Children = slots[next:end:end]
+		next = end
 	}
-	return o
+	return &slots[0]
 }
 
 // count books one emitted chunk of n rows.
@@ -183,7 +190,7 @@ func (p *profOp) Close(ctx *Context) {
 // and its time, less what its emits spent in work booked elsewhere (a
 // breaker's sink, a join above), is booked to slot's BusyNs; a pipeline
 // worker keeps that time out of its scan's busy time
-// (pipeWorker.bookedNs), the way timedSink does for a breaker's sink.
+// (pipeWorker.bookedNs), the way sinkTimed does for a breaker's sink.
 // The stages above the probe run inside its emits, so their time is the
 // join's: a pipeline's stages are timed with the nearest timed producer
 // below them, the scan or a join.
@@ -323,8 +330,8 @@ func (o *OpProfile) Snapshot() *OpProfileSnap {
 	if o.JoinFallback.Load() {
 		s.JoinFallback = "merge"
 	}
-	for _, c := range o.Children {
-		s.Children = append(s.Children, c.Snapshot())
+	for i := range o.Children {
+		s.Children = append(s.Children, o.Children[i].Snapshot())
 	}
 	return s
 }

@@ -66,3 +66,39 @@ func TestProfiledStageAllocs(t *testing.T) {
 		t.Fatal("the filter kept no rows")
 	}
 }
+
+// TestMirrorIsOneArray: a query's profile is one array of slots, each
+// node's children's slots a run of it, so mirroring a plan of up to 16
+// nodes costs one allocation.
+func TestMirrorIsOneArray(t *testing.T) {
+	tree := func(inputs int) plan.Node {
+		var union plan.UnionAllNode
+		for range inputs {
+			union.Inputs = append(union.Inputs, &plan.FilterNode{Child: &plan.ValuesNode{}})
+		}
+		return &plan.LimitNode{Child: &plan.SortNode{Child: &plan.AggNode{Child: &plan.ProjectNode{Child: &union}}}}
+	}
+	var check func(n plan.Node, o *OpProfile) int
+	check = func(n plan.Node, o *OpProfile) int {
+		kids := n.Children()
+		if o.node != n || len(o.Children) != len(kids) {
+			t.Fatalf("slot of %T mirrors %T with %d children, want %d", n, o.node, len(o.Children), len(kids))
+		}
+		count := 1
+		for i, c := range kids {
+			count += check(c, &o.Children[i])
+		}
+		return count
+	}
+	// 45 nodes: more than mirror's stack buffers hold.
+	if root := tree(20); check(root, mirror(root)) != 45 {
+		t.Fatal("a 45-node plan did not mirror into 45 slots")
+	}
+	root := tree(5)
+	if check(root, mirror(root)) != 15 {
+		t.Fatal("a 15-node plan did not mirror into 15 slots")
+	}
+	if a := testing.AllocsPerRun(100, func() { mirror(root) }); a != 1 {
+		t.Fatalf("mirror allocates %.1f times, want 1", a)
+	}
+}

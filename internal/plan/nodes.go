@@ -9,6 +9,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -28,9 +29,38 @@ type Node interface {
 	Schema() []ColInfo
 	// Explain renders one line for EXPLAIN.
 	Explain() string
-	// Children returns the input nodes.
+	// Children returns the input nodes. The slice may alias the node:
+	// callers read it and never modify it.
 	Children() []Node
 }
+
+// Release points a finished query's plan at the shells of the tables it
+// names (catalog.Table.Shell): the plan explains itself as before and no
+// longer keeps a table's data alive, even once the table is dropped. A
+// session keeps its last plan for PRAGMA last_profile.
+func Release(n Node) {
+	switch n := n.(type) {
+	case *ScanNode:
+		n.Table = n.Table.Shell()
+	case *InsertNode:
+		n.Table = n.Table.Shell()
+	case *UpdateNode:
+		n.Table = n.Table.Shell()
+	case *DeleteNode:
+		n.Table = n.Table.Shell()
+	case *JoinNode: // its Children allocates
+		Release(n.Left)
+		Release(n.Right)
+		return
+	}
+	for _, c := range n.Children() {
+		Release(c)
+	}
+}
+
+// only returns the slice over a node's one child field, so Children
+// allocates nothing.
+func only(child *Node) []Node { return unsafe.Slice(child, 1) }
 
 // ScanNode reads a base table. Columns selects and orders the table
 // columns to emit; Filter (if set) is evaluated over the emitted columns
@@ -88,7 +118,7 @@ func (n *FilterNode) Schema() []ColInfo { return n.Child.Schema() }
 func (n *FilterNode) Explain() string { return "FILTER " + n.Cond.String() }
 
 // Children implements Node.
-func (n *FilterNode) Children() []Node { return []Node{n.Child} }
+func (n *FilterNode) Children() []Node { return only(&n.Child) }
 
 // ProjectNode computes expressions over its child.
 type ProjectNode struct {
@@ -116,7 +146,7 @@ func (n *ProjectNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *ProjectNode) Children() []Node { return []Node{n.Child} }
+func (n *ProjectNode) Children() []Node { return only(&n.Child) }
 
 // JoinNode joins Left and Right. Equi-key expressions are evaluated over
 // the respective child schemas; Extra (if set) is evaluated over the
@@ -215,7 +245,7 @@ func (n *AggNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *AggNode) Children() []Node { return []Node{n.Child} }
+func (n *AggNode) Children() []Node { return only(&n.Child) }
 
 // SortKey is one ORDER BY key over the child's output schema.
 type SortKey struct {
@@ -247,7 +277,7 @@ func (n *SortNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *SortNode) Children() []Node { return []Node{n.Child} }
+func (n *SortNode) Children() []Node { return only(&n.Child) }
 
 // WindowFunc is one window function computation.
 type WindowFunc struct {
@@ -384,7 +414,7 @@ func (n *WindowNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *WindowNode) Children() []Node { return []Node{n.Child} }
+func (n *WindowNode) Children() []Node { return only(&n.Child) }
 
 // LimitNode truncates its input. Negative Limit means "no limit".
 type LimitNode struct {
@@ -405,7 +435,7 @@ func (n *LimitNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *LimitNode) Children() []Node { return []Node{n.Child} }
+func (n *LimitNode) Children() []Node { return only(&n.Child) }
 
 // UnionAllNode concatenates same-schema children.
 type UnionAllNode struct {
@@ -452,7 +482,7 @@ func (n *InsertNode) Schema() []ColInfo {
 func (n *InsertNode) Explain() string { return "INSERT INTO " + n.Table.Name }
 
 // Children implements Node.
-func (n *InsertNode) Children() []Node { return []Node{n.Child} }
+func (n *InsertNode) Children() []Node { return only(&n.Child) }
 
 // UpdateNode updates SetCols of Table. Child is a scan (with rowid last)
 // that already applied the WHERE filter; SetExprs are evaluated over the
@@ -479,7 +509,7 @@ func (n *UpdateNode) Explain() string {
 }
 
 // Children implements Node.
-func (n *UpdateNode) Children() []Node { return []Node{n.Child} }
+func (n *UpdateNode) Children() []Node { return only(&n.Child) }
 
 // DeleteNode deletes the rows produced by its child scan (rowid last).
 type DeleteNode struct {
@@ -496,7 +526,7 @@ func (n *DeleteNode) Schema() []ColInfo {
 func (n *DeleteNode) Explain() string { return "DELETE FROM " + n.Table.Name }
 
 // Children implements Node.
-func (n *DeleteNode) Children() []Node { return []Node{n.Child} }
+func (n *DeleteNode) Children() []Node { return only(&n.Child) }
 
 // ExplainTree renders a plan as an indented tree.
 func ExplainTree(n Node) string {

@@ -175,13 +175,18 @@ func (s *Scheduler) pickLocked() Task {
 	if len(s.runnable) == 0 {
 		return nil
 	}
+	// Popped slots are cleared: a finished query's steps hold its
+	// operators, and through them its tables.
 	q := s.runnable[0]
-	s.runnable = append(s.runnable[:0], s.runnable[1:]...)
+	n := copy(s.runnable, s.runnable[1:])
+	s.runnable[n] = nil
+	s.runnable = s.runnable[:n]
 	now := time.Now()
 	if s.met.StepWait != nil {
 		s.met.StepWait.Observe(now.Sub(q.wait).Nanoseconds())
 	}
 	t := q.tasks[0]
+	q.tasks[0] = nil
 	q.tasks = q.tasks[1:]
 	q.queued = len(q.tasks) > 0
 	if q.queued {
