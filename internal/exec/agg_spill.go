@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/buffer"
+	"repro/internal/expr"
 	"repro/internal/extsort"
 	"repro/internal/plan"
 	"repro/internal/sched"
@@ -79,6 +80,7 @@ type aggTable struct {
 	spillFile *extsort.StateSpillFile
 	groupVecs []*vector.Vector
 	argVecs   []*vector.Vector
+	scratch   expr.Scratch // groupVecs' and argVecs' storage, reset per chunk
 	keys      keyScratch
 	keyBuf    []byte // a spilled record's key and payload, reused
 	payBuf    []byte
@@ -136,8 +138,9 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 			return err
 		}
 	}
+	t.scratch.Reset()
 	for i, g := range t.node.GroupBy {
-		v, err := g.Eval(chunk)
+		v, err := t.scratch.Eval(g, chunk)
 		if err != nil {
 			return err
 		}
@@ -145,7 +148,7 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 	}
 	for j, spec := range t.node.Aggs {
 		if spec.Arg != nil {
-			v, err := spec.Arg.Eval(chunk)
+			v, err := t.scratch.Eval(spec.Arg, chunk)
 			if err != nil {
 				return err
 			}

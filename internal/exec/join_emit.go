@@ -33,6 +33,7 @@ type joinEmitter struct {
 
 	matched []bool // per probe row; LEFT joins only
 	sel     []int
+	scratch expr.Scratch // Extra's selection, reset per flush
 }
 
 func newJoinEmitter(n *plan.JoinNode) joinEmitter {
@@ -98,19 +99,17 @@ func (e *joinEmitter) flush() error {
 	probeRows := e.probeRows[:n]
 	out := e.assemble(probeRows, false)
 	if e.node.Extra != nil {
-		mask, err := e.node.Extra.Eval(out)
+		e.scratch.Reset()
+		sel, err := expr.Select(e.node.Extra, out, nil, &e.scratch)
 		if err != nil {
 			return err
 		}
-		e.sel = expr.SelectTrue(mask, e.sel)
-		if len(e.sel) < n {
-			kept := vector.NewChunk(e.outTypes)
-			out.CompactInto(kept, e.sel)
-			out = kept
-			for i, s := range e.sel {
+		if len(sel) < n {
+			out = out.Compact(sel)
+			for i, s := range sel {
 				probeRows[i] = probeRows[s]
 			}
-			probeRows = probeRows[:len(e.sel)]
+			probeRows = probeRows[:len(sel)]
 		}
 	}
 	if e.matched != nil {

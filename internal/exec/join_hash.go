@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/expr"
 	"repro/internal/extsort"
 	"repro/internal/plan"
 	"repro/internal/vector"
@@ -368,10 +369,11 @@ func (h *hashJoinOp) Next(ctx *Context) (*vector.Chunk, error) { return h.left.N
 // source worker. Each worker owns its stage instance, so the key scratch
 // and the emitter's scratch never contend.
 type probeStage struct {
-	h    *hashJoinOp
-	keys []*vector.Vector
-	ks   keyScratch
-	em   joinEmitter
+	h       *hashJoinOp
+	keys    []*vector.Vector
+	scratch expr.Scratch // the keys', reset per probe chunk
+	ks      keyScratch
+	em      joinEmitter
 }
 
 // run joins one probe chunk against the build side: it resolves the
@@ -381,8 +383,9 @@ type probeStage struct {
 //quack:hotpath
 func (ps *probeStage) run(_ *Context, probe *vector.Chunk, emit func(*vector.Chunk) error) error {
 	h := ps.h
+	ps.scratch.Reset()
 	for i, k := range h.node.LeftKeys {
-		v, err := k.Eval(probe)
+		v, err := ps.scratch.Eval(k, probe)
 		if err != nil {
 			return err
 		}

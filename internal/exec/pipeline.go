@@ -105,30 +105,27 @@ func runStages(ctx *Context, stages []stage, c *vector.Chunk, sink func(*vector.
 }
 
 // filterStage keeps rows where cond is TRUE; morsels with no surviving
-// rows are dropped. It counts the chunks it emits into slot.
+// rows are dropped. The condition selects rows into the stage's scratch
+// and the survivors are compacted once, into a chunk of their size. It
+// counts the chunks it emits into slot.
 type filterStage struct {
-	cond   expr.Expr
-	slot   *OpProfile
-	selBuf []int
+	cond    expr.Expr
+	slot    *OpProfile
+	scratch expr.Scratch
 }
 
 //quack:hotpath
 func (f *filterStage) run(ctx *Context, c *vector.Chunk, emit func(*vector.Chunk) error) error {
-	mask, err := f.cond.Eval(c)
-	if err != nil {
+	f.scratch.Reset()
+	sel, err := expr.Select(f.cond, c, nil, &f.scratch)
+	if err != nil || len(sel) == 0 {
 		return err
 	}
-	f.selBuf = expr.SelectTrue(mask, f.selBuf)
-	if len(f.selBuf) == 0 {
-		return nil
-	}
-	f.slot.count(len(f.selBuf))
-	if len(f.selBuf) == c.Len() {
+	f.slot.count(len(sel))
+	if len(sel) == c.Len() {
 		return emit(c)
 	}
-	out := vector.NewChunk(c.Types())
-	c.CompactInto(out, f.selBuf)
-	return emit(out)
+	return emit(c.Compact(sel))
 }
 
 // projectStage computes expressions over the chunk and counts the

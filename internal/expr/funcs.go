@@ -1,53 +1,86 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// LikeExpr implements SQL LIKE with % and _ wildcards. When the pattern
-// is constant it is compiled once.
+// LikeExpr implements SQL LIKE with % and _ wildcards. A constant
+// pattern is compiled once, on first use.
 type LikeExpr struct {
 	X       Expr
 	Pattern Expr
 	Not     bool
+
+	once  sync.Once
+	match func(string) bool // the constant pattern's matcher, or nil
 }
 
 // Type implements Expr.
 func (e *LikeExpr) Type() types.Type { return types.Boolean }
 
 // Eval implements Expr.
-func (e *LikeExpr) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	xs, err := e.X.Eval(in)
-	if err != nil {
-		return nil, err
+func (e *LikeExpr) Eval(in *vector.Chunk) (*vector.Vector, error) { return evalFresh(e, in) }
+
+//quack:hotpath
+func (e *LikeExpr) eval(in *vector.Chunk, rows []int, s *Scratch) (*vector.Vector, error) {
+	return evalOperands(e, in, rows, s)
+}
+
+// run implements operandPredicate; p is nil for a constant pattern.
+//
+//quack:hotpath
+func (e *LikeExpr) run(in *vector.Chunk, rows []int, s *Scratch, out []int) (kept []int, x, p *vector.Vector, err error) {
+	if x, err = e.X.eval(in, rows, s); err != nil {
+		return nil, nil, nil, err
 	}
-	ps, err := e.Pattern.Eval(in)
-	if err != nil {
-		return nil, err
+	if pat, ok := scalarOperand(e.Pattern, types.Varchar); ok {
+		if pat.Null {
+			return out[:0], nil, nil, nil
+		}
+		match := e.constMatcher(pat.Str)
+		k := 0
+		for _, i := range keepValid(x, rows, out) {
+			out[k] = i
+			k += b2i(match(x.Str[i]) != e.Not)
+		}
+		return out[:k], x, nil, nil
 	}
-	n := in.Len()
-	out := vector.NewLen(types.Boolean, n)
-	propagateNulls(out, xs, ps, n)
+	if p, err = e.Pattern.eval(in, rows, s); err != nil {
+		return nil, nil, nil, err
+	}
+	return likeRows(x, p, keepValid(p, keepValid(x, rows, out), out), out, e.Not), x, p, nil
+}
+
+// constMatcher compiles the constant pattern on first use.
+func (e *LikeExpr) constMatcher(pat string) func(string) bool {
+	e.once.Do(func() { e.match = compileLike(pat) })
+	return e.match
+}
+
+// likeRows matches a pattern column row by row, recompiling only when
+// the pattern changes from one row to the next.
+func likeRows(x, p *vector.Vector, rows, out []int, not bool) []int {
 	var (
 		lastPat string
 		matcher func(string) bool
 	)
-	for i := 0; i < n; i++ {
-		if out.IsNull(i) {
-			continue
-		}
-		if matcher == nil || ps.Str[i] != lastPat {
-			lastPat = ps.Str[i]
+	k := 0
+	for _, i := range rows {
+		if matcher == nil || p.Str[i] != lastPat {
+			lastPat = p.Str[i]
 			matcher = compileLike(lastPat)
 		}
-		out.Bools[i] = matcher(xs.Str[i]) != e.Not
+		out[k] = i
+		k += b2i(matcher(x.Str[i]) != not)
 	}
-	return out, nil
+	return out[:k]
 }
 
 func (e *LikeExpr) String() string {
@@ -114,6 +147,9 @@ func likeMatch(pattern, s string) bool {
 }
 
 // CaseExpr is a searched CASE (operands are desugared by the binder).
+// Each WHEN runs on the rows no earlier WHEN took, each THEN on the rows
+// its WHEN selected and ELSE on the rest, so a branch never sees a row
+// that does not reach it.
 type CaseExpr struct {
 	Whens []CaseWhen
 	Else  Expr // nil means NULL
@@ -129,51 +165,44 @@ type CaseWhen struct {
 func (e *CaseExpr) Type() types.Type { return e.Typ }
 
 // Eval implements Expr.
-func (e *CaseExpr) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	n := in.Len()
-	out := vector.NewLen(e.Typ, n)
-	decided := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out.SetNull(i) // default when no arm matches and no ELSE
-	}
+func (e *CaseExpr) Eval(in *vector.Chunk) (*vector.Vector, error) { return evalFresh(e, in) }
+
+//quack:hotpath
+func (e *CaseExpr) eval(in *vector.Chunk, rows []int, s *Scratch) (*vector.Vector, error) {
+	out := s.vec(e.Typ, in.Len())
+	rest := s.rows(len(rows))
+	copy(rest, rows)
+	hit := s.rows(len(rows))
 	for _, w := range e.Whens {
-		cond, err := w.Cond.Eval(in)
+		if len(rest) == 0 {
+			break
+		}
+		took, err := selectRows(w.Cond, in, rest, s, hit)
 		if err != nil {
 			return nil, err
 		}
-		res, err := w.Result.Eval(in)
+		if len(took) == 0 {
+			continue
+		}
+		res, err := w.Result.eval(in, took, s)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			if decided[i] {
-				continue
-			}
-			if !cond.IsNull(i) && cond.Bools[i] {
-				decided[i] = true
-				if res.IsNull(i) {
-					out.SetNull(i)
-				} else {
-					out.Set(i, res.Get(i))
-				}
-			}
-		}
+		copyRows(out, res, took)
+		rest = minus(rest, took, rest)
 	}
-	if e.Else != nil {
-		els, err := e.Else.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if !decided[i] {
-				if els.IsNull(i) {
-					out.SetNull(i)
-				} else {
-					out.Set(i, els.Get(i))
-				}
-			}
-		}
+	if len(rest) == 0 {
+		return out, nil
 	}
+	if e.Else == nil {
+		setNulls(out, rest)
+		return out, nil
+	}
+	els, err := e.Else.eval(in, rest, s)
+	if err != nil {
+		return nil, err
+	}
+	copyRows(out, els, rest)
 	return out, nil
 }
 
@@ -190,64 +219,95 @@ func (e *CaseExpr) String() string {
 	return sb.String()
 }
 
-// InConst is x IN (constants), evaluated with a hash set.
+// InConst is x IN (constants), evaluated against a set typed like x:
+// int64 for the integer types and Booleans, order keys (floatKey) for
+// doubles, so x IN (c) agrees with x = c; strings by value.
 type InConst struct {
 	X      Expr
 	Not    bool
-	keys   map[string]struct{}
+	ints   map[int64]struct{}
+	strs   map[string]struct{}
 	labels []string
 }
 
 // NewInConst builds an IN-set expression from constant values already
 // cast to X's type.
 func NewInConst(x Expr, vals []types.Value, not bool) *InConst {
-	e := &InConst{X: x, Not: not, keys: make(map[string]struct{}, len(vals))}
+	e := &InConst{X: x, Not: not, ints: map[int64]struct{}{}, strs: map[string]struct{}{}}
 	for _, v := range vals {
 		if v.Null {
 			continue // NULL in an IN list never matches via =
 		}
-		e.keys[valueKey(v)] = struct{}{}
+		switch v.Type {
+		case types.Varchar:
+			e.strs[v.Str] = struct{}{}
+		case types.Double:
+			e.ints[floatKey(v.F64)] = struct{}{}
+		case types.Boolean:
+			e.ints[int64(b2i(v.Bool))] = struct{}{}
+		default:
+			e.ints[v.I64] = struct{}{}
+		}
 		e.labels = append(e.labels, v.String())
 	}
 	return e
-}
-
-func valueKey(v types.Value) string {
-	switch v.Type {
-	case types.Varchar:
-		return v.Str
-	case types.Double:
-		return fmt.Sprintf("f%x", math.Float64bits(v.F64))
-	case types.Boolean:
-		if v.Bool {
-			return "b1"
-		}
-		return "b0"
-	default:
-		return fmt.Sprintf("i%d", v.I64)
-	}
 }
 
 // Type implements Expr.
 func (e *InConst) Type() types.Type { return types.Boolean }
 
 // Eval implements Expr.
-func (e *InConst) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	src, err := e.X.Eval(in)
+func (e *InConst) Eval(in *vector.Chunk) (*vector.Vector, error) { return evalFresh(e, in) }
+
+//quack:hotpath
+func (e *InConst) eval(in *vector.Chunk, rows []int, s *Scratch) (*vector.Vector, error) {
+	return evalOperands(e, in, rows, s)
+}
+
+// run implements operandPredicate: the non-NULL rows whose value is
+// (NOT) in the set.
+//
+//quack:hotpath
+func (e *InConst) run(in *vector.Chunk, rows []int, s *Scratch, out []int) ([]int, *vector.Vector, *vector.Vector, error) {
+	x, err := e.X.eval(in, rows, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	n := in.Len()
-	out := vector.NewLen(types.Boolean, n)
-	copyValidity(out, src, n)
-	for i := 0; i < n; i++ {
-		if out.IsNull(i) {
-			continue
+	rows = keepValid(x, rows, out)
+	k := 0
+	switch x.Type {
+	case types.Varchar:
+		for _, i := range rows {
+			_, ok := e.strs[x.Str[i]]
+			out[k] = i
+			k += b2i(ok != e.Not)
 		}
-		_, ok := e.keys[valueKey(src.Get(i))]
-		out.Bools[i] = ok != e.Not
+	case types.Integer:
+		for _, i := range rows {
+			_, ok := e.ints[int64(x.I32[i])]
+			out[k] = i
+			k += b2i(ok != e.Not)
+		}
+	case types.BigInt, types.Timestamp:
+		for _, i := range rows {
+			_, ok := e.ints[x.I64[i]]
+			out[k] = i
+			k += b2i(ok != e.Not)
+		}
+	case types.Double:
+		for _, i := range rows {
+			_, ok := e.ints[floatKey(x.F64[i])]
+			out[k] = i
+			k += b2i(ok != e.Not)
+		}
+	case types.Boolean:
+		for _, i := range rows {
+			_, ok := e.ints[int64(b2i(x.Bools[i]))]
+			out[k] = i
+			k += b2i(ok != e.Not)
+		}
 	}
-	return out, nil
+	return out[:k], x, nil, nil
 }
 
 func (e *InConst) String() string {
@@ -315,24 +375,26 @@ func FuncResultType(name string, args []types.Type) (types.Type, error) {
 }
 
 // Eval implements Expr.
-func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	n := in.Len()
-	argVecs := make([]*vector.Vector, len(e.Args))
-	for i, a := range e.Args {
-		v, err := a.Eval(in)
+func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) { return evalFresh(e, in) }
+
+//quack:hotpath
+func (e *ScalarFunc) eval(in *vector.Chunk, rows []int, s *Scratch) (*vector.Vector, error) {
+	var buf [4]*vector.Vector
+	args := buf[:0]
+	for _, a := range e.Args {
+		v, err := a.eval(in, rows, s)
 		if err != nil {
 			return nil, err
 		}
-		argVecs[i] = v
+		args = append(args, v)
 	}
-	out := vector.NewLen(e.Typ, n)
+	out := s.vec(e.Typ, in.Len())
 	switch e.Name {
 	case "abs":
-		a := argVecs[0]
-		copyValidity(out, a, n)
+		a := args[0]
 		switch a.Type {
 		case types.Integer:
-			for i := 0; i < n; i++ {
+			for _, i := range rows {
 				if v := a.I32[i]; v < 0 {
 					out.I32[i] = -v
 				} else {
@@ -340,7 +402,7 @@ func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) {
 				}
 			}
 		case types.BigInt:
-			for i := 0; i < n; i++ {
+			for _, i := range rows {
 				if v := a.I64[i]; v < 0 {
 					out.I64[i] = -v
 				} else {
@@ -348,76 +410,97 @@ func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) {
 				}
 			}
 		case types.Double:
-			for i := 0; i < n; i++ {
+			for _, i := range rows {
 				out.F64[i] = math.Abs(a.F64[i])
 			}
 		}
+		markNulls(out, a, rows)
 	case "floor", "ceil", "round", "sqrt", "ln", "exp":
-		a := argVecs[0]
-		copyValidity(out, a, n)
+		a := args[0]
 		f := mathFunc(e.Name)
-		for i := 0; i < n; i++ {
-			if !out.IsNull(i) {
-				out.F64[i] = f(numAsFloat(a, i))
-			}
+		for _, i := range rows {
+			out.F64[i] = f(numAsFloat(a, i))
 		}
+		markNulls(out, a, rows)
 	case "length":
-		a := argVecs[0]
-		copyValidity(out, a, n)
-		for i := 0; i < n; i++ {
+		a := args[0]
+		for _, i := range rows {
 			out.I64[i] = int64(len(a.Str[i]))
 		}
-	case "lower":
-		a := argVecs[0]
-		copyValidity(out, a, n)
-		for i := 0; i < n; i++ {
-			out.Str[i] = strings.ToLower(a.Str[i])
+		markNulls(out, a, rows)
+	case "lower", "upper", "trim":
+		a := args[0]
+		f := strFunc(e.Name)
+		for _, i := range rows {
+			out.Str[i] = f(a.Str[i])
 		}
-	case "upper":
-		a := argVecs[0]
-		copyValidity(out, a, n)
-		for i := 0; i < n; i++ {
-			out.Str[i] = strings.ToUpper(a.Str[i])
-		}
-	case "trim":
-		a := argVecs[0]
-		copyValidity(out, a, n)
-		for i := 0; i < n; i++ {
-			out.Str[i] = strings.TrimSpace(a.Str[i])
-		}
+		markNulls(out, a, rows)
 	case "substr":
-		if len(argVecs) < 2 {
-			return nil, fmt.Errorf("substr requires (string, start [, length])")
+		if len(args) < 2 {
+			return nil, errSubstrArgs
 		}
-		a := argVecs[0]
-		for i := 0; i < n; i++ {
-			if a.IsNull(i) || argVecs[1].IsNull(i) {
-				out.SetNull(i)
-				continue
-			}
-			s := a.Str[i]
-			start := int(numAsInt(argVecs[1], i)) - 1 // SQL is 1-based
-			if start < 0 {
-				start = 0
-			}
-			end := len(s)
-			if len(argVecs) >= 3 && !argVecs[2].IsNull(i) {
-				if l := int(numAsInt(argVecs[2], i)); start+l < end {
-					end = start + l
-				}
-			}
-			if start > len(s) {
-				start = len(s)
-			}
-			if end < start {
-				end = start
-			}
-			out.Str[i] = s[start:end]
+		substrRows(out, args, rows)
+	case "concat", "coalesce", "greatest", "least":
+		return out, boxedFunc(e.Name, out, args, rows)
+	default:
+		return nil, errUnknownFunc(e.Name)
+	}
+	return out, nil
+}
+
+var errSubstrArgs = errors.New("substr requires (string, start [, length])")
+
+func errUnknownFunc(name string) error { return fmt.Errorf("unknown function %s", name) }
+
+func strFunc(name string) func(string) string {
+	switch name {
+	case "lower":
+		return strings.ToLower
+	case "upper":
+		return strings.ToUpper
+	default:
+		return strings.TrimSpace
+	}
+}
+
+// substrRows is substr(string, start [, length]) with SQL's 1-based
+// start, clamped to the string.
+func substrRows(out *vector.Vector, args []*vector.Vector, rows []int) {
+	a := args[0]
+	for _, i := range rows {
+		if a.IsNull(i) || args[1].IsNull(i) {
+			out.SetNull(i)
+			continue
 		}
+		s := a.Str[i]
+		start := int(numAsInt(args[1], i)) - 1 // SQL is 1-based
+		if start < 0 {
+			start = 0
+		}
+		end := len(s)
+		if len(args) >= 3 && !args[2].IsNull(i) {
+			if l := int(numAsInt(args[2], i)); start+l < end {
+				end = start + l
+			}
+		}
+		if start > len(s) {
+			start = len(s)
+		}
+		if end < start {
+			end = start
+		}
+		out.Str[i] = s[start:end]
+	}
+}
+
+// boxedFunc evaluates the variadic functions whose arguments may differ
+// in type, one boxed Value per argument and row.
+func boxedFunc(name string, out *vector.Vector, args []*vector.Vector, rows []int) error {
+	switch name {
 	case "concat":
-		for i := 0; i < n; i++ {
+		for _, i := range rows {
 			var sb strings.Builder
-			for _, a := range argVecs {
+			for _, a := range args {
 				if !a.IsNull(i) {
 					sb.WriteString(a.Get(i).String())
 				}
@@ -425,33 +508,33 @@ func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) {
 			out.Str[i] = sb.String()
 		}
 	case "coalesce":
-		for i := 0; i < n; i++ {
+		for _, i := range rows {
 			out.SetNull(i)
-			for _, a := range argVecs {
+			for _, a := range args {
 				if !a.IsNull(i) {
-					v, err := a.Get(i).Cast(e.Typ)
+					v, err := a.Get(i).Cast(out.Type)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					out.Set(i, v)
 					break
 				}
 			}
 		}
-	case "greatest", "least":
-		wantGreatest := e.Name == "greatest"
-		for i := 0; i < n; i++ {
+	default:
+		wantGreatest := name == "greatest"
+		for _, i := range rows {
 			var best types.Value
 			bestSet := false
 			null := false
-			for _, a := range argVecs {
+			for _, a := range args {
 				if a.IsNull(i) {
 					null = true
 					break
 				}
-				v, err := a.Get(i).Cast(e.Typ)
+				v, err := a.Get(i).Cast(out.Type)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !bestSet {
 					best, bestSet = v, true
@@ -468,10 +551,8 @@ func (e *ScalarFunc) Eval(in *vector.Chunk) (*vector.Vector, error) {
 				out.Set(i, best)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("unknown function %s", e.Name)
 	}
-	return out, nil
+	return nil
 }
 
 func (e *ScalarFunc) String() string {
@@ -522,22 +603,11 @@ func numAsInt(v *vector.Vector, i int) int64 {
 }
 
 // SelectTrue returns the indices of rows where v is TRUE (valid and
-// true), the core of vectorized filtering.
+// true), reusing sel's storage.
 func SelectTrue(v *vector.Vector, sel []int) []int {
-	sel = sel[:0]
 	n := v.Len()
-	if v.Valid.AllValid() {
-		for i := 0; i < n; i++ {
-			if v.Bools[i] {
-				sel = append(sel, i)
-			}
-		}
-		return sel
+	if cap(sel) < n {
+		sel = make([]int, n)
 	}
-	for i := 0; i < n; i++ {
-		if v.Bools[i] && v.Valid.IsValid(i) {
-			sel = append(sel, i)
-		}
-	}
-	return sel
+	return keepTrue(v, allRows(n), sel[:n])
 }

@@ -76,11 +76,11 @@ func (j *rowJoin) NextRow() ([]types.Value, error) {
 			}
 			out := append(append([]types.Value(nil), j.lrow...), rrow...)
 			if j.node.Extra != nil {
-				v, err := evalRow(j.node.Extra, out)
+				keep, err := filterRow(j.node.Extra, out)
 				if err != nil {
 					return nil, err
 				}
-				if v.Null || !v.Bool {
+				if !keep {
 					continue
 				}
 			}

@@ -216,11 +216,11 @@ func (s *rowScan) NextRow() ([]types.Value, error) {
 		row := s.chunk.Row(s.pos)
 		s.pos++
 		if s.node.Filter != nil {
-			v, err := evalRow(s.node.Filter, row)
+			keep, err := filterRow(s.node.Filter, row)
 			if err != nil {
 				return nil, err
 			}
-			if v.Null || !v.Bool {
+			if !keep {
 				continue
 			}
 		}
@@ -248,11 +248,11 @@ func (f *rowFilter) NextRow() ([]types.Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		v, err := evalRow(f.cond, row)
+		keep, err := filterRow(f.cond, row)
 		if err != nil {
 			return nil, err
 		}
-		if !v.Null && v.Bool {
+		if keep {
 			return row, nil
 		}
 	}
@@ -619,6 +619,21 @@ func (a *rowAgg) Close() {
 	a.child.Close()
 }
 
+// filterRow reports whether cond is TRUE for row, evaluating it the way
+// a filter selects rows: AND's right side only when its left is TRUE,
+// OR's only when its left is not TRUE.
+func filterRow(cond expr.Expr, row []types.Value) (bool, error) {
+	if l, ok := cond.(*expr.Logic); ok {
+		left, err := filterRow(l.L, row)
+		if err != nil || left != (l.Op == expr.OpAnd) {
+			return left, err
+		}
+		return filterRow(l.R, row)
+	}
+	v, err := evalRow(cond, row)
+	return err == nil && !v.Null && v.Bool, err
+}
+
 // evalRow interprets a bound expression over one boxed row — the
 // tuple-at-a-time evaluation the vectorized engine exists to avoid.
 func evalRow(e expr.Expr, row []types.Value) (types.Value, error) {
@@ -733,6 +748,11 @@ func evalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 		l, err := evalRow(e.L, row)
 		if err != nil {
 			return types.Value{}, err
+		}
+		// The left side decides the row alone when it is FALSE under AND
+		// or TRUE under OR; the right side is then not evaluated at all.
+		if decides := e.Op == expr.OpOr; !l.Null && l.Bool == decides {
+			return types.NewBool(decides), nil
 		}
 		r, err := evalRow(e.R, row)
 		if err != nil {

@@ -401,17 +401,7 @@ func (s *segReader) scanSegmentEncoded(seg *segment, base int64, maxRows int) (c
 	if n > maxRows {
 		n = maxRows
 	}
-	// Snapshot visibility, exactly as scanSegment reconstructs it.
-	s.sel = s.sel[:0]
-	for r := 0; r < n; r++ {
-		if !s.tx.Sees(seg.loadInsert(r)) {
-			continue
-		}
-		if d := seg.loadDelete(r); d != 0 && s.tx.Sees(d) {
-			continue
-		}
-		s.sel = append(s.sel, r)
-	}
+	s.visible(seg, n)
 
 	// Evaluate each supported conjunct into a scratch vector and
 	// intersect; a kernel that declines mid-way (corrupt payload) leaves
@@ -465,7 +455,7 @@ func (s *segReader) scanSegmentEncoded(seg *segment, base int64, maxRows int) (c
 		return nil, 0, true
 	}
 
-	chunk = vector.NewChunk(s.outputTypes())
+	chunk = vector.NewChunk(s.typs)
 	for oi, c := range s.cols {
 		if seg.cols[c] != nil {
 			seg.cols[c].CompactInto(chunk.Cols[oi], s.sel)

@@ -55,8 +55,12 @@ type segReader struct {
 	cols    []int
 	rowIDs  bool
 	filters []ZoneFilter
-	pos     []int32
-	sel     []int
+	typs    []types.Type // the output chunk's schema
+	// sel is the visible rows of the segment being read; pos maps a
+	// segment row to its output row while an undo chain is applied.
+	// Both are allocated on first use.
+	pos []int32
+	sel []int
 	// Encoded-execution scratch, allocated on first use: the combined
 	// match vector, the per-filter kernel scratch, and the int64 gather
 	// buffer (encexec.go).
@@ -66,27 +70,32 @@ type segReader struct {
 }
 
 func newSegReader(t *DataTable, tx *txn.Transaction, cols []int, rowIDs bool, filters []ZoneFilter) segReader {
-	return segReader{
-		t:       t,
-		tx:      tx,
-		cols:    cols,
-		rowIDs:  rowIDs,
-		filters: filters,
-		pos:     make([]int32, SegRows),
-		sel:     make([]int, 0, SegRows),
+	typs := make([]types.Type, 0, len(cols)+1)
+	for _, c := range cols {
+		typs = append(typs, t.typs[c])
 	}
+	if rowIDs {
+		typs = append(typs, types.BigInt)
+	}
+	return segReader{t: t, tx: tx, cols: cols, rowIDs: rowIDs, filters: filters, typs: typs}
 }
 
-// outputTypes returns the reader's chunk schema.
-func (s *segReader) outputTypes() []types.Type {
-	out := make([]types.Type, 0, len(s.cols)+1)
-	for _, c := range s.cols {
-		out = append(out, s.t.typs[c])
+// visible sets s.sel to the rows among the segment's first n that this
+// snapshot sees. Caller holds seg.mu.
+func (s *segReader) visible(seg *segment, n int) {
+	if cap(s.sel) < n {
+		s.sel = make([]int, 0, n)
 	}
-	if s.rowIDs {
-		out = append(out, types.BigInt)
+	s.sel = s.sel[:0]
+	for r := 0; r < n; r++ {
+		if !s.tx.Sees(seg.loadInsert(r)) {
+			continue
+		}
+		if d := seg.loadDelete(r); d != 0 && s.tx.Sees(d) {
+			continue
+		}
+		s.sel = append(s.sel, r)
 	}
-	return out
 }
 
 // scanSegment materializes the snapshot-visible rows of one segment as
@@ -102,23 +111,18 @@ func (s *segReader) scanSegment(seg *segment, base int64, maxRows int) *vector.C
 	if n > maxRows {
 		n = maxRows
 	}
-	s.sel = s.sel[:0]
-	for r := 0; r < n; r++ {
-		if !s.tx.Sees(seg.loadInsert(r)) {
-			continue
-		}
-		if d := seg.loadDelete(r); d != 0 && s.tx.Sees(d) {
-			continue
-		}
-		s.sel = append(s.sel, r)
-	}
+	s.visible(seg, n)
 	if len(s.sel) == 0 {
 		return nil
 	}
 
-	chunk := vector.NewChunk(s.outputTypes())
+	chunk := vector.NewChunk(s.typs)
 	for oi, c := range s.cols {
-		seg.cols[c].CompactInto(chunk.Cols[oi], s.sel)
+		if len(s.sel) == n { // every row visible: s.sel is [0, n)
+			chunk.Cols[oi].AppendRange(seg.cols[c], 0, n)
+		} else {
+			seg.cols[c].CompactInto(chunk.Cols[oi], s.sel)
+		}
 	}
 	chunk.SetLen(len(s.sel))
 	s.applyUndo(seg, chunk)
@@ -137,6 +141,9 @@ func (s *segReader) applyUndo(seg *segment, chunk *vector.Chunk) {
 				continue
 			}
 			if !posBuilt {
+				if s.pos == nil {
+					s.pos = make([]int32, SegRows)
+				}
 				for i := range s.pos {
 					s.pos[i] = -1
 				}

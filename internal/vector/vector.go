@@ -452,6 +452,17 @@ func (c *Chunk) CompactInto(dst *Chunk, sel []int) {
 	dst.n = len(sel)
 }
 
+// Compact returns a new chunk holding the selected rows of c, its
+// vectors sized to the survivors.
+func (c *Chunk) Compact(sel []int) *Chunk {
+	out := &Chunk{Cols: make([]*Vector, len(c.Cols)), n: len(sel)}
+	for i, col := range c.Cols {
+		out.Cols[i] = New(col.Type, len(sel))
+		col.CompactInto(out.Cols[i], sel)
+	}
+	return out
+}
+
 // GatherInto fills dst's columns from colOff on with rows picked from
 // many source chunks: row i of dst.Cols[colOff+c] becomes row rows[i] of
 // srcs[i].Cols[c], and dst's length becomes len(srcs). Columns below
