@@ -95,18 +95,13 @@ func flateWrap(encoded []byte) []byte {
 	return buf.Bytes()
 }
 
-// DecompressInt64 reverses CompressInt64 regardless of scheme.
+// DecompressInt64 reverses CompressInt64 regardless of scheme. The light
+// schemes decode as a gather over every row (kernels.go).
 func DecompressInt64(data []byte) ([]int64, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("compress: empty buffer")
 	}
 	switch data[0] {
-	case schemeRaw:
-		return rawDecode(data[1:])
-	case schemeRLE:
-		return rleDecode(data[1:])
-	case schemeFOR:
-		return forDecode(data[1:])
 	case schemeFlate:
 		return flateDecode(data[1:])
 	case schemeFlateLight:
@@ -117,9 +112,16 @@ func DecompressInt64(data []byte) ([]int64, error) {
 			return nil, fmt.Errorf("compress: flate-light: %w", err)
 		}
 		return DecompressInt64(inner)
-	default:
-		return nil, fmt.Errorf("compress: unknown scheme tag %d", data[0])
 	}
+	scheme, n, body, err := lightHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, n)
+	if err := gather(scheme, n, body, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func rawEncode(src []int64) []byte {
@@ -130,22 +132,6 @@ func rawEncode(src []int64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, uint64(v))
 	}
 	return out
-}
-
-func rawDecode(data []byte) ([]int64, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad raw header")
-	}
-	data = data[k:]
-	if uint64(len(data)) < 8*n {
-		return nil, fmt.Errorf("compress: raw buffer truncated")
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return out, nil
 }
 
 func rleEncode(src []int64) []byte {
@@ -162,34 +148,6 @@ func rleEncode(src []int64) []byte {
 		i = j
 	}
 	return out
-}
-
-func rleDecode(data []byte) ([]int64, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad RLE header")
-	}
-	data = data[k:]
-	out := make([]int64, 0, n)
-	for uint64(len(out)) < n {
-		runLen, k1 := binary.Uvarint(data)
-		if k1 <= 0 {
-			return nil, fmt.Errorf("compress: RLE truncated")
-		}
-		data = data[k1:]
-		val, k2 := binary.Varint(data)
-		if k2 <= 0 {
-			return nil, fmt.Errorf("compress: RLE truncated value")
-		}
-		data = data[k2:]
-		if uint64(len(out))+runLen > n {
-			return nil, fmt.Errorf("compress: RLE run overflows declared length")
-		}
-		for r := uint64(0); r < runLen; r++ {
-			out = append(out, val)
-		}
-	}
-	return out, nil
 }
 
 // forEncode frame-of-reference bit-packs: values are stored as
@@ -230,50 +188,6 @@ func forEncode(src []int64) []byte {
 		}
 	}
 	return append(out, packed...)
-}
-
-func forDecode(data []byte) ([]int64, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad FOR header")
-	}
-	data = data[k:]
-	if n == 0 {
-		return []int64{}, nil
-	}
-	minV, k2 := binary.Varint(data)
-	if k2 <= 0 {
-		return nil, fmt.Errorf("compress: FOR truncated min")
-	}
-	data = data[k2:]
-	if len(data) < 1 {
-		return nil, fmt.Errorf("compress: FOR truncated width")
-	}
-	width := int(data[0])
-	data = data[1:]
-	out := make([]int64, n)
-	if width == 0 {
-		for i := range out {
-			out[i] = minV
-		}
-		return out, nil
-	}
-	need := (int(n)*width + 7) / 8
-	if len(data) < need {
-		return nil, fmt.Errorf("compress: FOR payload truncated")
-	}
-	bitPos := 0
-	for i := range out {
-		var delta uint64
-		for b := 0; b < width; b++ {
-			if data[bitPos>>3]&(1<<uint(bitPos&7)) != 0 {
-				delta |= 1 << uint(b)
-			}
-			bitPos++
-		}
-		out[i] = minV + int64(delta)
-	}
-	return out, nil
 }
 
 func flateEncode(src []int64) []byte {

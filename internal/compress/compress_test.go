@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,6 +91,13 @@ func TestDecompressErrors(t *testing.T) {
 	enc := CompressInt64([]int64{1, 2, 3}, Light)
 	if _, err := DecompressInt64(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated buffer accepted")
+	}
+	if _, err := DecompressInt64(binary.AppendUvarint([]byte{schemeRaw}, 1<<40)); err == nil {
+		t.Error("raw header claiming 2^40 rows in no bytes accepted")
+	}
+	run := binary.AppendVarint(binary.AppendUvarint(binary.AppendUvarint([]byte{schemeRLE}, 2), 3), 7)
+	if _, err := DecompressInt64(run); err == nil {
+		t.Error("RLE run past the declared row count accepted")
 	}
 }
 

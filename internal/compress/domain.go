@@ -19,26 +19,14 @@ import (
 // The interval is a superset: for FOR it is the representable range of
 // the bit width, which may be wider than the actual values.
 func Int64Bounds(data []byte) (minV, maxV int64, ok bool) {
-	if len(data) == 0 {
+	scheme, n, body, err := lightHeader(data)
+	if err != nil || n == 0 {
 		return 0, 0, false
 	}
-	switch data[0] {
+	switch scheme {
 	case schemeFOR:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || n == 0 {
-			return 0, 0, false
-		}
-		body = body[k:]
-		base, k2 := binary.Varint(body)
-		if k2 <= 0 || len(body) <= k2 {
-			return 0, 0, false
-		}
-		width := int(body[k2])
-		if width == 0 {
-			return base, base, true
-		}
-		if width > 62 {
+		base, width, _, err := forFrame(body, n)
+		if err != nil || width > 62 {
 			return 0, 0, false
 		}
 		hi := base + (int64(1)<<uint(width) - 1)
@@ -47,62 +35,31 @@ func Int64Bounds(data []byte) (minV, maxV int64, ok bool) {
 		}
 		return base, hi, true
 	case schemeRLE:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || n == 0 {
-			return 0, 0, false
-		}
-		body = body[k:]
-		var seen uint64
-		first := true
-		for seen < n {
-			runLen, k1 := binary.Uvarint(body)
-			if k1 <= 0 {
+		for seen := uint64(0); seen < n; {
+			runLen, val, rest, ok := nextRun(body)
+			if !ok {
 				return 0, 0, false
 			}
-			body = body[k1:]
-			val, k2 := binary.Varint(body)
-			if k2 <= 0 {
-				return 0, 0, false
+			if seen == 0 || val < minV {
+				minV = val
 			}
-			body = body[k2:]
-			if first {
-				minV, maxV = val, val
-				first = false
-			} else {
-				if val < minV {
-					minV = val
-				}
-				if val > maxV {
-					maxV = val
-				}
+			if seen == 0 || val > maxV {
+				maxV = val
 			}
-			seen += runLen
-		}
-		return minV, maxV, !first
-	case schemeRaw:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || n == 0 || uint64(len(body)-k) < 8*n {
-			return 0, 0, false
-		}
-		body = body[k:]
-		for i := uint64(0); i < n; i++ {
-			v := int64(binary.LittleEndian.Uint64(body[8*i:]))
-			if i == 0 {
-				minV, maxV = v, v
-			} else {
-				if v < minV {
-					minV = v
-				}
-				if v > maxV {
-					maxV = v
-				}
-			}
+			body, seen = rest, seen+runLen
 		}
 		return minV, maxV, true
 	default:
-		return 0, 0, false
+		for i := uint64(0); i < n; i++ {
+			v := int64(binary.LittleEndian.Uint64(body[8*i:]))
+			if i == 0 || v < minV {
+				minV = v
+			}
+			if i == 0 || v > maxV {
+				maxV = v
+			}
+		}
+		return minV, maxV, true
 	}
 }
 
@@ -129,6 +86,11 @@ func DecodeStringDictValues(src []byte) (values []string, idxPayload []byte, res
 		return nil, nil, nil, fmt.Errorf("compress: bad dict header")
 	}
 	src = src[k:]
+	// Every value costs at least its length byte: a count the bytes
+	// cannot back is rejected before anything is sized from it.
+	if n > uint64(len(src)) {
+		return nil, nil, nil, fmt.Errorf("compress: dict declares %d values in %d bytes", n, len(src))
+	}
 	values = make([]string, n)
 	for i := range values {
 		l, k1 := binary.Uvarint(src)
@@ -143,17 +105,4 @@ func DecodeStringDictValues(src []byte) (values []string, idxPayload []byte, res
 		return nil, nil, nil, fmt.Errorf("compress: dict indexes truncated")
 	}
 	return values, src[k2 : k2+int(il)], src[k2+int(il):], nil
-}
-
-// DecodeStringDict fully reverses AppendStringDict.
-func DecodeStringDict(src []byte) (StringDict, []byte, error) {
-	values, idxPayload, rest, err := DecodeStringDictValues(src)
-	if err != nil {
-		return StringDict{}, nil, err
-	}
-	indexes, err := DecompressInt64(idxPayload)
-	if err != nil {
-		return StringDict{}, nil, err
-	}
-	return StringDict{Values: values, Indexes: indexes}, rest, nil
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"fmt"
 )
 
 // Selection kernels: evaluate a comparison predicate directly over a
@@ -87,96 +88,64 @@ func holdsU64(op CmpOp, v, c uint64) bool {
 	}
 }
 
-// SelectInt64 intersects match with the predicate "value op c" over a
-// CompressInt64 payload. match must cover the payload's row count.
-func SelectInt64(data []byte, op CmpOp, c int64, match []bool) bool {
+// lightHeader parses the prefix every light payload (raw, RLE, FOR)
+// shares: the scheme tag and the row count, followed by the body. A raw
+// body must hold the 8 bytes of every row it declares.
+func lightHeader(data []byte) (scheme byte, n uint64, body []byte, err error) {
 	if len(data) == 0 {
-		return false
+		return 0, 0, nil, fmt.Errorf("compress: empty buffer")
 	}
 	switch data[0] {
-	case schemeRaw:
-		return selectRaw(data[1:], op, c, match)
-	case schemeRLE:
-		return selectRLE(data[1:], op, c, match)
-	case schemeFOR:
-		return selectFOR(data[1:], op, c, match)
+	case schemeRaw, schemeRLE, schemeFOR:
 	default:
-		return false
+		return 0, 0, nil, fmt.Errorf("compress: scheme tag %d is not a light scheme", data[0])
 	}
-}
-
-func selectRaw(body []byte, op CmpOp, c int64, match []bool) bool {
-	n, k := binary.Uvarint(body)
-	if k <= 0 || n > uint64(len(match)) || uint64(len(body)-k) < 8*n {
-		return false
-	}
-	body = body[k:]
-	for i := uint64(0); i < n; i++ {
-		if match[i] && !holdsI64(op, int64(binary.LittleEndian.Uint64(body[8*i:])), c) {
-			match[i] = false
-		}
-	}
-	return true
-}
-
-func selectRLE(body []byte, op CmpOp, c int64, match []bool) bool {
-	n, k := binary.Uvarint(body)
-	if k <= 0 || n > uint64(len(match)) {
-		return false
-	}
-	body = body[k:]
-	var at uint64
-	for at < n {
-		runLen, k1 := binary.Uvarint(body)
-		if k1 <= 0 {
-			return false
-		}
-		body = body[k1:]
-		val, k2 := binary.Varint(body)
-		if k2 <= 0 {
-			return false
-		}
-		body = body[k2:]
-		if at+runLen > n {
-			return false
-		}
-		// One comparison decides the whole run.
-		if !holdsI64(op, val, c) {
-			for i := at; i < at+runLen; i++ {
-				match[i] = false
-			}
-		}
-		at += runLen
-	}
-	return true
-}
-
-// forHeader parses a FOR body into (n, minV, width, packed deltas).
-func forHeader(body []byte) (n uint64, minV int64, width int, packed []byte, ok bool) {
-	n, k := binary.Uvarint(body)
+	n, k := binary.Uvarint(data[1:])
 	if k <= 0 {
-		return 0, 0, 0, nil, false
+		return 0, 0, nil, fmt.Errorf("compress: bad header")
 	}
-	body = body[k:]
+	body = data[1+k:]
+	if data[0] == schemeRaw && n > uint64(len(body))/8 {
+		return 0, 0, nil, fmt.Errorf("compress: raw buffer truncated")
+	}
+	return data[0], n, body, nil
+}
+
+// forFrame parses a FOR body of n rows into its minimum, bit width and
+// packed deltas, checking the deltas fit the buffer.
+func forFrame(body []byte, n uint64) (minV int64, width int, packed []byte, err error) {
 	if n == 0 {
-		return 0, 0, 0, nil, true
+		return 0, 0, nil, nil
 	}
-	minV, k2 := binary.Varint(body)
-	if k2 <= 0 || len(body) <= k2 {
-		return 0, 0, 0, nil, false
+	minV, k := binary.Varint(body)
+	if k <= 0 || len(body) <= k {
+		return 0, 0, nil, fmt.Errorf("compress: FOR frame truncated")
 	}
-	width = int(body[k2])
-	packed = body[k2+1:]
-	if width > 64 || uint64(len(packed)) < (n*uint64(width)+7)/8 {
-		return 0, 0, 0, nil, false
+	width = int(body[k])
+	packed = body[k+1:]
+	if width > 64 || width > 0 && n > uint64(len(packed))*8/uint64(width) {
+		return 0, 0, nil, fmt.Errorf("compress: FOR payload truncated")
 	}
-	return n, minV, width, packed, true
+	return minV, width, packed, nil
+}
+
+// nextRun parses one (length, value) run off an RLE body.
+func nextRun(body []byte) (runLen uint64, val int64, rest []byte, ok bool) {
+	runLen, k1 := binary.Uvarint(body)
+	if k1 <= 0 {
+		return 0, 0, nil, false
+	}
+	val, k2 := binary.Varint(body[k1:])
+	if k2 <= 0 {
+		return 0, 0, nil, false
+	}
+	return runLen, val, body[k1+k2:], true
 }
 
 // forDelta extracts the width-bit field starting at bitPos from the
 // LSB-first packed stream — one 64-bit load plus shift/mask instead of
 // a per-bit walk. Callers guarantee the field lies inside packed (the
-// forHeader length check).
+// forFrame length check).
 func forDelta(packed []byte, bitPos, width int) uint64 {
 	byteOff := bitPos >> 3
 	shift := uint(bitPos & 7)
@@ -202,18 +171,61 @@ func forDelta(packed []byte, bitPos, width int) uint64 {
 	return v
 }
 
-func selectFOR(body []byte, op CmpOp, c int64, match []bool) bool {
-	n, minV, width, packed, ok := forHeader(body)
-	if !ok || n > uint64(len(match)) {
+// selectRuns clears match over every run of an RLE body whose value keep
+// rejects; the runs must cover exactly len(match) rows. ok=false from
+// keep declines the payload.
+func selectRuns(body []byte, match []bool, keep func(int64) (keep, ok bool)) bool {
+	n := uint64(len(match))
+	for at := uint64(0); at < n; {
+		runLen, val, rest, ok := nextRun(body)
+		if !ok || runLen > n-at {
+			return false
+		}
+		// One decision covers the whole run.
+		k, ok := keep(val)
+		if !ok {
+			return false
+		}
+		if !k {
+			clear(match[at : at+runLen])
+		}
+		body, at = rest, at+runLen
+	}
+	return true
+}
+
+// SelectInt64 intersects match with the predicate "value op c" over a
+// CompressInt64 payload. match must cover the payload's row count.
+func SelectInt64(data []byte, op CmpOp, c int64, match []bool) bool {
+	scheme, n, body, err := lightHeader(data)
+	if err != nil || n > uint64(len(match)) {
 		return false
 	}
-	if n == 0 {
+	match = match[:n]
+	switch scheme {
+	case schemeRaw:
+		for i := range match {
+			if match[i] && !holdsI64(op, int64(binary.LittleEndian.Uint64(body[8*i:])), c) {
+				match[i] = false
+			}
+		}
 		return true
+	case schemeRLE:
+		return selectRuns(body, match, func(v int64) (bool, bool) { return holdsI64(op, v, c), true })
+	default:
+		return selectFOR(body, op, c, match)
+	}
+}
+
+func selectFOR(body []byte, op CmpOp, c int64, match []bool) bool {
+	minV, width, packed, err := forFrame(body, uint64(len(match)))
+	if err != nil {
+		return false
 	}
 	if width == 0 {
 		// Constant column: one comparison decides every row.
 		if !holdsI64(op, minV, c) {
-			clearMatch(match, n)
+			clear(match)
 		}
 		return true
 	}
@@ -225,7 +237,7 @@ func selectFOR(body []byte, op CmpOp, c int64, match []bool) bool {
 		// Every value is >= minV > c.
 		switch op {
 		case CmpEq, CmpLt, CmpLe:
-			clearMatch(match, n)
+			clear(match)
 		}
 		return true
 	}
@@ -240,25 +252,16 @@ func selectFOR(body []byte, op CmpOp, c int64, match []bool) bool {
 		// Every value is <= minV+maxDelta < c.
 		switch op {
 		case CmpEq, CmpGt, CmpGe:
-			clearMatch(match, n)
+			clear(match)
 		}
 		return true
 	}
-	for i := uint64(0); i < n; i++ {
-		if !match[i] {
-			continue
-		}
-		if !holdsU64(op, forDelta(packed, int(i)*width, width), cDelta) {
+	for i := range match {
+		if match[i] && !holdsU64(op, forDelta(packed, i*width, width), cDelta) {
 			match[i] = false
 		}
 	}
 	return true
-}
-
-func clearMatch(match []bool, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		match[i] = false
-	}
 }
 
 // SelectInt64In intersects match with per-value membership: row i
@@ -267,189 +270,111 @@ func clearMatch(match []bool, n uint64) {
 // and the packed code array is scanned without decoding. Out-of-range
 // values decline (corrupt payload; the decode path reports it).
 func SelectInt64In(data []byte, member []bool, match []bool) bool {
-	if len(data) == 0 {
+	scheme, n, body, err := lightHeader(data)
+	if err != nil || n > uint64(len(match)) {
 		return false
 	}
-	switch data[0] {
-	case schemeRaw:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || n > uint64(len(match)) || uint64(len(body)-k) < 8*n {
-			return false
+	match = match[:n]
+	in := func(v int64) (bool, bool) {
+		if v < 0 || v >= int64(len(member)) {
+			return false, false
 		}
-		body = body[k:]
-		for i := uint64(0); i < n; i++ {
-			v := int64(binary.LittleEndian.Uint64(body[8*i:]))
-			if v < 0 || v >= int64(len(member)) {
+		return member[v], true
+	}
+	switch scheme {
+	case schemeRaw:
+		for i := range match {
+			keep, ok := in(int64(binary.LittleEndian.Uint64(body[8*i:])))
+			if !ok {
 				return false
 			}
-			if match[i] && !member[v] {
-				match[i] = false
-			}
+			match[i] = match[i] && keep
 		}
 		return true
 	case schemeRLE:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || n > uint64(len(match)) {
-			return false
-		}
-		body = body[k:]
-		var at uint64
-		for at < n {
-			runLen, k1 := binary.Uvarint(body)
-			if k1 <= 0 {
-				return false
-			}
-			body = body[k1:]
-			val, k2 := binary.Varint(body)
-			if k2 <= 0 {
-				return false
-			}
-			body = body[k2:]
-			if at+runLen > n || val < 0 || val >= int64(len(member)) {
-				return false
-			}
-			if !member[val] {
-				for i := at; i < at+runLen; i++ {
-					match[i] = false
-				}
-			}
-			at += runLen
-		}
-		return true
-	case schemeFOR:
-		n, minV, width, packed, ok := forHeader(data[1:])
-		if !ok || n > uint64(len(match)) {
-			return false
-		}
-		if n == 0 {
-			return true
-		}
-		if width == 0 {
-			if minV < 0 || minV >= int64(len(member)) {
-				return false
-			}
-			if !member[minV] {
-				clearMatch(match, n)
-			}
-			return true
-		}
-		for i := uint64(0); i < n; i++ {
-			v := minV + int64(forDelta(packed, int(i)*width, width))
-			if v < 0 || v >= int64(len(member)) {
-				return false
-			}
-			if match[i] && !member[v] {
-				match[i] = false
-			}
-		}
-		return true
-	default:
+		return selectRuns(body, match, in)
+	}
+	minV, width, packed, err := forFrame(body, n)
+	if err != nil {
 		return false
 	}
+	for i := range match {
+		keep, ok := in(minV + int64(forDelta(packed, i*width, width)))
+		if !ok {
+			return false
+		}
+		match[i] = match[i] && keep
+	}
+	return true
 }
 
 // GatherInt64 decodes only the rows listed in sel (ascending row
 // indexes into the payload) into out[:len(sel)] — the late-
-// materialization counterpart of the selection kernels. Raw payloads
-// read the selected words directly, FOR payloads extract the selected
-// bit fields at random offsets, RLE payloads make one forward pass over
-// the runs. DEFLATE declines.
+// materialization counterpart of the selection kernels. DEFLATE
+// declines.
 func GatherInt64(data []byte, sel []int, out []int64) bool {
 	if len(sel) == 0 {
 		return true
 	}
-	if len(data) == 0 || len(out) < len(sel) {
+	if len(out) < len(sel) {
 		return false
 	}
-	switch data[0] {
+	scheme, n, body, err := lightHeader(data)
+	return err == nil && gather(scheme, n, body, sel, out[:len(sel)]) == nil
+}
+
+// gather writes row sel[i] of a light payload's body into out[i], or
+// row i when sel is nil: a full decode is a gather over every row. Raw
+// payloads read the selected words, FOR payloads extract each bit field
+// with one 64-bit load, RLE payloads make one forward pass over the
+// runs.
+func gather(scheme byte, n uint64, body []byte, sel []int, out []int64) error {
+	if len(out) == 0 {
+		return nil
+	}
+	if last := uint64(row(sel, len(out)-1)); last >= n {
+		return fmt.Errorf("compress: row %d of a %d-row payload", last, n)
+	}
+	switch scheme {
 	case schemeRaw:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || uint64(len(body)-k) < 8*n || uint64(sel[len(sel)-1]) >= n {
-			return false
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(body[8*row(sel, i):]))
 		}
-		body = body[k:]
-		for i, r := range sel {
-			out[i] = int64(binary.LittleEndian.Uint64(body[8*r:]))
-		}
-		return true
 	case schemeRLE:
-		body := data[1:]
-		n, k := binary.Uvarint(body)
-		if k <= 0 || uint64(sel[len(sel)-1]) >= n {
-			return false
-		}
-		body = body[k:]
-		var at uint64
 		p := 0
-		for at < n && p < len(sel) {
-			runLen, k1 := binary.Uvarint(body)
-			if k1 <= 0 {
-				return false
+		for end := uint64(0); p < len(out); {
+			runLen, val, rest, ok := nextRun(body)
+			if !ok || runLen > n-end {
+				return fmt.Errorf("compress: RLE runs truncated or past the declared length")
 			}
-			body = body[k1:]
-			val, k2 := binary.Varint(body)
-			if k2 <= 0 {
-				return false
-			}
-			body = body[k2:]
-			if at+runLen > n {
-				return false
-			}
-			end := at + runLen
-			for p < len(sel) && uint64(sel[p]) < end {
+			body, end = rest, end+runLen
+			for ; p < len(out) && uint64(row(sel, p)) < end; p++ {
 				out[p] = val
-				p++
 			}
-			at = end
 		}
-		return p == len(sel)
-	case schemeFOR:
-		n, minV, width, packed, ok := forHeader(data[1:])
-		if !ok || uint64(sel[len(sel)-1]) >= n {
-			return false
-		}
-		if width == 0 {
-			for i := range sel {
-				out[i] = minV
-			}
-			return true
-		}
-		for i, r := range sel {
-			out[i] = minV + int64(forDelta(packed, r*width, width))
-		}
-		return true
 	default:
-		return false
+		minV, width, packed, err := forFrame(body, n)
+		if err != nil {
+			return err
+		}
+		for i := range out {
+			out[i] = minV + int64(forDelta(packed, row(sel, i)*width, width))
+		}
 	}
+	return nil
 }
 
-// Int64SchemeSelectable reports whether SelectInt64/GatherInt64 can
-// operate on this payload without decompression (the light schemes).
-func Int64SchemeSelectable(data []byte) bool {
-	if len(data) == 0 {
-		return false
+// row is the i-th row of a selection; a nil selection is every row.
+func row(sel []int, i int) int {
+	if sel == nil {
+		return i
 	}
-	switch data[0] {
-	case schemeRaw, schemeRLE, schemeFOR:
-		return true
-	default:
-		return false
-	}
+	return sel[i]
 }
 
-// Int64Count returns the number of values in a selectable payload
-// without decoding it. All three light schemes carry the count as the
-// uvarint right after the scheme tag.
+// Int64Count returns the number of values in a light payload without
+// decoding it.
 func Int64Count(data []byte) (int, bool) {
-	if !Int64SchemeSelectable(data) {
-		return 0, false
-	}
-	n, k := binary.Uvarint(data[1:])
-	if k <= 0 {
-		return 0, false
-	}
-	return int(n), true
+	_, n, _, err := lightHeader(data)
+	return int(n), err == nil
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,8 +105,8 @@ func TestSelectInt64DeclinesFlate(t *testing.T) {
 	if SelectInt64(payload, CmpEq, 0, match) {
 		t.Fatal("kernel accepted a DEFLATE payload")
 	}
-	if Int64SchemeSelectable(payload) {
-		t.Fatal("Int64SchemeSelectable true for DEFLATE")
+	if GatherInt64(payload, []int{0}, make([]int64, 1)) {
+		t.Fatal("gather accepted a DEFLATE payload")
 	}
 }
 
@@ -189,5 +190,12 @@ func TestGatherInt64Bounds(t *testing.T) {
 	}
 	if GatherInt64(payload, []int{0, 1}, make([]int64, 1)) {
 		t.Fatal("gather accepted an undersized output buffer")
+	}
+	// A FOR frame whose rows*width overflows 64 bits must not pass the
+	// packed-length check: 2^58 rows of 64 bits in 8 packed bytes.
+	forHuge := append(binary.AppendVarint(binary.AppendUvarint([]byte{schemeFOR}, 1<<58), 0), 64)
+	forHuge = append(forHuge, make([]byte, 8)...)
+	if GatherInt64(forHuge, []int{1}, make([]int64, 1)) {
+		t.Fatal("gather accepted a FOR frame whose declared rows overflow its packed bytes")
 	}
 }

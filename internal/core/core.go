@@ -46,9 +46,6 @@ type Config struct {
 	MemTest bool
 	// TmpDir for external-sort spill files ("" = os.TempDir()).
 	TmpDir string
-	// VacuumEvery runs undo-chain garbage collection after this many
-	// commits (0 = default 256).
-	VacuumEvery int64
 	// Threads is the default worker-pool size for parallel query
 	// pipelines; <=0 consults the QUACK_THREADS environment variable and
 	// then runtime.GOMAXPROCS(0). 1 disables intra-query parallelism.
@@ -99,9 +96,6 @@ type Database struct {
 
 // Open opens or creates a database.
 func Open(cfg Config) (*Database, error) {
-	if cfg.VacuumEvery <= 0 {
-		cfg.VacuumEvery = 256
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = defaultThreads()
 	}
@@ -507,10 +501,14 @@ func (db *Database) applyRecord(rec wal.Record) error {
 	}
 }
 
+// vacuumEvery is how many commits pass between undo-chain garbage
+// collections.
+const vacuumEvery = 256
+
 // afterCommit runs post-commit housekeeping: periodic undo vacuum.
 func (db *Database) afterCommit() {
 	n := db.commitCount.Add(1)
-	if n%db.cfg.VacuumEvery == 0 {
+	if n%vacuumEvery == 0 {
 		db.Vacuum()
 	}
 }

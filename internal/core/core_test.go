@@ -336,19 +336,21 @@ func TestParamsThroughSession(t *testing.T) {
 }
 
 func TestVacuumRunsPeriodically(t *testing.T) {
-	db, err := Open(Config{Path: "", VacuumEvery: 4})
+	db, err := Open(Config{Path: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	execSQL(t, db, "CREATE TABLE t (v BIGINT)")
 	execSQL(t, db, "INSERT INTO t VALUES (0)")
-	for i := 0; i < 12; i++ {
+	// Commit past the vacuum interval twice.
+	last := 2*vacuumEvery + 3
+	for i := 1; i <= last; i++ {
 		execSQL(t, db, fmt.Sprintf("UPDATE t SET v = %d", i))
 	}
 	// No assertion beyond "did not deadlock/corrupt": final value holds.
 	got := queryStrings(t, db, "SELECT v FROM t")
-	if got[0][0] != "11" {
+	if got[0][0] != fmt.Sprint(last) {
 		t.Fatalf("got %v", got)
 	}
 }

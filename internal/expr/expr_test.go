@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,16 +173,43 @@ func TestScalarFuncArity(t *testing.T) {
 	}
 }
 
+// TestInConstNulls pins IN's three-valued logic over x = 1, NULL, 2: a
+// NULL x is NULL, and a NULL in the list makes every non-member NULL —
+// under NOT IN too, which is then never TRUE. Select keeps exactly the
+// TRUE rows.
 func TestInConstNulls(t *testing.T) {
-	in := oneColChunk(types.BigInt, types.NewBigInt(1), types.NewNull(types.BigInt))
-	e := NewInConst(&ColRef{Idx: 0, Typ: types.BigInt},
-		[]types.Value{types.NewBigInt(1), types.NewNull(types.BigInt)}, false)
-	out, err := e.Eval(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Bools[0] || !out.IsNull(1) {
-		t.Fatalf("IN semantics: %v %v", out.Bools[0], out.IsNull(1))
+	in := oneColChunk(types.BigInt, types.NewBigInt(1), types.NewNull(types.BigInt), types.NewBigInt(2))
+	one, null := types.NewBigInt(1), types.NewNull(types.BigInt)
+	tru, fls, unk := types.NewBool(true), types.NewBool(false), types.NewNull(types.Boolean)
+	for _, c := range []struct {
+		list []types.Value
+		not  bool
+		want []types.Value
+	}{
+		{[]types.Value{one}, false, []types.Value{tru, unk, fls}},
+		{[]types.Value{one}, true, []types.Value{fls, unk, tru}},
+		{[]types.Value{one, null}, false, []types.Value{tru, unk, unk}},
+		{[]types.Value{one, null}, true, []types.Value{fls, unk, unk}},
+		{[]types.Value{null}, true, []types.Value{unk, unk, unk}},
+	} {
+		e := NewInConst(&ColRef{Idx: 0, Typ: types.BigInt}, c.list, c.not)
+		out, err := e.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keep []int
+		for r, w := range c.want {
+			if got := out.Get(r); !types.Equal(got, w) {
+				t.Errorf("%s row %d = %v, want %v", e, r, got, w)
+			}
+			if !w.Null && w.Bool {
+				keep = append(keep, r)
+			}
+		}
+		var s Scratch
+		if sel, err := Select(e, in, nil, &s); err != nil || !slices.Equal(sel, keep) {
+			t.Errorf("Select(%s) = %v, %v; want %v", e, sel, err, keep)
+		}
 	}
 }
 

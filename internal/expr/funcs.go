@@ -221,13 +221,17 @@ func (e *CaseExpr) String() string {
 
 // InConst is x IN (constants), evaluated against a set typed like x:
 // int64 for the integer types and Booleans, order keys (floatKey) for
-// doubles, so x IN (c) agrees with x = c; strings by value.
+// doubles, so x IN (c) agrees with x = c; strings by value. A NULL in
+// the list is no member, but it makes a non-member's result NULL: x = NULL
+// is NULL, so x IN (1, NULL) is TRUE or NULL and x NOT IN (1, NULL) is
+// FALSE or NULL, never TRUE.
 type InConst struct {
-	X      Expr
-	Not    bool
-	ints   map[int64]struct{}
-	strs   map[string]struct{}
-	labels []string
+	X       Expr
+	Not     bool
+	ints    map[int64]struct{}
+	strs    map[string]struct{}
+	hasNull bool
+	labels  []string
 }
 
 // NewInConst builds an IN-set expression from constant values already
@@ -235,8 +239,10 @@ type InConst struct {
 func NewInConst(x Expr, vals []types.Value, not bool) *InConst {
 	e := &InConst{X: x, Not: not, ints: map[int64]struct{}{}, strs: map[string]struct{}{}}
 	for _, v := range vals {
+		e.labels = append(e.labels, v.String())
 		if v.Null {
-			continue // NULL in an IN list never matches via =
+			e.hasNull = true
+			continue
 		}
 		switch v.Type {
 		case types.Varchar:
@@ -248,7 +254,6 @@ func NewInConst(x Expr, vals []types.Value, not bool) *InConst {
 		default:
 			e.ints[v.I64] = struct{}{}
 		}
-		e.labels = append(e.labels, v.String())
 	}
 	return e
 }
@@ -265,7 +270,8 @@ func (e *InConst) eval(in *vector.Chunk, rows []int, s *Scratch) (*vector.Vector
 }
 
 // run implements operandPredicate: the non-NULL rows whose value is
-// (NOT) in the set.
+// (NOT) in the set. With a NULL in the list, the second vector it
+// returns is NULL at every non-member.
 //
 //quack:hotpath
 func (e *InConst) run(in *vector.Chunk, rows []int, s *Scratch, out []int) ([]int, *vector.Vector, *vector.Vector, error) {
@@ -274,40 +280,57 @@ func (e *InConst) run(in *vector.Chunk, rows []int, s *Scratch, out []int) ([]in
 		return nil, nil, nil, err
 	}
 	rows = keepValid(x, rows, out)
+	not := e.Not
+	var nulls *vector.Vector
+	if e.hasNull {
+		// Keep the members, then unmark them in nulls.
+		not = false
+		nulls = s.vec(types.Boolean, in.Len())
+		setNulls(nulls, rows)
+	}
 	k := 0
 	switch x.Type {
 	case types.Varchar:
 		for _, i := range rows {
 			_, ok := e.strs[x.Str[i]]
 			out[k] = i
-			k += b2i(ok != e.Not)
+			k += b2i(ok != not)
 		}
 	case types.Integer:
 		for _, i := range rows {
 			_, ok := e.ints[int64(x.I32[i])]
 			out[k] = i
-			k += b2i(ok != e.Not)
+			k += b2i(ok != not)
 		}
 	case types.BigInt, types.Timestamp:
 		for _, i := range rows {
 			_, ok := e.ints[x.I64[i]]
 			out[k] = i
-			k += b2i(ok != e.Not)
+			k += b2i(ok != not)
 		}
 	case types.Double:
 		for _, i := range rows {
 			_, ok := e.ints[floatKey(x.F64[i])]
 			out[k] = i
-			k += b2i(ok != e.Not)
+			k += b2i(ok != not)
 		}
 	case types.Boolean:
 		for _, i := range rows {
 			_, ok := e.ints[int64(b2i(x.Bools[i]))]
 			out[k] = i
-			k += b2i(ok != e.Not)
+			k += b2i(ok != not)
 		}
 	}
-	return out[:k], x, nil, nil
+	if nulls == nil {
+		return out[:k], x, nil, nil
+	}
+	for _, i := range out[:k] {
+		nulls.Valid.SetValid(i)
+	}
+	if e.Not {
+		k = 0 // a member is FALSE, a non-member NULL
+	}
+	return out[:k], x, nulls, nil
 }
 
 func (e *InConst) String() string {

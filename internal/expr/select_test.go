@@ -167,6 +167,9 @@ func refEval(e Expr, row []types.Value) types.Value {
 			return null
 		}
 		has := slices.ContainsFunc(inValues[e], func(v types.Value) bool { return !v.Null && types.Compare(x, v) == 0 })
+		if !has && slices.ContainsFunc(inValues[e], func(v types.Value) bool { return v.Null }) {
+			return null // x = NULL is NULL: a non-member of a list holding NULL
+		}
 		return types.NewBool(has != e.Not)
 	case *LikeExpr:
 		x, pat := refEval(e.X, row), refEval(e.Pattern, row)
@@ -334,20 +337,42 @@ func TestCaseRunsBranchesOnTheirRows(t *testing.T) {
 }
 
 // TestScratchReuseAllocatesNothing holds the filter path to zero
-// allocations per chunk once its scratch has warmed up.
+// allocations per chunk once its scratch has warmed up, also where an
+// intermediate vector carries NULLs: a reset keeps its mask's words.
 func TestScratchReuseAllocatesNothing(t *testing.T) {
 	p := &picker{rng: rand.New(rand.NewSource(2))}
 	in := p.chunk(vector.ChunkCapacity)
+	type filterCase struct {
+		name string
+		pred Expr
+		in   *vector.Chunk
+	}
+	var cases []filterCase
 	for _, e := range filterShapes() {
+		cases = append(cases, filterCase{e.name, e.pred, in})
+	}
+	withNulls := vector.NewChunk([]types.Type{types.BigInt})
+	for i := 0; i < vector.ChunkCapacity; i++ {
+		v := types.NewBigInt(int64(i % 10))
+		if i%7 == 0 {
+			v = types.NewNull(types.BigInt)
+		}
+		withNulls.AppendRow(v)
+	}
+	x := &ColRef{Idx: 0, Typ: types.BigInt}
+	plusOne := &Arith{Op: OpAdd, Typ: types.BigInt, L: x, R: &Const{Val: types.NewBigInt(1)}}
+	cases = append(cases, filterCase{"x_plus_1_gt_5_with_nulls",
+		&Compare{Op: CmpGt, L: plusOne, R: &Const{Val: types.NewBigInt(5)}}, withNulls})
+	for _, c := range cases {
 		var s Scratch
 		allocs := testing.AllocsPerRun(20, func() {
 			s.Reset()
-			if _, err := Select(e.pred, in, nil, &s); err != nil {
+			if _, err := Select(c.pred, c.in, nil, &s); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs per chunk", e.name, allocs)
+			t.Errorf("%s: %v allocs per chunk", c.name, allocs)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // Encoded execution: pushed exact conjuncts are evaluated directly over
@@ -19,9 +18,9 @@ import (
 // stays compressed: the gathered chunk is transient, so a selective
 // scan no longer swaps whole decoded segments into memory.
 //
-// The path is engaged per segment and falls back to full
-// materialization whenever a filter or a projected column cannot be
-// handled on the encoded form. Selection must be EXACT, not merely
+// The path is engaged per segment: when no kernel applies and a
+// projected column is still encoded, the segment is decoded and
+// installed instead (segReader.read). Selection must be EXACT, not merely
 // conservative: kernels drop rows before the row-level filter ever sees
 // them, so a kernel that disagrees with the engine's comparison
 // semantics (types.Compare / types.CompareFloat, NULL never matches a
@@ -106,41 +105,6 @@ func constAgainstExtreme(op compress.CmpOp, high bool) (int64, compress.CmpOp, b
 		return 0, op, true, false, true
 	}
 	return 0, op, false, true, true
-}
-
-// encSelectable reports whether encSelect can evaluate f over this
-// payload without decoding it. Mirrors encSelect's type/scheme checks;
-// keep the two in sync.
-func encSelectable(data []byte, typ types.Type, f ZoneFilter) bool {
-	kind, _, _, body, err := segEncHeader(data)
-	if err != nil {
-		return false
-	}
-	if f.Op == ZoneIsNull || f.Op == ZoneNotNull || f.Val.Null {
-		return true // answered from the validity mask alone
-	}
-	switch kind {
-	case segEncInt64, segEncInt32:
-		switch f.Val.Type {
-		case types.Integer, types.BigInt, types.Timestamp:
-			return compress.Int64SchemeSelectable(body)
-		case types.Double:
-			// Exact only when every column value is exact in float64;
-			// INTEGER (int32) is, the 64-bit family is not.
-			return kind == segEncInt32 && compress.Int64SchemeSelectable(body)
-		}
-		return false
-	case segEncDouble:
-		switch f.Val.Type {
-		case types.Double, types.Integer, types.BigInt, types.Timestamp:
-			return true
-		}
-		return false
-	case segEncDict:
-		return f.Val.Type == types.Varchar
-	default:
-		return false
-	}
 }
 
 // encSelect intersects match[:payload rows] with filter f evaluated
@@ -259,212 +223,36 @@ func encSelect(data []byte, typ types.Type, f ZoneFilter, match []bool) bool {
 	return true
 }
 
-// encGatherable reports whether gatherEncoded can materialize selected
-// rows from this payload (the light schemes; DEFLATE has no random
-// access).
-func encGatherable(data []byte) bool {
-	kind, _, _, body, err := segEncHeader(data)
-	if err != nil {
-		return false
-	}
-	switch kind {
-	case segEncInt64, segEncInt32:
-		return compress.Int64SchemeSelectable(body)
-	case segEncDouble, segEncBool, segEncDict:
-		return true
-	default:
-		return false
-	}
-}
-
-// gatherEncoded decodes only the rows in s.sel from an encoded payload
-// into dst — the late-materialization step. dst is a fresh vector from
-// the reader's output chunk.
-func (s *segReader) gatherEncoded(data []byte, typ types.Type, dst *vector.Vector) bool {
-	kind, n, mask, body, err := segEncHeader(data)
-	if err != nil {
-		return false
-	}
-	m := len(s.sel)
-	if m > 0 && s.sel[m-1] >= n {
-		return false
-	}
-	dst.SetLen(m)
-	switch kind {
-	case segEncInt64:
-		if typ != types.BigInt && typ != types.Timestamp {
-			return false
-		}
-		if !compress.GatherInt64(body, s.sel, dst.I64[:m]) {
-			return false
-		}
-	case segEncInt32:
-		if typ != types.Integer {
-			return false
-		}
-		if s.gather == nil {
-			s.gather = make([]int64, SegRows)
-		}
-		if !compress.GatherInt64(body, s.sel, s.gather[:m]) {
-			return false
-		}
-		for k := 0; k < m; k++ {
-			dst.I32[k] = int32(s.gather[k])
-		}
-	case segEncDouble:
-		if typ != types.Double || len(body) < 8*n {
-			return false
-		}
-		for k, r := range s.sel {
-			dst.F64[k] = floatFromBits(int64(binary.LittleEndian.Uint64(body[8*r:])))
-		}
-	case segEncBool:
-		if typ != types.Boolean || len(body) < (n+7)/8 {
-			return false
-		}
-		for k, r := range s.sel {
-			dst.Bools[k] = body[r>>3]&(1<<uint(r&7)) != 0
-		}
-	case segEncDict:
-		if typ != types.Varchar {
-			return false
-		}
-		values, idxPayload, _, err := compress.DecodeStringDictValues(body)
-		if err != nil {
-			return false
-		}
-		if s.gather == nil {
-			s.gather = make([]int64, SegRows)
-		}
-		if !compress.GatherInt64(idxPayload, s.sel, s.gather[:m]) {
-			return false
-		}
-		for k := 0; k < m; k++ {
-			idx := s.gather[k]
-			if idx < 0 || idx >= int64(len(values)) {
-				return false
-			}
-			dst.Str[k] = values[idx]
-		}
-	default:
-		return false
-	}
-	if mask != nil {
-		for k, r := range s.sel {
-			if mask[r>>3]&(1<<uint(r&7)) == 0 {
-				dst.SetNull(k)
-			}
-		}
-	}
-	return true
-}
-
-// scanSegmentEncoded is the encoded-execution counterpart of
-// scanSegment: it evaluates the exact pushed conjuncts over the
-// segment's compressed payloads and gathers only the surviving rows,
-// leaving the segment itself compressed. ok=false means the segment
-// must take the materialize-and-scan path (nothing was counted);
-// ok=true with a nil chunk means the path ran and selected no rows.
-//
-// Correctness: kernels are exact for the conjuncts they apply
-// (encSelect), unsupported conjuncts are simply not applied, and the
-// caller's row-level filter still evaluates the full predicate — so the
-// surviving rows, their order and their chunk boundaries are identical
-// to the decoded path at every thread count.
-func (s *segReader) scanSegmentEncoded(seg *segment, base int64, maxRows int) (chunk *vector.Chunk, selected int, ok bool) {
-	seg.mu.RLock()
-	defer seg.mu.RUnlock()
-	if seg.enc == nil {
-		return nil, 0, false
-	}
-	// At least one exact conjunct must be evaluable over a still-encoded
-	// column — without one there is nothing to select on.
-	hasKernel := false
-	for _, f := range s.filters {
-		if f.Exact && f.Col < len(seg.enc) && seg.enc[f.Col] != nil &&
-			encSelectable(seg.enc[f.Col], s.t.typs[f.Col], f) {
-			hasKernel = true
-			break
-		}
-	}
-	if !hasKernel {
-		return nil, 0, false
-	}
-	// Every projected column must be decoded already or gatherable.
-	for _, c := range s.cols {
-		if seg.cols[c] == nil && (seg.enc[c] == nil || !encGatherable(seg.enc[c])) {
-			return nil, 0, false
-		}
-	}
-
-	n := seg.n
-	if n > maxRows {
-		n = maxRows
-	}
-	s.visible(seg, n)
-
-	// Evaluate each supported conjunct into a scratch vector and
-	// intersect; a kernel that declines mid-way (corrupt payload) leaves
-	// the combined match untouched.
-	if s.match == nil {
-		s.match = make([]bool, SegRows)
-		s.kmatch = make([]bool, SegRows)
-	}
-	match, kmatch := s.match[:SegRows], s.kmatch[:SegRows]
-	applied := false
+// narrow drops from s.sel the rows an Exact pushed filter on a
+// still-encoded column rejects, each filter evaluated by its kernel
+// (encSelect) over the payload into the one scratch match vector. A
+// kernel that declines narrows nothing. It reports whether any kernel
+// ran. Caller holds seg.mu.
+func (s *segReader) narrow(seg *segment, n int) bool {
+	narrowed := false
 	for _, f := range s.filters {
 		if !f.Exact || f.Col >= len(seg.enc) || seg.enc[f.Col] == nil {
 			continue
 		}
-		if !encSelectable(seg.enc[f.Col], s.t.typs[f.Col], f) {
+		if s.match == nil {
+			s.match = make([]bool, SegRows)
+		}
+		match := s.match[:n]
+		for i := range match {
+			match[i] = true
+		}
+		if !encSelect(seg.enc[f.Col], s.t.typs[f.Col], f, match) {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			kmatch[i] = true
-		}
-		if !encSelect(seg.enc[f.Col], s.t.typs[f.Col], f, kmatch[:n]) {
-			continue
-		}
-		if !applied {
-			copy(match[:n], kmatch[:n])
-			applied = true
-		} else {
-			for i := 0; i < n; i++ {
-				if match[i] && !kmatch[i] {
-					match[i] = false
-				}
+		narrowed = true
+		k := 0
+		for _, r := range s.sel {
+			if match[r] {
+				s.sel[k] = r
+				k++
 			}
 		}
+		s.sel = s.sel[:k]
 	}
-	if !applied {
-		// Every candidate declined at evaluation time; let the decode
-		// path run (and surface payload errors properly).
-		return nil, 0, false
-	}
-
-	// Late materialization: keep only the selected visible rows.
-	k := 0
-	for _, r := range s.sel {
-		if match[r] {
-			s.sel[k] = r
-			k++
-		}
-	}
-	s.sel = s.sel[:k]
-	if k == 0 {
-		return nil, 0, true
-	}
-
-	chunk = vector.NewChunk(s.typs)
-	for oi, c := range s.cols {
-		if seg.cols[c] != nil {
-			seg.cols[c].CompactInto(chunk.Cols[oi], s.sel)
-		} else if !s.gatherEncoded(seg.enc[c], s.t.typs[c], chunk.Cols[oi]) {
-			return nil, 0, false
-		}
-	}
-	chunk.SetLen(k)
-	s.applyUndo(seg, chunk)
-	s.fillRowIDs(chunk, base)
-	return chunk, k, true
+	return narrowed
 }

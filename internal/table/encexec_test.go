@@ -168,13 +168,30 @@ func fuzzConst(rng *rand.Rand, typ types.Type, v *vector.Vector, n int) types.Va
 	}
 }
 
+// sameRows reports the first row where got (rows 0..len(sel)-1) differs
+// from the source vector's rows sel, NULL-ness included.
+func sameRows(got, src *vector.Vector, sel []int) (int, bool) {
+	if got.Len() != len(sel) {
+		return -1, false
+	}
+	for k, r := range sel {
+		if got.IsNull(k) != src.IsNull(r) ||
+			!src.IsNull(r) && types.Compare(got.Get(k), src.Get(r)) != 0 {
+			return r, false
+		}
+	}
+	return 0, true
+}
+
 // TestEncodedKernelEquivalenceFuzz pins the selection-vector
 // determinism rule: for every encoding (dictionary, FOR across
 // width/overflow edges, RLE, plain), every operator and every constant
-// the planner can push, encSelect must agree with decode-then-filter
-// row for row — including NULL slots (whose encoded fill value aliases
-// a real value) and NaN/±Inf under the engine's total FP order — and
-// gatherEncoded must reproduce exactly the selected rows.
+// the planner can push, encSelect must agree row for row with the
+// filter applied to the source values the payload was encoded from —
+// including NULL slots (whose encoded fill value aliases a real value)
+// and NaN/±Inf under the engine's total FP order — and the segment
+// gather must reproduce exactly the source's selected rows, and all of
+// them when it decodes the whole payload.
 func TestEncodedKernelEquivalenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	typs := []types.Type{types.BigInt, types.Integer, types.Double, types.Varchar, types.Timestamp, types.Boolean}
@@ -185,9 +202,12 @@ func TestEncodedKernelEquivalenceFuzz(t *testing.T) {
 		n := 1 + rng.Intn(SegRows)
 		v := fuzzVector(rng, typ, n)
 		payload := encodeSegColumn(v, n)
-		decoded, err := decodeSegColumn(payload, typ)
-		if err != nil {
+		whole := vector.New(typ, SegRows)
+		if err := gatherSeg(payload, typ, nil, whole, nil); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if r, ok := sameRows(whole, v, segRowIDs[:n]); !ok {
+			t.Fatalf("trial %d (%v): whole decode differs from the source at row %d", trial, typ, r)
 		}
 
 		op := ops[rng.Intn(len(ops))]
@@ -196,24 +216,19 @@ func TestEncodedKernelEquivalenceFuzz(t *testing.T) {
 			f.Val = fuzzConst(rng, typ, v, n)
 		}
 
-		selectable := encSelectable(payload, typ, f)
 		match := make([]bool, n)
 		for i := range match {
 			match[i] = true
 		}
-		got := encSelect(payload, typ, f, match)
-		if selectable && !got {
-			t.Fatalf("trial %d (%v %v): encSelectable said yes, encSelect declined", trial, typ, f.Op)
-		}
-		if !got {
+		if !encSelect(payload, typ, f, match) {
 			continue // declined filters are simply not applied — always safe
 		}
 		sel := make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			want := refMatch(decoded, i, f)
+			want := refMatch(v, i, f)
 			if match[i] != want {
 				t.Fatalf("trial %d (%v %v const=%v) row %d (val=%v null=%v): kernel=%v reference=%v",
-					trial, typ, f.Op, f.Val, i, decoded.Get(i), decoded.IsNull(i), match[i], want)
+					trial, typ, f.Op, f.Val, i, v.Get(i), v.IsNull(i), match[i], want)
 			}
 			if match[i] {
 				sel = append(sel, i)
@@ -221,18 +236,12 @@ func TestEncodedKernelEquivalenceFuzz(t *testing.T) {
 		}
 
 		// Late materialization must reproduce exactly the selected rows.
-		r := segReader{t: &DataTable{typs: []types.Type{typ}}, sel: sel}
 		out := vector.New(typ, SegRows)
-		if !r.gatherEncoded(payload, typ, out) {
-			t.Fatalf("trial %d (%v): gather declined a light payload", trial, typ)
+		if err := gatherSeg(payload, typ, sel, out, make([]int64, SegRows)); err != nil {
+			t.Fatalf("trial %d (%v): gather: %v", trial, typ, err)
 		}
-		for k, row := range sel {
-			if out.IsNull(k) != decoded.IsNull(row) {
-				t.Fatalf("trial %d row %d: gathered null=%v want %v", trial, row, out.IsNull(k), decoded.IsNull(row))
-			}
-			if !out.IsNull(k) && types.Compare(out.Get(k), decoded.Get(row)) != 0 {
-				t.Fatalf("trial %d row %d: gathered %v want %v", trial, row, out.Get(k), decoded.Get(row))
-			}
+		if r, ok := sameRows(out, v, sel); !ok {
+			t.Fatalf("trial %d (%v): gathered rows differ from the source at row %d", trial, typ, r)
 		}
 	}
 }
@@ -248,9 +257,6 @@ func TestEncSelectDeclinesDoubleOn64Bit(t *testing.T) {
 	copy(v.I64, []int64{huge, huge + 1, 0, -1})
 	payload := encodeSegColumn(v, 4)
 	f := ZoneFilter{Col: 0, Op: ZoneEq, Val: types.NewDouble(float64(huge)), Exact: true}
-	if encSelectable(payload, types.BigInt, f) {
-		t.Fatal("encSelectable accepted a double constant on a BIGINT column")
-	}
 	match := []bool{true, true, true, true}
 	if encSelect(payload, types.BigInt, f, match) {
 		t.Fatal("encSelect accepted a double constant on a BIGINT column")

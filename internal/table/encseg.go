@@ -138,7 +138,9 @@ func encodeSegColumn(v *vector.Vector, n int) []byte {
 }
 
 // segEncHeader parses the shared prefix: row count, validity bytes (nil
-// when all valid) and the body.
+// when all valid) and the body. It is where a payload's bytes enter the
+// scan, so the row count is bounded by SegRows before anything is sized
+// from it.
 func segEncHeader(data []byte) (kind byte, n int, mask, body []byte, err error) {
 	if len(data) < 2 {
 		return 0, 0, nil, nil, fmt.Errorf("table: segment payload truncated")
@@ -147,6 +149,9 @@ func segEncHeader(data []byte) (kind byte, n int, mask, body []byte, err error) 
 	un, k := binary.Uvarint(data[1:])
 	if k <= 0 {
 		return 0, 0, nil, nil, fmt.Errorf("table: segment payload header")
+	}
+	if un > SegRows {
+		return 0, 0, nil, nil, fmt.Errorf("table: segment payload declares %d rows, a segment holds %d", un, SegRows)
 	}
 	n = int(un)
 	rest := data[1+k:]
@@ -166,85 +171,94 @@ func segEncHeader(data []byte) (kind byte, n int, mask, body []byte, err error) 
 	return kind, n, mask, rest, nil
 }
 
-// decodeSegColumn reverses encodeSegColumn into a vector with capacity
-// for SegRows rows (so in-place tail appends can continue into it).
-func decodeSegColumn(data []byte, typ types.Type) (*vector.Vector, error) {
+// segRowIDs is every row of a segment in order: decoding a whole
+// payload is a gather over its first n entries.
+var segRowIDs = func() []int {
+	ids := make([]int, SegRows)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}()
+
+// gatherSeg decodes the rows sel (ascending) of an encoded segment
+// payload into dst, or every row when sel is nil — the one decoder of a
+// checkpointed segment, for the rows a scan selected and for a segment
+// decoded whole (into a vector with capacity for SegRows rows, so
+// in-place tail appends can continue into it). codes is scratch for
+// SegRows int64 values; nil allocates what the call needs.
+func gatherSeg(data []byte, typ types.Type, sel []int, dst *vector.Vector, codes []int64) error {
 	kind, n, mask, body, err := segEncHeader(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	v := vector.New(typ, SegRows)
-	v.SetLen(n)
+	if sel == nil {
+		sel = segRowIDs[:n]
+	}
+	m := len(sel)
+	if m > 0 && sel[m-1] >= n {
+		return fmt.Errorf("table: row %d of a %d-row segment payload", sel[m-1], n)
+	}
+	if pt, err := segPayloadType(kind); err != nil || pt != typ && (pt != types.BigInt || typ != types.Timestamp) {
+		return fmt.Errorf("table: %v payload (encoding %d) for a %v column", pt, kind, typ)
+	}
+	dst.SetLen(m)
 	switch kind {
-	case segEncInt64, segEncInt32:
-		vals, err := compress.DecompressInt64(body)
-		if err != nil {
-			return nil, fmt.Errorf("table: segment int payload: %w", err)
-		}
-		if len(vals) != n {
-			return nil, fmt.Errorf("table: segment has %d values, want %d", len(vals), n)
-		}
-		if kind == segEncInt32 {
-			if typ != types.Integer {
-				return nil, fmt.Errorf("table: int32 payload for %v column", typ)
-			}
-			for i, x := range vals {
-				v.I32[i] = int32(x)
-			}
-		} else {
-			if typ != types.BigInt && typ != types.Timestamp {
-				return nil, fmt.Errorf("table: int64 payload for %v column", typ)
-			}
-			copy(v.I64, vals)
-		}
 	case segEncDouble:
-		if typ != types.Double {
-			return nil, fmt.Errorf("table: double payload for %v column", typ)
-		}
 		if len(body) < 8*n {
-			return nil, fmt.Errorf("table: segment double payload truncated")
+			return fmt.Errorf("table: segment double payload truncated")
 		}
-		for i := 0; i < n; i++ {
-			v.F64[i] = floatFromBits(int64(binary.LittleEndian.Uint64(body[8*i:])))
+		for k, r := range sel {
+			dst.F64[k] = floatFromBits(int64(binary.LittleEndian.Uint64(body[8*r:])))
 		}
 	case segEncBool:
-		if typ != types.Boolean {
-			return nil, fmt.Errorf("table: bool payload for %v column", typ)
-		}
 		if len(body) < (n+7)/8 {
-			return nil, fmt.Errorf("table: segment bool payload truncated")
+			return fmt.Errorf("table: segment bool payload truncated")
 		}
-		for i := 0; i < n; i++ {
-			v.Bools[i] = body[i>>3]&(1<<uint(i&7)) != 0
+		for k, r := range sel {
+			dst.Bools[k] = body[r>>3]&(1<<uint(r&7)) != 0
 		}
-	case segEncDict:
-		if typ != types.Varchar {
-			return nil, fmt.Errorf("table: dict payload for %v column", typ)
-		}
-		d, _, err := compress.DecodeStringDict(body)
-		if err != nil {
-			return nil, fmt.Errorf("table: segment dict payload: %w", err)
-		}
-		if len(d.Indexes) != n {
-			return nil, fmt.Errorf("table: segment has %d values, want %d", len(d.Indexes), n)
-		}
-		for i, idx := range d.Indexes {
-			if idx < 0 || idx >= int64(len(d.Values)) {
-				return nil, fmt.Errorf("table: dict index out of range")
+	default: // the int64 family and dictionary codes: a CompressInt64 payload
+		ints := body
+		var values []string
+		if kind == segEncDict {
+			if values, ints, _, err = compress.DecodeStringDictValues(body); err != nil {
+				return fmt.Errorf("table: segment dict payload: %w", err)
 			}
-			v.Str[i] = d.Values[idx]
 		}
-	default:
-		return nil, fmt.Errorf("table: unknown segment encoding %d", kind)
+		if kind == segEncInt64 {
+			codes = dst.I64
+		} else if codes == nil {
+			codes = make([]int64, m)
+		}
+		if c, ok := compress.Int64Count(ints); !ok || c != n {
+			return fmt.Errorf("table: segment int payload does not hold its %d rows", n)
+		}
+		if !compress.GatherInt64(ints, sel, codes) {
+			return fmt.Errorf("table: segment int payload corrupt")
+		}
+		switch kind {
+		case segEncInt32:
+			for k, c := range codes[:m] {
+				dst.I32[k] = int32(c)
+			}
+		case segEncDict:
+			for k, c := range codes[:m] {
+				if c < 0 || c >= int64(len(values)) {
+					return fmt.Errorf("table: dict index out of range")
+				}
+				dst.Str[k] = values[c]
+			}
+		}
 	}
 	if mask != nil {
-		for i := 0; i < n; i++ {
-			if mask[i>>3]&(1<<uint(i&7)) == 0 {
-				v.SetNull(i)
+		for k, r := range sel {
+			if mask[r>>3]&(1<<uint(r&7)) == 0 {
+				dst.SetNull(k)
 			}
 		}
 	}
-	return v, nil
+	return nil
 }
 
 // encRefutes evaluates one pushed conjunct directly over a compressed

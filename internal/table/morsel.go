@@ -134,24 +134,29 @@ func (w *MorselScanner) Next() (seq int, chunk *vector.Chunk, err error) {
 		w.counts.Skipped++
 		return int(idx), nil, nil
 	}
-	if w.src.opts.EncodedExec {
-		if chunk, selected, ok := w.scanSegmentEncoded(seg, idx*SegRows, w.src.ns[idx]); ok {
-			w.counts.Scanned++
-			w.counts.Encoded++
-			w.counts.EncodedRows += int64(selected)
-			w.counts.DecodedRows += int64(selected)
-			w.counts.SelectedRows += int64(selected)
-			return int(idx), chunk, nil
+	base, n := idx*SegRows, w.src.ns[idx]
+	chunk, narrowed, decode, err := w.read(seg, base, n, w.src.opts.EncodedExec)
+	for decode && err == nil {
+		if err = w.src.t.materializeSegCols(seg, w.src.cols); err == nil {
+			chunk, narrowed, decode, err = w.read(seg, base, n, w.src.opts.EncodedExec)
 		}
 	}
-	if err := w.src.t.materializeSegCols(seg, w.src.cols); err != nil {
+	if err != nil {
 		return int(idx), nil, err
 	}
-	chunk = w.scanSegment(seg, idx*SegRows, w.src.ns[idx])
-	w.counts.Scanned++
-	w.counts.DecodedRows += int64(w.src.ns[idx])
+	var rows int64
 	if chunk != nil {
-		w.counts.SelectedRows += int64(chunk.Len())
+		rows = int64(chunk.Len())
+	}
+	w.counts.Scanned++
+	w.counts.SelectedRows += rows
+	if narrowed {
+		// Late materialization: only the selected rows were decoded.
+		w.counts.Encoded++
+		w.counts.EncodedRows += rows
+		w.counts.DecodedRows += rows
+	} else {
+		w.counts.DecodedRows += int64(n)
 	}
 	return int(idx), chunk, nil
 }

@@ -117,12 +117,12 @@ func DecodeColumnSegments(data []byte) ([]*vector.Vector, int64, error) {
 		if len(enc) == 0 {
 			return nil, 0, fmt.Errorf("table: empty segment payload")
 		}
-		typ, err := segPayloadType(enc)
+		typ, err := segPayloadType(enc[0])
 		if err != nil {
 			return nil, 0, err
 		}
-		sv, err := decodeSegColumn(enc, typ)
-		if err != nil {
+		sv := vector.New(typ, SegRows)
+		if err := gatherSeg(enc, typ, nil, sv, nil); err != nil {
 			return nil, 0, err
 		}
 		segs = append(segs, sv)
@@ -138,8 +138,8 @@ func DecodeColumnSegments(data []byte) ([]*vector.Vector, int64, error) {
 // segPayloadType infers the logical type a payload decodes to. Integer
 // and Timestamp narrow from the same families; the round-trip helpers
 // only need a compatible payload type.
-func segPayloadType(enc []byte) (types.Type, error) {
-	switch enc[0] {
+func segPayloadType(kind byte) (types.Type, error) {
+	switch kind {
 	case segEncInt64:
 		return types.BigInt, nil
 	case segEncInt32:
@@ -151,7 +151,7 @@ func segPayloadType(enc []byte) (types.Type, error) {
 	case segEncDict:
 		return types.Varchar, nil
 	default:
-		return types.Invalid, fmt.Errorf("table: unknown segment encoding %d", enc[0])
+		return types.Invalid, fmt.Errorf("table: unknown segment encoding %d", kind)
 	}
 }
 

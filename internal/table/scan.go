@@ -61,12 +61,10 @@ type segReader struct {
 	// Both are allocated on first use.
 	pos []int32
 	sel []int
-	// Encoded-execution scratch, allocated on first use: the combined
-	// match vector, the per-filter kernel scratch, and the int64 gather
-	// buffer (encexec.go).
-	match  []bool
-	kmatch []bool
-	gather []int64
+	// Encoded-execution scratch, allocated on first use: the kernels'
+	// match vector (encexec.go) and the int64 gather buffer (encseg.go).
+	match []bool
+	codes []int64
 }
 
 func newSegReader(t *DataTable, tx *txn.Transaction, cols []int, rowIDs bool, filters []ZoneFilter) segReader {
@@ -98,36 +96,62 @@ func (s *segReader) visible(seg *segment, n int) {
 	}
 }
 
-// scanSegment materializes the snapshot-visible rows of one segment as
-// a chunk, or nil when no row is visible. maxRows caps how deep into the
-// segment the reader looks: scans pass the row count snapshotted at open
-// so rows appended afterwards — even by the scanning transaction itself —
-// stay invisible to this statement.
-func (s *segReader) scanSegment(seg *segment, base int64, maxRows int) *vector.Chunk {
+// read is the one reader of a segment. Under the segment lock it finds
+// the rows this snapshot sees among the segment's first maxRows (scans
+// pass the row count snapshotted at open, so rows appended afterwards —
+// even by the scanning transaction itself — stay invisible); with
+// kernels set, narrows them by each Exact pushed filter on a
+// still-encoded column (narrowed reports that one ran); then copies each
+// projected column, or gathers it from its payload. A projected column
+// still encoded with no kernel to narrow the rows returns decode: the
+// caller decodes and installs the columns outside the lock and reads
+// again. chunk is nil when no row survives.
+//
+// Kernels are exact for the conjuncts they apply (encSelect),
+// unsupported conjuncts are not applied, and the caller's row-level
+// filter still evaluates the full predicate — so the surviving rows,
+// their order and their chunk boundaries are the same with kernels on or
+// off, at every thread count.
+func (s *segReader) read(seg *segment, base int64, maxRows int, kernels bool) (chunk *vector.Chunk, narrowed, decode bool, err error) {
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
 
-	n := seg.n
-	if n > maxRows {
-		n = maxRows
-	}
+	n := min(seg.n, maxRows)
 	s.visible(seg, n)
+	if kernels && seg.enc != nil {
+		narrowed = s.narrow(seg, n)
+	}
+	if !narrowed {
+		for _, c := range s.cols {
+			if seg.cols[c] == nil {
+				return nil, false, true, nil
+			}
+		}
+	}
 	if len(s.sel) == 0 {
-		return nil
+		return nil, narrowed, false, nil
 	}
 
-	chunk := vector.NewChunk(s.typs)
+	chunk = vector.NewChunk(s.typs)
 	for oi, c := range s.cols {
-		if len(s.sel) == n { // every row visible: s.sel is [0, n)
+		switch {
+		case seg.cols[c] == nil:
+			if s.codes == nil {
+				s.codes = make([]int64, SegRows)
+			}
+			if err := gatherSeg(seg.enc[c], s.t.typs[c], s.sel, chunk.Cols[oi], s.codes); err != nil {
+				return nil, narrowed, false, fmt.Errorf("table: column %d: %w", c, err)
+			}
+		case len(s.sel) == n: // every row visible: s.sel is [0, n)
 			chunk.Cols[oi].AppendRange(seg.cols[c], 0, n)
-		} else {
+		default:
 			seg.cols[c].CompactInto(chunk.Cols[oi], s.sel)
 		}
 	}
 	chunk.SetLen(len(s.sel))
 	s.applyUndo(seg, chunk)
 	s.fillRowIDs(chunk, base)
-	return chunk
+	return chunk, narrowed, false, nil
 }
 
 // applyUndo rewrites chunk cells whose current value this snapshot must

@@ -420,8 +420,8 @@ func (s *segment) rebuildStatsLocked(typs []types.Type, oldestVisible uint64) er
 	for c := range typs {
 		data := s.cols[c]
 		if data == nil && s.enc != nil && s.enc[c] != nil {
-			v, err := decodeSegColumn(s.enc[c], typs[c])
-			if err != nil {
+			v := vector.New(typs[c], SegRows)
+			if err := gatherSeg(s.enc[c], typs[c], nil, v, nil); err != nil {
 				return fmt.Errorf("table: rebuild stats: %w", err)
 			}
 			data = v

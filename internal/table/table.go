@@ -404,8 +404,8 @@ func (t *DataTable) materializeSegCols(seg *segment, cols []int) error {
 		if enc == nil {
 			continue
 		}
-		v, err := decodeSegColumn(enc, t.typs[c])
-		if err != nil {
+		v := vector.New(t.typs[c], SegRows)
+		if err := gatherSeg(enc, t.typs[c], nil, v, nil); err != nil {
 			return fmt.Errorf("table: materialize column %d: %w", c, err)
 		}
 		if t.decodeBytes != nil {

@@ -89,6 +89,7 @@ func DecodeVector(src []byte) (*Vector, []byte, error) {
 			return nil, nil, fmt.Errorf("vector: truncated mask")
 		}
 		v.Valid.words = make([]uint64, words)
+		v.Valid.used = true
 		for w := 0; w < words; w++ {
 			v.Valid.words[w] = binary.LittleEndian.Uint64(src[8*w:])
 		}

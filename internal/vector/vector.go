@@ -16,24 +16,26 @@ import (
 const ChunkCapacity = 1024
 
 // Bitmask is a validity mask: bit i set means row i holds a valid
-// (non-NULL) value. A nil mask means "all valid", so fully-valid columns
-// pay no masking cost.
+// (non-NULL) value. An unused mask means "all valid", so fully-valid
+// columns pay no masking cost; Reset keeps the words for the mask's next
+// use, so a vector reused chunk after chunk does not reallocate them.
 type Bitmask struct {
 	words []uint64
+	used  bool // a bit may have been cleared since the last Reset
 }
 
 // MaskWords returns how many 64-bit words a mask over n rows needs.
 func MaskWords(n int) int { return (n + 63) / 64 }
 
-// AllValid reports whether no bit has been cleared (nil mask).
-func (m *Bitmask) AllValid() bool { return m.words == nil }
+// AllValid reports whether no bit has been cleared since the last Reset.
+func (m *Bitmask) AllValid() bool { return !m.used }
 
 // IsValid reports whether row i is valid. Rows beyond the materialized
 // words were never invalidated (SetInvalid/SetValid grow the mask), so
 // they are valid — vectors longer than the materialized prefix (e.g. a
 // window's output slices, filled by appending) read correctly.
 func (m *Bitmask) IsValid(i int) bool {
-	if m.words == nil || i>>6 >= len(m.words) {
+	if !m.used || i>>6 >= len(m.words) {
 		return true
 	}
 	return m.words[i>>6]&(1<<(uint(i)&63)) != 0
@@ -47,19 +49,19 @@ func (m *Bitmask) SetInvalid(i int) {
 
 // SetValid marks row i valid.
 func (m *Bitmask) SetValid(i int) {
-	if m.words == nil {
+	if !m.used {
 		return // already all-valid
 	}
 	m.ensure(i + 1)
 	m.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Reset returns the mask to the all-valid state.
-func (m *Bitmask) Reset() { m.words = nil }
+// Reset returns the mask to the all-valid state, keeping its words.
+func (m *Bitmask) Reset() { m.used = false }
 
 // CountValid returns the number of valid rows among the first n.
 func (m *Bitmask) CountValid(n int) int {
-	if m.words == nil {
+	if !m.used {
 		return n
 	}
 	count := 0
@@ -72,12 +74,16 @@ func (m *Bitmask) CountValid(n int) int {
 }
 
 func (m *Bitmask) materialize(n int) {
-	if m.words == nil {
+	if !m.used {
 		w := MaskWords(maxInt(n, ChunkCapacity))
-		m.words = make([]uint64, w)
+		if cap(m.words) < w {
+			m.words = make([]uint64, w)
+		}
+		m.words = m.words[:w]
 		for i := range m.words {
 			m.words[i] = ^uint64(0)
 		}
+		m.used = true
 		return
 	}
 	m.ensure(n)

@@ -3,6 +3,7 @@ package quack_test
 import (
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -129,6 +130,120 @@ func TestEncodedExecDifferential(t *testing.T) {
 		}
 		if encOff != 0 {
 			t.Fatalf("threads=%d: encoded execution off still executed %d segments encoded", threads, encOff)
+		}
+	}
+}
+
+// scanCounterRe picks a SCAN line's counters out of EXPLAIN ANALYZE:
+// rows, segments scanned/skipped, segments run encoded, rows decoded and
+// selected (timings vary run to run, so they are left out).
+var scanCounterRe = regexp.MustCompile(`(rows|segs|enc|decoded|selected)=[0-9/]+`)
+
+// scanCounters runs q under EXPLAIN ANALYZE and returns the counters of
+// its SCAN lines.
+func scanCounters(t *testing.T, db *quack.DB, q string) string {
+	t.Helper()
+	var scans []string
+	for _, l := range queryAll(t, db, "EXPLAIN ANALYZE "+q) {
+		if strings.Contains(l[0], "SCAN ") {
+			scans = append(scans, strings.Join(scanCounterRe.FindAllString(l[0], -1), " "))
+		}
+	}
+	return strings.Join(scans, "; ")
+}
+
+// encodedScanGolden is what the scan returned for encodedExecQueries
+// while a segment still had two readers (a decoded one and an encoded
+// one), replayed in order on one cold open: per query, the result's
+// rows, chunk boundaries and hash (joinFingerprint), then its SCAN
+// counters with encoded execution on and off. Identical at 1, 2 and 8
+// threads. Replaying in order matters: a decoded scan installs the
+// columns it decodes, which decides what later queries can run encoded.
+var encodedScanGolden = [][3]string{
+	{"rows=100 chunks=2 fnv=fbc289f4601e68cc",
+		"rows=100 segs=2/28 enc=2 decoded=100 selected=100",
+		"rows=100 segs=2/28 decoded=2048 selected=2048"},
+	{"rows=1 chunks=1 fnv=447d4d58a9bd84c8",
+		"rows=600 segs=1/29 enc=1 decoded=600 selected=600",
+		"rows=600 segs=1/29 decoded=1024 selected=1024"},
+	{"rows=1 chunks=1 fnv=778c5ccbc5c96442",
+		"rows=100 segs=1/29 enc=1 decoded=100 selected=100",
+		"rows=100 segs=1/29 decoded=304 selected=304"},
+	{"rows=1 chunks=1 fnv=05539432f2ffa676",
+		"rows=1 segs=1/29 enc=1 decoded=1 selected=1",
+		"rows=1 segs=1/29 decoded=1024 selected=1024"},
+	{"rows=1 chunks=1 fnv=068345d30f277613",
+		"rows=29999 segs=30/0 enc=30 decoded=29999 selected=29999",
+		"rows=29999 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=fb82b96a1d311c5f",
+		"rows=4949 segs=30/0 enc=30 decoded=4949 selected=4949",
+		"rows=4949 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=217bc2c1613bfda0",
+		"rows=24742 segs=30/0 enc=30 decoded=24742 selected=24742",
+		"rows=24742 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=ae7c7fd13edabdfd",
+		"rows=0 segs=0/30",
+		"rows=0 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=f43aae6a1975665c",
+		"rows=4948 segs=30/0 enc=30 decoded=4948 selected=4948",
+		"rows=4948 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=483ca3e0dd5f586b",
+		"rows=62 segs=3/27 enc=3 decoded=62 selected=62",
+		"rows=62 segs=3/27 decoded=3072 selected=3072"},
+	{"rows=1 chunks=1 fnv=8afa6b35ba05d446",
+		"rows=306 segs=2/28 enc=2 decoded=306 selected=306",
+		"rows=306 segs=2/28 decoded=2048 selected=2048"},
+	{"rows=1 chunks=1 fnv=50df09874abec56f",
+		"rows=183 segs=2/28 enc=2 decoded=183 selected=183",
+		"rows=183 segs=2/28 decoded=2048 selected=2048"},
+	{"rows=1 chunks=1 fnv=a3c0984ab5fef2f4",
+		"rows=89 segs=29/1 enc=29 decoded=89 selected=89",
+		"rows=89 segs=29/1 decoded=29696 selected=29696"},
+	{"rows=1 chunks=1 fnv=551476a49cf05ea1",
+		"rows=59 segs=30/0 enc=30 decoded=59 selected=59",
+		"rows=59 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=2df8113ea2b2b9d1",
+		"rows=310 segs=30/0 enc=30 decoded=310 selected=310",
+		"rows=310 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=1 chunks=1 fnv=8d761cc3565b2a5a",
+		"rows=988 segs=2/28 enc=2 decoded=988 selected=988",
+		"rows=988 segs=2/28 decoded=1328 selected=1328"},
+	{"rows=1 chunks=1 fnv=5a0787da027c57f9",
+		"rows=2242 segs=15/15 enc=15 decoded=2242 selected=2242",
+		"rows=2242 segs=15/15 decoded=15360 selected=15360"},
+	{"rows=31 chunks=2 fnv=bcda79d25a86e594",
+		"rows=31 segs=30/0 decoded=30000 selected=30000",
+		"rows=31 segs=30/0 decoded=30000 selected=30000"},
+	{"rows=40 chunks=1 fnv=2f300849ef04ef6e",
+		"rows=40 segs=1/29 decoded=1024 selected=1024; rows=64 segs=1/0 decoded=64 selected=64",
+		"rows=40 segs=1/29 decoded=1024 selected=1024; rows=64 segs=1/0 decoded=64 selected=64"},
+	{"rows=7 chunks=1 fnv=eceae2bf5ab13b3e",
+		"rows=1000 segs=2/28 decoded=2048 selected=2048",
+		"rows=1000 segs=2/28 decoded=2048 selected=2048"},
+}
+
+// TestEncodedScanIdenticalToParent pins results, chunk boundaries and
+// the scan counters of the encoded-execution palette to encodedScanGolden
+// at every thread count, with encoded execution on and off.
+func TestEncodedScanIdenticalToParent(t *testing.T) {
+	path := encodedExecFixture(t)
+	for _, threads := range []int{1, 2, 8} {
+		for leg, encodedExec := range []bool{true, false} {
+			db, err := quack.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Internal().SetEncodedExec(encodedExec)
+			mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
+			for i, q := range encodedExecQueries {
+				counters := scanCounters(t, db, q)
+				got := joinFingerprint(t, db, q)
+				if want := encodedScanGolden[i]; got != want[0] || counters != want[1+leg] {
+					t.Errorf("threads=%d encoded=%v %q:\n got %s | %s\nwant %s | %s",
+						threads, encodedExec, q, got, counters, want[0], want[1+leg])
+				}
+			}
+			db.Close()
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // assertQuery runs sql and compares the printed result rows.
@@ -86,6 +88,62 @@ func TestInList(t *testing.T) {
 	// Non-constant IN list falls back to OR chain.
 	checkQ(t, fixture, "SELECT s FROM nums WHERE b IN (i * 10) ORDER BY i",
 		[][]string{{"alpha"}, {"beta"}, {"gamma"}})
+}
+
+// TestInListWithNull: a NULL in an IN list is no member, but x = NULL is
+// NULL, so a non-member's IN and NOT IN are NULL and NOT IN is never
+// TRUE. Over v = 0, 1, 2, NULL (1250 rows each, five segments) at 1 and
+// 4 threads, the vectorized engine and the row engine must both return
+// the hand-computed values.
+func TestInListWithNull(t *testing.T) {
+	queries := []struct{ sql, want string }{
+		{"SELECT v, v IN (1, NULL), v NOT IN (1, NULL), v NOT IN (1) FROM t WHERE id < 4 ORDER BY id",
+			"[[0 NULL NULL true] [1 true false false] [2 NULL NULL true] [NULL NULL NULL NULL]]"},
+		{"SELECT count(*) FROM t WHERE v IN (1, NULL)", "[[1250]]"},
+		{"SELECT count(*) FROM t WHERE v NOT IN (1, NULL)", "[[0]]"},
+		{"SELECT count(*) FROM t WHERE NOT (v IN (1, NULL))", "[[0]]"},
+		{"SELECT count(*) FROM t WHERE v NOT IN (1)", "[[2500]]"},
+		{"SELECT count(*) FROM t WHERE (v NOT IN (0, NULL)) IS NULL", "[[3750]]"},
+	}
+	for _, threads := range []int{1, 4} {
+		db := openMem(t)
+		mustExec(t, db, fmt.Sprintf("PRAGMA threads=%d", threads))
+		mustExec(t, db, "CREATE TABLE t (id BIGINT, v BIGINT)")
+		app, err := db.Appender("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5000; i++ {
+			var v any = int64(i % 4)
+			if i%4 == 3 {
+				v = nil
+			}
+			if err := app.AppendRow(int64(i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := app.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if got := fmt.Sprint(queryAll(t, db, q.sql)); got != q.want {
+				t.Errorf("threads=%d %q: got %s, want %s", threads, q.sql, got, q.want)
+			}
+			ref, err := oracle.Query(db.Internal(), q.sql)
+			if err != nil {
+				t.Fatalf("row engine %q: %v", q.sql, err)
+			}
+			rows := make([][]string, len(ref))
+			for i, r := range ref {
+				for _, v := range r {
+					rows[i] = append(rows[i], v.String())
+				}
+			}
+			if got := fmt.Sprint(rows); got != q.want {
+				t.Errorf("row engine %q: got %s, want %s", q.sql, got, q.want)
+			}
+		}
+	}
 }
 
 func TestLikeSemantics(t *testing.T) {
